@@ -17,9 +17,8 @@ from .simulate import (ConstantStrategy, ObjectiveEstimate, WealthPath,
                        estimate_objective, objective_from_terminal,
                        simulate_terminal, simulate_wealth)
 from .solver import (DistortionFunctions, DistortionSide, EquilibriumSolution,
-                     ValueCoefficients, bracket_pi_q, count_foc_sign_changes,
-                     distortions, penalty_rate, pi_s_star, post_default_coeffs,
-                     pre_default_system, reference_mean_intercepts,
+                     ValueCoefficients, bracket_pi_q, distortions, penalty_rate,
+                     pi_s_star, pre_default_system, reference_mean_intercepts,
                      reinsurance_foc, solve_equilibrium, solve_pi_q_grid,
                      solve_pi_q_star, strategy_distortions, value_function)
 from .sweep import (QUANTITIES, SweepResult, SweepRow, SweepSpec,
@@ -36,8 +35,7 @@ __all__ = [
     "ClaimMeasure", "build_measure", "integrate", "premium_rate", "sample_claims",
     "EquilibriumSolution", "ValueCoefficients", "DistortionFunctions", "DistortionSide",
     "pi_s_star", "reinsurance_foc", "bracket_pi_q", "solve_pi_q_star", "solve_pi_q_grid",
-    "count_foc_sign_changes", "post_default_coeffs", "pre_default_system",
-    "solve_equilibrium", "reference_mean_intercepts", "distortions",
+    "pre_default_system", "solve_equilibrium", "reference_mean_intercepts", "distortions",
     "strategy_distortions", "value_function", "penalty_rate",
     "ConstantStrategy", "WealthPath", "ObjectiveEstimate",
     "simulate_wealth", "simulate_terminal", "estimate_objective",

@@ -9,16 +9,20 @@ and the density, so callers never see the distribution again.
 For the truncated normal the quadrature support is clipped to
 ``[max(0, muZ - 8 sigmaZ), muZ + 8 sigmaZ]``; the neglected tail mass is below
 1e-15 of lambda, far beneath the solver's root tolerance, so exponential
-integrands remain exact to tolerance.
+integrands remain exact to tolerance.  Its density is evaluated in closed
+form, ``phi((z - muZ)/sigmaZ) / (sigmaZ P(N(muZ, sigmaZ^2) > 0))`` with the
+normalizing probability from ``math.erfc``.  The Gauss-Legendre rule for each
+node count is computed once and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.stats import norm
 
 from .config import ClaimModelSpec
 from .errors import NumericalError, ValidationError
@@ -26,6 +30,7 @@ from .errors import NumericalError, ValidationError
 __all__ = ["ClaimMeasure", "build_measure", "integrate", "premium_rate", "sample_claims"]
 
 _SUPPORT_SIGMAS = 8.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -57,16 +62,27 @@ class ClaimMeasure:
         return float(self.weights @ self.nodes ** k)
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] (read-only, cached)."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def build_measure(spec: ClaimModelSpec, quad_nodes: int) -> ClaimMeasure:
     """Build the Gauss-Legendre representation of the claim measure."""
-    x, w = leggauss(quad_nodes)
+    x, w = _gauss_legendre(quad_nodes)
     if spec.kind == "truncated-normal":
         lo = max(0.0, spec.muZ - _SUPPORT_SIGMAS * spec.sigmaZ)
         hi = spec.muZ + _SUPPORT_SIGMAS * spec.sigmaZ
         nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         scale = 0.5 * (hi - lo)
-        trunc_const = norm.sf(-spec.muZ / spec.sigmaZ)  # P(Z_untruncated > 0)
-        dens = norm.pdf(nodes, loc=spec.muZ, scale=spec.sigmaZ) / trunc_const
+        # P(Z_untruncated > 0) = Phi(muZ / sigmaZ)
+        trunc_const = 0.5 * math.erfc(-(spec.muZ / spec.sigmaZ) / math.sqrt(2.0))
+        u = (nodes - spec.muZ) / spec.sigmaZ
+        dens = np.exp(-u ** 2 / 2.0) / _SQRT_2PI / spec.sigmaZ / trunc_const
         weights = spec.lam * scale * w * dens
     else:
         z_grid, density = spec.z_grid, spec.density

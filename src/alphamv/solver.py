@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import ModelParams, NumericsConfig
 from .errors import NumericalError, SaturationWarning, ValidationError
@@ -40,9 +39,7 @@ __all__ = [
     "bracket_pi_q",
     "solve_pi_q_star",
     "solve_pi_q_grid",
-    "count_foc_sign_changes",
     "scan_foc_sign_changes",
-    "post_default_coeffs",
     "pre_default_system",
     "solve_equilibrium",
     "reference_mean_intercepts",
@@ -88,14 +85,14 @@ def pi_s_star(t, params: ModelParams):
 # reinsurance first-order condition and root solve
 # ---------------------------------------------------------------------------
 
-def _clipped_exp(x: np.ndarray, exp_cap: float) -> np.ndarray:
+def _clip_exponent(x: np.ndarray, exp_cap: float) -> np.ndarray:
     if np.max(np.abs(x), initial=0.0) > exp_cap:
         warnings.warn(
             f"exponent saturated at +-{exp_cap:g} during claim-integral evaluation",
             SaturationWarning, stacklevel=3,
         )
         x = np.clip(x, -exp_cap, exp_cap)
-    return np.exp(x)
+    return x
 
 
 def _foc_values(A, pi, params: ModelParams, measure: ClaimMeasure,
@@ -112,7 +109,7 @@ def _foc_values(A, pi, params: ModelParams, measure: ClaimMeasure,
     zA2 = zA * zA
     G = zA + params.gamma * pi * zA2
     E = pi * zA + 0.5 * params.gamma * pi * pi * zA2
-    ep = _clipped_exp(params.beta3 * E, exp_cap)
+    ep = np.exp(_clip_exponent(params.beta3 * E, exp_cap))
     em = 1.0 / ep  # symmetric clipping makes exp(-clip(x)) the exact reciprocal
     mix = params.alpha * ep + params.alpha_hat * em
     F = ((1.0 + params.eta) * zA - G * mix) @ w
@@ -139,71 +136,39 @@ def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
 
 
 def bracket_pi_q(t, params: ModelParams, measure: ClaimMeasure,
-                 exp_cap: float = DEFAULT_EXP_CAP) -> float:
-    """Upper bracket endpoint: smallest power-of-two hi with F(t, hi) < 0."""
-    A = params.discount_to_horizon(t)
-    hi = 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        F, _ = _foc_values(A, hi, params, measure, exp_cap, with_derivative=False)
-        if F < 0:
-            return hi
-        hi *= 2.0
-    raise NumericalError(
-        f"bracket expansion for pi_q failed after {_MAX_DOUBLINGS} doublings at t={t}: "
-        "pathological parameters"
-    )
+                 exp_cap: float = DEFAULT_EXP_CAP):
+    """Upper bracket endpoint: smallest power-of-two hi with F(t, hi) < 0.
 
-
-def solve_pi_q_star(t: float, params: ModelParams, measure: ClaimMeasure,
-                    root_tol: float = DEFAULT_ROOT_TOL,
-                    exp_cap: float = DEFAULT_EXP_CAP) -> float:
-    """Unique equilibrium reinsurance exposure at time t (any default state).
-
-    Brent on the expanded bracket, with a Newton polish if the residual is not
-    yet below ``root_tol`` relative to the natural scale
-    ``eta e^{r(T-t)} int z nu(dz)``.
+    Vectorized over t; returns a scalar for scalar input.
     """
-    A = float(params.discount_to_horizon(t))
-    hi = bracket_pi_q(t, params, measure, exp_cap)
-    scale = params.eta * A * measure.moment(1)
-
-    def f(pi: float) -> float:
-        F, _ = _foc_values(A, pi, params, measure, exp_cap, with_derivative=False)
-        return float(F)
-
-    root = brentq(f, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=200)
-    for _ in range(8):
-        F, dF = _foc_values(A, root, params, measure, exp_cap, with_derivative=True)
-        if abs(float(F)) <= root_tol * scale:
-            break
-        step = float(F) / float(dF)
-        root = min(max(root - step, 0.0), hi)
-    else:
-        raise NumericalError(f"pi_q root polish did not reach tolerance at t={t}")
-    return float(root)
-
-
-def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
-                    exp_cap: float = DEFAULT_EXP_CAP) -> np.ndarray:
-    """Vectorized root solve at many times at once.
-
-    Bisection localizes the root inside the expanded bracket, then Newton
-    drives the residual to machine precision (F is smooth and strictly
-    decreasing).  Agrees with :func:`solve_pi_q_star` point by point; exists
-    because sweeps and the backward integrator need thousands of roots per
-    call.
-    """
-    times = np.asarray(times, dtype=float)
-    A = params.discount_to_horizon(times)
+    A = np.asarray(params.discount_to_horizon(t), dtype=float)
     hi = np.ones_like(A)
     for _ in range(_MAX_DOUBLINGS):
         F, _ = _foc_values(A, hi, params, measure, exp_cap, with_derivative=False)
         open_mask = F >= 0
         if not np.any(open_mask):
-            break
+            return hi if hi.ndim else float(hi)
         hi[open_mask] *= 2.0
-    else:
-        raise NumericalError("bracket expansion for pi_q failed on the time grid")
+    first_bad = float(np.min(np.asarray(t, dtype=float)[open_mask]))
+    raise NumericalError(
+        f"bracket expansion for pi_q failed after {_MAX_DOUBLINGS} doublings at "
+        f"t={first_bad:g}: pathological parameters"
+    )
+
+
+def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
+                    root_tol: float = DEFAULT_ROOT_TOL,
+                    exp_cap: float = DEFAULT_EXP_CAP) -> np.ndarray:
+    """Unique equilibrium reinsurance exposure at every time (any default state).
+
+    Bisection localizes the root inside the expanded bracket, then Newton
+    drives the residual to machine precision (F is smooth and strictly
+    decreasing).  Raises NumericalError unless every residual is at most
+    ``root_tol`` relative to the natural scale ``eta e^{r(T-t)} int z nu(dz)``.
+    """
+    times = np.asarray(times, dtype=float)
+    A = params.discount_to_horizon(times)
+    hi = np.asarray(bracket_pi_q(times, params, measure, exp_cap), dtype=float)
     lo = np.zeros_like(hi)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
@@ -215,7 +180,18 @@ def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
     for _ in range(_NEWTON_ITERS):
         F, dF = _foc_values(A, root, params, measure, exp_cap, with_derivative=True)
         root = np.clip(root - F / dF, lo, hi)
+    residual, _ = _foc_values(A, root, params, measure, exp_cap, with_derivative=False)
+    scale = params.eta * A * measure.moment(1)
+    if not np.all(np.abs(residual) <= root_tol * scale):
+        raise NumericalError("pi_q roots did not reach the configured tolerance")
     return root
+
+
+def solve_pi_q_star(t: float, params: ModelParams, measure: ClaimMeasure,
+                    root_tol: float = DEFAULT_ROOT_TOL,
+                    exp_cap: float = DEFAULT_EXP_CAP) -> float:
+    """:func:`solve_pi_q_grid` at the single time t."""
+    return float(solve_pi_q_grid(t, params, measure, root_tol, exp_cap))
 
 
 def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
@@ -239,8 +215,8 @@ def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
     alpha32 = np.float32(params.alpha)
     alpha_hat32 = np.float32(params.alpha_hat)
     cap32 = np.float32(exp_cap)
-    for j, t in enumerate(times):
-        hi = bracket_pi_q(float(t), params, measure, exp_cap)
+    his = bracket_pi_q(times, params, measure, exp_cap)
+    for j, (t, hi) in enumerate(zip(times, his)):
         A = float(params.discount_to_horizon(t))
         c = (measure.nodes * A).astype(np.float32)                       # z A
         d = (0.5 * params.gamma * (measure.nodes * A) ** 2).astype(np.float32)
@@ -262,13 +238,6 @@ def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
         signs = signs[signs != 0]
         counts[j] = int(np.count_nonzero(np.diff(signs) != 0))
     return counts
-
-
-def count_foc_sign_changes(t: float, params: ModelParams, measure: ClaimMeasure,
-                           n_points: int = 10_000,
-                           exp_cap: float = DEFAULT_EXP_CAP) -> int:
-    """Number of sign changes of F(t, .) on [0, bracket] over a uniform scan."""
-    return int(scan_foc_sign_changes(t, params, measure, n_points, exp_cap)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +321,14 @@ class _NodeTables:
         w = measure.weights
         zA = z * A[:, None]
         E = pi_q[:, None] * zA + 0.5 * params.gamma * (pi_q[:, None] * zA) ** 2
-        ep = _clipped_exp(b3 * E, exp_cap)
-        em = _clipped_exp(-b3 * E, exp_cap)
-        self.I_plus = (z * ep) @ w          # int z e^{+b3 E} nu(dz)
-        self.I_minus = (z * em) @ w
+        x = _clip_exponent(b3 * E, exp_cap)
+        ep1 = np.expm1(x)                   # e^{+b3 E} - 1 without cancellation
+        em1 = np.expm1(-x)
+        self.I_plus = (z * (ep1 + 1.0)) @ w     # int z e^{+b3 E} nu(dz)
+        self.I_minus = (z * (em1 + 1.0)) @ w
         if b3 > 0:
             # (alpha/b3) int (1 - e^{+b3 E}) nu - (alpha_hat/b3) int (1 - e^{-b3 E}) nu
-            self.KB = (params.alpha / b3) * ((1.0 - ep) @ w) \
-                - (params.alpha_hat / b3) * ((1.0 - em) @ w)
+            self.KB = (params.alpha_hat / b3) * (em1 @ w) - (params.alpha / b3) * (ep1 @ w)
         else:
             self.KB = -(E @ w)              # b3 -> 0 limit of the same term
         two_a = 2.0 * params.alpha - 1.0
@@ -403,8 +372,9 @@ def _validate_uniform_grid(grid: np.ndarray, T: float) -> None:
         raise ValidationError("grid", "time grid must be uniform over [0, T]")
 
 
-def _pre_default_pi_p(y: Sequence[float], A: float, params: ModelParams) -> float:
-    # explicit linear solve of the bond first-order condition at one instant
+def _pre_default_pi_p(y, A, params: ModelParams):
+    # explicit linear solve of the bond first-order condition; y holds the six
+    # intercepts (B1, b1_lo, b1_hi, B0, b0_lo, b0_hi) as scalars or as columns
     num = (params.delta - params.zeta * params.hP
            + params.gamma * params.zeta * params.hP
            * (params.alpha * (y[1] - y[4]) + params.alpha_hat * (y[2] - y[5])))
@@ -412,9 +382,8 @@ def _pre_default_pi_p(y: Sequence[float], A: float, params: ModelParams) -> floa
 
 
 def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.ndarray,
-                        include_pre_default: bool,
                         betas: Optional[tuple[float, float, float]] = None,
-                        strategy: Optional[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
+                        strategy: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
                         root_tol: float = DEFAULT_ROOT_TOL,
                         exp_cap: float = DEFAULT_EXP_CAP):
     """Backward RK4 sweep of the coefficient system on ``grid``.
@@ -425,13 +394,14 @@ def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.nda
     beta = 0 case is the reference measure).  When pi_p is not pinned it is
     eliminated algebraically inside every integrator stage.
 
-    Returns (tables, states) where states has shape (len(grid), 6) with
-    columns (B1, b1_lo, b1_hi, B0, b0_lo, b0_hi); the pre-default columns are
-    NaN when not requested.
+    Returns (tables, states, pi_p): states has shape (len(grid), 6) with
+    columns (B1, b1_lo, b1_hi, B0, b0_lo, b0_hi), and pi_p is the bond amount
+    on ``grid``.  Raises NumericalError for hP = 0 or zeta = 0 (no finite
+    bond demand).
     """
     grid = np.asarray(grid, dtype=float)
     _validate_uniform_grid(grid, params.T)
-    if include_pre_default and (params.hP == 0.0 or params.zeta == 0.0):
+    if params.hP == 0.0 or params.zeta == 0.0:
         raise NumericalError(
             "defaultable-bond demand unbounded: the bond first-order condition has no "
             f"finite root for hP={params.hP}, zeta={params.zeta}"
@@ -440,12 +410,7 @@ def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.nda
     if betas is None:
         betas = (params.beta1, params.beta2, params.beta3)
     if strategy is None:
-        pi_q = solve_pi_q_grid(fine, params, measure, exp_cap)
-        residual, _ = _foc_values(params.discount_to_horizon(fine), pi_q, params,
-                                  measure, exp_cap, with_derivative=False)
-        scale = params.eta * params.discount_to_horizon(fine) * measure.moment(1)
-        if np.any(np.abs(residual) > root_tol * scale):
-            raise NumericalError("pi_q roots did not reach the configured tolerance")
+        pi_q = solve_pi_q_grid(fine, params, measure, root_tol, exp_cap)
         pi_s = np.asarray(pi_s_star(fine, params), dtype=float)
         pi_p_pinned = None
     else:
@@ -458,11 +423,6 @@ def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.nda
     fB1, f1lo, f1hi = tables.fB1, tables.f1_lo, tables.f1_hi
 
     def rhs(i: int, y: Sequence[float]) -> tuple[float, ...]:
-        dB1 = -fB1[i]
-        db1lo = -f1lo[i]
-        db1hi = -f1hi[i]
-        if not include_pre_default:
-            return dB1, db1lo, db1hi, 0.0, 0.0, 0.0
         Ai = A[i]
         pi_p = pi_p_pinned[i] if pi_p_pinned is not None else _pre_default_pi_p(y, Ai, params)
         bond = pi_p * delta * Ai
@@ -472,7 +432,7 @@ def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.nda
         fB0 = (fB1[i] + bond + hP * (lump + y[0])
                - 0.5 * a * gamma * hP * (lump + y[1] - y[4]) ** 2
                - 0.5 * ah * gamma * hP * (lump + y[2] - y[5]) ** 2)
-        return (dB1, db1lo, db1hi,
+        return (-fB1[i], -f1lo[i], -f1hi[i],
                 hP * y[3] - fB0, hP * y[4] - f0lo, hP * y[5] - f0hi)
 
     n = grid.size
@@ -487,33 +447,19 @@ def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.nda
         k4 = rhs(i_lo, [y[j] + h * k3[j] for j in range(6)])
         y = [y[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) for j in range(6)]
         states[k] = y
-    if not include_pre_default:
-        states[:, 3:] = np.nan
-    return tables, states
-
-
-def post_default_coeffs(params: ModelParams, measure: ClaimMeasure, grid,
-                        root_tol: float = DEFAULT_ROOT_TOL,
-                        exp_cap: float = DEFAULT_EXP_CAP):
-    """B1, b1_lo, b1_hi on ``grid`` (terminal values zero)."""
-    grid = np.asarray(grid, dtype=float)
-    _, states = _solve_coefficients(params, measure, grid, include_pre_default=False,
-                                    root_tol=root_tol, exp_cap=exp_cap)
-    return states[:, 0], states[:, 1], states[:, 2]
+    if pi_p_pinned is not None:
+        pi_p = pi_p_pinned[0::2]
+    else:
+        pi_p = _pre_default_pi_p(states.T, A[0::2], params)
+    return tables, states, pi_p
 
 
 def pre_default_system(params: ModelParams, measure: ClaimMeasure, grid,
                        root_tol: float = DEFAULT_ROOT_TOL,
                        exp_cap: float = DEFAULT_EXP_CAP):
-    """pi_p, B0, b0_lo, b0_hi on ``grid``.
-
-    Raises NumericalError for hP = 0 or zeta = 0 (no finite bond demand).
-    """
-    grid = np.asarray(grid, dtype=float)
-    _, states = _solve_coefficients(params, measure, grid, include_pre_default=True,
-                                    root_tol=root_tol, exp_cap=exp_cap)
-    A = params.discount_to_horizon(grid)
-    pi_p = np.array([_pre_default_pi_p(states[k], A[k], params) for k in range(grid.size)])
+    """pi_p, B0, b0_lo, b0_hi on ``grid``; see :func:`_solve_coefficients`."""
+    _, states, pi_p = _solve_coefficients(params, measure, grid,
+                                          root_tol=root_tol, exp_cap=exp_cap)
     return pi_p, states[:, 3], states[:, 4], states[:, 5]
 
 
@@ -521,14 +467,11 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
                       numerics: NumericsConfig) -> EquilibriumSolution:
     """Full equilibrium: strategies and value coefficients on a uniform grid."""
     grid = np.linspace(0.0, params.T, numerics.time_steps + 1)
-    tables, states = _solve_coefficients(
-        params, measure, grid, include_pre_default=True,
-        root_tol=numerics.root_tol, exp_cap=numerics.exp_cap,
+    tables, states, pi_p = _solve_coefficients(
+        params, measure, grid, root_tol=numerics.root_tol, exp_cap=numerics.exp_cap,
     )
-    A = params.discount_to_horizon(grid)
-    pi_p = np.array([_pre_default_pi_p(states[k], A[k], params) for k in range(grid.size)])
     coeffs = ValueCoefficients(
-        grid=grid, A=A,
+        grid=grid, A=tables.A[0::2],
         B1=states[:, 0], B0=states[:, 3],
         b1_lo=states[:, 1], b1_hi=states[:, 2],
         b0_lo=states[:, 4], b0_hi=states[:, 5],
@@ -553,8 +496,8 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
     grid.
     """
     pi_p_fine = np.interp(solution.fine_grid, solution.grid, solution.pi_p)
-    _, states = _solve_coefficients(
-        params, measure, solution.grid, include_pre_default=True,
+    _, states, _ = _solve_coefficients(
+        params, measure, solution.grid,
         betas=(0.0, 0.0, 0.0),
         strategy=(solution.fine_pi_q, solution.fine_pi_s, pi_p_fine),
         exp_cap=exp_cap,

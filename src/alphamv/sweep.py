@@ -88,9 +88,9 @@ def evaluate_quantity(params: ModelParams, claims: ClaimModelSpec,
     """
     if not 0.0 <= t <= params.T:
         raise ValidationError("t_range", f"evaluation time must lie in [0, T], got t={t}")
-    measure = build_measure(claims, numerics.quad_nodes)
     if quantity == "pi_s0":
         return float(pi_s_star(t, params))
+    measure = build_measure(claims, numerics.quad_nodes)
     if quantity == "pi_q0":
         return solve_pi_q_star(t, params, measure, numerics.root_tol, numerics.exp_cap)
     solution = solve_equilibrium(params, measure, numerics)

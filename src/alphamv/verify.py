@@ -18,7 +18,8 @@ from .config import ClaimModelSpec, ModelParams, NumericsConfig, replace_param
 from .errors import ValidationError
 from .levy import build_measure
 from .simulate import objective_from_terminal, simulate_terminal
-from .solver import distortions, pi_s_star, solve_equilibrium, value_function, count_foc_sign_changes
+from .solver import (distortions, pi_s_star, scan_foc_sign_changes, solve_equilibrium,
+                     value_function)
 from .sweep import SweepSpec, run_sweep
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
@@ -148,11 +149,11 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     ))
 
     # --- root uniqueness at a few times -------------------------------------
-    scan_counts = [count_foc_sign_changes(t, params, measure, 10_000, numerics.exp_cap)
-                   for t in np.linspace(0.0, params.T, 11)]
+    scan_counts = scan_foc_sign_changes(np.linspace(0.0, params.T, 11), params, measure,
+                                        10_000, numerics.exp_cap)
     checks.append(CheckResult(
-        "foc_single_sign_change", all(c == 1 for c in scan_counts),
-        f"sign changes over 10^4-point scans at 11 times: {sorted(set(scan_counts))}",
+        "foc_single_sign_change", bool(np.all(scan_counts == 1)),
+        f"sign changes over 10^4-point scans at 11 times: {sorted(set(scan_counts.tolist()))}",
     ))
 
     # --- directional suite ---------------------------------------------------

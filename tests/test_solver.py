@@ -2,21 +2,26 @@
 
 import dataclasses
 import math
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alphamv.config import ModelParams
+from alphamv.config import ModelParams, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure, integrate
-from alphamv.solver import (bracket_pi_q, count_foc_sign_changes, distortions,
-                            penalty_rate, pi_s_star, post_default_coeffs,
+from alphamv.solver import (bracket_pi_q, distortions, penalty_rate, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
-                            reinsurance_foc, solve_equilibrium, solve_pi_q_grid,
-                            solve_pi_q_star, value_function)
+                            reinsurance_foc, scan_foc_sign_changes,
+                            solve_equilibrium, solve_pi_q_grid, solve_pi_q_star,
+                            value_function)
 
 from conftest import BASE_KWARGS
+
+BASE_CFG = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / "base.cfg"
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +120,47 @@ def test_root_independent_of_default_state(base_params, base_measure):
 
 
 def test_single_sign_change_at_sample_times(base_params, base_measure):
-    for t in np.linspace(0.0, base_params.T, 5):
-        assert count_foc_sign_changes(float(t), base_params, base_measure, 10_000) == 1
+    counts = scan_foc_sign_changes(np.linspace(0.0, base_params.T, 5), base_params,
+                                   base_measure, 10_000)
+    assert np.all(counts == 1)
+
+
+def test_bracket_vectorized_over_time(base_params, base_measure):
+    ts = np.linspace(0.0, base_params.T, 7)
+    his = bracket_pi_q(ts, base_params, base_measure)
+    assert isinstance(bracket_pi_q(0.0, base_params, base_measure), float)
+    assert np.array_equal(his, [bracket_pi_q(float(t), base_params, base_measure) for t in ts])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(alpha=st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)),
+       gamma=st.floats(0.05, 5.0),
+       eta=st.floats(0.11, 1.0),
+       beta3=st.floats(1e-6, 2.0),
+       frac=st.floats(0.0, 1.0))
+def test_root_properties_over_valid_parameters(base_measure, alpha, gamma, eta, beta3, frac):
+    params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma,
+                            "eta": eta, "beta3": beta3})
+    t = frac * params.T
+    root_tol = 1e-10
+    root = solve_pi_q_star(t, params, base_measure, root_tol)
+    assert 0.0 <= root <= bracket_pi_q(t, params, base_measure)
+    scale = params.eta * math.exp(params.r * (params.T - t)) * base_measure.moment(1)
+    assert abs(reinsurance_foc(t, root, params, base_measure)) <= root_tol * scale
+    grid_root = solve_pi_q_grid(np.array([0.0, t, params.T]), params, base_measure)[1]
+    assert root == pytest.approx(grid_root, rel=0, abs=1e-13)
+
+
+def test_unreachable_root_tolerance_raises(base_params, base_measure, base_numerics):
+    ts = np.linspace(0.0, base_params.T, 11)
+    with pytest.raises(NumericalError, match="tolerance"):
+        solve_pi_q_grid(ts, base_params, base_measure, root_tol=1e-30)
+    for t in ts[::5]:
+        with pytest.raises(NumericalError, match="tolerance"):
+            solve_pi_q_star(float(t), base_params, base_measure, root_tol=1e-30)
+    numerics = dataclasses.replace(base_numerics, time_steps=50, root_tol=1e-30)
+    with pytest.raises(NumericalError, match="tolerance"):
+        solve_equilibrium(base_params, base_measure, numerics)
 
 
 def test_saturation_warning_not_error(base_params, base_measure):
@@ -156,13 +200,6 @@ def test_b1_lo_below_b1_hi(base_solution):
     assert np.all(base_solution.coeffs.b1_lo <= base_solution.coeffs.b1_hi + 1e-15)
 
 
-def test_post_default_coeffs_standalone_match_full_solution(base_params, base_measure, base_solution):
-    B1, b1_lo, b1_hi = post_default_coeffs(base_params, base_measure, base_solution.grid)
-    assert np.allclose(B1, base_solution.coeffs.B1, rtol=0, atol=1e-12)
-    assert np.allclose(b1_lo, base_solution.coeffs.b1_lo, rtol=0, atol=1e-12)
-    assert np.allclose(b1_hi, base_solution.coeffs.b1_hi, rtol=0, atol=1e-12)
-
-
 def test_pre_default_terminal_bond_amount(base_params, base_measure):
     grid = np.linspace(0.0, base_params.T, 201)
     pi_p, B0, b0_lo, b0_hi = pre_default_system(base_params, base_measure, grid)
@@ -186,6 +223,18 @@ def test_pre_default_unbounded_demand_errors(base_measure):
         grid = np.linspace(0.0, params.T, 51)
         with pytest.raises(NumericalError, match="unbounded"):
             pre_default_system(params, base_measure, grid)
+
+
+def test_value_intercepts_continuous_as_beta3_vanishes():
+    # the entropy jump term (1/b3)(1 - e^{+-b3 E}) must not cancel for small
+    # beta3: over [1e-12, 1e-8] the intercepts move by about 3e-9 relative
+    params, claims, numerics = load_config(BASE_CFG)
+    numerics = dataclasses.replace(numerics, time_steps=200)
+    measure = build_measure(claims, numerics.quad_nodes)
+    tiny, small = (solve_equilibrium(dataclasses.replace(params, beta3=b3), measure, numerics)
+                   for b3 in (1e-12, 1e-8))
+    assert tiny.coeffs.B1[0] == pytest.approx(small.coeffs.B1[0], rel=5e-8, abs=0)
+    assert tiny.coeffs.B0[0] == pytest.approx(small.coeffs.B0[0], rel=5e-8, abs=0)
 
 
 def test_rk4_order_on_grid_halving(base_params, base_measure):
