@@ -8,9 +8,9 @@ dynamics, and the two must meet within Monte Carlo error.
 
 Discretization: Euler-Maruyama for the diffusion part; compound-Poisson
 claims are sampled exactly per step (under a distorted measure the claim
-measure is (1 - phi3) nu: intensity by thinning, sizes by rejection) and
-applied at the step midpoint; the default time is drawn once per path by
-inversion.  The two Brownian drivers enter only through the wealth equation,
+measure is (1 - phi3) nu: intensity by thinning, sizes by rejection with a
+round cap) and applied at the step midpoint; the default time is drawn once
+per path by inversion.  The two Brownian drivers enter only through the wealth equation,
 so their combined increment is drawn as a single normal with the aggregated
 volatility (identical in law, half the random numbers).
 
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ModelParams
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .levy import ClaimMeasure, sample_truncated_sizes
 from .solver import DistortionFunctions, DistortionSide, penalty_rate
 
@@ -48,6 +48,7 @@ __all__ = [
 
 BLOCK_SIZE = 65536
 _PATH_STORAGE_LIMIT = 20_000_000  # floats; guards accidental full-path runs
+_MAX_SIZE_ROUNDS = 1000  # distorted-size rejection rounds before giving up
 
 
 @dataclass(frozen=True)
@@ -208,13 +209,22 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
     sizes = sample_truncated_sizes(measure.spec, n_claims, rng)
     if tables.side is not None and n_claims:
         pending = np.arange(n_claims)
-        while pending.size:
+        proposed = 0
+        for _ in range(_MAX_SIZE_ROUNDS):
+            proposed += pending.size
             t_mid = tables.mids[step_idx[pending]]
             tilt = 1.0 - np.asarray(tables.side.phi3(t_mid, sizes[pending]), dtype=float)
             accept = rng.random(pending.size) < tilt / tables.claim_envelope[step_idx[pending]]
             pending = pending[~accept]
-            if pending.size:
-                sizes[pending] = sample_truncated_sizes(measure.spec, pending.size, rng)
+            if not pending.size:
+                break
+            sizes[pending] = sample_truncated_sizes(measure.spec, pending.size, rng)
+        else:
+            raise NumericalError(
+                f"distorted claim-size rejection left {pending.size} of {n_claims} sizes "
+                f"unaccepted after {_MAX_SIZE_ROUNDS} rounds (acceptance ratio "
+                f"{(n_claims - pending.size) / proposed:.3g})"
+            )
 
     amounts = tables.pi_q_mid[step_idx] * sizes
     order = np.argsort(step_idx, kind="stable")

@@ -2,10 +2,12 @@
 
 The solution has two default states.  Post-default, the reinsurance exposure
 solves a scalar integral equation and the stock amount is in closed form; the
-value intercepts are plain time integrals.  Pre-default, the bond amount is
-eliminated algebraically from its first-order condition at every instant,
-which couples the two mean intercepts; the whole coefficient system is
-integrated backward as ODEs.
+value intercepts are plain time integrals.  The integral equation depends on
+time only through ``A(t)``, so its root is ``pi_q(t) = u* e^{-r(T-t)}`` with
+one scalar ``u*``, the same in both default states.  Pre-default, the bond
+amount is eliminated algebraically from its first-order condition at every
+instant, which couples the two mean intercepts; the whole coefficient system
+is integrated backward as ODEs.
 
 Time convention: ``tau = T - t`` and ``A(t) = e^{r tau}`` is the accumulation
 factor to the horizon.  The recurring jump-exponent body is
@@ -161,25 +163,30 @@ def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
                     exp_cap: float = DEFAULT_EXP_CAP) -> np.ndarray:
     """Unique equilibrium reinsurance exposure at every time (any default state).
 
-    Bisection localizes the root inside the expanded bracket, then Newton
-    drives the residual to machine precision (F is smooth and strictly
-    decreasing).  Raises NumericalError unless every residual is at most
-    ``root_tol`` relative to the natural scale ``eta e^{r(T-t)} int z nu(dz)``.
+    Time enters the first-order condition only through ``A(t)``: with
+    ``u = pi_q A(t)``, ``F(t, pi_q) = A(t) f(u)`` where ``f`` does not depend
+    on t.  So one scalar root ``u*`` of ``f`` gives ``pi_q(t) = u* / A(t)``.
+    It is found at t = T, where A = 1: bisection localizes it inside the
+    expanded bracket, then Newton drives the residual to machine precision
+    (F is smooth and strictly decreasing).  The residual is still checked at
+    every requested time: NumericalError unless each is at most ``root_tol``
+    relative to the natural scale ``eta e^{r(T-t)} int z nu(dz)``.
     """
     times = np.asarray(times, dtype=float)
     A = params.discount_to_horizon(times)
-    hi = np.asarray(bracket_pi_q(times, params, measure, exp_cap), dtype=float)
+    hi = np.asarray(bracket_pi_q(params.T, params, measure, exp_cap), dtype=float)
     lo = np.zeros_like(hi)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        F, _ = _foc_values(A, mid, params, measure, exp_cap, with_derivative=False)
+        F, _ = _foc_values(1.0, mid, params, measure, exp_cap, with_derivative=False)
         positive = F > 0
         lo = np.where(positive, mid, lo)
         hi = np.where(positive, hi, mid)
-    root = 0.5 * (lo + hi)
+    u = 0.5 * (lo + hi)
     for _ in range(_NEWTON_ITERS):
-        F, dF = _foc_values(A, root, params, measure, exp_cap, with_derivative=True)
-        root = np.clip(root - F / dF, lo, hi)
+        F, dF = _foc_values(1.0, u, params, measure, exp_cap, with_derivative=True)
+        u = np.clip(u - F / dF, lo, hi)
+    root = u / A
     residual, _ = _foc_values(A, root, params, measure, exp_cap, with_derivative=False)
     scale = params.eta * A * measure.moment(1)
     if not np.all(np.abs(residual) <= root_tol * scale):
@@ -595,10 +602,10 @@ def strategy_distortions(times: np.ndarray, pi_q_values: np.ndarray,
         return np.clip(params.beta3 * E, -exp_cap, exp_cap)
 
     def phi3_lo(t, z):
-        return 1.0 - np.exp(_exponent(t, z))
+        return -np.expm1(_exponent(t, z))
 
     def phi3_hi(t, z):
-        return 1.0 - np.exp(-_exponent(t, z))
+        return -np.expm1(-_exponent(t, z))
 
     return DistortionFunctions(
         phi1_lo=phi1_lo, phi2_lo=phi2_lo,
@@ -614,6 +621,21 @@ def distortions(solution: EquilibriumSolution, params: ModelParams,
                                 solution.fine_pi_s, params, exp_cap)
 
 
+# Below this |phi3| the entropy q log q + phi3 (q = 1 - phi3) is taken from its
+# series phi3^2/2 + phi3^3/6 + phi3^4/12 (general term phi3^k / (k(k-1))).  The
+# dropped tail is at most |phi3|^3/10 of the value, 1.6e-12 at the cut-off.
+# Above it the log1p form loses about 1e-15/|phi3| relative to cancellation,
+# at most 4e-12 (checked against 50-digit arithmetic).
+_ENTROPY_SERIES_CUTOFF = 2.5e-4
+
+
+def _jump_entropy(phi3: np.ndarray) -> np.ndarray:
+    small = np.abs(phi3) < _ENTROPY_SERIES_CUTOFF
+    p = np.where(small, phi3, 0.0)  # keeps the unused series branch from overflowing
+    series = p * p * (0.5 + p * (1.0 / 6.0 + p / 12.0))
+    return np.where(small, series, (1.0 - phi3) * np.log1p(-phi3) + phi3)
+
+
 def penalty_rate(phi1: float, phi2: float, phi3_nodes, params: ModelParams,
                  measure: ClaimMeasure):
     """Entropic penalty per unit time for distortion values at one instant.
@@ -626,8 +648,7 @@ def penalty_rate(phi1: float, phi2: float, phi3_nodes, params: ModelParams,
     phi3 = np.asarray(phi3_nodes, dtype=float)
     if np.any(phi3 >= 1.0):
         raise ValidationError("phi3>=1", "jump distortion must satisfy phi3 < 1 everywhere")
-    q = 1.0 - phi3
-    entropy = (q * np.log(q) + phi3) @ measure.weights
+    entropy = _jump_entropy(phi3) @ measure.weights
     rate = (np.asarray(phi1, dtype=float) ** 2 / (2.0 * params.beta1)
             + np.asarray(phi2, dtype=float) ** 2 / (2.0 * params.beta2)
             + entropy / params.beta3)

@@ -172,7 +172,14 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         spec = SweepSpec.from_range(param, lo, hi, 20, quantity)
         result = run_sweep(params, claims, numerics, spec)
         values = result.ok_values()
-        ok = values.size >= 2 and _monotone(values, want)
+        if values.size < 2:
+            # a sweep whose points the model rejects says nothing about monotonicity
+            checks.append(CheckResult(
+                f"monotone_{quantity}_vs_{param}", False,
+                f"only {values.size} of {len(result.rows)} points solved; need at least 2",
+            ))
+            continue
+        ok = _monotone(values, want)
         checks.append(CheckResult(
             f"monotone_{quantity}_vs_{param}", ok,
             f"{'non' if not ok else ''}monotone ({want}) over {values.size} points, "

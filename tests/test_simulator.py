@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from alphamv.config import ModelParams
-from alphamv.errors import ValidationError
+from alphamv.errors import NumericalError, ValidationError
 from alphamv.levy import build_measure
 from alphamv.simulate import (ConstantStrategy, alpha_robust_value,
                               bond_price_path, dump_paths_csv,
                               estimate_objective, simulate_terminal,
                               simulate_wealth)
-from alphamv.solver import (distortions, reference_mean_intercepts,
+from alphamv.solver import (DistortionSide, distortions, reference_mean_intercepts,
                             strategy_distortions, value_function)
 
 from conftest import BASE_KWARGS
@@ -119,6 +119,22 @@ def test_seed_determinism(base_params, base_measure, base_solution):
     c, _, _ = simulate_terminal(base_solution, dist.lo, base_params, base_measure,
                                 n_paths=5000, dt=DT, seed=72, h0=0)
     assert not np.array_equal(a, c)
+
+
+def test_size_rejection_gives_up_after_round_cap(base_params, base_measure, base_solution):
+    # the tilt is 1 on the quadrature nodes, so the envelope and the intensity
+    # look harmless, and ~1e-300 elsewhere (1 - phi3 rounds it to 0): no drawn
+    # size is ever accepted and the rejection loop must stop with an error
+    nodes = base_measure.nodes
+
+    def phi3(t, z):
+        tilt = np.where(np.isin(z, nodes), 1.0, 1e-300)
+        return np.broadcast_to(1.0 - tilt, np.broadcast(t, z).shape)
+
+    side = DistortionSide(phi1=np.zeros_like, phi2=np.zeros_like, phi3=phi3, sign=1)
+    with pytest.raises(NumericalError, match="acceptance ratio 0"):
+        simulate_terminal(base_solution, side, base_params, base_measure,
+                          n_paths=50, dt=0.1, seed=5, h0=1)
 
 
 def test_strong_order_sanity(base_params, base_measure, base_solution):

@@ -132,12 +132,16 @@ def test_bracket_vectorized_over_time(base_params, base_measure):
     assert np.array_equal(his, [bracket_pi_q(float(t), base_params, base_measure) for t in ts])
 
 
+# valid reinsurance parameters, with alpha exactly 1/2 and 1 included, and a time fraction
+_FOC_PARAMS = dict(alpha=st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)),
+                   gamma=st.floats(0.05, 5.0),
+                   eta=st.floats(0.11, 1.0),
+                   beta3=st.floats(1e-6, 2.0),
+                   frac=st.floats(0.0, 1.0))
+
+
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(alpha=st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)),
-       gamma=st.floats(0.05, 5.0),
-       eta=st.floats(0.11, 1.0),
-       beta3=st.floats(1e-6, 2.0),
-       frac=st.floats(0.0, 1.0))
+@given(**_FOC_PARAMS)
 def test_root_properties_over_valid_parameters(base_measure, alpha, gamma, eta, beta3, frac):
     params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma,
                             "eta": eta, "beta3": beta3})
@@ -149,6 +153,23 @@ def test_root_properties_over_valid_parameters(base_measure, alpha, gamma, eta, 
     assert abs(reinsurance_foc(t, root, params, base_measure)) <= root_tol * scale
     grid_root = solve_pi_q_grid(np.array([0.0, t, params.T]), params, base_measure)[1]
     assert root == pytest.approx(grid_root, rel=0, abs=1e-13)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(**_FOC_PARAMS, pi_frac=st.floats(0.0, 1.0))
+def test_foc_depends_on_time_only_through_accumulation(base_measure, alpha, gamma, eta,
+                                                      beta3, frac, pi_frac):
+    # F(t, pi) = A(t) F(T, pi A(t)): the identity behind pi_q(t) = u* / A(t)
+    params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma,
+                            "eta": eta, "beta3": beta3})
+    t = frac * params.T
+    A = math.exp(params.r * (params.T - t))
+    pi = pi_frac * bracket_pi_q(t, params, base_measure)
+    direct = reinsurance_foc(t, pi, params, base_measure)
+    reduced = A * reinsurance_foc(params.T, pi * A, params, base_measure)
+    # relative to the size of the integrand terms, since F crosses zero
+    terms = (1.0 + params.eta) * A * base_measure.moment(1) + abs(direct)
+    assert abs(direct - reduced) <= 1e-12 * terms
 
 
 def test_unreachable_root_tolerance_raises(base_params, base_measure, base_numerics):
@@ -177,6 +198,13 @@ def test_bracket_expansion_failure_signals_pathology(base_measure):
     params = ModelParams(**{**BASE_KWARGS, "gamma": 1e-300, "beta3": 1e-300})
     with pytest.raises(NumericalError, match="bracket"):
         bracket_pi_q(0.0, params, base_measure)
+
+
+def test_solve_equilibrium_reports_bracket_failure(base_measure, base_numerics):
+    params = ModelParams(**{**BASE_KWARGS, "gamma": 1e-300, "beta3": 1e-300})
+    numerics = dataclasses.replace(base_numerics, time_steps=50)
+    with pytest.raises(NumericalError, match="bracket"):
+        solve_equilibrium(params, base_measure, numerics)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +351,37 @@ def test_distortion_identities(base_params, base_solution):
     assert np.max(np.abs(dist.phi2_hi(ts) + dist.phi2_lo(ts))) <= 1e-12
     product = (1.0 - dist.phi3_lo(ts, zs)) * (1.0 - dist.phi3_hi(ts, zs))
     assert np.max(np.abs(product - 1.0)) <= 1e-12
+
+
+def _small_beta3_exponents():
+    # beta3 = 1e-12 on base.cfg: exponents x = beta3 E of order 1e-11
+    params, claims, numerics = load_config(BASE_CFG)
+    params = dataclasses.replace(params, beta3=1e-12)
+    numerics = dataclasses.replace(numerics, time_steps=200)
+    measure = build_measure(claims, numerics.quad_nodes)
+    solution = solve_equilibrium(params, measure, numerics)
+    ts = solution.fine_grid[:, None]
+    z = measure.nodes[None, :]
+    pqzA = solution.fine_pi_q[:, None] * z * params.discount_to_horizon(ts)
+    x = params.beta3 * (pqzA + 0.5 * params.gamma * pqzA ** 2)
+    return params, measure, distortions(solution, params), ts, z, x
+
+
+def test_jump_distortion_accurate_at_small_beta3():
+    _, _, dist, ts, z, x = _small_beta3_exponents()
+    for phi3, xs in ((dist.phi3_lo, x), (dist.phi3_hi, -x)):
+        series = -(xs + xs ** 2 / 2 + xs ** 3 / 6)          # 1 - e^{xs}
+        assert np.max(np.abs(phi3(ts, z) / series - 1.0)) <= 1e-9
+
+
+def test_penalty_entropy_accurate_at_small_beta3():
+    params, measure, dist, ts, z, x = _small_beta3_exponents()
+    zeros = np.zeros(ts.shape[0])
+    for phi3, xs in ((dist.phi3_lo, x), (dist.phi3_hi, -x)):
+        rate = penalty_rate(zeros, zeros, phi3(ts, z), params, measure)
+        # q log q + phi3 with q = e^{xs}
+        series = (xs ** 2 / 2 + xs ** 3 / 3 + xs ** 4 / 8) @ measure.weights / params.beta3
+        assert np.max(np.abs(rate / series - 1.0)) <= 1e-9
 
 
 def test_averse_measure_inflates_claim_intensity(base_params, base_solution):

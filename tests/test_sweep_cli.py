@@ -184,6 +184,19 @@ def test_cmd_verify_reports_tiny_distortions(tmp_path, capsys):
     assert all(m < 1e-6 for m in mags)
 
 
+def test_cmd_verify_reports_sweep_without_solved_points(tmp_path, capsys):
+    # valid config, but every point of the hP sweep breaks delta >= zeta hP
+    cfg = write_config(tmp_path / "lowspread.cfg",
+                       overrides={"delta": 1e-5, "hP": 1e-5},
+                       numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
+                                           "time_steps": 100, "quad_nodes": 32})
+    code = main(["verify", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert code == 2
+    line = next(l for l in out.split("\n") if "monotone_pi_p0_vs_hP" in l)
+    assert line.startswith("FAIL") and "only 0 of 20 points solved" in line
+
+
 def test_cmd_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     # force a failing report to exercise the exit-code mapping
     from alphamv.verify import CheckResult, VerificationReport
