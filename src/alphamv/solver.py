@@ -6,8 +6,12 @@ value intercepts are plain time integrals.  The integral equation depends on
 time only through ``A(t)``, so its root is ``pi_q(t) = u* e^{-r(T-t)}`` with
 one scalar ``u*``, the same in both default states.  Pre-default, the bond
 amount is eliminated algebraically from its first-order condition at every
-instant, which couples the two mean intercepts; the whole coefficient system
-is integrated backward as ODEs.
+instant, which couples the two mean intercepts.
+
+The intercepts solve linear ODEs, integrated backward by RK4 over all steps
+at once: Simpson sums for the post-default ones, and affine recurrences
+``y_k = m_k y_{k+1} + c_k`` for the scalar modes of the pre-default ones
+(rates ``delta/zeta`` and hP); see :func:`_solve_coefficients`.
 
 Time convention: ``tau = T - t`` and ``A(t) = e^{r tau}`` is the accumulation
 factor to the horizon.  The recurring jump-exponent body is
@@ -21,9 +25,10 @@ error); bracket expansion keeps actual roots well below saturation territory.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -379,13 +384,75 @@ def _validate_uniform_grid(grid: np.ndarray, T: float) -> None:
         raise ValidationError("grid", "time grid must be uniform over [0, T]")
 
 
-def _pre_default_pi_p(y, A, params: ModelParams):
-    # explicit linear solve of the bond first-order condition; y holds the six
-    # intercepts (B1, b1_lo, b1_hi, B0, b0_lo, b0_hi) as scalars or as columns
-    num = (params.delta - params.zeta * params.hP
-           + params.gamma * params.zeta * params.hP
-           * (params.alpha * (y[1] - y[4]) + params.alpha_hat * (y[2] - y[5])))
+def _pre_default_pi_p(gap, A, params: ModelParams):
+    """Bond amount from its first-order condition, for scalars or arrays.
+
+    ``gap`` is ``alpha (b1_lo - b0_lo) + alpha_hat (b1_hi - b0_hi)``, the
+    only way the mean intercepts enter.
+    """
+    num = params.bond_excess_drift + params.gamma * params.zeta * params.hP * gap
     return num / (params.gamma * params.zeta ** 2 * params.hP * A)
+
+
+# RK4 applied to y' = lam y with lam h real and negative is stable while
+# lam |h| <= this limit, the real root of 1 + x/2 + x^2/6 + x^3/24 (where the
+# step factor climbs back to 1).
+_RK4_STABILITY_LIMIT = 2.785293563405282
+
+
+def _stage_rows(values: np.ndarray) -> np.ndarray:
+    """Fine-grid values at the four RK4 stage times of every backward step.
+
+    Step k runs from grid[k+1] (fine index 2k+2) to grid[k] (fine index 2k);
+    stages 2 and 3 share the midpoint.  Shape (4, steps).
+    """
+    return np.stack((values[2::2], values[1::2], values[1::2], values[:-2:2]))
+
+
+def _rk4_quadrature(f: np.ndarray, h: np.ndarray):
+    """RK4 of y' = -f(t) backward from y(T) = 0: grid values and stage values.
+
+    ``f`` holds the integrand at the four stages of every step, shape
+    (4, steps).  With no y on the right-hand side each step is a Simpson
+    increment; the increments are summed in the order a step-by-step loop
+    adds them.
+    """
+    k = -f
+    step = h / 6.0 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+    y = np.append(np.cumsum(step[::-1])[::-1], 0.0)
+    start = y[1:]
+    return y, np.stack((start, start + 0.5 * h * k[0], start + 0.5 * h * k[1],
+                        start + h * k[2]))
+
+
+def _rk4_linear_mode(rate: float, h: np.ndarray, g: np.ndarray):
+    """RK4 of the scalar mode y' = rate y - g backward from y(T) = 0.
+
+    ``g`` holds the forcing at the four stages of every step, shape (4, steps).
+    One step is the affine map y_k = m_k y_{k+1} + c_k, with m the RK4
+    polynomial 1 + x + x^2/2 + x^3/6 + x^4/24 of x = rate h; this recurrence
+    is the only per-step Python.  It runs as y += (m - 1) y + c, because a
+    stored m is rounded to 1e-16 absolute, about 1e-11 of m - 1 for a slow
+    mode, and that error would repeat in every step.  Powers of m are not
+    used: m^-k overflows for a fast mode.  Returns grid values and stage
+    values.
+    """
+    x = rate * h
+    m_minus_1 = x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0)))
+    c = -h / 6.0 * (g[0] * (1.0 + x * (1.0 + x * (0.5 + 0.25 * x)))
+                    + g[1] * (2.0 + x * (1.0 + 0.5 * x))
+                    + g[2] * (2.0 + x) + g[3])
+    ys = [0.0] * (h.size + 1)
+    y = 0.0
+    e_list, c_list = m_minus_1.tolist(), c.tolist()
+    for k in range(h.size - 1, -1, -1):
+        y += e_list[k] * y + c_list[k]
+        ys[k] = y
+    y = np.array(ys)
+    start = y[1:]
+    y2 = start + 0.5 * h * (rate * start - g[0])
+    y3 = start + 0.5 * h * (rate * y2 - g[1])
+    return y, np.stack((start, y2, y3, start + h * (rate * y3 - g[2])))
 
 
 def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.ndarray,
@@ -401,10 +468,31 @@ def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.nda
     beta = 0 case is the reference measure).  When pi_p is not pinned it is
     eliminated algebraically inside every integrator stage.
 
+    The six intercepts are one RK4 integration on the half-step fine grid,
+    computed column-wise over all steps rather than step by step:
+
+    - B1, b1_lo, b1_hi have right-hand sides free of the state, so every
+      step is a Simpson increment and the columns are cumulative sums.
+    - With pi_p eliminated, ``bond + hP lump = (delta - zeta hP) pi_p A`` is
+      affine in ``b1 - b0`` with no A in it, so (b0_lo, b0_hi) decouples into
+      the scalar modes ``u = alpha b0_lo + alpha_hat b0_hi`` (rate
+      ``delta/zeta``) and ``v = b0_lo - b0_hi`` (rate hP), mapped back by
+      ``b0_lo = u + alpha_hat v`` and ``b0_hi = u - alpha v``.  u is carried
+      as the gap ``D = alpha b1_lo + alpha_hat b1_hi - u``, whose forcing is
+      constant; pi_p depends on the intercepts only through D, so it is
+      exactly 0 at the fair spread ``delta = zeta hP``.  With pi_p pinned,
+      b0_lo and b0_hi are each a mode of rate hP.
+    - B0 is a mode of rate hP forced by the stage values of the others.
+
+    RK4 commutes with this linear change of variables, so this is the RK4
+    solution of the coupled system.  A mode runs as the affine recurrence of
+    :func:`_rk4_linear_mode`.
+
     Returns (tables, states, pi_p): states has shape (len(grid), 6) with
     columns (B1, b1_lo, b1_hi, B0, b0_lo, b0_hi), and pi_p is the bond amount
     on ``grid``.  Raises NumericalError for hP = 0 or zeta = 0 (no finite
-    bond demand).
+    bond demand), for a step past RK4's stability limit on the fastest mode,
+    and for non-finite coefficients.
     """
     grid = np.asarray(grid, dtype=float)
     _validate_uniform_grid(grid, params.T)
@@ -413,51 +501,60 @@ def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.nda
             "defaultable-bond demand unbounded: the bond first-order condition has no "
             f"finite root for hP={params.hP}, zeta={params.zeta}"
         )
+    pi_p_pinned = None if strategy is None else strategy[2]
+    hP, zeta, delta = params.hP, params.zeta, params.delta
+    h = grid[:-1] - grid[1:]            # negative: the sweep runs from T back to 0
+    rate = hP if pi_p_pinned is not None else params.h_q   # fastest mode (h_q >= hP)
+    step = float(np.max(-h))
+    if rate * step > _RK4_STABILITY_LIMIT:
+        raise NumericalError(
+            f"backward RK4 sweep unstable: rate {rate:g} times step {step:g} exceeds the "
+            f"RK4 stability limit {_RK4_STABILITY_LIMIT:.4f}; use time_steps >= "
+            f"{math.ceil(rate * params.T / _RK4_STABILITY_LIMIT)}"
+        )
     fine = _make_fine_grid(grid)
     if betas is None:
         betas = (params.beta1, params.beta2, params.beta3)
     if strategy is None:
         pi_q = solve_pi_q_grid(fine, params, measure, root_tol, exp_cap)
         pi_s = np.asarray(pi_s_star(fine, params), dtype=float)
-        pi_p_pinned = None
     else:
-        pi_q, pi_s, pi_p_pinned = strategy
+        pi_q, pi_s, _ = strategy
     tables = _NodeTables(fine, params, measure, betas, pi_q, pi_s, exp_cap)
 
-    hP, zeta, delta = params.hP, params.zeta, params.delta
     a, ah, gamma = params.alpha, params.alpha_hat, params.gamma
-    A = tables.A
-    fB1, f1lo, f1hi = tables.fB1, tables.f1_lo, tables.f1_hi
-
-    def rhs(i: int, y: Sequence[float]) -> tuple[float, ...]:
-        Ai = A[i]
-        pi_p = pi_p_pinned[i] if pi_p_pinned is not None else _pre_default_pi_p(y, Ai, params)
-        bond = pi_p * delta * Ai
-        lump = -zeta * pi_p * Ai
-        f0lo = f1lo[i] + bond + hP * (lump + y[1])
-        f0hi = f1hi[i] + bond + hP * (lump + y[2])
-        fB0 = (fB1[i] + bond + hP * (lump + y[0])
-               - 0.5 * a * gamma * hP * (lump + y[1] - y[4]) ** 2
-               - 0.5 * ah * gamma * hP * (lump + y[2] - y[5]) ** 2)
-        return (-fB1[i], -f1lo[i], -f1hi[i],
-                hP * y[3] - fB0, hP * y[4] - f0lo, hP * y[5] - f0hi)
-
-    n = grid.size
-    states = np.zeros((n, 6))
-    y = [0.0] * 6  # terminal condition: every intercept vanishes at T
-    for k in range(n - 2, -1, -1):
-        h = grid[k] - grid[k + 1]
-        i_hi, i_mid, i_lo = 2 * k + 2, 2 * k + 1, 2 * k
-        k1 = rhs(i_hi, y)
-        k2 = rhs(i_mid, [y[j] + 0.5 * h * k1[j] for j in range(6)])
-        k3 = rhs(i_mid, [y[j] + 0.5 * h * k2[j] for j in range(6)])
-        k4 = rhs(i_lo, [y[j] + h * k3[j] for j in range(6)])
-        y = [y[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) for j in range(6)]
-        states[k] = y
-    if pi_p_pinned is not None:
-        pi_p = pi_p_pinned[0::2]
+    A = _stage_rows(tables.A)
+    fB1, f1lo, f1hi = (_stage_rows(f) for f in (tables.fB1, tables.f1_lo, tables.f1_hi))
+    B1, B1_st = _rk4_quadrature(fB1, h)
+    b1_lo, lo_st = _rk4_quadrature(f1lo, h)
+    b1_hi, hi_st = _rk4_quadrature(f1hi, h)
+    if pi_p_pinned is None:
+        # the gap D = w - u, w = alpha b1_lo + alpha_hat b1_hi, solves
+        # D' = (delta/zeta) D + n0^2 / (gamma zeta^2 hP)
+        n0 = params.bond_excess_drift
+        gap, gap_st = _rk4_linear_mode(
+            rate, h, np.full((4, h.size), -n0 * n0 / (gamma * zeta ** 2 * hP)))
+        v, v_st = _rk4_linear_mode(hP, h, f1lo - f1hi + hP * (lo_st - hi_st))
+        u, u_st = a * b1_lo + ah * b1_hi - gap, a * lo_st + ah * hi_st - gap_st
+        b0_lo, lo0_st = u + ah * v, u_st + ah * v_st
+        b0_hi, hi0_st = u - a * v, u_st - a * v_st
+        pi_p_st = _pre_default_pi_p(gap_st, A, params)
+        pi_p = _pre_default_pi_p(gap, tables.A[0::2], params)
     else:
-        pi_p = _pre_default_pi_p(states.T, A[0::2], params)
+        pi_p_st = _stage_rows(pi_p_pinned)
+        pi_p = pi_p_pinned[0::2]
+        excess = params.bond_excess_drift * pi_p_st * A     # bond + hP lump
+        b0_lo, lo0_st = _rk4_linear_mode(hP, h, f1lo + hP * lo_st + excess)
+        b0_hi, hi0_st = _rk4_linear_mode(hP, h, f1hi + hP * hi_st + excess)
+    bond = pi_p_st * delta * A
+    lump = -zeta * pi_p_st * A
+    g_B0 = (fB1 + bond + hP * (lump + B1_st)
+            - 0.5 * a * gamma * hP * (lump + lo_st - lo0_st) ** 2
+            - 0.5 * ah * gamma * hP * (lump + hi_st - hi0_st) ** 2)
+    B0, _ = _rk4_linear_mode(hP, h, g_B0)
+    states = np.column_stack((B1, b1_lo, b1_hi, B0, b0_lo, b0_hi))
+    if not np.all(np.isfinite(states)):
+        raise NumericalError("backward sweep produced non-finite value coefficients")
     return tables, states, pi_p
 
 

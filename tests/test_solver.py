@@ -7,19 +7,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alphamv.config import ModelParams, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure, integrate
-from alphamv.solver import (bracket_pi_q, distortions, penalty_rate, pi_s_star,
+from alphamv.solver import (_RK4_STABILITY_LIMIT, _solve_coefficients, bracket_pi_q,
+                            distortions, penalty_rate, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
                             reinsurance_foc, scan_foc_sign_changes,
                             solve_equilibrium, solve_pi_q_grid, solve_pi_q_star,
                             value_function)
 
 from conftest import BASE_KWARGS
+from rk4_reference import reference_states
 
 BASE_CFG = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / "base.cfg"
 
@@ -274,6 +276,44 @@ def test_rk4_order_on_grid_halving(base_params, base_measure):
     d1 = abs(values[40] - values[80])
     d2 = abs(values[80] - values[160])
     assert math.log2(d1 / d2) >= 3.5
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(**{k: v for k, v in _FOC_PARAMS.items() if k != "frac"},
+       zeta=st.floats(0.01, 1.0), hP=st.floats(1e-4, 0.2), spread=st.floats(0.0, 0.2),
+       steps=st.integers(20, 300))
+def test_backward_sweep_matches_step_loop(base_measure, alpha, gamma, eta, beta3,
+                                          zeta, hP, spread, steps):
+    params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma, "eta": eta,
+                            "beta3": beta3, "zeta": zeta, "hP": hP,
+                            "delta": zeta * hP + spread})
+    assume(params.h_q * params.T / steps <= _RK4_STABILITY_LIMIT)
+    grid = np.linspace(0.0, params.T, steps + 1)
+    tables, states, pi_p = _solve_coefficients(params, base_measure, grid)
+    pi_p_fine = np.interp(tables.times, grid, pi_p)
+    ref_tables, ref_states, _ = _solve_coefficients(
+        params, base_measure, grid, betas=(0.0, 0.0, 0.0),
+        strategy=(tables.pi_q, tables.pi_s, pi_p_fine))
+    for got, tab, pinned in ((states, tables, None), (ref_states, ref_tables, pi_p_fine)):
+        want = np.array(reference_states(params, tab, grid, pinned))
+        # post-default columns: Simpson sums in the loop's order, bit for bit
+        assert np.array_equal(got[:, :3], want[:, :3])
+        # the rest: rounding in either form scales with the column's size, so
+        # the bound does too (where B0 crosses zero the loop is off by as much)
+        scale = 1.0 + np.max(np.abs(want[:, 3:]), axis=0)
+        assert np.all(np.abs(got[:, 3:] - want[:, 3:]) <= 1e-12 * scale)
+
+
+def test_unstable_backward_step_raises(base_measure, base_numerics):
+    # delta/zeta = 1000 and step 0.01 put the fastest pre-default mode far past
+    # RK4's stability limit, where the sweep would overflow into NaN
+    params = ModelParams(**{**BASE_KWARGS, "zeta": 1e-5})
+    numerics = dataclasses.replace(base_numerics, time_steps=1000)
+    with pytest.raises(NumericalError, match=r"rate 1000 times step 0\.01 .*time_steps >= 3591"):
+        solve_equilibrium(params, base_measure, numerics)
+    solution = solve_equilibrium(params, base_measure,
+                                 dataclasses.replace(numerics, time_steps=3591))
+    assert np.all(np.isfinite(solution.pi_p)) and np.all(np.isfinite(solution.coeffs.B0))
 
 
 def test_b0_lo_satisfies_its_ode(base_params, base_measure, base_solution):

@@ -1,5 +1,6 @@
 """Sweep machinery, CSV schemas, CLI grammar and exit codes."""
 
+import dataclasses
 import filecmp
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from alphamv.cli import main
 from alphamv.errors import ValidationError
-from alphamv.solver import pi_s_star
-from alphamv.sweep import SweepSpec, run_sweep
+from alphamv.solver import EquilibriumSolution, ValueCoefficients, pi_s_star
+from alphamv.sweep import SweepSpec, run_sweep, write_solve_csv
 
 from conftest import write_config
 
@@ -42,6 +43,17 @@ def test_sweep_skips_invalid_points(base_params, base_claims, base_numerics):
     assert statuses[0] == "skipped:eta<=theta"
     assert statuses[1:] == ["ok"] * 3
     assert result.rows[0].quantity is None
+
+
+def test_sweep_skips_unstable_backward_step(base_params, base_claims, base_numerics):
+    # zeta = 1e-5 makes delta/zeta = 1000, past RK4's stability limit at 1000
+    # steps; the row must be skipped, not reported as an ok NaN
+    numerics = dataclasses.replace(base_numerics, time_steps=1000, quad_nodes=32)
+    spec = SweepSpec(param="zeta", values=(1e-5, 0.5), quantity="pi_p0")
+    result = run_sweep(base_params, base_claims, numerics, spec)
+    assert result.rows[0].status.startswith("skipped:numerical")
+    assert result.rows[0].quantity is None
+    assert result.rows[1].status == "ok" and np.isfinite(result.rows[1].quantity)
 
 
 def test_sweep_unknown_param_or_quantity_rejected():
@@ -90,6 +102,24 @@ def test_cmd_solve_csv(tmp_path, base_params):
     ts = np.array([float(line.split(",")[0]) for line in lines[1:]])
     pi_s_col = np.array([float(line.split(",")[2]) for line in lines[1:]])
     assert np.allclose(pi_s_col, pi_s_star(ts, p), rtol=0, atol=1e-15)
+
+
+def test_solve_csv_formats_each_value_as_17_digits(tmp_path):
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1.2345678901234567e-300,
+               0.1, 1.0 / 3.0, 2.0 ** 53]
+    cols = [np.roll(special, j) for j in range(10)]
+    grid, pi_q, pi_s, pi_p, B1, B0, b1_lo, b1_hi, b0_lo, b0_hi = cols
+    coeffs = ValueCoefficients(grid=grid, A=np.ones(10), B1=B1, B0=B0, b1_lo=b1_lo,
+                               b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi, r=0.05, T=10.0)
+    solution = EquilibriumSolution(grid=grid, pi_q=np.abs(pi_q), pi_s=pi_s, pi_p=pi_p,
+                                   coeffs=coeffs)
+    out = tmp_path / "solution.csv"
+    write_solve_csv(out, solution)
+    table = np.column_stack((grid, np.abs(pi_q), pi_s, pi_p, B1, B0, b1_lo, b1_hi,
+                             b0_lo, b0_hi))
+    expected = "t,pi_q,pi_s,pi_p,B1,B0,b1_lo,b1_hi,b0_lo,b0_hi\n" + "".join(
+        ",".join(format(float(x), ".17g") for x in row) + "\n" for row in table)
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_cmd_solve_rejects_bad_config(tmp_path, capsys):
