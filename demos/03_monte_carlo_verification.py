@@ -1,7 +1,8 @@
 """Check the backward solver against the forward simulator, end to end.
 
-Nothing here reuses the solver's arithmetic: the simulator steps the wealth
-SDE forward under the worst- and best-case measures and assembles
+Nothing here reuses the solver's arithmetic: the simulator samples the
+wealth at T from its exact law given the claims and the default time, under
+the worst- and best-case measures, and assembles
 mean - (gamma/2) variance +- penalty from the sample.  If the closed-form
 coefficients are right, alpha J_lo + (1 - alpha) J_hi lands within Monte
 Carlo noise of e^{rT} x0 + B_h(0).

@@ -1,18 +1,23 @@
 """Monte Carlo engine for the controlled wealth process.
 
-Simulates the wealth SDE under the reference measure or under either extreme
+Samples the wealth SDE under the reference measure or under either extreme
 distorted measure, and assembles the mean-variance-plus-penalty objective.
 This is the independent oracle for the solver's value coefficients: the
-solver integrates backward equations, the simulator steps the forward
+solver integrates backward equations, the simulator samples the forward
 dynamics, and the two must meet within Monte Carlo error.
 
-Discretization: Euler-Maruyama for the diffusion part; compound-Poisson
-claims are sampled exactly per step (under a distorted measure the claim
-measure is (1 - phi3) nu: intensity by thinning, sizes by rejection with a
-round cap) and applied at the step midpoint; the default time is drawn once
-per path by inversion.  The two Brownian drivers enter only through the wealth equation,
-so their combined increment is drawn as a single normal with the aggregated
-volatility (identical in law, half the random numbers).
+Sampling is exact given the jumps (Glasserman, *Monte Carlo Methods in
+Financial Engineering*, 2003, ch. 3).  Strategies and distortions depend
+only on time, so the wealth SDE is linear with deterministic coefficients:
+
+    X(T) = e^{r(T-t0)} x0 + C_drift(T) + C_bond(min(tau, T)) + sqrt(V(T)) z
+           - sum_i e^{r(T-tau_i)} pi_q(tau_i) Z_i - e^{r(T-tau)} zeta pi_p(tau)
+
+with one normal z per path for both Brownian drivers.  C_drift, C_bond and V
+are trapezoid integrals, on the ``dt`` grid, of the drift, the pre-default
+bond drift and the variance rate, discounted to T.  Claim arrivals are
+thinned to the intensity int (1 - phi3) nu tabulated on the same grid, sizes
+drawn by capped rejection; the default time is drawn by inversion.
 
 Reproducibility: paths are partitioned into fixed-size blocks and each block
 draws from its own ``SeedSequence(seed, spawn_key=(block,))`` stream, so
@@ -49,6 +54,7 @@ __all__ = [
 BLOCK_SIZE = 65536
 _PATH_STORAGE_LIMIT = 20_000_000  # floats; guards accidental full-path runs
 _MAX_SIZE_ROUNDS = 1000  # distorted-size rejection rounds before giving up
+_RECORD_FLOATS = 1 << 20  # work-buffer size when recording trajectories
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,19 @@ class ObjectiveEstimate:
     n_paths: int
 
 
+def _cumtrapz(f: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative trapezoid integral on a uniform grid; entry k covers [t0, t_k]."""
+    out = np.zeros_like(f)
+    np.cumsum(0.5 * h * (f[1:] + f[:-1]), out=out[1:])
+    return out
+
+
 class _RunTables:
-    """Per-run deterministic tables shared by all blocks."""
+    """Per-run deterministic tables shared by all blocks.
+
+    ``c_drift``, ``c_bond`` and ``var`` integrate the drift, the pre-default
+    bond drift and the variance rate, discounted to T, from t0 to each grid time.
+    """
 
     def __init__(self, strategy, side: Optional[DistortionSide],
                  params: ModelParams, measure: ClaimMeasure,
@@ -116,34 +133,32 @@ class _RunTables:
         n_steps = max(1, int(round(horizon / dt)))
         self.dt = horizon / n_steps
         self.n_steps = n_steps
-        self.times = t0 + self.dt * np.arange(n_steps + 1)
-        lefts = self.times[:-1]
-        mids = lefts + 0.5 * self.dt
-        self.mids = mids
+        self.times = times = t0 + self.dt * np.arange(n_steps + 1)
+        self.mids = mids = times[:-1] + 0.5 * self.dt
 
-        pi_q_left = np.asarray(strategy.pi_q_at(lefts), dtype=float)
-        pi_s_left = np.asarray(strategy.pi_s_at(lefts), dtype=float)
-        pi_p_left = np.asarray(strategy.pi_p_at(lefts), dtype=float)
-        self.pi_q_mid = np.asarray(strategy.pi_q_at(mids), dtype=float)
-        if np.any(pi_q_left < 0) or np.any(self.pi_q_mid < 0):
+        pi_q = np.asarray(strategy.pi_q_at(times), dtype=float)
+        pi_s = np.asarray(strategy.pi_s_at(times), dtype=float)
+        pi_p = np.asarray(strategy.pi_p_at(times), dtype=float)
+        if np.any(pi_q < 0):
             raise ValidationError("pi_q<0", "strategy exposure must satisfy pi_q >= 0")
         self.strategy = strategy
 
         m1 = measure.moment(1)
-        drift = ((params.mu - params.r) * pi_s_left
-                 + (params.theta - params.eta + (1.0 + params.eta) * pi_q_left) * m1)
+        drift = ((params.mu - params.r) * pi_s
+                 + (params.theta - params.eta + (1.0 + params.eta) * pi_q) * m1)
         if side is not None:
-            drift = drift - ((params.sigma1 + pi_s_left * params.sigma2 * params.rho)
-                             * np.asarray(side.phi1(lefts), dtype=float)
-                             + pi_s_left * params.sigma2 * params.rho_hat
-                             * np.asarray(side.phi2(lefts), dtype=float))
-        self.base_drift = drift
+            drift = drift - ((params.sigma1 + pi_s * params.sigma2 * params.rho)
+                             * np.asarray(side.phi1(times), dtype=float)
+                             + pi_s * params.sigma2 * params.rho_hat
+                             * np.asarray(side.phi2(times), dtype=float))
+        v1 = params.sigma1 + pi_s * params.sigma2 * params.rho
+        v2 = pi_s * params.sigma2 * params.rho_hat
+        self.growth = np.exp(params.r * (times[-1] - times))   # e^{r(T-t)}
+        self.c_drift = _cumtrapz(self.growth * drift, self.dt)
         # pre-default bond drift pi_p * delta: the (1 - Delta) delta price drift
         # plus the zeta hP compensator of the default martingale term
-        self.bond_drift = pi_p_left * params.delta
-        v1 = params.sigma1 + pi_s_left * params.sigma2 * params.rho
-        v2 = pi_s_left * params.sigma2 * params.rho_hat
-        self.vol = np.sqrt(v1 * v1 + v2 * v2)
+        self.c_bond = _cumtrapz(self.growth * params.delta * pi_p, self.dt)
+        self.var = _cumtrapz(self.growth ** 2 * (v1 * v1 + v2 * v2), self.dt)
 
         # distorted claim measure per step (evaluated at step midpoints):
         # intensity int (1 - phi3) nu and envelope sup_z (1 - phi3)
@@ -160,35 +175,32 @@ class _RunTables:
 
 def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
                     params: ModelParams, measure: ClaimMeasure,
-                    x0: float, h0: int, record_times: Optional[np.ndarray]):
-    """Evolve one block of paths; returns terminal wealth and bookkeeping.
+                    x0: float, h0: int, wealth: Optional[np.ndarray] = None):
+    """Sample one block of exact terminal wealths, with their bookkeeping.
 
-    The draw order (defaults, claim counts, claim times, thinning, sizes,
-    then one normal per step) is fixed so identical seeds reproduce identical
-    paths whether or not trajectories are recorded.
+    Draw order: default times, claim counts, claim times, thinning, sizes,
+    one terminal normal per path, and only when ``wealth`` (a block x grid
+    view to fill) is given the bridge increments, so recording leaves the
+    terminal sample unchanged bit for bit.
     """
-    dt = tables.dt
-    t0 = tables.times[0]
-    horizon = tables.times[-1] - t0
+    times = tables.times
+    t0, T = times[0], times[-1]
+    horizon = T - t0
     n_steps = tables.n_steps
+    r = params.r
 
-    # default times by inversion, once per path (undistorted: phi does not act on H)
-    if h0 == 1:
-        # already defaulted: bond terms contribute nothing and no lump occurs
-        default_step = np.full(n_block, -1, dtype=np.int64)
-        pi_p_at_tau = np.zeros(n_block)
-        default_time = np.full(n_block, np.nan)
-    else:
-        if params.hP > 0:
-            tau = t0 + rng.exponential(1.0 / params.hP, size=n_block)
-        else:
-            tau = np.full(n_block, np.inf)
-        default_time = np.where(tau <= tables.times[-1], tau, np.nan)
-        default_step = np.where(tau <= tables.times[-1],
-                                np.minimum((tau - t0) / dt, n_steps - 1).astype(np.int64),
-                                n_steps + 1)
-        pi_p_at_tau = np.asarray(tables.strategy.pi_p_at(np.where(np.isnan(default_time), t0, default_time)),
-                                 dtype=float)
+    # default time by inversion, once per path (undistorted: phi does not act
+    # on H); h0 = 1 means the bond is already gone: no bond drift, no lump
+    tau = np.full(n_block, t0 if h0 == 1 else np.inf)
+    default_time = np.full(n_block, np.nan)
+    jump = np.zeros(n_block)
+    if h0 == 0 and params.hP > 0:
+        tau = t0 + rng.exponential(1.0 / params.hP, size=n_block)
+        hit = tau <= T
+        default_time[hit] = tau[hit]
+        jump[hit] = params.zeta * np.exp(r * (T - tau[hit])) \
+            * np.asarray(tables.strategy.pi_p_at(tau[hit]), dtype=float)
+    tau = np.minimum(tau, T)
 
     # claim schedule: homogeneous Poisson at the envelope rate, thinned to the
     # (possibly time-dependent) distorted intensity
@@ -197,7 +209,7 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
     claim_path = np.repeat(np.arange(n_block), counts)
     claim_time = t0 + horizon * rng.random(total)
     keep_u = rng.random(total)
-    step_idx = np.minimum((claim_time - t0) / dt, n_steps - 1).astype(np.int64)
+    step_idx = np.minimum((claim_time - t0) / tables.dt, n_steps - 1).astype(np.int64)
     keep = keep_u < tables.claim_intensity[step_idx] / tables.lam_max
     claim_path = claim_path[keep]
     claim_time = claim_time[keep]
@@ -226,60 +238,52 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
                 f"{(n_claims - pending.size) / proposed:.3g})"
             )
 
-    amounts = tables.pi_q_mid[step_idx] * sizes
-    order = np.argsort(step_idx, kind="stable")
-    claim_path_s = claim_path[order]
-    amounts_s = amounts[order]
-    claim_starts = np.searchsorted(step_idx[order], np.arange(n_steps + 1))
+    # claims discounted to T from their own arrival times
+    amounts = np.exp(r * (T - claim_time)) \
+        * np.asarray(tables.strategy.pi_q_at(claim_time), dtype=float) * sizes
+    z = rng.standard_normal(n_block)
+    x_terminal = (tables.growth[0] * x0 + tables.c_drift[-1]
+                  + np.interp(tau, times, tables.c_bond) + math.sqrt(tables.var[-1]) * z
+                  - np.bincount(claim_path, weights=amounts, minlength=n_block) - jump)
+    if wealth is not None:
+        _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time, amounts)
+        wealth[:, -1] = x_terminal
+    return {"x_terminal": x_terminal, "default_time": default_time,
+            "claim_count": np.bincount(claim_path, minlength=n_block),
+            "claim_time": claim_time, "claim_size": sizes}
 
-    default_order = np.argsort(default_step, kind="stable")
-    default_starts = np.searchsorted(default_step[default_order], np.arange(n_steps + 1))
 
-    record = record_times is not None
-    if record:
-        rec_idx = np.searchsorted(tables.times, record_times)
-        wealth_rec = np.empty((n_block, record_times.size))
-        rec_pos = 0
+def _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time, amounts):
+    """Fill ``wealth`` (block x grid) with X(t_k), in row chunks of bounded size.
 
-    X = np.full(n_block, float(x0))
-    sqrt_dt = math.sqrt(dt)
-    r = params.r
-    zeta = params.zeta
-    for k in range(n_steps):
-        if record and rec_pos < record_times.size and rec_idx[rec_pos] == k:
-            wealth_rec[:, rec_pos] = X
-            rec_pos += 1
-        z = rng.standard_normal(n_block)
-        bond_active = default_step > k
-        X += dt * (r * X + tables.base_drift[k] + tables.bond_drift[k] * bond_active) \
-            + tables.vol[k] * sqrt_dt * z
-        lo, hi = claim_starts[k], claim_starts[k + 1]
-        if hi > lo:
-            np.subtract.at(X, claim_path_s[lo:hi], amounts_s[lo:hi])
-        lo, hi = default_starts[k], default_starts[k + 1]
-        if hi > lo:
-            idx = default_order[lo:hi]
-            X[idx] -= zeta * pi_p_at_tau[idx]
-    if record:
-        while rec_pos < record_times.size:
-            wealth_rec[:, rec_pos] = X
-            rec_pos += 1
-
-    out = {
-        "x_terminal": X,
-        "default_time": default_time,
-        "claim_count": np.bincount(claim_path, minlength=n_block),
-    }
-    if record:
-        out["wealth_rec"] = wealth_rec
-        out["claim_path"] = claim_path
-        out["claim_time"] = claim_time
-        out["claim_size"] = sizes
-    return out
+    The Gaussian part is a bridge pinned to the terminal normal ``z``,
+    ``G(t_k) = B_k - V(t_k)/V(T) (B_n - sqrt(V(T)) z)`` with ``B`` an
+    independent increment path; claims, default lump and bond cut-off count
+    from the first grid time at or after they occur.
+    """
+    times, var, n_steps = tables.times, tables.var, tables.n_steps
+    pin_rate = var[1:] / var[-1] if var[-1] > 0 else np.zeros(n_steps)
+    claim_col = np.clip(np.searchsorted(times, claim_time), 1, n_steps) - 1
+    rows = max(1, _RECORD_FLOATS // n_steps)
+    for lo in range(0, wealth.shape[0], rows):
+        hi = min(lo + rows, wealth.shape[0])
+        body, t_tau = wealth[lo:hi, 1:], np.minimum(times[1:], tau[lo:hi, None])
+        buf = rng.standard_normal(body.shape)   # bridge increments, drawn last
+        buf *= np.sqrt(np.diff(var))
+        pin = buf.sum(axis=1) - math.sqrt(var[-1]) * z[lo:hi]   # B_n - G(T)
+        c = slice(*np.searchsorted(claim_path, (lo, hi)))   # claim_path is sorted
+        np.subtract.at(buf, (claim_path[c] - lo, claim_col[c]), amounts[c])
+        np.cumsum(buf, axis=1, out=body)
+        body -= np.multiply.outer(pin, pin_rate, out=buf)
+        body += tables.growth[0] * x0 + tables.c_drift[1:]
+        body += np.interp(t_tau, times, tables.c_bond)
+        body -= (t_tau == tau[lo:hi, None]) * jump[lo:hi, None]
+        body /= tables.growth[1:]
+    wealth[:, 0] = x0
 
 
 def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
-                t0, x0, h0, record_times=None):
+                t0, x0, h0, record=False):
     if n_paths < 1:
         raise ValidationError("n_paths<1", "need at least one path")
     if dt > (params.T - t0) / 10.0:
@@ -287,22 +291,17 @@ def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
     if h0 not in (0, 1):
         raise ValidationError("h_range", f"default state must be 0 or 1, got {h0}")
     tables = _RunTables(strategy, side, params, measure, t0, dt)
+    wealth = np.empty((n_paths, tables.n_steps + 1)) if record else None
     blocks = []
     for block_idx in range(0, -(-n_paths // BLOCK_SIZE)):
-        n_block = min(BLOCK_SIZE, n_paths - block_idx * BLOCK_SIZE)
+        lo = block_idx * BLOCK_SIZE
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
-        blocks.append(_simulate_block(rng, n_block, tables, params, measure,
-                                      x0, h0, record_times))
-    merged = {key: np.concatenate([b[key] for b in blocks])
-              for key in ("x_terminal", "default_time", "claim_count")}
-    if record_times is not None:
-        merged["wealth_rec"] = np.concatenate([b["wealth_rec"] for b in blocks], axis=0)
-        offsets = np.cumsum([0] + [b["x_terminal"].size for b in blocks[:-1]])
-        merged["claims"] = [
-            (b["claim_path"] + off, b["claim_time"], b["claim_size"])
-            for b, off in zip(blocks, offsets)
-        ]
-    return tables, merged
+        blocks.append(_simulate_block(rng, min(BLOCK_SIZE, n_paths - lo), tables, params, measure,
+                                      x0, h0, wealth[lo:lo + BLOCK_SIZE] if record else None))
+    keys = ("x_terminal", "default_time", "claim_count")
+    keys += ("claim_time", "claim_size") if record else ()
+    merged = {key: np.concatenate([b[key] for b in blocks]) for key in keys}
+    return tables, merged, wealth
 
 
 def simulate_terminal(strategy, distortion: Optional[DistortionSide],
@@ -312,11 +311,14 @@ def simulate_terminal(strategy, distortion: Optional[DistortionSide],
     """Terminal wealth sample without storing trajectories.
 
     Returns (x_terminal, default_time, claim_count) arrays of length n_paths;
-    default_time is NaN for paths that do not default before T.
+    default_time is NaN for paths that do not default before T.  X(T) is
+    exact given the jumps; ``dt`` sets the grid of the claim-thinning table
+    and of the trapezoid integrals.  Per path the draws are the default
+    time, the claims, then one terminal normal.
     """
     x0 = params.x0 if x0 is None else x0
-    _, merged = _run_blocks(strategy, distortion, params, measure,
-                            n_paths, dt, seed, t0, x0, h0)
+    _, merged, _ = _run_blocks(strategy, distortion, params, measure,
+                               n_paths, dt, seed, t0, x0, h0)
     return merged["x_terminal"], merged["default_time"], merged["claim_count"]
 
 
@@ -326,40 +328,30 @@ def simulate_wealth(strategy, distortion: Optional[DistortionSide],
                     t0: float = 0.0, x0: Optional[float] = None, h0: int = 1) -> list[WealthPath]:
     """Simulate and materialize full trajectories (small path counts only).
 
-    For large-sample statistics use :func:`simulate_terminal`, which runs the
-    identical dynamics without the memory footprint.
+    Trajectories are recorded on the ``dt`` grid.  The terminal draws come
+    first and match :func:`simulate_terminal` bit for bit; the Gaussian
+    bridge increments between grid times are drawn after them.
     """
     x0 = params.x0 if x0 is None else x0
-    tables = _RunTables(strategy, distortion, params, measure, t0, dt)
-    if n_paths * (tables.n_steps + 1) > _PATH_STORAGE_LIMIT:
+    if n_paths * (max(1, int(round((params.T - t0) / dt))) + 1) > _PATH_STORAGE_LIMIT:
         raise ValidationError(
             "path_storage",
             "trajectory storage would exceed the safety limit; "
             "use simulate_terminal for large runs",
         )
-    tables, merged = _run_blocks(strategy, distortion, params, measure,
-                                 n_paths, dt, seed, t0, x0, h0,
-                                 record_times=tables.times)
-    times = tables.times
-    claim_logs: list[list] = [[] for _ in range(n_paths)]
-    for path_ids, c_times, c_sizes in merged["claims"]:
-        for pid, ct, cz in zip(path_ids, c_times, c_sizes):
-            claim_logs[int(pid)].append((float(ct), float(cz)))
-    paths = []
-    for i in range(n_paths):
-        tau = merged["default_time"][i]
-        if math.isnan(tau):
-            h = np.full(times.size, 1 if h0 == 1 else 0, dtype=np.int8)
-            tau_out = None
-        else:
-            h = (times >= tau).astype(np.int8)
-            tau_out = float(tau)
-        claim_logs[i].sort()
-        paths.append(WealthPath(
-            times=times, wealth=merged["wealth_rec"][i],
-            default_state=h, default_time=tau_out, claim_log=claim_logs[i],
-        ))
-    return paths
+    tables, merged, wealth = _run_blocks(strategy, distortion, params, measure,
+                                         n_paths, dt, seed, t0, x0, h0, record=True)
+    times, tau, counts = tables.times, merged["default_time"], merged["claim_count"]
+    # claims come grouped by path; order each group by time
+    order = np.lexsort((merged["claim_size"], merged["claim_time"],
+                        np.repeat(np.arange(n_paths), counts)))
+    claims = list(zip(merged["claim_time"][order].tolist(), merged["claim_size"][order].tolist()))
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    states = ((times >= tau[:, None]) | (h0 == 1)).astype(np.int8)
+    return [WealthPath(times=times, wealth=wealth[i], default_state=states[i],
+                       default_time=None if math.isnan(tau[i]) else float(tau[i]),
+                       claim_log=claims[bounds[i]:bounds[i + 1]])
+            for i in range(n_paths)]
 
 
 def _integrate_penalty(side: DistortionSide, params: ModelParams,

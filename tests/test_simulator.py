@@ -25,23 +25,18 @@ DT = 5e-3
 
 def test_riskless_compounding_limit(base_measure):
     # pi = 0 and sigma1 = 0 leave dX = r X dt (claims scale with pi_q and the
-    # premium drift with lambda ~ 0): every path equals the deterministic
-    # Euler product, which matches x0 e^{rT} to O(r^2 dt T)
+    # premium drift with lambda ~ 0): every path equals the exact solution
     params = ModelParams(**{**BASE_KWARGS, "sigma1": 0.0})
     claims = dataclasses.replace(base_measure.spec, lam=1e-12)
     measure = build_measure(claims, 64)
     x_T, _, _ = simulate_terminal(ConstantStrategy(), None, params, measure,
                                   n_paths=500, dt=1e-3, seed=3, h0=1)
     assert np.all(x_T == x_T[0])
-    # Euler recursion in closed form, including the O(lambda) premium drift
-    n_steps = round(params.T / 1e-3)
-    dt = params.T / n_steps
-    growth = (1.0 + params.r * dt) ** n_steps
+    # closed form, including the O(lambda) premium drift
+    growth = math.exp(params.r * params.T)
     drift = (params.theta - params.eta) * measure.moment(1)
-    euler_exact = params.x0 * growth + drift * (growth - 1.0) / params.r
-    # closed form vs float recursion: rounding accumulates over n_steps ~ 1e4
-    assert x_T[0] == pytest.approx(euler_exact, rel=n_steps * 1e-15)
-    assert x_T[0] == pytest.approx(params.x0 * math.exp(params.r * params.T), rel=1e-4)
+    exact = params.x0 * growth + drift * (growth - 1.0) / params.r
+    assert x_T[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_discounted_drift_matches_surplus_coefficient(base_params, base_measure):
@@ -166,6 +161,30 @@ def test_wealth_paths_bookkeeping(base_params, base_measure, base_solution):
     x_T, _, _ = simulate_terminal(base_solution, None, base_params, base_measure,
                                   n_paths=50, dt=0.02, seed=97, h0=0)
     assert np.array_equal(np.array([p.wealth[-1] for p in paths]), x_T)
+
+
+def test_recorded_wealth_follows_exact_law(base_params, base_measure):
+    # constant strategy, reference measure, coarsest grid allowed: X(t) has
+    # mean x0 e^{rt} + c1 (e^{rt} - 1)/r and variance c2 (e^{2rt} - 1)/(2r)
+    # both mid-path (bridge) and at T
+    p = base_params
+    pi_q, pi_s = 0.5, 1.0
+    paths = simulate_wealth(ConstantStrategy(pi_q, pi_s, 0.0), None, p, base_measure,
+                            n_paths=20_000, dt=p.T / 10, seed=13, h0=1)
+    m1, m2 = base_measure.moment(1), base_measure.moment(2)
+    c1 = (p.mu - p.r) * pi_s + (p.theta - p.eta + p.eta * pi_q) * m1
+    c2 = ((p.sigma1 + pi_s * p.sigma2 * p.rho) ** 2 + (pi_s * p.sigma2 * p.rho_hat) ** 2
+          + pi_q ** 2 * m2)
+    wealth = np.array([path.wealth for path in paths])
+    for k in (5, 10):
+        t = paths[0].times[k]
+        x = wealth[:, k]
+        dev = x - x.mean()
+        s2 = dev @ dev / (x.size - 1)
+        mean = p.x0 * math.exp(p.r * t) + c1 * math.expm1(p.r * t) / p.r
+        var = c2 * math.expm1(2.0 * p.r * t) / (2.0 * p.r)
+        assert abs(x.mean() - mean) <= 3 * math.sqrt(s2 / x.size)
+        assert abs(s2 - var) <= 3 * math.sqrt((np.mean(dev ** 4) - s2 ** 2) / x.size)
 
 
 def test_path_dump_schema(tmp_path, base_params, base_measure, base_solution):
