@@ -16,8 +16,11 @@ only on time, so the wealth SDE is linear with deterministic coefficients:
 with one normal z per path for both Brownian drivers.  C_drift, C_bond and V
 are trapezoid integrals, on the ``dt`` grid, of the drift, the pre-default
 bond drift and the variance rate, discounted to T.  Claim arrivals are
-thinned to the intensity int (1 - phi3) nu tabulated on the same grid, sizes
-drawn by capped rejection; the default time is drawn by inversion.
+thinned to the intensity int (1 - phi3) nu tabulated on the same grid.  The
+tilt ``1 - phi3 = exp(a z + b z^2)`` is carried as its coefficients, so each
+kept claim draws its size once, exactly, from the size law tilted at its
+step (for truncated-normal sizes, again a truncated normal); the default
+time is drawn by inversion.
 
 Reproducibility: paths are partitioned into fixed-size blocks and each block
 draws from its own ``SeedSequence(seed, spawn_key=(block,))`` stream, so
@@ -53,7 +56,6 @@ __all__ = [
 
 BLOCK_SIZE = 65536
 _PATH_STORAGE_LIMIT = 20_000_000  # floats; guards accidental full-path runs
-_MAX_SIZE_ROUNDS = 1000  # distorted-size rejection rounds before giving up
 _RECORD_FLOATS = 1 << 20  # work-buffer size when recording trajectories
 
 
@@ -134,7 +136,7 @@ class _RunTables:
         self.dt = horizon / n_steps
         self.n_steps = n_steps
         self.times = times = t0 + self.dt * np.arange(n_steps + 1)
-        self.mids = mids = times[:-1] + 0.5 * self.dt
+        mids = times[:-1] + 0.5 * self.dt
 
         pi_q = np.asarray(strategy.pi_q_at(times), dtype=float)
         pi_s = np.asarray(strategy.pi_s_at(times), dtype=float)
@@ -161,16 +163,20 @@ class _RunTables:
         self.var = _cumtrapz(self.growth ** 2 * (v1 * v1 + v2 * v2), self.dt)
 
         # distorted claim measure per step (evaluated at step midpoints):
-        # intensity int (1 - phi3) nu and envelope sup_z (1 - phi3)
+        # 1 - phi3 = exp(a z + b z^2), intensity int (1 - phi3) nu; the
+        # coefficients stay scalars when the tilt does not depend on t
+        self.tilt = (np.zeros(()), np.zeros(()))
+        self.claim_intensity = np.full(n_steps, measure.spec.lam)
         if side is not None:
-            tilt = 1.0 - np.asarray(side.phi3(mids[:, None], measure.nodes[None, :]), dtype=float)
-            self.claim_intensity = tilt @ measure.weights
-            self.claim_envelope = np.max(tilt, axis=1)
-        else:
-            self.claim_intensity = np.full(n_steps, measure.spec.lam)
-            self.claim_envelope = np.ones(n_steps)
+            self.tilt = tuple(np.asarray(c, dtype=float) for c in side.tilt(mids))
+            a, b = (c[..., None] for c in self.tilt)
+            expo = a * measure.nodes + b * measure.nodes ** 2
+            if np.max(np.abs(expo)) > side.exp_cap:
+                raise NumericalError(
+                    f"jump-tilt exponent reaches exp_cap={side.exp_cap:g} on the claim "
+                    "quadrature nodes; the distorted size law is not an exact tilt there")
+            self.claim_intensity[:] = np.exp(expo) @ measure.weights
         self.lam_max = float(np.max(self.claim_intensity)) * (1.0 + 1e-12)
-        self.side = side
 
 
 def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
@@ -202,7 +208,7 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
             * np.asarray(tables.strategy.pi_p_at(tau[hit]), dtype=float)
     tau = np.minimum(tau, T)
 
-    # claim schedule: homogeneous Poisson at the envelope rate, thinned to the
+    # claim schedule: homogeneous Poisson at the maximal rate, thinned to the
     # (possibly time-dependent) distorted intensity
     counts = rng.poisson(tables.lam_max * horizon, size=n_block)
     total = int(counts.sum())
@@ -215,28 +221,9 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
     claim_time = claim_time[keep]
     step_idx = step_idx[keep]
 
-    # sizes: propose from the base claim distribution; under a distortion,
-    # accept with probability (1 - phi3(t, z)) / envelope(step)
-    n_claims = claim_path.size
-    sizes = sample_truncated_sizes(measure.spec, n_claims, rng)
-    if tables.side is not None and n_claims:
-        pending = np.arange(n_claims)
-        proposed = 0
-        for _ in range(_MAX_SIZE_ROUNDS):
-            proposed += pending.size
-            t_mid = tables.mids[step_idx[pending]]
-            tilt = 1.0 - np.asarray(tables.side.phi3(t_mid, sizes[pending]), dtype=float)
-            accept = rng.random(pending.size) < tilt / tables.claim_envelope[step_idx[pending]]
-            pending = pending[~accept]
-            if not pending.size:
-                break
-            sizes[pending] = sample_truncated_sizes(measure.spec, pending.size, rng)
-        else:
-            raise NumericalError(
-                f"distorted claim-size rejection left {pending.size} of {n_claims} sizes "
-                f"unaccepted after {_MAX_SIZE_ROUNDS} rounds (acceptance ratio "
-                f"{(n_claims - pending.size) / proposed:.3g})"
-            )
+    # sizes: one exact draw per claim from the size law tilted at its step
+    sizes = sample_truncated_sizes(measure.spec, claim_path.size, rng,
+                                   *(c if c.ndim == 0 else c[step_idx] for c in tables.tilt))
 
     # claims discounted to T from their own arrival times
     amounts = np.exp(r * (T - claim_time)) \

@@ -62,6 +62,7 @@ DEFAULT_ROOT_TOL = 1e-10
 _BISECT_ITERS = 16          # localize before Newton takes over
 _NEWTON_ITERS = 5           # quadratic: 2^-16 bracket -> machine precision
 _MAX_DOUBLINGS = 60
+_SCAN_FLOATS = 1 << 20      # work-buffer size of the first-order-condition scan
 
 
 # ---------------------------------------------------------------------------
@@ -206,50 +207,54 @@ def solve_pi_q_star(t: float, params: ModelParams, measure: ClaimMeasure,
     return float(solve_pi_q_grid(t, params, measure, root_tol, exp_cap))
 
 
+def _foc_f32(u: np.ndarray, params: ModelParams, measure: ClaimMeasure,
+             exp_cap: float) -> np.ndarray:
+    """f(u) = F(t, u/A(t)) / A(t) in float32, in row chunks of bounded size."""
+    c = measure.nodes.astype(np.float32)                              # z
+    d = (0.5 * params.gamma * measure.nodes ** 2).astype(np.float32)  # (gamma/2) z^2
+    w = measure.weights.astype(np.float32)
+    alpha, alpha_hat = np.float32(params.alpha), np.float32(params.alpha_hat)
+    out = np.empty(u.size, np.float32)
+    rows = max(1, _SCAN_FLOATS // c.size)
+    for lo in range(0, u.size, rows):
+        uc = u[lo:lo + rows].astype(np.float32)[:, None]
+        x = uc * c
+        x += (uc * uc) * d                                            # E
+        x *= np.float32(params.beta3)
+        np.minimum(x, np.float32(exp_cap), out=x)
+        np.exp(x, out=x)                                              # e^{b3 E}
+        mix = alpha * x + alpha_hat / x
+        mix *= c + (2.0 * uc) * d                                     # G / A
+        out[lo:lo + rows] = np.float32(1.0 + params.eta) * (c @ w) - mix @ w
+    return out
+
+
 def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
                           n_points: int = 10_000,
                           exp_cap: float = DEFAULT_EXP_CAP) -> np.ndarray:
     """Sign changes of F(t, .) on [0, bracket(t)] over uniform scans, per time.
 
-    The scan runs in float32 with two reused work buffers so each scan stays
-    cache-resident.  Between neighboring scan points F moves by
-    O(bracket/n_points) times its O(1) slope, orders of magnitude above
+    ``F(t, pi) = A f(pi A)``, so the sign pattern at t is that of the one
+    function f on ``[0, A(t) bracket(t)]``.  f is scanned once, in float32,
+    on a uniform grid over ``[0, max_t A bracket]`` whose spacing is at most
+    that of an ``n_points`` scan at every t; a cumulative sum counts the
+    changes up to each t's last grid point, and each t's endpoint is
+    evaluated itself.  Zeros are skipped.  Between neighboring scan points f
+    moves by O(spacing) times its O(1) slope, orders of magnitude above
     float32 rounding, so the sign pattern is exact.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    counts = np.empty(times.size, dtype=int)
-    grid01 = np.linspace(0.0, 1.0, n_points, dtype=np.float32)[:, None]
-    grid01_sq = grid01 * grid01
-    shape = (n_points, measure.nodes.size)
-    work_u = np.empty(shape, np.float32)
-    work_v = np.empty(shape, np.float32)
-    w32 = measure.weights.astype(np.float32)
-    alpha32 = np.float32(params.alpha)
-    alpha_hat32 = np.float32(params.alpha_hat)
-    cap32 = np.float32(exp_cap)
-    his = bracket_pi_q(times, params, measure, exp_cap)
-    for j, (t, hi) in enumerate(zip(times, his)):
-        A = float(params.discount_to_horizon(t))
-        c = (measure.nodes * A).astype(np.float32)                       # z A
-        d = (0.5 * params.gamma * (measure.nodes * A) ** 2).astype(np.float32)
-        hi32 = np.float32(hi)
-        np.multiply(grid01, hi32 * c, out=work_u)
-        np.multiply(grid01_sq, hi32 * hi32 * d, out=work_v)
-        work_u += work_v
-        work_u *= np.float32(params.beta3)
-        np.minimum(work_u, cap32, out=work_u)
-        np.exp(work_u, out=work_u)                                       # e^{b3 E}
-        np.divide(alpha_hat32, work_u, out=work_v)
-        work_u *= alpha32
-        work_u += work_v                                                 # mix
-        np.multiply(grid01, (2.0 * hi32) * d, out=work_v)
-        work_v += c                                                      # G
-        work_u *= work_v
-        F = np.float32(1.0 + params.eta) * (c @ w32) - work_u @ w32
-        signs = np.sign(F)
-        signs = signs[signs != 0]
-        counts[j] = int(np.count_nonzero(np.diff(signs) != 0))
-    return counts
+    ends = params.discount_to_horizon(times) * bracket_pi_q(times, params, measure, exp_cap)
+    spacing = float(np.min(ends)) / (n_points - 1)
+    grid = spacing * np.arange(int(math.ceil(float(np.max(ends)) / spacing)) + 1)
+    signs = np.sign(_foc_f32(grid, params, measure, exp_cap))
+    # carry the last nonzero sign over zeros, then count changes cumulatively
+    held = signs[np.maximum.accumulate(np.where(signs != 0, np.arange(signs.size), 0))]
+    changes = np.concatenate(([0], np.cumsum((held[1:] != held[:-1]) & (held[:-1] != 0))))
+    last = np.searchsorted(grid, ends, side="right") - 1
+    end_signs = np.sign(_foc_f32(ends, params, measure, exp_cap))
+    tail = (end_signs != 0) & (held[last] != 0) & (end_signs != held[last])
+    return changes[last] + tail
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +289,8 @@ class EquilibriumSolution:
     ``pi_p`` is the pre-default bond amount (identically 0 after default).
     ``fine_grid``/``fine_pi_q``/``fine_pi_s`` hold the half-step refinement
     used internally by the backward integrator; interpolation helpers use it.
+    ``u_star`` is the scalar root with ``pi_q(t) = u_star e^{-r(T-t)}``, so
+    :meth:`pi_q_at` is exact at every t.
     """
 
     grid: np.ndarray
@@ -294,13 +301,15 @@ class EquilibriumSolution:
     fine_grid: np.ndarray = field(repr=False, default=None)
     fine_pi_q: np.ndarray = field(repr=False, default=None)
     fine_pi_s: np.ndarray = field(repr=False, default=None)
+    u_star: float = None
 
     def __post_init__(self) -> None:
         if np.any(self.pi_q < 0):
             raise ValidationError("pi_q<0", "equilibrium reinsurance exposure must be nonnegative")
 
     def pi_q_at(self, t):
-        return np.interp(t, self.fine_grid, self.fine_pi_q)
+        c = self.coeffs
+        return self.u_star / np.exp(c.r * (c.T - np.asarray(t, dtype=float)))
 
     def pi_s_at(self, t):
         return np.interp(t, self.fine_grid, self.fine_pi_s)
@@ -586,6 +595,7 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
         pi_q=tables.pi_q[0::2], pi_s=tables.pi_s[0::2], pi_p=pi_p,
         coeffs=coeffs,
         fine_grid=tables.times, fine_pi_q=tables.pi_q, fine_pi_s=tables.pi_s,
+        u_star=float(tables.pi_q[-1]),   # A(T) = 1
     )
 
 
@@ -630,6 +640,11 @@ def value_function(t, x, h: int, coeffs: ValueCoefficients):
 class DistortionSide:
     """One extreme measure: drift shifts phi1, phi2 and jump tilt phi3.
 
+    The jump tilt is stored as exponent coefficients: ``tilt(t)`` returns
+    ``(a(t), b(t))`` with ``1 - phi3(t, z) = exp(clip(a z + b z^2))``, scalars
+    when they do not depend on t.  :meth:`phi3` is derived from them, so the
+    claim sampler and the distortion identities read the same tilt.
+
     ``sign`` is +1 for the ambiguity-averse (infimum) measure, whose penalty
     enters the objective with a plus sign, and -1 for the ambiguity-seeking
     (supremum) measure.
@@ -637,33 +652,63 @@ class DistortionSide:
 
     phi1: Callable[[np.ndarray], np.ndarray]
     phi2: Callable[[np.ndarray], np.ndarray]
-    phi3: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    tilt: Callable[[np.ndarray], tuple]
     sign: int
+    exp_cap: float = DEFAULT_EXP_CAP
+
+    def phi3(self, t, z):
+        a, b = self.tilt(np.asarray(t, dtype=float))
+        z = np.asarray(z, dtype=float)
+        x = np.clip(a * z + b * z * z, -self.exp_cap, self.exp_cap)
+        return -np.expm1(np.broadcast_to(x, np.broadcast_shapes(np.shape(t), x.shape)))
 
 
 @dataclass(frozen=True)
 class DistortionFunctions:
-    """The six extremal distortion functions of an equilibrium solution.
+    """The extremal distortions of a strategy: the averse and seeking sides.
 
     phi1/phi2 are deterministic functions of t, phi3 of (t, z); the hi
     functions are the sign-flipped (i = 1, 2) and reciprocal-exponential
     (i = 3) counterparts of the lo functions.
     """
 
-    phi1_lo: Callable
-    phi2_lo: Callable
-    phi1_hi: Callable
-    phi2_hi: Callable
-    phi3_lo: Callable
-    phi3_hi: Callable
+    lo: DistortionSide
+    hi: DistortionSide
 
-    @property
-    def lo(self) -> DistortionSide:
-        return DistortionSide(self.phi1_lo, self.phi2_lo, self.phi3_lo, +1)
+    phi1_lo = property(lambda self: self.lo.phi1)
+    phi2_lo = property(lambda self: self.lo.phi2)
+    phi3_lo = property(lambda self: self.lo.phi3)
+    phi1_hi = property(lambda self: self.hi.phi1)
+    phi2_hi = property(lambda self: self.hi.phi2)
+    phi3_hi = property(lambda self: self.hi.phi3)
 
-    @property
-    def hi(self) -> DistortionSide:
-        return DistortionSide(self.phi1_hi, self.phi2_hi, self.phi3_hi, -1)
+
+def _extremal_pair(times, pi_s_values, tilt_lo, params: ModelParams,
+                   exp_cap: float) -> DistortionFunctions:
+    """Both sides from the stock amount on ``times`` and the lo jump tilt."""
+    pi_s_values = np.asarray(pi_s_values, dtype=float)
+
+    def phi1_lo(t):
+        return params.beta1 * (params.sigma1 + params.sigma2 * params.rho
+                               * np.interp(t, times, pi_s_values)) * params.discount_to_horizon(t)
+
+    def phi2_lo(t):
+        return params.beta2 * params.sigma2 * params.rho_hat \
+            * np.interp(t, times, pi_s_values) * params.discount_to_horizon(t)
+
+    def tilt_hi(t):
+        a, b = tilt_lo(t)
+        return -a, -b
+
+    return DistortionFunctions(
+        lo=DistortionSide(phi1_lo, phi2_lo, tilt_lo, +1, exp_cap),
+        hi=DistortionSide(lambda t: -phi1_lo(t), lambda t: -phi2_lo(t), tilt_hi, -1, exp_cap),
+    )
+
+
+def _tilt_coefficients(u, params: ModelParams):
+    """(a, b) of beta3 E = beta3 (u z + (gamma/2) u^2 z^2), u = pi_q A."""
+    return params.beta3 * u, 0.5 * params.beta3 * params.gamma * u * u
 
 
 def strategy_distortions(times: np.ndarray, pi_q_values: np.ndarray,
@@ -677,45 +722,23 @@ def strategy_distortions(times: np.ndarray, pi_q_values: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     pi_q_values = np.asarray(pi_q_values, dtype=float)
-    pi_s_values = np.asarray(pi_s_values, dtype=float)
 
-    def _A(t):
-        return params.discount_to_horizon(t)
+    def tilt_lo(t):
+        return _tilt_coefficients(np.interp(t, times, pi_q_values)
+                                  * params.discount_to_horizon(t), params)
 
-    def phi1_lo(t):
-        return params.beta1 * (params.sigma1 + params.sigma2 * params.rho
-                               * np.interp(t, times, pi_s_values)) * _A(t)
-
-    def phi2_lo(t):
-        return params.beta2 * params.sigma2 * params.rho_hat \
-            * np.interp(t, times, pi_s_values) * _A(t)
-
-    def _exponent(t, z):
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        A = _A(t)
-        pq = np.interp(t, times, pi_q_values)
-        E = pq * z * A + 0.5 * params.gamma * (pq * z * A) ** 2
-        return np.clip(params.beta3 * E, -exp_cap, exp_cap)
-
-    def phi3_lo(t, z):
-        return -np.expm1(_exponent(t, z))
-
-    def phi3_hi(t, z):
-        return -np.expm1(-_exponent(t, z))
-
-    return DistortionFunctions(
-        phi1_lo=phi1_lo, phi2_lo=phi2_lo,
-        phi1_hi=lambda t: -phi1_lo(t), phi2_hi=lambda t: -phi2_lo(t),
-        phi3_lo=phi3_lo, phi3_hi=phi3_hi,
-    )
+    return _extremal_pair(times, pi_s_values, tilt_lo, params, exp_cap)
 
 
 def distortions(solution: EquilibriumSolution, params: ModelParams,
                 exp_cap: float = DEFAULT_EXP_CAP) -> DistortionFunctions:
-    """Extremal distortions of the equilibrium solution (evaluated lazily)."""
-    return strategy_distortions(solution.fine_grid, solution.fine_pi_q,
-                                solution.fine_pi_s, params, exp_cap)
+    """Extremal distortions of the equilibrium solution (evaluated lazily).
+
+    ``pi_q A = u*`` at every t, so the jump tilt has constant coefficients.
+    """
+    a, b = _tilt_coefficients(solution.u_star, params)
+    return _extremal_pair(solution.fine_grid, solution.fine_pi_s, lambda t: (a, b),
+                          params, exp_cap)
 
 
 # Below this |phi3| the entropy q log q + phi3 (q = 1 - phi3) is taken from its

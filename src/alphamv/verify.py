@@ -157,6 +157,8 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     ))
 
     # --- directional suite ---------------------------------------------------
+    # the hP sweep stays within delta >= zeta hP, where the model is defined
+    hP_hi = min(5e-3, params.delta / params.zeta)
     directions = [
         ("alpha", 0.5, 1.0, "pi_q0", "dec"),
         ("beta3", 0.01, 1.0, "pi_q0", "dec"),
@@ -166,7 +168,7 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         ("delta", params.zeta * params.hP, 0.05, "pi_p0", "inc"),
         ("zeta", 0.05, 1.0, "pi_p0", "dec"),
         ("alpha", 0.5, 1.0, "pi_p0", "inc"),
-        ("hP", 0.0002, 0.005, "pi_p0", "dec"),
+        ("hP", min(2e-4, hP_hi / 25), hP_hi, "pi_p0", "dec"),
     ]
     for param, lo, hi, quantity, want in directions:
         spec = SweepSpec.from_range(param, lo, hi, 20, quantity)

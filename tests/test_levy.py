@@ -122,3 +122,38 @@ def test_tabulated_measure_uses_same_machinery():
     rng = np.random.default_rng(5)
     draws = sample_truncated_sizes(spec, 200_000, rng)
     assert abs(draws.mean() - 1.0) <= 4 * draws.std(ddof=1) / math.sqrt(draws.size)
+
+
+def test_tabulated_sizes_take_one_tilt_per_draw():
+    # two tilts interleaved draw by draw: each group follows its own tilted
+    # tabulated law, whose moments come from the tilted quadrature rule
+    z = np.linspace(0.5, 1.5, 801)
+    spec = ClaimModelSpec(lam=1.0, kind="tabulated-density", z_grid=z,
+                          density=np.exp(-((z - 1.0) / 0.1) ** 2 / 2.0))
+    measure = build_measure(spec, 128)
+    tilts = np.array([[0.0, 0.0], [3.0, -1.0]])
+    which = np.arange(400_000) % 2
+    draws = sample_truncated_sizes(spec, which.size, np.random.default_rng(9),
+                                   tilts[which, 0], tilts[which, 1])
+    for k, (a, b) in enumerate(tilts):
+        got = draws[which == k]
+        w = measure.weights * np.exp(a * measure.nodes + b * measure.nodes ** 2)
+        for stat, want in ((got, w @ measure.nodes / w.sum()),
+                           (got ** 2, w @ measure.nodes ** 2 / w.sum())):
+            assert abs(stat.mean() - want) <= 4 * stat.std(ddof=1) / math.sqrt(stat.size)
+
+
+def test_truncated_normal_deep_cutoff_matches_closed_form():
+    # mean/sd = -5 takes Robert's exponential proposal; untilted and tilted
+    # (the square completed to another deep cut-off normal) draws must match
+    # the closed-form moments of their truncated normals
+    spec = ClaimModelSpec(lam=1.0, muZ=-0.5, sigmaZ=0.1)
+    rng = np.random.default_rng(17)
+    for a, b in ((0.0, 0.0), (-20.0, -20.0)):
+        draws = sample_truncated_sizes(spec, 200_000, rng, a, b)
+        s2 = spec.sigmaZ ** 2
+        mean = (spec.muZ + a * s2) / (1.0 - 2.0 * b * s2)
+        m1, m2 = truncnorm_moments(mean, spec.sigmaZ / math.sqrt(1.0 - 2.0 * b * s2))
+        assert np.all(draws > 0)
+        for stat, want in ((draws, m1), (draws ** 2, m2)):
+            assert abs(stat.mean() - want) <= 4 * stat.std(ddof=1) / math.sqrt(stat.size)

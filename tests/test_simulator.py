@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from alphamv.config import ModelParams
+from alphamv.config import ClaimModelSpec, ModelParams, NumericsConfig
 from alphamv.errors import NumericalError, ValidationError
 from alphamv.levy import build_measure
 from alphamv.simulate import (ConstantStrategy, alpha_robust_value,
@@ -14,7 +14,7 @@ from alphamv.simulate import (ConstantStrategy, alpha_robust_value,
                               estimate_objective, simulate_terminal,
                               simulate_wealth)
 from alphamv.solver import (DistortionSide, distortions, reference_mean_intercepts,
-                            strategy_distortions, value_function)
+                            solve_equilibrium, strategy_distortions, value_function)
 
 from conftest import BASE_KWARGS
 
@@ -93,6 +93,62 @@ def test_distorted_claim_intensity(base_params, base_measure, base_solution):
     assert abs(counts.mean() - expected) <= 3 * se
 
 
+def _tabulated_claims():
+    z = np.linspace(0.5, 1.5, 801)
+    return ClaimModelSpec(lam=1.5, kind="tabulated-density", z_grid=z,
+                          density=np.exp(-((z - 1.0) / 0.1) ** 2 / 2.0) * (2.0 - z))
+
+
+@pytest.mark.parametrize("case", ["base", "claim-heavy", "tabulated"])
+def test_distorted_sizes_and_counts_match_tilted_quadrature(case, base_params, base_claims):
+    # under each extremal measure the claims are compound Poisson with
+    # intensity int (1 - phi3) nu and sizes distributed as (1 - phi3) nu; the
+    # sampled size moments and claim counts must match quadrature of that
+    # tilted measure (claim-heavy: lambda 20, muZ 0.05, sigmaZ 0.01, beta3 2)
+    params, claims, n_paths = base_params, base_claims, 20_000
+    if case == "claim-heavy":
+        params = dataclasses.replace(base_params, beta3=2.0)
+        claims, n_paths = ClaimModelSpec(lam=20.0, muZ=0.05, sigmaZ=0.01), 1000
+    elif case == "tabulated":
+        claims = _tabulated_claims()
+    measure = build_measure(claims, 64)
+    solution = solve_equilibrium(params, measure, NumericsConfig(time_steps=200))
+    dist = distortions(solution, params)
+    for i, side in enumerate((dist.lo, dist.hi)):
+        paths = simulate_wealth(solution, side, params, measure, n_paths=n_paths,
+                                dt=params.T / 10, seed=400 + i, h0=1)
+        sizes = np.array([z for path in paths for _, z in path.claim_log])
+        counts = np.array([len(path.claim_log) for path in paths])
+        tilted = measure.weights * (1.0 - side.phi3(0.0, measure.nodes))
+        mass = tilted.sum()
+        checks = ((sizes, tilted @ measure.nodes / mass),
+                  (sizes ** 2, tilted @ measure.nodes ** 2 / mass),
+                  (counts, params.T * mass))
+        for sample, want in checks:
+            assert abs(sample.mean() - want) <= 4 * sample.std(ddof=1) / math.sqrt(sample.size)
+
+
+def test_claims_far_below_zero_mean_are_sampled(base_params):
+    # muZ = -5 sigmaZ: plain rejection from the normal keeps 2.9e-7 of its
+    # draws; the sampler switches to an exponential proposal and returns
+    claims = ClaimModelSpec(lam=1.0, muZ=-0.5, sigmaZ=0.1)
+    measure = build_measure(claims, 64)
+    solution = solve_equilibrium(base_params, measure, NumericsConfig(time_steps=200))
+    dist = distortions(solution, base_params)
+    x_T, _, _ = simulate_terminal(solution, dist.lo, base_params, measure,
+                                  n_paths=1000, dt=0.01, seed=3, h0=1)
+    assert np.all(np.isfinite(x_T))
+    paths = simulate_wealth(solution, None, base_params, measure,
+                            n_paths=2000, dt=0.1, seed=4, h0=1)
+    sizes = np.array([z for path in paths for _, z in path.claim_log])
+    ratio = claims.muZ / claims.sigmaZ
+    pdf = math.exp(-0.5 * ratio * ratio) / math.sqrt(2.0 * math.pi)
+    cdf = 0.5 * math.erfc(-ratio / math.sqrt(2.0))
+    expected = claims.muZ + claims.sigmaZ * pdf / cdf
+    assert np.all(sizes > 0)
+    assert abs(sizes.mean() - expected) <= 4 * sizes.std(ddof=1) / math.sqrt(sizes.size)
+
+
 def test_default_frequency(base_params, base_measure, base_solution):
     _, default_time, _ = simulate_terminal(base_solution, None, base_params, base_measure,
                                            n_paths=N_PATHS, dt=DT, seed=61, h0=0)
@@ -116,18 +172,16 @@ def test_seed_determinism(base_params, base_measure, base_solution):
     assert not np.array_equal(a, c)
 
 
-def test_size_rejection_gives_up_after_round_cap(base_params, base_measure, base_solution):
-    # the tilt is 1 on the quadrature nodes, so the envelope and the intensity
-    # look harmless, and ~1e-300 elsewhere (1 - phi3 rounds it to 0): no drawn
-    # size is ever accepted and the rejection loop must stop with an error
-    nodes = base_measure.nodes
-
-    def phi3(t, z):
-        tilt = np.where(np.isin(z, nodes), 1.0, 1e-300)
-        return np.broadcast_to(1.0 - tilt, np.broadcast(t, z).shape)
-
-    side = DistortionSide(phi1=np.zeros_like, phi2=np.zeros_like, phi3=phi3, sign=1)
-    with pytest.raises(NumericalError, match="acceptance ratio 0"):
+def test_supercritical_size_tilt_raises(base_params, base_measure, base_solution):
+    # exp(a z + b z^2) with 2b > 1/sigmaZ^2 leaves no normal law to complete
+    # the square into; centred on muZ the exponent b((z - muZ)^2 - muZ^2) stays
+    # between -60 and -21 on the quadrature nodes, so the intensity table is
+    # harmless and only the sampler can catch it
+    spec = base_measure.spec
+    b = 0.6 / spec.sigmaZ ** 2
+    side = DistortionSide(phi1=np.zeros_like, phi2=np.zeros_like,
+                          tilt=lambda t: (-2.0 * b * spec.muZ, b), sign=1)
+    with pytest.raises(NumericalError, match="2b >= 1/sigmaZ"):
         simulate_terminal(base_solution, side, base_params, base_measure,
                           n_paths=50, dt=0.1, seed=5, h0=1)
 

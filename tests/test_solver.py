@@ -121,6 +121,13 @@ def test_root_independent_of_default_state(base_params, base_measure):
     assert a == b
 
 
+def test_pi_q_at_is_exact_between_grid_points(base_params, base_measure, base_solution):
+    # pi_q(t) = u* e^{-r(T-t)} at any t, not a linear interpolation of the grid
+    ts = np.array([0.0012345, 3.0025, 9.9999])
+    want = [solve_pi_q_star(float(t), base_params, base_measure) for t in ts]
+    assert np.allclose(base_solution.pi_q_at(ts), want, rtol=1e-14, atol=0.0)
+
+
 def test_single_sign_change_at_sample_times(base_params, base_measure):
     counts = scan_foc_sign_changes(np.linspace(0.0, base_params.T, 5), base_params,
                                    base_measure, 10_000)

@@ -214,10 +214,18 @@ def test_cmd_verify_reports_tiny_distortions(tmp_path, capsys):
     assert all(m < 1e-6 for m in mags)
 
 
-def test_cmd_verify_reports_sweep_without_solved_points(tmp_path, capsys):
-    # valid config, but every point of the hP sweep breaks delta >= zeta hP
-    cfg = write_config(tmp_path / "lowspread.cfg",
-                       overrides={"delta": 1e-5, "hP": 1e-5},
+def test_cmd_verify_reports_sweep_without_solved_points(tmp_path, capsys, monkeypatch):
+    # every point of every sweep rejected by the model: the check must fail
+    # and say so rather than pass on an empty sequence
+    import alphamv.verify as verify_mod
+    from alphamv.sweep import SweepResult, SweepRow
+
+    def rejecting_sweep(params, claims, numerics, spec):
+        return SweepResult(spec.param, spec.quantity,
+                           tuple(SweepRow(v, None, "skipped:rejected") for v in spec.values))
+
+    monkeypatch.setattr(verify_mod, "run_sweep", rejecting_sweep)
+    cfg = write_config(tmp_path / "base.cfg",
                        numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
                                            "time_steps": 100, "quad_nodes": 32})
     code = main(["verify", "--config", str(cfg)])
@@ -225,6 +233,19 @@ def test_cmd_verify_reports_sweep_without_solved_points(tmp_path, capsys):
     assert code == 2
     line = next(l for l in out.split("\n") if "monotone_pi_p0_vs_hP" in l)
     assert line.startswith("FAIL") and "only 0 of 20 points solved" in line
+
+
+def test_cmd_verify_hP_sweep_fits_low_spread(tmp_path, capsys):
+    # delta = hP = 1e-5 is valid, but a fixed hP range from 2e-4 would break
+    # delta >= zeta hP at every point; the range must end at delta/zeta
+    cfg = write_config(tmp_path / "lowspread.cfg",
+                       overrides={"delta": 1e-5, "hP": 1e-5},
+                       numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
+                                           "time_steps": 100, "quad_nodes": 32})
+    main(["verify", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    line = next(l for l in out.split("\n") if "monotone_pi_p0_vs_hP" in l)
+    assert line.startswith("PASS") and "over 20 points" in line
 
 
 def test_cmd_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
