@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from .config import ClaimModelSpec
 from .errors import NumericalError, ValidationError
 
-__all__ = ["ClaimMeasure", "build_measure", "integrate", "premium_rate", "sample_claims"]
+__all__ = ["ClaimMeasure", "build_measure", "integrate", "premium_rate"]
 
 _SUPPORT_SIGMAS = 8.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -118,11 +118,6 @@ def premium_rate(measure: ClaimMeasure, theta: float) -> float:
     return (1.0 + theta) * measure.moment(1)
 
 
-def _any(mask) -> bool:
-    """np.any without its call overhead on scalars (sample_claims draws ~1 size a call)."""
-    return bool(mask) if np.ndim(mask) == 0 else bool(mask.any())
-
-
 def _normal_above_zero(mean, sd, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws of N(mean, sd^2) conditioned on (0, inf); mean, sd scalars or length n.
 
@@ -135,7 +130,7 @@ def _normal_above_zero(mean, sd, n: int, rng: np.random.Generator) -> np.ndarray
     """
     out = rng.normal(mean, sd, size=n)
     redo = out <= 0
-    if not (_any(mean < 0) or redo.any()):
+    if not (np.any(mean < 0) or redo.any()):
         return out
     mean, sd = np.broadcast_to(mean, n), np.broadcast_to(sd, n)
     redo &= mean >= 0
@@ -170,7 +165,7 @@ def sample_truncated_sizes(spec: ClaimModelSpec, n: int, rng: np.random.Generato
     if spec.kind == "truncated-normal":
         s2 = spec.sigmaZ ** 2
         shrink = 1.0 - 2.0 * b * s2   # precision times sigmaZ^2
-        if _any(shrink <= 0):
+        if np.any(shrink <= 0):
             raise NumericalError(
                 f"claim-size tilt exp(a z + b z^2) with 2b >= 1/sigmaZ^2 = {1.0 / s2:g} "
                 "is not integrable against the truncated normal")
@@ -198,17 +193,3 @@ def sample_truncated_sizes(spec: ClaimModelSpec, n: int, rng: np.random.Generato
     for k, idx in enumerate(np.split(order, np.searchsorted(row[order], np.arange(1, len(cdf))))):
         out[idx] = np.interp(u[idx], cdf[k], z)
     return out
-
-
-def sample_claims(measure: ClaimMeasure, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Claim sizes arriving over a window of length dt.
-
-    The count is Poisson(lambda * dt); sizes are iid draws from the claim-size
-    distribution.  Pass an independent Generator per concurrent consumer.
-    """
-    if dt < 0:
-        raise ValidationError("dt<0", f"window length must satisfy dt >= 0, got {dt}")
-    if dt == 0:
-        return np.empty(0)
-    count = int(rng.poisson(measure.spec.lam * dt))
-    return sample_truncated_sizes(measure.spec, count, rng)

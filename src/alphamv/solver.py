@@ -14,13 +14,19 @@ at once: Simpson sums for the post-default ones, and affine recurrences
 (rates ``delta/zeta`` and hP); see :func:`_solve_coefficients`.
 
 Time convention: ``tau = T - t`` and ``A(t) = e^{r tau}`` is the accumulation
-factor to the horizon.  The recurring jump-exponent body is
+factor to the horizon.  The claim integrals see the strategy only through
+``u = pi_q(t) A(t)``, in the recurring jump-exponent body
 
-    E(t, z) = pi_q(t) z A(t) + (gamma/2) pi_q(t)^2 z^2 A(t)^2,
+    E(u, z) = u z + (gamma/2) u^2 z^2,
 
-and every distorted integrand carries ``exp(+-beta3 E)``.  Exponent arguments
-are saturated at ``+-exp_cap`` before exponentiation (a warning, not an
-error); bracket expansion keeps actual roots well below saturation territory.
+and every distorted integrand carries ``exp(+-beta3 E)``.  At the equilibrium
+``u = u*`` at every t, so the backward system evaluates its claim integrals
+once, on the node vector at ``u*``, and never on a times x nodes grid.  The
+one times x nodes evaluation in a solve is the ``root_tol`` check of the
+residual ``F(t, pi_q(t))`` at every requested time; it runs in row chunks
+whose temporaries stay below ``_CHUNK_BYTES``.  Exponent arguments are
+saturated at ``+-exp_cap`` before exponentiation (a warning, not an error);
+bracket expansion keeps actual roots well below saturation territory.
 """
 
 from __future__ import annotations
@@ -62,7 +68,11 @@ DEFAULT_ROOT_TOL = 1e-10
 _BISECT_ITERS = 16          # localize before Newton takes over
 _NEWTON_ITERS = 5           # quadratic: 2^-16 bracket -> machine precision
 _MAX_DOUBLINGS = 60
-_SCAN_FLOATS = 1 << 20      # work-buffer size of the first-order-condition scan
+# Work-buffer size of the chunked times x nodes evaluations (the residual check
+# and the float32 scan).  glibc may serve a block of 128 KiB or more (its
+# initial mmap threshold) from fresh pages, whose faults cost more than the
+# arithmetic on them.
+_CHUNK_BYTES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +185,8 @@ def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
     It is found at t = T, where A = 1: bisection localizes it inside the
     expanded bracket, then Newton drives the residual to machine precision
     (F is smooth and strictly decreasing).  The residual is still checked at
-    every requested time: NumericalError unless each is at most ``root_tol``
+    every requested time, in row chunks whose temporaries stay below
+    ``_CHUNK_BYTES``: NumericalError unless each is at most ``root_tol``
     relative to the natural scale ``eta e^{r(T-t)} int z nu(dz)``.
     """
     times = np.asarray(times, dtype=float)
@@ -193,10 +204,15 @@ def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
         F, dF = _foc_values(1.0, u, params, measure, exp_cap, with_derivative=True)
         u = np.clip(u - F / dF, lo, hi)
     root = u / A
-    residual, _ = _foc_values(A, root, params, measure, exp_cap, with_derivative=False)
-    scale = params.eta * A * measure.moment(1)
-    if not np.all(np.abs(residual) <= root_tol * scale):
-        raise NumericalError("pi_q roots did not reach the configured tolerance")
+    flat_A, flat_root = np.reshape(A, -1), np.reshape(root, -1)
+    scale = params.eta * flat_A * measure.moment(1)
+    rows = max(1, _CHUNK_BYTES // (8 * measure.nodes.size))
+    for start in range(0, flat_A.size, rows):
+        part = slice(start, start + rows)
+        residual, _ = _foc_values(flat_A[part], flat_root[part], params, measure, exp_cap,
+                                  with_derivative=False)
+        if not np.all(np.abs(residual) <= root_tol * scale[part]):
+            raise NumericalError("pi_q roots did not reach the configured tolerance")
     return root
 
 
@@ -209,22 +225,33 @@ def solve_pi_q_star(t: float, params: ModelParams, measure: ClaimMeasure,
 
 def _foc_f32(u: np.ndarray, params: ModelParams, measure: ClaimMeasure,
              exp_cap: float) -> np.ndarray:
-    """f(u) = F(t, u/A(t)) / A(t) in float32, in row chunks of bounded size."""
+    """f(u) = F(t, u/A(t)) / A(t) in float32, in row chunks of bounded size.
+
+    float32 ``exp`` overflows above ~88.7, far below the default ``exp_cap``, so
+    each exponent is also capped where ``e^x (1 + G/A)`` stays below
+    ``float32 max / (2 max(1, lambda))``: the weighted sum over the nodes
+    stays finite.  A term capped there outweighs the premium term by many
+    orders of magnitude, so f keeps its sign.
+    """
     c = measure.nodes.astype(np.float32)                              # z
     d = (0.5 * params.gamma * measure.nodes ** 2).astype(np.float32)  # (gamma/2) z^2
     w = measure.weights.astype(np.float32)
     alpha, alpha_hat = np.float32(params.alpha), np.float32(params.alpha_hat)
+    headroom = np.float32(math.log(float(np.finfo(np.float32).max)
+                                   / (2.0 * max(1.0, float(measure.weights.sum())))))
     out = np.empty(u.size, np.float32)
-    rows = max(1, _SCAN_FLOATS // c.size)
+    rows = max(1, _CHUNK_BYTES // (4 * c.size))
     for lo in range(0, u.size, rows):
         uc = u[lo:lo + rows].astype(np.float32)[:, None]
+        g = c + (2.0 * uc) * d                                        # G / A
         x = uc * c
         x += (uc * uc) * d                                            # E
         x *= np.float32(params.beta3)
         np.minimum(x, np.float32(exp_cap), out=x)
+        np.minimum(x, headroom - np.log1p(g), out=x)
         np.exp(x, out=x)                                              # e^{b3 E}
         mix = alpha * x + alpha_hat / x
-        mix *= c + (2.0 * uc) * d                                     # G / A
+        mix *= g
         out[lo:lo + rows] = np.float32(1.0 + params.eta) * (c @ w) - mix @ w
     return out
 
@@ -307,9 +334,17 @@ class EquilibriumSolution:
         if np.any(self.pi_q < 0):
             raise ValidationError("pi_q<0", "equilibrium reinsurance exposure must be nonnegative")
 
+    def _checked_u_star(self) -> float:
+        """``u_star``; ValidationError when the solution was built without it."""
+        if self.u_star is None:
+            raise ValidationError(
+                "u_star", "EquilibriumSolution.u_star is not set: pi_q(t) = u_star "
+                "e^{-r(T-t)} needs it (solve_equilibrium sets it)")
+        return self.u_star
+
     def pi_q_at(self, t):
         c = self.coeffs
-        return self.u_star / np.exp(c.r * (c.T - np.asarray(t, dtype=float)))
+        return self._checked_u_star() / np.exp(c.r * (c.T - np.asarray(t, dtype=float)))
 
     def pi_s_at(self, t):
         return np.interp(t, self.fine_grid, self.fine_pi_s)
@@ -319,29 +354,33 @@ class EquilibriumSolution:
 
 
 class _NodeTables:
-    """Per-node ingredients of the coefficient integrands on a fine time grid.
+    """Ingredients of the coefficient integrands on a fine time grid.
 
     Everything that does not depend on the integrated state is precomputed
-    here: the strategies, the distorted claim integrals I+- and the entropy
-    jump term of the B equations.
+    here.  The distorted claim integrals I+- and the entropy jump term KB of
+    the B equations see the reinsurance exposure only through
+    ``u = pi_q A``, which is ``u_star`` at every t; they are scalars,
+    evaluated once on the node vector at ``u_star``.  The strategies and the
+    integrands ``fB1``, ``f1_lo``, ``f1_hi`` are columns on the fine grid.
     """
 
     def __init__(self, times: np.ndarray, params: ModelParams, measure: ClaimMeasure,
                  betas: tuple[float, float, float],
-                 pi_q: np.ndarray, pi_s: np.ndarray,
+                 u_star: float, pi_s: np.ndarray,
                  exp_cap: float):
         b1, b2, b3 = betas
         self.times = times
         A = params.discount_to_horizon(times)
         self.A = A
-        self.pi_q = pi_q
+        self.u_star = u_star
+        self.pi_q = pi_q = u_star / A
         self.pi_s = pi_s
         m1 = measure.moment(1)
 
         z = measure.nodes
         w = measure.weights
-        zA = z * A[:, None]
-        E = pi_q[:, None] * zA + 0.5 * params.gamma * (pi_q[:, None] * zA) ** 2
+        uz = u_star * z
+        E = uz + 0.5 * params.gamma * uz ** 2
         x = _clip_exponent(b3 * E, exp_cap)
         ep1 = np.expm1(x)                   # e^{+b3 E} - 1 without cancellation
         em1 = np.expm1(-x)
@@ -371,9 +410,9 @@ class _NodeTables:
         lin_hi = (params.mu - params.r) * A + 2.0 * b1 * s1 * s2 * rho * A2
         quad = s2 ** 2 * A2 * cross
         self.f1_lo = (common - b1 * s1 ** 2 * A2 + lin_lo * pi_s
-                      - quad * pi_s ** 2 - pi_q * A * self.I_plus)
+                      - quad * pi_s ** 2 - u_star * self.I_plus)
         self.f1_hi = (common + b1 * s1 ** 2 * A2 + lin_hi * pi_s
-                      + quad * pi_s ** 2 - pi_q * A * self.I_minus)
+                      + quad * pi_s ** 2 - u_star * self.I_minus)
 
 
 def _make_fine_grid(grid: np.ndarray) -> np.ndarray:
@@ -466,16 +505,18 @@ def _rk4_linear_mode(rate: float, h: np.ndarray, g: np.ndarray):
 
 def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.ndarray,
                         betas: Optional[tuple[float, float, float]] = None,
-                        strategy: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+                        strategy: Optional[tuple[float, np.ndarray, np.ndarray]] = None,
                         root_tol: float = DEFAULT_ROOT_TOL,
                         exp_cap: float = DEFAULT_EXP_CAP):
     """Backward RK4 sweep of the coefficient system on ``grid``.
 
-    ``strategy`` optionally pins (pi_q, pi_s, pi_p) on the fine grid instead of
-    recomputing them; with ``betas`` overridden this evaluates the mean
-    intercepts of a fixed strategy under a different ambiguity level (the
-    beta = 0 case is the reference measure).  When pi_p is not pinned it is
-    eliminated algebraically inside every integrator stage.
+    ``strategy`` optionally pins (u*, pi_s, pi_p) instead of recomputing
+    them: the reinsurance exposure ``pi_q = u* e^{-r(T-t)}`` by its scalar
+    ``u*``, pi_s and pi_p on the fine grid.  With ``betas`` overridden this
+    evaluates the mean intercepts of a fixed strategy under a different
+    ambiguity level (the beta = 0 case is the reference measure).  When pi_p
+    is not pinned it is eliminated algebraically inside every integrator
+    stage.
 
     The six intercepts are one RK4 integration on the half-step fine grid,
     computed column-wise over all steps rather than step by step:
@@ -526,10 +567,12 @@ def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.nda
         betas = (params.beta1, params.beta2, params.beta3)
     if strategy is None:
         pi_q = solve_pi_q_grid(fine, params, measure, root_tol, exp_cap)
+        # pi_q A = u* at every t; at the grid's end A = 1, so this is u* itself
+        u_star = float(pi_q[-1] * params.discount_to_horizon(fine[-1]))
         pi_s = np.asarray(pi_s_star(fine, params), dtype=float)
     else:
-        pi_q, pi_s, _ = strategy
-    tables = _NodeTables(fine, params, measure, betas, pi_q, pi_s, exp_cap)
+        u_star, pi_s, _ = strategy
+    tables = _NodeTables(fine, params, measure, betas, u_star, pi_s, exp_cap)
 
     a, ah, gamma = params.alpha, params.alpha_hat, params.gamma
     A = _stage_rows(tables.A)
@@ -595,7 +638,7 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
         pi_q=tables.pi_q[0::2], pi_s=tables.pi_s[0::2], pi_p=pi_p,
         coeffs=coeffs,
         fine_grid=tables.times, fine_pi_q=tables.pi_q, fine_pi_s=tables.pi_s,
-        u_star=float(tables.pi_q[-1]),   # A(T) = 1
+        u_star=tables.u_star,
     )
 
 
@@ -613,7 +656,7 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
     _, states, _ = _solve_coefficients(
         params, measure, solution.grid,
         betas=(0.0, 0.0, 0.0),
-        strategy=(solution.fine_pi_q, solution.fine_pi_s, pi_p_fine),
+        strategy=(solution._checked_u_star(), solution.fine_pi_s, pi_p_fine),
         exp_cap=exp_cap,
     )
     return states[:, 1], states[:, 4]
@@ -736,7 +779,7 @@ def distortions(solution: EquilibriumSolution, params: ModelParams,
 
     ``pi_q A = u*`` at every t, so the jump tilt has constant coefficients.
     """
-    a, b = _tilt_coefficients(solution.u_star, params)
+    a, b = _tilt_coefficients(solution._checked_u_star(), params)
     return _extremal_pair(solution.fine_grid, solution.fine_pi_s, lambda t: (a, b),
                           params, exp_cap)
 

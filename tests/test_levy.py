@@ -9,8 +9,7 @@ from scipy.stats import truncnorm
 
 from alphamv.config import ClaimModelSpec
 from alphamv.errors import NumericalError, ValidationError
-from alphamv.levy import (build_measure, integrate, premium_rate,
-                          sample_claims, sample_truncated_sizes)
+from alphamv.levy import build_measure, integrate, premium_rate, sample_truncated_sizes
 
 
 def truncnorm_moments(muZ: float, sigmaZ: float):
@@ -77,19 +76,6 @@ def test_quadrature_convergence_under_node_doubling(base_claims):
     m128 = build_measure(base_claims, 128)
     for k in range(3):
         assert abs(m128.moment(k) - m64.moment(k)) <= 1e-12 * abs(m64.moment(k))
-
-
-def test_sample_claims_empty_for_zero_window(base_measure):
-    rng = np.random.default_rng(0)
-    assert sample_claims(base_measure, 0.0, rng).size == 0
-
-
-def test_sample_claims_poisson_count_oracle(base_measure):
-    # one million unit windows: mean count 1.0 within 3e-3 (3 Poisson SEs)
-    rng = np.random.default_rng(7)
-    n_trials = 1_000_000
-    total = sum(sample_claims(base_measure, 1.0, rng).size for _ in range(n_trials))
-    assert abs(total / n_trials - 1.0) <= 3e-3
 
 
 def test_sampled_claims_strictly_positive(base_measure):

@@ -149,6 +149,17 @@ def test_claims_far_below_zero_mean_are_sampled(base_params):
     assert abs(sizes.mean() - expected) <= 4 * sizes.std(ddof=1) / math.sqrt(sizes.size)
 
 
+def test_reference_claim_count_poisson_oracle(base_params, base_measure, base_solution):
+    # under the reference measure each path sees Poisson(lambda T) claims:
+    # 1e5 paths carry 1e6 expected claims, whose total lies within 3 Poisson
+    # SEs, 3e-3 relative
+    n_paths = 100_000
+    _, _, counts = simulate_terminal(base_solution, None, base_params, base_measure,
+                                     n_paths=n_paths, dt=0.1, seed=7, h0=1)
+    expected = base_measure.spec.lam * base_params.T * n_paths
+    assert abs(counts.sum() / expected - 1.0) <= 3.0 / math.sqrt(expected)
+
+
 def test_default_frequency(base_params, base_measure, base_solution):
     _, default_time, _ = simulate_terminal(base_solution, None, base_params, base_measure,
                                            n_paths=N_PATHS, dt=DT, seed=61, h0=0)

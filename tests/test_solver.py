@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,6 +135,18 @@ def test_single_sign_change_at_sample_times(base_params, base_measure):
     assert np.all(counts == 1)
 
 
+def test_float32_scan_stays_finite_at_large_exponents(base_params, base_measure):
+    # r = 0.2, T = 20: A(0) = e^4 stretches the scan to beta3 E in the
+    # thousands, past where float32 exp overflows (~88.7) long before the
+    # float64 exp_cap of 700
+    params = dataclasses.replace(base_params, r=0.2, T=20.0, T1=25.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        counts = scan_foc_sign_changes(np.linspace(0.0, params.T, 11), params,
+                                       base_measure, 10_000)
+    assert counts.tolist() == [1] * 11
+
+
 def test_bracket_vectorized_over_time(base_params, base_measure):
     ts = np.linspace(0.0, base_params.T, 7)
     his = bracket_pi_q(ts, base_params, base_measure)
@@ -179,6 +192,52 @@ def test_foc_depends_on_time_only_through_accumulation(base_measure, alpha, gamm
     # relative to the size of the integrand terms, since F crosses zero
     terms = (1.0 + params.eta) * A * base_measure.moment(1) + abs(direct)
     assert abs(direct - reduced) <= 1e-12 * terms
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(**_FOC_PARAMS)
+def test_claim_integrals_at_u_star_match_per_time_quadrature(base_measure, alpha, gamma,
+                                                            eta, beta3, frac):
+    # the node tables evaluate I+-, KB once at u*; quadrature on the nodes at
+    # pi_q(t), A(t) for each t separately must give the same numbers
+    params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma,
+                            "eta": eta, "beta3": beta3})
+    tables, _, _ = _solve_coefficients(params, base_measure, np.linspace(0.0, params.T, 21))
+    ts = np.array([0.0, frac * params.T, 0.5 * params.T, params.T])
+    z, w = base_measure.nodes, base_measure.weights
+    for t, pi_q in zip(ts, solve_pi_q_grid(ts, params, base_measure)):
+        zA = z * params.discount_to_horizon(t)
+        x = beta3 * (pi_q * zA + 0.5 * gamma * (pi_q * zA) ** 2)
+        I_plus, I_minus = (z * np.exp(x)) @ w, (z * np.exp(-x)) @ w
+        KB = (params.alpha_hat * np.expm1(-x) - alpha * np.expm1(x)) @ w / beta3
+        for got, want in ((tables.I_plus, I_plus), (tables.I_minus, I_minus), (tables.KB, KB)):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_solve_and_reference_memory_stay_small():
+    # no times x nodes table is ever whole: on the 2001-point fine grid with
+    # 64 nodes one such float64 table alone is 1 MB
+    params, claims, numerics = load_config(BASE_CFG)
+    measure = build_measure(claims, numerics.quad_nodes)
+    solution = solve_equilibrium(params, measure, numerics)
+    for run in (lambda: solve_equilibrium(params, measure, numerics),
+                lambda: reference_mean_intercepts(params, measure, solution, numerics.exp_cap)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
+
+def test_solution_without_u_star_raises_typed_error(base_params, base_measure, base_solution):
+    bare = dataclasses.replace(base_solution, u_star=None)
+    for call in (lambda: bare.pi_q_at(1.0), lambda: distortions(bare, base_params),
+                 lambda: reference_mean_intercepts(base_params, base_measure, bare)):
+        with pytest.raises(ValidationError, match="u_star") as caught:
+            call()
+        assert caught.value.tag == "u_star"
 
 
 def test_unreachable_root_tolerance_raises(base_params, base_measure, base_numerics):
@@ -300,7 +359,7 @@ def test_backward_sweep_matches_step_loop(base_measure, alpha, gamma, eta, beta3
     pi_p_fine = np.interp(tables.times, grid, pi_p)
     ref_tables, ref_states, _ = _solve_coefficients(
         params, base_measure, grid, betas=(0.0, 0.0, 0.0),
-        strategy=(tables.pi_q, tables.pi_s, pi_p_fine))
+        strategy=(tables.u_star, tables.pi_s, pi_p_fine))
     for got, tab, pinned in ((states, tables, None), (ref_states, ref_tables, pi_p_fine)):
         want = np.array(reference_states(params, tab, grid, pinned))
         # post-default columns: Simpson sums in the loop's order, bit for bit
