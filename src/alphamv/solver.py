@@ -22,11 +22,12 @@ factor to the horizon.  The claim integrals see the strategy only through
 and every distorted integrand carries ``exp(+-beta3 E)``.  At the equilibrium
 ``u = u*`` at every t, so the backward system evaluates its claim integrals
 once, on the node vector at ``u*``, and never on a times x nodes grid.  The
-one times x nodes evaluation in a solve is the ``root_tol`` check of the
-residual ``F(t, pi_q(t))`` at every requested time; it runs in row chunks
-whose temporaries stay below ``_CHUNK_BYTES``.  Exponent arguments are
-saturated at ``+-exp_cap`` before exponentiation (a warning, not an error);
-bracket expansion keeps actual roots well below saturation territory.
+root ``u*`` itself is a scalar safeguarded Newton on node vectors, and the
+``root_tol`` check of the residual ``F(t, pi_q(t))`` at every requested time
+reads it as ``A(t) f(u)`` from a few scalar evaluations of f.  Exponent
+arguments are saturated at ``+-exp_cap`` before exponentiation (a warning,
+not an error); bracket expansion keeps actual roots well below saturation
+territory.
 """
 
 from __future__ import annotations
@@ -65,13 +66,15 @@ __all__ = [
 DEFAULT_EXP_CAP = 700.0
 DEFAULT_ROOT_TOL = 1e-10
 
-_BISECT_ITERS = 16          # localize before Newton takes over
-_NEWTON_ITERS = 5           # quadratic: 2^-16 bracket -> machine precision
 _MAX_DOUBLINGS = 60
-# Work-buffer size of the chunked times x nodes evaluations (the residual check
-# and the float32 scan).  glibc may serve a block of 128 KiB or more (its
-# initial mmap threshold) from fresh pages, whose faults cost more than the
-# arithmetic on them.
+# Safeguarded Newton on u*: stop below this relative step.  The iterate bound
+# counts Newton and bisection steps together; bisection alone shrinks a bracket
+# of width u* to this tolerance in 47 steps.
+_ROOT_RTOL = 1e-14
+_MAX_ROOT_ITERS = 100
+# Work-buffer size of the float32 sign scan's row chunks.  glibc may serve a
+# block of 128 KiB or more (its initial mmap threshold) from fresh pages, whose
+# faults cost more than the arithmetic on them.
 _CHUNK_BYTES = 1 << 16
 
 
@@ -113,12 +116,8 @@ def _clip_exponent(x: np.ndarray, exp_cap: float) -> np.ndarray:
     return x
 
 
-def _foc_values(A, pi, params: ModelParams, measure: ClaimMeasure,
-                exp_cap: float, with_derivative: bool):
-    """F(t, pi) (and optionally dF/dpi) for broadcastable A and pi arrays.
-
-    A and pi must broadcast against each other; a node axis is appended.
-    """
+def _foc_values(A, pi, params: ModelParams, measure: ClaimMeasure, exp_cap: float):
+    """F(t, pi) for broadcastable A and pi arrays; a node axis is appended."""
     A = np.asarray(A, dtype=float)[..., None]
     pi = np.asarray(pi, dtype=float)[..., None]
     z = measure.nodes
@@ -130,12 +129,7 @@ def _foc_values(A, pi, params: ModelParams, measure: ClaimMeasure,
     ep = np.exp(_clip_exponent(params.beta3 * E, exp_cap))
     em = 1.0 / ep  # symmetric clipping makes exp(-clip(x)) the exact reciprocal
     mix = params.alpha * ep + params.alpha_hat * em
-    F = ((1.0 + params.eta) * zA - G * mix) @ w
-    if not with_derivative:
-        return F, None
-    dmix = params.alpha * ep - params.alpha_hat * em
-    dF = -(params.gamma * zA2 * mix + params.beta3 * G * G * dmix) @ w
-    return F, dF
+    return ((1.0 + params.eta) * zA - G * mix) @ w
 
 
 def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
@@ -149,7 +143,7 @@ def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
     if np.any(np.asarray(pi_q) < 0):
         raise ValidationError("pi_q<0", "reinsurance exposure must satisfy pi_q >= 0")
     A = params.discount_to_horizon(t)
-    F, _ = _foc_values(A, pi_q, params, measure, exp_cap, with_derivative=False)
+    F = _foc_values(A, pi_q, params, measure, exp_cap)
     return F if F.ndim else float(F)
 
 
@@ -162,8 +156,7 @@ def bracket_pi_q(t, params: ModelParams, measure: ClaimMeasure,
     A = np.asarray(params.discount_to_horizon(t), dtype=float)
     hi = np.ones_like(A)
     for _ in range(_MAX_DOUBLINGS):
-        F, _ = _foc_values(A, hi, params, measure, exp_cap, with_derivative=False)
-        open_mask = F >= 0
+        open_mask = _foc_values(A, hi, params, measure, exp_cap) >= 0
         if not np.any(open_mask):
             return hi if hi.ndim else float(hi)
         hi[open_mask] *= 2.0
@@ -174,6 +167,78 @@ def bracket_pi_q(t, params: ModelParams, measure: ClaimMeasure,
     )
 
 
+def _scalar_foc(params: ModelParams, measure: ClaimMeasure, exp_cap: float):
+    """``u -> (f(u), f'(u))`` with ``f(u) = F(T, u)``, the FOC at A = 1.
+
+    Scalar in u: the node vectors z, z^2 and w are built once here, and each
+    call makes a handful of operations on them, not a broadcast table.  With
+    ``G = dE/du = z + gamma u z^2``, ``E = u (z + G) / 2``.
+    """
+    z = measure.nodes
+    z2 = z * z
+    w = measure.weights
+    gamma, beta3 = params.gamma, params.beta3
+    alpha, alpha_hat = params.alpha, params.alpha_hat
+    premium = (1.0 + params.eta) * z
+    curvature = gamma * z2 * w
+
+    def foc(u: float):
+        G = z + (gamma * u) * z2
+        ep = np.exp(_clip_exponent((0.5 * beta3 * u) * (z + G), exp_cap))
+        up, down = alpha * ep, alpha_hat / ep
+        mix = up + down
+        value = float((premium - G * mix) @ w)
+        slope = -float(curvature @ mix) - beta3 * float((G * (up - down)) @ (G * w))
+        return value, slope
+
+    return foc
+
+
+def _newton_root(foc, u: float, hi: float) -> float:
+    """Root of the decreasing ``foc`` on ``[0, hi]``: safeguarded Newton from u.
+
+    Every iterate tightens the bracket by the sign of f.  A Newton step is
+    replaced by bisection when it leaves the bracket, when the slope
+    overflowed, or when it is more than half the previous step.  f is concave
+    (``G mix`` is a product of positive, increasing, convex functions of u),
+    so Newton from above the root descends monotonically; but where
+    ``beta3 E`` is steep it gains only about one unit of ``beta3 E`` per
+    step, hundreds of steps under exponent clipping.  Stops when a step falls
+    below ``_ROOT_RTOL`` of u; NumericalError after ``_MAX_ROOT_ITERS``.
+    """
+    lo, step = 0.0, math.inf
+    for _ in range(_MAX_ROOT_ITERS):
+        value, slope = foc(u)
+        if value > 0:
+            lo = u
+        elif value < 0:
+            hi = u
+        elif value == 0:
+            return u
+        new = u - value / slope
+        # NaNs fail the comparisons; an overflowed slope would stall at u
+        if not (math.isfinite(slope) and lo <= new <= hi and abs(new - u) <= 0.5 * step):
+            new = 0.5 * (lo + hi)
+        step = abs(new - u)
+        if step <= _ROOT_RTOL * u:
+            return new
+        u = new
+    raise NumericalError(
+        f"pi_q root did not converge in {_MAX_ROOT_ITERS} safeguarded Newton steps "
+        f"(bracket [{lo:g}, {hi:g}])"
+    )
+
+
+def _identity_residuals(pi_q: np.ndarray, A: np.ndarray, foc) -> np.ndarray:
+    """``F(t, pi_q(t))`` for 1-d columns, as ``A(t) f(pi_q(t) A(t))``.
+
+    f is evaluated once per distinct value of ``pi_q A``: for ``pi_q = u*/A``
+    rounding leaves a few, not one per time.
+    """
+    u, where = np.unique(pi_q * A, return_inverse=True)
+    return A * np.array([foc(v)[0] for v in u.tolist()])[where]
+
+
 def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
                     root_tol: float = DEFAULT_ROOT_TOL,
                     exp_cap: float = DEFAULT_EXP_CAP) -> np.ndarray:
@@ -182,37 +247,25 @@ def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
     Time enters the first-order condition only through ``A(t)``: with
     ``u = pi_q A(t)``, ``F(t, pi_q) = A(t) f(u)`` where ``f`` does not depend
     on t.  So one scalar root ``u*`` of ``f`` gives ``pi_q(t) = u* / A(t)``.
-    It is found at t = T, where A = 1: bisection localizes it inside the
-    expanded bracket, then Newton drives the residual to machine precision
-    (F is smooth and strictly decreasing).  The residual is still checked at
-    every requested time, in row chunks whose temporaries stay below
-    ``_CHUNK_BYTES``: NumericalError unless each is at most ``root_tol``
-    relative to the natural scale ``eta e^{r(T-t)} int z nu(dz)``.
+    It is bracketed at t = T, where A = 1, and found by safeguarded Newton
+    (:func:`_newton_root`) from the ``beta3 -> 0`` root ``eta m1 / (gamma m2)``,
+    which lies at or above ``u*`` because ``alpha e^x + alpha_hat e^-x >= 1``
+    for x >= 0.  The residual is still checked at every requested time,
+    through the same identity (:func:`_identity_residuals`).
+    NumericalError unless each is at most ``root_tol`` relative to the
+    natural scale ``eta e^{r(T-t)} int z nu(dz)``; a NaN residual fails.
     """
     times = np.asarray(times, dtype=float)
     A = params.discount_to_horizon(times)
-    hi = np.asarray(bracket_pi_q(params.T, params, measure, exp_cap), dtype=float)
-    lo = np.zeros_like(hi)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        F, _ = _foc_values(1.0, mid, params, measure, exp_cap, with_derivative=False)
-        positive = F > 0
-        lo = np.where(positive, mid, lo)
-        hi = np.where(positive, hi, mid)
-    u = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_ITERS):
-        F, dF = _foc_values(1.0, u, params, measure, exp_cap, with_derivative=True)
-        u = np.clip(u - F / dF, lo, hi)
-    root = u / A
-    flat_A, flat_root = np.reshape(A, -1), np.reshape(root, -1)
-    scale = params.eta * flat_A * measure.moment(1)
-    rows = max(1, _CHUNK_BYTES // (8 * measure.nodes.size))
-    for start in range(0, flat_A.size, rows):
-        part = slice(start, start + rows)
-        residual, _ = _foc_values(flat_A[part], flat_root[part], params, measure, exp_cap,
-                                  with_derivative=False)
-        if not np.all(np.abs(residual) <= root_tol * scale[part]):
-            raise NumericalError("pi_q roots did not reach the configured tolerance")
+    hi = bracket_pi_q(params.T, params, measure, exp_cap)
+    m1 = measure.moment(1)
+    foc = _scalar_foc(params, measure, exp_cap)
+    u_star = _newton_root(foc, min(params.eta * m1 / (params.gamma * measure.moment(2)), hi), hi)
+    root = u_star / A
+    flat_A = np.reshape(A, -1)
+    residual = _identity_residuals(np.reshape(root, -1), flat_A, foc)
+    if not np.all(np.abs(residual) <= root_tol * params.eta * m1 * flat_A):
+        raise NumericalError("pi_q roots did not reach the configured tolerance")
     return root
 
 

@@ -157,7 +157,11 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     ))
 
     # --- directional suite ---------------------------------------------------
-    # the hP sweep stays within delta >= zeta hP, where the model is defined
+    # the delta, zeta and hP sweeps stay within delta >= zeta hP, where the
+    # model is defined, on ranges of positive width (the solve above has
+    # already rejected zeta = 0 and hP = 0)
+    delta_lo = params.zeta * params.hP
+    zeta_hi = min(1.0, params.delta / params.hP)
     hP_hi = min(5e-3, params.delta / params.zeta)
     directions = [
         ("alpha", 0.5, 1.0, "pi_q0", "dec"),
@@ -165,8 +169,8 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         ("gamma", 0.1, 2.0, "pi_q0", "dec"),
         ("mu", 0.06, 0.2, "pi_s0", "inc"),
         ("sigma2", 0.1, 0.5, "pi_s0", "dec"),
-        ("delta", params.zeta * params.hP, 0.05, "pi_p0", "inc"),
-        ("zeta", 0.05, 1.0, "pi_p0", "dec"),
+        ("delta", delta_lo, max(0.05, 2 * delta_lo), "pi_p0", "inc"),
+        ("zeta", min(0.05, zeta_hi / 20), zeta_hi, "pi_p0", "dec"),
         ("alpha", 0.5, 1.0, "pi_p0", "inc"),
         ("hP", min(2e-4, hP_hi / 25), hP_hi, "pi_p0", "dec"),
     ]

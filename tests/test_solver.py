@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from alphamv.config import ModelParams, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure, integrate
-from alphamv.solver import (_RK4_STABILITY_LIMIT, _solve_coefficients, bracket_pi_q,
+import alphamv.solver as solver_mod
+from alphamv.solver import (_RK4_STABILITY_LIMIT, _identity_residuals, _scalar_foc,
+                            _solve_coefficients, bracket_pi_q,
                             distortions, penalty_rate, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
                             reinsurance_foc, scan_foc_sign_changes,
@@ -129,6 +131,57 @@ def test_pi_q_at_is_exact_between_grid_points(base_params, base_measure, base_so
     assert np.allclose(base_solution.pi_q_at(ts), want, rtol=1e-14, atol=0.0)
 
 
+def _mp_root(params, measure):
+    """u* from 50-digit arithmetic: bisection on [0, eta m1 / (gamma m2)] to
+    1e-10 relative, then the secant method from the two bracket ends."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        z = [mpmath.mpf(float(v)) for v in measure.nodes]
+        w = [mpmath.mpf(float(v)) for v in measure.weights]
+        gamma, beta3, alpha, eta = (mpmath.mpf(v) for v in (params.gamma, params.beta3,
+                                                            params.alpha, params.eta))
+
+        def f(u):
+            total = mpmath.mpf(0)
+            for zi, wi in zip(z, w):
+                E = u * zi + gamma / 2 * u * u * zi * zi
+                mix = alpha * mpmath.exp(beta3 * E) + (1 - alpha) * mpmath.exp(-beta3 * E)
+                total += wi * ((1 + eta) * zi - (zi + gamma * u * zi * zi) * mix)
+            return total
+
+        m1 = sum(wi * zi for zi, wi in zip(z, w))
+        m2 = sum(wi * zi * zi for zi, wi in zip(z, w))
+        lo, hi = mpmath.mpf(0), eta * m1 / (gamma * m2)
+        while hi - lo > mpmath.mpf("1e-10") * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+        return float(mpmath.findroot(f, (lo, hi), solver="secant", tol=mpmath.mpf(10) ** -45))
+
+
+@pytest.mark.parametrize("model, claims", [
+    ({}, {}),
+    ({"alpha": 0.5}, {}),
+    ({"alpha": 1.0}, {}),
+    ({"beta3": 1e-12}, {}),
+    ({"beta3": 2.0}, {"lam": 20.0, "muZ": 0.05, "sigmaZ": 0.01}),
+    # steep beta3 E far above the root: Newton alone would gain about one unit
+    # of beta3 E per step, and its slope overflows near exp_cap
+    ({"gamma": 0.05, "beta3": 0.5, "alpha": 0.5, "eta": 1.0},
+     {"lam": 0.1, "muZ": 10.0, "sigmaZ": 10.0}),
+    ({"gamma": 0.05, "beta3": 10.0, "alpha": 0.5, "eta": 1.0},
+     {"lam": 20.0, "muZ": 10.0, "sigmaZ": 30.0}),
+])
+def test_root_matches_50_digit_oracle(model, claims):
+    params, base_claims, numerics = load_config(BASE_CFG)
+    params = dataclasses.replace(params, **model)
+    measure = build_measure(dataclasses.replace(base_claims, **claims), numerics.quad_nodes)
+    with warnings.catch_warnings():
+        # the steep cases saturate the exponent at the bracket, far above the root
+        warnings.simplefilter("ignore", SaturationWarning)
+        root = solve_pi_q_star(params.T, params, measure, numerics.root_tol, numerics.exp_cap)
+    assert root == pytest.approx(_mp_root(params, measure), rel=1e-14, abs=0.0)
+
+
 def test_single_sign_change_at_sample_times(base_params, base_measure):
     counts = scan_foc_sign_changes(np.linspace(0.0, base_params.T, 5), base_params,
                                    base_measure, 10_000)
@@ -195,6 +248,22 @@ def test_foc_depends_on_time_only_through_accumulation(base_measure, alpha, gamm
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(**{k: v for k, v in _FOC_PARAMS.items() if k != "frac"})
+def test_identity_residuals_match_direct_foc(base_measure, alpha, gamma, eta, beta3):
+    # the root_tol check reads F(t, pi_q) as A(t) f(pi_q A(t)); it must agree
+    # with the per-time quadrature of reinsurance_foc far below root_tol
+    params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma,
+                            "eta": eta, "beta3": beta3})
+    ts = np.linspace(0.0, params.T, 11)
+    pi_q = solve_pi_q_grid(ts, params, base_measure)
+    A = params.discount_to_horizon(ts)
+    got = _identity_residuals(pi_q, A, _scalar_foc(params, base_measure, 700.0))
+    want = reinsurance_foc(ts, pi_q, params, base_measure)
+    scale = params.eta * A * base_measure.moment(1)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(**_FOC_PARAMS)
 def test_claim_integrals_at_u_star_match_per_time_quadrature(base_measure, alpha, gamma,
                                                             eta, beta3, frac):
@@ -249,6 +318,20 @@ def test_unreachable_root_tolerance_raises(base_params, base_measure, base_numer
             solve_pi_q_star(float(t), base_params, base_measure, root_tol=1e-30)
     numerics = dataclasses.replace(base_numerics, time_steps=50, root_tol=1e-30)
     with pytest.raises(NumericalError, match="tolerance"):
+        solve_equilibrium(base_params, base_measure, numerics)
+
+
+def test_perturbed_root_fails_residual_check(base_params, base_measure, base_numerics,
+                                             monkeypatch):
+    # a root off by 1e-6 relative must be caught at every requested time
+    newton = solver_mod._newton_root
+    monkeypatch.setattr(solver_mod, "_newton_root",
+                        lambda *args: newton(*args) * (1.0 + 1e-6))
+    message = "pi_q roots did not reach the configured tolerance"
+    with pytest.raises(NumericalError, match=message):
+        solve_pi_q_grid(np.linspace(0.0, base_params.T, 11), base_params, base_measure)
+    numerics = dataclasses.replace(base_numerics, time_steps=50)
+    with pytest.raises(NumericalError, match=message):
         solve_equilibrium(base_params, base_measure, numerics)
 
 

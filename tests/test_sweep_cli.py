@@ -248,6 +248,26 @@ def test_cmd_verify_hP_sweep_fits_low_spread(tmp_path, capsys):
     assert line.startswith("PASS") and "over 20 points" in line
 
 
+@pytest.mark.parametrize("overrides, names", [
+    # zeta hP = 0.06 lies above the old fixed delta range's end (0.05)
+    ({"hP": 0.06, "zeta": 1.0, "delta": 0.07},
+     ("monotone_pi_p0_vs_delta", "monotone_pi_p0_vs_zeta")),
+    # delta / hP = 1/30 lies below the old fixed zeta range's start (0.05); at
+    # so small a zeta pi_p0 is not monotone in delta, so only zeta is checked
+    ({"hP": 0.06, "zeta": 0.02, "delta": 0.002}, ("monotone_pi_p0_vs_zeta",)),
+])
+def test_cmd_verify_delta_and_zeta_sweeps_fit_high_default_risk(tmp_path, capsys,
+                                                                overrides, names):
+    cfg = write_config(tmp_path / "risky.cfg", overrides=overrides,
+                       numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
+                                           "time_steps": 100, "quad_nodes": 32})
+    main(["verify", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    for name in names:
+        line = next(l for l in out.split("\n") if name in l)
+        assert line.startswith("PASS") and "over 20 points" in line
+
+
 def test_cmd_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     # force a failing report to exercise the exit-code mapping
     from alphamv.verify import CheckResult, VerificationReport
