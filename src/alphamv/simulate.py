@@ -15,12 +15,23 @@ only on time, so the wealth SDE is linear with deterministic coefficients:
 
 with one normal z per path for both Brownian drivers.  C_drift, C_bond and V
 are trapezoid integrals, on the ``dt`` grid, of the drift, the pre-default
-bond drift and the variance rate, discounted to T.  Claim arrivals are
-thinned to the intensity int (1 - phi3) nu tabulated on the same grid.  The
-tilt ``1 - phi3 = exp(a z + b z^2)`` is carried as its coefficients, so each
-kept claim draws its size once, exactly, from the size law tilted at its
-step (for truncated-normal sizes, again a truncated normal); the default
-time is drawn by inversion.
+bond drift and the variance rate, discounted to T.  The default time is
+drawn by inversion.
+
+The jump tilt ``1 - phi3 = exp(a z + b z^2)`` is carried as its
+coefficients.  When they do not depend on t (the reference measure and both
+equilibrium sides, since ``pi_q(t) A(t) = u*``), the distorted claims are a
+homogeneous compound Poisson process: a Poisson(Lambda (T - t0)) count per
+path with ``Lambda = int (1 - phi3) nu``, and sizes drawn once, exactly, from
+the tilted size law (for truncated-normal sizes, again a truncated normal).
+For a strategy that carries ``u_star`` the discounted amount of a claim is
+``u* Z``, so X(T) needs no claim times; they are drawn, uniform on
+[t0, T), only for a strategy without ``u_star`` or for recorded paths.  A
+time-varying tilt (the extremal measures of a perturbed strategy) needs
+thinning (Lewis & Shedler, *Naval Research Logistics Quarterly* 26, 1979):
+proposals at the maximal rate are kept with the intensity tabulated per
+``dt`` step, and each kept claim's size is drawn from the law tilted at its
+step.
 
 Reproducibility: paths are partitioned into fixed-size blocks and each block
 draws from its own ``SeedSequence(seed, spawn_key=(block,))`` stream, so
@@ -162,11 +173,12 @@ class _RunTables:
         self.c_bond = _cumtrapz(self.growth * params.delta * pi_p, self.dt)
         self.var = _cumtrapz(self.growth ** 2 * (v1 * v1 + v2 * v2), self.dt)
 
-        # distorted claim measure per step (evaluated at step midpoints):
-        # 1 - phi3 = exp(a z + b z^2), intensity int (1 - phi3) nu; the
-        # coefficients stay scalars when the tilt does not depend on t
+        # distorted claim measure: 1 - phi3 = exp(a z + b z^2), intensity
+        # int (1 - phi3) nu.  The coefficients and the intensity are scalars
+        # when the tilt does not depend on t (the reference measure and every
+        # equilibrium side), else one per step, at the step midpoints.
         self.tilt = (np.zeros(()), np.zeros(()))
-        self.claim_intensity = np.full(n_steps, measure.spec.lam)
+        self.claim_intensity = np.asarray(measure.spec.lam, dtype=float)
         if side is not None:
             self.tilt = tuple(np.asarray(c, dtype=float) for c in side.tilt(mids))
             a, b = (c[..., None] for c in self.tilt)
@@ -175,8 +187,9 @@ class _RunTables:
                 raise NumericalError(
                     f"jump-tilt exponent reaches exp_cap={side.exp_cap:g} on the claim "
                     "quadrature nodes; the distorted size law is not an exact tilt there")
-            self.claim_intensity[:] = np.exp(expo) @ measure.weights
-        self.lam_max = float(np.max(self.claim_intensity)) * (1.0 + 1e-12)
+            self.claim_intensity = np.exp(expo) @ measure.weights
+        # with the strategy's u* the discounted amount of a claim Z is u* Z
+        self.u_star = getattr(strategy, "u_star", None)
 
 
 def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
@@ -184,9 +197,12 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
                     x0: float, h0: int, wealth: Optional[np.ndarray] = None):
     """Sample one block of exact terminal wealths, with their bookkeeping.
 
-    Draw order: default times, claim counts, claim times, thinning, sizes,
-    one terminal normal per path, and only when ``wealth`` (a block x grid
-    view to fill) is given the bridge increments, so recording leaves the
+    Draw order for a constant tilt: default times, claim counts, sizes, one
+    terminal normal per path, claim times (only when the amounts or the
+    recording read them), and only when ``wealth`` (a block x grid view to
+    fill) is given the bridge increments.  A time-varying tilt thins: default
+    times, proposal counts, proposal times, thinning uniforms, sizes, the
+    terminal normal, the bridge increments.  Either way recording leaves the
     terminal sample unchanged bit for bit.
     """
     times = tables.times
@@ -208,27 +224,43 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
             * np.asarray(tables.strategy.pi_p_at(tau[hit]), dtype=float)
     tau = np.minimum(tau, T)
 
-    # claim schedule: homogeneous Poisson at the maximal rate, thinned to the
-    # (possibly time-dependent) distorted intensity
-    counts = rng.poisson(tables.lam_max * horizon, size=n_block)
-    total = int(counts.sum())
-    claim_path = np.repeat(np.arange(n_block), counts)
-    claim_time = t0 + horizon * rng.random(total)
-    keep_u = rng.random(total)
-    step_idx = np.minimum((claim_time - t0) / tables.dt, n_steps - 1).astype(np.int64)
-    keep = keep_u < tables.claim_intensity[step_idx] / tables.lam_max
-    claim_path = claim_path[keep]
-    claim_time = claim_time[keep]
-    step_idx = step_idx[keep]
+    claim_time = None
+    if tables.claim_intensity.ndim == 0:
+        # homogeneous compound Poisson: the counts need no claim times
+        counts = rng.poisson(float(tables.claim_intensity) * horizon, size=n_block)
+        claim_path = np.repeat(np.arange(n_block), counts)
+        tilt = tables.tilt
+    else:
+        # homogeneous Poisson at the maximal rate, thinned to the intensity of
+        # each claim's step
+        lam_max = float(np.max(tables.claim_intensity)) * (1.0 + 1e-12)
+        counts = rng.poisson(lam_max * horizon, size=n_block)
+        total = int(counts.sum())
+        claim_path = np.repeat(np.arange(n_block), counts)
+        claim_time = t0 + horizon * rng.random(total)
+        keep_u = rng.random(total)
+        step_idx = np.minimum((claim_time - t0) / tables.dt, n_steps - 1).astype(np.int64)
+        keep = keep_u < tables.claim_intensity[step_idx] / lam_max
+        claim_path = claim_path[keep]
+        claim_time = claim_time[keep]
+        step_idx = step_idx[keep]
+        counts = np.bincount(claim_path, minlength=n_block)
+        tilt = tuple(c if c.ndim == 0 else c[step_idx] for c in tables.tilt)
 
-    # sizes: one exact draw per claim from the size law tilted at its step
-    sizes = sample_truncated_sizes(measure.spec, claim_path.size, rng,
-                                   *(c if c.ndim == 0 else c[step_idx] for c in tables.tilt))
-
-    # claims discounted to T from their own arrival times
-    amounts = np.exp(r * (T - claim_time)) \
-        * np.asarray(tables.strategy.pi_q_at(claim_time), dtype=float) * sizes
+    # sizes: one exact draw per claim from the size law tilted at its time
+    sizes = sample_truncated_sizes(measure.spec, claim_path.size, rng, *tilt)
     z = rng.standard_normal(n_block)
+    u_star = tables.u_star
+    if claim_time is None and (u_star is None or wealth is not None):
+        claim_time = t0 + horizon * rng.random(claim_path.size)
+
+    # claims discounted to T from their own arrival times: u* Z for a
+    # strategy with pi_q(t) e^{r(T-t)} = u*
+    if u_star is None:
+        amounts = np.exp(r * (T - claim_time)) \
+            * np.asarray(tables.strategy.pi_q_at(claim_time), dtype=float) * sizes
+    else:
+        amounts = u_star * sizes
     x_terminal = (tables.growth[0] * x0 + tables.c_drift[-1]
                   + np.interp(tau, times, tables.c_bond) + math.sqrt(tables.var[-1]) * z
                   - np.bincount(claim_path, weights=amounts, minlength=n_block) - jump)
@@ -236,7 +268,7 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
         _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time, amounts)
         wealth[:, -1] = x_terminal
     return {"x_terminal": x_terminal, "default_time": default_time,
-            "claim_count": np.bincount(claim_path, minlength=n_block),
+            "claim_count": counts,
             "claim_time": claim_time, "claim_size": sizes}
 
 
@@ -299,9 +331,9 @@ def simulate_terminal(strategy, distortion: Optional[DistortionSide],
 
     Returns (x_terminal, default_time, claim_count) arrays of length n_paths;
     default_time is NaN for paths that do not default before T.  X(T) is
-    exact given the jumps; ``dt`` sets the grid of the claim-thinning table
-    and of the trapezoid integrals.  Per path the draws are the default
-    time, the claims, then one terminal normal.
+    exact given the jumps; ``dt`` sets the grid of the trapezoid integrals
+    and, for a time-varying tilt, of the claim-thinning table.  Per path the
+    draws are the default time, the claims, then one terminal normal.
     """
     x0 = params.x0 if x0 is None else x0
     _, merged, _ = _run_blocks(strategy, distortion, params, measure,
@@ -343,15 +375,28 @@ def simulate_wealth(strategy, distortion: Optional[DistortionSide],
 
 def _integrate_penalty(side: DistortionSide, params: ModelParams,
                        measure: ClaimMeasure, t0: float, n_intervals: int = 2000) -> float:
-    """Composite-Simpson integral of the penalty rate over [t0, T]."""
+    """Integral of the penalty rate over [t0, T].
+
+    The drift terms phi1^2/(2 beta1) + phi2^2/(2 beta2) are integrated by
+    composite Simpson.  A constant jump tilt (the equilibrium sides) has a
+    constant entropy rate: it is evaluated once on the node vector and
+    multiplied by T - t0.  A time-varying tilt is tabulated with the drift
+    terms on the Simpson nodes.
+    """
     ts = np.linspace(t0, params.T, 2 * n_intervals + 1)
     phi1 = np.asarray(side.phi1(ts), dtype=float)
     phi2 = np.asarray(side.phi2(ts), dtype=float)
-    phi3 = np.asarray(side.phi3(ts[:, None], measure.nodes[None, :]), dtype=float)
+    jump = 0.0
+    if all(np.ndim(c) == 0 for c in side.tilt(ts)):
+        jump = penalty_rate(0.0, 0.0, side.phi3(t0, measure.nodes), params, measure) \
+            * (params.T - t0)
+        phi3 = np.zeros_like(measure.nodes)
+    else:
+        phi3 = np.asarray(side.phi3(ts[:, None], measure.nodes[None, :]), dtype=float)
     rates = penalty_rate(phi1, phi2, phi3, params, measure)
     h = (params.T - t0) / (2 * n_intervals)
     return float(h / 3.0 * (rates[0] + rates[-1]
-                            + 4.0 * rates[1:-1:2].sum() + 2.0 * rates[2:-1:2].sum()))
+                            + 4.0 * rates[1:-1:2].sum() + 2.0 * rates[2:-1:2].sum()) + jump)
 
 
 def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide],

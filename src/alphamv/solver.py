@@ -49,6 +49,7 @@ __all__ = [
     "DistortionFunctions",
     "DistortionSide",
     "pi_s_star",
+    "pi_p_star",
     "reinsurance_foc",
     "bracket_pi_q",
     "solve_pi_q_star",
@@ -67,6 +68,8 @@ DEFAULT_EXP_CAP = 700.0
 DEFAULT_ROOT_TOL = 1e-10
 
 _MAX_DOUBLINGS = 60
+# The largest upper bracket bracket_pi_q tests; a root beyond it is its error.
+_BRACKET_LIMIT = 2.0 ** (_MAX_DOUBLINGS - 1)
 # Safeguarded Newton on u*: stop below this relative step.  The iterate bound
 # counts Newton and bisection steps together; bisection alone shrinks a bracket
 # of width u* to this tolerance in 47 steps.
@@ -99,6 +102,44 @@ def pi_s_star(t, params: ModelParams):
     numer = ((params.mu - params.r) * np.exp(-params.r * (params.T - t))
              - params.sigma1 * params.sigma2 * params.rho * (params.gamma + two_a * params.beta1))
     value = numer / (params.sigma2 ** 2 * _stock_denominator(params))
+    return value if value.ndim else float(value)
+
+
+def _check_bond_demand(params: ModelParams) -> None:
+    if params.hP == 0.0 or params.zeta == 0.0:
+        raise NumericalError(
+            "defaultable-bond demand unbounded: the bond first-order condition has no "
+            f"finite root for hP={params.hP}, zeta={params.zeta}"
+        )
+
+
+def pi_p_star(t, params: ModelParams):
+    """Equilibrium pre-default bond amount in closed form.
+
+    pi_p depends on the mean intercepts only through the gap
+    ``D = alpha (b1_lo - b0_lo) + alpha_hat (b1_hi - b0_hi)``, which solves
+    ``D' = k D + c`` from ``D(T) = 0``, with ``k = delta/zeta``,
+    ``c = n0^2 / (gamma zeta^2 hP)`` and ``n0 = delta - zeta hP``.  So
+    ``D = (c/k) expm1(-k tau)`` and
+
+        pi_p = (n0 + gamma zeta hP D) / (gamma zeta^2 hP A)
+             = n0 (zeta hP + n0 e^{-k tau}) / (gamma delta zeta^2 hP A).
+
+    The second form is the first with ``gamma zeta hP c / k = n0^2 / delta``
+    substituted; its numerator is a sum of nonnegative terms, so it does not
+    cancel when ``n0`` is close to ``delta`` (small zeta hP / delta), where the
+    first loses digits.  Neither alpha, the betas nor the claim law enters it,
+    and it is exactly 0 at the fair spread ``delta = zeta hP``.  The backward
+    RK4 sweep of :func:`solve_equilibrium` computes the same column by the
+    independent route.  NumericalError for hP = 0 or zeta = 0 (no finite bond
+    demand).  Vectorized over t; returns a scalar for scalar input.
+    """
+    _check_bond_demand(params)
+    t = np.asarray(t, dtype=float)
+    n0, zeta, hP = params.bond_excess_drift, params.zeta, params.hP
+    decay = np.exp(-params.h_q * (params.T - t))
+    value = n0 * (zeta * hP + n0 * decay) / (
+        params.gamma * params.delta * zeta ** 2 * hP * params.discount_to_horizon(t))
     return value if value.ndim else float(value)
 
 
@@ -194,8 +235,10 @@ def _scalar_foc(params: ModelParams, measure: ClaimMeasure, exp_cap: float):
     return foc
 
 
-def _newton_root(foc, u: float, hi: float) -> float:
+def _newton_root(foc, u: float, hi: float, first=None) -> float:
     """Root of the decreasing ``foc`` on ``[0, hi]``: safeguarded Newton from u.
+
+    ``first`` is ``foc(u)`` when the caller has already evaluated it.
 
     Every iterate tightens the bracket by the sign of f.  A Newton step is
     replaced by bisection when it leaves the bracket, when the slope
@@ -208,7 +251,8 @@ def _newton_root(foc, u: float, hi: float) -> float:
     """
     lo, step = 0.0, math.inf
     for _ in range(_MAX_ROOT_ITERS):
-        value, slope = foc(u)
+        value, slope = first or foc(u)
+        first = None
         if value > 0:
             lo = u
         elif value < 0:
@@ -247,20 +291,30 @@ def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
     Time enters the first-order condition only through ``A(t)``: with
     ``u = pi_q A(t)``, ``F(t, pi_q) = A(t) f(u)`` where ``f`` does not depend
     on t.  So one scalar root ``u*`` of ``f`` gives ``pi_q(t) = u* / A(t)``.
-    It is bracketed at t = T, where A = 1, and found by safeguarded Newton
-    (:func:`_newton_root`) from the ``beta3 -> 0`` root ``eta m1 / (gamma m2)``,
-    which lies at or above ``u*`` because ``alpha e^x + alpha_hat e^-x >= 1``
-    for x >= 0.  The residual is still checked at every requested time,
+    It is found by safeguarded Newton (:func:`_newton_root`) from the
+    ``beta3 -> 0`` root ``u0 = eta m1 / (gamma m2)``.  For alpha >= 1/2,
+    ``alpha e^x + alpha_hat e^-x >= 1`` gives ``f(u0) <= 0``, so ``[0, u0]``
+    brackets ``u*``.  Only when the computed ``f(u0)`` is positive (rounding
+    near ``beta3 = 0``) or ``u0`` lies beyond the doubling range is the
+    bracket expanded at t = T by :func:`bracket_pi_q`, whose "bracket" error
+    then stands.  The residual is still checked at every requested time,
     through the same identity (:func:`_identity_residuals`).
     NumericalError unless each is at most ``root_tol`` relative to the
     natural scale ``eta e^{r(T-t)} int z nu(dz)``; a NaN residual fails.
     """
     times = np.asarray(times, dtype=float)
     A = params.discount_to_horizon(times)
-    hi = bracket_pi_q(params.T, params, measure, exp_cap)
     m1 = measure.moment(1)
     foc = _scalar_foc(params, measure, exp_cap)
-    u_star = _newton_root(foc, min(params.eta * m1 / (params.gamma * measure.moment(2)), hi), hi)
+    u0 = params.eta * m1 / (params.gamma * measure.moment(2))
+    first = foc(u0) if u0 <= _BRACKET_LIMIT else None
+    if first is not None and first[0] <= 0:
+        hi = u0
+    else:
+        hi = bracket_pi_q(params.T, params, measure, exp_cap)
+        if u0 > hi:
+            u0, first = hi, None
+    u_star = _newton_root(foc, u0, hi, first)
     root = u_star / A
     flat_A = np.reshape(A, -1)
     residual = _identity_residuals(np.reshape(root, -1), flat_A, foc)
@@ -599,11 +653,7 @@ def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.nda
     """
     grid = np.asarray(grid, dtype=float)
     _validate_uniform_grid(grid, params.T)
-    if params.hP == 0.0 or params.zeta == 0.0:
-        raise NumericalError(
-            "defaultable-bond demand unbounded: the bond first-order condition has no "
-            f"finite root for hP={params.hP}, zeta={params.zeta}"
-        )
+    _check_bond_demand(params)
     pi_p_pinned = None if strategy is None else strategy[2]
     hP, zeta, delta = params.hP, params.zeta, params.delta
     h = grid[:-1] - grid[1:]            # negative: the sweep runs from T back to 0

@@ -1,9 +1,11 @@
 """Parameter sweeps over the equilibrium solution, and CSV writers.
 
-A sweep re-solves the full model at every parameter value (correctness over
-speed) and reports one quantity, evaluated at t = 0 unless overridden.
-Parameter values that violate a model invariant are reported and skipped,
-never silently dropped.
+A sweep evaluates one quantity at every parameter value, at t = 0 unless
+overridden, each from the cheapest exact route: ``pi_s0`` and ``pi_p0`` from
+their closed forms (no claim measure, no root, no backward sweep), ``pi_q0``
+from one scalar root, and the value intercepts ``B0_0`` and ``B1_0`` from a
+full solve.  Parameter values that violate a model invariant are reported and
+skipped, never silently dropped.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from .config import (ALL_KEYS, ClaimModelSpec, ModelParams, NumericsConfig,
                      replace_param)
 from .errors import NumericalError, ValidationError
 from .levy import build_measure
-from .solver import (EquilibriumSolution, pi_s_star, solve_equilibrium,
-                     solve_pi_q_star)
+from .solver import (EquilibriumSolution, pi_p_star, pi_s_star,
+                     solve_equilibrium, solve_pi_q_star)
 
 __all__ = [
     "QUANTITIES",
@@ -83,19 +85,19 @@ def evaluate_quantity(params: ModelParams, claims: ClaimModelSpec,
                       numerics: NumericsConfig, quantity: str, t: float) -> float:
     """One output quantity of the solved model at time t.
 
-    pi_q0 and pi_s0 need only a pointwise solve; the bond amount and value
-    intercepts require the full coupled backward system.
+    pi_s0 and pi_p0 are closed forms, pi_q0 needs one scalar root, and the
+    value intercepts require the full coupled backward system.
     """
     if not 0.0 <= t <= params.T:
         raise ValidationError("t_range", f"evaluation time must lie in [0, T], got t={t}")
     if quantity == "pi_s0":
         return float(pi_s_star(t, params))
+    if quantity == "pi_p0":
+        return float(pi_p_star(t, params))
     measure = build_measure(claims, numerics.quad_nodes)
     if quantity == "pi_q0":
         return solve_pi_q_star(t, params, measure, numerics.root_tol, numerics.exp_cap)
     solution = solve_equilibrium(params, measure, numerics)
-    if quantity == "pi_p0":
-        return float(np.interp(t, solution.grid, solution.pi_p))
     if quantity == "B0_0":
         return float(np.interp(t, solution.grid, solution.coeffs.B0))
     if quantity == "B1_0":

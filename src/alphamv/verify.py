@@ -18,8 +18,8 @@ from .config import ClaimModelSpec, ModelParams, NumericsConfig, replace_param
 from .errors import ValidationError
 from .levy import build_measure
 from .simulate import objective_from_terminal, simulate_terminal
-from .solver import (distortions, pi_s_star, scan_foc_sign_changes, solve_equilibrium,
-                     value_function)
+from .solver import (distortions, pi_p_star, pi_s_star, scan_foc_sign_changes,
+                     solve_equilibrium, value_function)
 from .sweep import SweepSpec, run_sweep
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
@@ -53,6 +53,40 @@ def _monotone(values: np.ndarray, direction: str) -> bool:
     tol = 1e-10 * max(1.0, float(np.max(np.abs(values))))
     diffs = np.diff(values)
     return bool(np.all(diffs >= -tol) if direction == "inc" else np.all(diffs <= tol))
+
+
+def _pi_p_rk4_bound(grid: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Bound on |RK4 pi_p - closed-form pi_p| at each time of a uniform grid.
+
+    pi_p sees the backward system only through the gap D, which RK4 carries
+    as the scalar mode ``D' = k D + c``, ``k = delta/zeta``, from ``D(T) = 0``
+    (see :func:`alphamv.solver.pi_p_star`).  In ``tau = T - t`` with step h,
+    ``D = -c/k + (c/k) e^{-k tau}``.  RK4 is exact on the constant part, and
+    multiplies the exponential part by ``R(x) = 1 + x + ... + x^4/24`` per
+    step, ``x = -k h``, against ``e^x``.  For ``-6 < x <= 0`` the tail
+    ``e^x - R(x) = sum_{j>=5} x^j/j!`` alternates with shrinking terms, so
+    ``|e^x - R(x)| <= (kh)^5/120``; on the stable range ``|R|`` and ``e^x``
+    are at most 1, so after n steps ``|R^n - e^{nx}| <= n (kh)^5/120`` and
+    ``|D_RK4 - D| <= n (kh)^5/120 c/k``.  Rounding adds at most a few units
+    of ``eps c/k`` per step of the recurrence, and a few units of eps of the
+    numerator ``n0 + gamma zeta hP D`` in the final division.  pi_p moves by
+    ``dD / (zeta A)`` when D moves by dD, so the bound at a time n steps
+    before T is
+
+        (n ((kh)^5/120 + 4 eps) c/k + 4 eps (|n0|/(gamma zeta hP) + c/k)) / (zeta A)
+
+    with ``c = n0^2 / (gamma zeta^2 hP)`` and ``n0 = delta - zeta hP``.
+    """
+    eps = np.finfo(float).eps
+    n0 = params.bond_excess_drift
+    k = params.h_q
+    d_max = n0 * n0 / (params.gamma * params.zeta ** 2 * params.hP) / k   # c/k >= |D|
+    steps = np.arange(grid.size - 1, -1, -1)
+    kh = k * params.T / (grid.size - 1)
+    truncation = kh ** 5 / 120.0
+    rounding = 4.0 * eps * (abs(n0) / (params.gamma * params.zeta * params.hP) + d_max)
+    return ((steps * (truncation + 4.0 * eps) * d_max + rounding)
+            / (params.zeta * params.discount_to_horizon(grid)))
 
 
 def run_verification(params: ModelParams, claims: ClaimModelSpec,
@@ -154,6 +188,16 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     checks.append(CheckResult(
         "foc_single_sign_change", bool(np.all(scan_counts == 1)),
         f"sign changes over 10^4-point scans at 11 times: {sorted(set(scan_counts.tolist()))}",
+    ))
+
+    # --- RK4 bond amount against its closed form ------------------------------
+    dev = np.abs(solution.pi_p - pi_p_star(solution.grid, params))
+    bound = _pi_p_rk4_bound(solution.grid, params)
+    checks.append(CheckResult(
+        "pi_p_closed_form", bool(np.all(dev <= bound)),
+        f"max |pi_p(RK4) - pi_p closed form| = {float(np.max(dev)):.3e}, "
+        f"at most {float(np.max(dev / np.maximum(bound, np.finfo(float).tiny))):.3g} "
+        "of the RK4 error bound",
     ))
 
     # --- directional suite ---------------------------------------------------

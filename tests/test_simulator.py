@@ -9,7 +9,7 @@ import pytest
 from alphamv.config import ClaimModelSpec, ModelParams, NumericsConfig
 from alphamv.errors import NumericalError, ValidationError
 from alphamv.levy import build_measure
-from alphamv.simulate import (ConstantStrategy, alpha_robust_value,
+from alphamv.simulate import (ConstantStrategy, _RunTables, alpha_robust_value,
                               bond_price_path, dump_paths_csv,
                               estimate_objective, simulate_terminal,
                               simulate_wealth)
@@ -91,6 +91,39 @@ def test_distorted_claim_intensity(base_params, base_measure, base_solution):
     assert expected > base_params.T * base_measure.spec.lam
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - expected) <= 3 * se
+
+
+def test_homogeneous_claims_match_thinning(base_params, base_measure, base_solution):
+    # the equilibrium's constant tilt takes the homogeneous path (counts from
+    # Poisson(Lambda T), amounts u* Z, no claim times); the same strategy
+    # without u_star, under the same tilt returned as an array, takes the
+    # thinning path (claim times, thinning, per-claim discounting).  Both
+    # sample one law: x_T mean and variance and the claim count agree in 4 SE
+    class HiddenUStar:
+        pi_q_at = staticmethod(base_solution.pi_q_at)
+        pi_s_at = staticmethod(base_solution.pi_s_at)
+        pi_p_at = staticmethod(base_solution.pi_p_at)
+
+    def as_array(tilt):
+        return lambda t: tuple(np.full(np.shape(t), c) for c in tilt(t))
+
+    dist = distortions(base_solution, base_params)
+    n_paths = 20_000
+    for i, side in enumerate((dist.lo, dist.hi)):
+        varying = dataclasses.replace(side, tilt=as_array(side.tilt))
+        samples = []
+        for strategy, s in ((base_solution, side), (HiddenUStar(), varying)):
+            tables = _RunTables(strategy, s, base_params, base_measure, 0.0, 0.05)
+            assert tables.claim_intensity.ndim == (0 if s is side else 1)
+            x_T, _, counts = simulate_terminal(strategy, s, base_params, base_measure,
+                                               n_paths=n_paths, dt=0.05, seed=500 + i, h0=0)
+            dev = x_T - x_T.mean()
+            var = dev @ dev / (n_paths - 1)
+            samples.append(((x_T.mean(), var / n_paths),
+                            (var, (np.mean(dev ** 4) - var ** 2) / n_paths),
+                            (counts.mean(), counts.var(ddof=1) / n_paths)))
+        for (a, se2_a), (b, se2_b) in zip(*samples):
+            assert abs(a - b) <= 4 * math.sqrt(se2_a + se2_b)
 
 
 def _tabulated_claims():

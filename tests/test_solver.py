@@ -17,11 +17,12 @@ from alphamv.levy import build_measure, integrate
 import alphamv.solver as solver_mod
 from alphamv.solver import (_RK4_STABILITY_LIMIT, _identity_residuals, _scalar_foc,
                             _solve_coefficients, bracket_pi_q,
-                            distortions, penalty_rate, pi_s_star,
+                            distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
                             reinsurance_foc, scan_foc_sign_changes,
                             solve_equilibrium, solve_pi_q_grid, solve_pi_q_star,
                             value_function)
+from alphamv.verify import _pi_p_rk4_bound
 
 from conftest import BASE_KWARGS
 from rk4_reference import reference_states
@@ -402,6 +403,65 @@ def test_pre_default_unbounded_demand_errors(base_measure):
         grid = np.linspace(0.0, params.T, 51)
         with pytest.raises(NumericalError, match="unbounded"):
             pre_default_system(params, base_measure, grid)
+        with pytest.raises(NumericalError, match="unbounded"):
+            pi_p_star(0.0, params)
+
+
+def _mp_pi_p(t, params):
+    """pi_p from 40-digit arithmetic, in the form the backward system reads:
+    (n0 + gamma zeta hP D) / (gamma zeta^2 hP A), D = (c/k)(e^{-k tau} - 1)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        delta, zeta, hP, gamma, r, T = (mpmath.mpf(v) for v in (
+            params.delta, params.zeta, params.hP, params.gamma, params.r, params.T))
+        tau = T - mpmath.mpf(t)
+        n0 = delta - zeta * hP
+        k = delta / zeta
+        gap = n0 ** 2 / (gamma * zeta ** 2 * hP) / k * (mpmath.exp(-k * tau) - 1)
+        return float((n0 + gamma * zeta * hP * gap) / (gamma * zeta ** 2 * hP * mpmath.exp(r * tau)))
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"delta": 0.001},          # fair spread delta = zeta hP
+    {"zeta": 1e-5},            # delta/zeta = 1000; n0/delta = 1 - 2e-6
+    {"zeta": 0.05},
+])
+def test_pi_p_star_matches_40_digit_oracle(overrides):
+    params = ModelParams(**{**BASE_KWARGS, **overrides})
+    ts = np.array([0.0, 1e-3, 2.5, 7.0, 9.9, 9.999, params.T])
+    got = pi_p_star(ts, params)
+    want = np.array([_mp_pi_p(t, params) for t in ts])
+    if overrides.get("delta") == params.zeta * params.hP:
+        assert np.all(got == 0.0)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert pi_p_star(params.T, params) == got[-1]   # scalar in, float out
+
+
+def test_rk4_pi_p_converges_to_closed_form(base_measure):
+    # zeta = 0.05 makes the delta/zeta mode fast enough (k h = 0.05 at 40
+    # steps) that RK4's error stands far above rounding at all three sizes
+    params = ModelParams(**{**BASE_KWARGS, "zeta": 0.05})
+    errors = []
+    for m in (40, 80, 160):
+        grid = np.linspace(0.0, params.T, m + 1)
+        pi_p, _, _, _ = pre_default_system(params, base_measure, grid)
+        common = grid[::m // 40]
+        errors.append(np.max(np.abs(pi_p[::m // 40] - pi_p_star(common, params))))
+    assert math.log2(errors[0] / errors[1]) >= 3.5
+    assert math.log2(errors[1] / errors[2]) >= 3.5
+
+
+@pytest.mark.parametrize("zeta, steps", [(0.5, 1000), (0.5, 40), (0.05, 40), (2e-4, 1000),
+                                         (6e-5, 1000), (1e-5, 3591)])
+def test_rk4_pi_p_within_its_error_bound(base_measure, zeta, steps):
+    # from rounding (the base config) to RK4 off by 6.3 times the closed form
+    # (zeta = 6e-5, k h = 1.67) the deviation stays inside the stated bound
+    params = ModelParams(**{**BASE_KWARGS, "zeta": zeta})
+    grid = np.linspace(0.0, params.T, steps + 1)
+    pi_p, _, _, _ = pre_default_system(params, base_measure, grid)
+    assert np.all(np.abs(pi_p - pi_p_star(grid, params)) <= _pi_p_rk4_bound(grid, params))
 
 
 def test_value_intercepts_continuous_as_beta3_vanishes():

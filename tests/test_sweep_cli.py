@@ -8,7 +8,7 @@ import pytest
 
 from alphamv.cli import main
 from alphamv.errors import ValidationError
-from alphamv.solver import EquilibriumSolution, ValueCoefficients, pi_s_star
+from alphamv.solver import EquilibriumSolution, ValueCoefficients, pi_p_star, pi_s_star
 from alphamv.sweep import SweepSpec, run_sweep, write_solve_csv
 
 from conftest import write_config
@@ -47,13 +47,18 @@ def test_sweep_skips_invalid_points(base_params, base_claims, base_numerics):
 
 def test_sweep_skips_unstable_backward_step(base_params, base_claims, base_numerics):
     # zeta = 1e-5 makes delta/zeta = 1000, past RK4's stability limit at 1000
-    # steps; the row must be skipped, not reported as an ok NaN
+    # steps; a quantity of the backward sweep must be skipped, not reported as
+    # an ok NaN, while pi_p0 comes from its closed form and needs no sweep
     numerics = dataclasses.replace(base_numerics, time_steps=1000, quad_nodes=32)
-    spec = SweepSpec(param="zeta", values=(1e-5, 0.5), quantity="pi_p0")
+    spec = SweepSpec(param="zeta", values=(1e-5, 0.5), quantity="B0_0")
     result = run_sweep(base_params, base_claims, numerics, spec)
     assert result.rows[0].status.startswith("skipped:numerical")
     assert result.rows[0].quantity is None
     assert result.rows[1].status == "ok" and np.isfinite(result.rows[1].quantity)
+    pi_p = run_sweep(base_params, base_claims, numerics,
+                     dataclasses.replace(spec, quantity="pi_p0")).rows[0]
+    assert pi_p.status == "ok" and np.isfinite(pi_p.quantity)
+    assert pi_p.quantity == pi_p_star(0.0, dataclasses.replace(base_params, zeta=1e-5))
 
 
 def test_sweep_unknown_param_or_quantity_rejected():
@@ -191,6 +196,7 @@ def test_cmd_verify_passes_at_reduced_scale(tmp_path, capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "value_identity_h1" in out and "monotone_pi_p0_vs_delta" in out
+    assert "PASS pi_p_closed_form" in out
 
 
 def test_cmd_verify_aborts_on_few_paths(tmp_path, capsys):
@@ -233,6 +239,22 @@ def test_cmd_verify_reports_sweep_without_solved_points(tmp_path, capsys, monkey
     assert code == 2
     line = next(l for l in out.split("\n") if "monotone_pi_p0_vs_hP" in l)
     assert line.startswith("FAIL") and "only 0 of 20 points solved" in line
+
+
+def test_cmd_verify_pi_p_check_fails_on_a_wrong_closed_form(tmp_path, capsys, monkeypatch):
+    # a closed form off by 1e-9 relative lies far outside the RK4 error bound
+    # on the base config, where RK4 matches it to rounding
+    import alphamv.verify as verify_mod
+    monkeypatch.setattr(verify_mod, "pi_p_star",
+                        lambda t, params: (1.0 + 1e-9) * pi_p_star(t, params))
+    cfg = write_config(tmp_path / "base.cfg",
+                       numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
+                                           "time_steps": 100, "quad_nodes": 32})
+    code = main(["verify", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert code == 2
+    line = next(l for l in out.split("\n") if "pi_p_closed_form" in l)
+    assert line.startswith("FAIL")
 
 
 def test_cmd_verify_hP_sweep_fits_low_spread(tmp_path, capsys):
