@@ -11,7 +11,7 @@ from .config import (ClaimModelSpec, IntegrabilityReport, ModelParams,
                      NumericsConfig, load_config, save_config,
                      validate_assumption31)
 from .errors import ConfigError, NumericalError, SaturationWarning, ValidationError
-from .levy import ClaimMeasure, build_measure, integrate, premium_rate
+from .levy import ClaimMeasure, build_measure
 from .simulate import (ConstantStrategy, ObjectiveEstimate, WealthPath,
                        alpha_robust_value, bond_price_path, dump_paths_csv,
                        estimate_objective, objective_from_terminal,
@@ -33,7 +33,7 @@ __all__ = [
     "ModelParams", "ClaimModelSpec", "NumericsConfig", "IntegrabilityReport",
     "load_config", "save_config", "validate_assumption31",
     "ConfigError", "ValidationError", "NumericalError", "SaturationWarning",
-    "ClaimMeasure", "build_measure", "integrate", "premium_rate",
+    "ClaimMeasure", "build_measure",
     "EquilibriumSolution", "ValueCoefficients", "DistortionFunctions", "DistortionSide",
     "pi_s_star", "pi_p_star", "reinsurance_foc", "bracket_pi_q", "solve_pi_q_star",
     "solve_pi_q_grid",

@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from .config import ClaimModelSpec
 from .errors import NumericalError, ValidationError
 
-__all__ = ["ClaimMeasure", "build_measure", "integrate", "premium_rate"]
+__all__ = ["ClaimMeasure", "build_measure"]
 
 _SUPPORT_SIGMAS = 8.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -94,28 +94,6 @@ def build_measure(spec: ClaimModelSpec, quad_nodes: int) -> ClaimMeasure:
         total = scale * float(w @ dens)
         weights = spec.lam * scale * w * dens / total
     return ClaimMeasure(spec=spec, nodes=nodes, weights=weights)
-
-
-def integrate(measure: ClaimMeasure, g) -> float:
-    """sum_i w_i g(z_i).  Linear in g, monotone for pointwise-ordered integrands.
-
-    Raises NumericalError naming the first offending node if g is not finite
-    there.
-    """
-    values = np.asarray(g(measure.nodes), dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NumericalError(
-            f"integrand not finite at node z={measure.nodes[bad]!r} (index {bad}): {values[bad]!r}"
-        )
-    return float(measure.weights @ values)
-
-
-def premium_rate(measure: ClaimMeasure, theta: float) -> float:
-    """(1 + theta) * int z nu(dz), the expected-value premium principle."""
-    if theta <= 0:
-        raise ValidationError("theta<=0", f"safety loading must satisfy theta > 0, got {theta}")
-    return (1.0 + theta) * measure.moment(1)
 
 
 def _normal_above_zero(mean, sd, n: int, rng: np.random.Generator) -> np.ndarray:

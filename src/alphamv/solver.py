@@ -26,8 +26,7 @@ root ``u*`` itself is a scalar safeguarded Newton on node vectors, and the
 ``root_tol`` check of the residual ``F(t, pi_q(t))`` at every requested time
 reads it as ``A(t) f(u)`` from a few scalar evaluations of f.  Exponent
 arguments are saturated at ``+-exp_cap`` before exponentiation (a warning,
-not an error); bracket expansion keeps actual roots well below saturation
-territory.
+not an error).
 """
 
 from __future__ import annotations
@@ -67,9 +66,8 @@ __all__ = [
 DEFAULT_EXP_CAP = 700.0
 DEFAULT_ROOT_TOL = 1e-10
 
-_MAX_DOUBLINGS = 60
-# The largest upper bracket bracket_pi_q tests; a root beyond it is its error.
-_BRACKET_LIMIT = 2.0 ** (_MAX_DOUBLINGS - 1)
+# The largest beta3 -> 0 root u0 accepted; beyond it the root is a "bracket" error.
+_BRACKET_LIMIT = 2.0 ** 59
 # Safeguarded Newton on u*: stop below this relative step.  The iterate bound
 # counts Newton and bisection steps together; bisection alone shrinks a bracket
 # of width u* to this tolerance in 47 steps.
@@ -188,24 +186,30 @@ def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
     return F if F.ndim else float(F)
 
 
-def bracket_pi_q(t, params: ModelParams, measure: ClaimMeasure,
-                 exp_cap: float = DEFAULT_EXP_CAP):
-    """Upper bracket endpoint: smallest power-of-two hi with F(t, hi) < 0.
+def _root_start(params: ModelParams, measure: ClaimMeasure, m1: float) -> float:
+    """The ``beta3 -> 0`` root ``u0 = eta m1 / (gamma m2)``; ``[0, 2 u0]`` brackets u*.
+
+    For alpha >= 1/2, ``alpha e^x + alpha_hat e^-x >= 1`` at ``x = beta3 E
+    >= 0`` (also after clipping), so ``f(u) <= eta m1 - gamma m2 u``, which is
+    ``-eta m1 < 0`` at ``2 u0``.  ``m1`` is the caller's ``int z nu(dz)``.
+    NumericalError ("bracket") when u0 is not finite or exceeds 2^59.
+    """
+    u0 = params.eta * m1 / (params.gamma * measure.moment(2))
+    if not u0 <= _BRACKET_LIMIT:
+        raise NumericalError(
+            f"pi_q bracket [0, 2 u0] out of range: u0 = eta m1 / (gamma m2) = {u0:g} "
+            "exceeds 2^59: pathological parameters"
+        )
+    return u0
+
+
+def bracket_pi_q(t, params: ModelParams, measure: ClaimMeasure):
+    """Upper bracket endpoint ``2 u0 / A(t)``, with F(t, hi) < 0 (see :func:`_root_start`).
 
     Vectorized over t; returns a scalar for scalar input.
     """
-    A = np.asarray(params.discount_to_horizon(t), dtype=float)
-    hi = np.ones_like(A)
-    for _ in range(_MAX_DOUBLINGS):
-        open_mask = _foc_values(A, hi, params, measure, exp_cap) >= 0
-        if not np.any(open_mask):
-            return hi if hi.ndim else float(hi)
-        hi[open_mask] *= 2.0
-    first_bad = float(np.min(np.asarray(t, dtype=float)[open_mask]))
-    raise NumericalError(
-        f"bracket expansion for pi_q failed after {_MAX_DOUBLINGS} doublings at "
-        f"t={first_bad:g}: pathological parameters"
-    )
+    hi = 2.0 * _root_start(params, measure, measure.moment(1)) / params.discount_to_horizon(t)
+    return hi if hi.ndim else float(hi)
 
 
 def _scalar_foc(params: ModelParams, measure: ClaimMeasure, exp_cap: float):
@@ -235,10 +239,8 @@ def _scalar_foc(params: ModelParams, measure: ClaimMeasure, exp_cap: float):
     return foc
 
 
-def _newton_root(foc, u: float, hi: float, first=None) -> float:
+def _newton_root(foc, u: float, hi: float) -> float:
     """Root of the decreasing ``foc`` on ``[0, hi]``: safeguarded Newton from u.
-
-    ``first`` is ``foc(u)`` when the caller has already evaluated it.
 
     Every iterate tightens the bracket by the sign of f.  A Newton step is
     replaced by bisection when it leaves the bracket, when the slope
@@ -251,8 +253,7 @@ def _newton_root(foc, u: float, hi: float, first=None) -> float:
     """
     lo, step = 0.0, math.inf
     for _ in range(_MAX_ROOT_ITERS):
-        value, slope = first or foc(u)
-        first = None
+        value, slope = foc(u)
         if value > 0:
             lo = u
         elif value < 0:
@@ -291,13 +292,11 @@ def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
     Time enters the first-order condition only through ``A(t)``: with
     ``u = pi_q A(t)``, ``F(t, pi_q) = A(t) f(u)`` where ``f`` does not depend
     on t.  So one scalar root ``u*`` of ``f`` gives ``pi_q(t) = u* / A(t)``.
-    It is found by safeguarded Newton (:func:`_newton_root`) from the
-    ``beta3 -> 0`` root ``u0 = eta m1 / (gamma m2)``.  For alpha >= 1/2,
-    ``alpha e^x + alpha_hat e^-x >= 1`` gives ``f(u0) <= 0``, so ``[0, u0]``
-    brackets ``u*``.  Only when the computed ``f(u0)`` is positive (rounding
-    near ``beta3 = 0``) or ``u0`` lies beyond the doubling range is the
-    bracket expanded at t = T by :func:`bracket_pi_q`, whose "bracket" error
-    then stands.  The residual is still checked at every requested time,
+    It is found by safeguarded Newton (:func:`_newton_root`) on the bracket
+    ``[0, 2 u0]`` of :func:`_root_start`, from the ``beta3 -> 0`` root
+    ``u0 = eta m1 / (gamma m2)``; ``f(u0) <= 0`` as well, so the first
+    iterate tightens the bracket to ``[0, u0]`` (up to rounding near
+    ``beta3 = 0``).  The residual is checked at every requested time,
     through the same identity (:func:`_identity_residuals`).
     NumericalError unless each is at most ``root_tol`` relative to the
     natural scale ``eta e^{r(T-t)} int z nu(dz)``; a NaN residual fails.
@@ -306,15 +305,8 @@ def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
     A = params.discount_to_horizon(times)
     m1 = measure.moment(1)
     foc = _scalar_foc(params, measure, exp_cap)
-    u0 = params.eta * m1 / (params.gamma * measure.moment(2))
-    first = foc(u0) if u0 <= _BRACKET_LIMIT else None
-    if first is not None and first[0] <= 0:
-        hi = u0
-    else:
-        hi = bracket_pi_q(params.T, params, measure, exp_cap)
-        if u0 > hi:
-            u0, first = hi, None
-    u_star = _newton_root(foc, u0, hi, first)
+    u0 = _root_start(params, measure, m1)
+    u_star = _newton_root(foc, u0, 2.0 * u0)
     root = u_star / A
     flat_A = np.reshape(A, -1)
     residual = _identity_residuals(np.reshape(root, -1), flat_A, foc)
@@ -366,29 +358,21 @@ def _foc_f32(u: np.ndarray, params: ModelParams, measure: ClaimMeasure,
 def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
                           n_points: int = 10_000,
                           exp_cap: float = DEFAULT_EXP_CAP) -> np.ndarray:
-    """Sign changes of F(t, .) on [0, bracket(t)] over uniform scans, per time.
+    """Sign changes of F(t, .) over an ``n_points`` scan of [0, bracket_pi_q(t)], per time.
 
-    ``F(t, pi) = A f(pi A)``, so the sign pattern at t is that of the one
-    function f on ``[0, A(t) bracket(t)]``.  f is scanned once, in float32,
-    on a uniform grid over ``[0, max_t A bracket]`` whose spacing is at most
-    that of an ``n_points`` scan at every t; a cumulative sum counts the
-    changes up to each t's last grid point, and each t's endpoint is
-    evaluated itself.  Zeros are skipped.  Between neighboring scan points f
+    ``F(t, pi) = A f(pi A)`` and the bracket ``2 u0 / A`` scales as ``1/A``,
+    so the scan at every t is the same scan of the one function f on
+    ``[0, 2 u0]``.  f is scanned once, in float32, and its count is returned
+    for every time.  Zeros are skipped.  Between neighboring scan points f
     moves by O(spacing) times its O(1) slope, orders of magnitude above
-    float32 rounding, so the sign pattern is exact.
+    float32 rounding, so the sign pattern is exact; ``f(2 u0) <= -eta m1``
+    keeps the end of the scan clear of the root.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    ends = params.discount_to_horizon(times) * bracket_pi_q(times, params, measure, exp_cap)
-    spacing = float(np.min(ends)) / (n_points - 1)
-    grid = spacing * np.arange(int(math.ceil(float(np.max(ends)) / spacing)) + 1)
-    signs = np.sign(_foc_f32(grid, params, measure, exp_cap))
-    # carry the last nonzero sign over zeros, then count changes cumulatively
-    held = signs[np.maximum.accumulate(np.where(signs != 0, np.arange(signs.size), 0))]
-    changes = np.concatenate(([0], np.cumsum((held[1:] != held[:-1]) & (held[:-1] != 0))))
-    last = np.searchsorted(grid, ends, side="right") - 1
-    end_signs = np.sign(_foc_f32(ends, params, measure, exp_cap))
-    tail = (end_signs != 0) & (held[last] != 0) & (end_signs != held[last])
-    return changes[last] + tail
+    hi = 2.0 * _root_start(params, measure, measure.moment(1))
+    signs = np.sign(_foc_f32(np.linspace(0.0, hi, n_points), params, measure, exp_cap))
+    signs = signs[signs != 0]
+    return np.full(times.shape, np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +405,7 @@ class EquilibriumSolution:
 
     ``pi_q`` and ``pi_s`` are the same functions in both default states;
     ``pi_p`` is the pre-default bond amount (identically 0 after default).
-    ``fine_grid``/``fine_pi_q``/``fine_pi_s`` hold the half-step refinement
+    ``fine_grid``/``fine_pi_s`` hold the half-step refinement
     used internally by the backward integrator; interpolation helpers use it.
     ``u_star`` is the scalar root with ``pi_q(t) = u_star e^{-r(T-t)}``, so
     :meth:`pi_q_at` is exact at every t.
@@ -433,7 +417,6 @@ class EquilibriumSolution:
     pi_p: np.ndarray
     coeffs: ValueCoefficients
     fine_grid: np.ndarray = field(repr=False, default=None)
-    fine_pi_q: np.ndarray = field(repr=False, default=None)
     fine_pi_s: np.ndarray = field(repr=False, default=None)
     u_star: float = None
 
@@ -740,7 +723,7 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
         grid=grid,
         pi_q=tables.pi_q[0::2], pi_s=tables.pi_s[0::2], pi_p=pi_p,
         coeffs=coeffs,
-        fine_grid=tables.times, fine_pi_q=tables.pi_q, fine_pi_s=tables.pi_s,
+        fine_grid=tables.times, fine_pi_s=tables.pi_s,
         u_star=tables.u_star,
     )
 
@@ -752,14 +735,15 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
 
     Evaluates the same backward system with every ambiguity level set to zero
     while keeping the strategy fixed, so ``E[X(T) | X(t)=x, H(t)=h]`` equals
-    ``e^{r(T-t)} x + b_ref_h(t)``.  Returns (b1_ref, b0_ref) on the solution
-    grid.
+    ``e^{r(T-t)} x + b_ref_h(t)``.  The bond amount is pinned at every RK4
+    stage time by its closed form :func:`pi_p_star`, which does not depend
+    on the betas.  Returns (b1_ref, b0_ref) on the solution grid.
     """
-    pi_p_fine = np.interp(solution.fine_grid, solution.grid, solution.pi_p)
     _, states, _ = _solve_coefficients(
         params, measure, solution.grid,
         betas=(0.0, 0.0, 0.0),
-        strategy=(solution._checked_u_star(), solution.fine_pi_s, pi_p_fine),
+        strategy=(solution._checked_u_star(), solution.fine_pi_s,
+                  pi_p_star(solution.fine_grid, params)),
         exp_cap=exp_cap,
     )
     return states[:, 1], states[:, 4]

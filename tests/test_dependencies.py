@@ -1,11 +1,16 @@
 """Run-time dependency footprint of the installed package."""
 
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+import alphamv
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_loads_no_scipy():
@@ -19,3 +24,15 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_traced_and_exported_names_resolve():
+    # perfbench/spans.py wraps its TARGETS by name, so a renamed or deleted
+    # function would otherwise fail only under `perfbench/run.py --trace 1`
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unresolved = [(module, name) for module, name, *_ in spans.TARGETS
+                  if not callable(getattr(importlib.import_module(module), name, None))]
+    assert unresolved == []
+    assert [name for name in alphamv.__all__ if not hasattr(alphamv, name)] == []

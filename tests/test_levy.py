@@ -8,8 +8,7 @@ import pytest
 from scipy.stats import truncnorm
 
 from alphamv.config import ClaimModelSpec
-from alphamv.errors import NumericalError, ValidationError
-from alphamv.levy import build_measure, integrate, premium_rate, sample_truncated_sizes
+from alphamv.levy import build_measure, sample_truncated_sizes
 
 
 def truncnorm_moments(muZ: float, sigmaZ: float):
@@ -38,37 +37,6 @@ def test_moment_one_matches_sampling_oracle(base_claims, base_measure):
     draws = sample_truncated_sizes(base_claims, 10_000_000, rng)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(base_measure.moment(1) - draws.mean()) <= 3 * se
-
-
-def test_integrate_constant_linear_quadratic(base_measure):
-    m1, m2 = truncnorm_moments(1.0, 0.1)
-    assert integrate(base_measure, lambda z: np.ones_like(z)) == pytest.approx(1.0, abs=1e-12)
-    assert integrate(base_measure, lambda z: z) == pytest.approx(m1, rel=1e-10)
-    assert integrate(base_measure, lambda z: z * z) == pytest.approx(m2, rel=1e-10)
-
-
-def test_integrate_rejects_nonfinite(base_measure):
-    with pytest.raises(NumericalError, match="node"):
-        integrate(base_measure, lambda z: np.where(z > 1.0, np.inf, z))
-
-
-def test_integrate_linear_and_monotone(base_measure):
-    f = lambda z: np.sin(z)
-    g = lambda z: z ** 2
-    lhs = integrate(base_measure, lambda z: 2.0 * f(z) + 3.0 * g(z))
-    rhs = 2.0 * integrate(base_measure, f) + 3.0 * integrate(base_measure, g)
-    assert lhs == pytest.approx(rhs, rel=1e-14)
-    assert integrate(base_measure, lambda z: z) <= integrate(base_measure, lambda z: z + 0.1 * z ** 2)
-
-
-def test_premium_rate(base_claims, base_measure):
-    m1 = base_measure.moment(1)
-    assert premium_rate(base_measure, 0.1) == pytest.approx(1.1 * m1, rel=1e-14)
-    assert premium_rate(base_measure, 1e-12) == pytest.approx(m1, rel=1e-10)
-    measure2 = build_measure(dataclasses.replace(base_claims, lam=2.0), 64)
-    assert premium_rate(measure2, 0.1) == pytest.approx(2.0 * premium_rate(base_measure, 0.1), rel=1e-14)
-    with pytest.raises(ValidationError):
-        premium_rate(base_measure, 0.0)
 
 
 def test_quadrature_convergence_under_node_doubling(base_claims):

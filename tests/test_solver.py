@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from alphamv.config import ModelParams, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
-from alphamv.levy import build_measure, integrate
+from alphamv.levy import build_measure
 import alphamv.solver as solver_mod
 from alphamv.solver import (_RK4_STABILITY_LIMIT, _identity_residuals, _scalar_foc,
                             _solve_coefficients, bracket_pi_q,
@@ -190,14 +190,28 @@ def test_single_sign_change_at_sample_times(base_params, base_measure):
 
 
 def test_float32_scan_stays_finite_at_large_exponents(base_params, base_measure):
-    # r = 0.2, T = 20: A(0) = e^4 stretches the scan to beta3 E in the
-    # thousands, past where float32 exp overflows (~88.7) long before the
+    # gamma = 0.05, eta = 1, beta3 = 2: the scan end 2 u0 reaches beta3 E of
+    # about 396, past where float32 exp overflows (~88.7) and below the
     # float64 exp_cap of 700
-    params = dataclasses.replace(base_params, r=0.2, T=20.0, T1=25.0)
+    params = dataclasses.replace(base_params, gamma=0.05, eta=1.0, beta3=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         counts = scan_foc_sign_changes(np.linspace(0.0, params.T, 11), params,
                                        base_measure, 10_000)
+    assert counts.tolist() == [1] * 11
+
+
+def test_scan_does_not_saturate_far_above_a_small_root():
+    # u* ~ 0.01 with large claims: probing u = 1, 2, 4, ... would saturate
+    # the float64 exponent, the bracket [0, 2 u0] does not
+    params, claims, numerics = load_config(BASE_CFG)
+    params = dataclasses.replace(params, gamma=5.0, beta3=1.0, alpha=0.5, eta=1.0)
+    measure = build_measure(dataclasses.replace(claims, muZ=10.0, sigmaZ=10.0),
+                            numerics.quad_nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        counts = scan_foc_sign_changes(np.linspace(0.0, params.T, 11), params, measure,
+                                       10_000, numerics.exp_cap)
     assert counts.tolist() == [1] * 11
 
 
@@ -346,7 +360,7 @@ def test_saturation_warning_not_error(base_params, base_measure):
 
 
 def test_bracket_expansion_failure_signals_pathology(base_measure):
-    # gamma ~ 0 pushes the root beyond 2^60 while beta3 ~ 0 keeps F positive
+    # gamma ~ 0 pushes the beta3 -> 0 root u0 = eta m1 / (gamma m2) beyond 2^59
     params = ModelParams(**{**BASE_KWARGS, "gamma": 1e-300, "beta3": 1e-300})
     with pytest.raises(NumericalError, match="bracket"):
         bracket_pi_q(0.0, params, base_measure)
@@ -536,11 +550,12 @@ def test_b0_lo_satisfies_its_ode(base_params, base_measure, base_solution):
     h = grid[1] - grid[0]
     ks = np.arange(20, grid.size - 1, 97)
     m1 = base_measure.moment(1)
+    z = base_measure.nodes
     for k in ks:
         t = grid[k]
         A = c.A[k]
         pi_q, pi_s, pi_p = sol.pi_q[k], sol.pi_s[k], sol.pi_p[k]
-        I_plus = integrate(base_measure, lambda z: z * (1.0 - dist.phi3_lo(t, z)))
+        I_plus = base_measure.weights @ (z * (1.0 - dist.phi3_lo(t, z)))
         f1 = ((p.theta - p.eta + (1 + p.eta) * pi_q) * A * m1
               - p.beta1 * p.sigma1 ** 2 * A ** 2
               + ((p.mu - p.r) * A - 2 * p.beta1 * p.sigma1 * p.sigma2 * p.rho * A ** 2) * pi_s
@@ -561,6 +576,22 @@ def test_reference_intercepts_beta_independent(base_params, base_measure, base_s
     assert np.allclose(b0_ref, b0_ref2, rtol=0, atol=1e-12)
 
 
+def test_reference_intercept_gap_matches_closed_form():
+    # with every beta zero and pi_p pinned by its closed form, the gap
+    # D = b1_ref - b0_ref solves D' = k D + c from D(T) = 0, so
+    # D = (c/k) expm1(-k (T - t)); a pi_p interpolated at the RK4 half-step
+    # stages would leave an O(h^2) error here
+    params, claims, numerics = load_config(BASE_CFG)
+    measure = build_measure(claims, numerics.quad_nodes)
+    solution = solve_equilibrium(params, measure, numerics)
+    b1_ref, b0_ref = reference_mean_intercepts(params, measure, solution, numerics.exp_cap)
+    n0, zeta, hP = params.bond_excess_drift, params.zeta, params.hP
+    k = params.delta / zeta
+    c = n0 ** 2 / (params.gamma * zeta ** 2 * hP)
+    D = (c / k) * np.expm1(-k * (params.T - solution.grid))
+    assert np.max(np.abs(b1_ref - b0_ref - D)) <= 1e-12 * np.max(np.abs(D))
+
+
 def test_reference_intercept_closed_form_post_default(base_params, base_measure, base_solution):
     # with the strategy fixed, the post-default reference intercept is the
     # plain integral of A(s) [(mu-r) pi_s + (theta - eta + eta pi_q) m1]
@@ -570,7 +601,7 @@ def test_reference_intercept_closed_form_post_default(base_params, base_measure,
     A = np.exp(p.r * (p.T - fine))
     m1 = base_measure.moment(1)
     integrand = A * ((p.mu - p.r) * base_solution.fine_pi_s
-                     + (p.theta - p.eta + p.eta * base_solution.fine_pi_q) * m1)
+                     + (p.theta - p.eta + p.eta * base_solution.pi_q_at(fine)) * m1)
     from scipy.integrate import simpson
     expected = simpson(integrand, x=fine)
     assert b1_ref[0] == pytest.approx(expected, rel=1e-9)
@@ -611,7 +642,7 @@ def _small_beta3_exponents():
     solution = solve_equilibrium(params, measure, numerics)
     ts = solution.fine_grid[:, None]
     z = measure.nodes[None, :]
-    pqzA = solution.fine_pi_q[:, None] * z * params.discount_to_horizon(ts)
+    pqzA = solution.pi_q_at(ts) * z * params.discount_to_horizon(ts)
     x = params.beta3 * (pqzA + 0.5 * params.gamma * pqzA ** 2)
     return params, measure, distortions(solution, params), ts, z, x
 
