@@ -20,8 +20,8 @@ from .solver import (DistortionFunctions, DistortionSide, EquilibriumSolution,
                      ValueCoefficients, bracket_pi_q, distortions, penalty_rate,
                      pi_p_star, pi_s_star, pre_default_system,
                      reference_mean_intercepts, reinsurance_foc, solve_equilibrium,
-                     solve_pi_q_grid, solve_pi_q_star, strategy_distortions,
-                     value_function)
+                     solve_pi_q_grid, solve_pi_q_lanes, solve_pi_q_star,
+                     strategy_distortions, value_function)
 from .sweep import (QUANTITIES, SweepResult, SweepRow, SweepSpec,
                     evaluate_quantity, run_sweep, write_solve_csv,
                     write_sweep_csv)
@@ -36,7 +36,7 @@ __all__ = [
     "ClaimMeasure", "build_measure",
     "EquilibriumSolution", "ValueCoefficients", "DistortionFunctions", "DistortionSide",
     "pi_s_star", "pi_p_star", "reinsurance_foc", "bracket_pi_q", "solve_pi_q_star",
-    "solve_pi_q_grid",
+    "solve_pi_q_grid", "solve_pi_q_lanes",
     "pre_default_system", "solve_equilibrium", "reference_mean_intercepts", "distortions",
     "strategy_distortions", "value_function", "penalty_rate",
     "ConstantStrategy", "WealthPath", "ObjectiveEstimate",

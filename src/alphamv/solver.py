@@ -21,12 +21,17 @@ factor to the horizon.  The claim integrals see the strategy only through
 
 and every distorted integrand carries ``exp(+-beta3 E)``.  At the equilibrium
 ``u = u*`` at every t, so the backward system evaluates its claim integrals
-once, on the node vector at ``u*``, and never on a times x nodes grid.  The
-root ``u*`` itself is a scalar safeguarded Newton on node vectors, and the
-``root_tol`` check of the residual ``F(t, pi_q(t))`` at every requested time
-reads it as ``A(t) f(u)`` from a few scalar evaluations of f.  Exponent
-arguments are saturated at ``+-exp_cap`` before exponentiation (a warning,
-not an error).
+once, on the node vector at ``u*``, and never on a times x nodes grid.
+
+The first-order condition has one evaluator, of ``f`` and ``f'`` on a lanes
+x nodes table (:class:`_FocLanes`).  A lane is one parameter set with its
+claim measure: a ``pi_q0`` sweep solves all its points as lanes of one
+safeguarded Newton, which masks out each lane once it converges, and a solve
+is a single lane.  The ``root_tol`` check of the residual ``F(t, pi_q(t))``
+at every requested time reads it as ``A(t) f(u)``, and so does
+:func:`reinsurance_foc`.  Exponent arguments are saturated at ``+-exp_cap``
+before exponentiation: Newton's probe iterates clip silently, and a
+saturation at a returned root warns (SaturationWarning, not an error).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +58,7 @@ __all__ = [
     "bracket_pi_q",
     "solve_pi_q_star",
     "solve_pi_q_grid",
+    "solve_pi_q_lanes",
     "scan_foc_sign_changes",
     "pre_default_system",
     "solve_equilibrium",
@@ -145,30 +151,93 @@ def pi_p_star(t, params: ModelParams):
 # reinsurance first-order condition and root solve
 # ---------------------------------------------------------------------------
 
+def _warn_saturated(exp_cap: float, stacklevel: int) -> None:
+    warnings.warn(
+        f"exponent saturated at +-{exp_cap:g} during claim-integral evaluation",
+        SaturationWarning, stacklevel=stacklevel + 1,
+    )
+
+
 def _clip_exponent(x: np.ndarray, exp_cap: float) -> np.ndarray:
     if np.max(np.abs(x), initial=0.0) > exp_cap:
-        warnings.warn(
-            f"exponent saturated at +-{exp_cap:g} during claim-integral evaluation",
-            SaturationWarning, stacklevel=3,
-        )
+        _warn_saturated(exp_cap, stacklevel=3)
         x = np.clip(x, -exp_cap, exp_cap)
     return x
 
 
-def _foc_values(A, pi, params: ModelParams, measure: ClaimMeasure, exp_cap: float):
-    """F(t, pi) for broadcastable A and pi arrays; a node axis is appended."""
-    A = np.asarray(A, dtype=float)[..., None]
-    pi = np.asarray(pi, dtype=float)[..., None]
-    z = measure.nodes
-    w = measure.weights
-    zA = z * A
-    zA2 = zA * zA
-    G = zA + params.gamma * pi * zA2
-    E = pi * zA + 0.5 * params.gamma * pi * pi * zA2
-    ep = np.exp(_clip_exponent(params.beta3 * E, exp_cap))
-    em = 1.0 / ep  # symmetric clipping makes exp(-clip(x)) the exact reciprocal
-    mix = params.alpha * ep + params.alpha_hat * em
-    return ((1.0 + params.eta) * zA - G * mix) @ w
+def _lane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of a (rows, nodes) table with a (rows, nodes, 1) one.
+
+    A stack of vector products, so each row is the same BLAS dot as
+    ``a[l] @ b[l, :, 0]``; a one-row operand broadcasts over the rows.
+    """
+    return (a[:, None, :] @ b).reshape(-1)
+
+
+class _FocLanes(NamedTuple):
+    """The first-order condition at ``A = 1``, ``f(u) = F(T, u)``, over lanes.
+
+    A lane is one parameter set with its claim measure: row l of every table
+    belongs to lane l, and a table with a single row serves every lane.
+    Evaluation takes one ``u`` per lane and works on a lanes x nodes table.
+    With ``G = dE/du = z + gamma u z^2``, ``E = u (z + G) / 2``.
+    """
+
+    z: np.ndarray           # (rows, nodes)
+    z2: np.ndarray
+    w: np.ndarray           # (rows, nodes, 1)
+    gamma: np.ndarray       # (rows, 1)
+    half_beta3: np.ndarray  # (rows, 1)
+    beta3: np.ndarray       # (rows,)
+    alpha: np.ndarray       # (rows, 1)
+    alpha_hat: np.ndarray   # (rows, 1)
+    premium: np.ndarray     # (1 + eta) z, (rows, nodes)
+    curvature: np.ndarray   # gamma z^2 w, (rows, nodes, 1)
+    exp_cap: np.ndarray     # (rows, 1)
+
+    @classmethod
+    def stack(cls, params: Sequence[ModelParams], measures: Sequence[ClaimMeasure],
+              exp_cap) -> "_FocLanes":
+        """Lanes of ``params[l]`` with ``measures[l]`` (equal node counts) and cap ``exp_cap``.
+
+        One measure object shared by every lane, or a scalar ``exp_cap``, is
+        kept as a single row.
+        """
+        if all(m is measures[0] for m in measures):
+            z, w = measures[0].nodes[None], measures[0].weights[None, :, None]
+        else:
+            z = np.stack([m.nodes for m in measures])
+            w = np.stack([m.weights for m in measures])[:, :, None]
+        gamma, beta3, alpha, alpha_hat, eta = np.array(
+            [(p.gamma, p.beta3, p.alpha, p.alpha_hat, p.eta) for p in params]).T[:, :, None]
+        z2 = z * z
+        return cls(z, z2, w, gamma, 0.5 * beta3, beta3[:, 0], alpha, alpha_hat,
+                   (1.0 + eta) * z, (gamma * z2)[:, :, None] * w,
+                   np.reshape(np.asarray(exp_cap, dtype=float), (-1, 1)))
+
+    def take(self, lanes) -> "_FocLanes":
+        """The lanes selected by an index array, in that order."""
+        return self._make(a if len(a) == 1 else a[lanes] for a in self)
+
+    def __call__(self, u: np.ndarray, slope: bool = True):
+        """``(f, f')`` at ``u`` with one entry per lane, or ``(f, saturated)`` without ``slope``.
+
+        An exponent ``beta3 E`` above the lane's ``exp_cap`` is clipped there
+        (``beta3 E >= 0`` for ``u >= 0``); ``saturated`` flags the lanes where
+        that happened.  This never warns.
+        """
+        u = u[:, None]
+        G = self.z + (self.gamma * u) * self.z2
+        x = (self.half_beta3 * u) * (self.z + G)
+        saturated = None if slope else x.max(axis=1) > self.exp_cap[:, 0]
+        ep = np.exp(np.minimum(x, self.exp_cap, out=x))
+        up, down = self.alpha * ep, self.alpha_hat / ep
+        mix = up + down
+        value = _lane_dot(self.premium - G * mix, self.w)
+        if not slope:
+            return value, saturated
+        return value, (-_lane_dot(mix, self.curvature)
+                       - self.beta3 * _lane_dot(G * (up - down), G[:, :, None] * self.w))
 
 
 def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
@@ -177,13 +246,26 @@ def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
 
     Positive at pi_q = 0 (equals eta * e^{r(T-t)} * int z nu(dz) there) and
     strictly decreasing in pi_q for alpha >= 1/2, so the root is unique.
-    Broadcasts over t and pi_q.
+    Evaluated as ``A(t) f(pi_q A(t))`` (see :class:`_FocLanes`); warns
+    SaturationWarning when any exponent is clipped.  Broadcasts over t and
+    pi_q.
     """
     if np.any(np.asarray(pi_q) < 0):
         raise ValidationError("pi_q<0", "reinsurance exposure must satisfy pi_q >= 0")
     A = params.discount_to_horizon(t)
-    F = _foc_values(A, pi_q, params, measure, exp_cap)
+    A, u = np.broadcast_arrays(A, np.asarray(pi_q, dtype=float) * A)
+    f, saturated = _FocLanes.stack([params], [measure], exp_cap)(u.ravel(), slope=False)
+    if saturated.any():
+        _warn_saturated(exp_cap, stacklevel=2)
+    F = A * f.reshape(A.shape)
     return F if F.ndim else float(F)
+
+
+def _bracket_error(u0: float) -> NumericalError:
+    return NumericalError(
+        f"pi_q bracket [0, 2 u0] out of range: u0 = eta m1 / (gamma m2) = {u0:g} "
+        "exceeds 2^59: pathological parameters"
+    )
 
 
 def _root_start(params: ModelParams, measure: ClaimMeasure, m1: float) -> float:
@@ -196,10 +278,7 @@ def _root_start(params: ModelParams, measure: ClaimMeasure, m1: float) -> float:
     """
     u0 = params.eta * m1 / (params.gamma * measure.moment(2))
     if not u0 <= _BRACKET_LIMIT:
-        raise NumericalError(
-            f"pi_q bracket [0, 2 u0] out of range: u0 = eta m1 / (gamma m2) = {u0:g} "
-            "exceeds 2^59: pathological parameters"
-        )
+        raise _bracket_error(u0)
     return u0
 
 
@@ -212,76 +291,141 @@ def bracket_pi_q(t, params: ModelParams, measure: ClaimMeasure):
     return hi if hi.ndim else float(hi)
 
 
-def _scalar_foc(params: ModelParams, measure: ClaimMeasure, exp_cap: float):
-    """``u -> (f(u), f'(u))`` with ``f(u) = F(T, u)``, the FOC at A = 1.
+def _newton_root(foc: _FocLanes, u: np.ndarray, hi: np.ndarray,
+                 failures: dict) -> np.ndarray:
+    """Root of the decreasing f of every lane on ``[0, hi]``: safeguarded Newton from u.
 
-    Scalar in u: the node vectors z, z^2 and w are built once here, and each
-    call makes a handful of operations on them, not a broadcast table.  With
-    ``G = dE/du = z + gamma u z^2``, ``E = u (z + G) / 2``.
+    Every iteration evaluates f and f' for all running lanes at once; each
+    lane then keeps its own bracket, tightened by the sign of f at every
+    iterate.  A lane's Newton step is replaced by bisection when it leaves
+    the bracket, when the slope overflowed, or when it is more than half the
+    lane's previous step.  f is concave (``G mix`` is a product of positive,
+    increasing, convex functions of u), so Newton from above the root
+    descends monotonically; but where ``beta3 E`` is steep it gains only
+    about one unit of ``beta3 E`` per step, hundreds of steps under exponent
+    clipping.  A lane stops when its step falls below ``_ROOT_RTOL`` of u and
+    is masked out of the evaluations from then on.  A lane still running
+    after ``_MAX_ROOT_ITERS`` is NaN in the result, and ``failures`` maps its
+    index to a NumericalError.  Probe iterates saturate or overflow silently.
     """
-    z = measure.nodes
-    z2 = z * z
-    w = measure.weights
-    gamma, beta3 = params.gamma, params.beta3
-    alpha, alpha_hat = params.alpha, params.alpha_hat
-    premium = (1.0 + params.eta) * z
-    curvature = gamma * z2 * w
+    root = np.full(len(u), np.nan)
+    # per running lane: (index, iterate, bracket low, bracket high, last step)
+    running = [(lane, x, 0.0, h, math.inf)
+               for lane, (x, h) in enumerate(zip(u.tolist(), hi.tolist()))]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ROOT_ITERS):
+            if not running:
+                return root
+            u = np.array([state[1] for state in running])
+            value, slope = foc(u)
+            newton = (u - value / slope).tolist()
+            kept, rows = [], []
+            for row, ((lane, x, lo, hi, step), f, df, new) in enumerate(
+                    zip(running, value.tolist(), slope.tolist(), newton)):
+                if f > 0:
+                    lo = x
+                elif f < 0:
+                    hi = x
+                elif f == 0:
+                    root[lane] = x
+                    continue
+                # NaNs fail the comparisons; an overflowed slope would stall at x
+                if not (math.isfinite(df) and lo <= new <= hi and abs(new - x) <= 0.5 * step):
+                    new = 0.5 * (lo + hi)
+                step = abs(new - x)
+                if step <= _ROOT_RTOL * x:
+                    root[lane] = new
+                    continue
+                kept.append((lane, new, lo, hi, step))
+                rows.append(row)
+            if kept and len(kept) < len(running):
+                foc = foc.take(np.array(rows))
+            running = kept
+    for lane, _, lo, hi, _ in running:
+        failures[lane] = NumericalError(
+            f"pi_q root did not converge in {_MAX_ROOT_ITERS} safeguarded Newton steps "
+            f"(bracket [{lo:g}, {hi:g}])"
+        )
+    return root
 
-    def foc(u: float):
-        G = z + (gamma * u) * z2
-        ep = np.exp(_clip_exponent((0.5 * beta3 * u) * (z + G), exp_cap))
-        up, down = alpha * ep, alpha_hat / ep
-        mix = up + down
-        value = float((premium - G * mix) @ w)
-        slope = -float(curvature @ mix) - beta3 * float((G * (up - down)) @ (G * w))
-        return value, slope
 
-    return foc
+def _identity_residuals(pi_q: np.ndarray, A: np.ndarray, foc: _FocLanes):
+    """``F(t, pi_q(t))`` on (lanes, times) tables as ``A(t) f(pi_q(t) A(t))``.
 
-
-def _newton_root(foc, u: float, hi: float) -> float:
-    """Root of the decreasing ``foc`` on ``[0, hi]``: safeguarded Newton from u.
-
-    Every iterate tightens the bracket by the sign of f.  A Newton step is
-    replaced by bisection when it leaves the bracket, when the slope
-    overflowed, or when it is more than half the previous step.  f is concave
-    (``G mix`` is a product of positive, increasing, convex functions of u),
-    so Newton from above the root descends monotonically; but where
-    ``beta3 E`` is steep it gains only about one unit of ``beta3 E`` per
-    step, hundreds of steps under exponent clipping.  Stops when a step falls
-    below ``_ROOT_RTOL`` of u; NumericalError after ``_MAX_ROOT_ITERS``.
+    f is evaluated once per distinct value of ``pi_q A`` in a lane: for
+    ``pi_q = u*/A`` rounding leaves a few, not one per time.  Also returns
+    which lanes saturated an exponent at those values.
     """
-    lo, step = 0.0, math.inf
-    for _ in range(_MAX_ROOT_ITERS):
-        value, slope = foc(u)
-        if value > 0:
-            lo = u
-        elif value < 0:
-            hi = u
-        elif value == 0:
-            return u
-        new = u - value / slope
-        # NaNs fail the comparisons; an overflowed slope would stall at u
-        if not (math.isfinite(slope) and lo <= new <= hi and abs(new - u) <= 0.5 * step):
-            new = 0.5 * (lo + hi)
-        step = abs(new - u)
-        if step <= _ROOT_RTOL * u:
-            return new
-        u = new
-    raise NumericalError(
-        f"pi_q root did not converge in {_MAX_ROOT_ITERS} safeguarded Newton steps "
-        f"(bracket [{lo:g}, {hi:g}])"
-    )
+    u = pi_q * A
+    lanes, times = u.shape
+    if not u.size:
+        return u, np.zeros(lanes, dtype=bool)
+    # each lane's values sorted, lane after lane, in one flat order
+    order = (np.argsort(u, axis=1) + np.arange(0, u.size, times)[:, None]).reshape(-1)
+    sorted_u = u.reshape(-1)[order]
+    first = np.empty(u.size, dtype=bool)
+    np.not_equal(sorted_u[1:], sorted_u[:-1], out=first[1:])
+    first[::times] = True
+    lane = first.nonzero()[0] // times
+    f, saturated = foc.take(lane)(sorted_u[first], slope=False)
+    F = np.empty(u.size)
+    F[order] = f[np.cumsum(first) - 1]
+    hit = np.zeros(lanes, dtype=bool)
+    hit[lane[saturated]] = True
+    return A * F.reshape(u.shape), hit
 
 
-def _identity_residuals(pi_q: np.ndarray, A: np.ndarray, foc) -> np.ndarray:
-    """``F(t, pi_q(t))`` for 1-d columns, as ``A(t) f(pi_q(t) A(t))``.
+def solve_pi_q_lanes(times, params: Sequence[ModelParams], measures: Sequence[ClaimMeasure],
+                     root_tol=DEFAULT_ROOT_TOL, exp_cap=DEFAULT_EXP_CAP):
+    """Equilibrium reinsurance exposure at ``times`` for many parameter sets at once.
 
-    f is evaluated once per distinct value of ``pi_q A``: for ``pi_q = u*/A``
-    rounding leaves a few, not one per time.
+    Lane l is ``params[l]`` with claim measure ``measures[l]``; every measure
+    has the same node count.  ``root_tol`` and ``exp_cap`` are scalars or one
+    value per lane.  Each lane's ``u*`` comes from :func:`_newton_root`, all
+    lanes in one masked iteration, on the bracket ``[0, 2 u0]`` of
+    :func:`_root_start` from ``u0``; ``f(u0) <= 0`` as well, so the first
+    iterate tightens it to ``[0, u0]`` (up to rounding near ``beta3 = 0``).
+    Then ``pi_q(t) = u* / A(t)``, and its residual is checked at every time
+    through :func:`_identity_residuals`: at most ``root_tol`` relative to the
+    natural scale ``eta e^{r(T-t)} int z nu(dz)``; a NaN residual fails.
+
+    Returns ``(pi_q, errors)``: pi_q has shape (lanes, times) and NaN rows
+    where ``errors[l]`` holds the lane's NumericalError (bracket, Newton or
+    residual), else None.  Warns SaturationWarning only when an exponent
+    saturates at a returned root.
     """
-    u, where = np.unique(pi_q * A, return_inverse=True)
-    return A * np.array([foc(v)[0] for v in u.tolist()])[where]
+    t = np.asarray(times, dtype=float).reshape(-1)
+    n = len(params)
+    foc = _FocLanes.stack(params, measures, exp_cap)
+    eta, r, T = np.array([(p.eta, p.r, p.T) for p in params]).T
+    m1 = _lane_dot(foc.z, foc.w)
+    scale = root_tol * eta * m1                 # residual bound at A = 1, per lane
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0: all weights underflowed
+        u0 = eta * m1 / (foc.gamma[:, 0] * _lane_dot(foc.z2, foc.w))
+    errors = [None if u <= _BRACKET_LIMIT else _bracket_error(u) for u in u0.tolist()]
+    failures = {}
+    u_star = np.full(n, np.nan)
+    live = (u0 <= _BRACKET_LIMIT).nonzero()[0]
+    if live.size:
+        u_star[live] = _newton_root(foc if live.size == n else foc.take(live),
+                                    u0[live], 2.0 * u0[live], failures)
+    for k, error in failures.items():
+        errors[live[k]] = error
+    A = np.exp(r[:, None] * (T[:, None] - t))
+    pi_q = u_star[:, None] / A
+    live = np.isfinite(u_star).nonzero()[0]
+    if live.size < n:
+        foc, A, scale = foc.take(live), A[live], scale[live]
+    residual, saturated = _identity_residuals(pi_q[live], A, foc)
+    within = np.abs(residual) <= scale[:, None] * A
+    for k in (~within.all(axis=1)).nonzero()[0].tolist():
+        errors[live[k]] = NumericalError("pi_q roots did not reach the configured tolerance")
+        pi_q[live[k]] = np.nan
+    if saturated.any():
+        caps = np.broadcast_to(foc.exp_cap[:, 0], saturated.shape)[saturated]
+        for cap in sorted(set(caps.tolist())):
+            _warn_saturated(cap, stacklevel=2)
+    return pi_q, errors
 
 
 def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
@@ -291,28 +435,15 @@ def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
 
     Time enters the first-order condition only through ``A(t)``: with
     ``u = pi_q A(t)``, ``F(t, pi_q) = A(t) f(u)`` where ``f`` does not depend
-    on t.  So one scalar root ``u*`` of ``f`` gives ``pi_q(t) = u* / A(t)``.
-    It is found by safeguarded Newton (:func:`_newton_root`) on the bracket
-    ``[0, 2 u0]`` of :func:`_root_start`, from the ``beta3 -> 0`` root
-    ``u0 = eta m1 / (gamma m2)``; ``f(u0) <= 0`` as well, so the first
-    iterate tightens the bracket to ``[0, u0]`` (up to rounding near
-    ``beta3 = 0``).  The residual is checked at every requested time,
-    through the same identity (:func:`_identity_residuals`).
-    NumericalError unless each is at most ``root_tol`` relative to the
-    natural scale ``eta e^{r(T-t)} int z nu(dz)``; a NaN residual fails.
+    on t.  So one scalar root ``u*`` of ``f`` gives ``pi_q(t) = u* / A(t)``:
+    :func:`solve_pi_q_lanes` with one lane.  Raises its NumericalError
+    (bracket, Newton, or a residual above ``root_tol`` at some time).
     """
     times = np.asarray(times, dtype=float)
-    A = params.discount_to_horizon(times)
-    m1 = measure.moment(1)
-    foc = _scalar_foc(params, measure, exp_cap)
-    u0 = _root_start(params, measure, m1)
-    u_star = _newton_root(foc, u0, 2.0 * u0)
-    root = u_star / A
-    flat_A = np.reshape(A, -1)
-    residual = _identity_residuals(np.reshape(root, -1), flat_A, foc)
-    if not np.all(np.abs(residual) <= root_tol * params.eta * m1 * flat_A):
-        raise NumericalError("pi_q roots did not reach the configured tolerance")
-    return root
+    pi_q, errors = solve_pi_q_lanes(times, [params], [measure], root_tol, exp_cap)
+    if errors[0] is not None:
+        raise errors[0]
+    return pi_q[0].reshape(times.shape)
 
 
 def solve_pi_q_star(t: float, params: ModelParams, measure: ClaimMeasure,

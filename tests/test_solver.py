@@ -15,7 +15,7 @@ from alphamv.config import ModelParams, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
 import alphamv.solver as solver_mod
-from alphamv.solver import (_RK4_STABILITY_LIMIT, _identity_residuals, _scalar_foc,
+from alphamv.solver import (_RK4_STABILITY_LIMIT, _FocLanes, _identity_residuals,
                             _solve_coefficients, bracket_pi_q,
                             distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
@@ -176,10 +176,7 @@ def test_root_matches_50_digit_oracle(model, claims):
     params, base_claims, numerics = load_config(BASE_CFG)
     params = dataclasses.replace(params, **model)
     measure = build_measure(dataclasses.replace(base_claims, **claims), numerics.quad_nodes)
-    with warnings.catch_warnings():
-        # the steep cases saturate the exponent at the bracket, far above the root
-        warnings.simplefilter("ignore", SaturationWarning)
-        root = solve_pi_q_star(params.T, params, measure, numerics.root_tol, numerics.exp_cap)
+    root = solve_pi_q_star(params.T, params, measure, numerics.root_tol, numerics.exp_cap)
     assert root == pytest.approx(_mp_root(params, measure), rel=1e-14, abs=0.0)
 
 
@@ -255,7 +252,11 @@ def test_foc_depends_on_time_only_through_accumulation(base_measure, alpha, gamm
     t = frac * params.T
     A = math.exp(params.r * (params.T - t))
     pi = pi_frac * bracket_pi_q(t, params, base_measure)
-    direct = reinsurance_foc(t, pi, params, base_measure)
+    # the first-order condition quadrature at time t itself
+    zA = base_measure.nodes * A
+    E = pi * zA + 0.5 * gamma * (pi * zA) ** 2
+    mix = alpha * np.exp(beta3 * E) + (1.0 - alpha) * np.exp(-beta3 * E)
+    direct = ((1.0 + eta) * zA - (zA + gamma * pi * zA ** 2) * mix) @ base_measure.weights
     reduced = A * reinsurance_foc(params.T, pi * A, params, base_measure)
     # relative to the size of the integrand terms, since F crosses zero
     terms = (1.0 + params.eta) * A * base_measure.moment(1) + abs(direct)
@@ -272,7 +273,9 @@ def test_identity_residuals_match_direct_foc(base_measure, alpha, gamma, eta, be
     ts = np.linspace(0.0, params.T, 11)
     pi_q = solve_pi_q_grid(ts, params, base_measure)
     A = params.discount_to_horizon(ts)
-    got = _identity_residuals(pi_q, A, _scalar_foc(params, base_measure, 700.0))
+    got, _ = _identity_residuals(pi_q[None], A[None],
+                                 _FocLanes.stack([params], [base_measure], 700.0))
+    got = got[0]
     want = reinsurance_foc(ts, pi_q, params, base_measure)
     scale = params.eta * A * base_measure.moment(1)
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -357,6 +360,25 @@ def test_saturation_warning_not_error(base_params, base_measure):
         value = reinsurance_foc(0.0, 200.0, base_params, base_measure)
     assert any(issubclass(w.category, SaturationWarning) for w in caught)
     assert np.isfinite(value) and value < 0.0
+
+
+def test_saturation_warned_only_at_the_root():
+    # Newton's first iterate u0 = eta m1 / (gamma m2) saturates beta3 E, the
+    # root does not: max beta3 E at u* is 1.24, so no warning
+    params, claims, numerics = load_config(BASE_CFG)
+    params = dataclasses.replace(params, gamma=0.02, beta3=9.0, alpha=0.9)
+    measure = build_measure(dataclasses.replace(claims, lam=0.3, muZ=0.8, sigmaZ=2.1), 32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = solve_pi_q_star(params.T, params, measure, numerics.root_tol, numerics.exp_cap)
+    uz = u * measure.nodes
+    assert params.beta3 * np.max(uz + 0.5 * params.gamma * uz ** 2) < 1.25
+    u0 = params.eta * measure.moment(1) / (params.gamma * measure.moment(2))
+    uz = u0 * measure.nodes
+    assert params.beta3 * np.max(uz + 0.5 * params.gamma * uz ** 2) > numerics.exp_cap
+    # where the exponent does saturate at the root, the root call says so
+    with pytest.warns(SaturationWarning):
+        solve_pi_q_star(params.T, params, measure, numerics.root_tol, exp_cap=1.0)
 
 
 def test_bracket_expansion_failure_signals_pathology(base_measure):

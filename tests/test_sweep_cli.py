@@ -2,16 +2,25 @@
 
 import dataclasses
 import filecmp
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphamv.cli import main
-from alphamv.errors import ValidationError
-from alphamv.solver import EquilibriumSolution, ValueCoefficients, pi_p_star, pi_s_star
-from alphamv.sweep import SweepSpec, run_sweep, write_solve_csv
+from alphamv.config import replace_param
+from alphamv.errors import NumericalError, SaturationWarning, ValidationError
+from alphamv.levy import build_measure
+from alphamv.solver import (EquilibriumSolution, ValueCoefficients, pi_p_star, pi_s_star,
+                            solve_pi_q_star)
+from alphamv.sweep import SweepSpec, evaluate_quantity, run_sweep, write_solve_csv
 
 from conftest import write_config
+
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +68,89 @@ def test_sweep_skips_unstable_backward_step(base_params, base_claims, base_numer
                      dataclasses.replace(spec, quantity="pi_p0")).rows[0]
     assert pi_p.status == "ok" and np.isfinite(pi_p.quantity)
     assert pi_p.quantity == pi_p_star(0.0, dataclasses.replace(base_params, zeta=1e-5))
+
+
+def _per_point(params, claims, numerics, param, value, t):
+    """(quantity, status) of one pi_q0 sweep point through evaluate_quantity."""
+    try:
+        p2, c2, n2 = replace_param(params, claims, numerics, param, value)
+        return evaluate_quantity(p2, c2, n2, "pi_q0", t), "ok"
+    except ValidationError as exc:
+        return None, f"skipped:{exc.tag}"
+    except NumericalError as exc:
+        return None, f"skipped:numerical ({exc})"
+
+
+# swept keys and their values, valid and invalid: every key that enters the
+# first-order condition or the claim measure, and r, which enters neither
+_SWEPT = {
+    "eta": st.floats(0.0, 1.5),
+    "gamma": st.one_of(st.floats(-0.5, 5.0), st.just(1e-300)),
+    "alpha": st.floats(0.3, 1.1),
+    "beta3": st.floats(-0.5, 4.0),
+    "exp_cap": st.floats(-5.0, 700.0),
+    "lambda": st.floats(-1.0, 20.0),
+    "muZ": st.floats(-3.0, 5.0),
+    "sigmaZ": st.floats(-0.1, 3.0),
+    "quad_nodes": st.integers(0, 80).map(float),
+    "r": st.floats(-0.02, 0.2),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), param=st.sampled_from(sorted(_SWEPT)), t=st.floats(0.0, 11.0))
+def test_batched_pi_q_sweep_matches_per_point(base_params, base_claims, base_numerics,
+                                              data, param, t):
+    # one batched root per sweep against one root per point: same statuses,
+    # quantities within the Newton stop
+    values = data.draw(st.lists(_SWEPT[param], min_size=2, max_size=8), label="values")
+    spec = SweepSpec(param=param, values=tuple(values), quantity="pi_q0", t=t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)   # small exp_cap values clip at u*
+        rows = run_sweep(base_params, base_claims, base_numerics, spec).rows
+        want = [_per_point(base_params, base_claims, base_numerics, param, v, t)
+                for v in sorted(spec.values)]
+    assert [row.status for row in rows] == [status for _, status in want]
+    for row, (quantity, _) in zip(rows, want):
+        if quantity is not None:
+            assert row.quantity == pytest.approx(quantity, rel=1e-14, abs=0.0)
+
+
+def test_failing_lane_skips_only_its_row(base_params, base_claims, base_numerics, base_measure):
+    # gamma = 1e-300 puts u0 = eta m1 / (gamma m2) past the bracket limit
+    spec = SweepSpec(param="gamma", values=(0.3, 1e-300, 0.5, 2.0), quantity="pi_q0")
+    rows = run_sweep(base_params, base_claims, base_numerics, spec).rows
+    with pytest.raises(NumericalError, match="bracket") as caught:
+        solve_pi_q_star(0.0, dataclasses.replace(base_params, gamma=1e-300), base_measure)
+    assert rows[0].status == f"skipped:numerical ({caught.value})"
+    assert rows[0].quantity is None
+    for row in rows[1:]:
+        want = solve_pi_q_star(0.0, dataclasses.replace(base_params, gamma=row.value),
+                               base_measure)
+        assert row.status == "ok" and row.quantity == pytest.approx(want, rel=1e-14, abs=0.0)
+    # a lane whose residual misses its own root_tol
+    spec = SweepSpec(param="root_tol", values=(1e-30, 1e-10), quantity="pi_q0")
+    rows = run_sweep(base_params, base_claims, base_numerics, spec).rows
+    assert rows[0].status == "skipped:numerical (pi_q roots did not reach the configured tolerance)"
+    assert rows[1].status == "ok"
+    assert rows[1].quantity == solve_pi_q_star(0.0, base_params, base_measure)
+
+
+def test_sweep_builds_the_measure_once_unless_swept(base_params, base_claims, base_numerics,
+                                                    monkeypatch):
+    import alphamv.sweep as sweep_mod
+    calls = []
+    monkeypatch.setattr(sweep_mod, "build_measure",
+                        lambda *args: calls.append(args) or build_measure(*args))
+    for param, lo, hi, quantity, builds in (("gamma", 0.2, 2.0, "pi_q0", 1),
+                                            ("muZ", 0.5, 2.0, "pi_q0", 5),
+                                            ("quad_nodes", 16, 48, "pi_q0", 5),
+                                            ("alpha", 0.5, 1.0, "pi_s0", 0)):
+        calls.clear()
+        result = run_sweep(base_params, base_claims, base_numerics,
+                           SweepSpec.from_range(param, lo, hi, 5, quantity))
+        assert [row.status for row in result.rows] == ["ok"] * 5
+        assert len(calls) == builds
 
 
 def test_sweep_unknown_param_or_quantity_rejected():
@@ -331,18 +423,45 @@ def test_csv_outputs_deterministic(tmp_path):
 # shipped sweep presets
 # ---------------------------------------------------------------------------
 
+def _read_preset(path):
+    values = {}
+    for line in path.read_text().splitlines():
+        body = line.split("#", 1)[0].strip()
+        if body:
+            key, _, value = body.partition("=")
+            values[key.strip()] = value.strip()
+    return values
+
+
 def test_six_figure_presets_shipped_and_valid():
-    import pathlib
-    presets = sorted((pathlib.Path(__file__).parent.parent / "demos" / "presets").glob("*.preset"))
+    presets = sorted((DEMOS / "presets").glob("*.preset"))
     assert len(presets) == 6
     for path in presets:
-        values = {}
-        for line in path.read_text().splitlines():
-            body = line.split("#", 1)[0].strip()
-            if body:
-                key, _, value = body.partition("=")
-                values[key.strip()] = value.strip()
+        values = _read_preset(path)
         spec = SweepSpec.from_range(values["param"], float(values["from"]),
                                     float(values["to"]), int(values["points"]),
                                     values["quantity"])
         assert len(spec.values) >= 20
+
+
+def _read_sweep_csv(path):
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    quantities = np.array([float(r[1]) if r[1] else np.nan for r in rows[1:]])
+    return rows[0], [r[0] for r in rows[1:]], quantities, [r[2] for r in rows[1:]]
+
+
+@pytest.mark.parametrize("preset", sorted(p.stem for p in (DEMOS / "presets").glob("*.preset")))
+def test_figure_presets_reproduce_committed_outputs(tmp_path, preset):
+    # the committed demos/output sweeps: the same values and statuses, and
+    # quantities within the reference tolerance 1e-10 + 1e-8 |want|
+    values = _read_preset(DEMOS / "presets" / f"{preset}.preset")
+    out = tmp_path / f"{preset}.csv"
+    assert main(["sweep", "--config", str(DEMOS / "configs" / "base.cfg"),
+                 "--param", values["param"], "--from", values["from"], "--to", values["to"],
+                 "--points", values["points"], "--quantity", values["quantity"],
+                 "--out", str(out)]) == 0
+    header, params, got, status = _read_sweep_csv(out)
+    want_header, want_params, want, want_status = _read_sweep_csv(
+        DEMOS / "output" / f"{preset}.csv")
+    assert (header, params, status) == (want_header, want_params, want_status)
+    assert np.all(np.abs(got - want) <= 1e-10 + 1e-8 * np.abs(want))
