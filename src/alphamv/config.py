@@ -242,8 +242,9 @@ def _parse_number(key: str, text: str) -> float:
 
 
 def _coerce_int(key: str, value: float) -> int:
-    if value != int(value):
-        raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
+    # isfinite first: int() of inf or nan raises OverflowError / ValueError
+    if not (math.isfinite(value) and value == int(value)):
+        raise ConfigError(f"key {key!r} must be a finite integer, got {value!r}")
     return int(value)
 
 

@@ -8,10 +8,13 @@ one scalar ``u*``, the same in both default states.  Pre-default, the bond
 amount is eliminated algebraically from its first-order condition at every
 instant, which couples the two mean intercepts.
 
-The intercepts solve linear ODEs, integrated backward by RK4 over all steps
-at once: Simpson sums for the post-default ones, and affine recurrences
-``y_k = m_k y_{k+1} + c_k`` for the scalar modes of the pre-default ones
-(rates ``delta/zeta`` and hP); see :func:`_solve_coefficients`.
+The intercepts solve linear ODEs, and :func:`solve_equilibrium` takes them in
+closed form (:func:`_value_intercepts`): with ``pi_q A = u*`` and ``pi_s A``
+affine in A, the post-default integrands are quadratics in A; with pi_p at
+its first-order condition, the pre-default ones add the bond-gap mode of
+rate ``delta/zeta`` and the default mode of rate hP, all through ``expm1``.
+Classical RK4 on the same system stays as the independent route, in
+:func:`pre_default_system` only.
 
 Time convention: ``tau = T - t`` and ``A(t) = e^{r tau}`` is the accumulation
 factor to the horizon.  The claim integrals see the strategy only through
@@ -20,8 +23,9 @@ factor to the horizon.  The claim integrals see the strategy only through
     E(u, z) = u z + (gamma/2) u^2 z^2,
 
 and every distorted integrand carries ``exp(+-beta3 E)``.  At the equilibrium
-``u = u*`` at every t, so the backward system evaluates its claim integrals
-once, on the node vector at ``u*``, and never on a times x nodes grid.
+``u = u*`` at every t, so the intercept equations evaluate their claim
+integrals once, on the node vector at ``u*``, and never on a times x nodes
+grid.
 
 The first-order condition has one evaluator, of ``f`` and ``f'`` on a lanes
 x nodes table (:class:`_FocLanes`).  A lane is one parameter set with its
@@ -133,9 +137,9 @@ def pi_p_star(t, params: ModelParams):
     substituted; its numerator is a sum of nonnegative terms, so it does not
     cancel when ``n0`` is close to ``delta`` (small zeta hP / delta), where the
     first loses digits.  Neither alpha, the betas nor the claim law enters it,
-    and it is exactly 0 at the fair spread ``delta = zeta hP``.  The backward
-    RK4 sweep of :func:`solve_equilibrium` computes the same column by the
-    independent route.  NumericalError for hP = 0 or zeta = 0 (no finite bond
+    and it is exactly 0 at the fair spread ``delta = zeta hP``.  The RK4 sweep
+    of :func:`pre_default_system` computes the same column by the independent
+    route.  NumericalError for hP = 0 or zeta = 0 (no finite bond
     demand).  Vectorized over t; returns a scalar for scalar input.
     """
     _check_bond_demand(params)
@@ -262,21 +266,26 @@ def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
 
 
 def _bracket_error(u0: float) -> NumericalError:
+    why = "exceeds 2^59" if math.isfinite(u0) else "is not finite"
     return NumericalError(
         f"pi_q bracket [0, 2 u0] out of range: u0 = eta m1 / (gamma m2) = {u0:g} "
-        "exceeds 2^59: pathological parameters"
+        f"{why}: pathological parameters"
     )
 
 
-def _root_start(params: ModelParams, measure: ClaimMeasure, m1: float) -> float:
+def _root_start(eta: float, m1: float, gamma: float, m2: float) -> float:
     """The ``beta3 -> 0`` root ``u0 = eta m1 / (gamma m2)``; ``[0, 2 u0]`` brackets u*.
 
     For alpha >= 1/2, ``alpha e^x + alpha_hat e^-x >= 1`` at ``x = beta3 E
     >= 0`` (also after clipping), so ``f(u) <= eta m1 - gamma m2 u``, which is
-    ``-eta m1 < 0`` at ``2 u0``.  ``m1`` is the caller's ``int z nu(dz)``.
-    NumericalError ("bracket") when u0 is not finite or exceeds 2^59.
+    ``-eta m1 < 0`` at ``2 u0``.  ``m1`` and ``m2`` are the caller's ``int z^k
+    nu(dz)``, floats.  NumericalError ("bracket") when u0 is not finite (a
+    measure whose weights all underflowed has ``m2 = 0``) or exceeds 2^59.
     """
-    u0 = params.eta * m1 / (params.gamma * measure.moment(2))
+    try:
+        u0 = eta * m1 / (gamma * m2)
+    except ZeroDivisionError:
+        u0 = math.nan
     if not u0 <= _BRACKET_LIMIT:
         raise _bracket_error(u0)
     return u0
@@ -287,7 +296,8 @@ def bracket_pi_q(t, params: ModelParams, measure: ClaimMeasure):
 
     Vectorized over t; returns a scalar for scalar input.
     """
-    hi = 2.0 * _root_start(params, measure, measure.moment(1)) / params.discount_to_horizon(t)
+    u0 = _root_start(params.eta, measure.moment(1), params.gamma, measure.moment(2))
+    hi = 2.0 * u0 / params.discount_to_horizon(t)
     return hi if hi.ndim else float(hi)
 
 
@@ -400,12 +410,17 @@ def solve_pi_q_lanes(times, params: Sequence[ModelParams], measures: Sequence[Cl
     eta, r, T = np.array([(p.eta, p.r, p.T) for p in params]).T
     m1 = _lane_dot(foc.z, foc.w)
     scale = root_tol * eta * m1                 # residual bound at A = 1, per lane
-    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0: all weights underflowed
-        u0 = eta * m1 / (foc.gamma[:, 0] * _lane_dot(foc.z2, foc.w))
-    errors = [None if u <= _BRACKET_LIMIT else _bracket_error(u) for u in u0.tolist()]
+    m2 = _lane_dot(foc.z2, foc.w)
+    u0, errors = np.full(n, np.nan), [None] * n
+    for lane, args in enumerate(zip(eta.tolist(), np.broadcast_to(m1, n).tolist(),
+                                    foc.gamma[:, 0].tolist(), np.broadcast_to(m2, n).tolist())):
+        try:
+            u0[lane] = _root_start(*args)
+        except NumericalError as exc:
+            errors[lane] = exc
     failures = {}
     u_star = np.full(n, np.nan)
-    live = (u0 <= _BRACKET_LIMIT).nonzero()[0]
+    live = np.isfinite(u0).nonzero()[0]
     if live.size:
         u_star[live] = _newton_root(foc if live.size == n else foc.take(live),
                                     u0[live], 2.0 * u0[live], failures)
@@ -500,7 +515,7 @@ def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
     keeps the end of the scan clear of the root.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    hi = 2.0 * _root_start(params, measure, measure.moment(1))
+    hi = 2.0 * _root_start(params.eta, measure.moment(1), params.gamma, measure.moment(2))
     signs = np.sign(_foc_f32(np.linspace(0.0, hi, n_points), params, measure, exp_cap))
     signs = signs[signs != 0]
     return np.full(times.shape, np.count_nonzero(signs[1:] != signs[:-1]))
@@ -536,10 +551,10 @@ class EquilibriumSolution:
 
     ``pi_q`` and ``pi_s`` are the same functions in both default states;
     ``pi_p`` is the pre-default bond amount (identically 0 after default).
-    ``fine_grid``/``fine_pi_s`` hold the half-step refinement
-    used internally by the backward integrator; interpolation helpers use it.
     ``u_star`` is the scalar root with ``pi_q(t) = u_star e^{-r(T-t)}``, so
-    :meth:`pi_q_at` is exact at every t.
+    :meth:`pi_q_at` is exact at every t; :meth:`pi_s_at` and :meth:`pi_p_at`
+    are the closed forms :func:`pi_s_star` and :func:`pi_p_star` of
+    ``params``, the parameters the solution was solved for.
     """
 
     grid: np.ndarray
@@ -547,9 +562,8 @@ class EquilibriumSolution:
     pi_s: np.ndarray
     pi_p: np.ndarray
     coeffs: ValueCoefficients
-    fine_grid: np.ndarray = field(repr=False, default=None)
-    fine_pi_s: np.ndarray = field(repr=False, default=None)
     u_star: float = None
+    params: ModelParams = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
         if np.any(self.pi_q < 0):
@@ -568,80 +582,134 @@ class EquilibriumSolution:
         return self._checked_u_star() / np.exp(c.r * (c.T - np.asarray(t, dtype=float)))
 
     def pi_s_at(self, t):
-        return np.interp(t, self.fine_grid, self.fine_pi_s)
+        return pi_s_star(t, self.params)
 
     def pi_p_at(self, t):
-        return np.interp(t, self.grid, self.pi_p)
+        return pi_p_star(t, self.params)
 
 
-class _NodeTables:
-    """Ingredients of the coefficient integrands on a fine time grid.
+def _claim_integrals(u_star: float, params: ModelParams, measure: ClaimMeasure,
+                     beta3: float, exp_cap: float):
+    """``(I+, I-, KB)``: the claim integrals of the intercept equations at ``u*``.
 
-    Everything that does not depend on the integrated state is precomputed
-    here.  The distorted claim integrals I+- and the entropy jump term KB of
-    the B equations see the reinsurance exposure only through
-    ``u = pi_q A``, which is ``u_star`` at every t; they are scalars,
-    evaluated once on the node vector at ``u_star``.  The strategies and the
-    integrands ``fB1``, ``f1_lo``, ``f1_hi`` are columns on the fine grid.
+    ``I+- = int z e^{+-beta3 E} nu(dz)`` and the entropy jump term ``KB`` of
+    the B equations see the reinsurance exposure only through ``u = pi_q
+    A``, which is ``u*`` at every t; so they are scalars, evaluated once on
+    the node vector.
     """
-
-    def __init__(self, times: np.ndarray, params: ModelParams, measure: ClaimMeasure,
-                 betas: tuple[float, float, float],
-                 u_star: float, pi_s: np.ndarray,
-                 exp_cap: float):
-        b1, b2, b3 = betas
-        self.times = times
-        A = params.discount_to_horizon(times)
-        self.A = A
-        self.u_star = u_star
-        self.pi_q = pi_q = u_star / A
-        self.pi_s = pi_s
-        m1 = measure.moment(1)
-
-        z = measure.nodes
-        w = measure.weights
-        uz = u_star * z
-        E = uz + 0.5 * params.gamma * uz ** 2
-        x = _clip_exponent(b3 * E, exp_cap)
-        ep1 = np.expm1(x)                   # e^{+b3 E} - 1 without cancellation
-        em1 = np.expm1(-x)
-        self.I_plus = (z * (ep1 + 1.0)) @ w     # int z e^{+b3 E} nu(dz)
-        self.I_minus = (z * (em1 + 1.0)) @ w
-        if b3 > 0:
-            # (alpha/b3) int (1 - e^{+b3 E}) nu - (alpha_hat/b3) int (1 - e^{-b3 E}) nu
-            self.KB = (params.alpha_hat / b3) * (em1 @ w) - (params.alpha / b3) * (ep1 @ w)
-        else:
-            self.KB = -(E @ w)              # b3 -> 0 limit of the same term
-        two_a = 2.0 * params.alpha - 1.0
-        drift_q = params.theta - params.eta + (1.0 + params.eta) * pi_q
-        s1, s2, rho = params.sigma1, params.sigma2, params.rho
-        sharpe_num = (params.mu - params.r
-                      - s1 * s2 * rho * (params.gamma + two_a * b1) * A)
-        cross = b1 * rho ** 2 + b2 * params.rho_hat ** 2
-        sharpe = sharpe_num ** 2 / (2.0 * s2 ** 2 * (params.gamma + two_a * cross))
-
-        common = drift_q * A * m1
-        A2 = A * A
-        # time integrands of the three post-default coefficients
-        self.fB1 = (common
-                    - 0.5 * params.gamma * s1 ** 2 * A2
-                    - 0.5 * two_a * b1 * s1 ** 2 * A2
-                    + sharpe + self.KB)
-        lin_lo = (params.mu - params.r) * A - 2.0 * b1 * s1 * s2 * rho * A2
-        lin_hi = (params.mu - params.r) * A + 2.0 * b1 * s1 * s2 * rho * A2
-        quad = s2 ** 2 * A2 * cross
-        self.f1_lo = (common - b1 * s1 ** 2 * A2 + lin_lo * pi_s
-                      - quad * pi_s ** 2 - u_star * self.I_plus)
-        self.f1_hi = (common + b1 * s1 ** 2 * A2 + lin_hi * pi_s
-                      + quad * pi_s ** 2 - u_star * self.I_minus)
+    z, w = measure.nodes, measure.weights
+    uz = u_star * z
+    E = uz + 0.5 * params.gamma * uz ** 2
+    x = _clip_exponent(beta3 * E, exp_cap)
+    ep1 = np.expm1(x)                   # e^{+b3 E} - 1 without cancellation
+    em1 = np.expm1(-x)
+    I_plus = (z * (ep1 + 1.0)) @ w
+    I_minus = (z * (em1 + 1.0)) @ w
+    if beta3 > 0:
+        # (alpha/b3) int (1 - e^{+b3 E}) nu - (alpha_hat/b3) int (1 - e^{-b3 E}) nu
+        KB = (params.alpha_hat / beta3) * (em1 @ w) - (params.alpha / beta3) * (ep1 @ w)
+    else:
+        KB = -(E @ w)                   # b3 -> 0 limit of the same term
+    return I_plus, I_minus, KB
 
 
-def _make_fine_grid(grid: np.ndarray) -> np.ndarray:
-    """Half-step refinement whose even entries are exactly the input grid."""
-    fine = np.empty(2 * (grid.size - 1) + 1)
-    fine[0::2] = grid
-    fine[1::2] = 0.5 * (grid[:-1] + grid[1:])
-    return fine
+def _stock_coefficients(params: ModelParams) -> tuple[float, float]:
+    """``(s0, s1)`` with ``pi_s_star(t) A(t) = s0 + s1 A(t)``."""
+    scale = params.sigma2 ** 2 * _stock_denominator(params)
+    two_a = 2.0 * params.alpha - 1.0
+    return ((params.mu - params.r) / scale,
+            -params.sigma1 * params.sigma2 * params.rho
+            * (params.gamma + two_a * params.beta1) / scale)
+
+
+def _integrands(params: ModelParams, measure: ClaimMeasure, u_star: float, exp_cap: float,
+                betas: Optional[tuple[float, float, float]] = None,
+                stock: Optional[tuple[float, float]] = None):
+    """Integrands of the post-default intercepts as quadratics in ``A = e^{r(T-t)}``.
+
+    ``B1' = -fB1``, ``b1_lo' = -f1_lo`` and ``b1_hi' = -f1_hi`` in t.  The
+    strategy enters through ``pi_q A = u*``, a constant, and ``pi_s A = s0 +
+    s1 A`` with ``stock = (s0, s1)``, so each integrand is ``c0 + c1 A + c2
+    A^2``.  Returns the coefficient triples ``(c0, c1, c2)`` of fB1, f1_lo,
+    f1_hi.  ``betas`` are the ambiguity levels of the measure the intercepts
+    are taken under, and ``stock`` the stock strategy; they default to those
+    of ``params``, and differ from them for a fixed strategy evaluated under
+    another measure (all betas zero is the reference measure).
+    """
+    b1, b2, b3 = (params.beta1, params.beta2, params.beta3) if betas is None else betas
+    p0, p1 = _stock_coefficients(params) if stock is None else stock
+    I_plus, I_minus, KB = _claim_integrals(u_star, params, measure, b3, exp_cap)
+    m1 = measure.moment(1)
+    two_a = 2.0 * params.alpha - 1.0
+    s1, s2, rho = params.sigma1, params.sigma2, params.rho
+    excess = params.mu - params.r
+    # the common term drift_q A m1, drift_q = theta - eta + (1 + eta) pi_q
+    k0, k1 = (1.0 + params.eta) * u_star * m1, (params.theta - params.eta) * m1
+    # fB1 = common - (gamma + 2a b1) s1^2 A^2 / 2 + (excess - q A)^2 / g + KB,
+    # the middle term being the squared Sharpe ratio of the stock
+    q = s1 * s2 * rho * (params.gamma + two_a * b1)
+    cross = b1 * rho ** 2 + b2 * params.rho_hat ** 2
+    g = 2.0 * s2 ** 2 * (params.gamma + two_a * cross)
+    fB1 = (k0 + excess ** 2 / g + KB, k1 - 2.0 * excess * q / g,
+           q * q / g - 0.5 * (params.gamma + two_a * b1) * s1 ** 2)
+    # f1_lo, f1_hi = common -+ b1 s1^2 A^2 + (excess -+ e A) pi_s A
+    #                -+ quad (pi_s A)^2 - u* I+-, with e = 2 b1 s1 s2 rho and
+    # quad = s2^2 cross: a part shared by both sides and one that flips sign
+    e = 2.0 * b1 * s1 * s2 * rho
+    quad = s2 ** 2 * cross
+    flip = (quad * p0 * p0, e * p0 + 2.0 * quad * p0 * p1,
+            b1 * s1 ** 2 + e * p1 + quad * p1 * p1)
+    c0, c1 = k0 + excess * p0, k1 + excess * p1
+    f1_lo = (c0 - u_star * I_plus - flip[0], c1 - flip[1], -flip[2])
+    f1_hi = (c0 - u_star * I_minus + flip[0], c1 + flip[1], flip[2])
+    return fB1, f1_lo, f1_hi
+
+
+def _value_intercepts(t, params: ModelParams, measure: ClaimMeasure, u_star: float,
+                      exp_cap: float, betas=None, stock=None):
+    """The intercepts ``(B1, b1_lo, b1_hi, B0, b0_lo, b0_hi)`` at times t in closed form.
+
+    In ``tau = T - t``, with ``A = e^{r tau}``, every intercept vanishes at
+    tau = 0.  The post-default ones integrate the quadratics in A of
+    :func:`_integrands` (``betas`` and ``stock`` are passed on to it):
+    ``int_0^tau A^j ds = expm1(j r tau) / (j r)``.  Pre-default, with pi_p at
+    its first-order condition, write ``n0 = delta - zeta hP``, ``c = n0^2 /
+    (gamma zeta^2 hP)`` and ``k = delta/zeta``:
+
+    - the mean gap ``b1_side - b0_side`` solves ``dG/dtau = -k G - c`` on
+      both sides, so it is the ``D = (c/k) expm1(-k tau)`` of
+      :func:`pi_p_star` and ``b0_side = b1_side - D``;
+    - the default jump of the mean, ``-zeta pi_p A + b1 - b0``, is the
+      constant ``-n0 / (gamma zeta hP)``, so ``M = B1 - B0`` solves
+      ``dM/dtau = -hP M + c (n0/delta - 1/2) - c (n0/delta) e^{-k tau}``:
+
+          B0 = B1 + c [(1/2 - n0/delta) tau phi1(-hP tau)
+                       + (n0/delta) tau e^{-hP tau} phi1(-n0 tau / zeta)]
+
+      with ``phi1(x) = expm1(x)/x``.  Since ``(n0/delta) tau phi1(-n0 tau /
+      zeta) = -expm1(-n0 tau / zeta) / k``, both terms are ``expm1`` over a
+      positive rate, with no 0/0 at the fair spread ``n0 = 0``.
+
+    Every term is bounded for any decay rate, so there is no stability
+    limit.  NumericalError for hP = 0 or zeta = 0 (no finite bond demand)
+    and for non-finite values.
+    """
+    _check_bond_demand(params)
+    tau = params.T - np.asarray(t, dtype=float)
+    r = params.r
+    powers = (tau, np.expm1(r * tau) / r, np.expm1(2.0 * r * tau) / (2.0 * r))
+    B1, b1_lo, b1_hi = (c0 * powers[0] + c1 * powers[1] + c2 * powers[2]
+                        for c0, c1, c2 in _integrands(params, measure, u_star, exp_cap,
+                                                      betas, stock))
+    n0, zeta, hP, k = params.bond_excess_drift, params.zeta, params.hP, params.h_q
+    c = n0 * n0 / (params.gamma * zeta ** 2 * hP)
+    D = (c / k) * np.expm1(-k * tau)
+    B0 = B1 - c * ((0.5 - n0 / params.delta) * np.expm1(-hP * tau) / hP
+                   + np.exp(-hP * tau) * np.expm1(-n0 * tau / zeta) / k)
+    columns = (B1, b1_lo, b1_hi, B0, b1_lo - D, b1_hi - D)
+    if not all(np.all(np.isfinite(col)) for col in columns):
+        raise NumericalError("closed-form value coefficients are not finite")
+    return columns
 
 
 def _validate_uniform_grid(grid: np.ndarray, T: float) -> None:
@@ -653,209 +721,110 @@ def _validate_uniform_grid(grid: np.ndarray, T: float) -> None:
         raise ValidationError("grid", "time grid must be uniform over [0, T]")
 
 
-def _pre_default_pi_p(gap, A, params: ModelParams):
-    """Bond amount from its first-order condition, for scalars or arrays.
-
-    ``gap`` is ``alpha (b1_lo - b0_lo) + alpha_hat (b1_hi - b0_hi)``, the
-    only way the mean intercepts enter.
-    """
-    num = params.bond_excess_drift + params.gamma * params.zeta * params.hP * gap
-    return num / (params.gamma * params.zeta ** 2 * params.hP * A)
-
-
 # RK4 applied to y' = lam y with lam h real and negative is stable while
 # lam |h| <= this limit, the real root of 1 + x/2 + x^2/6 + x^3/24 (where the
 # step factor climbs back to 1).
 _RK4_STABILITY_LIMIT = 2.785293563405282
 
 
-def _stage_rows(values: np.ndarray) -> np.ndarray:
-    """Fine-grid values at the four RK4 stage times of every backward step.
+def pre_default_system(params: ModelParams, measure: ClaimMeasure, grid,
+                       root_tol: float = DEFAULT_ROOT_TOL,
+                       exp_cap: float = DEFAULT_EXP_CAP):
+    """pi_p, B0, b0_lo, b0_hi on ``grid`` by classical RK4: the independent route.
 
-    Step k runs from grid[k+1] (fine index 2k+2) to grid[k] (fine index 2k);
-    stages 2 and 3 share the midpoint.  Shape (4, steps).
-    """
-    return np.stack((values[2::2], values[1::2], values[1::2], values[:-2:2]))
-
-
-def _rk4_quadrature(f: np.ndarray, h: np.ndarray):
-    """RK4 of y' = -f(t) backward from y(T) = 0: grid values and stage values.
-
-    ``f`` holds the integrand at the four stages of every step, shape
-    (4, steps).  With no y on the right-hand side each step is a Simpson
-    increment; the increments are summed in the order a step-by-step loop
-    adds them.
-    """
-    k = -f
-    step = h / 6.0 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
-    y = np.append(np.cumsum(step[::-1])[::-1], 0.0)
-    start = y[1:]
-    return y, np.stack((start, start + 0.5 * h * k[0], start + 0.5 * h * k[1],
-                        start + h * k[2]))
-
-
-def _rk4_linear_mode(rate: float, h: np.ndarray, g: np.ndarray):
-    """RK4 of the scalar mode y' = rate y - g backward from y(T) = 0.
-
-    ``g`` holds the forcing at the four stages of every step, shape (4, steps).
-    One step is the affine map y_k = m_k y_{k+1} + c_k, with m the RK4
-    polynomial 1 + x + x^2/2 + x^3/6 + x^4/24 of x = rate h; this recurrence
-    is the only per-step Python.  It runs as y += (m - 1) y + c, because a
-    stored m is rounded to 1e-16 absolute, about 1e-11 of m - 1 for a slow
-    mode, and that error would repeat in every step.  Powers of m are not
-    used: m^-k overflows for a fast mode.  Returns grid values and stage
-    values.
-    """
-    x = rate * h
-    m_minus_1 = x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0)))
-    c = -h / 6.0 * (g[0] * (1.0 + x * (1.0 + x * (0.5 + 0.25 * x)))
-                    + g[1] * (2.0 + x * (1.0 + 0.5 * x))
-                    + g[2] * (2.0 + x) + g[3])
-    ys = [0.0] * (h.size + 1)
-    y = 0.0
-    e_list, c_list = m_minus_1.tolist(), c.tolist()
-    for k in range(h.size - 1, -1, -1):
-        y += e_list[k] * y + c_list[k]
-        ys[k] = y
-    y = np.array(ys)
-    start = y[1:]
-    y2 = start + 0.5 * h * (rate * start - g[0])
-    y3 = start + 0.5 * h * (rate * y2 - g[1])
-    return y, np.stack((start, y2, y3, start + h * (rate * y3 - g[2])))
-
-
-def _solve_coefficients(params: ModelParams, measure: ClaimMeasure, grid: np.ndarray,
-                        betas: Optional[tuple[float, float, float]] = None,
-                        strategy: Optional[tuple[float, np.ndarray, np.ndarray]] = None,
-                        root_tol: float = DEFAULT_ROOT_TOL,
-                        exp_cap: float = DEFAULT_EXP_CAP):
-    """Backward RK4 sweep of the coefficient system on ``grid``.
-
-    ``strategy`` optionally pins (u*, pi_s, pi_p) instead of recomputing
-    them: the reinsurance exposure ``pi_q = u* e^{-r(T-t)}`` by its scalar
-    ``u*``, pi_s and pi_p on the fine grid.  With ``betas`` overridden this
-    evaluates the mean intercepts of a fixed strategy under a different
-    ambiguity level (the beta = 0 case is the reference measure).  When pi_p
-    is not pinned it is eliminated algebraically inside every integrator
-    stage.
-
-    The six intercepts are one RK4 integration on the half-step fine grid,
-    computed column-wise over all steps rather than step by step:
-
-    - B1, b1_lo, b1_hi have right-hand sides free of the state, so every
-      step is a Simpson increment and the columns are cumulative sums.
-    - With pi_p eliminated, ``bond + hP lump = (delta - zeta hP) pi_p A`` is
-      affine in ``b1 - b0`` with no A in it, so (b0_lo, b0_hi) decouples into
-      the scalar modes ``u = alpha b0_lo + alpha_hat b0_hi`` (rate
-      ``delta/zeta``) and ``v = b0_lo - b0_hi`` (rate hP), mapped back by
-      ``b0_lo = u + alpha_hat v`` and ``b0_hi = u - alpha v``.  u is carried
-      as the gap ``D = alpha b1_lo + alpha_hat b1_hi - u``, whose forcing is
-      constant; pi_p depends on the intercepts only through D, so it is
-      exactly 0 at the fair spread ``delta = zeta hP``.  With pi_p pinned,
-      b0_lo and b0_hi are each a mode of rate hP.
-    - B0 is a mode of rate hP forced by the stage values of the others.
-
-    RK4 commutes with this linear change of variables, so this is the RK4
-    solution of the coupled system.  A mode runs as the affine recurrence of
-    :func:`_rk4_linear_mode`.
-
-    Returns (tables, states, pi_p): states has shape (len(grid), 6) with
-    columns (B1, b1_lo, b1_hi, B0, b0_lo, b0_hi), and pi_p is the bond amount
-    on ``grid``.  Raises NumericalError for hP = 0 or zeta = 0 (no finite
-    bond demand), for a step past RK4's stability limit on the fastest mode,
-    and for non-finite coefficients.
+    The intercept equations step backward from zero at T, one right-hand-side
+    call per stage, with the bond amount eliminated from its first-order
+    condition at every stage: ``pi_p = (n0 + gamma zeta hP gap) / (gamma
+    zeta^2 hP A)`` with ``gap = alpha G_lo + alpha_hat G_hi`` and ``G_side =
+    b1_side - b0_side``.  The state is ``(B1, b1_lo, b1_hi, B0, G_lo, G_hi)``:
+    carrying the gaps rather than b0 keeps pi_p free of the cancellation
+    ``b1 - b0`` (and exactly 0 at the fair spread ``delta = zeta hP``), and
+    RK4 commutes with that linear change of variables.  Only the root u* and
+    the integrands of :func:`_integrands` are shared with the closed form of
+    :func:`solve_equilibrium`, which this converges to at order 4.
+    NumericalError for hP = 0 or zeta = 0 (no finite bond demand), for a step
+    past RK4's stability limit on the fastest mode (rate ``delta/zeta``), and
+    for non-finite values.
     """
     grid = np.asarray(grid, dtype=float)
     _validate_uniform_grid(grid, params.T)
     _check_bond_demand(params)
-    pi_p_pinned = None if strategy is None else strategy[2]
-    hP, zeta, delta = params.hP, params.zeta, params.delta
-    h = grid[:-1] - grid[1:]            # negative: the sweep runs from T back to 0
-    rate = hP if pi_p_pinned is not None else params.h_q   # fastest mode (h_q >= hP)
-    step = float(np.max(-h))
+    rate, step = params.h_q, float(np.max(np.diff(grid)))
     if rate * step > _RK4_STABILITY_LIMIT:
         raise NumericalError(
             f"backward RK4 sweep unstable: rate {rate:g} times step {step:g} exceeds the "
             f"RK4 stability limit {_RK4_STABILITY_LIMIT:.4f}; use time_steps >= "
             f"{math.ceil(rate * params.T / _RK4_STABILITY_LIMIT)}"
         )
-    fine = _make_fine_grid(grid)
-    if betas is None:
-        betas = (params.beta1, params.beta2, params.beta3)
-    if strategy is None:
-        pi_q = solve_pi_q_grid(fine, params, measure, root_tol, exp_cap)
-        # pi_q A = u* at every t; at the grid's end A = 1, so this is u* itself
-        u_star = float(pi_q[-1] * params.discount_to_horizon(fine[-1]))
-        pi_s = np.asarray(pi_s_star(fine, params), dtype=float)
-    else:
-        u_star, pi_s, _ = strategy
-    tables = _NodeTables(fine, params, measure, betas, u_star, pi_s, exp_cap)
+    u_star = solve_pi_q_star(params.T, params, measure, root_tol, exp_cap)   # pi_q(T) = u*
+    integrands = _integrands(params, measure, u_star, exp_cap)
 
+    def stages(times):
+        # (A, fB1, f1_lo, f1_hi) at each time
+        A = params.discount_to_horizon(times)
+        return list(zip(A.tolist(), *((c0 + A * (c1 + A * c2)).tolist()
+                                      for c0, c1, c2 in integrands)))
+
+    at_grid, at_mid = stages(grid), stages(0.5 * (grid[:-1] + grid[1:]))
+    hP, zeta, delta = params.hP, params.zeta, params.delta
     a, ah, gamma = params.alpha, params.alpha_hat, params.gamma
-    A = _stage_rows(tables.A)
-    fB1, f1lo, f1hi = (_stage_rows(f) for f in (tables.fB1, tables.f1_lo, tables.f1_hi))
-    B1, B1_st = _rk4_quadrature(fB1, h)
-    b1_lo, lo_st = _rk4_quadrature(f1lo, h)
-    b1_hi, hi_st = _rk4_quadrature(f1hi, h)
-    if pi_p_pinned is None:
-        # the gap D = w - u, w = alpha b1_lo + alpha_hat b1_hi, solves
-        # D' = (delta/zeta) D + n0^2 / (gamma zeta^2 hP)
-        n0 = params.bond_excess_drift
-        gap, gap_st = _rk4_linear_mode(
-            rate, h, np.full((4, h.size), -n0 * n0 / (gamma * zeta ** 2 * hP)))
-        v, v_st = _rk4_linear_mode(hP, h, f1lo - f1hi + hP * (lo_st - hi_st))
-        u, u_st = a * b1_lo + ah * b1_hi - gap, a * lo_st + ah * hi_st - gap_st
-        b0_lo, lo0_st = u + ah * v, u_st + ah * v_st
-        b0_hi, hi0_st = u - a * v, u_st - a * v_st
-        pi_p_st = _pre_default_pi_p(gap_st, A, params)
-        pi_p = _pre_default_pi_p(gap, tables.A[0::2], params)
-    else:
-        pi_p_st = _stage_rows(pi_p_pinned)
-        pi_p = pi_p_pinned[0::2]
-        excess = params.bond_excess_drift * pi_p_st * A     # bond + hP lump
-        b0_lo, lo0_st = _rk4_linear_mode(hP, h, f1lo + hP * lo_st + excess)
-        b0_hi, hi0_st = _rk4_linear_mode(hP, h, f1hi + hP * hi_st + excess)
-    bond = pi_p_st * delta * A
-    lump = -zeta * pi_p_st * A
-    g_B0 = (fB1 + bond + hP * (lump + B1_st)
-            - 0.5 * a * gamma * hP * (lump + lo_st - lo0_st) ** 2
-            - 0.5 * ah * gamma * hP * (lump + hi_st - hi0_st) ** 2)
-    B0, _ = _rk4_linear_mode(hP, h, g_B0)
-    states = np.column_stack((B1, b1_lo, b1_hi, B0, b0_lo, b0_hi))
-    if not np.all(np.isfinite(states)):
-        raise NumericalError("backward sweep produced non-finite value coefficients")
-    return tables, states, pi_p
+    n0, bond_scale = params.bond_excess_drift, gamma * zeta ** 2 * hP
 
+    def rhs(stage, y):
+        A, fB1, f1lo, f1hi = stage
+        B1, _, _, B0, g_lo, g_hi = y
+        pi_p = (n0 + gamma * zeta * hP * (a * g_lo + ah * g_hi)) / (bond_scale * A)
+        bond = pi_p * delta * A
+        lump = -zeta * pi_p * A
+        fB0 = (fB1 + bond + hP * (lump + B1)
+               - 0.5 * a * gamma * hP * (lump + g_lo) ** 2
+               - 0.5 * ah * gamma * hP * (lump + g_hi) ** 2)
+        excess = bond + hP * lump
+        return (-fB1, -f1lo, -f1hi, hP * B0 - fB0, hP * g_lo + excess, hP * g_hi + excess)
 
-def pre_default_system(params: ModelParams, measure: ClaimMeasure, grid,
-                       root_tol: float = DEFAULT_ROOT_TOL,
-                       exp_cap: float = DEFAULT_EXP_CAP):
-    """pi_p, B0, b0_lo, b0_hi on ``grid``; see :func:`_solve_coefficients`."""
-    _, states, pi_p = _solve_coefficients(params, measure, grid,
-                                          root_tol=root_tol, exp_cap=exp_cap)
-    return pi_p, states[:, 3], states[:, 4], states[:, 5]
+    n = grid.size
+    states = [[0.0] * 6 for _ in range(n)]
+    y = states[-1]
+    times = grid.tolist()
+    for k in range(n - 2, -1, -1):
+        h = times[k] - times[k + 1]
+        k1 = rhs(at_grid[k + 1], y)
+        k2 = rhs(at_mid[k], [yj + 0.5 * h * kj for yj, kj in zip(y, k1)])
+        k3 = rhs(at_mid[k], [yj + 0.5 * h * kj for yj, kj in zip(y, k2)])
+        k4 = rhs(at_grid[k], [yj + h * kj for yj, kj in zip(y, k3)])
+        y = [yj + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+             for yj, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+        states[k] = y
+    y = np.array(states)
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("backward RK4 sweep produced non-finite value coefficients")
+    gap = a * y[:, 4] + ah * y[:, 5]
+    pi_p = (n0 + gamma * zeta * hP * gap) / (bond_scale * params.discount_to_horizon(grid))
+    return pi_p, y[:, 3], y[:, 1] - y[:, 4], y[:, 2] - y[:, 5]
 
 
 def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
                       numerics: NumericsConfig) -> EquilibriumSolution:
-    """Full equilibrium: strategies and value coefficients on a uniform grid."""
+    """Full equilibrium: strategies and value coefficients on a uniform grid.
+
+    One root u* (:func:`solve_pi_q_grid`, whose residual check covers every
+    grid time), then closed forms: :func:`pi_s_star`, :func:`pi_p_star` and
+    the intercepts of :func:`_value_intercepts`.  ``time_steps`` sets only
+    the output grid.  NumericalError for hP = 0 or zeta = 0 (no finite bond
+    demand), a failed root, or non-finite coefficients.
+    """
     grid = np.linspace(0.0, params.T, numerics.time_steps + 1)
-    tables, states, pi_p = _solve_coefficients(
-        params, measure, grid, root_tol=numerics.root_tol, exp_cap=numerics.exp_cap,
-    )
+    pi_q = solve_pi_q_grid(grid, params, measure, numerics.root_tol, numerics.exp_cap)
+    u_star = float(pi_q[-1])            # pi_q A = u* and A(T) = 1
+    B1, b1_lo, b1_hi, B0, b0_lo, b0_hi = _value_intercepts(
+        grid, params, measure, u_star, numerics.exp_cap)
     coeffs = ValueCoefficients(
-        grid=grid, A=tables.A[0::2],
-        B1=states[:, 0], B0=states[:, 3],
-        b1_lo=states[:, 1], b1_hi=states[:, 2],
-        b0_lo=states[:, 4], b0_hi=states[:, 5],
-        r=params.r, T=params.T,
+        grid=grid, A=params.discount_to_horizon(grid), B1=B1, B0=B0,
+        b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi, r=params.r, T=params.T,
     )
     return EquilibriumSolution(
-        grid=grid,
-        pi_q=tables.pi_q[0::2], pi_s=tables.pi_s[0::2], pi_p=pi_p,
-        coeffs=coeffs,
-        fine_grid=tables.times, fine_pi_s=tables.pi_s,
-        u_star=tables.u_star,
+        grid=grid, pi_q=pi_q, pi_s=pi_s_star(grid, params), pi_p=pi_p_star(grid, params),
+        coeffs=coeffs, u_star=u_star, params=params,
     )
 
 
@@ -864,20 +833,16 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
                               exp_cap: float = DEFAULT_EXP_CAP):
     """Mean intercepts of the equilibrium strategy under the reference measure.
 
-    Evaluates the same backward system with every ambiguity level set to zero
-    while keeping the strategy fixed, so ``E[X(T) | X(t)=x, H(t)=h]`` equals
-    ``e^{r(T-t)} x + b_ref_h(t)``.  The bond amount is pinned at every RK4
-    stage time by its closed form :func:`pi_p_star`, which does not depend
-    on the betas.  Returns (b1_ref, b0_ref) on the solution grid.
+    The closed form of :func:`_value_intercepts` with every ambiguity level
+    set to zero while the strategy of ``solution`` stays fixed, so
+    ``E[X(T) | X(t)=x, H(t)=h]`` equals ``e^{r(T-t)} x + b_ref_h(t)``.  The
+    bond amount does not depend on the betas, so ``b0_ref = b1_ref - D``
+    still holds.  Returns (b1_ref, b0_ref) on the solution grid.
     """
-    _, states, _ = _solve_coefficients(
-        params, measure, solution.grid,
-        betas=(0.0, 0.0, 0.0),
-        strategy=(solution._checked_u_star(), solution.fine_pi_s,
-                  pi_p_star(solution.fine_grid, params)),
-        exp_cap=exp_cap,
-    )
-    return states[:, 1], states[:, 4]
+    columns = _value_intercepts(
+        solution.grid, params, measure, solution._checked_u_star(), exp_cap,
+        betas=(0.0, 0.0, 0.0), stock=_stock_coefficients(solution.params))
+    return columns[1], columns[4]
 
 
 # ---------------------------------------------------------------------------
@@ -944,18 +909,17 @@ class DistortionFunctions:
     phi3_hi = property(lambda self: self.hi.phi3)
 
 
-def _extremal_pair(times, pi_s_values, tilt_lo, params: ModelParams,
+def _extremal_pair(pi_s: Callable[[np.ndarray], np.ndarray], tilt_lo, params: ModelParams,
                    exp_cap: float) -> DistortionFunctions:
-    """Both sides from the stock amount on ``times`` and the lo jump tilt."""
-    pi_s_values = np.asarray(pi_s_values, dtype=float)
+    """Both sides from the stock amount ``pi_s(t)`` and the lo jump tilt."""
 
     def phi1_lo(t):
-        return params.beta1 * (params.sigma1 + params.sigma2 * params.rho
-                               * np.interp(t, times, pi_s_values)) * params.discount_to_horizon(t)
+        return params.beta1 * (params.sigma1 + params.sigma2 * params.rho * pi_s(t)) \
+            * params.discount_to_horizon(t)
 
     def phi2_lo(t):
-        return params.beta2 * params.sigma2 * params.rho_hat \
-            * np.interp(t, times, pi_s_values) * params.discount_to_horizon(t)
+        return params.beta2 * params.sigma2 * params.rho_hat * pi_s(t) \
+            * params.discount_to_horizon(t)
 
     def tilt_hi(t):
         a, b = tilt_lo(t)
@@ -983,12 +947,13 @@ def strategy_distortions(times: np.ndarray, pi_q_values: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     pi_q_values = np.asarray(pi_q_values, dtype=float)
+    pi_s_values = np.asarray(pi_s_values, dtype=float)
 
     def tilt_lo(t):
         return _tilt_coefficients(np.interp(t, times, pi_q_values)
                                   * params.discount_to_horizon(t), params)
 
-    return _extremal_pair(times, pi_s_values, tilt_lo, params, exp_cap)
+    return _extremal_pair(lambda t: np.interp(t, times, pi_s_values), tilt_lo, params, exp_cap)
 
 
 def distortions(solution: EquilibriumSolution, params: ModelParams,
@@ -998,8 +963,7 @@ def distortions(solution: EquilibriumSolution, params: ModelParams,
     ``pi_q A = u*`` at every t, so the jump tilt has constant coefficients.
     """
     a, b = _tilt_coefficients(solution._checked_u_star(), params)
-    return _extremal_pair(solution.fine_grid, solution.fine_pi_s, lambda t: (a, b),
-                          params, exp_cap)
+    return _extremal_pair(solution.pi_s_at, lambda t: (a, b), params, exp_cap)
 
 
 # Below this |phi3| the entropy q log q + phi3 (q = 1 - phi3) is taken from its

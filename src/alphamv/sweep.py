@@ -22,8 +22,8 @@ from .config import (ALL_KEYS, ClaimModelSpec, ModelParams, NumericsConfig,
                      replace_param)
 from .errors import NumericalError, ValidationError
 from .levy import ClaimMeasure, build_measure
-from .solver import (EquilibriumSolution, pi_p_star, pi_s_star,
-                     solve_equilibrium, solve_pi_q_lanes, solve_pi_q_star)
+from .solver import (EquilibriumSolution, _value_intercepts, pi_p_star, pi_s_star,
+                     solve_pi_q_lanes, solve_pi_q_star)
 
 __all__ = [
     "QUANTITIES",
@@ -97,8 +97,9 @@ def evaluate_quantity(params: ModelParams, claims: ClaimModelSpec,
     """One output quantity of the solved model at time t.
 
     pi_s0 and pi_p0 are closed forms, pi_q0 needs one scalar root, and the
-    value intercepts require the full coupled backward system.  ``measure``
-    is the claim measure of ``claims`` when the caller has it already.
+    value intercepts are closed forms at that root ``u* = pi_q(T)``.
+    ``measure`` is the claim measure of ``claims`` when the caller has it
+    already.
     """
     _check_time(t, params)
     if quantity == "pi_s0":
@@ -109,11 +110,12 @@ def evaluate_quantity(params: ModelParams, claims: ClaimModelSpec,
         measure = build_measure(claims, numerics.quad_nodes)
     if quantity == "pi_q0":
         return solve_pi_q_star(t, params, measure, numerics.root_tol, numerics.exp_cap)
-    solution = solve_equilibrium(params, measure, numerics)
+    u_star = solve_pi_q_star(params.T, params, measure, numerics.root_tol, numerics.exp_cap)
+    B1, _, _, B0, _, _ = _value_intercepts(t, params, measure, u_star, numerics.exp_cap)
     if quantity == "B0_0":
-        return float(np.interp(t, solution.grid, solution.coeffs.B0))
+        return float(B0)
     if quantity == "B1_0":
-        return float(np.interp(t, solution.grid, solution.coeffs.B1))
+        return float(B1)
     raise ValidationError("unknown_quantity", f"unknown quantity {quantity!r}")
 
 

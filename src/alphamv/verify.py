@@ -18,8 +18,8 @@ from .config import ClaimModelSpec, ModelParams, NumericsConfig, replace_param
 from .errors import ValidationError
 from .levy import build_measure
 from .simulate import objective_from_terminal, simulate_terminal
-from .solver import (distortions, pi_p_star, pi_s_star, scan_foc_sign_changes,
-                     solve_equilibrium, value_function)
+from .solver import (distortions, pi_p_star, pi_s_star, pre_default_system,
+                     scan_foc_sign_changes, solve_equilibrium, value_function)
 from .sweep import SweepSpec, run_sweep
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
@@ -171,10 +171,10 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     ))
 
     # informational: largest distortion magnitudes over the grid
-    phi3_grid = dist.phi3_lo(solution.fine_grid[:, None], measure.nodes[None, :])
+    phi3_grid = dist.phi3_lo(solution.grid[:, None], measure.nodes[None, :])
     mags = (
-        float(np.max(np.abs(dist.phi1_lo(solution.fine_grid)))),
-        float(np.max(np.abs(dist.phi2_lo(solution.fine_grid)))),
+        float(np.max(np.abs(dist.phi1_lo(solution.grid)))),
+        float(np.max(np.abs(dist.phi2_lo(solution.grid)))),
         float(np.max(np.abs(phi3_grid))),
     )
     checks.append(CheckResult(
@@ -191,7 +191,9 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     ))
 
     # --- RK4 bond amount against its closed form ------------------------------
-    dev = np.abs(solution.pi_p - pi_p_star(solution.grid, params))
+    pi_p_rk4, _, _, _ = pre_default_system(params, measure, solution.grid,
+                                           numerics.root_tol, numerics.exp_cap)
+    dev = np.abs(pi_p_rk4 - pi_p_star(solution.grid, params))
     bound = _pi_p_rk4_bound(solution.grid, params)
     checks.append(CheckResult(
         "pi_p_closed_form", bool(np.all(dev <= bound)),

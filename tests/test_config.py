@@ -1,10 +1,12 @@
 """Config loading, invariant validation, round-trips, integrability checks."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from alphamv.cli import main
 from alphamv.config import (ClaimModelSpec, ModelParams, NumericsConfig,
                             load_config, save_config, validate_assumption31)
 from alphamv.errors import ConfigError, ValidationError
@@ -131,6 +133,18 @@ def test_integer_numerics_keys_coerced(tmp_path):
     path = write_config(tmp_path / "n2.cfg", numerics_overrides={"time_steps": 10.5})
     with pytest.raises(ConfigError, match="integer"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key, text", [("time_steps", "inf"), ("seed", "nan"),
+                                       ("quad_nodes", "1e400")])
+def test_non_finite_integer_numerics_keys_rejected(tmp_path, capsys, key, text):
+    path = write_config(tmp_path / "n.cfg")
+    path.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {text}",
+                           path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{key}.*finite integer"):
+        load_config(path)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_numerics_invariants():

@@ -372,7 +372,7 @@ def test_perturbed_strategy_does_not_beat_equilibrium(base_params, base_measure,
             return base_solution.pi_p_at(t)
 
     perturbed = Perturbed()
-    fine = base_solution.fine_grid
+    fine = np.linspace(0.0, base_params.T, 2 * base_solution.grid.size - 1)
     dist = strategy_distortions(fine, perturbed.pi_q_at(fine), perturbed.pi_s_at(fine),
                                 base_params)
     value, se, _, _ = alpha_robust_value(perturbed, dist, base_params, base_measure,

@@ -15,17 +15,16 @@ from alphamv.config import ModelParams, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
 import alphamv.solver as solver_mod
-from alphamv.solver import (_RK4_STABILITY_LIMIT, _FocLanes, _identity_residuals,
-                            _solve_coefficients, bracket_pi_q,
+from alphamv.solver import (_FocLanes, _claim_integrals, _identity_residuals,
+                            bracket_pi_q,
                             distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
                             reinsurance_foc, scan_foc_sign_changes,
-                            solve_equilibrium, solve_pi_q_grid, solve_pi_q_star,
-                            value_function)
+                            solve_equilibrium, solve_pi_q_grid, solve_pi_q_lanes,
+                            solve_pi_q_star, value_function)
 from alphamv.verify import _pi_p_rk4_bound
 
 from conftest import BASE_KWARGS
-from rk4_reference import reference_states
 
 BASE_CFG = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / "base.cfg"
 
@@ -285,11 +284,12 @@ def test_identity_residuals_match_direct_foc(base_measure, alpha, gamma, eta, be
 @given(**_FOC_PARAMS)
 def test_claim_integrals_at_u_star_match_per_time_quadrature(base_measure, alpha, gamma,
                                                             eta, beta3, frac):
-    # the node tables evaluate I+-, KB once at u*; quadrature on the nodes at
-    # pi_q(t), A(t) for each t separately must give the same numbers
+    # the intercept equations evaluate I+-, KB once at u*; quadrature on the
+    # nodes at pi_q(t), A(t) for each t separately must give the same numbers
     params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma,
                             "eta": eta, "beta3": beta3})
-    tables, _, _ = _solve_coefficients(params, base_measure, np.linspace(0.0, params.T, 21))
+    u_star = solve_pi_q_star(params.T, params, base_measure)
+    at_u_star = _claim_integrals(u_star, params, base_measure, beta3, 700.0)
     ts = np.array([0.0, frac * params.T, 0.5 * params.T, params.T])
     z, w = base_measure.nodes, base_measure.weights
     for t, pi_q in zip(ts, solve_pi_q_grid(ts, params, base_measure)):
@@ -297,7 +297,7 @@ def test_claim_integrals_at_u_star_match_per_time_quadrature(base_measure, alpha
         x = beta3 * (pi_q * zA + 0.5 * gamma * (pi_q * zA) ** 2)
         I_plus, I_minus = (z * np.exp(x)) @ w, (z * np.exp(-x)) @ w
         KB = (params.alpha_hat * np.expm1(-x) - alpha * np.expm1(x)) @ w / beta3
-        for got, want in ((tables.I_plus, I_plus), (tables.I_minus, I_minus), (tables.KB, KB)):
+        for got, want in zip(at_u_star, (I_plus, I_minus, KB)):
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
@@ -386,6 +386,21 @@ def test_bracket_expansion_failure_signals_pathology(base_measure):
     params = ModelParams(**{**BASE_KWARGS, "gamma": 1e-300, "beta3": 1e-300})
     with pytest.raises(NumericalError, match="bracket"):
         bracket_pi_q(0.0, params, base_measure)
+
+
+def test_underflowed_measure_gives_typed_bracket_error(base_params, base_claims):
+    # sigmaZ = 5e-30 underflows every node weight: u0 = eta m1 / (gamma m2) is
+    # 0/0, which every u0 route reports as a bracket error, not a ZeroDivisionError
+    measure = build_measure(dataclasses.replace(base_claims, sigmaZ=5e-30), 64)
+    assert not np.any(measure.weights)
+    message = r"u0 = eta m1 / \(gamma m2\) = nan is not finite"
+    for call in (lambda: bracket_pi_q(0.0, base_params, measure),
+                 lambda: scan_foc_sign_changes([0.0], base_params, measure)):
+        with pytest.raises(NumericalError, match=message):
+            call()
+    _, errors = solve_pi_q_lanes([0.0], [base_params], [measure])
+    with pytest.raises(NumericalError, match=message):
+        raise errors[0]
 
 
 def test_solve_equilibrium_reports_bracket_failure(base_measure, base_numerics):
@@ -523,42 +538,14 @@ def test_rk4_order_on_grid_halving(base_params, base_measure):
     assert math.log2(d1 / d2) >= 3.5
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(**{k: v for k, v in _FOC_PARAMS.items() if k != "frac"},
-       zeta=st.floats(0.01, 1.0), hP=st.floats(1e-4, 0.2), spread=st.floats(0.0, 0.2),
-       steps=st.integers(20, 300))
-def test_backward_sweep_matches_step_loop(base_measure, alpha, gamma, eta, beta3,
-                                          zeta, hP, spread, steps):
-    params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma, "eta": eta,
-                            "beta3": beta3, "zeta": zeta, "hP": hP,
-                            "delta": zeta * hP + spread})
-    assume(params.h_q * params.T / steps <= _RK4_STABILITY_LIMIT)
-    grid = np.linspace(0.0, params.T, steps + 1)
-    tables, states, pi_p = _solve_coefficients(params, base_measure, grid)
-    pi_p_fine = np.interp(tables.times, grid, pi_p)
-    ref_tables, ref_states, _ = _solve_coefficients(
-        params, base_measure, grid, betas=(0.0, 0.0, 0.0),
-        strategy=(tables.u_star, tables.pi_s, pi_p_fine))
-    for got, tab, pinned in ((states, tables, None), (ref_states, ref_tables, pi_p_fine)):
-        want = np.array(reference_states(params, tab, grid, pinned))
-        # post-default columns: Simpson sums in the loop's order, bit for bit
-        assert np.array_equal(got[:, :3], want[:, :3])
-        # the rest: rounding in either form scales with the column's size, so
-        # the bound does too (where B0 crosses zero the loop is off by as much)
-        scale = 1.0 + np.max(np.abs(want[:, 3:]), axis=0)
-        assert np.all(np.abs(got[:, 3:] - want[:, 3:]) <= 1e-12 * scale)
-
-
-def test_unstable_backward_step_raises(base_measure, base_numerics):
+def test_unstable_backward_step_raises(base_measure):
     # delta/zeta = 1000 and step 0.01 put the fastest pre-default mode far past
     # RK4's stability limit, where the sweep would overflow into NaN
     params = ModelParams(**{**BASE_KWARGS, "zeta": 1e-5})
-    numerics = dataclasses.replace(base_numerics, time_steps=1000)
     with pytest.raises(NumericalError, match=r"rate 1000 times step 0\.01 .*time_steps >= 3591"):
-        solve_equilibrium(params, base_measure, numerics)
-    solution = solve_equilibrium(params, base_measure,
-                                 dataclasses.replace(numerics, time_steps=3591))
-    assert np.all(np.isfinite(solution.pi_p)) and np.all(np.isfinite(solution.coeffs.B0))
+        pre_default_system(params, base_measure, np.linspace(0.0, params.T, 1001))
+    columns = pre_default_system(params, base_measure, np.linspace(0.0, params.T, 3592))
+    assert all(np.all(np.isfinite(col)) for col in columns)
 
 
 def test_b0_lo_satisfies_its_ode(base_params, base_measure, base_solution):
@@ -619,14 +606,164 @@ def test_reference_intercept_closed_form_post_default(base_params, base_measure,
     # plain integral of A(s) [(mu-r) pi_s + (theta - eta + eta pi_q) m1]
     p = base_params
     b1_ref, _ = reference_mean_intercepts(p, base_measure, base_solution)
-    fine = base_solution.fine_grid
+    fine = np.linspace(0.0, p.T, 2001)
     A = np.exp(p.r * (p.T - fine))
     m1 = base_measure.moment(1)
-    integrand = A * ((p.mu - p.r) * base_solution.fine_pi_s
+    integrand = A * ((p.mu - p.r) * base_solution.pi_s_at(fine)
                      + (p.theta - p.eta + p.eta * base_solution.pi_q_at(fine)) * m1)
     from scipy.integrate import simpson
     expected = simpson(integrand, x=fine)
     assert b1_ref[0] == pytest.approx(expected, rel=1e-9)
+
+
+def _closed_form_pre_default(params, measure, steps):
+    """pi_p, B0, b0_lo, b0_hi of the closed-form solve on a grid of ``steps`` steps."""
+    numerics = dataclasses.replace(load_config(BASE_CFG)[2], time_steps=steps)
+    solution = solve_equilibrium(params, measure, numerics)
+    c = solution.coeffs
+    return solution.pi_p, c.B0, c.b0_lo, c.b0_hi
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(**{k: v for k, v in _FOC_PARAMS.items() if k != "frac"},
+       zeta=st.floats(0.01, 1.0), hP=st.floats(1e-4, 0.2),
+       kh=st.floats(0.1, 0.8), steps=st.integers(8, 40))
+def test_rk4_route_converges_to_closed_form_at_order_4(base_measure, alpha, gamma, eta,
+                                                       beta3, zeta, hP, kh, steps):
+    # the bond-gap mode k = delta/zeta takes k h = kh on the coarsest grid, so
+    # RK4's error stands far above rounding on all three grids; n0/delta >= 1/2
+    k = kh * steps / BASE_KWARGS["T"]
+    assume(k >= 2.0 * hP)
+    params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma, "eta": eta,
+                            "beta3": beta3, "zeta": zeta, "hP": hP, "delta": k * zeta})
+    want = _closed_form_pre_default(params, base_measure, steps)
+    errors = []
+    for m in (steps, 2 * steps, 4 * steps):
+        got = pre_default_system(params, base_measure, np.linspace(0.0, params.T, m + 1))
+        errors.append([np.max(np.abs(g[::m // steps] - w)) for g, w in zip(got, want)])
+    errors = np.array(errors)                  # (grid, column): pi_p, B0, b0_lo, b0_hi
+    assert np.all(np.log2(errors[:-1] / errors[1:]) >= 3.5)
+
+
+def _mp_gap_and_default_mode(t, params):
+    """``D = b1 - b0`` and ``M = B1 - B0`` of the closed form, in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        delta, zeta, hP, gamma, T = (mpmath.mpf(v) for v in (
+            params.delta, params.zeta, params.hP, params.gamma, params.T))
+        tau = T - mpmath.mpf(t)
+        n0 = delta - zeta * hP
+        c, k, q = n0 ** 2 / (gamma * zeta ** 2 * hP), delta / zeta, n0 / zeta
+        D = c / k * (mpmath.exp(-k * tau) - 1)
+        M = -c * ((mpmath.mpf(1) / 2 - n0 / delta) * -mpmath.expm1(-hP * tau) / hP
+                  + n0 / delta * mpmath.exp(-hP * tau) * -mpmath.expm1(-q * tau) / q)
+        return float(D), float(M)
+
+
+@pytest.mark.parametrize("zeta", [6e-5, 2e-4, 1e-5])
+def test_stiff_bond_mode_matches_40_digit_closed_form(base_measure, zeta):
+    # zeta = 6e-5 gives k h = 1.67 at 1000 steps, where backward RK4 left pi_p
+    # 44% off and b0 off by 1.4e4 (of 1.7e5) at t = 9.99, and zeta = 1e-5 is
+    # past RK4's stability limit; the closed form keeps every column to
+    # rounding, with no stability limit
+    params = ModelParams(**{**BASE_KWARGS, "zeta": zeta})
+    numerics = dataclasses.replace(load_config(BASE_CFG)[2], time_steps=1000)
+    solution = solve_equilibrium(params, base_measure, numerics)
+    c = solution.coeffs
+    rows = [0, 500, 990, 999, 1000]
+    ts = solution.grid[rows]
+    D, M = np.array([_mp_gap_and_default_mode(t, params) for t in ts]).T
+    pi_p = np.array([_mp_pi_p(t, params) for t in ts])
+    scale = np.max(np.abs(D))
+    for got in (c.b1_lo - c.b0_lo, c.b1_hi - c.b0_hi):
+        assert np.all(np.abs(got[rows] - D) <= 1e-13 * scale)
+    assert np.all(np.abs((c.B1 - c.B0)[rows] - M) <= 1e-13 * np.max(np.abs(M)))
+    assert np.all(np.abs(solution.pi_p[rows] - pi_p) <= 1e-13 * np.abs(pi_p))
+
+
+def _symbolic_intercepts(sp, kw, t):
+    """The closed-form intercepts and the backward system, in exact arithmetic.
+
+    ``kw`` maps every model key to a sympy Rational.  The claim integrals at
+    u* stay symbols.  Returns ``(symbols, system)``: ``symbols`` is ``(u, m1,
+    I+, I-, KB)``, and ``system`` pairs each intercept (B1, b1_lo, b1_hi, B0,
+    b0_lo, b0_hi) with its right-hand side dy/dt.  In the system pi_p is
+    eliminated through its first-order condition.  The post-default
+    intercepts are sympy's own integrals of their integrands; the
+    pre-default ones are the closed form of ``_value_intercepts``.
+    """
+    u, m1, Ip, Im, KB = sp.symbols("u m1 Ip Im KB", real=True)
+    s = sp.Symbol("s", real=True)
+    r, T, gamma, a = kw["r"], kw["T"], kw["gamma"], kw["alpha"]
+    s1, s2, rho, b1, b2 = kw["sigma1"], kw["sigma2"], kw["rho"], kw["beta1"], kw["beta2"]
+    zeta, hP, delta = kw["zeta"], kw["hP"], kw["delta"]
+    A = sp.exp(r * (T - t))
+    two_a = 2 * a - 1
+    cross = b1 * rho ** 2 + b2 * (1 - rho ** 2)
+    pi_q = u / A
+    pi_s = ((kw["mu"] - r) / A - s1 * s2 * rho * (gamma + two_a * b1)) \
+        / (s2 ** 2 * (gamma + two_a * cross))
+    common = (kw["theta"] - kw["eta"] + (1 + kw["eta"]) * pi_q) * A * m1
+    sharpe = (kw["mu"] - r - s1 * s2 * rho * (gamma + two_a * b1) * A) ** 2 \
+        / (2 * s2 ** 2 * (gamma + two_a * cross))
+    fB1 = common - (gamma + two_a * b1) * s1 ** 2 * A ** 2 / 2 + sharpe + KB
+    lin, tilt, quad = (kw["mu"] - r) * A, 2 * b1 * s1 * s2 * rho * A ** 2, s2 ** 2 * A ** 2 * cross
+    f1_lo = common - b1 * s1 ** 2 * A ** 2 + (lin - tilt) * pi_s - quad * pi_s ** 2 - pi_q * A * Ip
+    f1_hi = common + b1 * s1 ** 2 * A ** 2 + (lin + tilt) * pi_s + quad * pi_s ** 2 - pi_q * A * Im
+    B1, b1_lo, b1_hi = (sp.integrate(sp.expand(f.subs(t, s)), (s, t, T))
+                        for f in (fB1, f1_lo, f1_hi))
+
+    n0, tau = delta - zeta * hP, T - t
+    c, k = n0 ** 2 / (gamma * zeta ** 2 * hP), delta / zeta
+
+    def tau_phi1(q):     # tau phi1(-q tau)
+        return tau if q == 0 else (1 - sp.exp(-q * tau)) / q
+
+    D = c / k * (sp.exp(-k * tau) - 1)
+    B0 = B1 + c * ((sp.Rational(1, 2) - n0 / delta) * tau_phi1(hP)
+                   + n0 / delta * sp.exp(-hP * tau) * tau_phi1(n0 / zeta))
+    b0_lo, b0_hi = b1_lo - D, b1_hi - D
+
+    gap = a * (b1_lo - b0_lo) + (1 - a) * (b1_hi - b0_hi)
+    pi_p = (n0 + gamma * zeta * hP * gap) / (gamma * zeta ** 2 * hP * A)
+    bond, lump = pi_p * delta * A, -zeta * pi_p * A
+    fB0 = (fB1 + bond + hP * (lump + B1)
+           - a * gamma * hP * (lump + b1_lo - b0_lo) ** 2 / 2
+           - (1 - a) * gamma * hP * (lump + b1_hi - b0_hi) ** 2 / 2)
+    system = [(B1, -fB1), (b1_lo, -f1_lo), (b1_hi, -f1_hi), (B0, hP * B0 - fB0),
+              (b0_lo, hP * b0_lo - f1_lo - bond - hP * (lump + b1_lo)),
+              (b0_hi, hP * b0_hi - f1_hi - bond - hP * (lump + b1_hi))]
+    return (u, m1, Ip, Im, KB), system
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"delta": 0.001},                               # fair spread delta = zeta hP
+    {"zeta": 0.05, "hP": 0.01, "alpha": 1.0},       # fast bond mode, alpha = 1
+])
+def test_closed_form_intercepts_solve_the_backward_system(base_measure, overrides):
+    # exact: the closed form satisfies the six-equation backward system and
+    # vanishes at T; numeric: the solver's columns are that closed form
+    sp = pytest.importorskip("sympy")
+    kw = {key: sp.Rational(str(value)) for key, value in {**BASE_KWARGS, **overrides}.items()}
+    t = sp.Symbol("t", real=True)
+    symbols, system = _symbolic_intercepts(sp, kw, t)
+    for y, rhs in system:
+        assert sp.expand(sp.diff(y, t) - rhs) == 0
+        assert sp.expand(y.subs(t, kw["T"])) == 0
+
+    params = ModelParams(**{**BASE_KWARGS, **overrides})
+    numerics = dataclasses.replace(load_config(BASE_CFG)[2], time_steps=50)
+    solution = solve_equilibrium(params, base_measure, numerics)
+    u_star = solution.u_star
+    values = (u_star, base_measure.moment(1),
+              *_claim_integrals(u_star, params, base_measure, params.beta3, numerics.exp_cap))
+    c = solution.coeffs
+    for got, (y, _) in zip((c.B1, c.b1_lo, c.b1_hi, c.B0, c.b0_lo, c.b0_hi), system):
+        y = y.subs(dict(zip(symbols, map(sp.Rational, values))))
+        want = np.array([float(y.subs(t, sp.Rational(str(ti))).evalf(30))
+                         for ti in solution.grid[::5]])
+        assert np.max(np.abs(got[::5] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +799,7 @@ def _small_beta3_exponents():
     numerics = dataclasses.replace(numerics, time_steps=200)
     measure = build_measure(claims, numerics.quad_nodes)
     solution = solve_equilibrium(params, measure, numerics)
-    ts = solution.fine_grid[:, None]
+    ts = np.linspace(0.0, params.T, 401)[:, None]
     z = measure.nodes[None, :]
     pqzA = solution.pi_q_at(ts) * z * params.discount_to_horizon(ts)
     x = params.beta3 * (pqzA + 0.5 * params.gamma * pqzA ** 2)

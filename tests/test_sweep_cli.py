@@ -15,7 +15,7 @@ from alphamv.config import replace_param
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
 from alphamv.solver import (EquilibriumSolution, ValueCoefficients, pi_p_star, pi_s_star,
-                            solve_pi_q_star)
+                            solve_equilibrium, solve_pi_q_star)
 from alphamv.sweep import SweepSpec, evaluate_quantity, run_sweep, write_solve_csv
 
 from conftest import write_config
@@ -54,20 +54,20 @@ def test_sweep_skips_invalid_points(base_params, base_claims, base_numerics):
     assert result.rows[0].quantity is None
 
 
-def test_sweep_skips_unstable_backward_step(base_params, base_claims, base_numerics):
+def test_sweep_value_intercept_ok_at_stiff_bond_mode(base_params, base_claims, base_numerics):
     # zeta = 1e-5 makes delta/zeta = 1000, past RK4's stability limit at 1000
-    # steps; a quantity of the backward sweep must be skipped, not reported as
-    # an ok NaN, while pi_p0 comes from its closed form and needs no sweep
+    # steps; the closed form has no stability limit, so B0_0 is ok and equals
+    # the solve's B0(0), and pi_p0 is its own closed form
     numerics = dataclasses.replace(base_numerics, time_steps=1000, quad_nodes=32)
     spec = SweepSpec(param="zeta", values=(1e-5, 0.5), quantity="B0_0")
     result = run_sweep(base_params, base_claims, numerics, spec)
-    assert result.rows[0].status.startswith("skipped:numerical")
-    assert result.rows[0].quantity is None
-    assert result.rows[1].status == "ok" and np.isfinite(result.rows[1].quantity)
+    assert [row.status for row in result.rows] == ["ok", "ok"]
+    stiff = dataclasses.replace(base_params, zeta=1e-5)
+    solution = solve_equilibrium(stiff, build_measure(base_claims, 32), numerics)
+    assert result.rows[0].quantity == pytest.approx(solution.coeffs.B0[0], rel=1e-14, abs=0)
     pi_p = run_sweep(base_params, base_claims, numerics,
                      dataclasses.replace(spec, quantity="pi_p0")).rows[0]
-    assert pi_p.status == "ok" and np.isfinite(pi_p.quantity)
-    assert pi_p.quantity == pi_p_star(0.0, dataclasses.replace(base_params, zeta=1e-5))
+    assert pi_p.status == "ok" and pi_p.quantity == pi_p_star(0.0, stiff)
 
 
 def _per_point(params, claims, numerics, param, value, t):
