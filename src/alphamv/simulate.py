@@ -26,7 +26,11 @@ path with ``Lambda = int (1 - phi3) nu``, and sizes drawn once, exactly, from
 the tilted size law (for truncated-normal sizes, again a truncated normal).
 For a strategy that carries ``u_star`` the discounted amount of a claim is
 ``u* Z``, so X(T) needs no claim times; they are drawn, uniform on
-[t0, T), only for a strategy without ``u_star`` or for recorded paths.  A
+[t0, T), only for a strategy without ``u_star`` or for recorded paths.
+Claims come grouped by path, so a path's claim total is the sum of one
+contiguous segment of the per-claim amounts (with ``u_star``, ``u*`` times
+the segment sum of the sizes); the per-claim path index is built only for
+recorded paths, which place each claim on the grid.  A
 time-varying tilt (the extremal measures of a perturbed strategy) needs
 thinning (Lewis & Shedler, *Naval Research Logistics Quarterly* 26, 1979):
 proposals at the maximal rate are kept with the intensity tabulated per
@@ -192,6 +196,20 @@ class _RunTables:
         self.u_star = getattr(strategy, "u_star", None)
 
 
+def _path_totals(values: np.ndarray, counts: np.ndarray, dtype=None) -> np.ndarray:
+    """Per-path sums of ``values``, which come grouped by path, ``counts[i]`` each.
+
+    Each path's entries are one contiguous segment, so one ``np.add.reduceat``
+    over the segment starts of the paths with entries sums them all; a path
+    with no entries gets exactly 0.
+    """
+    starts = np.cumsum(counts) - counts
+    filled = counts > 0
+    totals = np.zeros(counts.size, dtype=dtype or values.dtype)
+    totals[filled] = np.add.reduceat(values, starts[filled], dtype=dtype)
+    return totals
+
+
 def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
                     params: ModelParams, measure: ClaimMeasure,
                     x0: float, h0: int, wealth: Optional[np.ndarray] = None):
@@ -204,6 +222,11 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
     times, proposal counts, proposal times, thinning uniforms, sizes, the
     terminal normal, the bridge increments.  Either way recording leaves the
     terminal sample unchanged bit for bit.
+
+    Claims come grouped by path, so each path's claim total is the sum of one
+    segment of the per-claim arrays (:func:`_path_totals`); with the
+    strategy's ``u_star`` it is ``u*`` times the segment sum of the sizes.
+    The per-claim path index is built only when ``wealth`` is recorded.
     """
     times = tables.times
     t0, T = times[0], times[-1]
@@ -228,43 +251,43 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
     if tables.claim_intensity.ndim == 0:
         # homogeneous compound Poisson: the counts need no claim times
         counts = rng.poisson(float(tables.claim_intensity) * horizon, size=n_block)
-        claim_path = np.repeat(np.arange(n_block), counts)
         tilt = tables.tilt
     else:
         # homogeneous Poisson at the maximal rate, thinned to the intensity of
         # each claim's step
         lam_max = float(np.max(tables.claim_intensity)) * (1.0 + 1e-12)
-        counts = rng.poisson(lam_max * horizon, size=n_block)
-        total = int(counts.sum())
-        claim_path = np.repeat(np.arange(n_block), counts)
+        proposals = rng.poisson(lam_max * horizon, size=n_block)
+        total = int(proposals.sum())
         claim_time = t0 + horizon * rng.random(total)
         keep_u = rng.random(total)
         step_idx = np.minimum((claim_time - t0) / tables.dt, n_steps - 1).astype(np.int64)
         keep = keep_u < tables.claim_intensity[step_idx] / lam_max
-        claim_path = claim_path[keep]
+        counts = _path_totals(keep, proposals, dtype=np.int64)
         claim_time = claim_time[keep]
         step_idx = step_idx[keep]
-        counts = np.bincount(claim_path, minlength=n_block)
         tilt = tuple(c if c.ndim == 0 else c[step_idx] for c in tables.tilt)
 
     # sizes: one exact draw per claim from the size law tilted at its time
-    sizes = sample_truncated_sizes(measure.spec, claim_path.size, rng, *tilt)
+    sizes = sample_truncated_sizes(measure.spec, int(counts.sum()), rng, *tilt)
     z = rng.standard_normal(n_block)
     u_star = tables.u_star
     if claim_time is None and (u_star is None or wealth is not None):
-        claim_time = t0 + horizon * rng.random(claim_path.size)
+        claim_time = t0 + horizon * rng.random(sizes.size)
 
     # claims discounted to T from their own arrival times: u* Z for a
     # strategy with pi_q(t) e^{r(T-t)} = u*
     if u_star is None:
         amounts = np.exp(r * (T - claim_time)) \
             * np.asarray(tables.strategy.pi_q_at(claim_time), dtype=float) * sizes
+        claim_totals = _path_totals(amounts, counts)
     else:
-        amounts = u_star * sizes
+        amounts = u_star * sizes if wealth is not None else None
+        claim_totals = u_star * _path_totals(sizes, counts)
     x_terminal = (tables.growth[0] * x0 + tables.c_drift[-1]
                   + np.interp(tau, times, tables.c_bond) + math.sqrt(tables.var[-1]) * z
-                  - np.bincount(claim_path, weights=amounts, minlength=n_block) - jump)
+                  - claim_totals - jump)
     if wealth is not None:
+        claim_path = np.repeat(np.arange(n_block), counts)
         _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time, amounts)
         wealth[:, -1] = x_terminal
     return {"x_terminal": x_terminal, "default_time": default_time,

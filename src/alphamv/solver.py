@@ -65,6 +65,7 @@ __all__ = [
     "solve_pi_q_lanes",
     "scan_foc_sign_changes",
     "pre_default_system",
+    "rk4_stable_steps",
     "solve_equilibrium",
     "reference_mean_intercepts",
     "distortions",
@@ -727,6 +728,16 @@ def _validate_uniform_grid(grid: np.ndarray, T: float) -> None:
 _RK4_STABILITY_LIMIT = 2.785293563405282
 
 
+def rk4_stable_steps(params: ModelParams) -> int:
+    """Fewest uniform steps over [0, T] that keep RK4 stable on the bond mode.
+
+    The fastest mode of :func:`pre_default_system` decays at rate
+    ``delta/zeta``; RK4 is stable on it while rate times step stays within
+    its stability limit.
+    """
+    return math.ceil(params.h_q * params.T / _RK4_STABILITY_LIMIT)
+
+
 def pre_default_system(params: ModelParams, measure: ClaimMeasure, grid,
                        root_tol: float = DEFAULT_ROOT_TOL,
                        exp_cap: float = DEFAULT_EXP_CAP):
@@ -754,7 +765,7 @@ def pre_default_system(params: ModelParams, measure: ClaimMeasure, grid,
         raise NumericalError(
             f"backward RK4 sweep unstable: rate {rate:g} times step {step:g} exceeds the "
             f"RK4 stability limit {_RK4_STABILITY_LIMIT:.4f}; use time_steps >= "
-            f"{math.ceil(rate * params.T / _RK4_STABILITY_LIMIT)}"
+            f"{rk4_stable_steps(params)}"
         )
     u_star = solve_pi_q_star(params.T, params, measure, root_tol, exp_cap)   # pi_q(T) = u*
     integrands = _integrands(params, measure, u_star, exp_cap)

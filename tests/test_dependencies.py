@@ -13,17 +13,25 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter, so modules imported by the test suite do not count;
-    # mpmath and sympy serve as test-time oracles only
+def _fresh_import_loads(roots):
+    # a fresh interpreter, so modules imported by the test suite do not count
     code = ("import sys, alphamv, alphamv.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'mpmath', 'sympy')))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {tuple(roots)!r}))")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    # mpmath and sympy serve as test-time oracles only
+    assert _fresh_import_loads(("scipy", "mpmath", "sympy")) == "[]"
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures adds about 5 ms to the import; verify imports it when it runs
+    assert _fresh_import_loads(("concurrent",)) == "[]"
 
 
 def test_traced_and_exported_names_resolve():

@@ -8,7 +8,8 @@ import pytest
 
 from alphamv.config import ClaimModelSpec, ModelParams, NumericsConfig
 from alphamv.errors import NumericalError, ValidationError
-from alphamv.levy import build_measure
+from alphamv import simulate as simulate_mod
+from alphamv.levy import build_measure, sample_truncated_sizes
 from alphamv.simulate import (ConstantStrategy, _RunTables, alpha_robust_value,
                               bond_price_path, dump_paths_csv,
                               estimate_objective, simulate_terminal,
@@ -214,6 +215,108 @@ def test_seed_determinism(base_params, base_measure, base_solution):
     c, _, _ = simulate_terminal(base_solution, dist.lo, base_params, base_measure,
                                 n_paths=5000, dt=DT, seed=72, h0=0)
     assert not np.array_equal(a, c)
+
+
+def _bincount_totals(values, counts, dtype=None):
+    # per-claim reference for the segment sums: one path index per claim
+    path = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(path, weights=values, minlength=counts.size).astype(dtype or values.dtype)
+
+
+def test_path_totals_match_per_claim_bincount():
+    # empty first, last and middle paths, a block with no claims at all, and
+    # integer (kept-proposal) counts
+    rng = np.random.default_rng(5)
+    for counts in ([0, 3, 0, 0, 2, 1, 0], [0, 2, 3, 0, 0], [4, 0, 1], [0, 0, 0], [0], [2]):
+        counts = np.array(counts)
+        values = rng.standard_normal(int(counts.sum()))
+        got = simulate_mod._path_totals(values, counts)
+        assert np.allclose(got, _bincount_totals(values, counts), rtol=0, atol=1e-15)
+        assert np.all(got[counts == 0] == 0.0)
+        keep = values > 0
+        assert np.array_equal(simulate_mod._path_totals(keep, counts, dtype=np.int64),
+                              _bincount_totals(keep, counts, dtype=np.int64))
+
+
+@pytest.mark.parametrize("case", ["u_star", "no_u_star", "thinning", "sparse", "none"])
+@pytest.mark.parametrize("h0", [0, 1])
+def test_segment_sums_match_per_claim_bincount(case, h0, base_params, base_solution,
+                                               monkeypatch):
+    # X(T) with each path's claims summed as one segment against the same
+    # draws summed per claim by bincount: only the summation order differs
+    class HiddenUStar:
+        pi_q_at = staticmethod(base_solution.pi_q_at)
+        pi_s_at = staticmethod(base_solution.pi_s_at)
+        pi_p_at = staticmethod(base_solution.pi_p_at)
+
+    lam = {"sparse": 0.01, "none": 1e-9}.get(case, 2.0)
+    measure = build_measure(ClaimModelSpec(lam=lam, muZ=1.0, sigmaZ=0.1), 32)
+    side = distortions(base_solution, base_params).lo
+    strategy = base_solution
+    if case == "no_u_star":
+        strategy = HiddenUStar()
+    elif case == "thinning":
+        strategy = HiddenUStar()
+        side = dataclasses.replace(
+            side, tilt=lambda t, tilt=side.tilt: tuple(np.full(np.shape(t), c)
+                                                       for c in tilt(t)))
+    # seeds whose sparse sample has empty first and last paths
+    args = (strategy, side, base_params, measure, 3000, 0.05, 17 + h0)
+    x_T, default_time, counts = simulate_terminal(*args, h0=h0)
+
+    reference_totals = []
+    def bincount_totals(values, counts, dtype=None):
+        totals = _bincount_totals(values, counts, dtype)
+        reference_totals.append(totals)
+        return totals
+    monkeypatch.setattr(simulate_mod, "_path_totals", bincount_totals)
+    ref_x, ref_default, ref_counts = simulate_terminal(*args, h0=h0)
+
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(default_time, ref_default, equal_nan=True)
+    scale = max(1.0, float(np.max(np.abs(reference_totals[-1]))))
+    scale *= getattr(strategy, "u_star", None) or 1.0
+    assert np.max(np.abs(x_T - ref_x)) <= 1e-13 * scale
+    if case == "sparse":
+        assert counts[0] == 0 and counts[-1] == 0 and counts.sum() > 0
+    if case == "none":
+        assert counts.sum() == 0
+
+
+@pytest.mark.parametrize("thinning", [False, True])
+def test_counts_and_default_times_follow_the_draw_order(thinning, base_params,
+                                                        base_measure, base_solution):
+    # default times, then claim counts (or proposals, their times, thinning
+    # uniforms), then sizes, from the block's own stream
+    side = distortions(base_solution, base_params).hi
+    if thinning:
+        side = dataclasses.replace(
+            side, tilt=lambda t, tilt=side.tilt: tuple(np.full(np.shape(t), c)
+                                                       for c in tilt(t)))
+    n, dt, seed, T = 2000, 0.05, 23, base_params.T
+    _, default_time, counts = simulate_terminal(base_solution, side, base_params,
+                                                base_measure, n, dt, seed, h0=0)
+    tables = _RunTables(base_solution, side, base_params, base_measure, 0.0, dt)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    tau = rng.exponential(1.0 / base_params.hP, size=n)
+    if thinning:
+        lam_max = float(np.max(tables.claim_intensity)) * (1.0 + 1e-12)
+        proposals = rng.poisson(lam_max * T, size=n)
+        times = T * rng.random(int(proposals.sum()))
+        step = np.minimum(times / tables.dt, tables.n_steps - 1).astype(np.int64)
+        keep = rng.random(times.size) < tables.claim_intensity[step] / lam_max
+        want = np.bincount(np.repeat(np.arange(n), proposals)[keep], minlength=n)
+    else:
+        want = rng.poisson(float(tables.claim_intensity) * T, size=n)
+    assert np.array_equal(counts, want)
+    assert np.array_equal(default_time, np.where(tau <= T, tau, np.nan), equal_nan=True)
+    if not thinning:
+        # the sizes follow the counts in the same stream
+        sizes = sample_truncated_sizes(base_measure.spec, int(want.sum()), rng, *tables.tilt)
+        paths = simulate_wealth(base_solution, side, base_params, base_measure, n, dt, seed,
+                                h0=0)
+        logged = np.array([z for path in paths for _, z in path.claim_log])
+        assert np.array_equal(np.sort(logged), np.sort(sizes))
 
 
 def test_supercritical_size_tilt_raises(base_params, base_measure, base_solution):

@@ -15,8 +15,9 @@ from alphamv.config import replace_param
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
 from alphamv.solver import (EquilibriumSolution, ValueCoefficients, pi_p_star, pi_s_star,
-                            solve_equilibrium, solve_pi_q_star)
+                            rk4_stable_steps, solve_equilibrium, solve_pi_q_star)
 from alphamv.sweep import SweepSpec, evaluate_quantity, run_sweep, write_solve_csv
+from alphamv.verify import run_verification
 
 from conftest import write_config
 
@@ -380,6 +381,31 @@ def test_cmd_verify_delta_and_zeta_sweeps_fit_high_default_risk(tmp_path, capsys
     for name in names:
         line = next(l for l in out.split("\n") if name in l)
         assert line.startswith("PASS") and "over 20 points" in line
+
+
+def test_verify_pi_p_check_runs_rk4_on_its_stable_steps(base_params, base_claims,
+                                                       base_numerics):
+    # zeta = 1e-5 puts the bond mode (rate delta/zeta = 1000) past RK4's
+    # stability limit on 1,000 steps; the check runs RK4 on the fewest stable
+    # steps instead of aborting the whole suite
+    params = dataclasses.replace(base_params, zeta=1e-5)
+    numerics = dataclasses.replace(base_numerics, time_steps=1000, mc_paths=1000)
+    report = run_verification(params, base_claims, numerics)
+    check = next(c for c in report.checks if c.name == "pi_p_closed_form")
+    assert check.passed
+    assert f"on {rk4_stable_steps(params)} steps" in check.detail
+
+
+def test_verify_lines_do_not_depend_on_worker_count(base_params, base_claims,
+                                                    base_numerics, monkeypatch):
+    # each Monte Carlo run has its own seed: one worker and the default pool
+    # print the same report
+    import alphamv.verify as verify_mod
+    numerics = dataclasses.replace(base_numerics, mc_paths=2000, mc_dt=0.05,
+                                   time_steps=100, quad_nodes=32)
+    pooled = run_verification(base_params, base_claims, numerics).lines()
+    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 1)
+    assert run_verification(base_params, base_claims, numerics).lines() == pooled
 
 
 def test_cmd_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
