@@ -115,10 +115,27 @@ def pi_s_star(t, params: ModelParams):
 
 
 def _check_bond_demand(params: ModelParams) -> None:
-    if params.hP == 0.0 or params.zeta == 0.0:
+    """NumericalError unless the bond demand is a finite floating-point number.
+
+    Every bond formula divides by ``gamma zeta^2 hP`` (times delta in
+    :func:`pi_p_star`), which is 0 for hP = 0 or zeta = 0 and underflows to 0
+    for tiny zeta; ``pi_p(T) = n0 / (gamma zeta^2 hP)`` and the bond mode's
+    decay over the horizon, ``(delta/zeta) T``, must be finite.  Checked in
+    Python floats, which do not warn, before any array arithmetic can.
+    """
+    zeta, hP = params.zeta, params.hP
+    if hP == 0.0 or zeta == 0.0:
         raise NumericalError(
             "defaultable-bond demand unbounded: the bond first-order condition has no "
-            f"finite root for hP={params.hP}, zeta={params.zeta}"
+            f"finite root for hP={hP}, zeta={zeta}"
+        )
+    scale = params.gamma * zeta ** 2 * hP          # as the bond formulas round it
+    if (scale == 0.0 or params.gamma * params.delta * zeta ** 2 * hP == 0.0
+            or not math.isfinite(params.bond_excess_drift / scale)
+            or not math.isfinite(params.h_q * params.T)):
+        raise NumericalError(
+            "defaultable-bond demand out of floating-point range: gamma zeta^2 hP = "
+            f"{scale:g} and delta/zeta = {params.h_q:g} for zeta={zeta:g}, hP={hP:g}"
         )
 
 
@@ -704,10 +721,11 @@ def _value_intercepts(t, params: ModelParams, measure: ClaimMeasure, u_star: flo
                                                       betas, stock))
     n0, zeta, hP, k = params.bond_excess_drift, params.zeta, params.hP, params.h_q
     c = n0 * n0 / (params.gamma * zeta ** 2 * hP)
-    D = (c / k) * np.expm1(-k * tau)
-    B0 = B1 - c * ((0.5 - n0 / params.delta) * np.expm1(-hP * tau) / hP
-                   + np.exp(-hP * tau) * np.expm1(-n0 * tau / zeta) / k)
-    columns = (B1, b1_lo, b1_hi, B0, b1_lo - D, b1_hi - D)
+    with np.errstate(over="ignore", invalid="ignore"):    # caught by the check below
+        D = (c / k) * np.expm1(-k * tau)
+        B0 = B1 - c * ((0.5 - n0 / params.delta) * np.expm1(-hP * tau) / hP
+                       + np.exp(-hP * tau) * np.expm1(-n0 * tau / zeta) / k)
+        columns = (B1, b1_lo, b1_hi, B0, b1_lo - D, b1_hi - D)
     if not all(np.all(np.isfinite(col)) for col in columns):
         raise NumericalError("closed-form value coefficients are not finite")
     return columns
@@ -733,8 +751,10 @@ def rk4_stable_steps(params: ModelParams) -> int:
 
     The fastest mode of :func:`pre_default_system` decays at rate
     ``delta/zeta``; RK4 is stable on it while rate times step stays within
-    its stability limit.
+    its stability limit.  NumericalError where :func:`_check_bond_demand`
+    finds no finite bond demand.
     """
+    _check_bond_demand(params)
     return math.ceil(params.h_q * params.T / _RK4_STABILITY_LIMIT)
 
 

@@ -2,17 +2,19 @@
 
 A sweep evaluates one quantity at every parameter value, at t = 0 unless
 overridden, each from the cheapest exact route: ``pi_s0`` and ``pi_p0`` from
-their closed forms (no claim measure, no root, no backward sweep), ``pi_q0``
-from one batched root per sweep (every point is a lane of
-:func:`~alphamv.solver.solve_pi_q_lanes`), and the value intercepts ``B0_0``
-and ``B1_0`` from a full solve per point.  The claim measure is built once
-per sweep unless the swept key changes it.  Parameter values that violate a
-model invariant, and points whose root fails, are reported and skipped,
-never silently dropped.
+their closed forms (no claim measure, no root), and ``pi_q0``, ``B0_0`` and
+``B1_0`` from one batched root per sweep (every point is a lane of
+:func:`~alphamv.solver.solve_pi_q_lanes`), the value intercepts then in
+closed form at each lane's ``u*``.  A claim measure is built once per claims
+record and node count, so once per sweep unless the swept key belongs to the
+claim law or sets the node count.  Parameter values that violate a model
+invariant, and points whose root fails, are reported and skipped, never
+silently dropped.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,9 +23,9 @@ import numpy as np
 from .config import (ALL_KEYS, ClaimModelSpec, ModelParams, NumericsConfig,
                      replace_param)
 from .errors import NumericalError, ValidationError
-from .levy import ClaimMeasure, build_measure
+from .levy import build_measure
 from .solver import (EquilibriumSolution, _value_intercepts, pi_p_star, pi_s_star,
-                     solve_pi_q_lanes, solve_pi_q_star)
+                     solve_pi_q_lanes)
 
 __all__ = [
     "QUANTITIES",
@@ -37,8 +39,6 @@ __all__ = [
 ]
 
 QUANTITIES = ("pi_q0", "pi_s0", "pi_p0", "B0_0", "B1_0")
-# config keys that change the claim measure
-_MEASURE_KEYS = ("lambda", "muZ", "sigmaZ", "quad_nodes")
 
 
 @dataclass(frozen=True)
@@ -92,61 +92,66 @@ def _check_time(t: float, params: ModelParams) -> None:
 
 
 def evaluate_quantity(params: ModelParams, claims: ClaimModelSpec,
-                      numerics: NumericsConfig, quantity: str, t: float,
-                      measure: Optional[ClaimMeasure] = None) -> float:
-    """One output quantity of the solved model at time t.
+                      numerics: NumericsConfig, quantity: str, t: float) -> float:
+    """One output quantity of the solved model at time t: a one-point sweep.
 
-    pi_s0 and pi_p0 are closed forms, pi_q0 needs one scalar root, and the
-    value intercepts are closed forms at that root ``u* = pi_q(T)``.
-    ``measure`` is the claim measure of ``claims`` when the caller has it
-    already.
+    The point goes through :func:`_evaluate_points`; the ValidationError or
+    NumericalError that would skip it in a sweep is raised instead.
     """
-    _check_time(t, params)
-    if quantity == "pi_s0":
-        return float(pi_s_star(t, params))
-    if quantity == "pi_p0":
-        return float(pi_p_star(t, params))
-    if measure is None:
-        measure = build_measure(claims, numerics.quad_nodes)
-    if quantity == "pi_q0":
-        return solve_pi_q_star(t, params, measure, numerics.root_tol, numerics.exp_cap)
-    u_star = solve_pi_q_star(params.T, params, measure, numerics.root_tol, numerics.exp_cap)
-    B1, _, _, B0, _, _ = _value_intercepts(t, params, measure, u_star, numerics.exp_cap)
-    if quantity == "B0_0":
-        return float(B0)
-    if quantity == "B1_0":
-        return float(B1)
-    raise ValidationError("unknown_quantity", f"unknown quantity {quantity!r}")
+    outcome, = _evaluate_points([(params, claims, numerics)], quantity, t)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def _shared_measure(claims: ClaimModelSpec, numerics: NumericsConfig,
-                    spec: SweepSpec) -> Optional[ClaimMeasure]:
-    """The claim measure of every point; None when the swept key changes it,
-    the quantity needs none, or it cannot be built (each point then reports why)."""
-    if spec.param in _MEASURE_KEYS or spec.quantity in ("pi_s0", "pi_p0"):
-        return None
-    try:
-        return build_measure(claims, numerics.quad_nodes)
-    except (ValidationError, NumericalError):
-        return None
+def _evaluate_points(points: list, quantity: str, t: float) -> list:
+    """The quantity at time t for every point, or the error that skips it.
 
-
-def _solve_pi_q_points(points: dict, t: float, outcomes: list) -> None:
-    """pi_q(t) at every point ``{row: (params, measure, numerics)}`` into ``outcomes``.
-
-    One :func:`solve_pi_q_lanes` call per node count; a lane that fails
-    leaves its NumericalError in its row.
+    A point is a ``(params, claims, numerics)`` triple, or the error that
+    already skipped it, which stays its outcome.  pi_s0 and pi_p0 are closed
+    forms.  The others need the root u*: one :func:`solve_pi_q_lanes` call
+    per node count and root time (t for pi_q0, the point's T for the
+    intercepts), and an intercept is :func:`_value_intercepts` at its lane's
+    u*.  The claim measure is built once per claims record and node count.
     """
-    groups: dict[int, list[int]] = {}
-    for row, (_, measure, _) in points.items():
-        groups.setdefault(measure.nodes.size, []).append(row)
-    for rows in groups.values():
-        params, measures, numerics = zip(*(points[row] for row in rows))
-        pi_q, errors = solve_pi_q_lanes(t, params, measures,
-                                        [n.root_tol for n in numerics],
-                                        [n.exp_cap for n in numerics])
-        for row, value, error in zip(rows, pi_q[:, 0].tolist(), errors):
+    if quantity not in QUANTITIES:
+        raise ValidationError("unknown_quantity", f"unknown quantity {quantity!r}")
+    outcomes = list(points)
+    measures: dict = {}     # (id(claims), quad_nodes) -> claim measure
+    lanes: dict = {}        # (node count, root time) -> [(row, params, measure, numerics)]
+    for row, point in enumerate(points):
+        if isinstance(point, Exception):
+            continue
+        params, claims, numerics = point
+        try:
+            _check_time(t, params)
+            if quantity in ("pi_s0", "pi_p0"):
+                closed_form = pi_s_star if quantity == "pi_s0" else pi_p_star
+                outcomes[row] = float(closed_form(t, params))
+                continue
+            key = (id(claims), numerics.quad_nodes)
+            if key not in measures:
+                measures[key] = build_measure(claims, numerics.quad_nodes)
+        except (ValidationError, NumericalError) as exc:
+            outcomes[row] = exc
+            continue
+        root_time = t if quantity == "pi_q0" else params.T
+        lanes.setdefault((measures[key].nodes.size, root_time), []).append(
+            (row, params, measures[key], numerics))
+    for (_, root_time), group in lanes.items():
+        _, lane_params, lane_measures, lane_numerics = zip(*group)
+        pi_q, errors = solve_pi_q_lanes(root_time, lane_params, lane_measures,
+                                        [n.root_tol for n in lane_numerics],
+                                        [n.exp_cap for n in lane_numerics])
+        for (row, p, measure, n), value, error in zip(group, pi_q[:, 0].tolist(), errors):
+            if error is None and quantity != "pi_q0":
+                try:
+                    B1, _, _, B0, _, _ = _value_intercepts(t, p, measure, value, n.exp_cap)
+                    value = float(B0 if quantity == "B0_0" else B1)
+                except NumericalError as exc:
+                    error = exc
             outcomes[row] = value if error is None else error
+    return outcomes
 
 
 def run_sweep(params: ModelParams, claims: ClaimModelSpec, numerics: NumericsConfig,
@@ -154,28 +159,17 @@ def run_sweep(params: ModelParams, claims: ClaimModelSpec, numerics: NumericsCon
     """Sweep one parameter; rows come back sorted by parameter value.
 
     Every value goes through :func:`replace_param`, so invalid ones are
-    skipped with their invariant's tag.  pi_q0 solves all valid points at
-    once; the other quantities go point by point through
-    :func:`evaluate_quantity`.
+    skipped with their invariant's tag; then every point is evaluated at
+    once by :func:`_evaluate_points`.
     """
-    t = 0.0 if spec.t is None else spec.t
     values = sorted(spec.values)
-    shared = _shared_measure(claims, numerics, spec)
-    outcomes: list = [None] * len(values)    # the quantity, or the error that skipped it
-    lanes = {}
-    for row, value in enumerate(values):
+    points = []
+    for value in values:
         try:
-            p2, c2, n2 = replace_param(params, claims, numerics, spec.param, value)
-            if spec.quantity != "pi_q0":
-                outcomes[row] = evaluate_quantity(p2, c2, n2, spec.quantity, t, shared)
-                continue
-            _check_time(t, p2)
-            measure = shared if shared is not None else build_measure(c2, n2.quad_nodes)
-            lanes[row] = (p2, measure, n2)
+            points.append(replace_param(params, claims, numerics, spec.param, value))
         except (ValidationError, NumericalError) as exc:
-            outcomes[row] = exc
-    if lanes:
-        _solve_pi_q_points(lanes, t, outcomes)
+            points.append(exc)
+    outcomes = _evaluate_points(points, spec.quantity, 0.0 if spec.t is None else spec.t)
     return SweepResult(param=spec.param, quantity=spec.quantity,
                        rows=tuple(map(_row, values, outcomes)))
 
@@ -204,9 +198,12 @@ def write_solve_csv(out_path, solution: EquilibriumSolution) -> None:
 
 
 def write_sweep_csv(out_path, result: SweepResult) -> None:
-    """Sweep table: parameter value, quantity (empty when skipped), status."""
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(f"{result.param},{result.quantity},status\n")
-        for row in result.rows:
-            q = _fmt(row.quantity) if row.quantity is not None else ""
-            fh.write(f"{_fmt(row.value)},{q},{row.status}\n")
+    """Sweep table: parameter value, quantity (empty when skipped), status.
+
+    A status holding a comma (a bracket error's ``[0, 2 u0]``) is quoted.
+    """
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow((result.param, result.quantity, "status"))
+        writer.writerows((_fmt(row.value), "" if row.quantity is None else _fmt(row.quantity),
+                          row.status) for row in result.rows)

@@ -111,3 +111,21 @@ def test_truncated_normal_deep_cutoff_matches_closed_form():
         assert np.all(draws > 0)
         for stat, want in ((draws, m1), (draws ** 2, m2)):
             assert abs(stat.mean() - want) <= 4 * stat.std(ddof=1) / math.sqrt(stat.size)
+
+
+def test_truncated_normal_redraws_nonpositive_draws_above_a_zero_mean():
+    # muZ/sigmaZ = 0.5: about 31% of the first normal draws are <= 0 and are
+    # drawn again until positive; per-draw means of both signs mix that
+    # redraw loop with the exponential proposal below a zero mean
+    spec = ClaimModelSpec(lam=1.0, muZ=0.05, sigmaZ=0.1)
+    rng = np.random.default_rng(29)
+    a = np.where(np.arange(400_000) % 2, 10.0, -10.0)   # means 0.15 and -0.05
+    for tilt, groups in ((0.0, ((0.05, slice(None)),)),
+                         (a, ((0.15, a > 0), (-0.05, a < 0)))):
+        draws = sample_truncated_sizes(spec, 400_000, rng, tilt)
+        assert np.all(draws > 0)
+        for mean, which in groups:
+            dist = truncnorm(-mean / spec.sigmaZ, np.inf, loc=mean, scale=spec.sigmaZ)
+            got = draws[which]
+            for stat, want in ((got, dist.mean()), ((got - dist.mean()) ** 2, dist.var())):
+                assert abs(stat.mean() - want) <= 4 * stat.std(ddof=1) / math.sqrt(stat.size)

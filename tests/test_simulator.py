@@ -333,6 +333,14 @@ def test_supercritical_size_tilt_raises(base_params, base_measure, base_solution
                           n_paths=50, dt=0.1, seed=5, h0=1)
 
 
+def test_tilt_exponent_past_exp_cap_raises(base_params, base_measure, base_solution):
+    # the size law is an exact tilt only where its exponent stays within exp_cap
+    dist = distortions(base_solution, base_params, exp_cap=1e-3)
+    with pytest.raises(NumericalError, match="jump-tilt exponent reaches exp_cap=0.001"):
+        simulate_terminal(base_solution, dist.lo, base_params, base_measure,
+                          n_paths=50, dt=0.1, seed=5, h0=1)
+
+
 def test_strong_order_sanity(base_params, base_measure, base_solution):
     # halving dt moves the mean of X(T) by less than one MC standard error
     means = {}

@@ -353,6 +353,21 @@ def test_perturbed_root_fails_residual_check(base_params, base_measure, base_num
         solve_equilibrium(base_params, base_measure, numerics)
 
 
+def test_newton_returns_an_exact_zero_at_its_start():
+    # f = 0 exactly at the start point ends the lane there, with no step taken
+    class ZeroAtStart:
+        def __call__(self, u):
+            return np.zeros_like(u), -np.ones_like(u)
+
+        def take(self, lanes):
+            return self
+
+    failures = {}
+    root = solver_mod._newton_root(ZeroAtStart(), np.array([0.75, 3.0]),
+                                   np.array([1.5, 6.0]), failures)
+    assert root.tolist() == [0.75, 3.0] and failures == {}
+
+
 def test_saturation_warning_not_error(base_params, base_measure):
     # pi = 200 pushes beta3 E beyond the cap while the clipped product stays finite
     with warnings.catch_warnings(record=True) as caught:
@@ -456,6 +471,47 @@ def test_pre_default_unbounded_demand_errors(base_measure):
             pre_default_system(params, base_measure, grid)
         with pytest.raises(NumericalError, match="unbounded"):
             pi_p_star(0.0, params)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 5e-324, 1e-310, 1e-154])
+def test_unrepresentable_bond_demand_raises_typed_error(base_measure, base_numerics, zeta):
+    # gamma zeta^2 hP underflows to 0 (or is 0), or pi_p(T) = n0/(gamma zeta^2
+    # hP) or (delta/zeta) T overflows: a typed error before any float warning
+    params = ModelParams(**{**BASE_KWARGS, "zeta": zeta})
+    calls = (lambda: pi_p_star(0.0, params),
+             lambda: solve_equilibrium(params, base_measure, base_numerics),
+             lambda: pre_default_system(params, base_measure, np.linspace(0.0, params.T, 11)),
+             lambda: solver_mod.rk4_stable_steps(params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(NumericalError, match="bond demand"):
+                call()
+
+
+def test_overflowing_intercepts_raise_typed_error(base_measure, base_numerics):
+    # the bond demand is finite, but B0 = B1 - c (...) with c = n0^2/(gamma
+    # zeta^2 hP) overflows: the closed form's finiteness check, not a warning
+    params = ModelParams(**{**BASE_KWARGS, "zeta": 7e-153, "delta": 5.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert math.isfinite(pi_p_star(params.T, params))
+        with pytest.raises(NumericalError, match="value coefficients are not finite"):
+            solve_equilibrium(params, base_measure, base_numerics)
+
+
+def test_small_representable_zeta_still_solves(base_measure, base_numerics):
+    # zeta = 1e-150: pi_p(T) = n0/(gamma zeta^2 hP) is about 1e301, still finite
+    params = ModelParams(**{**BASE_KWARGS, "zeta": 1e-150})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solution = solve_equilibrium(params, base_measure, base_numerics)
+    c = solution.coeffs
+    for column in (solution.pi_p, c.B1, c.B0, c.b1_lo, c.b1_hi, c.b0_lo, c.b0_hi):
+        assert np.all(np.isfinite(column))
+    n0 = params.bond_excess_drift
+    assert solution.pi_p[-1] == pytest.approx(
+        n0 / (params.gamma * params.zeta ** 2 * params.hP), rel=1e-14)
 
 
 def _mp_pi_p(t, params):

@@ -1,5 +1,6 @@
 """Sweep machinery, CSV schemas, CLI grammar and exit codes."""
 
+import csv
 import dataclasses
 import filecmp
 import pathlib
@@ -11,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphamv.cli import main
-from alphamv.config import replace_param
+from alphamv.config import ClaimModelSpec, replace_param
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
-from alphamv.solver import (EquilibriumSolution, ValueCoefficients, pi_p_star, pi_s_star,
-                            rk4_stable_steps, solve_equilibrium, solve_pi_q_star)
-from alphamv.sweep import SweepSpec, evaluate_quantity, run_sweep, write_solve_csv
+from alphamv.solver import (EquilibriumSolution, ValueCoefficients, _value_intercepts,
+                            pi_p_star, pi_s_star, rk4_stable_steps, solve_equilibrium,
+                            solve_pi_q_lanes, solve_pi_q_star)
+from alphamv.sweep import (QUANTITIES, SweepSpec, evaluate_quantity, run_sweep,
+                           write_solve_csv)
 from alphamv.verify import run_verification
 
 from conftest import write_config
@@ -71,11 +74,20 @@ def test_sweep_value_intercept_ok_at_stiff_bond_mode(base_params, base_claims, b
     assert pi_p.status == "ok" and pi_p.quantity == pi_p_star(0.0, stiff)
 
 
-def _per_point(params, claims, numerics, param, value, t):
-    """(quantity, status) of one pi_q0 sweep point through evaluate_quantity."""
+def _per_point(params, claims, numerics, param, value, quantity, t):
+    """(quantity, status) of one sweep point, by the routes a sweep batches."""
     try:
-        p2, c2, n2 = replace_param(params, claims, numerics, param, value)
-        return evaluate_quantity(p2, c2, n2, "pi_q0", t), "ok"
+        p, c, n = replace_param(params, claims, numerics, param, value)
+        if not 0.0 <= t <= p.T:
+            raise ValidationError("t_range", "")
+        if quantity in ("pi_s0", "pi_p0"):
+            return float((pi_s_star if quantity == "pi_s0" else pi_p_star)(t, p)), "ok"
+        measure = build_measure(c, n.quad_nodes)
+        if quantity == "pi_q0":
+            return solve_pi_q_star(t, p, measure, n.root_tol, n.exp_cap), "ok"
+        u_star = solve_pi_q_star(p.T, p, measure, n.root_tol, n.exp_cap)
+        B1, _, _, B0, _, _ = _value_intercepts(t, p, measure, u_star, n.exp_cap)
+        return float(B0 if quantity == "B0_0" else B1), "ok"
     except ValidationError as exc:
         return None, f"skipped:{exc.tag}"
     except NumericalError as exc:
@@ -83,7 +95,8 @@ def _per_point(params, claims, numerics, param, value, t):
 
 
 # swept keys and their values, valid and invalid: every key that enters the
-# first-order condition or the claim measure, and r, which enters neither
+# first-order condition or the claim measure, r, which enters neither, and
+# T, hP and zeta, which enter the intercepts (T also the root time)
 _SWEPT = {
     "eta": st.floats(0.0, 1.5),
     "gamma": st.one_of(st.floats(-0.5, 5.0), st.just(1e-300)),
@@ -95,26 +108,100 @@ _SWEPT = {
     "sigmaZ": st.floats(-0.1, 3.0),
     "quad_nodes": st.integers(0, 80).map(float),
     "r": st.floats(-0.02, 0.2),
+    "T": st.floats(-1.0, 13.0),
+    "hP": st.floats(-0.005, 0.03),
+    "zeta": st.one_of(st.floats(-0.1, 1.1), st.sampled_from((0.0, 1e-310, 1e-154))),
 }
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(data=st.data(), param=st.sampled_from(sorted(_SWEPT)), t=st.floats(0.0, 11.0))
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), param=st.sampled_from(sorted(_SWEPT)),
+       quantity=st.sampled_from(QUANTITIES), t=st.floats(0.0, 11.0))
 def test_batched_pi_q_sweep_matches_per_point(base_params, base_claims, base_numerics,
-                                              data, param, t):
+                                              data, param, quantity, t):
     # one batched root per sweep against one root per point: same statuses,
     # quantities within the Newton stop
     values = data.draw(st.lists(_SWEPT[param], min_size=2, max_size=8), label="values")
-    spec = SweepSpec(param=param, values=tuple(values), quantity="pi_q0", t=t)
+    spec = SweepSpec(param=param, values=tuple(values), quantity=quantity, t=t)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)   # small exp_cap values clip at u*
         rows = run_sweep(base_params, base_claims, base_numerics, spec).rows
-        want = [_per_point(base_params, base_claims, base_numerics, param, v, t)
+        want = [_per_point(base_params, base_claims, base_numerics, param, v, quantity, t)
                 for v in sorted(spec.values)]
     assert [row.status for row in rows] == [status for _, status in want]
-    for row, (quantity, _) in zip(rows, want):
-        if quantity is not None:
-            assert row.quantity == pytest.approx(quantity, rel=1e-14, abs=0.0)
+    for row, (value, _) in zip(rows, want):
+        if value is not None:
+            assert row.quantity == pytest.approx(value, rel=1e-14, abs=0.0)
+
+
+def test_evaluate_quantity_is_the_one_point_sweep(base_params, base_claims, base_numerics):
+    for quantity in QUANTITIES:
+        row, = run_sweep(base_params, base_claims, base_numerics,
+                         SweepSpec("alpha", (0.8, 0.8), quantity, t=2.0)).rows[:1]
+        assert evaluate_quantity(base_params, base_claims, base_numerics,
+                                 quantity, 2.0) == row.quantity
+    with pytest.raises(ValidationError, match="unknown quantity") as caught:
+        evaluate_quantity(base_params, base_claims, base_numerics, "pi_q9", 0.0)
+    assert caught.value.tag == "unknown_quantity"
+    with pytest.raises(ValidationError) as caught:
+        evaluate_quantity(base_params, base_claims, base_numerics, "B0_0", 11.0)
+    assert caught.value.tag == "t_range"
+
+
+def test_unbuildable_measure_skips_only_the_rows_that_need_it(base_params, base_numerics):
+    claims = ClaimModelSpec(lam=1.0, muZ=-1.0, sigmaZ=0.1)
+    with pytest.raises(ValidationError) as caught:
+        build_measure(claims, base_numerics.quad_nodes)
+    for quantity, status in (("pi_q0", f"skipped:{caught.value.tag}"),
+                             ("B0_0", f"skipped:{caught.value.tag}"), ("pi_s0", "ok")):
+        rows = run_sweep(base_params, claims, base_numerics,
+                         SweepSpec.from_range("gamma", 0.2, 2.0, 4, quantity)).rows
+        assert [row.status for row in rows] == [status] * 4
+
+
+def test_value_intercept_sweep_makes_one_root_call(base_params, base_claims, base_numerics,
+                                                   monkeypatch):
+    import alphamv.sweep as sweep_mod
+    calls = []
+    monkeypatch.setattr(sweep_mod, "solve_pi_q_lanes",
+                        lambda *args: calls.append(args) or solve_pi_q_lanes(*args))
+    result = run_sweep(base_params, base_claims, base_numerics,
+                       SweepSpec.from_range("gamma", 0.2, 2.0, 20, "B0_0"))
+    assert [row.status for row in result.rows] == ["ok"] * 20
+    assert len(calls) == 1 and len(calls[0][1]) == 20
+
+
+@pytest.mark.parametrize("quantity", ["pi_q0", "B0_0"])
+def test_root_out_of_newton_steps_skips_its_row(base_params, base_claims, base_numerics,
+                                                quantity, monkeypatch):
+    # gamma 0.05 and 32 nodes: the root takes 6 Newton evaluations at beta3 =
+    # 0.1 and 15 at beta3 = 9, so a cap of 8 fails only the second lane
+    import alphamv.solver as solver_mod
+    params = dataclasses.replace(base_params, gamma=0.05)
+    numerics = dataclasses.replace(base_numerics, quad_nodes=32)
+    spec = SweepSpec("beta3", (0.1, 9.0), quantity)
+    want = run_sweep(params, base_claims, numerics, spec).rows
+    monkeypatch.setattr(solver_mod, "_MAX_ROOT_ITERS", 8)
+    rows = run_sweep(params, base_claims, numerics, spec).rows
+    assert rows[0] == want[0] and want[1].status == "ok"
+    assert rows[1].quantity is None
+    assert rows[1].status.startswith(
+        "skipped:numerical (pi_q root did not converge in 8 safeguarded Newton steps")
+
+
+def test_unrepresentable_bond_demand_skips_its_rows(tmp_path, base_params, base_claims,
+                                                    base_numerics):
+    tiny = (0.0, 5e-324, 1e-310, 1e-154)
+    for quantity in ("pi_p0", "B0_0", "B1_0"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = run_sweep(base_params, base_claims, base_numerics,
+                             SweepSpec("zeta", tiny + (1e-150, 0.5), quantity)).rows
+        assert all(row.status.startswith("skipped:numerical (defaultable-bond demand")
+                   for row in rows[:4])
+        assert [row.status for row in rows[4:]] == ["ok", "ok"]
+    cfg = write_config(tmp_path / "tiny.cfg", overrides={"zeta": 1e-310})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
 
 
 def test_failing_lane_skips_only_its_row(base_params, base_claims, base_numerics, base_measure):
@@ -265,6 +352,24 @@ def test_cmd_sweep_skipped_row_in_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[1].endswith(",skipped:eta<=theta")
     assert lines[1].split(",")[1] == ""
+
+
+def test_cmd_sweep_quotes_a_status_with_a_comma(tmp_path, base_params, base_claims,
+                                                base_numerics):
+    # the bracket error's text holds "[0, 2 u0]"
+    cfg = write_config(tmp_path / "base.cfg")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--param", "gamma", "--from", "1e-300",
+                 "--to", "0.5", "--points", "3", "--quantity", "pi_q0",
+                 "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert [len(row) for row in table] == [3] * 4
+    rows = run_sweep(base_params, base_claims, base_numerics,
+                     SweepSpec.from_range("gamma", 1e-300, 0.5, 3, "pi_q0")).rows
+    assert [row[2] for row in table[1:]] == [row.status for row in rows]
+    assert "[0, 2 u0]" in rows[0].status
+    assert out.read_text().splitlines()[2].endswith(",ok")
 
 
 def test_cmd_sweep_unknown_param(tmp_path, capsys):
