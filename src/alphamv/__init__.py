@@ -14,14 +14,13 @@ from .errors import ConfigError, NumericalError, SaturationWarning, ValidationEr
 from .levy import ClaimMeasure, build_measure
 from .simulate import (ConstantStrategy, ObjectiveEstimate, WealthPath,
                        alpha_robust_value, bond_price_path, dump_paths_csv,
-                       estimate_objective, objective_from_terminal,
-                       simulate_terminal, simulate_wealth)
+                       objective_from_terminal, simulate_terminal, simulate_wealth)
 from .solver import (DistortionFunctions, DistortionSide, EquilibriumSolution,
                      ValueCoefficients, bracket_pi_q, distortions, penalty_rate,
                      pi_p_star, pi_s_star, pre_default_system,
                      reference_mean_intercepts, reinsurance_foc, solve_equilibrium,
                      solve_pi_q_grid, solve_pi_q_lanes, solve_pi_q_star,
-                     strategy_distortions, value_function)
+                     value_function)
 from .sweep import (QUANTITIES, SweepResult, SweepRow, SweepSpec,
                     evaluate_quantity, run_sweep, write_solve_csv,
                     write_sweep_csv)
@@ -38,10 +37,10 @@ __all__ = [
     "pi_s_star", "pi_p_star", "reinsurance_foc", "bracket_pi_q", "solve_pi_q_star",
     "solve_pi_q_grid", "solve_pi_q_lanes",
     "pre_default_system", "solve_equilibrium", "reference_mean_intercepts", "distortions",
-    "strategy_distortions", "value_function", "penalty_rate",
+    "value_function", "penalty_rate",
     "ConstantStrategy", "WealthPath", "ObjectiveEstimate",
-    "simulate_wealth", "simulate_terminal", "estimate_objective",
-    "objective_from_terminal", "alpha_robust_value", "bond_price_path", "dump_paths_csv",
+    "simulate_wealth", "simulate_terminal", "objective_from_terminal", "alpha_robust_value",
+    "bond_price_path", "dump_paths_csv",
     "SweepSpec", "SweepRow", "SweepResult", "QUANTITIES",
     "evaluate_quantity", "run_sweep", "write_solve_csv", "write_sweep_csv",
     "CheckResult", "VerificationReport", "run_verification",

@@ -96,78 +96,61 @@ def build_measure(spec: ClaimModelSpec, quad_nodes: int) -> ClaimMeasure:
     return ClaimMeasure(spec=spec, nodes=nodes, weights=weights)
 
 
-def _normal_above_zero(mean, sd, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of N(mean, sd^2) conditioned on (0, inf); mean, sd scalars or length n.
+def _normal_above_zero(mean: float, sd: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws of N(mean, sd^2) conditioned on (0, inf).
 
-    Where mean >= 0, plain rejection from the normal accepts at least half of
-    the draws.  Below that the lower tail is sampled by Robert's exponential
-    proposal (Statistics and Computing 5, 1995): in units of sd above the
-    cut-off alpha = -mean/sd, ``x = alpha + Exp(lam)`` with
-    ``lam = (alpha + sqrt(alpha^2 + 4))/2``, accepted with probability
-    ``exp(-(x - lam)^2/2)``, which accepts at least 3/4 of the proposals.
+    For mean >= 0, plain rejection from the normal accepts at least half of
+    the draws: the nonpositive ones are drawn again until none is left.  Below
+    that the lower tail is sampled by Robert's exponential proposal
+    (Statistics and Computing 5, 1995): in units of sd above the cut-off
+    alpha = -mean/sd, ``x = alpha + Exp(lam)`` with ``lam = (alpha +
+    sqrt(alpha^2 + 4))/2``, accepted with probability ``exp(-(x - lam)^2/2)``,
+    which accepts at least 3/4 of the proposals.  Either way the first n
+    draws are plain normals.
     """
     out = rng.normal(mean, sd, size=n)
-    redo = out <= 0
-    if not (np.any(mean < 0) or redo.any()):
+    if mean >= 0:
+        redo = np.flatnonzero(out <= 0)
+        while redo.size:
+            out[redo] = rng.normal(mean, sd, size=redo.size)
+            redo = redo[out[redo] <= 0]
         return out
-    mean, sd = np.broadcast_to(mean, n), np.broadcast_to(sd, n)
-    redo &= mean >= 0
-    pending = np.flatnonzero(mean < 0)
+    alpha = -mean / sd
+    lam = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0))
+    pending = np.arange(n)
     while pending.size:
-        m, s = mean[pending], sd[pending]
-        alpha = -m / s
-        lam = 0.5 * (alpha + np.sqrt(alpha * alpha + 4.0))
         x = alpha + rng.exponential(size=pending.size) / lam
-        z = m + s * x
+        z = mean + sd * x
         ok = (rng.random(pending.size) <= np.exp(-0.5 * (x - lam) ** 2)) & (z > 0)
         out[pending[ok]] = z[ok]
         pending = pending[~ok]
-    while redo.any():
-        idx = np.flatnonzero(redo)
-        out[idx] = rng.normal(mean[idx], sd[idx])
-        redo[idx] = out[idx] <= 0
     return out
 
 
 def sample_truncated_sizes(spec: ClaimModelSpec, n: int, rng: np.random.Generator,
-                           a=0.0, b=0.0) -> np.ndarray:
+                           a: float = 0.0, b: float = 0.0) -> np.ndarray:
     """Draw n claim sizes exactly from the size law tilted by exp(a z + b z^2).
 
-    ``a`` and ``b`` are scalars or length-n arrays (one tilt per draw); the
-    default is the untilted claim-size law.  Truncated normal: the tilt
-    completes the square, so the draw is the normal with precision
-    ``1/sigmaZ^2 - 2b`` and mean ``(muZ/sigmaZ^2 + a)/precision`` truncated to
-    (0, inf); NumericalError when ``2b >= 1/sigmaZ^2`` (no such normal).
-    Tabulated densities: inverse transform on the tilted tabulated CDF.
+    ``a`` and ``b`` are scalars, one tilt for all n draws; the default is the
+    untilted claim-size law.  Truncated normal: the tilt completes the
+    square, so the draw is the normal with precision ``1/sigmaZ^2 - 2b`` and
+    mean ``(muZ/sigmaZ^2 + a)/precision`` truncated to (0, inf);
+    NumericalError when ``2b >= 1/sigmaZ^2`` (no such normal).  Tabulated
+    densities: inverse transform on the tilted tabulated CDF.
     """
     if spec.kind == "truncated-normal":
         s2 = spec.sigmaZ ** 2
         shrink = 1.0 - 2.0 * b * s2   # precision times sigmaZ^2
-        if np.any(shrink <= 0):
+        if shrink <= 0:
             raise NumericalError(
                 f"claim-size tilt exp(a z + b z^2) with 2b >= 1/sigmaZ^2 = {1.0 / s2:g} "
                 "is not integrable against the truncated normal")
-        if n == 0:
-            return np.empty(0)
         return _normal_above_zero((spec.muZ + a * s2) / shrink, spec.sigmaZ / shrink ** 0.5,
                                   n, rng)
-    if n == 0:
-        return np.empty(0)
     z = spec.z_grid
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    keys, row = np.unique(np.stack((a.ravel(), b.ravel())), axis=1, return_inverse=True)
-    expo = keys[0][:, None] * z + keys[1][:, None] * z * z
-    dens = spec.density * np.exp(expo - expo.max(axis=1, keepdims=True))
+    expo = a * z + b * z * z
+    dens = spec.density * np.exp(expo - expo.max())
     cdf = np.zeros(dens.shape)
-    np.cumsum(0.5 * (dens[:, 1:] + dens[:, :-1]) * np.diff(z), axis=1, out=cdf[:, 1:])
-    cdf /= cdf[:, -1:]
-    u = rng.random(n)
-    if len(keys[0]) == 1:
-        return np.interp(u, cdf[0], z)
-    # one tilt per draw: invert each distinct tilt's CDF on its own draws
-    row = row.ravel()
-    order = np.argsort(row, kind="stable")
-    out = np.empty(n)
-    for k, idx in enumerate(np.split(order, np.searchsorted(row[order], np.arange(1, len(cdf))))):
-        out[idx] = np.interp(u[idx], cdf[k], z)
-    return out
+    np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(z), out=cdf[1:])
+    cdf /= cdf[-1]
+    return np.interp(rng.random(n), cdf, z)

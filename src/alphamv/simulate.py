@@ -18,24 +18,19 @@ are trapezoid integrals, on the ``dt`` grid, of the drift, the pre-default
 bond drift and the variance rate, discounted to T.  The default time is
 drawn by inversion.
 
-The jump tilt ``1 - phi3 = exp(a z + b z^2)`` is carried as its
-coefficients.  When they do not depend on t (the reference measure and both
-equilibrium sides, since ``pi_q(t) A(t) = u*``), the distorted claims are a
-homogeneous compound Poisson process: a Poisson(Lambda (T - t0)) count per
-path with ``Lambda = int (1 - phi3) nu``, and sizes drawn once, exactly, from
-the tilted size law (for truncated-normal sizes, again a truncated normal).
-For a strategy that carries ``u_star`` the discounted amount of a claim is
-``u* Z``, so X(T) needs no claim times; they are drawn, uniform on
-[t0, T), only for a strategy without ``u_star`` or for recorded paths.
-Claims come grouped by path, so a path's claim total is the sum of one
-contiguous segment of the per-claim amounts (with ``u_star``, ``u*`` times
-the segment sum of the sizes); the per-claim path index is built only for
-recorded paths, which place each claim on the grid.  A
-time-varying tilt (the extremal measures of a perturbed strategy) needs
-thinning (Lewis & Shedler, *Naval Research Logistics Quarterly* 26, 1979):
-proposals at the maximal rate are kept with the intensity tabulated per
-``dt`` step, and each kept claim's size is drawn from the law tilted at its
-step.
+The jump tilt ``1 - phi3 = exp(a z + b z^2)`` is carried as its two
+constant coefficients (none for the reference measure; for both extremal
+sides of a strategy with ``pi_q(t) A(t) = u*``, ``+-beta3 E(u*, z)``), so
+the distorted claims are a homogeneous compound Poisson process: a
+Poisson(Lambda (T - t0)) count per path with ``Lambda = int (1 - phi3) nu``,
+and sizes drawn exactly from the tilted size law (for truncated-normal
+sizes, again a truncated normal).  For a strategy that carries ``u_star``
+the discounted amount of a claim is ``u* Z``, so X(T) needs no claim times;
+they are drawn, uniform on [t0, T), only for a strategy without ``u_star``
+or for recorded paths.  Claims come grouped by path, so a path's claim total
+is the sum of one contiguous segment of the per-claim amounts (with
+``u_star``, ``u*`` times the segment sum of the sizes); the per-claim path
+index is built only for recorded paths, which place each claim on the grid.
 
 Reproducibility: paths are partitioned into fixed-size blocks and each block
 draws from its own ``SeedSequence(seed, spawn_key=(block,))`` stream, so
@@ -62,7 +57,6 @@ __all__ = [
     "ObjectiveEstimate",
     "simulate_wealth",
     "simulate_terminal",
-    "estimate_objective",
     "objective_from_terminal",
     "alpha_robust_value",
     "bond_price_path",
@@ -151,7 +145,6 @@ class _RunTables:
         self.dt = horizon / n_steps
         self.n_steps = n_steps
         self.times = times = t0 + self.dt * np.arange(n_steps + 1)
-        mids = times[:-1] + 0.5 * self.dt
 
         pi_q = np.asarray(strategy.pi_q_at(times), dtype=float)
         pi_s = np.asarray(strategy.pi_s_at(times), dtype=float)
@@ -178,25 +171,22 @@ class _RunTables:
         self.var = _cumtrapz(self.growth ** 2 * (v1 * v1 + v2 * v2), self.dt)
 
         # distorted claim measure: 1 - phi3 = exp(a z + b z^2), intensity
-        # int (1 - phi3) nu.  The coefficients and the intensity are scalars
-        # when the tilt does not depend on t (the reference measure and every
-        # equilibrium side), else one per step, at the step midpoints.
-        self.tilt = (np.zeros(()), np.zeros(()))
-        self.claim_intensity = np.asarray(measure.spec.lam, dtype=float)
+        # int (1 - phi3) nu, both constant in t
+        self.tilt = (0.0, 0.0)
+        self.claim_intensity = float(measure.spec.lam)
         if side is not None:
-            self.tilt = tuple(np.asarray(c, dtype=float) for c in side.tilt(mids))
-            a, b = (c[..., None] for c in self.tilt)
+            self.tilt = a, b = side.tilt
             expo = a * measure.nodes + b * measure.nodes ** 2
             if np.max(np.abs(expo)) > side.exp_cap:
                 raise NumericalError(
                     f"jump-tilt exponent reaches exp_cap={side.exp_cap:g} on the claim "
                     "quadrature nodes; the distorted size law is not an exact tilt there")
-            self.claim_intensity = np.exp(expo) @ measure.weights
+            self.claim_intensity = float(np.exp(expo) @ measure.weights)
         # with the strategy's u* the discounted amount of a claim Z is u* Z
         self.u_star = getattr(strategy, "u_star", None)
 
 
-def _path_totals(values: np.ndarray, counts: np.ndarray, dtype=None) -> np.ndarray:
+def _path_totals(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-path sums of ``values``, which come grouped by path, ``counts[i]`` each.
 
     Each path's entries are one contiguous segment, so one ``np.add.reduceat``
@@ -205,8 +195,8 @@ def _path_totals(values: np.ndarray, counts: np.ndarray, dtype=None) -> np.ndarr
     """
     starts = np.cumsum(counts) - counts
     filled = counts > 0
-    totals = np.zeros(counts.size, dtype=dtype or values.dtype)
-    totals[filled] = np.add.reduceat(values, starts[filled], dtype=dtype)
+    totals = np.zeros(counts.size, dtype=values.dtype)
+    totals[filled] = np.add.reduceat(values, starts[filled])
     return totals
 
 
@@ -215,13 +205,11 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
                     x0: float, h0: int, wealth: Optional[np.ndarray] = None):
     """Sample one block of exact terminal wealths, with their bookkeeping.
 
-    Draw order for a constant tilt: default times, claim counts, sizes, one
-    terminal normal per path, claim times (only when the amounts or the
-    recording read them), and only when ``wealth`` (a block x grid view to
-    fill) is given the bridge increments.  A time-varying tilt thins: default
-    times, proposal counts, proposal times, thinning uniforms, sizes, the
-    terminal normal, the bridge increments.  Either way recording leaves the
-    terminal sample unchanged bit for bit.
+    Draw order: default times, claim counts, sizes, one terminal normal per
+    path, claim times (only when the amounts or the recording read them), and
+    only when ``wealth`` (a block x grid view to fill) is given the bridge
+    increments.  So recording leaves the terminal sample unchanged bit for
+    bit.
 
     Claims come grouped by path, so each path's claim total is the sum of one
     segment of the per-claim arrays (:func:`_path_totals`); with the
@@ -231,7 +219,6 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
     times = tables.times
     t0, T = times[0], times[-1]
     horizon = T - t0
-    n_steps = tables.n_steps
     r = params.r
 
     # default time by inversion, once per path (undistorted: phi does not act
@@ -247,31 +234,14 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
             * np.asarray(tables.strategy.pi_p_at(tau[hit]), dtype=float)
     tau = np.minimum(tau, T)
 
-    claim_time = None
-    if tables.claim_intensity.ndim == 0:
-        # homogeneous compound Poisson: the counts need no claim times
-        counts = rng.poisson(float(tables.claim_intensity) * horizon, size=n_block)
-        tilt = tables.tilt
-    else:
-        # homogeneous Poisson at the maximal rate, thinned to the intensity of
-        # each claim's step
-        lam_max = float(np.max(tables.claim_intensity)) * (1.0 + 1e-12)
-        proposals = rng.poisson(lam_max * horizon, size=n_block)
-        total = int(proposals.sum())
-        claim_time = t0 + horizon * rng.random(total)
-        keep_u = rng.random(total)
-        step_idx = np.minimum((claim_time - t0) / tables.dt, n_steps - 1).astype(np.int64)
-        keep = keep_u < tables.claim_intensity[step_idx] / lam_max
-        counts = _path_totals(keep, proposals, dtype=np.int64)
-        claim_time = claim_time[keep]
-        step_idx = step_idx[keep]
-        tilt = tuple(c if c.ndim == 0 else c[step_idx] for c in tables.tilt)
-
-    # sizes: one exact draw per claim from the size law tilted at its time
-    sizes = sample_truncated_sizes(measure.spec, int(counts.sum()), rng, *tilt)
+    # homogeneous compound Poisson: the counts need no claim times, and each
+    # size is one exact draw from the tilted size law
+    counts = rng.poisson(tables.claim_intensity * horizon, size=n_block)
+    sizes = sample_truncated_sizes(measure.spec, int(counts.sum()), rng, *tables.tilt)
     z = rng.standard_normal(n_block)
     u_star = tables.u_star
-    if claim_time is None and (u_star is None or wealth is not None):
+    claim_time = None
+    if u_star is None or wealth is not None:
         claim_time = t0 + horizon * rng.random(sizes.size)
 
     # claims discounted to T from their own arrival times: u* Z for a
@@ -354,9 +324,9 @@ def simulate_terminal(strategy, distortion: Optional[DistortionSide],
 
     Returns (x_terminal, default_time, claim_count) arrays of length n_paths;
     default_time is NaN for paths that do not default before T.  X(T) is
-    exact given the jumps; ``dt`` sets the grid of the trapezoid integrals
-    and, for a time-varying tilt, of the claim-thinning table.  Per path the
-    draws are the default time, the claims, then one terminal normal.
+    exact given the jumps; ``dt`` sets the grid of the trapezoid integrals.
+    Per path the draws are the default time, the claims, then one terminal
+    normal.
     """
     x0 = params.x0 if x0 is None else x0
     _, merged, _ = _run_blocks(strategy, distortion, params, measure,
@@ -401,22 +371,14 @@ def _integrate_penalty(side: DistortionSide, params: ModelParams,
     """Integral of the penalty rate over [t0, T].
 
     The drift terms phi1^2/(2 beta1) + phi2^2/(2 beta2) are integrated by
-    composite Simpson.  A constant jump tilt (the equilibrium sides) has a
-    constant entropy rate: it is evaluated once on the node vector and
-    multiplied by T - t0.  A time-varying tilt is tabulated with the drift
-    terms on the Simpson nodes.
+    composite Simpson.  The jump tilt is constant, so its entropy rate is
+    evaluated once on the node vector and multiplied by T - t0.
     """
     ts = np.linspace(t0, params.T, 2 * n_intervals + 1)
-    phi1 = np.asarray(side.phi1(ts), dtype=float)
-    phi2 = np.asarray(side.phi2(ts), dtype=float)
-    jump = 0.0
-    if all(np.ndim(c) == 0 for c in side.tilt(ts)):
-        jump = penalty_rate(0.0, 0.0, side.phi3(t0, measure.nodes), params, measure) \
-            * (params.T - t0)
-        phi3 = np.zeros_like(measure.nodes)
-    else:
-        phi3 = np.asarray(side.phi3(ts[:, None], measure.nodes[None, :]), dtype=float)
-    rates = penalty_rate(phi1, phi2, phi3, params, measure)
+    rates = penalty_rate(side.phi1(ts), side.phi2(ts), np.zeros_like(measure.nodes),
+                         params, measure)
+    jump = penalty_rate(0.0, 0.0, side.phi3(t0, measure.nodes), params, measure) \
+        * (params.T - t0)
     h = (params.T - t0) / (2 * n_intervals)
     return float(h / 3.0 * (rates[0] + rates[-1]
                             + 4.0 * rates[1:-1:2].sum() + 2.0 * rates[2:-1:2].sum()) + jump)
@@ -455,30 +417,24 @@ def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide
                              j_value=j_value, std_error=std_error, n_paths=n)
 
 
-def estimate_objective(strategy, distortion: Optional[DistortionSide],
-                       params: ModelParams, measure: ClaimMeasure,
-                       t: float, x: float, h: int,
-                       n_paths: int, dt: float, seed: int) -> ObjectiveEstimate:
-    """Mean-variance-plus-penalty objective under one (possibly distorted) measure."""
-    if n_paths < 100:
-        raise ValidationError("paths too few", f"paths too few: need n_paths >= 100, got {n_paths}")
-    x_T, _, _ = simulate_terminal(strategy, distortion, params, measure,
-                                  n_paths, dt, seed, t0=t, x0=x, h0=h)
-    return objective_from_terminal(x_T, distortion, params, measure, t)
-
-
 def alpha_robust_value(strategy, dist: DistortionFunctions,
                        params: ModelParams, measure: ClaimMeasure,
                        t: float, x: float, h: int,
                        n_paths: int, dt: float, seed: int):
     """alpha J_lo + (1 - alpha) J_hi with independent samples per side.
 
-    Returns (value, std_error, estimate_lo, estimate_hi).
+    Each side's objective is :func:`objective_from_terminal` of its own
+    :func:`simulate_terminal` sample, the lo side from ``seed`` and the hi
+    side from ``seed + 1``.  Returns (value, std_error, estimate_lo,
+    estimate_hi); ValidationError for fewer than 100 paths.
     """
-    est_lo = estimate_objective(strategy, dist.lo, params, measure, t, x, h,
-                                n_paths, dt, seed)
-    est_hi = estimate_objective(strategy, dist.hi, params, measure, t, x, h,
-                                n_paths, dt, seed + 1)
+    if n_paths < 100:
+        raise ValidationError("paths too few", f"paths too few: need n_paths >= 100, got {n_paths}")
+    est_lo, est_hi = (
+        objective_from_terminal(simulate_terminal(strategy, side, params, measure, n_paths, dt,
+                                                  seed + i, t0=t, x0=x, h0=h)[0],
+                                side, params, measure, t)
+        for i, side in enumerate((dist.lo, dist.hi)))
     value = params.alpha * est_lo.j_value + params.alpha_hat * est_hi.j_value
     std_error = math.hypot(params.alpha * est_lo.std_error,
                            params.alpha_hat * est_hi.std_error)

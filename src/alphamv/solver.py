@@ -41,6 +41,7 @@ saturation at a returned root warns (SaturationWarning, not an error).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -69,7 +70,6 @@ __all__ = [
     "solve_equilibrium",
     "reference_mean_intercepts",
     "distortions",
-    "strategy_distortions",
     "value_function",
     "penalty_rate",
 ]
@@ -101,11 +101,35 @@ def _stock_denominator(params: ModelParams) -> float:
                                    + params.beta2 * params.rho_hat ** 2)
 
 
+def _stock_coefficients(params: ModelParams) -> tuple[float, float]:
+    """``(s0, s1)`` with ``pi_s_star(t) A(t) = s0 + s1 A(t)``.
+
+    NumericalError unless both are finite: the stock formulas divide by
+    ``sigma2^2`` times :func:`_stock_denominator`, which underflows to 0 for
+    tiny sigma2.  Checked in Python floats, which do not warn.
+    """
+    scale = params.sigma2 ** 2 * _stock_denominator(params)
+    two_a = 2.0 * params.alpha - 1.0
+    if scale != 0.0:
+        s0 = (params.mu - params.r) / scale
+        s1 = -params.sigma1 * params.sigma2 * params.rho \
+            * (params.gamma + two_a * params.beta1) / scale
+        if math.isfinite(s0) and math.isfinite(s1):
+            return s0, s1
+    raise NumericalError(
+        "stock demand out of floating-point range: sigma2^2 (gamma + (2 alpha - 1)"
+        f"(beta1 rho^2 + beta2 rho_hat^2)) = {scale:g} for sigma2={params.sigma2:g}"
+    )
+
+
 def pi_s_star(t, params: ModelParams):
     """Equilibrium stock amount; identical pre- and post-default.
 
-    Vectorized over t; returns a scalar for scalar input.
+    NumericalError where :func:`_stock_coefficients` finds the stock demand out
+    of floating-point range.  Vectorized over t; returns a scalar for scalar
+    input.
     """
+    _stock_coefficients(params)
     t = np.asarray(t, dtype=float)
     two_a = 2.0 * params.alpha - 1.0
     numer = ((params.mu - params.r) * np.exp(-params.r * (params.T - t))
@@ -563,6 +587,16 @@ class ValueCoefficients:
     T: float
 
 
+def _checked_u_star(strategy) -> float:
+    """The strategy's ``u_star``; ValidationError when it has none."""
+    u_star = getattr(strategy, "u_star", None)
+    if u_star is None:
+        raise ValidationError(
+            "u_star", f"{type(strategy).__name__}.u_star is not set: pi_q(t) = u_star "
+            "e^{-r(T-t)} needs it (solve_equilibrium sets it)")
+    return u_star
+
+
 @dataclass(frozen=True)
 class EquilibriumSolution:
     """Equilibrium strategies and value coefficients on a uniform time grid.
@@ -587,17 +621,9 @@ class EquilibriumSolution:
         if np.any(self.pi_q < 0):
             raise ValidationError("pi_q<0", "equilibrium reinsurance exposure must be nonnegative")
 
-    def _checked_u_star(self) -> float:
-        """``u_star``; ValidationError when the solution was built without it."""
-        if self.u_star is None:
-            raise ValidationError(
-                "u_star", "EquilibriumSolution.u_star is not set: pi_q(t) = u_star "
-                "e^{-r(T-t)} needs it (solve_equilibrium sets it)")
-        return self.u_star
-
     def pi_q_at(self, t):
         c = self.coeffs
-        return self._checked_u_star() / np.exp(c.r * (c.T - np.asarray(t, dtype=float)))
+        return _checked_u_star(self) / np.exp(c.r * (c.T - np.asarray(t, dtype=float)))
 
     def pi_s_at(self, t):
         return pi_s_star(t, self.params)
@@ -629,15 +655,6 @@ def _claim_integrals(u_star: float, params: ModelParams, measure: ClaimMeasure,
     else:
         KB = -(E @ w)                   # b3 -> 0 limit of the same term
     return I_plus, I_minus, KB
-
-
-def _stock_coefficients(params: ModelParams) -> tuple[float, float]:
-    """``(s0, s1)`` with ``pi_s_star(t) A(t) = s0 + s1 A(t)``."""
-    scale = params.sigma2 ** 2 * _stock_denominator(params)
-    two_a = 2.0 * params.alpha - 1.0
-    return ((params.mu - params.r) / scale,
-            -params.sigma1 * params.sigma2 * params.rho
-            * (params.gamma + two_a * params.beta1) / scale)
 
 
 def _integrands(params: ModelParams, measure: ClaimMeasure, u_star: float, exp_cap: float,
@@ -871,7 +888,7 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
     still holds.  Returns (b1_ref, b0_ref) on the solution grid.
     """
     columns = _value_intercepts(
-        solution.grid, params, measure, solution._checked_u_star(), exp_cap,
+        solution.grid, params, measure, _checked_u_star(solution), exp_cap,
         betas=(0.0, 0.0, 0.0), stock=_stock_coefficients(solution.params))
     return columns[1], columns[4]
 
@@ -897,10 +914,11 @@ def value_function(t, x, h: int, coeffs: ValueCoefficients):
 class DistortionSide:
     """One extreme measure: drift shifts phi1, phi2 and jump tilt phi3.
 
-    The jump tilt is stored as exponent coefficients: ``tilt(t)`` returns
-    ``(a(t), b(t))`` with ``1 - phi3(t, z) = exp(clip(a z + b z^2))``, scalars
-    when they do not depend on t.  :meth:`phi3` is derived from them, so the
+    The jump tilt is the constant pair ``tilt = (a, b)`` of exponent
+    coefficients, ``1 - phi3(t, z) = exp(clip(a z + b z^2))``: with ``pi_q A =
+    u*`` it is the same at every t.  :meth:`phi3` is derived from it, so the
     claim sampler and the distortion identities read the same tilt.
+    ValidationError (tag ``tilt``) unless the tilt is two finite floats.
 
     ``sign`` is +1 for the ambiguity-averse (infimum) measure, whose penalty
     enters the objective with a plus sign, and -1 for the ambiguity-seeking
@@ -909,12 +927,21 @@ class DistortionSide:
 
     phi1: Callable[[np.ndarray], np.ndarray]
     phi2: Callable[[np.ndarray], np.ndarray]
-    tilt: Callable[[np.ndarray], tuple]
+    tilt: tuple[float, float]
     sign: int
     exp_cap: float = DEFAULT_EXP_CAP
 
+    def __post_init__(self) -> None:
+        tilt = self.tilt
+        if not (isinstance(tilt, tuple) and len(tilt) == 2
+                and all(isinstance(c, numbers.Real) and math.isfinite(c) for c in tilt)):
+            raise ValidationError(
+                "tilt", f"jump tilt must be two finite floats (a, b), got {tilt!r}")
+        object.__setattr__(self, "tilt", (float(tilt[0]), float(tilt[1])))
+
     def phi3(self, t, z):
-        a, b = self.tilt(np.asarray(t, dtype=float))
+        """phi3 on the broadcast shape of t and z; the tilt itself does not depend on t."""
+        a, b = self.tilt
         z = np.asarray(z, dtype=float)
         x = np.clip(a * z + b * z * z, -self.exp_cap, self.exp_cap)
         return -np.expm1(np.broadcast_to(x, np.broadcast_shapes(np.shape(t), x.shape)))
@@ -940,9 +967,20 @@ class DistortionFunctions:
     phi3_hi = property(lambda self: self.hi.phi3)
 
 
-def _extremal_pair(pi_s: Callable[[np.ndarray], np.ndarray], tilt_lo, params: ModelParams,
-                   exp_cap: float) -> DistortionFunctions:
-    """Both sides from the stock amount ``pi_s(t)`` and the lo jump tilt."""
+def distortions(solution, params: ModelParams,
+                exp_cap: float = DEFAULT_EXP_CAP) -> DistortionFunctions:
+    """Extremal distortions of a strategy with ``pi_q A = u*`` (evaluated lazily).
+
+    ``solution`` is any strategy with ``u_star`` and ``pi_s_at``: the
+    equilibrium, or the equilibrium with other stock or bond amounts.  The
+    first-order conditions in phi hold for any deterministic strategy, and
+    with ``pi_q A = u*`` the jump tilt is the constant ``beta3 E(u*, z)``,
+    negated on the hi side.  ValidationError (tag ``u_star``) for a strategy
+    without ``u_star``.
+    """
+    u = _checked_u_star(solution)
+    a, b = params.beta3 * u, 0.5 * params.beta3 * params.gamma * u * u
+    pi_s = solution.pi_s_at
 
     def phi1_lo(t):
         return params.beta1 * (params.sigma1 + params.sigma2 * params.rho * pi_s(t)) \
@@ -952,49 +990,10 @@ def _extremal_pair(pi_s: Callable[[np.ndarray], np.ndarray], tilt_lo, params: Mo
         return params.beta2 * params.sigma2 * params.rho_hat * pi_s(t) \
             * params.discount_to_horizon(t)
 
-    def tilt_hi(t):
-        a, b = tilt_lo(t)
-        return -a, -b
-
     return DistortionFunctions(
-        lo=DistortionSide(phi1_lo, phi2_lo, tilt_lo, +1, exp_cap),
-        hi=DistortionSide(lambda t: -phi1_lo(t), lambda t: -phi2_lo(t), tilt_hi, -1, exp_cap),
+        lo=DistortionSide(phi1_lo, phi2_lo, (a, b), +1, exp_cap),
+        hi=DistortionSide(lambda t: -phi1_lo(t), lambda t: -phi2_lo(t), (-a, -b), -1, exp_cap),
     )
-
-
-def _tilt_coefficients(u, params: ModelParams):
-    """(a, b) of beta3 E = beta3 (u z + (gamma/2) u^2 z^2), u = pi_q A."""
-    return params.beta3 * u, 0.5 * params.beta3 * params.gamma * u * u
-
-
-def strategy_distortions(times: np.ndarray, pi_q_values: np.ndarray,
-                         pi_s_values: np.ndarray, params: ModelParams,
-                         exp_cap: float = DEFAULT_EXP_CAP) -> DistortionFunctions:
-    """Extremal distortions induced by any deterministic strategy.
-
-    The strategy is given by samples on ``times`` and interpolated linearly in
-    between; the closed-form first-order conditions in phi hold for arbitrary
-    deterministic strategies, not just the equilibrium one.
-    """
-    times = np.asarray(times, dtype=float)
-    pi_q_values = np.asarray(pi_q_values, dtype=float)
-    pi_s_values = np.asarray(pi_s_values, dtype=float)
-
-    def tilt_lo(t):
-        return _tilt_coefficients(np.interp(t, times, pi_q_values)
-                                  * params.discount_to_horizon(t), params)
-
-    return _extremal_pair(lambda t: np.interp(t, times, pi_s_values), tilt_lo, params, exp_cap)
-
-
-def distortions(solution: EquilibriumSolution, params: ModelParams,
-                exp_cap: float = DEFAULT_EXP_CAP) -> DistortionFunctions:
-    """Extremal distortions of the equilibrium solution (evaluated lazily).
-
-    ``pi_q A = u*`` at every t, so the jump tilt has constant coefficients.
-    """
-    a, b = _tilt_coefficients(solution._checked_u_star(), params)
-    return _extremal_pair(solution.pi_s_at, lambda t: (a, b), params, exp_cap)
 
 
 # Below this |phi3| the entropy q log q + phi3 (q = 1 - phi3) is taken from its

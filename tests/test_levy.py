@@ -79,18 +79,16 @@ def test_tabulated_measure_uses_same_machinery():
 
 
 def test_tabulated_sizes_take_one_tilt_per_draw():
-    # two tilts interleaved draw by draw: each group follows its own tilted
-    # tabulated law, whose moments come from the tilted quadrature rule
+    # one scalar tilt per call, every draw of the call from it: each call
+    # follows its own tilted tabulated law, whose moments come from the tilted
+    # quadrature rule
     z = np.linspace(0.5, 1.5, 801)
     spec = ClaimModelSpec(lam=1.0, kind="tabulated-density", z_grid=z,
                           density=np.exp(-((z - 1.0) / 0.1) ** 2 / 2.0))
     measure = build_measure(spec, 128)
-    tilts = np.array([[0.0, 0.0], [3.0, -1.0]])
-    which = np.arange(400_000) % 2
-    draws = sample_truncated_sizes(spec, which.size, np.random.default_rng(9),
-                                   tilts[which, 0], tilts[which, 1])
-    for k, (a, b) in enumerate(tilts):
-        got = draws[which == k]
+    rng = np.random.default_rng(9)
+    for a, b in ((0.0, 0.0), (3.0, -1.0)):
+        got = sample_truncated_sizes(spec, 200_000, rng, a, b)
         w = measure.weights * np.exp(a * measure.nodes + b * measure.nodes ** 2)
         for stat, want in ((got, w @ measure.nodes / w.sum()),
                            (got ** 2, w @ measure.nodes ** 2 / w.sum())):
@@ -115,17 +113,14 @@ def test_truncated_normal_deep_cutoff_matches_closed_form():
 
 def test_truncated_normal_redraws_nonpositive_draws_above_a_zero_mean():
     # muZ/sigmaZ = 0.5: about 31% of the first normal draws are <= 0 and are
-    # drawn again until positive; per-draw means of both signs mix that
-    # redraw loop with the exponential proposal below a zero mean
+    # drawn again until positive; a tilt a = 10 moves the mean to 0.15 (the
+    # same redraw loop) and a = -10 to -0.05 (the exponential proposal below
+    # a zero mean)
     spec = ClaimModelSpec(lam=1.0, muZ=0.05, sigmaZ=0.1)
     rng = np.random.default_rng(29)
-    a = np.where(np.arange(400_000) % 2, 10.0, -10.0)   # means 0.15 and -0.05
-    for tilt, groups in ((0.0, ((0.05, slice(None)),)),
-                         (a, ((0.15, a > 0), (-0.05, a < 0)))):
-        draws = sample_truncated_sizes(spec, 400_000, rng, tilt)
-        assert np.all(draws > 0)
-        for mean, which in groups:
-            dist = truncnorm(-mean / spec.sigmaZ, np.inf, loc=mean, scale=spec.sigmaZ)
-            got = draws[which]
-            for stat, want in ((got, dist.mean()), ((got - dist.mean()) ** 2, dist.var())):
-                assert abs(stat.mean() - want) <= 4 * stat.std(ddof=1) / math.sqrt(stat.size)
+    for a, mean in ((0.0, 0.05), (10.0, 0.15), (-10.0, -0.05)):
+        got = sample_truncated_sizes(spec, 400_000, rng, a)
+        assert np.all(got > 0)
+        dist = truncnorm(-mean / spec.sigmaZ, np.inf, loc=mean, scale=spec.sigmaZ)
+        for stat, want in ((got, dist.mean()), ((got - dist.mean()) ** 2, dist.var())):
+            assert abs(stat.mean() - want) <= 4 * stat.std(ddof=1) / math.sqrt(stat.size)

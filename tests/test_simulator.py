@@ -11,11 +11,10 @@ from alphamv.errors import NumericalError, ValidationError
 from alphamv import simulate as simulate_mod
 from alphamv.levy import build_measure, sample_truncated_sizes
 from alphamv.simulate import (ConstantStrategy, _RunTables, alpha_robust_value,
-                              bond_price_path, dump_paths_csv,
-                              estimate_objective, simulate_terminal,
-                              simulate_wealth)
+                              bond_price_path, dump_paths_csv, objective_from_terminal,
+                              simulate_terminal, simulate_wealth)
 from alphamv.solver import (DistortionSide, distortions, reference_mean_intercepts,
-                            solve_equilibrium, strategy_distortions, value_function)
+                            solve_equilibrium, value_function)
 
 from conftest import BASE_KWARGS
 
@@ -94,37 +93,29 @@ def test_distorted_claim_intensity(base_params, base_measure, base_solution):
     assert abs(counts.mean() - expected) <= 3 * se
 
 
-def test_homogeneous_claims_match_thinning(base_params, base_measure, base_solution):
-    # the equilibrium's constant tilt takes the homogeneous path (counts from
-    # Poisson(Lambda T), amounts u* Z, no claim times); the same strategy
-    # without u_star, under the same tilt returned as an array, takes the
-    # thinning path (claim times, thinning, per-claim discounting).  Both
-    # sample one law: x_T mean and variance and the claim count agree in 4 SE
-    class HiddenUStar:
-        pi_q_at = staticmethod(base_solution.pi_q_at)
-        pi_s_at = staticmethod(base_solution.pi_s_at)
-        pi_p_at = staticmethod(base_solution.pi_p_at)
+class _HiddenUStar:
+    """The equilibrium strategy without ``u_star``: claims discounted one by one."""
 
-    def as_array(tilt):
-        return lambda t: tuple(np.full(np.shape(t), c) for c in tilt(t))
+    def __init__(self, solution):
+        self.pi_q_at, self.pi_s_at, self.pi_p_at = (
+            solution.pi_q_at, solution.pi_s_at, solution.pi_p_at)
 
+
+def test_u_star_segment_sums_match_per_claim_discounting(base_params, base_measure,
+                                                         base_solution):
+    # under the same constant tilt and seed, the equilibrium (claim amounts
+    # u* Z, no claim times) and the same strategy without u_star (claim times
+    # drawn after the terminal normal, amounts e^{r(T-s)} pi_q(s) Z) share
+    # every draw X(T) reads, so they differ only by rounding
     dist = distortions(base_solution, base_params)
-    n_paths = 20_000
-    for i, side in enumerate((dist.lo, dist.hi)):
-        varying = dataclasses.replace(side, tilt=as_array(side.tilt))
-        samples = []
-        for strategy, s in ((base_solution, side), (HiddenUStar(), varying)):
-            tables = _RunTables(strategy, s, base_params, base_measure, 0.0, 0.05)
-            assert tables.claim_intensity.ndim == (0 if s is side else 1)
-            x_T, _, counts = simulate_terminal(strategy, s, base_params, base_measure,
-                                               n_paths=n_paths, dt=0.05, seed=500 + i, h0=0)
-            dev = x_T - x_T.mean()
-            var = dev @ dev / (n_paths - 1)
-            samples.append(((x_T.mean(), var / n_paths),
-                            (var, (np.mean(dev ** 4) - var ** 2) / n_paths),
-                            (counts.mean(), counts.var(ddof=1) / n_paths)))
-        for (a, se2_a), (b, se2_b) in zip(*samples):
-            assert abs(a - b) <= 4 * math.sqrt(se2_a + se2_b)
+    for i, side in enumerate((None, dist.lo, dist.hi)):
+        runs = [simulate_terminal(strategy, side, base_params, base_measure,
+                                  n_paths=20_000, dt=0.05, seed=500 + i, h0=0)
+                for strategy in (base_solution, _HiddenUStar(base_solution))]
+        (x_T, default_time, counts), (ref_x, ref_default, ref_counts) = runs
+        assert np.array_equal(counts, ref_counts) and counts.sum() > 0
+        assert np.array_equal(default_time, ref_default, equal_nan=True)
+        assert np.max(np.abs(x_T - ref_x)) <= 1e-13 * np.max(np.abs(x_T))
 
 
 def _tabulated_claims():
@@ -217,15 +208,14 @@ def test_seed_determinism(base_params, base_measure, base_solution):
     assert not np.array_equal(a, c)
 
 
-def _bincount_totals(values, counts, dtype=None):
+def _bincount_totals(values, counts):
     # per-claim reference for the segment sums: one path index per claim
     path = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(path, weights=values, minlength=counts.size).astype(dtype or values.dtype)
+    return np.bincount(path, weights=values, minlength=counts.size)
 
 
 def test_path_totals_match_per_claim_bincount():
-    # empty first, last and middle paths, a block with no claims at all, and
-    # integer (kept-proposal) counts
+    # empty first, last and middle paths, and a block with no claims at all
     rng = np.random.default_rng(5)
     for counts in ([0, 3, 0, 0, 2, 1, 0], [0, 2, 3, 0, 0], [4, 0, 1], [0, 0, 0], [0], [2]):
         counts = np.array(counts)
@@ -233,40 +223,25 @@ def test_path_totals_match_per_claim_bincount():
         got = simulate_mod._path_totals(values, counts)
         assert np.allclose(got, _bincount_totals(values, counts), rtol=0, atol=1e-15)
         assert np.all(got[counts == 0] == 0.0)
-        keep = values > 0
-        assert np.array_equal(simulate_mod._path_totals(keep, counts, dtype=np.int64),
-                              _bincount_totals(keep, counts, dtype=np.int64))
 
 
-@pytest.mark.parametrize("case", ["u_star", "no_u_star", "thinning", "sparse", "none"])
+@pytest.mark.parametrize("case", ["u_star", "no_u_star", "sparse", "none"])
 @pytest.mark.parametrize("h0", [0, 1])
 def test_segment_sums_match_per_claim_bincount(case, h0, base_params, base_solution,
                                                monkeypatch):
     # X(T) with each path's claims summed as one segment against the same
     # draws summed per claim by bincount: only the summation order differs
-    class HiddenUStar:
-        pi_q_at = staticmethod(base_solution.pi_q_at)
-        pi_s_at = staticmethod(base_solution.pi_s_at)
-        pi_p_at = staticmethod(base_solution.pi_p_at)
-
     lam = {"sparse": 0.01, "none": 1e-9}.get(case, 2.0)
     measure = build_measure(ClaimModelSpec(lam=lam, muZ=1.0, sigmaZ=0.1), 32)
     side = distortions(base_solution, base_params).lo
-    strategy = base_solution
-    if case == "no_u_star":
-        strategy = HiddenUStar()
-    elif case == "thinning":
-        strategy = HiddenUStar()
-        side = dataclasses.replace(
-            side, tilt=lambda t, tilt=side.tilt: tuple(np.full(np.shape(t), c)
-                                                       for c in tilt(t)))
+    strategy = _HiddenUStar(base_solution) if case == "no_u_star" else base_solution
     # seeds whose sparse sample has empty first and last paths
     args = (strategy, side, base_params, measure, 3000, 0.05, 17 + h0)
     x_T, default_time, counts = simulate_terminal(*args, h0=h0)
 
     reference_totals = []
-    def bincount_totals(values, counts, dtype=None):
-        totals = _bincount_totals(values, counts, dtype)
+    def bincount_totals(values, counts):
+        totals = _bincount_totals(values, counts)
         reference_totals.append(totals)
         return totals
     monkeypatch.setattr(simulate_mod, "_path_totals", bincount_totals)
@@ -283,40 +258,23 @@ def test_segment_sums_match_per_claim_bincount(case, h0, base_params, base_solut
         assert counts.sum() == 0
 
 
-@pytest.mark.parametrize("thinning", [False, True])
-def test_counts_and_default_times_follow_the_draw_order(thinning, base_params,
-                                                        base_measure, base_solution):
-    # default times, then claim counts (or proposals, their times, thinning
-    # uniforms), then sizes, from the block's own stream
+def test_counts_and_default_times_follow_the_draw_order(base_params, base_measure,
+                                                        base_solution):
+    # default times, then claim counts, then sizes, from the block's own stream
     side = distortions(base_solution, base_params).hi
-    if thinning:
-        side = dataclasses.replace(
-            side, tilt=lambda t, tilt=side.tilt: tuple(np.full(np.shape(t), c)
-                                                       for c in tilt(t)))
     n, dt, seed, T = 2000, 0.05, 23, base_params.T
     _, default_time, counts = simulate_terminal(base_solution, side, base_params,
                                                 base_measure, n, dt, seed, h0=0)
     tables = _RunTables(base_solution, side, base_params, base_measure, 0.0, dt)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     tau = rng.exponential(1.0 / base_params.hP, size=n)
-    if thinning:
-        lam_max = float(np.max(tables.claim_intensity)) * (1.0 + 1e-12)
-        proposals = rng.poisson(lam_max * T, size=n)
-        times = T * rng.random(int(proposals.sum()))
-        step = np.minimum(times / tables.dt, tables.n_steps - 1).astype(np.int64)
-        keep = rng.random(times.size) < tables.claim_intensity[step] / lam_max
-        want = np.bincount(np.repeat(np.arange(n), proposals)[keep], minlength=n)
-    else:
-        want = rng.poisson(float(tables.claim_intensity) * T, size=n)
+    want = rng.poisson(tables.claim_intensity * T, size=n)
     assert np.array_equal(counts, want)
     assert np.array_equal(default_time, np.where(tau <= T, tau, np.nan), equal_nan=True)
-    if not thinning:
-        # the sizes follow the counts in the same stream
-        sizes = sample_truncated_sizes(base_measure.spec, int(want.sum()), rng, *tables.tilt)
-        paths = simulate_wealth(base_solution, side, base_params, base_measure, n, dt, seed,
-                                h0=0)
-        logged = np.array([z for path in paths for _, z in path.claim_log])
-        assert np.array_equal(np.sort(logged), np.sort(sizes))
+    sizes = sample_truncated_sizes(base_measure.spec, int(want.sum()), rng, *tables.tilt)
+    paths = simulate_wealth(base_solution, side, base_params, base_measure, n, dt, seed, h0=0)
+    logged = np.array([z for path in paths for _, z in path.claim_log])
+    assert np.array_equal(np.sort(logged), np.sort(sizes))
 
 
 def test_supercritical_size_tilt_raises(base_params, base_measure, base_solution):
@@ -327,7 +285,7 @@ def test_supercritical_size_tilt_raises(base_params, base_measure, base_solution
     spec = base_measure.spec
     b = 0.6 / spec.sigmaZ ** 2
     side = DistortionSide(phi1=np.zeros_like, phi2=np.zeros_like,
-                          tilt=lambda t: (-2.0 * b * spec.muZ, b), sign=1)
+                          tilt=(-2.0 * b * spec.muZ, b), sign=1)
     with pytest.raises(NumericalError, match="2b >= 1/sigmaZ"):
         simulate_terminal(base_solution, side, base_params, base_measure,
                           n_paths=50, dt=0.1, seed=5, h0=1)
@@ -446,15 +404,17 @@ def test_estimate_objective_deterministic_limit(base_measure):
     params = ModelParams(**{**BASE_KWARGS, "sigma1": 0.0, "gamma": 1e-12})
     claims = dataclasses.replace(base_measure.spec, lam=1e-12)
     measure = build_measure(claims, 64)
-    est = estimate_objective(ConstantStrategy(), None, params, measure,
-                             0.0, params.x0, 1, n_paths=200, dt=1e-3, seed=2)
+    x_T, _, _ = simulate_terminal(ConstantStrategy(), None, params, measure,
+                                  n_paths=200, dt=1e-3, seed=2, h0=1)
+    est = objective_from_terminal(x_T, None, params, measure)
     assert est.j_value == pytest.approx(params.x0 * math.exp(params.r * params.T), rel=1e-4)
     assert est.penalty == 0.0
 
 
 def test_estimate_objective_rejects_tiny_samples(base_params, base_measure, base_solution):
+    dist = distortions(base_solution, base_params)
     with pytest.raises(ValidationError, match="paths too few"):
-        estimate_objective(base_solution, None, base_params, base_measure,
+        alpha_robust_value(base_solution, dist, base_params, base_measure,
                            0.0, 1.0, 1, n_paths=99, dt=DT, seed=1)
 
 
@@ -468,26 +428,38 @@ def test_alpha_robust_value_matches_value_function(base_params, base_measure, ba
         assert abs(value - target) <= 3 * se
 
 
-def test_perturbed_strategy_does_not_beat_equilibrium(base_params, base_measure, base_solution):
-    # spike deviation: pi_s scaled by 1.5 on [0, 0.5]; its alpha-robust value
-    # (with its own extremal distortions) must not exceed the equilibrium value
+@pytest.mark.parametrize("control, h", [("pi_s", 1), ("pi_p", 0)])
+def test_perturbed_strategy_does_not_beat_equilibrium(control, h, base_params, base_measure,
+                                                      base_solution):
+    # spike deviation: one control scaled by 1.5 on [0, 0.5]; its alpha-robust
+    # value (with its own extremal distortions) must not exceed the
+    # equilibrium value.  pi_q is the equilibrium's, so the jump tilt stays
+    # constant; pi_p moves only the bond terms, so it is checked before default
     class Perturbed:
-        def pi_q_at(self, t):
-            return base_solution.pi_q_at(t)
+        u_star = base_solution.u_star
+        pi_q_at = staticmethod(base_solution.pi_q_at)
 
         def pi_s_at(self, t):
-            base = base_solution.pi_s_at(t)
-            return np.where(np.asarray(t) < 0.5, 1.5 * base, base)
+            return self._spiked("pi_s", base_solution.pi_s_at(t), t)
 
         def pi_p_at(self, t):
-            return base_solution.pi_p_at(t)
+            return self._spiked("pi_p", base_solution.pi_p_at(t), t)
+
+        @staticmethod
+        def _spiked(name, base, t):
+            return np.where(np.asarray(t) < 0.5, 1.5 * base, base) if name == control else base
 
     perturbed = Perturbed()
-    fine = np.linspace(0.0, base_params.T, 2 * base_solution.grid.size - 1)
-    dist = strategy_distortions(fine, perturbed.pi_q_at(fine), perturbed.pi_s_at(fine),
-                                base_params)
+    dist = distortions(perturbed, base_params)
     value, se, _, _ = alpha_robust_value(perturbed, dist, base_params, base_measure,
-                                         0.0, base_params.x0, 1,
+                                         0.0, base_params.x0, h,
                                          n_paths=N_PATHS, dt=DT, seed=300)
-    equilibrium = value_function(0.0, base_params.x0, 1, base_solution.coeffs)
+    equilibrium = value_function(0.0, base_params.x0, h, base_solution.coeffs)
     assert value <= equilibrium + 3 * se
+
+
+def test_distortions_need_u_star(base_params):
+    # without pi_q A = u* the jump tilt would vary in time, which no sampler draws
+    with pytest.raises(ValidationError, match="u_star") as caught:
+        distortions(ConstantStrategy(0.5, 1.0, 0.0), base_params)
+    assert caught.value.tag == "u_star"

@@ -15,8 +15,8 @@ from alphamv.config import ModelParams, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
 import alphamv.solver as solver_mod
-from alphamv.solver import (_FocLanes, _claim_integrals, _identity_residuals,
-                            bracket_pi_q,
+from alphamv.solver import (DistortionSide, _FocLanes, _claim_integrals,
+                            _identity_residuals, bracket_pi_q,
                             distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
                             reinsurance_foc, scan_foc_sign_changes,
@@ -57,6 +57,32 @@ def test_pi_s_star_invariant_to_beta12_at_alpha_half():
     bumped = ModelParams(**{**BASE_KWARGS, "alpha": 0.5, "beta1": 7.0, "beta2": 0.4})
     ts = np.linspace(0.0, base.T, 11)
     assert np.allclose(pi_s_star(ts, base), pi_s_star(ts, bumped), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("sigma2", [1e-300, 1e-160])
+def test_unrepresentable_stock_demand_raises_typed_error(base_measure, base_numerics, sigma2):
+    # sigma2^2 (gamma + ...) underflows to 0 (1e-300), or is subnormal and the
+    # stock coefficients (mu - r) / (sigma2^2 (...)) overflow (1e-160): a
+    # typed error before any float warning
+    params = ModelParams(**{**BASE_KWARGS, "sigma2": sigma2})
+    calls = (lambda: pi_s_star(0.0, params),
+             lambda: pi_s_star(np.linspace(0.0, params.T, 5), params),
+             lambda: solver_mod._stock_coefficients(params),
+             lambda: solve_equilibrium(params, base_measure, base_numerics))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(NumericalError, match="stock demand"):
+                call()
+
+
+def test_small_representable_sigma2_still_solves(base_measure, base_numerics):
+    # sigma2 = 1e-150: pi_s is about 1e299, still finite
+    params = ModelParams(**{**BASE_KWARGS, "sigma2": 1e-150})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solution = solve_equilibrium(params, base_measure, base_numerics)
+    assert np.all(np.isfinite(solution.pi_s)) and solution.pi_s[0] > 1e298
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +861,18 @@ def test_distortions_vanish_without_ambiguity(base_measure, base_numerics):
     assert np.max(np.abs(dist.phi1_lo(ts))) < 1e-6
     assert np.max(np.abs(dist.phi2_lo(ts))) < 1e-6
     assert np.max(np.abs(dist.phi3_lo(ts[:, None], zs[None, :]))) < 1e-6
+
+
+def test_distortion_side_takes_two_finite_floats_as_its_tilt():
+    side = DistortionSide(np.zeros_like, np.zeros_like, (np.float64(0.5), 2), +1)
+    assert side.tilt == (0.5, 2.0) and all(type(c) is float for c in side.tilt)
+    # a tilt that varies in time (a callable) and malformed pairs fail at
+    # construction, not inside the claim sampler
+    for tilt in (lambda t: (0.5, 2.0), (0.5,), (0.5, 2.0, 0.0), (0.5, math.nan),
+                 (math.inf, 0.0), ("0.5", 2.0), [0.5, 2.0], np.array([0.5, 2.0]), None):
+        with pytest.raises(ValidationError, match="two finite floats") as caught:
+            DistortionSide(np.zeros_like, np.zeros_like, tilt, +1)
+        assert caught.value.tag == "tilt"
 
 
 def test_distortion_identities(base_params, base_solution):

@@ -204,6 +204,31 @@ def test_unrepresentable_bond_demand_skips_its_rows(tmp_path, base_params, base_
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
 
 
+def test_unrepresentable_stock_demand_skips_its_rows(tmp_path, base_params, base_claims,
+                                                    base_numerics):
+    tiny = (1e-300, 1e-160)
+    for quantity in ("pi_s0", "B0_0", "B1_0"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = run_sweep(base_params, base_claims, base_numerics,
+                             SweepSpec("sigma2", tiny + (1e-150, 0.2), quantity)).rows
+        assert all(row.status.startswith("skipped:numerical (stock demand") for row in rows[:2])
+        assert [row.status for row in rows[2:]] == ["ok", "ok"]
+    cfg = write_config(tmp_path / "tiny.cfg", overrides={"sigma2": 1e-300})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--config", str(cfg), "--param", "sigma2", "--from", "1e-300",
+                     "--to", "0.2", "--points", "2", "--quantity", "pi_s0",
+                     "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert table[1][0] == "1e-300" and table[1][1] == ""
+    assert table[1][2].startswith("skipped:numerical (stock demand")
+    assert table[2][2] == "ok"
+
+
 def test_failing_lane_skips_only_its_row(base_params, base_claims, base_numerics, base_measure):
     # gamma = 1e-300 puts u0 = eta m1 / (gamma m2) past the bracket limit
     spec = SweepSpec(param="gamma", values=(0.3, 1e-300, 0.5, 2.0), quantity="pi_q0")
