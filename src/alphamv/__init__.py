@@ -7,9 +7,8 @@ extremal probability distortions, and verifies everything against an
 independent Monte Carlo simulation of the controlled wealth process.
 """
 
-from .config import (ClaimModelSpec, IntegrabilityReport, ModelParams,
-                     NumericsConfig, load_config, save_config,
-                     validate_assumption31)
+from .config import (ClaimModelSpec, ModelParams, NumericsConfig, load_config,
+                     save_config)
 from .errors import ConfigError, NumericalError, SaturationWarning, ValidationError
 from .levy import ClaimMeasure, build_measure
 from .simulate import (ConstantStrategy, ObjectiveEstimate, WealthPath,
@@ -29,8 +28,7 @@ from .verify import CheckResult, VerificationReport, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "ClaimModelSpec", "NumericsConfig", "IntegrabilityReport",
-    "load_config", "save_config", "validate_assumption31",
+    "ModelParams", "ClaimModelSpec", "NumericsConfig", "load_config", "save_config",
     "ConfigError", "ValidationError", "NumericalError", "SaturationWarning",
     "ClaimMeasure", "build_measure",
     "EquilibriumSolution", "ValueCoefficients", "DistortionFunctions", "DistortionSide",

@@ -12,6 +12,7 @@ key set.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -23,10 +24,8 @@ __all__ = [
     "ModelParams",
     "ClaimModelSpec",
     "NumericsConfig",
-    "IntegrabilityReport",
     "load_config",
     "save_config",
-    "validate_assumption31",
     "MODEL_KEYS",
     "NUMERICS_DEFAULTS",
     "ALL_KEYS",
@@ -61,6 +60,19 @@ def _require_finite(tag: str, value: float) -> None:
         raise ValidationError(f"nonfinite:{tag}", f"{tag} must be finite, got {value!r}")
 
 
+def _float_field(record, name: str):
+    """The field's value, stored as a Python float if it is a real number (numpy scalars too).
+
+    The representability checks downstream then run in Python float
+    arithmetic, which does not warn; other types keep their own errors.
+    """
+    value = getattr(record, name)
+    if type(value) is not float and isinstance(value, numbers.Real):
+        value = float(value)
+        object.__setattr__(record, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All market, insurance, ambiguity and horizon constants.
@@ -89,7 +101,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _require_finite(f.name, getattr(self, f.name))
+            _require_finite(f.name, _float_field(self, f.name))
         if self.r <= 0:
             raise ValidationError("r<=0", f"risk-free rate must satisfy r > 0, got r={self.r}")
         if self.sigma2 <= 0:
@@ -171,14 +183,14 @@ class ClaimModelSpec:
     density: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        _require_finite("lambda", self.lam)
+        _require_finite("lambda", _float_field(self, "lam"))
         if self.lam <= 0:
             raise ValidationError("lambda<=0", f"jump intensity must satisfy lambda > 0, got {self.lam}")
         if self.kind == "truncated-normal":
             if self.muZ is None or self.sigmaZ is None:
                 raise ValidationError("claim_params_missing", "truncated-normal claims require muZ and sigmaZ")
-            _require_finite("muZ", self.muZ)
-            _require_finite("sigmaZ", self.sigmaZ)
+            _require_finite("muZ", _float_field(self, "muZ"))
+            _require_finite("sigmaZ", _float_field(self, "sigmaZ"))
             if self.sigmaZ <= 0:
                 raise ValidationError("sigmaZ<=0", f"claim-size scale must satisfy sigmaZ > 0, got {self.sigmaZ}")
         elif self.kind == "tabulated-density":
@@ -223,15 +235,6 @@ class NumericsConfig:
                 raise ValidationError(f"{name}<=0", f"{name} must be > 0, got {value}")
         if self.seed < 0:
             raise ValidationError("seed<0", f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    """Outcome of the claim-measure integrability check."""
-
-    ok: bool
-    witness_c: Optional[float]
-    detail: str
 
 
 def _parse_number(key: str, text: str) -> float:
@@ -315,64 +318,6 @@ def save_config(path, params: ModelParams, claims: ClaimModelSpec, numerics: Num
         lines.append(f"{key} = {getattr(numerics, key)!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _tabulated_tail_exponent(z: np.ndarray, dens: np.ndarray) -> Optional[float]:
-    """Log-log slope of the density over the tail of its support.
-
-    Returns None when the tail cannot support a fit (it ends in zeros), which
-    means effectively compact support and trivially finite moments.
-    """
-    n_tail = max(4, z.size // 5)
-    zt, dt_ = z[-n_tail:], dens[-n_tail:]
-    mask = dt_ > 0
-    if mask.sum() < 3 or dt_[-1] == 0.0:
-        return None
-    slope, _ = np.polyfit(np.log(zt[mask]), np.log(dt_[mask]), 1)
-    return float(slope)
-
-
-def validate_assumption31(claims: ClaimModelSpec, params: ModelParams) -> IntegrabilityReport:
-    """Check the standing integrability conditions on the claim measure.
-
-    For the truncated normal the Gaussian tail dominates ``e^{c z^2}`` for any
-    ``c < 1/(2 sigmaZ^2)``; we report the witness ``c = 1/(4 sigmaZ^2)``.  For
-    tabulated densities the first and second claim-size moments must be finite,
-    which fails if the table ends in a fat power-law tail (slope >= -3 implies
-    a divergent second moment under the natural tail extension; slope >= -2
-    also a divergent first moment).
-    """
-    if claims.kind == "truncated-normal":
-        witness = 1.0 / (4.0 * claims.sigmaZ ** 2)
-        bound = 1.0 / (2.0 * claims.sigmaZ ** 2)
-        return IntegrabilityReport(
-            ok=True,
-            witness_c=witness,
-            detail=(
-                f"Gaussian tail: exp(c z^2) integrable against the claim density for any "
-                f"c < {bound:g}; witness c = {witness:g}"
-            ),
-        )
-
-    z = claims.z_grid
-    dens = claims.density
-    norm = np.trapezoid(dens, z)
-    m1 = float(np.trapezoid(z * dens, z) / norm)
-    m2 = float(np.trapezoid(z * z * dens, z) / norm)
-    if not (math.isfinite(m1) and math.isfinite(m2)):
-        return IntegrabilityReport(False, None, "tabulated moments are not finite")
-    slope = _tabulated_tail_exponent(z, dens)
-    if slope is not None and slope >= -3.0:
-        first = " (the first moment diverges as well)" if slope >= -2.0 else ""
-        return IntegrabilityReport(
-            False, None,
-            f"second claim-size moment diverges: density tail ~ z^{slope:.2f} "
-            f"does not decay faster than z^-3{first}",
-        )
-    return IntegrabilityReport(
-        True, None,
-        f"finite moments on tabulated support: E[Z]={m1:.6g}, E[Z^2]={m2:.6g}",
-    )
 
 
 def replace_param(params: ModelParams, claims: ClaimModelSpec, numerics: NumericsConfig,

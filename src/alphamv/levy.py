@@ -6,13 +6,16 @@ and a density proportional to the claim-size density.  Every integral
 Gauss-Legendre rule ``sum_i w_i g(z_i)`` whose weights already absorb lambda
 and the density, so callers never see the distribution again.
 
-For the truncated normal the quadrature support is clipped to
-``[max(0, muZ - 8 sigmaZ), muZ + 8 sigmaZ]``; the neglected tail mass is below
-1e-15 of lambda, far beneath the solver's root tolerance, so exponential
-integrands remain exact to tolerance.  Its density is evaluated in closed
-form, ``phi((z - muZ)/sigmaZ) / (sigmaZ P(N(muZ, sigmaZ^2) > 0))`` with the
-normalizing probability from ``math.erfc``.  The Gauss-Legendre rule for each
-node count is computed once and shared read-only.
+This module owns the claim law's domain.  A table is integrated over its
+grid, the truncated normal where its density is within ``e^{-32}`` of its
+maximum on (0, inf): on ``[max(0, muZ - reach), muZ + reach]`` with ``reach
+= sqrt((max(0, muZ) - muZ)^2 + 64 sigmaZ^2)``, which is ``muZ +- 8 sigmaZ``
+for ``muZ >= 0``.  Both kinds normalise the density, taken relative to its
+maximum, on the rule itself, so the mass is lambda by construction and the
+tail left out is at most about ``e^{-32}`` of it.  The integrability rule,
+the paper's Assumption 3.1 for the model's tilts, is :func:`tilt_limit`.
+The Gauss-Legendre rule for each node count is computed once and shared
+read-only.
 """
 
 from __future__ import annotations
@@ -27,18 +30,18 @@ from numpy.polynomial.legendre import leggauss
 from .config import ClaimModelSpec
 from .errors import NumericalError, ValidationError
 
-__all__ = ["ClaimMeasure", "build_measure"]
+__all__ = ["ClaimMeasure", "build_measure", "tilt_limit"]
 
-_SUPPORT_SIGMAS = 8.0
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_TAIL_DECAY = 32.0     # the truncated normal's support ends at density e^{-32} of its peak
 
 
 @dataclass(frozen=True)
 class ClaimMeasure:
     """Quadrature view of the claim measure: nodes z_i > 0, weights w_i >= 0.
 
-    ``sum_i w_i = lambda`` up to quadrature tolerance, and
-    ``sum_i w_i z_i = lambda E[Z]``.  Immutable and shareable.
+    ``sum_i w_i = lambda`` by construction, on the support of the module
+    docstring, and ``sum_i w_i z_i = lambda E[Z]`` up to the tail left out.
+    Its tilts must obey :func:`tilt_limit`.  Immutable and shareable.
     """
 
     spec: ClaimModelSpec
@@ -71,29 +74,41 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def tilt_limit(spec: ClaimModelSpec) -> float:
+    """Supremum of the b with ``exp(a z + b z^2)`` integrable against the size law, any a.
+
+    ``1/(2 sigmaZ^2)`` for the truncated normal (inf where that overflows),
+    and inf for a table, whose support is compact.
+    """
+    if spec.kind != "truncated-normal":
+        return math.inf
+    inv = 1.0 / spec.sigmaZ
+    return 0.5 * inv * inv
+
+
 def build_measure(spec: ClaimModelSpec, quad_nodes: int) -> ClaimMeasure:
-    """Build the Gauss-Legendre representation of the claim measure."""
+    """The Gauss-Legendre representation of the claim measure (see the module docstring).
+
+    ValidationError (tag ``density=0``) when the density is 0 at every node.
+    """
     x, w = _gauss_legendre(quad_nodes)
     if spec.kind == "truncated-normal":
-        lo = max(0.0, spec.muZ - _SUPPORT_SIGMAS * spec.sigmaZ)
-        hi = spec.muZ + _SUPPORT_SIGMAS * spec.sigmaZ
+        peak, s = max(0.0, spec.muZ), spec.sigmaZ
+        gap = peak - spec.muZ
+        reach = math.hypot(gap, math.sqrt(2.0 * _TAIL_DECAY) * s)
+        lo, hi = max(0.0, spec.muZ - reach), spec.muZ + reach
         nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        scale = 0.5 * (hi - lo)
-        # P(Z_untruncated > 0) = Phi(muZ / sigmaZ)
-        trunc_const = 0.5 * math.erfc(-(spec.muZ / spec.sigmaZ) / math.sqrt(2.0))
-        u = (nodes - spec.muZ) / spec.sigmaZ
-        dens = np.exp(-u ** 2 / 2.0) / _SQRT_2PI / spec.sigmaZ / trunc_const
-        weights = spec.lam * scale * w * dens
+        d = (nodes - peak) / s       # ((z - muZ)^2 - gap^2)/s^2 = d (d + 2 gap/s): no cancellation
+        dens = np.exp(-0.5 * d * (d + 2.0 * gap / s))
     else:
-        z_grid, density = spec.z_grid, spec.density
-        lo, hi = float(z_grid[0]), float(z_grid[-1])
+        lo, hi = float(spec.z_grid[0]), float(spec.z_grid[-1])
         nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        scale = 0.5 * (hi - lo)
-        dens = np.interp(nodes, z_grid, density)
-        # normalize under the same rule so the total mass is lambda exactly
-        total = scale * float(w @ dens)
-        weights = spec.lam * scale * w * dens / total
-    return ClaimMeasure(spec=spec, nodes=nodes, weights=weights)
+        dens = np.interp(nodes, spec.z_grid, spec.density / spec.density.max())
+    total = float(w @ dens)
+    if not total > 0:
+        raise ValidationError("density=0", f"the claim-size density is 0 at all {quad_nodes} "
+                              f"quadrature nodes on [{lo:g}, {hi:g}]")
+    return ClaimMeasure(spec=spec, nodes=nodes, weights=spec.lam * (w * dens) / total)
 
 
 def _normal_above_zero(mean: float, sd: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,17 +149,18 @@ def sample_truncated_sizes(spec: ClaimModelSpec, n: int, rng: np.random.Generato
     ``a`` and ``b`` are scalars, one tilt for all n draws; the default is the
     untilted claim-size law.  Truncated normal: the tilt completes the
     square, so the draw is the normal with precision ``1/sigmaZ^2 - 2b`` and
-    mean ``(muZ/sigmaZ^2 + a)/precision`` truncated to (0, inf);
-    NumericalError when ``2b >= 1/sigmaZ^2`` (no such normal).  Tabulated
+    mean ``(muZ/sigmaZ^2 + a)/precision`` truncated to (0, inf).  Tabulated
     densities: inverse transform on the tilted tabulated CDF.
+    NumericalError for a tilt that :func:`tilt_limit` rules out.
     """
+    limit = tilt_limit(spec)
+    if not b < limit:       # only a truncated normal has a finite limit
+        raise NumericalError(
+            f"claim-size tilt exp(a z + b z^2) with 2b >= 1/sigmaZ^2 = {2.0 * limit:g} "
+            "is not integrable against the truncated normal")
     if spec.kind == "truncated-normal":
         s2 = spec.sigmaZ ** 2
         shrink = 1.0 - 2.0 * b * s2   # precision times sigmaZ^2
-        if shrink <= 0:
-            raise NumericalError(
-                f"claim-size tilt exp(a z + b z^2) with 2b >= 1/sigmaZ^2 = {1.0 / s2:g} "
-                "is not integrable against the truncated normal")
         return _normal_above_zero((spec.muZ + a * s2) / shrink, spec.sigmaZ / shrink ** 0.5,
                                   n, rng)
     z = spec.z_grid

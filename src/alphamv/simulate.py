@@ -392,27 +392,27 @@ def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide
     The penalty integral is deterministic (the distortions are deterministic
     functions) and enters with the distortion side's sign; the standard error
     of the mean-variance part comes from the delta method over the first two
-    sample moments.
+    sample moments.  Written in the central moments ``c_k`` about the sample
+    mean, its variance is ``(c2 - gamma c3 + (gamma^2/4)(c4 - c2^2)) / n``;
+    central moments do not overflow where raw powers of a large wealth would.
     """
     n = x_T.size
     m1 = float(np.mean(x_T))
-    m2 = float(np.mean(x_T ** 2))
-    m3 = float(np.mean(x_T ** 3))
-    m4 = float(np.mean(x_T ** 4))
-    variance = (m2 - m1 * m1) * n / (n - 1)
+    dev = x_T - m1
+    dev2 = dev * dev
+    c2 = float(np.mean(dev2))
+    c3 = float(np.mean(dev2 * dev))
+    c4 = float(np.mean(dev2 * dev2))
+    variance = c2 * n / (n - 1)
     if distortion is None:
         penalty, sign = 0.0, 0
     else:
         penalty = _integrate_penalty(distortion, params, measure, t)
         sign = distortion.sign
-    j_value = m1 - 0.5 * params.gamma * variance + sign * penalty
-    grad = np.array([1.0 + params.gamma * m1, -0.5 * params.gamma])
-    cov = np.array([
-        [m2 - m1 * m1, m3 - m1 * m2],
-        [m3 - m1 * m2, m4 - m2 * m2],
-    ]) / n
-    # the quadratic form can round to -0 for degenerate samples
-    std_error = math.sqrt(max(0.0, float(grad @ cov @ grad)))
+    gamma = params.gamma
+    j_value = m1 - 0.5 * gamma * variance + sign * penalty
+    # the delta-method variance can round to -0 for degenerate samples
+    std_error = math.sqrt(max(0.0, c2 - gamma * c3 + 0.25 * gamma * gamma * (c4 - c2 * c2)) / n)
     return ObjectiveEstimate(mean=m1, variance=variance, penalty=penalty,
                              j_value=j_value, std_error=std_error, n_paths=n)
 

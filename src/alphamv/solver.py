@@ -31,11 +31,12 @@ The first-order condition has one evaluator, of ``f`` and ``f'`` on a lanes
 x nodes table (:class:`_FocLanes`).  A lane is one parameter set with its
 claim measure: a ``pi_q0`` sweep solves all its points as lanes of one
 safeguarded Newton, which masks out each lane once it converges, and a solve
-is a single lane.  The ``root_tol`` check of the residual ``F(t, pi_q(t))``
-at every requested time reads it as ``A(t) f(u)``, and so does
-:func:`reinsurance_foc`.  Exponent arguments are saturated at ``+-exp_cap``
-before exponentiation: Newton's probe iterates clip silently, and a
-saturation at a returned root warns (SaturationWarning, not an error).
+is a single lane; its bracket ends at the edge where Assumption 3.1 fails.
+The ``root_tol`` check of the residual ``F(t, pi_q(t))`` at every requested
+time reads it as ``A(t) f(u)``, and so does :func:`reinsurance_foc`.
+Exponent arguments are saturated at ``+-exp_cap`` before exponentiation:
+Newton's probe iterates clip silently, and a saturation at a returned root
+warns (SaturationWarning, not an error).
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import ModelParams, NumericsConfig
+from .config import ClaimModelSpec, ModelParams, NumericsConfig
 from .errors import NumericalError, SaturationWarning, ValidationError
-from .levy import ClaimMeasure
+from .levy import ClaimMeasure, tilt_limit
 
 __all__ = [
     "ValueCoefficients",
@@ -315,31 +316,37 @@ def _bracket_error(u0: float) -> NumericalError:
     )
 
 
-def _root_start(eta: float, m1: float, gamma: float, m2: float) -> float:
-    """The ``beta3 -> 0`` root ``u0 = eta m1 / (gamma m2)``; ``[0, 2 u0]`` brackets u*.
+def _root_start(params: ModelParams, spec: ClaimModelSpec, m1: float,
+                m2: float) -> tuple[float, float]:
+    """``(u0, u_c)``, the ``beta3 -> 0`` root and the integrability edge: ``u* < min(2 u0, u_c)``.
 
     For alpha >= 1/2, ``alpha e^x + alpha_hat e^-x >= 1`` at ``x = beta3 E
     >= 0`` (also after clipping), so ``f(u) <= eta m1 - gamma m2 u``, which is
-    ``-eta m1 < 0`` at ``2 u0``.  ``m1`` and ``m2`` are the caller's ``int z^k
-    nu(dz)``, floats.  NumericalError ("bracket") when u0 is not finite (a
-    measure whose weights all underflowed has ``m2 = 0``) or exceeds 2^59.
+    ``-eta m1 < 0`` at ``2 u0 = 2 eta m1 / (gamma m2)``.  The tilt ``exp(beta3
+    E)`` has ``b = beta3 gamma u^2 / 2``, which reaches
+    :func:`~alphamv.levy.tilt_limit` at ``u_c = 1/(sigmaZ sqrt(beta3 gamma))``
+    (inf for a table or an underflowed ``beta3 gamma``); past it Assumption
+    3.1 fails.  ``m1``, ``m2`` are the caller's ``int z^k nu(dz)``, floats.
+    NumericalError ("bracket") when u0 is not finite (all weights underflowed:
+    ``m2 = 0``) or exceeds 2^59.
     """
     try:
-        u0 = eta * m1 / (gamma * m2)
+        u0 = params.eta * m1 / (params.gamma * m2)
     except ZeroDivisionError:
         u0 = math.nan
     if not u0 <= _BRACKET_LIMIT:
         raise _bracket_error(u0)
-    return u0
+    curvature = params.beta3 * params.gamma
+    return u0, math.sqrt(2.0 * tilt_limit(spec) / curvature) if curvature > 0 else math.inf
 
 
 def bracket_pi_q(t, params: ModelParams, measure: ClaimMeasure):
-    """Upper bracket endpoint ``2 u0 / A(t)``, with F(t, hi) < 0 (see :func:`_root_start`).
+    """Upper bracket endpoint ``min(2 u0, u_c) / A(t)`` of :func:`_root_start`.
 
     Vectorized over t; returns a scalar for scalar input.
     """
-    u0 = _root_start(params.eta, measure.moment(1), params.gamma, measure.moment(2))
-    hi = 2.0 * u0 / params.discount_to_horizon(t)
+    u0, u_c = _root_start(params, measure.spec, measure.moment(1), measure.moment(2))
+    hi = min(2.0 * u0, u_c) / params.discount_to_horizon(t)
     return hi if hi.ndim else float(hi)
 
 
@@ -434,17 +441,19 @@ def solve_pi_q_lanes(times, params: Sequence[ModelParams], measures: Sequence[Cl
     Lane l is ``params[l]`` with claim measure ``measures[l]``; every measure
     has the same node count.  ``root_tol`` and ``exp_cap`` are scalars or one
     value per lane.  Each lane's ``u*`` comes from :func:`_newton_root`, all
-    lanes in one masked iteration, on the bracket ``[0, 2 u0]`` of
-    :func:`_root_start` from ``u0``; ``f(u0) <= 0`` as well, so the first
-    iterate tightens it to ``[0, u0]`` (up to rounding near ``beta3 = 0``).
-    Then ``pi_q(t) = u* / A(t)``, and its residual is checked at every time
-    through :func:`_identity_residuals`: at most ``root_tol`` relative to the
-    natural scale ``eta e^{r(T-t)} int z nu(dz)``; a NaN residual fails.
+    lanes in one masked iteration, on the bracket ``[0, min(2 u0, u_c)]`` of
+    :func:`_root_start` from ``min(u0, u_c)``; ``f(u0) <= 0`` as well, so the
+    first iterate tightens it to ``[0, u0]`` (up to rounding near ``beta3 =
+    0``).  Where ``f(u_c) >= 0`` no root lies below the edge, and the lane
+    gets the Assumption 3.1 error.  Then ``pi_q(t) = u* / A(t)``, and its
+    residual is checked at every time through :func:`_identity_residuals`: at
+    most ``root_tol`` relative to the natural scale ``eta e^{r(T-t)} int z
+    nu(dz)``; a NaN residual fails.
 
     Returns ``(pi_q, errors)``: pi_q has shape (lanes, times) and NaN rows
-    where ``errors[l]`` holds the lane's NumericalError (bracket, Newton or
-    residual), else None.  Warns SaturationWarning only when an exponent
-    saturates at a returned root.
+    where ``errors[l]`` holds the lane's NumericalError (bracket, Assumption
+    3.1, Newton or residual), else None.  Warns SaturationWarning only when
+    an exponent saturates at a returned root.
     """
     t = np.asarray(times, dtype=float).reshape(-1)
     n = len(params)
@@ -453,19 +462,29 @@ def solve_pi_q_lanes(times, params: Sequence[ModelParams], measures: Sequence[Cl
     m1 = _lane_dot(foc.z, foc.w)
     scale = root_tol * eta * m1                 # residual bound at A = 1, per lane
     m2 = _lane_dot(foc.z2, foc.w)
-    u0, errors = np.full(n, np.nan), [None] * n
-    for lane, args in enumerate(zip(eta.tolist(), np.broadcast_to(m1, n).tolist(),
-                                    foc.gamma[:, 0].tolist(), np.broadcast_to(m2, n).tolist())):
+    u0, u_c, errors = np.full(n, np.nan), np.full(n, np.inf), [None] * n
+    for lane, args in enumerate(zip(params, (m.spec for m in measures),
+                                    np.broadcast_to(m1, n).tolist(),
+                                    np.broadcast_to(m2, n).tolist())):
         try:
-            u0[lane] = _root_start(*args)
+            u0[lane], u_c[lane] = _root_start(*args)
         except NumericalError as exc:
             errors[lane] = exc
+    cut = (u_c <= u0).nonzero()[0]      # a NaN u0 (bracket error) compares False
+    if cut.size:
+        for lane, f in zip(cut.tolist(), foc.take(cut)(u_c[cut], slope=False)[0].tolist()):
+            if not f < 0:
+                u0[lane], errors[lane] = np.nan, NumericalError(
+                    "Assumption 3.1 fails: the claim integrals under exp(beta3 E(u, z)) "
+                    f"diverge for u = pi_q e^{{r(T-t)}} >= u_c = 1/(sigmaZ sqrt(beta3 gamma)) "
+                    f"= {u_c[lane]:g}, and f(u_c) = {f:g} >= 0: no pi_q root below the edge")
     failures = {}
     u_star = np.full(n, np.nan)
     live = np.isfinite(u0).nonzero()[0]
     if live.size:
         u_star[live] = _newton_root(foc if live.size == n else foc.take(live),
-                                    u0[live], 2.0 * u0[live], failures)
+                                    np.minimum(u0, u_c)[live],
+                                    np.minimum(2.0 * u0, u_c)[live], failures)
     for k, error in failures.items():
         errors[live[k]] = error
     A = np.exp(r[:, None] * (T[:, None] - t))
@@ -548,16 +567,17 @@ def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
                           exp_cap: float = DEFAULT_EXP_CAP) -> np.ndarray:
     """Sign changes of F(t, .) over an ``n_points`` scan of [0, bracket_pi_q(t)], per time.
 
-    ``F(t, pi) = A f(pi A)`` and the bracket ``2 u0 / A`` scales as ``1/A``,
-    so the scan at every t is the same scan of the one function f on
-    ``[0, 2 u0]``.  f is scanned once, in float32, and its count is returned
-    for every time.  Zeros are skipped.  Between neighboring scan points f
-    moves by O(spacing) times its O(1) slope, orders of magnitude above
-    float32 rounding, so the sign pattern is exact; ``f(2 u0) <= -eta m1``
-    keeps the end of the scan clear of the root.
+    ``F(t, pi) = A f(pi A)`` and the bracket ``min(2 u0, u_c) / A`` scales as
+    ``1/A``, so the scan at every t is the same scan of the one function f on
+    ``[0, min(2 u0, u_c)]``.  f is scanned once, in float32, and its count is
+    returned for every time.  Zeros are skipped.  Between neighboring scan
+    points f moves by O(spacing) times its O(1) slope, orders of magnitude
+    above float32 rounding, so the sign pattern is exact; ``f(2 u0) <= -eta
+    m1`` keeps the end of the scan clear of the root, unless u_c cuts it.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    hi = 2.0 * _root_start(params.eta, measure.moment(1), params.gamma, measure.moment(2))
+    u0, u_c = _root_start(params, measure.spec, measure.moment(1), measure.moment(2))
+    hi = min(2.0 * u0, u_c)
     signs = np.sign(_foc_f32(np.linspace(0.0, hi, n_points), params, measure, exp_cap))
     signs = signs[signs != 0]
     return np.full(times.shape, np.count_nonzero(signs[1:] != signs[:-1]))

@@ -51,10 +51,10 @@ class VerificationReport:
         return [c.line() for c in self.checks]
 
 
-def _monotone(values: np.ndarray, direction: str) -> bool:
+def _monotone(values: np.ndarray, steps) -> bool:
+    # steps: each step's expected sign, or one for all; 0 leaves a step unjudged
     tol = 1e-10 * max(1.0, float(np.max(np.abs(values))))
-    diffs = np.diff(values)
-    return bool(np.all(diffs >= -tol) if direction == "inc" else np.all(diffs <= tol))
+    return bool(np.all(np.diff(values) * steps >= -tol))
 
 
 def _pi_p_rk4_bound(grid: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -241,7 +241,7 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         ("gamma", 0.1, 2.0, "pi_q0", "dec"),
         ("mu", 0.06, 0.2, "pi_s0", "inc"),
         ("sigma2", 0.1, 0.5, "pi_s0", "dec"),
-        ("delta", delta_lo, max(0.05, 2 * delta_lo), "pi_p0", "inc"),
+        ("delta", delta_lo, max(0.05, 2 * delta_lo), "pi_p0", "slope"),
         ("zeta", min(0.05, zeta_hi / 20), zeta_hi, "pi_p0", "dec"),
         ("alpha", 0.5, 1.0, "pi_p0", "inc"),
         ("hP", min(2e-4, hP_hi / 25), hP_hi, "pi_p0", "dec"),
@@ -257,14 +257,29 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
                 f"only {values.size} of {len(result.rows)} points solved; need at least 2",
             ))
             continue
-        ok = _monotone(values, want)
+        if want == "slope":
+            # pi_p0 need not rise in delta: with n0 = delta - zeta hP, the
+            # delta-derivative of pi_p_star(0) = n0 (zeta hP + n0 e^{-delta T/zeta})
+            # / (gamma delta zeta^2 hP e^{rT}) has the sign of s below; a step
+            # is judged where s agrees at both ends
+            d = np.array([row.value for row in result.rows if row.status == "ok"])
+            zh = params.zeta * params.hP
+            n0, kT = d - zh, d * params.T / params.zeta
+            s = np.sign(zh * zh + n0 * np.exp(-kT) * (d + zh - n0 * kT))
+            steps = np.where(s[:-1] == s[1:], s[:-1], 0.0)
+            n_inc, n_dec = int(np.sum(steps > 0)), int(np.sum(steps < 0))
+            want = ("inc" if n_inc == steps.size else
+                    f"inc {n_inc}, dec {n_dec}, unjudged {steps.size - n_inc - n_dec} steps")
+        else:
+            steps = 1.0 if want == "inc" else -1.0
+        ok = _monotone(values, steps)
         checks.append(CheckResult(
             f"monotone_{quantity}_vs_{param}", ok,
             f"{'non' if not ok else ''}monotone ({want}) over {values.size} points, "
             f"range [{values[0]:.6g}, {values[-1]:.6g}]",
         ))
     checks.append(CheckResult(
-        "monotone_pi_q_vs_t", _monotone(solution.pi_q, "inc"),
+        "monotone_pi_q_vs_t", _monotone(solution.pi_q, 1.0),
         f"pi_q over the time grid, range [{solution.pi_q[0]:.6g}, {solution.pi_q[-1]:.6g}]",
     ))
 

@@ -1,4 +1,4 @@
-"""Config loading, invariant validation, round-trips, integrability checks."""
+"""Config loading, invariant validation, round-trips, numeric coercion."""
 
 import dataclasses
 import re
@@ -8,7 +8,7 @@ import pytest
 
 from alphamv.cli import main
 from alphamv.config import (ClaimModelSpec, ModelParams, NumericsConfig,
-                            load_config, save_config, validate_assumption31)
+                            load_config, save_config)
 from alphamv.errors import ConfigError, ValidationError
 
 from conftest import BASE_KWARGS, write_config
@@ -156,30 +156,21 @@ def test_numerics_invariants():
         NumericsConfig(mc_dt=-1e-3)
 
 
-def test_assumption31_truncated_normal(base_params):
-    # Gaussian tail beats e^{c z^2} for c < 1/(2 sigmaZ^2) = 50; witness is 25
-    claims = ClaimModelSpec(lam=1.0, muZ=1.0, sigmaZ=0.1)
-    report = validate_assumption31(claims, base_params)
-    assert report.ok
-    assert report.witness_c == pytest.approx(25.0)
-    assert report.witness_c < 50.0
-
-
-def test_assumption31_power_tail_violation(base_params):
-    # density ~ z^-2 has a divergent second (and first) moment under extension
-    z = np.geomspace(0.1, 1e6, 400)
-    claims = ClaimModelSpec(lam=1.0, kind="tabulated-density", z_grid=z, density=z ** -2.0)
-    report = validate_assumption31(claims, base_params)
-    assert not report.ok
-    assert "diverges" in report.detail
-
-
-def test_assumption31_decaying_table_ok(base_params):
-    z = np.linspace(0.01, 3.0, 300)
-    dens = np.exp(-((z - 1.0) / 0.1) ** 2 / 2.0)
-    claims = ClaimModelSpec(lam=1.0, kind="tabulated-density", z_grid=z, density=dens)
-    report = validate_assumption31(claims, base_params)
-    assert report.ok
+def test_numpy_scalars_stored_as_python_floats():
+    # so the representability checks run in Python float arithmetic, which
+    # does not warn (test_unrepresentable_stock_demand_raises_typed_error)
+    params = ModelParams(**{**BASE_KWARGS, "sigma2": np.float64(1e-160), "T": np.float32(10.0),
+                            "hP": np.int64(0)})
+    claims = ClaimModelSpec(lam=np.float32(1.5), muZ=np.float64(1.0), sigmaZ=np.int32(1))
+    for record, names in ((params, [f.name for f in dataclasses.fields(params)]),
+                          (claims, ["lam", "muZ", "sigmaZ"])):
+        assert [name for name in names if type(getattr(record, name)) is not float] == []
+    assert (params.sigma2, params.T, claims.lam, claims.sigmaZ) == (1e-160, 10.0, 1.5, 1.0)
+    # other types keep their own errors
+    with pytest.raises(TypeError):
+        ModelParams(**{**BASE_KWARGS, "r": "0.05"})
+    with pytest.raises(TypeError):
+        ClaimModelSpec(lam=1.0, muZ=np.array([1.0, 2.0]), sigmaZ=0.1)
 
 
 def test_sigma_z_zero_rejected_at_construction():

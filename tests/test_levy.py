@@ -3,12 +3,15 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.stats import truncnorm
 
 from alphamv.config import ClaimModelSpec
-from alphamv.levy import build_measure, sample_truncated_sizes
+from alphamv.errors import NumericalError, ValidationError
+from alphamv.levy import build_measure, sample_truncated_sizes, tilt_limit
 
 
 def truncnorm_moments(muZ: float, sigmaZ: float):
@@ -30,6 +33,67 @@ def test_moments_match_closed_form(base_claims, base_measure):
     m1, m2 = truncnorm_moments(1.0, 0.1)
     assert base_measure.moment(1) == pytest.approx(m1, rel=1e-10)
     assert base_measure.moment(2) == pytest.approx(m2, rel=1e-10)
+
+
+def _truncnorm_moments_mp(muZ: float, sigmaZ: float):
+    """E[Z], E[Z^2] of N(muZ, sigmaZ^2) truncated to (0, inf), in 40-digit arithmetic.
+
+    With alpha = -muZ/sigmaZ and the inverse Mills ratio l = phi(alpha) /
+    Phi(-alpha): E[Z] = muZ + sigmaZ l, E[Z^2] = muZ^2 + 2 muZ sigmaZ l +
+    sigmaZ^2 (1 + alpha l).
+    """
+    with mpmath.workdps(40):
+        mu, s = mpmath.mpf(muZ), mpmath.mpf(sigmaZ)
+        alpha = -mu / s
+        mills = mpmath.npdf(alpha) / mpmath.ncdf(-alpha)
+        return (float(mu + s * mills),
+                float(mu * mu + 2 * mu * s * mills + s * s * (1 + alpha * mills)))
+
+
+@pytest.mark.parametrize("sigmaZ", [0.1, 1.7])
+def test_support_follows_the_tail_over_the_whole_ratio_range(sigmaZ):
+    # the support ends where the density is e^{-32} of its maximum on (0, inf):
+    # mass lambda by construction, moments of the truncated normal at any
+    # muZ/sigmaZ (the old muZ +- 8 sigmaZ support lost 1.7e-2 of m2 at -7 and
+    # had no node above 0 from -8 down), and for muZ >= 0 the old nodes
+    for ratio in np.linspace(-40.0, 40.0, 81):
+        spec = ClaimModelSpec(lam=0.7, muZ=float(ratio) * sigmaZ, sigmaZ=sigmaZ)
+        m1, m2 = _truncnorm_moments_mp(spec.muZ, sigmaZ)
+        for n in (32, 64, 128):
+            measure = build_measure(spec, n)
+            assert measure.moment(0) == pytest.approx(spec.lam, rel=1e-14, abs=0)
+            assert measure.moment(1) == pytest.approx(spec.lam * m1, rel=1e-11, abs=0)
+            assert measure.moment(2) == pytest.approx(spec.lam * m2, rel=1e-11, abs=0)
+            if spec.muZ >= 0:
+                lo, hi = max(0.0, spec.muZ - 8.0 * sigmaZ), spec.muZ + 8.0 * sigmaZ
+                x = leggauss(n)[0]
+                assert np.array_equal(measure.nodes, 0.5 * (hi - lo) * x + 0.5 * (hi + lo))
+
+
+def test_density_zero_at_every_node_is_a_typed_error():
+    # a table whose mass sits between the nodes: no weights, no NaN
+    # (the two nodes on [1, 2] are 1.5 -+ 0.5/sqrt(3))
+    spec = ClaimModelSpec(lam=1.0, kind="tabulated-density", z_grid=np.linspace(1.0, 2.0, 5),
+                          density=np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValidationError, match="0 at all 2 quadrature nodes") as caught:
+        build_measure(spec, 2)
+    assert caught.value.tag == "density=0"
+
+
+def test_tilt_limit_is_the_integrability_rule():
+    # exp(a z + b z^2) is integrable against N(muZ, sigmaZ^2) on (0, inf) iff
+    # b < 1/(2 sigmaZ^2), and against a table always; the sampler reads the rule
+    spec = ClaimModelSpec(lam=1.0, muZ=1.0, sigmaZ=0.1)
+    assert tilt_limit(spec) == pytest.approx(50.0, rel=1e-15)
+    assert tilt_limit(ClaimModelSpec(lam=1.0, muZ=1.0, sigmaZ=1e-200)) == math.inf
+    z = np.linspace(0.5, 1.5, 11)
+    table = ClaimModelSpec(lam=1.0, kind="tabulated-density", z_grid=z, density=np.ones(11))
+    assert tilt_limit(table) == math.inf
+    rng = np.random.default_rng(3)
+    assert np.all(sample_truncated_sizes(spec, 10, rng, 0.0, 49.9) > 0)
+    assert np.all(sample_truncated_sizes(table, 10, rng, 0.0, 1e6) > 0)
+    with pytest.raises(NumericalError, match="not integrable"):
+        sample_truncated_sizes(spec, 10, rng, -5.0, 50.0)
 
 
 def test_moment_one_matches_sampling_oracle(base_claims, base_measure):

@@ -411,6 +411,28 @@ def test_estimate_objective_deterministic_limit(base_measure):
     assert est.penalty == 0.0
 
 
+def test_objective_moments_do_not_overflow_at_large_wealth(base_params, base_measure):
+    # at sigma2 = 1e-40 X(T) reaches ~3e77, whose fourth power overflows; the
+    # moments about the sample mean do not.  At unit scale the delta-method SE
+    # equals the raw-moment form grad' Cov grad / n
+    x = np.random.default_rng(5).normal(2.0, 0.5, 20_000)
+    est = objective_from_terminal(x, None, base_params, base_measure)
+    n, gamma = x.size, base_params.gamma
+    m1, m2, m3, m4 = (np.mean(x ** k) for k in range(1, 5))
+    grad = np.array([1.0 + gamma * m1, -0.5 * gamma])
+    cov = np.array([[m2 - m1 * m1, m3 - m1 * m2], [m3 - m1 * m2, m4 - m2 * m2]]) / n
+    assert est.std_error == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-12)
+    assert est.variance == pytest.approx((m2 - m1 * m1) * n / (n - 1), rel=1e-12)
+    # wealth 3e77 + 1e70 x: x^4 overflows; the spread is 1e70 times that of x
+    # (to the resolution 4e61 of 3e77), and the SE is (gamma/2) sd(dev^2)/sqrt(n)
+    big = objective_from_terminal(3e77 + 1e70 * x, None, base_params, base_measure)
+    dev2 = (x - x.mean()) ** 2
+    assert big.mean == pytest.approx(3e77, rel=1e-7)
+    assert big.variance == pytest.approx(1e140 * est.variance, rel=1e-6)
+    assert big.std_error == pytest.approx(0.5 * gamma * 1e140 * math.sqrt(np.var(dev2) / n),
+                                          rel=1e-6)
+
+
 def test_estimate_objective_rejects_tiny_samples(base_params, base_measure, base_solution):
     dist = distortions(base_solution, base_params)
     with pytest.raises(ValidationError, match="paths too few"):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from alphamv.config import ModelParams, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
-from alphamv.levy import build_measure
+from alphamv.levy import ClaimMeasure, build_measure
 import alphamv.solver as solver_mod
 from alphamv.solver import (DistortionSide, _FocLanes, _claim_integrals,
                             _identity_residuals, bracket_pi_q,
@@ -59,12 +59,14 @@ def test_pi_s_star_invariant_to_beta12_at_alpha_half():
     assert np.allclose(pi_s_star(ts, base), pi_s_star(ts, bumped), rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("sigma2", [1e-300, 1e-160])
+@pytest.mark.parametrize("sigma2", [1e-300, 1e-160,
+                                    pytest.param(np.float64(1e-160), id="numpy-1e-160")])
 def test_unrepresentable_stock_demand_raises_typed_error(base_measure, base_numerics, sigma2):
     # sigma2^2 (gamma + ...) underflows to 0 (1e-300), or is subnormal and the
     # stock coefficients (mu - r) / (sigma2^2 (...)) overflow (1e-160): a
-    # typed error before any float warning
-    params = ModelParams(**{**BASE_KWARGS, "sigma2": sigma2})
+    # typed error before any float warning, also for a numpy scalar, which
+    # the record stores as a Python float
+    params = dataclasses.replace(ModelParams(**BASE_KWARGS), sigma2=sigma2)
     calls = (lambda: pi_s_star(0.0, params),
              lambda: pi_s_star(np.linspace(0.0, params.T, 5), params),
              lambda: solver_mod._stock_coefficients(params),
@@ -429,11 +431,11 @@ def test_bracket_expansion_failure_signals_pathology(base_measure):
         bracket_pi_q(0.0, params, base_measure)
 
 
-def test_underflowed_measure_gives_typed_bracket_error(base_params, base_claims):
-    # sigmaZ = 5e-30 underflows every node weight: u0 = eta m1 / (gamma m2) is
-    # 0/0, which every u0 route reports as a bracket error, not a ZeroDivisionError
-    measure = build_measure(dataclasses.replace(base_claims, sigmaZ=5e-30), 64)
-    assert not np.any(measure.weights)
+def test_underflowed_measure_gives_typed_bracket_error(base_params, base_claims,
+                                                       base_measure):
+    # a measure whose weights all underflowed: u0 = eta m1 / (gamma m2) is 0/0,
+    # which every u0 route reports as a bracket error, not a ZeroDivisionError
+    measure = ClaimMeasure(base_claims, base_measure.nodes, np.zeros(base_measure.nodes.size))
     message = r"u0 = eta m1 / \(gamma m2\) = nan is not finite"
     for call in (lambda: bracket_pi_q(0.0, base_params, measure),
                  lambda: scan_foc_sign_changes([0.0], base_params, measure)):
@@ -442,6 +444,79 @@ def test_underflowed_measure_gives_typed_bracket_error(base_params, base_claims)
     _, errors = solve_pi_q_lanes([0.0], [base_params], [measure])
     with pytest.raises(NumericalError, match=message):
         raise errors[0]
+
+
+def test_narrow_claim_law_is_the_point_mass_at_muZ(base_params, base_claims):
+    # sigmaZ = 5e-30: the support muZ +- 8 sigmaZ rounds to the one point
+    # muZ, and the root is that of the point-mass equation
+    # lam ((1 + eta) z - (z + gamma u z^2)(alpha e^{beta3 E} + alpha_hat e^{-beta3 E})) = 0
+    mpmath = pytest.importorskip("mpmath")
+    claims = dataclasses.replace(base_claims, lam=1.3, sigmaZ=5e-30)
+    measure = build_measure(claims, 64)
+    assert np.all(measure.nodes == claims.muZ)
+    assert measure.moment(0) == pytest.approx(claims.lam, rel=1e-15, abs=0)
+    p = base_params
+    with mpmath.workdps(40):
+        z, gamma, beta3 = mpmath.mpf(claims.muZ), mpmath.mpf(p.gamma), mpmath.mpf(p.beta3)
+
+        def f(u):
+            E = u * z + gamma / 2 * u * u * z * z
+            mix = p.alpha * mpmath.exp(beta3 * E) + (1 - p.alpha) * mpmath.exp(-beta3 * E)
+            return (1 + p.eta) * z - (z + gamma * u * z * z) * mix
+
+        want = float(mpmath.findroot(f, (0, p.eta / (p.gamma * claims.muZ)),
+                                     solver="anderson"))
+    assert solve_pi_q_star(p.T, p, measure) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+# the 3,000-config probe's first root past the edge: u* = 32.13 against
+# u_c = 1/(sigmaZ sqrt(beta3 gamma)) = 29.12 (the probe's values, rounded)
+EDGE_MODEL = {"beta3": 0.1933, "gamma": 0.4671, "eta": 6.063}
+EDGE_CLAIMS = {"muZ": -0.3196, "sigmaZ": 0.1143}
+
+
+def test_root_past_the_integrability_edge_raises():
+    params, claims, numerics = load_config(BASE_CFG)
+    params = dataclasses.replace(params, **EDGE_MODEL)
+    measure = build_measure(dataclasses.replace(claims, **EDGE_CLAIMS), numerics.quad_nodes)
+    u_c = 1.0 / (EDGE_CLAIMS["sigmaZ"] * math.sqrt(params.beta3 * params.gamma))
+    assert 29.11 < u_c < 29.12
+    assert reinsurance_foc(params.T, u_c, params, measure) > 0
+    message = r"Assumption 3\.1 fails: .* u_c = 1/\(sigmaZ sqrt\(beta3 gamma\)\) = 29\.116"
+    for call in (lambda: solve_pi_q_star(params.T, params, measure),
+                 lambda: solve_equilibrium(params, measure, numerics)):
+        with pytest.raises(NumericalError, match=message):
+            call()
+    # the bracket and the sign scan end at the edge, where 2 u0 lies beyond it
+    assert 2.0 * params.eta * measure.moment(1) / (params.gamma * measure.moment(2)) > u_c
+    assert bracket_pi_q(params.T, params, measure) == pytest.approx(u_c, rel=1e-15)
+    assert scan_foc_sign_changes([0.0], params, measure).tolist() == [0]
+
+
+def test_every_solved_root_lies_below_the_integrability_edge():
+    # ROADMAP item 1's draw (beta3 log-uniform on [1e-2, 1e3], gamma on
+    # [1e-3, 10], eta - 0.1 on [1e-2, 10], sigmaZ on [0.1, 5], muZ uniform on
+    # [-1, 2]) as lanes of one root solve: every lane solves below its edge u_c
+    # or carries the Assumption 3.1 error (some lanes solved past u_c before)
+    params, claims, numerics = load_config(BASE_CFG)
+    rng = np.random.default_rng(7)
+    n = 3000
+    beta3, gamma = 10.0 ** rng.uniform(-2, 3, n), 10.0 ** rng.uniform(-3, 1, n)
+    eta, muZ = 0.1 + 10.0 ** rng.uniform(-2, 1, n), rng.uniform(-1, 2, n)
+    sigmaZ = 10.0 ** rng.uniform(-1, math.log10(5), n)
+    lanes = [dataclasses.replace(params, beta3=b, gamma=g, eta=e)
+             for b, g, e in zip(beta3, gamma, eta)]
+    measures = [build_measure(dataclasses.replace(claims, muZ=m, sigmaZ=s), numerics.quad_nodes)
+                for m, s in zip(muZ, sigmaZ)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)
+        pi_q, errors = solve_pi_q_lanes(params.T, lanes, measures, numerics.root_tol,
+                                        numerics.exp_cap)
+    solved = np.array([error is None for error in errors])
+    edge = [k for k, error in enumerate(errors) if error is not None]
+    assert all("Assumption 3.1" in str(errors[k]) for k in edge) and edge
+    u_c = 1.0 / (sigmaZ * np.sqrt(beta3 * gamma))
+    assert np.all(pi_q[solved, 0] < u_c[solved])
 
 
 def test_solve_equilibrium_reports_bracket_failure(base_measure, base_numerics):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphamv.cli import main
-from alphamv.config import ClaimModelSpec, replace_param
+from alphamv.config import ClaimModelSpec, load_config, replace_param
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
 from alphamv.solver import (EquilibriumSolution, ValueCoefficients, _value_intercepts,
@@ -149,7 +149,13 @@ def test_evaluate_quantity_is_the_one_point_sweep(base_params, base_claims, base
 
 
 def test_unbuildable_measure_skips_only_the_rows_that_need_it(base_params, base_numerics):
-    claims = ClaimModelSpec(lam=1.0, muZ=-1.0, sigmaZ=0.1)
+    # a tabulated density whose one spike sits between two neighbouring nodes
+    # is 0 at every node
+    x = np.polynomial.legendre.leggauss(base_numerics.quad_nodes)[0]
+    mid = 1.5 + 0.25 * (x[31] + x[32])
+    claims = ClaimModelSpec(lam=1.0, kind="tabulated-density",
+                            z_grid=np.array([1.0, mid - 1e-4, mid, mid + 1e-4, 2.0]),
+                            density=np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValidationError) as caught:
         build_measure(claims, base_numerics.quad_nodes)
     for quantity, status in (("pi_q0", f"skipped:{caught.value.tag}"),
@@ -498,8 +504,10 @@ def test_cmd_verify_hP_sweep_fits_low_spread(tmp_path, capsys):
     ({"hP": 0.06, "zeta": 1.0, "delta": 0.07},
      ("monotone_pi_p0_vs_delta", "monotone_pi_p0_vs_zeta")),
     # delta / hP = 1/30 lies below the old fixed zeta range's start (0.05); at
-    # so small a zeta pi_p0 is not monotone in delta, so only zeta is checked
-    ({"hP": 0.06, "zeta": 0.02, "delta": 0.002}, ("monotone_pi_p0_vs_zeta",)),
+    # so small a zeta pi_p0 is not monotone in delta, and each delta step
+    # takes its direction from the analytic slope
+    ({"hP": 0.06, "zeta": 0.02, "delta": 0.002},
+     ("monotone_pi_p0_vs_delta", "monotone_pi_p0_vs_zeta")),
 ])
 def test_cmd_verify_delta_and_zeta_sweeps_fit_high_default_risk(tmp_path, capsys,
                                                                 overrides, names):
@@ -511,6 +519,38 @@ def test_cmd_verify_delta_and_zeta_sweeps_fit_high_default_risk(tmp_path, capsys
     for name in names:
         line = next(l for l in out.split("\n") if name in l)
         assert line.startswith("PASS") and "over 20 points" in line
+
+
+def test_cmd_verify_delta_check_fails_a_slope_of_the_wrong_sign(tmp_path, capsys, monkeypatch):
+    # pi_p0 rises, falls and rises again in delta on this config; a sweep
+    # quantity whose delta-slope has the wrong sign fails the judged steps
+    import alphamv.sweep as sweep_mod
+    monkeypatch.setattr(sweep_mod, "pi_p_star", lambda t, params: -pi_p_star(t, params))
+    cfg = write_config(tmp_path / "risky.cfg", overrides={"hP": 0.06, "zeta": 0.02, "delta": 0.002},
+                       numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
+                                           "time_steps": 100, "quad_nodes": 32})
+    main(["verify", "--config", str(cfg)])
+    line = next(l for l in capsys.readouterr().out.split("\n") if "monotone_pi_p0_vs_delta" in l)
+    assert line.startswith("FAIL") and "(inc 15, dec 2, unjudged 2 steps)" in line
+
+
+def test_root_past_the_integrability_edge_skips_its_row_and_exits_3(tmp_path, capsys):
+    # the probe config of tests/test_solver.py::test_root_past_the_integrability_edge_raises:
+    # solve and verify stop with the root's Assumption 3.1 error, before any
+    # claim size is drawn, and a sweep skips only that row
+    cfg = write_config(tmp_path / "edge.cfg",
+                       overrides={"beta3": 0.1933, "gamma": 0.4671, "eta": 6.063,
+                                  "muZ": -0.3196, "sigmaZ": 0.1143},
+                       numerics_overrides={"mc_paths": 1000, "time_steps": 100})
+    rows = run_sweep(*load_config(cfg), SweepSpec("eta", (0.5, 6.063), "pi_q0")).rows
+    assert rows[0].status == "ok"
+    assert rows[1].status.startswith("skipped:numerical (Assumption 3.1 fails")
+    for argv in (["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+                 ["verify", "--config", str(cfg)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "Assumption 3.1" in err and "u_c = 1/(sigmaZ sqrt(beta3 gamma)) = 29.116" in err
+        assert "not integrable" not in err
 
 
 def test_verify_pi_p_check_runs_rk4_on_its_stable_steps(base_params, base_claims,
