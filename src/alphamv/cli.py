@@ -1,12 +1,18 @@
 """Command-line front end: solve, sweep, verify.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure,
+Exit codes: 0 success, 1 validation error (an invalid or unreadable config,
+or an output path that cannot be written), 2 verification failure,
 3 numerical failure.
+
+:func:`main` may be called repeatedly in one process, as
+``demos/02_figure_sweeps.py`` does: the argument parser is built on the
+first call and reused, and parsing does not change it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import load_config
@@ -22,6 +28,7 @@ EXIT_VERIFICATION = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphamv",
@@ -87,7 +94,9 @@ def main(argv=None) -> int:
     handler = {"solve": _cmd_solve, "sweep": _cmd_sweep, "verify": _cmd_verify}[args.command]
     try:
         return handler(args)
-    except (ConfigError, ValidationError) as exc:
+    # the config read and the CSV writes are the only file access, so an
+    # OSError names an unreadable config or an unwritable output path
+    except (ConfigError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

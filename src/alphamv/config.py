@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -100,8 +100,8 @@ class ModelParams:
     x0: float       # initial wealth
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            _require_finite(f.name, _float_field(self, f.name))
+        for name in _MODEL_FIELDS:
+            _require_finite(name, _float_field(self, name))
         if self.r <= 0:
             raise ValidationError("r<=0", f"risk-free rate must satisfy r > 0, got r={self.r}")
         if self.sigma2 <= 0:
@@ -164,6 +164,9 @@ class ModelParams:
     def discount_to_horizon(self, t):
         """e^{r(T - t)}: value at horizon of one unit held at time t."""
         return np.exp(self.r * (self.T - np.asarray(t, dtype=float)))
+
+
+_MODEL_FIELDS = tuple(f.name for f in fields(ModelParams))
 
 
 @dataclass(frozen=True)
@@ -320,20 +323,41 @@ def save_config(path, params: ModelParams, claims: ClaimModelSpec, numerics: Num
         fh.write("\n".join(lines) + "\n")
 
 
+def _with_field(record, name: str, value):
+    """A copy of the valid ``record`` with one field set, validated again.
+
+    The copy takes the record's field dict and runs its class's
+    ``__post_init__``, so it gets the coercions, checks, tags and messages
+    of construction without the frozen ``__init__`` setting every field anew.
+    """
+    copy = object.__new__(type(record))
+    copy.__dict__.update(record.__dict__)
+    copy.__dict__[name] = value
+    copy.__post_init__()
+    return copy
+
+
 def replace_param(params: ModelParams, claims: ClaimModelSpec, numerics: NumericsConfig,
                   key: str, value: float) -> tuple[ModelParams, ClaimModelSpec, NumericsConfig]:
     """Return copies of the three records with one config key overridden.
 
     Raises KeyError for unknown keys and ValidationError when the new value
-    violates an invariant (same behavior as loading a file with that value).
+    violates an invariant, as constructing the record with that value would.
+    A value of an integer numerics key (``quad_nodes``, ``time_steps``,
+    ``mc_paths``, ``seed``) that is not finite or not integral is a
+    ValidationError tagged ``nonfinite:<key>`` or ``noninteger:<key>``, so a
+    sweep skips that point; :func:`load_config` reports the same text in a
+    file as a ConfigError.
     """
-    if key == "lambda":
-        return params, replace(claims, lam=value), numerics
-    if key in ("muZ", "sigmaZ"):
-        return params, replace(claims, **{key: value}), numerics
+    if key in ("lambda", "muZ", "sigmaZ"):
+        return params, _with_field(claims, "lam" if key == "lambda" else key, value), numerics
+    if key in _INT_KEYS:
+        _require_finite(key, value)
+        if value != int(value):
+            raise ValidationError(f"noninteger:{key}", f"{key} must be an integer, got {value!r}")
+        return params, claims, _with_field(numerics, key, int(value))
     if key in NUMERICS_DEFAULTS:
-        coerced = _coerce_int(key, value) if key in _INT_KEYS else float(value)
-        return params, claims, replace(numerics, **{key: coerced})
+        return params, claims, _with_field(numerics, key, float(value))
     if key in MODEL_KEYS:
-        return replace(params, **{key: value}), claims, numerics
+        return _with_field(params, key, value), claims, numerics
     raise KeyError(key)

@@ -593,6 +593,9 @@ class ValueCoefficients:
 
     ``value = A(t) x + B_h(t)`` and the distorted means are
     ``A(t) x + b_h(t)`` with A(t) = e^{r(T-t)}.  All intercepts vanish at T.
+    ``params``, ``measure``, ``u_star`` and ``exp_cap`` are the inputs of the
+    closed form :func:`_value_intercepts`, which :func:`value_function`
+    evaluates at any t.
     """
 
     grid: np.ndarray
@@ -605,15 +608,19 @@ class ValueCoefficients:
     b0_hi: np.ndarray
     r: float
     T: float
+    params: ModelParams = field(repr=False, default=None)
+    measure: ClaimMeasure = field(repr=False, default=None)
+    u_star: float = None
+    exp_cap: float = DEFAULT_EXP_CAP
 
 
-def _checked_u_star(strategy) -> float:
-    """The strategy's ``u_star``; ValidationError when it has none."""
-    u_star = getattr(strategy, "u_star", None)
+def _checked_u_star(record) -> float:
+    """The record's ``u_star``; ValidationError when it has none."""
+    u_star = getattr(record, "u_star", None)
     if u_star is None:
         raise ValidationError(
-            "u_star", f"{type(strategy).__name__}.u_star is not set: pi_q(t) = u_star "
-            "e^{-r(T-t)} needs it (solve_equilibrium sets it)")
+            "u_star", f"{type(record).__name__}.u_star is not set: pi_q(t) = u_star "
+            "e^{-r(T-t)} and the value intercepts need it (solve_equilibrium sets it)")
     return u_star
 
 
@@ -889,6 +896,7 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
     coeffs = ValueCoefficients(
         grid=grid, A=params.discount_to_horizon(grid), B1=B1, B0=B0,
         b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi, r=params.r, T=params.T,
+        params=params, measure=measure, u_star=u_star, exp_cap=numerics.exp_cap,
     )
     return EquilibriumSolution(
         grid=grid, pi_q=pi_q, pi_s=pi_s_star(grid, params), pi_p=pi_p_star(grid, params),
@@ -918,15 +926,21 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
 # ---------------------------------------------------------------------------
 
 def value_function(t, x, h: int, coeffs: ValueCoefficients):
-    """Equilibrium value e^{r(T-t)} x + B_h(t), with B interpolated linearly."""
+    """Equilibrium value e^{r(T-t)} x + B_h(t) at any t in [0, T].
+
+    B_h is the closed form :func:`_value_intercepts` at the inputs that
+    ``coeffs`` carries, so it is exact between grid points and equals the
+    ``B1``/``B0`` columns on the grid.
+    """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr > coeffs.T):
         raise ValidationError("t_range", f"time must lie in [0, {coeffs.T}], got {t}")
     if h not in (0, 1):
         raise ValidationError("h_range", f"default state must be 0 or 1, got {h}")
-    B = coeffs.B1 if h == 1 else coeffs.B0
+    B1, _, _, B0, _, _ = _value_intercepts(t_arr, coeffs.params, coeffs.measure,
+                                           _checked_u_star(coeffs), coeffs.exp_cap)
     value = np.exp(coeffs.r * (coeffs.T - t_arr)) * np.asarray(x, dtype=float) \
-        + np.interp(t_arr, coeffs.grid, B)
+        + (B1 if h == 1 else B0)
     return value if value.ndim else float(value)
 
 

@@ -1,14 +1,17 @@
 """Config loading, invariant validation, round-trips, numeric coercion."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphamv.cli import main
-from alphamv.config import (ClaimModelSpec, ModelParams, NumericsConfig,
-                            load_config, save_config)
+from alphamv.config import (ALL_KEYS, NUMERICS_DEFAULTS, ClaimModelSpec, ModelParams,
+                            NumericsConfig, load_config, replace_param, save_config)
 from alphamv.errors import ConfigError, ValidationError
 
 from conftest import BASE_KWARGS, write_config
@@ -188,3 +191,60 @@ def test_params_are_immutable(base_params):
     assert base_params.alpha_hat == pytest.approx(0.2)
     assert base_params.h_q == pytest.approx(0.02)
     assert base_params.bond_excess_drift == pytest.approx(0.009)
+
+
+_BASE_VALUES = {**BASE_KWARGS, "lambda": 1.0, "muZ": 1.0, "sigmaZ": 0.1, **NUMERICS_DEFAULTS}
+
+
+def _constructed(params, claims, numerics, key, value):
+    """replace_param's records built by the constructors, or the error they raise."""
+    try:
+        if key in ("lambda", "muZ", "sigmaZ"):
+            name = "lam" if key == "lambda" else key
+            return params, ClaimModelSpec(**{**vars(claims), name: value}), numerics
+        if key in ("quad_nodes", "time_steps", "mc_paths", "seed"):
+            if not math.isfinite(value):
+                raise ValidationError(f"nonfinite:{key}", f"{key} must be finite, got {value!r}")
+            if value != int(value):
+                raise ValidationError(f"noninteger:{key}", f"{key} must be an integer, got {value!r}")
+            return params, claims, NumericsConfig(**{**vars(numerics), key: int(value)})
+        if key in NUMERICS_DEFAULTS:
+            return params, claims, NumericsConfig(**{**vars(numerics), key: float(value)})
+        return ModelParams(**{**vars(params), key: value}), claims, numerics
+    except ValidationError as exc:
+        return exc
+
+
+@st.composite
+def _values(draw, key):
+    value = draw(st.one_of(
+        st.sampled_from((math.nan, math.inf, -math.inf, 1e-300, -1e-300, 0.0)),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(0.25, 4.0).map(lambda f: f * _BASE_VALUES[key]),   # mostly valid
+        st.integers(-2, 300).map(float)))
+    kind = draw(st.sampled_from((float, np.float64, np.float32)))
+    if kind is np.float32 and abs(value) > 1e38 and math.isfinite(value):
+        kind = np.float64                   # a float32 cast would overflow
+    return kind(value)
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_replace_param_equals_construction(base_params, base_claims, base_numerics, key, data):
+    value = data.draw(_values(key), label="value")
+    want = _constructed(base_params, base_claims, base_numerics, key, value)
+    if isinstance(want, ValidationError):
+        with pytest.raises(ValidationError) as exc_info:
+            replace_param(base_params, base_claims, base_numerics, key, value)
+        assert (exc_info.value.tag, str(exc_info.value)) == (want.tag, str(want))
+        return
+    got = replace_param(base_params, base_claims, base_numerics, key, value)
+    assert got == want
+    params, claims, numerics = got
+    fields = [getattr(params, f.name) for f in dataclasses.fields(params)]
+    fields += [claims.lam, claims.muZ, claims.sigmaZ]
+    fields += [getattr(numerics, name) for name in ("root_tol", "exp_cap", "mc_dt")]
+    assert {type(v) for v in fields} == {float}
+    assert {type(getattr(numerics, name))
+            for name in ("quad_nodes", "time_steps", "mc_paths", "seed")} == {int}

@@ -16,7 +16,7 @@ from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import ClaimMeasure, build_measure
 import alphamv.solver as solver_mod
 from alphamv.solver import (DistortionSide, _FocLanes, _claim_integrals,
-                            _identity_residuals, bracket_pi_q,
+                            _identity_residuals, _value_intercepts, bracket_pi_q,
                             distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
                             reinsurance_foc, scan_foc_sign_changes,
@@ -1010,6 +1010,23 @@ def test_value_function_terminal_and_affine(base_params, base_solution):
         value_function(-0.1, 1.0, 0, c)
     with pytest.raises(ValidationError):
         value_function(base_params.T + 0.1, 1.0, 1, c)
+
+
+def test_value_function_is_the_closed_form_at_any_time(base_params, base_measure,
+                                                      base_numerics, base_solution):
+    # linear interpolation of B_h between the 1000-step grid points was off
+    # by up to 5.3e-7 in B0
+    c = base_solution.coeffs
+    fine = np.linspace(0.0, base_params.T, 100_001)
+    columns = _value_intercepts(fine, base_params, base_measure, base_solution.u_star,
+                                base_numerics.exp_cap)
+    for h, want, stored in ((1, columns[0], c.B1), (0, columns[3], c.B0)):
+        assert np.array_equal(value_function(fine, 0.0, h, c), want)
+        on_grid = value_function(c.grid, 0.0, h, c)
+        assert np.max(np.abs(on_grid - stored)) <= 4 * np.finfo(float).eps * np.max(np.abs(stored))
+    with pytest.raises(ValidationError) as exc_info:
+        value_function(1.0, 1.0, 0, dataclasses.replace(c, u_star=None))
+    assert exc_info.value.tag == "u_star"
 
 
 def test_penalty_rate_zero_and_quadratic(base_params, base_measure):

@@ -3,7 +3,10 @@
 import csv
 import dataclasses
 import filecmp
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphamv.cli import main
+from alphamv.cli import _build_parser, main
 from alphamv.config import ClaimModelSpec, load_config, replace_param
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
@@ -24,7 +27,8 @@ from alphamv.verify import run_verification
 
 from conftest import write_config
 
-DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +110,7 @@ _SWEPT = {
     "lambda": st.floats(-1.0, 20.0),
     "muZ": st.floats(-3.0, 5.0),
     "sigmaZ": st.floats(-0.1, 3.0),
-    "quad_nodes": st.integers(0, 80).map(float),
+    "quad_nodes": st.one_of(st.integers(0, 80).map(float), st.floats(0.0, 80.0)),
     "r": st.floats(-0.02, 0.2),
     "T": st.floats(-1.0, 13.0),
     "hP": st.floats(-0.005, 0.03),
@@ -410,6 +414,86 @@ def test_cmd_sweep_unknown_param(tmp_path, capsys):
                  "--quantity", "pi_q0", "--out", str(tmp_path / "s.csv")])
     assert code == 1
     assert "unknown parameter" in capsys.readouterr().err
+
+
+def test_cmd_sweep_skips_non_integral_node_counts(tmp_path):
+    cfg = write_config(tmp_path / "base.cfg", numerics_overrides={"time_steps": 100})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--param", "quad_nodes", "--from", "16",
+                 "--to", "32", "--points", "4", "--quantity", "pi_q0", "--out", str(out)]) == 0
+    _, values, quantities, status = _read_sweep_csv(out)
+    assert values == ["16", "21.333333333333332", "26.666666666666664", "32"]
+    assert status == ["ok", "skipped:noninteger:quad_nodes", "skipped:noninteger:quad_nodes", "ok"]
+    assert np.isnan(quantities[1:3]).all() and np.isfinite(quantities[[0, 3]]).all()
+
+
+# ---------------------------------------------------------------------------
+# CLI: unreadable paths, repeated calls in one process
+# ---------------------------------------------------------------------------
+
+def _argv(command, config, out):
+    if command == "solve":
+        return ["solve", "--config", str(config), "--out", str(out)]
+    if command == "sweep":
+        return ["sweep", "--config", str(config), "--param", "alpha", "--from", "0.5",
+                "--to", "1.0", "--points", "3", "--quantity", "pi_q0", "--out", str(out)]
+    return ["verify", "--config", str(config)]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+@pytest.mark.parametrize("config", ["missing", "directory"])
+def test_unreadable_config_exits_1_with_one_line(tmp_path, capsys, command, config):
+    path = tmp_path / "missing.cfg" if config == "missing" else tmp_path
+    assert main(_argv(command, path, tmp_path / "out.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "base.cfg", numerics_overrides={"time_steps": 50})
+    out = tmp_path / "missing" / "out.csv"
+    assert main(_argv(command, cfg, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
+
+def _fresh_process(args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once and parsing leaves it unchanged: a sweep
+    # without --t after one with --t 5 evaluates at t = 0, as in a fresh process
+    cfg = write_config(tmp_path / "base.cfg", numerics_overrides={"time_steps": 100})
+    sweep_t = ["sweep", "--config", str(cfg), "--param", "alpha", "--from", "0.5",
+               "--to", "1.0", "--points", "5", "--quantity", "pi_q0", "--t", "5"]
+    sweep = sweep_t[:-2]
+    calls = [(sweep_t, "sweep_t.csv"), (sweep, "sweep.csv"),
+             (["solve", "--config", str(cfg)], "solve.csv"), (sweep_t, "sweep_t_again.csv")]
+    (tmp_path / "in").mkdir()
+    (tmp_path / "fresh").mkdir()
+    for argv, name in calls[:3]:
+        assert main(argv + ["--out", str(tmp_path / "in" / name)]) == 0
+    with pytest.raises(SystemExit) as exc_info:
+        main(sweep_t + ["--nope"])
+    assert exc_info.value.code == 2
+    argv, name = calls[3]
+    assert main(argv + ["--out", str(tmp_path / "in" / name)]) == 0
+    assert _build_parser() is _build_parser()
+    for argv, name in calls:
+        run = _fresh_process(["-m", "alphamv.cli", *argv, "--out", str(tmp_path / "fresh" / name)])
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "in" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert (tmp_path / "in" / "sweep_t.csv").read_bytes() != (tmp_path / "in" / "sweep.csv").read_bytes()
+
+
+def test_parser_is_not_built_at_import():
+    run = _fresh_process(["-c", "import alphamv.cli as c; print(c._build_parser.cache_info().currsize)"])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
