@@ -31,13 +31,6 @@ __all__ = [
     "ALL_KEYS",
 ]
 
-#: Required keys describing the market, insurance and preference model.
-MODEL_KEYS = (
-    "r", "mu", "sigma2", "rho", "sigma1", "theta", "eta",
-    "delta", "zeta", "hP", "gamma", "alpha", "beta1", "beta2", "beta3",
-    "T", "T1", "x0", "lambda", "muZ", "sigmaZ",
-)
-
 #: Optional numerics keys and their defaults.  The defaults resolve every
 #: sensitivity sweep at desk scale in seconds.
 NUMERICS_DEFAULTS = {
@@ -49,8 +42,6 @@ NUMERICS_DEFAULTS = {
     "mc_dt": 1e-3,
     "seed": 42,
 }
-
-ALL_KEYS = MODEL_KEYS + tuple(NUMERICS_DEFAULTS)
 
 _INT_KEYS = ("quad_nodes", "time_steps", "mc_paths", "seed")
 
@@ -70,6 +61,16 @@ def _float_field(record, name: str):
     if type(value) is not float and isinstance(value, numbers.Real):
         value = float(value)
         object.__setattr__(record, name, value)
+    return value
+
+
+def _require_integer(tag: str, value) -> int:
+    """``value`` as an int; ValidationError unless it is finite and integral."""
+    if type(value) is not int:
+        _require_finite(tag, value)
+        if value != int(value):
+            raise ValidationError(f"noninteger:{tag}", f"{tag} must be an integer, got {value!r}")
+        value = int(value)
     return value
 
 
@@ -228,16 +229,34 @@ class NumericsConfig:
     seed: int = NUMERICS_DEFAULTS["seed"]
 
     def __post_init__(self) -> None:
+        for name in _INT_KEYS:
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         for name in ("quad_nodes", "time_steps", "mc_paths"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name}<1", f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("root_tol", "exp_cap", "mc_dt"):
-            value = getattr(self, name)
+            value = _float_field(self, name)
             _require_finite(name, value)
             if value <= 0:
                 raise ValidationError(f"{name}<=0", f"{name} must be > 0, got {value}")
         if self.seed < 0:
             raise ValidationError("seed<0", f"seed must be >= 0, got {self.seed}")
+
+
+#: Every config key in file order: the index of its record in the
+#: ``(params, claims, numerics)`` triple of :func:`load_config`, and the
+#: field that holds it there.  The record's ``__post_init__`` owns the
+#: field's domain.
+_KEY_FIELDS = {
+    **{name: (0, name) for name in _MODEL_FIELDS},
+    "lambda": (1, "lam"), "muZ": (1, "muZ"), "sigmaZ": (1, "sigmaZ"),
+    **{name: (2, name) for name in NUMERICS_DEFAULTS},
+}
+
+#: Required keys describing the market, insurance and preference model.
+MODEL_KEYS = tuple(key for key in _KEY_FIELDS if key not in NUMERICS_DEFAULTS)
+
+ALL_KEYS = tuple(_KEY_FIELDS)
 
 
 def _parse_number(key: str, text: str) -> float:
@@ -283,21 +302,12 @@ def load_config(path) -> tuple[ModelParams, ClaimModelSpec, NumericsConfig]:
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
 
-    params = ModelParams(
-        r=raw["r"], mu=raw["mu"], sigma2=raw["sigma2"], rho=raw["rho"],
-        sigma1=raw["sigma1"], theta=raw["theta"], eta=raw["eta"],
-        delta=raw["delta"], zeta=raw["zeta"], hP=raw["hP"],
-        gamma=raw["gamma"], alpha=raw["alpha"],
-        beta1=raw["beta1"], beta2=raw["beta2"], beta3=raw["beta3"],
-        T=raw["T"], T1=raw["T1"], x0=raw["x0"],
-    )
-    claims = ClaimModelSpec(lam=raw["lambda"], muZ=raw["muZ"], sigmaZ=raw["sigmaZ"])
-    numerics_kwargs = {}
-    for key, default in NUMERICS_DEFAULTS.items():
-        value = raw.get(key, default)
-        numerics_kwargs[key] = _coerce_int(key, value) if key in _INT_KEYS else float(value)
-    numerics = NumericsConfig(**numerics_kwargs)
-    return params, claims, numerics
+    kwargs = ({}, {}, {})
+    for key, value in raw.items():
+        record, name = _KEY_FIELDS[key]
+        kwargs[record][name] = _coerce_int(key, value) if key in _INT_KEYS else value
+    return (ModelParams(**kwargs[0]), ClaimModelSpec(**kwargs[1]),
+            NumericsConfig(**kwargs[2]))
 
 
 def save_config(path, params: ModelParams, claims: ClaimModelSpec, numerics: NumericsConfig) -> None:
@@ -308,19 +318,10 @@ def save_config(path, params: ModelParams, claims: ClaimModelSpec, numerics: Num
     """
     if claims.kind != "truncated-normal":
         raise ConfigError("only truncated-normal claim models have a config-file representation")
-    lines = []
-    for key in MODEL_KEYS:
-        if key == "lambda":
-            value = claims.lam
-        elif key in ("muZ", "sigmaZ"):
-            value = getattr(claims, key)
-        else:
-            value = getattr(params, key)
-        lines.append(f"{key} = {value!r}")
-    for key in NUMERICS_DEFAULTS:
-        lines.append(f"{key} = {getattr(numerics, key)!r}")
+    records = (params, claims, numerics)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{key} = {getattr(records[record], name)!r}\n"
+                      for key, (record, name) in _KEY_FIELDS.items())
 
 
 def _with_field(record, name: str, value):
@@ -342,22 +343,10 @@ def replace_param(params: ModelParams, claims: ClaimModelSpec, numerics: Numeric
     """Return copies of the three records with one config key overridden.
 
     Raises KeyError for unknown keys and ValidationError when the new value
-    violates an invariant, as constructing the record with that value would.
-    A value of an integer numerics key (``quad_nodes``, ``time_steps``,
-    ``mc_paths``, ``seed``) that is not finite or not integral is a
-    ValidationError tagged ``nonfinite:<key>`` or ``noninteger:<key>``, so a
-    sweep skips that point; :func:`load_config` reports the same text in a
-    file as a ConfigError.
+    violates an invariant, with the tag and message that constructing the
+    record with that value gives.
     """
-    if key in ("lambda", "muZ", "sigmaZ"):
-        return params, _with_field(claims, "lam" if key == "lambda" else key, value), numerics
-    if key in _INT_KEYS:
-        _require_finite(key, value)
-        if value != int(value):
-            raise ValidationError(f"noninteger:{key}", f"{key} must be an integer, got {value!r}")
-        return params, claims, _with_field(numerics, key, int(value))
-    if key in NUMERICS_DEFAULTS:
-        return params, claims, _with_field(numerics, key, float(value))
-    if key in MODEL_KEYS:
-        return _with_field(params, key, value), claims, numerics
-    raise KeyError(key)
+    record, name = _KEY_FIELDS[key]
+    records = [params, claims, numerics]
+    records[record] = _with_field(records[record], name, value)
+    return tuple(records)

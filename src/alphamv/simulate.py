@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ModelParams
+from .config import ModelParams, _require_integer
 from .errors import NumericalError, ValidationError
 from .levy import ClaimMeasure, sample_truncated_sizes
 from .solver import DistortionFunctions, DistortionSide, penalty_rate
@@ -296,6 +296,7 @@ def _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time,
 
 def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
                 t0, x0, h0, record=False):
+    n_paths = _require_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ValidationError("n_paths<1", "need at least one path")
     if dt > (params.T - t0) / 10.0:
@@ -356,14 +357,14 @@ def simulate_wealth(strategy, distortion: Optional[DistortionSide],
     times, tau, counts = tables.times, merged["default_time"], merged["claim_count"]
     # claims come grouped by path; order each group by time
     order = np.lexsort((merged["claim_size"], merged["claim_time"],
-                        np.repeat(np.arange(n_paths), counts)))
+                        np.repeat(np.arange(tau.size), counts)))
     claims = list(zip(merged["claim_time"][order].tolist(), merged["claim_size"][order].tolist()))
     bounds = np.concatenate(([0], np.cumsum(counts)))
     states = ((times >= tau[:, None]) | (h0 == 1)).astype(np.int8)
     return [WealthPath(times=times, wealth=wealth[i], default_state=states[i],
                        default_time=None if math.isnan(tau[i]) else float(tau[i]),
                        claim_log=claims[bounds[i]:bounds[i + 1]])
-            for i in range(n_paths)]
+            for i in range(tau.size)]
 
 
 def _integrate_penalty(side: DistortionSide, params: ModelParams,

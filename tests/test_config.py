@@ -13,6 +13,7 @@ from alphamv.cli import main
 from alphamv.config import (ALL_KEYS, NUMERICS_DEFAULTS, ClaimModelSpec, ModelParams,
                             NumericsConfig, load_config, replace_param, save_config)
 from alphamv.errors import ConfigError, ValidationError
+from alphamv.verify import run_verification
 
 from conftest import BASE_KWARGS, write_config
 
@@ -159,6 +160,33 @@ def test_numerics_invariants():
         NumericsConfig(mc_dt=-1e-3)
 
 
+@pytest.mark.parametrize("key, value, tag", [
+    ("quad_nodes", 16.5, "noninteger:quad_nodes"), ("quad_nodes", math.nan, "nonfinite:quad_nodes"),
+    ("time_steps", 100.5, "noninteger:time_steps"), ("seed", 1.5, "noninteger:seed"),
+    ("mc_paths", np.float32(math.inf), "nonfinite:mc_paths"),
+])
+def test_numerics_integer_fields_rejected_unless_finite_and_integral(key, value, tag):
+    with pytest.raises(ValidationError) as exc_info:
+        NumericsConfig(**{key: value})
+    assert exc_info.value.tag == tag
+
+
+def test_numerics_fields_stored_as_python_ints_and_floats():
+    numerics = NumericsConfig(quad_nodes=np.float64(32.0), time_steps=np.int64(100),
+                              mc_paths=2000.0, seed=np.int32(7), root_tol=np.float32(0.5),
+                              exp_cap=700, mc_dt=np.float64(0.05))
+    assert [type(getattr(numerics, key)) for key in NUMERICS_DEFAULTS] == [
+        int, int, float, float, int, float, int]
+    assert numerics == NumericsConfig(quad_nodes=32, time_steps=100, mc_paths=2000, seed=7,
+                                      root_tol=0.5, exp_cap=700.0, mc_dt=0.05)
+
+
+def test_verification_runs_on_an_integral_float_path_count(base_params, base_claims):
+    # the record stores the int 2000, so the simulator's range() accepts it
+    numerics = NumericsConfig(mc_paths=2000.0, mc_dt=0.05, time_steps=100, quad_nodes=32)
+    assert run_verification(base_params, base_claims, numerics).checks
+
+
 def test_numpy_scalars_stored_as_python_floats():
     # so the representability checks run in Python float arithmetic, which
     # does not warn (test_unrepresentable_stock_demand_raises_typed_error)
@@ -202,14 +230,8 @@ def _constructed(params, claims, numerics, key, value):
         if key in ("lambda", "muZ", "sigmaZ"):
             name = "lam" if key == "lambda" else key
             return params, ClaimModelSpec(**{**vars(claims), name: value}), numerics
-        if key in ("quad_nodes", "time_steps", "mc_paths", "seed"):
-            if not math.isfinite(value):
-                raise ValidationError(f"nonfinite:{key}", f"{key} must be finite, got {value!r}")
-            if value != int(value):
-                raise ValidationError(f"noninteger:{key}", f"{key} must be an integer, got {value!r}")
-            return params, claims, NumericsConfig(**{**vars(numerics), key: int(value)})
         if key in NUMERICS_DEFAULTS:
-            return params, claims, NumericsConfig(**{**vars(numerics), key: float(value)})
+            return params, claims, NumericsConfig(**{**vars(numerics), key: value})
         return ModelParams(**{**vars(params), key: value}), claims, numerics
     except ValidationError as exc:
         return exc

@@ -35,12 +35,28 @@ def test_import_loads_no_thread_pool():
     assert _fresh_import_loads(("concurrent",)) == "[]"
 
 
-def test_traced_and_exported_names_resolve():
-    # perfbench/spans.py wraps its TARGETS by name, so a renamed or deleted
-    # function would otherwise fail only under `perfbench/run.py --trace 1`
+def _spans():
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def _perfbench_trees():
+    """Syntax trees of perfbench's modules and of the probe scripts they hold in strings."""
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        yield tree
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str) and "import alphamv" in node.value.value):
+                yield ast.parse(node.value.value)
+
+
+def test_traced_and_exported_names_resolve():
+    # perfbench/spans.py wraps its TARGETS by name, so a renamed or deleted
+    # function would otherwise fail only under `perfbench/run.py --trace 1`
+    spans = _spans()
     unresolved = [(module, name) for module, name, *_ in spans.TARGETS
                   if not callable(getattr(importlib.import_module(module), name, None))]
     assert unresolved == []
@@ -67,14 +83,7 @@ def test_benchmark_attribute_chains_resolve():
     # script held in a string); a deleted or renamed public name must fail
     # here, not only in a benchmark run.  Docstrings are not code.
     import alphamv.cli  # noqa: F401  (the package does not import its CLI itself)
-    chains = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        chains.update(_package_chains(tree))
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, str) and "import alphamv" in node.value.value):
-                chains.update(_package_chains(ast.parse(node.value.value)))
+    chains = {chain for tree in _perfbench_trees() for chain in _package_chains(tree)}
     assert {("build_measure",), ("solve_equilibrium",), ("cli", "main")} <= chains
 
     def resolves(chain):
@@ -86,3 +95,36 @@ def test_benchmark_attribute_chains_resolve():
         return True
 
     assert sorted(chain for chain in chains if not resolves(chain)) == []
+
+
+def test_benchmark_record_reads_and_bound_arguments_resolve(tmp_path):
+    # perfbench reads fields off the records it holds (``numerics.mc_paths``,
+    # ``c.b0_hi`` with ``c = solution.coeffs``) and spans.py binds argument
+    # names of traced calls; on real objects from base.cfg a renamed field
+    # or parameter must fail here, not only in a benchmark run
+    params, claims, numerics = alphamv.load_config(ROOT / "demos" / "configs" / "base.cfg")
+    measure = alphamv.build_measure(claims, numerics.quad_nodes)
+    solution = alphamv.solve_equilibrium(params, measure, numerics)
+    result = alphamv.run_sweep(params, claims, numerics,
+                               alphamv.SweepSpec.from_range("alpha", 0.6, 0.9, 2, "pi_q0"))
+    held = {"numerics": numerics, "params": params, "solution": solution,
+            "c": solution.coeffs, "measure": measure, "result": result, "row": result.rows[0]}
+    reads = {(node.value.id, node.attr) for tree in _perfbench_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in held}
+    assert {("numerics", "mc_paths"), ("params", "discount_to_horizon"), ("c", "b0_hi"),
+            ("measure", "moment"), ("row", "status")} <= reads
+    assert sorted((name, attr) for name, attr in reads if not hasattr(held[name], attr)) == []
+
+    counters = {func: counter for _, func, _, counter in _spans().TARGETS}
+    args = (solution, None, params, measure)
+    kwargs = dict(n_paths=10, dt=0.05, seed=1)
+    x_terminal = alphamv.simulate_terminal(*args, **kwargs)
+    assert counters["simulate_terminal"](alphamv.simulate_terminal, args, kwargs,
+                                         x_terminal)["path_steps"] == 10 * 200
+    assert counters["run_sweep"](alphamv.run_sweep, (), {}, result) == {"points": 2, "skipped": 0}
+    out = tmp_path / "out.csv"
+    for writer, record in ((alphamv.write_solve_csv, solution), (alphamv.write_sweep_csv, result)):
+        writer(out, record)
+        assert counters[writer.__name__](writer, (out, record), {}, None) == {
+            "bytes": out.stat().st_size}

@@ -373,6 +373,21 @@ def test_path_storage_guard(base_params, base_measure, base_solution):
                         n_paths=300_000, dt=1e-3, seed=1, h0=1)
 
 
+@pytest.mark.parametrize("simulate", [simulate_terminal, simulate_wealth])
+def test_path_count_must_be_finite_and_integral(simulate, base_params, base_measure,
+                                                base_solution):
+    def run(n_paths):
+        out = simulate(base_solution, None, base_params, base_measure,
+                       n_paths=n_paths, dt=0.05, seed=3, h0=1)
+        return out[0] if simulate is simulate_terminal else np.array([p.wealth for p in out])
+
+    assert np.array_equal(run(20.0), run(20))
+    for n_paths, tag in ((math.nan, "nonfinite:n_paths"), (100.5, "noninteger:n_paths")):
+        with pytest.raises(ValidationError) as exc_info:
+            run(n_paths)
+        assert exc_info.value.tag == tag
+
+
 def test_dt_precondition(base_params, base_measure, base_solution):
     with pytest.raises(ValidationError, match="dt"):
         simulate_terminal(base_solution, None, base_params, base_measure,

@@ -22,6 +22,7 @@ from alphamv.solver import (DistortionSide, _FocLanes, _claim_integrals,
                             reinsurance_foc, scan_foc_sign_changes,
                             solve_equilibrium, solve_pi_q_grid, solve_pi_q_lanes,
                             solve_pi_q_star, value_function)
+from alphamv.sweep import SweepSpec, run_sweep
 from alphamv.verify import _pi_p_rk4_bound
 
 from conftest import BASE_KWARGS
@@ -422,6 +423,25 @@ def test_saturation_warned_only_at_the_root():
     # where the exponent does saturate at the root, the root call says so
     with pytest.warns(SaturationWarning):
         solve_pi_q_star(params.T, params, measure, numerics.root_tol, exp_cap=1.0)
+
+
+def test_saturation_warned_once_per_saturating_solve():
+    # exp_cap = 0.05 saturates beta3 E at u* on base.cfg: the root solve says
+    # so once; the intercepts, value_function and an intercept sweep's lanes
+    # clip at the same cap without warning again
+    params, claims, numerics = load_config(BASE_CFG)
+    numerics = dataclasses.replace(numerics, exp_cap=0.05)
+    measure = build_measure(claims, numerics.quad_nodes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solution = solve_equilibrium(params, measure, numerics)
+        assert [w.category for w in caught] == [SaturationWarning]
+        for h in (0, 1):
+            value_function(0.0, params.x0, h, solution.coeffs)
+        assert len(caught) == 1
+        spec = SweepSpec.from_range("alpha", 0.6, 0.9, 3, "B0_0")
+        assert all(row.status == "ok" for row in run_sweep(params, claims, numerics, spec).rows)
+        assert [w.category for w in caught] == [SaturationWarning] * 2
 
 
 def test_bracket_expansion_failure_signals_pathology(base_measure):
@@ -1010,6 +1030,13 @@ def test_value_function_terminal_and_affine(base_params, base_solution):
         value_function(-0.1, 1.0, 0, c)
     with pytest.raises(ValidationError):
         value_function(base_params.T + 0.1, 1.0, 1, c)
+
+
+@pytest.mark.parametrize("t", [math.nan, [1.0, math.nan]])
+def test_value_function_rejects_a_nan_time(base_solution, t):
+    with pytest.raises(ValidationError) as exc_info:
+        value_function(t, 1.0, 1, base_solution.coeffs)
+    assert exc_info.value.tag == "t_range"
 
 
 def test_value_function_is_the_closed_form_at_any_time(base_params, base_measure,
