@@ -15,11 +15,10 @@ from .simulate import (ConstantStrategy, ObjectiveEstimate, WealthPath,
                        alpha_robust_value, bond_price_path, dump_paths_csv,
                        objective_from_terminal, simulate_terminal, simulate_wealth)
 from .solver import (DistortionFunctions, DistortionSide, EquilibriumSolution,
-                     ValueCoefficients, bracket_pi_q, distortions, penalty_rate,
-                     pi_p_star, pi_s_star, pre_default_system,
-                     reference_mean_intercepts, reinsurance_foc, solve_equilibrium,
-                     solve_pi_q_grid, solve_pi_q_lanes, solve_pi_q_star,
-                     value_function)
+                     ValueCoefficients, distortions, penalty_rate, pi_p_star,
+                     pi_s_star, pre_default_system, reference_mean_intercepts,
+                     reinsurance_foc, solve_equilibrium, solve_pi_q_grid,
+                     solve_pi_q_lanes, solve_pi_q_star, value_function)
 from .sweep import (QUANTITIES, SweepResult, SweepRow, SweepSpec,
                     evaluate_quantity, run_sweep, write_solve_csv,
                     write_sweep_csv)
@@ -32,7 +31,7 @@ __all__ = [
     "ConfigError", "ValidationError", "NumericalError", "SaturationWarning",
     "ClaimMeasure", "build_measure",
     "EquilibriumSolution", "ValueCoefficients", "DistortionFunctions", "DistortionSide",
-    "pi_s_star", "pi_p_star", "reinsurance_foc", "bracket_pi_q", "solve_pi_q_star",
+    "pi_s_star", "pi_p_star", "reinsurance_foc", "solve_pi_q_star",
     "solve_pi_q_grid", "solve_pi_q_lanes",
     "pre_default_system", "solve_equilibrium", "reference_mean_intercepts", "distortions",
     "value_function", "penalty_rate",

@@ -67,7 +67,6 @@ __all__ = [
     "pi_s_star",
     "pi_p_star",
     "reinsurance_foc",
-    "bracket_pi_q",
     "solve_pi_q_star",
     "solve_pi_q_grid",
     "solve_pi_q_lanes",
@@ -339,16 +338,6 @@ def _root_start(params: ModelParams, spec: ClaimModelSpec, m1: float,
     return u0, math.sqrt(2.0 * tilt_limit(spec) / curvature) if curvature > 0 else math.inf
 
 
-def bracket_pi_q(t, params: ModelParams, measure: ClaimMeasure):
-    """Upper bracket endpoint ``min(2 u0, u_c) / A(t)`` of :func:`_root_start`.
-
-    Vectorized over t; returns a scalar for scalar input.
-    """
-    u0, u_c = _root_start(params, measure.spec, measure.moment(1), measure.moment(2))
-    hi = min(2.0 * u0, u_c) / params.discount_to_horizon(t)
-    return hi if hi.ndim else float(hi)
-
-
 def _newton_root(foc: _FocLanes, u: np.ndarray, hi: np.ndarray,
                  failures: dict) -> np.ndarray:
     """Root of the decreasing f of every lane on ``[0, hi]``: safeguarded Newton from u.
@@ -564,15 +553,16 @@ def _foc_f32(u: np.ndarray, params: ModelParams, measure: ClaimMeasure,
 def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
                           n_points: int = 10_000,
                           exp_cap: float = DEFAULT_EXP_CAP) -> np.ndarray:
-    """Sign changes of F(t, .) over an ``n_points`` scan of [0, bracket_pi_q(t)], per time.
+    """Sign changes of F(t, .) over an ``n_points`` scan of its root bracket, per time.
 
-    ``F(t, pi) = A f(pi A)`` and the bracket ``min(2 u0, u_c) / A`` scales as
-    ``1/A``, so the scan at every t is the same scan of the one function f on
-    ``[0, min(2 u0, u_c)]``.  f is scanned once, in float32, and its count is
-    returned for every time.  Zeros are skipped.  Between neighboring scan
-    points f moves by O(spacing) times its O(1) slope, orders of magnitude
-    above float32 rounding, so the sign pattern is exact; ``f(2 u0) <= -eta
-    m1`` keeps the end of the scan clear of the root, unless u_c cuts it.
+    ``F(t, pi) = A f(pi A)`` and the bracket ``[0, min(2 u0, u_c) / A]`` of
+    :func:`_root_start` scales as ``1/A``, so the scan at every t is the same
+    scan of the one function f on ``[0, min(2 u0, u_c)]``.  f is scanned once,
+    in float32, and its count is returned for every time.  Zeros are skipped.
+    Between neighboring scan points f moves by O(spacing) times its O(1)
+    slope, orders of magnitude above float32 rounding, so the sign pattern is
+    exact; ``f(2 u0) <= -eta m1`` keeps the end of the scan clear of the
+    root, unless u_c cuts it.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     u0, u_c = _root_start(params, measure.spec, measure.moment(1), measure.moment(2))
@@ -774,15 +764,6 @@ def _value_intercepts(t, params: ModelParams, measure: ClaimMeasure, u_star: flo
     return columns
 
 
-def _validate_uniform_grid(grid: np.ndarray, T: float) -> None:
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValidationError("grid", "time grid must hold at least two points")
-    steps = np.diff(grid)
-    if grid[0] != 0.0 or abs(grid[-1] - T) > 1e-12 or np.any(steps <= 0) \
-            or np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
-        raise ValidationError("grid", "time grid must be uniform over [0, T]")
-
-
 # RK4 applied to y' = lam y with lam h real and negative is stable while
 # lam |h| <= this limit, the real root of 1 + x/2 + x^2/6 + x^3/24 (where the
 # step factor climbs back to 1).
@@ -801,37 +782,36 @@ def rk4_stable_steps(params: ModelParams) -> int:
     return math.ceil(params.h_q * params.T / _RK4_STABILITY_LIMIT)
 
 
-def pre_default_system(params: ModelParams, measure: ClaimMeasure, grid,
-                       root_tol: float = DEFAULT_ROOT_TOL,
-                       exp_cap: float = DEFAULT_EXP_CAP):
-    """pi_p, B0, b0_lo, b0_hi on ``grid`` by classical RK4: the independent route.
+def pre_default_system(solution: EquilibriumSolution, steps: int):
+    """pi_p, B0, b0_lo, b0_hi of ``solution`` by classical RK4: the independent route.
 
-    The intercept equations step backward from zero at T, one right-hand-side
-    call per stage, with the bond amount eliminated from its first-order
-    condition at every stage: ``pi_p = (n0 + gamma zeta hP gap) / (gamma
-    zeta^2 hP A)`` with ``gap = alpha G_lo + alpha_hat G_hi`` and ``G_side =
-    b1_side - b0_side``.  The state is ``(B1, b1_lo, b1_hi, B0, G_lo, G_hi)``:
-    carrying the gaps rather than b0 keeps pi_p free of the cancellation
-    ``b1 - b0`` (and exactly 0 at the fair spread ``delta = zeta hP``), and
-    RK4 commutes with that linear change of variables.  Only the root u* and
-    the integrands of :func:`_integrands` are shared with the closed form of
-    :func:`solve_equilibrium`, which this converges to at order 4.
-    NumericalError for hP = 0 or zeta = 0 (no finite bond demand), for a step
-    past RK4's stability limit on the fastest mode (rate ``delta/zeta``), and
-    for non-finite values.
+    The grid is ``steps`` uniform steps over [0, T].  The parameters, the
+    claim measure, the root u* and ``exp_cap`` are those ``solution`` was
+    solved with.  The intercept equations step backward from zero at T, one
+    right-hand-side call per stage, with the bond amount eliminated from its
+    first-order condition at every stage: ``pi_p = (n0 + gamma zeta hP gap) /
+    (gamma zeta^2 hP A)`` with ``gap = alpha G_lo + alpha_hat G_hi`` and
+    ``G_side = b1_side - b0_side``.  The state is ``(B1, b1_lo, b1_hi, B0,
+    G_lo, G_hi)``: carrying the gaps rather than b0 keeps pi_p free of the
+    cancellation ``b1 - b0`` (and exactly 0 at the fair spread ``delta = zeta
+    hP``), and RK4 commutes with that linear change of variables.  Only u*
+    and the integrands of :func:`_integrands` are shared with the closed form
+    of :func:`solve_equilibrium`, which this converges to at order 4.
+    NumericalError for hP = 0 or zeta = 0 (no finite bond demand), for fewer
+    steps than :func:`rk4_stable_steps` (RK4's stability limit on the fastest
+    mode, rate ``delta/zeta``), and for non-finite values.
     """
-    grid = np.asarray(grid, dtype=float)
-    _validate_uniform_grid(grid, params.T)
-    _check_bond_demand(params)
-    rate, step = params.h_q, float(np.max(np.diff(grid)))
-    if rate * step > _RK4_STABILITY_LIMIT:
+    params, coeffs = solution.params, solution.coeffs
+    stable = rk4_stable_steps(params)
+    if steps < stable:
         raise NumericalError(
-            f"backward RK4 sweep unstable: rate {rate:g} times step {step:g} exceeds the "
-            f"RK4 stability limit {_RK4_STABILITY_LIMIT:.4f}; use time_steps >= "
-            f"{rk4_stable_steps(params)}"
+            f"backward RK4 sweep unstable: rate {params.h_q:g} times step "
+            f"{params.T / steps if steps else math.inf:g} exceeds the RK4 "
+            f"stability limit {_RK4_STABILITY_LIMIT:.4f}; use time_steps >= {stable}"
         )
-    u_star = solve_pi_q_star(params.T, params, measure, root_tol, exp_cap)   # pi_q(T) = u*
-    integrands = _integrands(params, measure, u_star, exp_cap)
+    grid = np.linspace(0.0, params.T, steps + 1)
+    integrands = _integrands(params, coeffs.measure, _checked_u_star(solution),
+                             coeffs.exp_cap)
 
     def stages(times):
         # (A, fB1, f1_lo, f1_hi) at each time
@@ -991,13 +971,6 @@ class DistortionFunctions:
 
     lo: DistortionSide
     hi: DistortionSide
-
-    phi1_lo = property(lambda self: self.lo.phi1)
-    phi2_lo = property(lambda self: self.lo.phi2)
-    phi3_lo = property(lambda self: self.lo.phi3)
-    phi1_hi = property(lambda self: self.hi.phi1)
-    phi2_hi = property(lambda self: self.hi.phi2)
-    phi3_hi = property(lambda self: self.hi.phi3)
 
 
 def distortions(solution, params: ModelParams,

@@ -19,7 +19,7 @@ from .config import ClaimModelSpec, ModelParams, NumericsConfig, replace_param
 from .errors import ValidationError
 from .levy import build_measure
 from .simulate import objective_from_terminal, simulate_terminal
-from .solver import (distortions, pi_p_star, pi_s_star, pre_default_system,
+from .solver import (_stock_coefficients, distortions, pi_p_star, pre_default_system,
                      rk4_stable_steps, scan_foc_sign_changes, solve_equilibrium,
                      value_function)
 from .sweep import SweepSpec, run_sweep
@@ -55,6 +55,43 @@ def _monotone(values: np.ndarray, steps) -> bool:
     # steps: each step's expected sign, or one for all; 0 leaves a step unjudged
     tol = 1e-10 * max(1.0, float(np.max(np.abs(values))))
     return bool(np.all(np.diff(values) * steps >= -tol))
+
+
+def _step_signs(slopes: np.ndarray) -> tuple[np.ndarray, str]:
+    """Each sweep step's expected sign, and the direction the steps read as.
+
+    ``slopes`` has the sign of the analytic derivative at each sweep point; a
+    step takes that sign where its two ends agree, else 0 (not judged).
+    """
+    s = np.sign(slopes)
+    steps = np.where(s[:-1] == s[1:], s[:-1], 0.0)
+    n_inc, n_dec = int(np.sum(steps > 0)), int(np.sum(steps < 0))
+    if n_inc == steps.size or n_dec == steps.size:
+        return steps, "inc" if n_inc else "dec"
+    return steps, f"inc {n_inc}, dec {n_dec}, unjudged {steps.size - n_inc - n_dec} steps"
+
+
+# Signs of analytic derivatives at swept values x, the other parameters from p.
+# pi_s0 = (a - b sigma2) / (sigma2^2 D), with a = (mu - r) e^{-rT}, b = sigma1
+# rho (gamma + (2 alpha - 1) beta1) and D > 0 free of sigma2, has the slope
+# (b sigma2 - 2 a) / (sigma2^3 D).  pi_p0 = n0 (zeta hP + n0 E) / (gamma delta
+# zeta^2 hP e^{rT}), with n0 = delta - zeta hP and E = e^{-delta T/zeta}, has
+# a delta-slope of the sign below and a zeta-slope of the value below over
+# gamma delta zeta^3 hP e^{rT}.
+def _dpi_s0_dsigma2(p: ModelParams, x: np.ndarray) -> np.ndarray:
+    b = p.sigma1 * p.rho * (p.gamma + (2.0 * p.alpha - 1.0) * p.beta1)
+    return b * x - 2.0 * (p.mu - p.r) * math.exp(-p.r * p.T)
+
+
+def _dpi_p0_ddelta(p: ModelParams, x: np.ndarray) -> np.ndarray:
+    zh, n0, kT = p.zeta * p.hP, x - p.zeta * p.hP, x * p.T / p.zeta
+    return zh * zh + n0 * np.exp(-kT) * (x + zh - n0 * kT)
+
+
+def _dpi_p0_dzeta(p: ModelParams, x: np.ndarray) -> np.ndarray:
+    zh, n0, kT = x * p.hP, p.delta - x * p.hP, p.delta * p.T / x
+    E = np.exp(-kT)
+    return n0 * n0 * E * (kT - 2.0) - zh * (n0 + zh) - 2.0 * n0 * zh * E
 
 
 def _pi_p_rk4_bound(grid: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -176,11 +213,11 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     ts = rng.uniform(0.0, params.T, 10_000)
     zs = rng.uniform(measure.nodes[0], measure.nodes[-1], 10_000)
     sign_err = max(
-        float(np.max(np.abs(dist.phi1_hi(ts) + dist.phi1_lo(ts)))),
-        float(np.max(np.abs(dist.phi2_hi(ts) + dist.phi2_lo(ts)))),
+        float(np.max(np.abs(dist.hi.phi1(ts) + dist.lo.phi1(ts)))),
+        float(np.max(np.abs(dist.hi.phi2(ts) + dist.lo.phi2(ts)))),
     )
     prod_err = float(np.max(np.abs(
-        (1.0 - dist.phi3_lo(ts, zs)) * (1.0 - dist.phi3_hi(ts, zs)) - 1.0)))
+        (1.0 - dist.lo.phi3(ts, zs)) * (1.0 - dist.hi.phi3(ts, zs)) - 1.0)))
     checks.append(CheckResult(
         "distortion_sign_identity", sign_err <= 1e-12,
         f"max |phi_hi + phi_lo| = {sign_err:.3e} (tol 1e-12)",
@@ -193,9 +230,9 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     # informational: largest distortion magnitudes over the grid (the jump
     # tilt is the same at every t)
     mags = (
-        float(np.max(np.abs(dist.phi1_lo(solution.grid)))),
-        float(np.max(np.abs(dist.phi2_lo(solution.grid)))),
-        float(np.max(np.abs(dist.phi3_lo(0.0, measure.nodes)))),
+        float(np.max(np.abs(dist.lo.phi1(solution.grid)))),
+        float(np.max(np.abs(dist.lo.phi2(solution.grid)))),
+        float(np.max(np.abs(dist.lo.phi3(0.0, measure.nodes)))),
     )
     checks.append(CheckResult(
         "distortion_magnitudes", True,
@@ -214,10 +251,8 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     # on the solution grid, or on the fewest steps RK4 is stable on when the
     # bond mode is too fast for that grid
     rk4_steps = max(numerics.time_steps, rk4_stable_steps(params))
-    grid = (solution.grid if rk4_steps == numerics.time_steps
-            else np.linspace(0.0, params.T, rk4_steps + 1))
-    pi_p_rk4, _, _, _ = pre_default_system(params, measure, grid,
-                                           numerics.root_tol, numerics.exp_cap)
+    grid = np.linspace(0.0, params.T, rk4_steps + 1)
+    pi_p_rk4, _, _, _ = pre_default_system(solution, rk4_steps)
     dev = np.abs(pi_p_rk4 - pi_p_star(grid, params))
     bound = _pi_p_rk4_bound(grid, params)
     checks.append(CheckResult(
@@ -225,7 +260,8 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         f"max |pi_p(RK4) - pi_p closed form| = {float(np.max(dev)):.3e}, "
         f"at most {float(np.max(dev / np.maximum(bound, np.finfo(float).tiny))):.3g} "
         "of the RK4 error bound"
-        + ("" if grid is solution.grid else f" on {rk4_steps} steps (the stable minimum)"),
+        + ("" if rk4_steps == numerics.time_steps
+           else f" on {rk4_steps} steps (the stable minimum)"),
     ))
 
     # --- directional suite ---------------------------------------------------
@@ -240,9 +276,9 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         ("beta3", 0.01, 1.0, "pi_q0", "dec"),
         ("gamma", 0.1, 2.0, "pi_q0", "dec"),
         ("mu", 0.06, 0.2, "pi_s0", "inc"),
-        ("sigma2", 0.1, 0.5, "pi_s0", "dec"),
-        ("delta", delta_lo, max(0.05, 2 * delta_lo), "pi_p0", "slope"),
-        ("zeta", min(0.05, zeta_hi / 20), zeta_hi, "pi_p0", "dec"),
+        ("sigma2", 0.1, 0.5, "pi_s0", _dpi_s0_dsigma2),
+        ("delta", delta_lo, max(0.05, 2 * delta_lo), "pi_p0", _dpi_p0_ddelta),
+        ("zeta", min(0.05, zeta_hi / 20), zeta_hi, "pi_p0", _dpi_p0_dzeta),
         ("alpha", 0.5, 1.0, "pi_p0", "inc"),
         ("hP", min(2e-4, hP_hi / 25), hP_hi, "pi_p0", "dec"),
     ]
@@ -257,19 +293,11 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
                 f"only {values.size} of {len(result.rows)} points solved; need at least 2",
             ))
             continue
-        if want == "slope":
-            # pi_p0 need not rise in delta: with n0 = delta - zeta hP, the
-            # delta-derivative of pi_p_star(0) = n0 (zeta hP + n0 e^{-delta T/zeta})
-            # / (gamma delta zeta^2 hP e^{rT}) has the sign of s below; a step
-            # is judged where s agrees at both ends
-            d = np.array([row.value for row in result.rows if row.status == "ok"])
-            zh = params.zeta * params.hP
-            n0, kT = d - zh, d * params.T / params.zeta
-            s = np.sign(zh * zh + n0 * np.exp(-kT) * (d + zh - n0 * kT))
-            steps = np.where(s[:-1] == s[1:], s[:-1], 0.0)
-            n_inc, n_dec = int(np.sum(steps > 0)), int(np.sum(steps < 0))
-            want = ("inc" if n_inc == steps.size else
-                    f"inc {n_inc}, dec {n_dec}, unjudged {steps.size - n_inc - n_dec} steps")
+        if callable(want):
+            # these quantities are not monotone on the whole valid domain: each
+            # step takes the analytic derivative's sign at its swept values
+            steps, want = _step_signs(want(params, np.array(
+                [row.value for row in result.rows if row.status == "ok"])))
         else:
             steps = 1.0 if want == "inc" else -1.0
         ok = _monotone(values, steps)
@@ -283,18 +311,16 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         f"pi_q over the time grid, range [{solution.pi_q[0]:.6g}, {solution.pi_q[-1]:.6g}]",
     ))
 
-    # sign conditions of the stock strategy (finite differences)
-    eps = 1e-6
-    def dpi_s_dt(p: ModelParams) -> float:
-        return float((pi_s_star(eps, p) - pi_s_star(0.0, p)) / eps)
-    p_up = replace_param(params, claims, numerics, "mu", params.r + 0.05)[0]
-    p_dn = replace_param(params, claims, numerics, "mu", params.r - 0.02)[0]
-    sign_t = dpi_s_dt(p_up) > 0 and dpi_s_dt(p_dn) < 0
-    def dpi_s_dsigma1(rho: float) -> float:
-        base = replace_param(params, claims, numerics, "rho", rho)[0]
-        bumped = replace_param(base, claims, numerics, "sigma1", params.sigma1 + eps)[0]
-        return float((pi_s_star(0.0, bumped) - pi_s_star(0.0, base)) / eps)
-    sign_s1 = dpi_s_dsigma1(-0.5) > 0 and dpi_s_dsigma1(0.5) < 0
+    # sign conditions of the stock strategy: pi_s = s0 e^{-r(T-t)} + s1, so
+    # d pi_s/dt = r s0 e^{-r(T-t)} has the sign of s0; s1 is linear in sigma1,
+    # so its slope in sigma1 is s1 at sigma1 = 1
+    def stock(**values: float) -> tuple[float, float]:
+        p = params
+        for key, value in values.items():
+            p = replace_param(p, claims, numerics, key, value)[0]
+        return _stock_coefficients(p)
+    sign_t = stock(mu=params.r + 0.05)[0] > 0 and stock(mu=params.r - 0.02)[0] < 0
+    sign_s1 = stock(rho=-0.5, sigma1=1.0)[1] > 0 and stock(rho=0.5, sigma1=1.0)[1] < 0
     checks.append(CheckResult(
         "pi_s_sign_conditions", sign_t and sign_s1,
         "d pi_s/dt sign follows sign(mu - r); d pi_s/d sigma1 sign follows -sign(rho)",

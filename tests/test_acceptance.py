@@ -148,10 +148,10 @@ def test_criterion_7_distortion_identities(base_params, dist, base_measure):
     rng = np.random.default_rng(2024)
     ts = rng.uniform(0.0, base_params.T, 10_000)
     zs = rng.uniform(float(base_measure.nodes[0]), float(base_measure.nodes[-1]), 10_000)
-    sign_err = max(float(np.max(np.abs(dist.phi1_hi(ts) + dist.phi1_lo(ts)))),
-                   float(np.max(np.abs(dist.phi2_hi(ts) + dist.phi2_lo(ts)))))
+    sign_err = max(float(np.max(np.abs(dist.hi.phi1(ts) + dist.lo.phi1(ts)))),
+                   float(np.max(np.abs(dist.hi.phi2(ts) + dist.lo.phi2(ts)))))
     prod_err = float(np.max(np.abs(
-        (1.0 - dist.phi3_lo(ts, zs)) * (1.0 - dist.phi3_hi(ts, zs)) - 1.0)))
+        (1.0 - dist.lo.phi3(ts, zs)) * (1.0 - dist.hi.phi3(ts, zs)) - 1.0)))
     report(7, "distortion sign/product identities",
            sign_err <= 1e-12 and prod_err <= 1e-12,
            f"max |phi_hi + phi_lo| = {sign_err:.2e}, "
@@ -204,13 +204,12 @@ def test_criterion_8_directional_suite(base_params, base_claims, base_numerics,
            f"failures: {failures or 'none'}, elapsed = {elapsed:.0f}s (< 60s)")
 
 
-def test_criterion_9_numerical_order_checks(base_params, base_claims, base_measure,
+def test_criterion_9_numerical_order_checks(base_params, base_claims, base_solution,
                                             mc_runs):
     # RK4: observed convergence order of B0(0) under grid halving
     values = {}
     for m in (40, 80, 160):
-        grid = np.linspace(0.0, base_params.T, m + 1)
-        _, B0, _, _ = pre_default_system(base_params, base_measure, grid)
+        _, B0, _, _ = pre_default_system(base_solution, m)
         values[m] = B0[0]
     order = math.log2(abs(values[40] - values[80]) / abs(values[80] - values[160]))
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from alphamv.cli import main
 from alphamv.config import (ALL_KEYS, NUMERICS_DEFAULTS, ClaimModelSpec, ModelParams,
                             NumericsConfig, load_config, replace_param, save_config)
 from alphamv.errors import ConfigError, ValidationError
+from alphamv.levy import ClaimMeasure
+from alphamv.simulate import ConstantStrategy, WealthPath, bond_price_path, simulate_terminal
+from alphamv.solver import value_function
+from alphamv.sweep import SweepSpec
 from alphamv.verify import run_verification
 
 from conftest import BASE_KWARGS, write_config
@@ -210,6 +215,66 @@ def test_sigma_z_zero_rejected_at_construction():
     assert exc_info.value.tag == "sigmaZ<=0"
     with pytest.raises(ValidationError):
         ClaimModelSpec(lam=0.0, muZ=1.0, sigmaZ=0.1)
+
+
+_TABLE = dict(lam=1.0, kind="tabulated-density", z_grid=np.linspace(1.0, 2.0, 5),
+              density=np.ones(5))
+_NEGATIVE_PI_Q = types.SimpleNamespace(pi_q_at=lambda t: -np.ones_like(t),
+                                       pi_s_at=np.zeros_like, pi_p_at=np.zeros_like)
+
+
+def _terminal(b, strategy=ConstantStrategy(), n_paths=10, h0=1):
+    return simulate_terminal(strategy, None, b.params, b.measure, n_paths, 0.05, 1, h0=h0)
+
+
+# (id, error, tag, call on the base records): each call breaks one invariant
+_INVALID_CALLS = [
+    ("config-claim_params_missing", ValidationError, "claim_params_missing",
+     lambda b: ClaimModelSpec(lam=1.0, muZ=1.0)),
+    ("config-tabulated_missing", ValidationError, "tabulated_missing",
+     lambda b: ClaimModelSpec(lam=1.0, kind="tabulated-density")),
+    ("config-tabulated_grid-shape", ValidationError, "tabulated_grid",
+     lambda b: ClaimModelSpec(**{**_TABLE, "density": np.ones(4)})),
+    ("config-tabulated_grid-order", ValidationError, "tabulated_grid",
+     lambda b: ClaimModelSpec(**{**_TABLE, "z_grid": np.linspace(2.0, 1.0, 5)})),
+    ("config-tabulated_density", ValidationError, "tabulated_density<0",
+     lambda b: ClaimModelSpec(**{**_TABLE, "density": -np.ones(5)})),
+    ("config-claim_kind", ValidationError, "claim_kind",
+     lambda b: ClaimModelSpec(lam=1.0, kind="pareto")),
+    # ConfigError carries no tag: its message stands in for one
+    ("config-save_table", ConfigError,
+     "only truncated-normal claim models have a config-file representation",
+     lambda b: save_config(b.path, b.params, ClaimModelSpec(**_TABLE), b.numerics)),
+    ("levy-nodes", ValidationError, "nodes<=0",
+     lambda b: ClaimMeasure(b.claims, np.array([0.0, 1.0]), np.ones(2))),
+    ("levy-weights", ValidationError, "weights<0",
+     lambda b: ClaimMeasure(b.claims, np.ones(2), np.array([1.0, -1.0]))),
+    ("simulate-constant_pi_q", ValidationError, "pi_q<0", lambda b: ConstantStrategy(pi_q=-1.0)),
+    ("simulate-run_pi_q", ValidationError, "pi_q<0", lambda b: _terminal(b, _NEGATIVE_PI_Q)),
+    ("simulate-H_monotone", ValidationError, "H_monotone",
+     lambda b: WealthPath(np.arange(2.0), np.ones(2), np.array([1, 0]), None, [])),
+    ("simulate-n_paths", ValidationError, "n_paths<1", lambda b: _terminal(b, n_paths=0)),
+    ("simulate-h_range", ValidationError, "h_range", lambda b: _terminal(b, h0=2)),
+    ("simulate-bond_t", ValidationError, "t>T1",
+     lambda b: bond_price_path([b.params.T1 + 1.0], None, b.params)),
+    ("solver-solution_pi_q", ValidationError, "pi_q<0",
+     lambda b: dataclasses.replace(b.solution, pi_q=-b.solution.pi_q)),
+    ("solver-value_h_range", ValidationError, "h_range",
+     lambda b: value_function(0.0, 1.0, 2, b.solution.coeffs)),
+    ("sweep-count", ValidationError, "count<2", lambda b: SweepSpec("alpha", (0.6,), "pi_q0")),
+]
+
+
+@pytest.mark.parametrize("error, tag, call", [case[1:] for case in _INVALID_CALLS],
+                         ids=[case[0] for case in _INVALID_CALLS])
+def test_invalid_input_raises_with_its_tag(tmp_path, base_params, base_claims, base_numerics,
+                                           base_measure, base_solution, error, tag, call):
+    base = types.SimpleNamespace(params=base_params, claims=base_claims, numerics=base_numerics,
+                                 measure=base_measure, solution=base_solution,
+                                 path=tmp_path / "table.cfg")
+    with pytest.raises(error) as exc_info:
+        call(base)
+    assert getattr(exc_info.value, "tag", str(exc_info.value)) == tag
 
 
 def test_params_are_immutable(base_params):

@@ -5,8 +5,11 @@ import importlib
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 import alphamv
 
@@ -61,6 +64,39 @@ def test_traced_and_exported_names_resolve():
                   if not callable(getattr(importlib.import_module(module), name, None))]
     assert unresolved == []
     assert [name for name in alphamv.__all__ if not hasattr(alphamv, name)] == []
+
+
+def _imported_top_level_names(trees):
+    """Top-level module names the trees import, ``pytest.importorskip`` included."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module.split(".")[0]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "importorskip"):
+                yield node.args[0].value.split(".")[0]
+
+
+def test_test_extra_lists_the_packages_tests_and_benchmark_import():
+    # the test extra must install every third-party package that a test or
+    # perfbench imports, and nothing else; numpy comes with the package itself
+    tomllib = pytest.importorskip("tomllib")            # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return {re.split(r"[<>=!~;\[ ]", requirement, maxsplit=1)[0]
+                for requirement in requirements}
+
+    test_paths = sorted((ROOT / "tests").glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in test_paths]
+    local = {"alphamv", *(path.stem for path in test_paths),
+             *(path.stem for path in (ROOT / "perfbench").glob("*.py"))}
+    imported = set(_imported_top_level_names([*trees, *_perfbench_trees()]))
+    third_party = imported - local - set(sys.stdlib_module_names)
+    assert names(project["optional-dependencies"]["test"]) == \
+        third_party - names(project["dependencies"])
 
 
 def _package_chains(tree):

@@ -85,7 +85,7 @@ def test_distorted_claim_intensity(base_params, base_measure, base_solution):
     _, _, counts = simulate_terminal(base_solution, dist.lo, base_params, base_measure,
                                      n_paths=N_PATHS, dt=DT, seed=53, h0=1)
     ts = np.linspace(0.0, base_params.T, 4001)
-    lam_tilde = (1.0 - dist.phi3_lo(ts[:, None], base_measure.nodes[None, :])) @ base_measure.weights
+    lam_tilde = (1.0 - dist.lo.phi3(ts[:, None], base_measure.nodes[None, :])) @ base_measure.weights
     from scipy.integrate import simpson
     expected = simpson(lam_tilde, x=ts)
     assert expected > base_params.T * base_measure.spec.lam

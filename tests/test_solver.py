@@ -11,12 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alphamv.config import ModelParams, load_config
+from alphamv.config import ModelParams, NumericsConfig, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import ClaimMeasure, build_measure
 import alphamv.solver as solver_mod
 from alphamv.solver import (DistortionSide, _FocLanes, _claim_integrals,
-                            _identity_residuals, _value_intercepts, bracket_pi_q,
+                            _identity_residuals, _root_start, _value_intercepts,
                             distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
                             reinsurance_foc, scan_foc_sign_changes,
@@ -28,6 +28,17 @@ from alphamv.verify import _pi_p_rk4_bound
 from conftest import BASE_KWARGS
 
 BASE_CFG = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / "base.cfg"
+
+
+def _bracket_hi(t, params, measure):
+    """Upper end ``min(2 u0, u_c) / A(t)`` of the root bracket of ``_root_start``."""
+    u0, u_c = _root_start(params, measure.spec, measure.moment(1), measure.moment(2))
+    return min(2.0 * u0, u_c) / params.discount_to_horizon(t)
+
+
+def _rk4(params, measure, steps):
+    """The RK4 route's columns on ``steps`` steps, from the solve of ``params``."""
+    return pre_default_system(solve_equilibrium(params, measure, NumericsConfig()), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +116,7 @@ def test_foc_negative_at_large_exposure(base_params, base_measure):
 
 
 def test_foc_strictly_decreasing(base_params, base_measure):
-    hi = bracket_pi_q(0.0, base_params, base_measure)
+    hi = _bracket_hi(0.0, base_params, base_measure)
     grid = np.linspace(0.0, hi, 101)
     values = reinsurance_foc(np.zeros_like(grid), grid, base_params, base_measure)
     slopes = np.diff(values) / np.diff(grid)
@@ -120,7 +131,7 @@ def test_foc_rejects_negative_exposure(base_params, base_measure):
 def test_root_against_grid_scan(base_params, base_measure):
     # the root must sit inside the single sign-change cell of a 1e5-point scan
     root = solve_pi_q_star(0.0, base_params, base_measure)
-    hi = bracket_pi_q(0.0, base_params, base_measure)
+    hi = _bracket_hi(0.0, base_params, base_measure)
     grid = np.linspace(0.0, hi, 100_001)
     values = reinsurance_foc(np.zeros_like(grid), grid, base_params, base_measure)
     flips = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
@@ -240,13 +251,6 @@ def test_scan_does_not_saturate_far_above_a_small_root():
     assert counts.tolist() == [1] * 11
 
 
-def test_bracket_vectorized_over_time(base_params, base_measure):
-    ts = np.linspace(0.0, base_params.T, 7)
-    his = bracket_pi_q(ts, base_params, base_measure)
-    assert isinstance(bracket_pi_q(0.0, base_params, base_measure), float)
-    assert np.array_equal(his, [bracket_pi_q(float(t), base_params, base_measure) for t in ts])
-
-
 # valid reinsurance parameters, with alpha exactly 1/2 and 1 included, and a time fraction
 _FOC_PARAMS = dict(alpha=st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)),
                    gamma=st.floats(0.05, 5.0),
@@ -263,7 +267,7 @@ def test_root_properties_over_valid_parameters(base_measure, alpha, gamma, eta, 
     t = frac * params.T
     root_tol = 1e-10
     root = solve_pi_q_star(t, params, base_measure, root_tol)
-    assert 0.0 <= root <= bracket_pi_q(t, params, base_measure)
+    assert 0.0 <= root <= _bracket_hi(t, params, base_measure)
     scale = params.eta * math.exp(params.r * (params.T - t)) * base_measure.moment(1)
     assert abs(reinsurance_foc(t, root, params, base_measure)) <= root_tol * scale
     grid_root = solve_pi_q_grid(np.array([0.0, t, params.T]), params, base_measure)[1]
@@ -279,7 +283,7 @@ def test_foc_depends_on_time_only_through_accumulation(base_measure, alpha, gamm
                             "eta": eta, "beta3": beta3})
     t = frac * params.T
     A = math.exp(params.r * (params.T - t))
-    pi = pi_frac * bracket_pi_q(t, params, base_measure)
+    pi = pi_frac * _bracket_hi(t, params, base_measure)
     # the first-order condition quadrature at time t itself
     zA = base_measure.nodes * A
     E = pi * zA + 0.5 * gamma * (pi * zA) ** 2
@@ -448,7 +452,7 @@ def test_bracket_expansion_failure_signals_pathology(base_measure):
     # gamma ~ 0 pushes the beta3 -> 0 root u0 = eta m1 / (gamma m2) beyond 2^59
     params = ModelParams(**{**BASE_KWARGS, "gamma": 1e-300, "beta3": 1e-300})
     with pytest.raises(NumericalError, match="bracket"):
-        bracket_pi_q(0.0, params, base_measure)
+        _bracket_hi(0.0, params, base_measure)
 
 
 def test_underflowed_measure_gives_typed_bracket_error(base_params, base_claims,
@@ -457,7 +461,7 @@ def test_underflowed_measure_gives_typed_bracket_error(base_params, base_claims,
     # which every u0 route reports as a bracket error, not a ZeroDivisionError
     measure = ClaimMeasure(base_claims, base_measure.nodes, np.zeros(base_measure.nodes.size))
     message = r"u0 = eta m1 / \(gamma m2\) = nan is not finite"
-    for call in (lambda: bracket_pi_q(0.0, base_params, measure),
+    for call in (lambda: _bracket_hi(0.0, base_params, measure),
                  lambda: scan_foc_sign_changes([0.0], base_params, measure)):
         with pytest.raises(NumericalError, match=message):
             call()
@@ -509,7 +513,7 @@ def test_root_past_the_integrability_edge_raises():
             call()
     # the bracket and the sign scan end at the edge, where 2 u0 lies beyond it
     assert 2.0 * params.eta * measure.moment(1) / (params.gamma * measure.moment(2)) > u_c
-    assert bracket_pi_q(params.T, params, measure) == pytest.approx(u_c, rel=1e-15)
+    assert _bracket_hi(params.T, params, measure) == pytest.approx(u_c, rel=1e-15)
     assert scan_foc_sign_changes([0.0], params, measure).tolist() == [0]
 
 
@@ -567,9 +571,8 @@ def test_b1_lo_below_b1_hi(base_solution):
     assert np.all(base_solution.coeffs.b1_lo <= base_solution.coeffs.b1_hi + 1e-15)
 
 
-def test_pre_default_terminal_bond_amount(base_params, base_measure):
-    grid = np.linspace(0.0, base_params.T, 201)
-    pi_p, B0, b0_lo, b0_hi = pre_default_system(base_params, base_measure, grid)
+def test_pre_default_terminal_bond_amount(base_params, base_solution):
+    pi_p, B0, b0_lo, b0_hi = pre_default_system(base_solution, 200)
     p = base_params
     hand = (p.delta - p.zeta * p.hP) / (p.gamma * p.zeta ** 2 * p.hP)
     assert pi_p[-1] == pytest.approx(hand, rel=1e-12)
@@ -579,29 +582,29 @@ def test_pre_default_terminal_bond_amount(base_params, base_measure):
 def test_pre_default_bond_amount_zero_at_fair_spread(base_measure):
     # delta = zeta hP kills the excess drift; terminal demand is zero
     params = ModelParams(**{**BASE_KWARGS, "delta": 0.001})
-    grid = np.linspace(0.0, params.T, 101)
-    pi_p, _, _, _ = pre_default_system(params, base_measure, grid)
+    pi_p, _, _, _ = _rk4(params, base_measure, 100)
     assert pi_p[-1] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_pre_default_unbounded_demand_errors(base_measure):
+def test_pre_default_unbounded_demand_errors(base_solution):
+    # a solution record carrying parameters with no finite bond demand
     for overrides in ({"hP": 0.0, "delta": 0.01}, {"zeta": 0.0, "delta": 0.0}):
         params = ModelParams(**{**BASE_KWARGS, **overrides})
-        grid = np.linspace(0.0, params.T, 51)
         with pytest.raises(NumericalError, match="unbounded"):
-            pre_default_system(params, base_measure, grid)
+            pre_default_system(dataclasses.replace(base_solution, params=params), 50)
         with pytest.raises(NumericalError, match="unbounded"):
             pi_p_star(0.0, params)
 
 
 @pytest.mark.parametrize("zeta", [0.0, 5e-324, 1e-310, 1e-154])
-def test_unrepresentable_bond_demand_raises_typed_error(base_measure, base_numerics, zeta):
+def test_unrepresentable_bond_demand_raises_typed_error(base_measure, base_numerics,
+                                                        base_solution, zeta):
     # gamma zeta^2 hP underflows to 0 (or is 0), or pi_p(T) = n0/(gamma zeta^2
     # hP) or (delta/zeta) T overflows: a typed error before any float warning
     params = ModelParams(**{**BASE_KWARGS, "zeta": zeta})
     calls = (lambda: pi_p_star(0.0, params),
              lambda: solve_equilibrium(params, base_measure, base_numerics),
-             lambda: pre_default_system(params, base_measure, np.linspace(0.0, params.T, 11)),
+             lambda: pre_default_system(dataclasses.replace(base_solution, params=params), 10),
              lambda: solver_mod.rk4_stable_steps(params))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -671,10 +674,11 @@ def test_rk4_pi_p_converges_to_closed_form(base_measure):
     # zeta = 0.05 makes the delta/zeta mode fast enough (k h = 0.05 at 40
     # steps) that RK4's error stands far above rounding at all three sizes
     params = ModelParams(**{**BASE_KWARGS, "zeta": 0.05})
+    solution = solve_equilibrium(params, base_measure, NumericsConfig())
     errors = []
     for m in (40, 80, 160):
         grid = np.linspace(0.0, params.T, m + 1)
-        pi_p, _, _, _ = pre_default_system(params, base_measure, grid)
+        pi_p, _, _, _ = pre_default_system(solution, m)
         common = grid[::m // 40]
         errors.append(np.max(np.abs(pi_p[::m // 40] - pi_p_star(common, params))))
     assert math.log2(errors[0] / errors[1]) >= 3.5
@@ -688,7 +692,7 @@ def test_rk4_pi_p_within_its_error_bound(base_measure, zeta, steps):
     # (zeta = 6e-5, k h = 1.67) the deviation stays inside the stated bound
     params = ModelParams(**{**BASE_KWARGS, "zeta": zeta})
     grid = np.linspace(0.0, params.T, steps + 1)
-    pi_p, _, _, _ = pre_default_system(params, base_measure, grid)
+    pi_p, _, _, _ = _rk4(params, base_measure, steps)
     assert np.all(np.abs(pi_p - pi_p_star(grid, params)) <= _pi_p_rk4_bound(grid, params))
 
 
@@ -704,11 +708,10 @@ def test_value_intercepts_continuous_as_beta3_vanishes():
     assert tiny.coeffs.B0[0] == pytest.approx(small.coeffs.B0[0], rel=5e-8, abs=0)
 
 
-def test_rk4_order_on_grid_halving(base_params, base_measure):
+def test_rk4_order_on_grid_halving(base_solution):
     values = {}
     for m in (40, 80, 160):
-        grid = np.linspace(0.0, base_params.T, m + 1)
-        _, B0, _, _ = pre_default_system(base_params, base_measure, grid)
+        _, B0, _, _ = pre_default_system(base_solution, m)
         values[m] = B0[0]
     d1 = abs(values[40] - values[80])
     d2 = abs(values[80] - values[160])
@@ -718,10 +721,11 @@ def test_rk4_order_on_grid_halving(base_params, base_measure):
 def test_unstable_backward_step_raises(base_measure):
     # delta/zeta = 1000 and step 0.01 put the fastest pre-default mode far past
     # RK4's stability limit, where the sweep would overflow into NaN
-    params = ModelParams(**{**BASE_KWARGS, "zeta": 1e-5})
+    solution = solve_equilibrium(ModelParams(**{**BASE_KWARGS, "zeta": 1e-5}), base_measure,
+                                 NumericsConfig())
     with pytest.raises(NumericalError, match=r"rate 1000 times step 0\.01 .*time_steps >= 3591"):
-        pre_default_system(params, base_measure, np.linspace(0.0, params.T, 1001))
-    columns = pre_default_system(params, base_measure, np.linspace(0.0, params.T, 3592))
+        pre_default_system(solution, 1000)
+    columns = pre_default_system(solution, 3591)
     assert all(np.all(np.isfinite(col)) for col in columns)
 
 
@@ -741,7 +745,7 @@ def test_b0_lo_satisfies_its_ode(base_params, base_measure, base_solution):
         t = grid[k]
         A = c.A[k]
         pi_q, pi_s, pi_p = sol.pi_q[k], sol.pi_s[k], sol.pi_p[k]
-        I_plus = base_measure.weights @ (z * (1.0 - dist.phi3_lo(t, z)))
+        I_plus = base_measure.weights @ (z * (1.0 - dist.lo.phi3(t, z)))
         f1 = ((p.theta - p.eta + (1 + p.eta) * pi_q) * A * m1
               - p.beta1 * p.sigma1 ** 2 * A ** 2
               + ((p.mu - p.r) * A - 2 * p.beta1 * p.sigma1 * p.sigma2 * p.rho * A ** 2) * pi_s
@@ -814,9 +818,10 @@ def test_rk4_route_converges_to_closed_form_at_order_4(base_measure, alpha, gamm
     params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma, "eta": eta,
                             "beta3": beta3, "zeta": zeta, "hP": hP, "delta": k * zeta})
     want = _closed_form_pre_default(params, base_measure, steps)
+    solution = solve_equilibrium(params, base_measure, NumericsConfig())
     errors = []
     for m in (steps, 2 * steps, 4 * steps):
-        got = pre_default_system(params, base_measure, np.linspace(0.0, params.T, m + 1))
+        got = pre_default_system(solution, m)
         errors.append([np.max(np.abs(g[::m // steps] - w)) for g, w in zip(got, want)])
     errors = np.array(errors)                  # (grid, column): pi_p, B0, b0_lo, b0_hi
     assert np.all(np.log2(errors[:-1] / errors[1:]) >= 3.5)
@@ -953,9 +958,9 @@ def test_distortions_vanish_without_ambiguity(base_measure, base_numerics):
     dist = distortions(solution, params)
     ts = np.linspace(0.0, params.T, 64)
     zs = np.linspace(0.8, 1.2, 64)
-    assert np.max(np.abs(dist.phi1_lo(ts))) < 1e-6
-    assert np.max(np.abs(dist.phi2_lo(ts))) < 1e-6
-    assert np.max(np.abs(dist.phi3_lo(ts[:, None], zs[None, :]))) < 1e-6
+    assert np.max(np.abs(dist.lo.phi1(ts))) < 1e-6
+    assert np.max(np.abs(dist.lo.phi2(ts))) < 1e-6
+    assert np.max(np.abs(dist.lo.phi3(ts[:, None], zs[None, :]))) < 1e-6
 
 
 def test_distortion_side_takes_two_finite_floats_as_its_tilt():
@@ -975,9 +980,9 @@ def test_distortion_identities(base_params, base_solution):
     rng = np.random.default_rng(99)
     ts = rng.uniform(0.0, base_params.T, 10_000)
     zs = rng.uniform(0.5, 1.5, 10_000)
-    assert np.max(np.abs(dist.phi1_hi(ts) + dist.phi1_lo(ts))) <= 1e-12
-    assert np.max(np.abs(dist.phi2_hi(ts) + dist.phi2_lo(ts))) <= 1e-12
-    product = (1.0 - dist.phi3_lo(ts, zs)) * (1.0 - dist.phi3_hi(ts, zs))
+    assert np.max(np.abs(dist.hi.phi1(ts) + dist.lo.phi1(ts))) <= 1e-12
+    assert np.max(np.abs(dist.hi.phi2(ts) + dist.lo.phi2(ts))) <= 1e-12
+    product = (1.0 - dist.lo.phi3(ts, zs)) * (1.0 - dist.hi.phi3(ts, zs))
     assert np.max(np.abs(product - 1.0)) <= 1e-12
 
 
@@ -997,7 +1002,7 @@ def _small_beta3_exponents():
 
 def test_jump_distortion_accurate_at_small_beta3():
     _, _, dist, ts, z, x = _small_beta3_exponents()
-    for phi3, xs in ((dist.phi3_lo, x), (dist.phi3_hi, -x)):
+    for phi3, xs in ((dist.lo.phi3, x), (dist.hi.phi3, -x)):
         series = -(xs + xs ** 2 / 2 + xs ** 3 / 6)          # 1 - e^{xs}
         assert np.max(np.abs(phi3(ts, z) / series - 1.0)) <= 1e-9
 
@@ -1005,7 +1010,7 @@ def test_jump_distortion_accurate_at_small_beta3():
 def test_penalty_entropy_accurate_at_small_beta3():
     params, measure, dist, ts, z, x = _small_beta3_exponents()
     zeros = np.zeros(ts.shape[0])
-    for phi3, xs in ((dist.phi3_lo, x), (dist.phi3_hi, -x)):
+    for phi3, xs in ((dist.lo.phi3, x), (dist.hi.phi3, -x)):
         rate = penalty_rate(zeros, zeros, phi3(ts, z), params, measure)
         # q log q + phi3 with q = e^{xs}
         series = (xs ** 2 / 2 + xs ** 3 / 3 + xs ** 4 / 8) @ measure.weights / params.beta3
@@ -1016,7 +1021,7 @@ def test_averse_measure_inflates_claim_intensity(base_params, base_solution):
     dist = distortions(base_solution, base_params)
     ts = np.linspace(0.0, base_params.T, 32)
     zs = np.linspace(0.7, 1.8, 16)
-    assert np.all(1.0 - dist.phi3_lo(ts[:, None], zs[None, :]) >= 1.0)
+    assert np.all(1.0 - dist.lo.phi3(ts[:, None], zs[None, :]) >= 1.0)
 
 
 def test_value_function_terminal_and_affine(base_params, base_solution):
@@ -1076,15 +1081,15 @@ def test_penalty_symmetry_between_sides(base_params, base_solution, base_measure
     dist = distortions(base_solution, base_params)
     t = 2.5
     z = base_measure.nodes
-    rate_lo = penalty_rate(float(dist.phi1_lo(t)), float(dist.phi2_lo(t)),
-                           dist.phi3_lo(t, z), base_params, base_measure)
-    rate_hi = penalty_rate(float(dist.phi1_hi(t)), float(dist.phi2_hi(t)),
-                           dist.phi3_hi(t, z), base_params, base_measure)
+    rate_lo = penalty_rate(float(dist.lo.phi1(t)), float(dist.lo.phi2(t)),
+                           dist.lo.phi3(t, z), base_params, base_measure)
+    rate_hi = penalty_rate(float(dist.hi.phi1(t)), float(dist.hi.phi2(t)),
+                           dist.hi.phi3(t, z), base_params, base_measure)
     def entropy(phi3):
         q = 1.0 - phi3
         return float((q * np.log(q) + phi3) @ base_measure.weights) / base_params.beta3
     assert rate_lo - rate_hi == pytest.approx(
-        entropy(dist.phi3_lo(t, z)) - entropy(dist.phi3_hi(t, z)), rel=1e-12)
+        entropy(dist.lo.phi3(t, z)) - entropy(dist.hi.phi3(t, z)), rel=1e-12)
     assert rate_lo != pytest.approx(rate_hi, rel=1e-6)
 
 

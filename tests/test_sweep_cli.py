@@ -618,6 +618,50 @@ def test_cmd_verify_delta_check_fails_a_slope_of_the_wrong_sign(tmp_path, capsys
     assert line.startswith("FAIL") and "(inc 15, dec 2, unjudged 2 steps)" in line
 
 
+# pi_s0 falls and then rises in sigma2, and pi_p0 rises and then falls in zeta
+_TURNING = {"rho": 0.9, "mu": 0.17, "delta": 0.03, "hP": 0.003}
+
+
+@pytest.mark.parametrize("overrides, name, direction", [
+    # sigma1 rho (gamma + (2 alpha - 1) beta1) sigma2 > 2 (mu - r) e^{-rT} on the
+    # whole sweep, so pi_s0 rises in sigma2
+    ({"rho": 0.5, "mu": 0.06}, "monotone_pi_s0_vs_sigma2", "(inc)"),
+    (_TURNING, "monotone_pi_s0_vs_sigma2", "(inc 9, dec 9, unjudged 1 steps)"),
+    (_TURNING, "monotone_pi_p0_vs_zeta", "(inc 1, dec 17, unjudged 1 steps)"),
+], ids=["sigma2-rising", "sigma2-turning", "zeta-turning"])
+def test_cmd_verify_sigma2_and_zeta_steps_follow_the_analytic_slope(tmp_path, capsys,
+                                                                   monkeypatch, overrides,
+                                                                   name, direction):
+    import alphamv.sweep as sweep_mod
+    cfg = write_config(tmp_path / "turning.cfg", overrides=overrides,
+                       numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
+                                           "time_steps": 100, "quad_nodes": 32})
+
+    def line():
+        main(["verify", "--config", str(cfg)])
+        return next(l for l in capsys.readouterr().out.split("\n") if name in l)
+
+    first = line()
+    assert first.startswith("PASS") and direction in first
+    # the same sweep of a closed form of the wrong sign fails its judged steps
+    closed_form = "pi_s_star" if "pi_s0" in name else "pi_p_star"
+    original = getattr(sweep_mod, closed_form)
+    monkeypatch.setattr(sweep_mod, closed_form, lambda t, params: -original(t, params))
+    assert line().startswith("FAIL")
+
+
+def test_verify_stock_sign_conditions_hold_at_tiny_sigma2(base_params, base_claims,
+                                                          base_numerics):
+    # pi_s is about 1e80 at sigma2 = 1e-40, where finite differences of step
+    # 1e-6 in t and sigma1 are lost to rounding; the signs come from (s0, s1)
+    params = dataclasses.replace(base_params, sigma2=1e-40)
+    numerics = dataclasses.replace(base_numerics, mc_paths=1000, mc_dt=0.05,
+                                   time_steps=100, quad_nodes=32)
+    check = next(c for c in run_verification(params, base_claims, numerics).checks
+                 if c.name == "pi_s_sign_conditions")
+    assert check.passed
+
+
 def test_root_past_the_integrability_edge_skips_its_row_and_exits_3(tmp_path, capsys):
     # the probe config of tests/test_solver.py::test_root_past_the_integrability_edge_raises:
     # solve and verify stop with the root's Assumption 3.1 error, before any
