@@ -10,7 +10,7 @@ independent Monte Carlo simulation of the controlled wealth process.
 from .config import (ClaimModelSpec, ModelParams, NumericsConfig, load_config,
                      save_config)
 from .errors import ConfigError, NumericalError, SaturationWarning, ValidationError
-from .levy import ClaimMeasure, build_measure
+from .levy import ClaimMeasure, ClaimTables, build_claim_tables, build_measure
 from .simulate import (ConstantStrategy, ObjectiveEstimate, WealthPath,
                        alpha_robust_value, bond_price_path, dump_paths_csv,
                        objective_from_terminal, simulate_terminal, simulate_wealth)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "ClaimModelSpec", "NumericsConfig", "load_config", "save_config",
     "ConfigError", "ValidationError", "NumericalError", "SaturationWarning",
-    "ClaimMeasure", "build_measure",
+    "ClaimMeasure", "ClaimTables", "build_claim_tables", "build_measure",
     "EquilibriumSolution", "ValueCoefficients", "DistortionFunctions", "DistortionSide",
     "pi_s_star", "pi_p_star", "reinsurance_foc", "solve_pi_q_star",
     "solve_pi_q_grid", "solve_pi_q_lanes",

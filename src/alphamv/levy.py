@@ -3,15 +3,18 @@
 The measure nu(dz) of a compound Poisson claim process has total mass lambda
 and a density proportional to the claim-size density.  Every integral
 ``int_0^inf g(z) nu(dz)`` used by the solver is evaluated as a fixed
-Gauss-Legendre rule ``sum_i w_i g(z_i)`` whose weights already absorb lambda
-and the density, so callers never see the distribution again.
+Gauss-Legendre rule ``lambda sum_i p_i g(z_i)`` whose probability weights
+p_i absorb the density, so callers never see the distribution again.
+:func:`build_claim_tables` builds the nodes and weights of many measures on
+one node count at once, one table row each, and :func:`build_measure` is
+its one-row call.
 
 This module owns the claim law's domain.  A table is integrated over its
 grid, the truncated normal where its density is within ``e^{-32}`` of its
 maximum on (0, inf): on ``[max(0, muZ - reach), muZ + reach]`` with ``reach
 = sqrt((max(0, muZ) - muZ)^2 + 64 sigmaZ^2)``, which is ``muZ +- 8 sigmaZ``
 for ``muZ >= 0``.  Both kinds normalise the density, taken relative to its
-maximum, on the rule itself, so the mass is lambda by construction and the
+maximum, on the rule itself, so the weights sum to 1 by construction and the
 tail left out is at most about ``e^{-32}`` of it.  The integrability rule,
 the paper's Assumption 3.1 for the model's tilts, is :func:`tilt_limit`.
 The Gauss-Legendre rule for each node count is computed once and shared
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -30,35 +34,94 @@ from numpy.polynomial.legendre import leggauss
 from .config import ClaimModelSpec
 from .errors import NumericalError, ValidationError
 
-__all__ = ["ClaimMeasure", "build_measure", "tilt_limit"]
+__all__ = ["ClaimMeasure", "ClaimTables", "build_claim_tables", "build_measure", "tilt_limit"]
 
 _TAIL_DECAY = 32.0     # the truncated normal's support ends at density e^{-32} of its peak
 
 
+class ClaimTables(NamedTuple):
+    """The claim measures of many lanes on one node count, one table row per lane.
+
+    Row l is ``nu_l(dz) = lam[l] sum_i probs[l, i] delta(z - nodes[l, i])``;
+    a table with a single row serves every lane.  Each row of ``probs`` sums
+    to 1 and lambda is kept apart, so no weight rounds or underflows with
+    lambda: the first-order condition, lambda times a lambda-free function,
+    is solved on ``probs`` alone, and the integrals of the intercepts are
+    taken on ``probs`` and scaled by lambda.
+    """
+
+    specs: tuple            # the claim records, one per row
+    nodes: np.ndarray       # (rows, nodes)
+    probs: np.ndarray       # (rows, nodes)
+    lam: np.ndarray         # (rows,)
+
+    def take(self, rows) -> "ClaimTables":
+        """The rows selected by an index sequence, in that order."""
+        rows = np.asarray(rows, dtype=int)
+        return ClaimTables(tuple(self.specs[r] for r in rows.tolist()), self.nodes[rows],
+                           self.probs[rows], self.lam[rows])
+
+
+def _lane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of a (..., rows, nodes) table with a (rows, nodes, 1) one.
+
+    A stack of vector products, so each row is the same BLAS dot as
+    ``a[..., l, :] @ b[l, :, 0]``; a one-row operand broadcasts over the
+    rows.  (A matrix-vector product sums in another order and moves the
+    last bit.)
+    """
+    return (a[..., None, :] @ b)[..., 0, 0]
+
+
+def _per_lane(rows: list, width: int):
+    """Per-lane rows of ``width`` scalars, as ``width`` operands against (lanes, ...) tables.
+
+    Each operand is a (lanes, 1) column, and for a single lane the scalar
+    itself: a scalar takes numpy's fast path, while a one-element array
+    broadcast against a table costs about a microsecond more per operation.
+    """
+    return rows[0] if len(rows) == 1 else np.array(rows).reshape(-1, width).T[:, :, None]
+
+
+def _domain_errors(nodes: np.ndarray, probs: np.ndarray) -> list:
+    """Per table row, the ValidationError of a row outside the measure's domain, else None."""
+    return [ValidationError("nodes<=0", "all quadrature nodes must be strictly positive")
+            if bad_node else
+            ValidationError("weights<0", "all quadrature weights must be nonnegative")
+            if bad_prob else None
+            for bad_node, bad_prob in zip((nodes.min(axis=1) <= 0).tolist(),
+                                          (probs.min(axis=1) < 0).tolist())]
+
+
 @dataclass(frozen=True)
 class ClaimMeasure:
-    """Quadrature view of the claim measure: nodes z_i > 0, weights w_i >= 0.
+    """One claim measure: nodes z_i > 0 and probability weights p_i >= 0.
 
-    ``sum_i w_i = lambda`` by construction, on the support of the module
-    docstring, and ``sum_i w_i z_i = lambda E[Z]`` up to the tail left out.
-    Its tilts must obey :func:`tilt_limit`.  Immutable and shareable.
+    The quadrature weights of nu are ``weights = lambda p``: ``sum_i w_i =
+    lambda`` up to rounding, on the support of the module docstring, and
+    ``sum_i w_i z_i = lambda E[Z]`` up to the tail left out.  :attr:`tables`
+    is the same measure as a one-row :class:`ClaimTables`.  Its tilts must
+    obey :func:`tilt_limit`.  Immutable and shareable.
     """
 
     spec: ClaimModelSpec
     nodes: np.ndarray
-    weights: np.ndarray
+    probs: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
+    tables: ClaimTables = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float).copy()
-        weights = np.asarray(self.weights, dtype=float).copy()
-        if np.any(nodes <= 0):
-            raise ValidationError("nodes<=0", "all quadrature nodes must be strictly positive")
-        if np.any(weights < 0):
-            raise ValidationError("weights<0", "all quadrature weights must be nonnegative")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        nodes = np.array(self.nodes, dtype=float)
+        probs = np.array(self.probs, dtype=float)
+        error, = _domain_errors(nodes[None], probs[None])
+        if error is not None:
+            raise error
+        weights = self.spec.lam * probs
+        for name, table in (("nodes", nodes), ("probs", probs), ("weights", weights)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+        object.__setattr__(self, "tables", ClaimTables((self.spec,), nodes[None], probs[None],
+                                                      np.array([self.spec.lam])))
 
     def moment(self, k: int) -> float:
         """int z^k nu(dz); moment(0) is the total mass lambda."""
@@ -86,29 +149,61 @@ def tilt_limit(spec: ClaimModelSpec) -> float:
     return 0.5 * inv * inv
 
 
-def build_measure(spec: ClaimModelSpec, quad_nodes: int) -> ClaimMeasure:
-    """The Gauss-Legendre representation of the claim measure (see the module docstring).
+def _support(spec: ClaimModelSpec) -> tuple[float, ...]:
+    """``(lo, hi, peak, gap, sigmaZ)``: the rule's interval, and a truncated normal's shape.
 
-    ValidationError (tag ``density=0``) when the density is 0 at every node.
+    ``peak = max(0, muZ)`` is where the density on (0, inf) has its maximum
+    and ``gap = peak - muZ``; a table has NaN for the three shape values.
+    """
+    if spec.kind != "truncated-normal":
+        return float(spec.z_grid[0]), float(spec.z_grid[-1]), math.nan, math.nan, math.nan
+    peak, s = max(0.0, spec.muZ), spec.sigmaZ
+    gap = peak - spec.muZ
+    reach = math.hypot(gap, math.sqrt(2.0 * _TAIL_DECAY) * s)
+    return max(0.0, spec.muZ - reach), spec.muZ + reach, peak, gap, s
+
+
+def build_claim_tables(specs: Sequence[ClaimModelSpec], quad_nodes: int):
+    """The Gauss-Legendre tables of every spec's claim measure (see the module docstring).
+
+    One row per spec, every row on ``quad_nodes`` nodes, in one numpy pass
+    over the rows (the tabulated densities are interpolated row by row).
+    Returns ``(tables, errors)``: ``errors[l]`` is row l's ValidationError,
+    else None; a failing row is not a measure.  Tag ``density=0`` when the
+    density is 0 at every node, then ``nodes<=0`` or ``weights<0``.
     """
     x, w = _gauss_legendre(quad_nodes)
-    if spec.kind == "truncated-normal":
-        peak, s = max(0.0, spec.muZ), spec.sigmaZ
-        gap = peak - spec.muZ
-        reach = math.hypot(gap, math.sqrt(2.0 * _TAIL_DECAY) * s)
-        lo, hi = max(0.0, spec.muZ - reach), spec.muZ + reach
-        nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        d = (nodes - peak) / s       # ((z - muZ)^2 - gap^2)/s^2 = d (d + 2 gap/s): no cancellation
-        dens = np.exp(-0.5 * d * (d + 2.0 * gap / s))
-    else:
-        lo, hi = float(spec.z_grid[0]), float(spec.z_grid[-1])
-        nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        dens = np.interp(nodes, spec.z_grid, spec.density / spec.density.max())
-    total = float(w @ dens)
-    if not total > 0:
-        raise ValidationError("density=0", f"the claim-size density is 0 at all {quad_nodes} "
-                              f"quadrature nodes on [{lo:g}, {hi:g}]")
-    return ClaimMeasure(spec=spec, nodes=nodes, weights=spec.lam * (w * dens) / total)
+    supports = [_support(spec) for spec in specs]
+    lo, hi, peak, gap, s = _per_lane(supports, 5)
+    nodes = np.reshape(0.5 * (hi - lo) * x + 0.5 * (hi + lo), (len(specs), quad_nodes))
+    d = (nodes - peak) / s          # NaN on the rows of tables
+    # ((z - muZ)^2 - gap^2)/s^2 = d (d + 2 gap/s): no cancellation
+    dens = np.exp(-0.5 * d * (d + 2.0 * gap / s))
+    for row, spec in enumerate(specs):
+        if spec.kind != "truncated-normal":
+            dens[row] = np.interp(nodes[row], spec.z_grid, spec.density / spec.density.max())
+    total = _lane_dot(dens, w[None, :, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = (w * dens) / total[:, None]
+    errors = _domain_errors(nodes, probs)
+    for row, mass in enumerate(total.tolist()):
+        if not mass > 0:
+            errors[row] = ValidationError(
+                "density=0", f"the claim-size density is 0 at all {quad_nodes} quadrature "
+                f"nodes on [{supports[row][0]:g}, {supports[row][1]:g}]")
+    return ClaimTables(tuple(specs), nodes, probs,
+                       np.array([spec.lam for spec in specs], dtype=float)), errors
+
+
+def build_measure(spec: ClaimModelSpec, quad_nodes: int) -> ClaimMeasure:
+    """The claim measure of one spec: :func:`build_claim_tables` with one row.
+
+    Raises that row's ValidationError.
+    """
+    tables, (error,) = build_claim_tables([spec], quad_nodes)
+    if error is not None:
+        raise error
+    return ClaimMeasure(spec, tables.nodes[0], tables.probs[0])
 
 
 def _normal_above_zero(mean: float, sd: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,15 +24,18 @@ factor to the horizon.  The claim integrals see the strategy only through
 
 and every distorted integrand carries ``exp(+-beta3 E)``.  At the equilibrium
 ``u = u*`` at every t, so the intercept equations evaluate their claim
-integrals once, on the node vector at ``u*``, and never on a times x nodes
+integrals once, on the node row at ``u*``, and never on a times x nodes
 grid.
 
-The first-order condition has one float64 evaluator, of ``f`` and ``f'`` on
-a lanes x nodes table (:class:`_FocLanes`).  A lane is one parameter set
-with its claim measure: a ``pi_q0`` sweep solves all its points as lanes of
-one safeguarded Newton, which masks out each lane once it converges, and a
-solve is a single lane; its bracket ends at the edge where Assumption 3.1
-fails.
+A lane is one parameter set with its claim measure, a row of
+:class:`~alphamv.levy.ClaimTables`: probability weights, with lambda apart.
+The first-order condition is lambda times a lambda-free function, and has
+one float64 evaluator, of ``f`` and ``f'`` on a lanes x nodes table
+(:class:`_FocLanes`); the intercepts have one, :func:`_value_intercepts`.
+A sweep solves all its points as lanes of one safeguarded Newton, which
+masks out each lane once it converges, and takes their intercepts in one
+call; a solve is a single lane of each.  The bracket ends at the edge where
+Assumption 3.1 fails.
 The ``root_tol`` check of the residual ``F(t, pi_q(t))`` at every requested
 time reads it as ``A(t) f(u)``, and so does :func:`reinsurance_foc`.
 The sign scan of :func:`scan_foc_sign_changes` has a second evaluator of
@@ -55,9 +58,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import ClaimModelSpec, ModelParams, NumericsConfig
+from .config import ModelParams, NumericsConfig
 from .errors import NumericalError, SaturationWarning, ValidationError
-from .levy import ClaimMeasure, tilt_limit
+from .levy import ClaimMeasure, ClaimTables, _lane_dot, _per_lane, tilt_limit
 
 __all__ = [
     "ValueCoefficients",
@@ -210,20 +213,13 @@ def _warn_saturated(exp_cap: float, stacklevel: int) -> None:
     )
 
 
-def _lane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of a (rows, nodes) table with a (rows, nodes, 1) one.
-
-    A stack of vector products, so each row is the same BLAS dot as
-    ``a[l] @ b[l, :, 0]``; a one-row operand broadcasts over the rows.
-    """
-    return (a[:, None, :] @ b).reshape(-1)
-
-
 class _FocLanes(NamedTuple):
-    """The first-order condition at ``A = 1``, ``f(u) = F(T, u)``, over lanes.
+    """The first-order condition at ``A = 1`` per unit claim intensity, over lanes.
 
-    A lane is one parameter set with its claim measure: row l of every table
-    belongs to lane l, and a table with a single row serves every lane.
+    ``f(u) = F(T, u) / lambda``.  A lane is one parameter set with its claim
+    measure: row l of every table belongs to lane l, and a table with a
+    single row serves every lane.  The weights are the probability weights
+    of :class:`~alphamv.levy.ClaimTables`, so f does not depend on lambda.
     Evaluation takes one ``u`` per lane and works on a lanes x nodes table.
     With ``G = dE/du = z + gamma u z^2``, ``E = u (z + G) / 2``.
     """
@@ -241,18 +237,13 @@ class _FocLanes(NamedTuple):
     exp_cap: np.ndarray     # (rows, 1)
 
     @classmethod
-    def stack(cls, params: Sequence[ModelParams], measures: Sequence[ClaimMeasure],
+    def stack(cls, params: Sequence[ModelParams], tables: ClaimTables,
               exp_cap) -> "_FocLanes":
-        """Lanes of ``params[l]`` with ``measures[l]`` (equal node counts) and cap ``exp_cap``.
+        """Lanes of ``params[l]`` with row l of ``tables`` and cap ``exp_cap``.
 
-        One measure object shared by every lane, or a scalar ``exp_cap``, is
-        kept as a single row.
+        A one-row table, or a scalar ``exp_cap``, is kept as a single row.
         """
-        if all(m is measures[0] for m in measures):
-            z, w = measures[0].nodes[None], measures[0].weights[None, :, None]
-        else:
-            z = np.stack([m.nodes for m in measures])
-            w = np.stack([m.weights for m in measures])[:, :, None]
+        z, w = tables.nodes, tables.probs[:, :, None]
         gamma, beta3, alpha, alpha_hat, eta = np.array(
             [(p.gamma, p.beta3, p.alpha, p.alpha_hat, p.eta) for p in params]).T[:, :, None]
         z2 = z * z
@@ -291,7 +282,7 @@ def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
 
     Positive at pi_q = 0 (equals eta * e^{r(T-t)} * int z nu(dz) there) and
     strictly decreasing in pi_q for alpha >= 1/2, so the root is unique.
-    Evaluated as ``A(t) f(pi_q A(t))`` (see :class:`_FocLanes`); warns
+    Evaluated as ``lambda A(t) f(pi_q A(t))`` (see :class:`_FocLanes`); warns
     SaturationWarning when any exponent is clipped.  Broadcasts over t and
     pi_q.
     """
@@ -299,10 +290,10 @@ def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
         raise ValidationError("pi_q<0", "reinsurance exposure must satisfy pi_q >= 0")
     A = params.discount_to_horizon(t)
     A, u = np.broadcast_arrays(A, np.asarray(pi_q, dtype=float) * A)
-    f, saturated = _FocLanes.stack([params], [measure], exp_cap)(u.ravel(), slope=False)
+    f, saturated = _FocLanes.stack([params], measure.tables, exp_cap)(u.ravel(), slope=False)
     if saturated.any():
         _warn_saturated(exp_cap, stacklevel=2)
-    F = A * f.reshape(A.shape)
+    F = (measure.spec.lam * A) * f.reshape(A.shape)
     return F if F.ndim else float(F)
 
 
@@ -314,19 +305,20 @@ def _bracket_error(u0: float) -> NumericalError:
     )
 
 
-def _root_start(params: ModelParams, spec: ClaimModelSpec, m1: float,
+def _root_start(params: ModelParams, limit: float, m1: float,
                 m2: float) -> tuple[float, float]:
     """``(u0, u_c)``, the ``beta3 -> 0`` root and the integrability edge: ``u* < min(2 u0, u_c)``.
 
     For alpha >= 1/2, ``alpha e^x + alpha_hat e^-x >= 1`` at ``x = beta3 E
     >= 0`` (also after clipping), so ``f(u) <= eta m1 - gamma m2 u``, which is
     ``-eta m1 < 0`` at ``2 u0 = 2 eta m1 / (gamma m2)``.  The tilt ``exp(beta3
-    E)`` has ``b = beta3 gamma u^2 / 2``, which reaches
-    :func:`~alphamv.levy.tilt_limit` at ``u_c = 1/(sigmaZ sqrt(beta3 gamma))``
-    (inf for a table or an underflowed ``beta3 gamma``); past it Assumption
-    3.1 fails.  ``m1``, ``m2`` are the caller's ``int z^k nu(dz)``, floats.
-    NumericalError ("bracket") when u0 is not finite (all weights underflowed:
-    ``m2 = 0``) or exceeds 2^59.
+    E)`` has ``b = beta3 gamma u^2 / 2``, which reaches ``limit``, the claim
+    law's :func:`~alphamv.levy.tilt_limit`, at ``u_c = 1/(sigmaZ sqrt(beta3
+    gamma))`` (inf for a table or an underflowed ``beta3 gamma``); past it
+    Assumption 3.1 fails.  ``m1``, ``m2`` are the caller's moments ``sum_i
+    p_i z_i^k`` of the probability weights, floats.  NumericalError
+    ("bracket") when u0 is not finite (all weights 0: ``m2 = 0``) or exceeds
+    2^59.
     """
     try:
         u0 = params.eta * m1 / (params.gamma * m2)
@@ -335,7 +327,7 @@ def _root_start(params: ModelParams, spec: ClaimModelSpec, m1: float,
     if not u0 <= _BRACKET_LIMIT:
         raise _bracket_error(u0)
     curvature = params.beta3 * params.gamma
-    return u0, math.sqrt(2.0 * tilt_limit(spec) / curvature) if curvature > 0 else math.inf
+    return u0, math.sqrt(2.0 * limit / curvature) if curvature > 0 else math.inf
 
 
 def _newton_root(foc: _FocLanes, u: np.ndarray, hi: np.ndarray,
@@ -422,13 +414,14 @@ def _identity_residuals(pi_q: np.ndarray, A: np.ndarray, foc: _FocLanes):
     return A * F.reshape(u.shape), hit
 
 
-def solve_pi_q_lanes(times, params: Sequence[ModelParams], measures: Sequence[ClaimMeasure],
+def solve_pi_q_lanes(times, params: Sequence[ModelParams], tables: ClaimTables,
                      root_tol=DEFAULT_ROOT_TOL, exp_cap=DEFAULT_EXP_CAP):
     """Equilibrium reinsurance exposure at ``times`` for many parameter sets at once.
 
-    Lane l is ``params[l]`` with claim measure ``measures[l]``; every measure
-    has the same node count.  ``root_tol`` and ``exp_cap`` are scalars or one
-    value per lane.  Each lane's ``u*`` comes from :func:`_newton_root`, all
+    Lane l is ``params[l]`` with the claim measure in row l of ``tables``
+    (one row serves every lane).  ``times`` is one sequence for every lane
+    or a (lanes, times) table; ``root_tol`` and ``exp_cap`` are scalars or
+    one value per lane.  Each lane's ``u*`` comes from :func:`_newton_root`, all
     lanes in one masked iteration, on the bracket ``[0, min(2 u0, u_c)]`` of
     :func:`_root_start` from ``min(u0, u_c)``; ``f(u0) <= 0`` as well, so the
     first iterate tightens it to ``[0, u0]`` (up to rounding near ``beta3 =
@@ -436,22 +429,24 @@ def solve_pi_q_lanes(times, params: Sequence[ModelParams], measures: Sequence[Cl
     gets the Assumption 3.1 error.  Then ``pi_q(t) = u* / A(t)``, and its
     residual is checked at every time through :func:`_identity_residuals`: at
     most ``root_tol`` relative to the natural scale ``eta e^{r(T-t)} int z
-    nu(dz)``; a NaN residual fails.
+    nu(dz)``, both per unit claim intensity; a NaN residual fails.
 
     Returns ``(pi_q, errors)``: pi_q has shape (lanes, times) and NaN rows
     where ``errors[l]`` holds the lane's NumericalError (bracket, Assumption
     3.1, Newton or residual), else None.  Warns SaturationWarning only when
     an exponent saturates at a returned root.
     """
-    t = np.asarray(times, dtype=float).reshape(-1)
+    t = np.asarray(times, dtype=float)
+    t = t if t.ndim == 2 else t.reshape(-1)
     n = len(params)
-    foc = _FocLanes.stack(params, measures, exp_cap)
+    foc = _FocLanes.stack(params, tables, exp_cap)
     eta, r, T = np.array([(p.eta, p.r, p.T) for p in params]).T
     m1 = _lane_dot(foc.z, foc.w)
     scale = root_tol * eta * m1                 # residual bound at A = 1, per lane
     m2 = _lane_dot(foc.z2, foc.w)
     u0, u_c, errors = np.full(n, np.nan), np.full(n, np.inf), [None] * n
-    for lane, args in enumerate(zip(params, (m.spec for m in measures),
+    limits = [tilt_limit(spec) for spec in tables.specs]
+    for lane, args in enumerate(zip(params, limits * n if len(limits) == 1 else limits,
                                     np.broadcast_to(m1, n).tolist(),
                                     np.broadcast_to(m2, n).tolist())):
         try:
@@ -504,7 +499,8 @@ def solve_pi_q_grid(times, params: ModelParams, measure: ClaimMeasure,
     (bracket, Newton, or a residual above ``root_tol`` at some time).
     """
     times = np.asarray(times, dtype=float)
-    pi_q, errors = solve_pi_q_lanes(times, [params], [measure], root_tol, exp_cap)
+    pi_q, errors = solve_pi_q_lanes(times.reshape(-1), [params], measure.tables, root_tol,
+                                    exp_cap)
     if errors[0] is not None:
         raise errors[0]
     return pi_q[0].reshape(times.shape)
@@ -519,20 +515,21 @@ def solve_pi_q_star(t: float, params: ModelParams, measure: ClaimMeasure,
 
 def _foc_f32(u: np.ndarray, params: ModelParams, measure: ClaimMeasure,
              exp_cap: float) -> np.ndarray:
-    """f(u) = F(t, u/A(t)) / A(t) in float32, in row chunks of bounded size.
+    """f(u) = F(t, u/A(t)) / (lambda A(t)) in float32, in row chunks of bounded size.
 
     float32 ``exp`` overflows above ~88.7, far below the default ``exp_cap``, so
     each exponent is also capped where ``e^x (1 + G/A)`` stays below
-    ``float32 max / (2 max(1, lambda))``: the weighted sum over the nodes
-    stays finite.  A term capped there outweighs the premium term by many
-    orders of magnitude, so f keeps its sign.
+    ``float32 max / (2 max(1, sum p))``, with ``sum p`` the sum of the
+    probability weights: the weighted sum over the nodes stays finite.  A
+    term capped there outweighs the premium term by many orders of
+    magnitude, so f keeps its sign.
     """
     c = measure.nodes.astype(np.float32)                              # z
     d = (0.5 * params.gamma * measure.nodes ** 2).astype(np.float32)  # (gamma/2) z^2
-    w = measure.weights.astype(np.float32)
+    w = measure.probs.astype(np.float32)
     alpha, alpha_hat = np.float32(params.alpha), np.float32(params.alpha_hat)
     headroom = np.float32(math.log(float(np.finfo(np.float32).max)
-                                   / (2.0 * max(1.0, float(measure.weights.sum())))))
+                                   / (2.0 * max(1.0, float(measure.probs.sum())))))
     out = np.empty(u.size, np.float32)
     rows = max(1, _CHUNK_BYTES // (4 * c.size))
     for lo in range(0, u.size, rows):
@@ -565,7 +562,8 @@ def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
     root, unless u_c cuts it.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    u0, u_c = _root_start(params, measure.spec, measure.moment(1), measure.moment(2))
+    z, p = measure.nodes, measure.probs
+    u0, u_c = _root_start(params, tilt_limit(measure.spec), float(p @ z), float(p @ z ** 2))
     hi = min(2.0 * u0, u_c)
     signs = np.sign(_foc_f32(np.linspace(0.0, hi, n_points), params, measure, exp_cap))
     signs = signs[signs != 0]
@@ -648,84 +646,118 @@ class EquilibriumSolution:
         return pi_p_star(t, self.params)
 
 
-def _claim_integrals(u_star: float, params: ModelParams, measure: ClaimMeasure,
-                     beta3: float, exp_cap: float):
-    """``(I+, I-, KB)``: the claim integrals of the intercept equations at ``u*``.
+def _claim_integrals(u_star, beta3, params: Sequence[ModelParams], tables: ClaimTables,
+                     exp_cap) -> list:
+    """``(m1, I+, I-, KB)`` of every lane: the claim integrals of the intercept equations.
 
-    ``I+- = int z e^{+-beta3 E} nu(dz)`` and the entropy jump term ``KB`` of
-    the B equations see the reinsurance exposure only through ``u = pi_q
-    A``, which is ``u*`` at every t; so they are scalars, evaluated once on
-    the node vector.
+    ``m1 = int z nu(dz)``, ``I+- = int z e^{+-beta3 E} nu(dz)`` and the
+    entropy jump term ``KB = (alpha_hat int (e^{-beta3 E} - 1) nu - alpha int
+    (e^{beta3 E} - 1) nu) / beta3`` of the B equations, at ``u = u_star[l]``.
+    They see the reinsurance exposure only through ``u = pi_q A``, which is
+    ``u*`` at every t, so each is taken once, on the lane's row of
+    ``tables``: on its probability weights, then times lambda.  KB takes its
+    ``beta3 -> 0`` limit ``-int E nu`` where ``alpha/beta3`` or
+    ``alpha_hat/beta3`` is not finite (beta3 = 0, or subnormal: the error is
+    then ``O(beta3 E)``, below rounding).  ``beta3`` has one value per lane,
+    ``exp_cap`` one per lane or one for all; exponents are clipped there
+    silently (the root solve reports saturation at u*).  Returns one tuple
+    of Python floats per lane.
     """
-    z, w = measure.nodes, measure.weights
-    uz = u_star * z
-    E = uz + 0.5 * params.gamma * uz ** 2
-    x = np.clip(beta3 * E, -exp_cap, exp_cap)   # silent: the root solve reports saturation at u*
-    ep1 = np.expm1(x)                   # e^{+b3 E} - 1 without cancellation
-    em1 = np.expm1(-x)
-    I_plus = (z * (ep1 + 1.0)) @ w
-    I_minus = (z * (em1 + 1.0)) @ w
-    if beta3 > 0:
-        # (alpha/b3) int (1 - e^{+b3 E}) nu - (alpha_hat/b3) int (1 - e^{-b3 E}) nu
-        KB = (params.alpha_hat / beta3) * (em1 @ w) - (params.alpha / beta3) * (ep1 @ w)
-    else:
-        KB = -(E @ w)                   # b3 -> 0 limit of the same term
-    return I_plus, I_minus, KB
+    n = len(params)
+    caps = [exp_cap] * n if np.ndim(exp_cap) == 0 else exp_cap
+    u, half_gamma, b3, cap = _per_lane(
+        list(zip(u_star, (0.5 * p.gamma for p in params), beta3, caps)), 4)
+    z = tables.nodes
+    uz = u * z
+    E = uz + half_gamma * uz ** 2
+    x = b3 * E
+    np.minimum(np.maximum(x, -cap, out=x), cap, out=x)
+    # the integrands z, z e^{+-b3 E}, e^{+-b3 E} - 1 (expm1: no cancellation) and E
+    table = np.empty((6,) + E.shape)
+    table[0], table[5] = z, E
+    ep1, em1 = np.expm1(x, out=table[3]), np.expm1(-x, out=table[4])
+    np.multiply(z, ep1 + 1.0, out=table[1])
+    np.multiply(z, em1 + 1.0, out=table[2])
+    integrals = (tables.lam * _lane_dot(table, tables.probs[:, :, None])).tolist()
+    rows = []
+    for p, b, m1, I_plus, I_minus, J_plus, J_minus, J_E in zip(params, beta3, *integrals):
+        ratio, ratio_hat = (p.alpha / b, p.alpha_hat / b) if b > 0 else (math.inf, math.inf)
+        tilted = math.isfinite(ratio) and math.isfinite(ratio_hat)
+        rows.append((m1, I_plus, I_minus, ratio_hat * J_minus - ratio * J_plus if tilted else -J_E))
+    return rows
 
 
-def _integrands(params: ModelParams, measure: ClaimMeasure, u_star: float, exp_cap: float,
+def _integrands(params: Sequence[ModelParams], tables: ClaimTables, u_star, exp_cap,
                 betas: Optional[tuple[float, float, float]] = None,
                 stock: Optional[tuple[float, float]] = None):
-    """Integrands of the post-default intercepts as quadratics in ``A = e^{r(T-t)}``.
+    """Integrands of every lane's post-default intercepts as quadratics in ``A = e^{r(T-t)}``.
 
     ``B1' = -fB1``, ``b1_lo' = -f1_lo`` and ``b1_hi' = -f1_hi`` in t.  The
     strategy enters through ``pi_q A = u*``, a constant, and ``pi_s A = s0 +
     s1 A`` with ``stock = (s0, s1)``, so each integrand is ``c0 + c1 A + c2
-    A^2``.  Returns the coefficient triples ``(c0, c1, c2)`` of fB1, f1_lo,
-    f1_hi.  ``betas`` are the ambiguity levels of the measure the intercepts
-    are taken under, and ``stock`` the stock strategy; they default to those
-    of ``params``, and differ from them for a fixed strategy evaluated under
-    another measure (all betas zero is the reference measure).
+    A^2``.  Lane l is ``params[l]`` with row l of ``tables`` (one row serves
+    every lane) and root ``u_star[l]``.  ``betas`` are the ambiguity levels
+    of the measure the intercepts are taken under, and ``stock`` the stock
+    strategy, for every lane; they default to each lane's own, and differ
+    from them for a fixed strategy evaluated under another measure (all
+    betas zero is the reference measure).  The claim integrals of all lanes
+    are one pass over the tables (:func:`_claim_integrals`); the scalar
+    terms of each lane are Python floats, as in the strategies' closed
+    forms.
+
+    Returns ``(integrands, errors)``: ``integrands[l]`` holds lane l's
+    triples ``(c0, c1, c2)`` of fB1, f1_lo, f1_hi, and ``errors[l]`` is the
+    lane's stock-demand NumericalError (its integrands None), else None.
     """
-    b1, b2, b3 = (params.beta1, params.beta2, params.beta3) if betas is None else betas
-    p0, p1 = _stock_coefficients(params) if stock is None else stock
-    I_plus, I_minus, KB = _claim_integrals(u_star, params, measure, b3, exp_cap)
-    m1 = measure.moment(1)
-    two_a = 2.0 * params.alpha - 1.0
-    s1, s2, rho = params.sigma1, params.sigma2, params.rho
-    excess = params.mu - params.r
-    # the common term drift_q A m1, drift_q = theta - eta + (1 + eta) pi_q
-    k0, k1 = (1.0 + params.eta) * u_star * m1, (params.theta - params.eta) * m1
-    # fB1 = common - (gamma + 2a b1) s1^2 A^2 / 2 + (excess - q A)^2 / g + KB,
-    # the middle term being the squared Sharpe ratio of the stock
-    q = s1 * s2 * rho * (params.gamma + two_a * b1)
-    cross = b1 * rho ** 2 + b2 * params.rho_hat ** 2
-    g = 2.0 * s2 ** 2 * (params.gamma + two_a * cross)
-    fB1 = (k0 + excess ** 2 / g + KB, k1 - 2.0 * excess * q / g,
-           q * q / g - 0.5 * (params.gamma + two_a * b1) * s1 ** 2)
-    # f1_lo, f1_hi = common -+ b1 s1^2 A^2 + (excess -+ e A) pi_s A
-    #                -+ quad (pi_s A)^2 - u* I+-, with e = 2 b1 s1 s2 rho and
-    # quad = s2^2 cross: a part shared by both sides and one that flips sign
-    e = 2.0 * b1 * s1 * s2 * rho
-    quad = s2 ** 2 * cross
-    flip = (quad * p0 * p0, e * p0 + 2.0 * quad * p0 * p1,
-            b1 * s1 ** 2 + e * p1 + quad * p1 * p1)
-    c0, c1 = k0 + excess * p0, k1 + excess * p1
-    f1_lo = (c0 - u_star * I_plus - flip[0], c1 - flip[1], -flip[2])
-    f1_hi = (c0 - u_star * I_minus + flip[0], c1 + flip[1], flip[2])
-    return fB1, f1_lo, f1_hi
+    n = len(params)
+    beta3 = [p.beta3 for p in params] if betas is None else [betas[2]] * n
+    claims = _claim_integrals(u_star, beta3, params, tables, exp_cap)
+    integrands, errors = [None] * n, [None] * n
+    for lane, (p, u, (m1, I_plus, I_minus, KB)) in enumerate(
+            zip(params, np.asarray(u_star, dtype=float).tolist(), claims)):
+        b1, b2 = (p.beta1, p.beta2) if betas is None else betas[:2]
+        try:
+            p0, p1 = _stock_coefficients(p) if stock is None else stock
+        except NumericalError as exc:
+            errors[lane] = exc
+            continue
+        two_a = 2.0 * p.alpha - 1.0
+        s1, s2, rho = p.sigma1, p.sigma2, p.rho
+        excess = p.mu - p.r
+        # the common term drift_q A m1, drift_q = theta - eta + (1 + eta) pi_q
+        k0, k1 = (1.0 + p.eta) * u * m1, (p.theta - p.eta) * m1
+        # fB1 = common - (gamma + 2a b1) s1^2 A^2 / 2 + (excess - q A)^2 / g + KB,
+        # the middle term being the squared Sharpe ratio of the stock
+        q = s1 * s2 * rho * (p.gamma + two_a * b1)
+        cross = b1 * rho ** 2 + b2 * p.rho_hat ** 2
+        g = 2.0 * s2 ** 2 * (p.gamma + two_a * cross)
+        fB1 = (k0 + excess ** 2 / g + KB, k1 - 2.0 * excess * q / g,
+               q * q / g - 0.5 * (p.gamma + two_a * b1) * s1 ** 2)
+        # f1_lo, f1_hi = common -+ b1 s1^2 A^2 + (excess -+ e A) pi_s A
+        #                -+ quad (pi_s A)^2 - u* I+-, with e = 2 b1 s1 s2 rho and
+        # quad = s2^2 cross: a part shared by both sides and one that flips sign
+        e = 2.0 * b1 * s1 * s2 * rho
+        quad = s2 ** 2 * cross
+        flip = (quad * p0 * p0, e * p0 + 2.0 * quad * p0 * p1,
+                b1 * s1 ** 2 + e * p1 + quad * p1 * p1)
+        c0, c1 = k0 + excess * p0, k1 + excess * p1
+        integrands[lane] = (fB1, (c0 - u * I_plus - flip[0], c1 - flip[1], -flip[2]),
+                            (c0 - u * I_minus + flip[0], c1 + flip[1], flip[2]))
+    return integrands, errors
 
 
-def _value_intercepts(t, params: ModelParams, measure: ClaimMeasure, u_star: float,
-                      exp_cap: float, betas=None, stock=None):
-    """The intercepts ``(B1, b1_lo, b1_hi, B0, b0_lo, b0_hi)`` at times t in closed form.
+def _value_intercepts(t, params: Sequence[ModelParams], tables: ClaimTables, u_star,
+                      exp_cap, betas=None, stock=None):
+    """The intercepts ``(B1, b1_lo, b1_hi, B0, b0_lo, b0_hi)`` of every lane at times t in closed form.
 
-    In ``tau = T - t``, with ``A = e^{r tau}``, every intercept vanishes at
-    tau = 0.  The post-default ones integrate the quadratics in A of
-    :func:`_integrands` (``betas`` and ``stock`` are passed on to it):
-    ``int_0^tau A^j ds = expm1(j r tau) / (j r)``.  Pre-default, with pi_p at
-    its first-order condition, write ``n0 = delta - zeta hP``, ``c = n0^2 /
-    (gamma zeta^2 hP)`` and ``k = delta/zeta``:
+    Lane l is ``params[l]`` with row l of ``tables`` (one row serves every
+    lane), root ``u_star[l]`` and cap ``exp_cap`` (one value, or one per
+    lane).  In ``tau = T - t``, with ``A = e^{r tau}``, every intercept
+    vanishes at tau = 0.  The post-default ones integrate the quadratics in
+    A of :func:`_integrands` (``betas`` and ``stock`` are passed on to it):
+    ``int_0^tau A^j ds = expm1(j r tau) / (j r)``.  Pre-default, with pi_p
+    at its first-order condition, write ``n0 = delta - zeta hP``, ``c =
+    n0^2 / (gamma zeta^2 hP)`` and ``k = delta/zeta``:
 
     - the mean gap ``b1_side - b0_side`` solves ``dG/dtau = -k G - c`` on
       both sides, so it is the ``D = (c/k) expm1(-k tau)`` of
@@ -742,26 +774,52 @@ def _value_intercepts(t, params: ModelParams, measure: ClaimMeasure, u_star: flo
       positive rate, with no 0/0 at the fair spread ``n0 = 0``.
 
     Every term is bounded for any decay rate, so there is no stability
-    limit.  NumericalError for hP = 0 or zeta = 0 (no finite bond demand)
-    and for non-finite values.
+    limit.  Returns ``(columns, errors)``: the six columns, each a (lanes,
+    times) table over the flattened t, and ``errors[l]`` is lane l's
+    NumericalError, else None: hP = 0 or zeta = 0 (no finite bond demand),
+    a stock demand out of range, or non-finite values.  A failing lane's
+    rows are NaN or not intercepts.
     """
-    _check_bond_demand(params)
-    tau = params.T - np.asarray(t, dtype=float)
-    r = params.r
+    t = np.asarray(t, dtype=float).reshape(-1)
+    integrands, errors = _integrands(params, tables, u_star, exp_cap, betas, stock)
+    block = []          # per lane: T, r, n0, zeta, hP, k, c, 1/2 - n0/delta, the integrands
+    for lane, p in enumerate(params):
+        try:
+            _check_bond_demand(p)
+        except NumericalError as exc:
+            errors[lane] = exc      # reported before any other error of the lane
+        if errors[lane] is None:
+            n0, zeta, hP = p.bond_excess_drift, p.zeta, p.hP
+            block.append((p.T, p.r, n0, zeta, hP, p.h_q, n0 * n0 / (p.gamma * zeta ** 2 * hP),
+                          0.5 - n0 / p.delta, *(c for triple in integrands[lane] for c in triple)))
+    ok = [lane for lane, error in enumerate(errors) if error is None]
+    T, r, n0, zeta, hP, k, c, half, *quadratics = _per_lane(block, 17)
+    tau = T - t
     powers = (tau, np.expm1(r * tau) / r, np.expm1(2.0 * r * tau) / (2.0 * r))
     B1, b1_lo, b1_hi = (c0 * powers[0] + c1 * powers[1] + c2 * powers[2]
-                        for c0, c1, c2 in _integrands(params, measure, u_star, exp_cap,
-                                                      betas, stock))
-    n0, zeta, hP, k = params.bond_excess_drift, params.zeta, params.hP, params.h_q
-    c = n0 * n0 / (params.gamma * zeta ** 2 * hP)
+                        for c0, c1, c2 in zip(*[iter(quadratics)] * 3))
     with np.errstate(over="ignore", invalid="ignore"):    # caught by the check below
         D = (c / k) * np.expm1(-k * tau)
-        B0 = B1 - c * ((0.5 - n0 / params.delta) * np.expm1(-hP * tau) / hP
-                       + np.exp(-hP * tau) * np.expm1(-n0 * tau / zeta) / k)
-        columns = (B1, b1_lo, b1_hi, B0, b1_lo - D, b1_hi - D)
-    if not all(np.all(np.isfinite(col)) for col in columns):
-        raise NumericalError("closed-form value coefficients are not finite")
-    return columns
+        decay = -hP * tau
+        B0 = B1 - c * (half * np.expm1(decay) / hP
+                       + np.exp(decay) * np.expm1(-n0 * tau / zeta) / k)
+        columns = [col.reshape(len(ok), t.size)
+                   for col in (B1, b1_lo, b1_hi, B0, b1_lo - D, b1_hi - D)]
+    finite = np.logical_and.reduce([np.isfinite(col).all(axis=1) for col in columns])
+    for row in (~finite).nonzero()[0].tolist():
+        errors[ok[row]] = NumericalError("closed-form value coefficients are not finite")
+    if len(ok) < len(params):
+        full = np.full((6, len(params), t.size), np.nan)
+        full[:, ok] = columns
+        columns = list(full)
+    return columns, errors
+
+
+def _first_lane(columns, errors):
+    """Lane 0 of a lane evaluator's ``(columns, errors)``: its rows, or its error raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return [column[0] for column in columns]
 
 
 # RK4 applied to y' = lam y with lam h real and negative is stable while
@@ -810,8 +868,11 @@ def pre_default_system(solution: EquilibriumSolution, steps: int):
             f"stability limit {_RK4_STABILITY_LIMIT:.4f}; use time_steps >= {stable}"
         )
     grid = np.linspace(0.0, params.T, steps + 1)
-    integrands = _integrands(params, coeffs.measure, _checked_u_star(solution),
-                             coeffs.exp_cap)
+    integrands, errors = _integrands([params], coeffs.measure.tables,
+                                     [_checked_u_star(solution)], coeffs.exp_cap)
+    if errors[0] is not None:
+        raise errors[0]
+    integrands = integrands[0]
 
     def stages(times):
         # (A, fB1, f1_lo, f1_hi) at each time
@@ -870,8 +931,8 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
     grid = np.linspace(0.0, params.T, numerics.time_steps + 1)
     pi_q = solve_pi_q_grid(grid, params, measure, numerics.root_tol, numerics.exp_cap)
     u_star = float(pi_q[-1])            # pi_q A = u* and A(T) = 1
-    B1, b1_lo, b1_hi, B0, b0_lo, b0_hi = _value_intercepts(
-        grid, params, measure, u_star, numerics.exp_cap)
+    B1, b1_lo, b1_hi, B0, b0_lo, b0_hi = _first_lane(*_value_intercepts(
+        grid, [params], measure.tables, [u_star], numerics.exp_cap))
     coeffs = ValueCoefficients(
         grid=grid, A=params.discount_to_horizon(grid), B1=B1, B0=B0,
         b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi, r=params.r, T=params.T,
@@ -894,9 +955,9 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
     bond amount does not depend on the betas, so ``b0_ref = b1_ref - D``
     still holds.  Returns (b1_ref, b0_ref) on the solution grid.
     """
-    columns = _value_intercepts(
-        solution.grid, params, measure, _checked_u_star(solution), exp_cap,
-        betas=(0.0, 0.0, 0.0), stock=_stock_coefficients(solution.params))
+    columns = _first_lane(*_value_intercepts(
+        solution.grid, [params], measure.tables, [_checked_u_star(solution)], exp_cap,
+        betas=(0.0, 0.0, 0.0), stock=_stock_coefficients(solution.params)))
     return columns[1], columns[4]
 
 
@@ -916,10 +977,11 @@ def value_function(t, x, h: int, coeffs: ValueCoefficients):
         raise ValidationError("t_range", f"time must lie in [0, {coeffs.T}], got {t}")
     if h not in (0, 1):
         raise ValidationError("h_range", f"default state must be 0 or 1, got {h}")
-    B1, _, _, B0, _, _ = _value_intercepts(t_arr, coeffs.params, coeffs.measure,
-                                           _checked_u_star(coeffs), coeffs.exp_cap)
+    B1, _, _, B0, _, _ = _first_lane(*_value_intercepts(
+        t_arr, [coeffs.params], coeffs.measure.tables, [_checked_u_star(coeffs)],
+        coeffs.exp_cap))
     value = np.exp(coeffs.r * (coeffs.T - t_arr)) * np.asarray(x, dtype=float) \
-        + (B1 if h == 1 else B0)
+        + (B1 if h == 1 else B0).reshape(t_arr.shape)
     return value if value.ndim else float(value)
 
 

@@ -3,13 +3,15 @@
 A sweep evaluates one quantity at every parameter value, at t = 0 unless
 overridden, each from the cheapest exact route: ``pi_s0`` and ``pi_p0`` from
 their closed forms (no claim measure, no root), and ``pi_q0``, ``B0_0`` and
-``B1_0`` from one batched root per sweep (every point is a lane of
-:func:`~alphamv.solver.solve_pi_q_lanes`), the value intercepts then in
-closed form at each lane's ``u*``.  A claim measure is built once per claims
-record and node count, so once per sweep unless the swept key belongs to the
-claim law or sets the node count.  Parameter values that violate a model
-invariant, and points whose root fails, are reported and skipped, never
-silently dropped.
+``B1_0`` with every point a lane, carried through three batched steps per
+node count, so once per sweep unless the swept key sets the node count: one
+:func:`~alphamv.levy.build_claim_tables` call for the claim tables (one row
+per distinct claims record, so a single shared row unless the swept key
+belongs to the claim law), one :func:`~alphamv.solver.solve_pi_q_lanes` call
+for the roots, and for the intercepts one
+:func:`~alphamv.solver._value_intercepts` call at the lanes' ``u*``.
+Parameter values that violate a model invariant, and points whose measure or
+root fails, are reported and skipped, never silently dropped.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .config import (ALL_KEYS, ClaimModelSpec, ModelParams, NumericsConfig,
                      replace_param)
 from .errors import NumericalError, ValidationError
-from .levy import build_measure
+from .levy import build_claim_tables
 from .solver import (EquilibriumSolution, _value_intercepts, pi_p_star, pi_s_star,
                      solve_pi_q_lanes)
 
@@ -109,16 +111,17 @@ def _evaluate_points(points: list, quantity: str, t: float) -> list:
 
     A point is a ``(params, claims, numerics)`` triple, or the error that
     already skipped it, which stays its outcome.  pi_s0 and pi_p0 are closed
-    forms.  The others need the root u*: one :func:`solve_pi_q_lanes` call
-    per node count and root time (t for pi_q0, the point's T for the
-    intercepts), and an intercept is :func:`_value_intercepts` at its lane's
-    u*.  The claim measure is built once per claims record and node count.
+    forms.  The others need the root u*, and the points are lanes grouped
+    by node count alone.  Per group, one :func:`build_claim_tables` call
+    builds one table row per distinct claims record, one
+    :func:`solve_pi_q_lanes` call takes every root (at t for pi_q0, at each
+    lane's own T, where ``A = 1``, for the intercepts), and one
+    :func:`_value_intercepts` call takes every lane's intercepts at its u*.
     """
     if quantity not in QUANTITIES:
         raise ValidationError("unknown_quantity", f"unknown quantity {quantity!r}")
     outcomes = list(points)
-    measures: dict = {}     # (id(claims), quad_nodes) -> claim measure
-    lanes: dict = {}        # (node count, root time) -> [(row, params, measure, numerics)]
+    groups: dict = {}       # node count -> [(row, params, claims, numerics)]
     for row, point in enumerate(points):
         if isinstance(point, Exception):
             continue
@@ -129,29 +132,58 @@ def _evaluate_points(points: list, quantity: str, t: float) -> list:
                 closed_form = pi_s_star if quantity == "pi_s0" else pi_p_star
                 outcomes[row] = float(closed_form(t, params))
                 continue
-            key = (id(claims), numerics.quad_nodes)
-            if key not in measures:
-                measures[key] = build_measure(claims, numerics.quad_nodes)
         except (ValidationError, NumericalError) as exc:
             outcomes[row] = exc
             continue
-        root_time = t if quantity == "pi_q0" else params.T
-        lanes.setdefault((measures[key].nodes.size, root_time), []).append(
-            (row, params, measures[key], numerics))
-    for (_, root_time), group in lanes.items():
-        _, lane_params, lane_measures, lane_numerics = zip(*group)
-        pi_q, errors = solve_pi_q_lanes(root_time, lane_params, lane_measures,
-                                        [n.root_tol for n in lane_numerics],
-                                        [n.exp_cap for n in lane_numerics])
-        for (row, p, measure, n), value, error in zip(group, pi_q[:, 0].tolist(), errors):
-            if error is None and quantity != "pi_q0":
-                try:
-                    B1, _, _, B0, _, _ = _value_intercepts(t, p, measure, value, n.exp_cap)
-                    value = float(B0 if quantity == "B0_0" else B1)
-                except NumericalError as exc:
-                    error = exc
+        groups.setdefault(numerics.quad_nodes, []).append((row, params, claims, numerics))
+    for quad_nodes, group in groups.items():
+        lanes, tables = _claim_lanes(group, quad_nodes, outcomes)
+        if not lanes:
+            continue
+        rows, params, _, numerics = zip(*lanes)
+        exp_cap = [n.exp_cap for n in numerics]
+        root_times = [[t] if quantity == "pi_q0" else [p.T] for p in params]
+        pi_q, errors = solve_pi_q_lanes(root_times, params, tables,
+                                        [n.root_tol for n in numerics], exp_cap)
+        values = pi_q[:, 0]
+        solved = [lane for lane, error in enumerate(errors) if error is None]
+        if quantity != "pi_q0" and solved:
+            if len(tables.specs) > 1:
+                tables = tables.take(solved)
+            columns, intercept_errors = _value_intercepts(
+                t, [params[lane] for lane in solved], tables, values[solved],
+                [exp_cap[lane] for lane in solved])
+            values[solved] = columns[3 if quantity == "B0_0" else 0][:, 0]
+            for lane, error in zip(solved, intercept_errors):
+                errors[lane] = error
+        for row, value, error in zip(rows, values.tolist(), errors):
             outcomes[row] = value if error is None else error
     return outcomes
+
+
+def _claim_lanes(group: list, quad_nodes: int, outcomes: list):
+    """The lanes of ``group`` whose claim measure builds, and their claim tables.
+
+    One :func:`build_claim_tables` call on the group's distinct claims
+    records: a group that shares one record gets a one-row table, which
+    serves every lane.  A lane whose measure fails gets the error as its
+    outcome and leaves the group.
+    """
+    index: dict = {}        # id(claims) -> table row
+    for _, _, claims, _ in group:
+        index.setdefault(id(claims), (len(index), claims))
+    tables, errors = build_claim_tables([claims for _, claims in index.values()], quad_nodes)
+    lanes, rows = [], []
+    for lane in group:
+        row = index[id(lane[2])][0]
+        if errors[row] is None:
+            lanes.append(lane)
+            rows.append(row)
+        else:
+            outcomes[lane[0]] = errors[row]
+    if len(index) > 1:
+        tables = tables.take(rows)
+    return lanes, tables
 
 
 def run_sweep(params: ModelParams, claims: ClaimModelSpec, numerics: NumericsConfig,

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from alphamv.config import ModelParams, NumericsConfig, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
-from alphamv.levy import ClaimMeasure, build_measure
+from alphamv.levy import ClaimMeasure, build_claim_tables, build_measure, tilt_limit
 import alphamv.solver as solver_mod
-from alphamv.solver import (DistortionSide, _FocLanes, _claim_integrals,
+from alphamv.solver import (DistortionSide, _FocLanes, _claim_integrals, _first_lane,
                             _identity_residuals, _root_start, _value_intercepts,
                             distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
@@ -32,7 +32,8 @@ BASE_CFG = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / "
 
 def _bracket_hi(t, params, measure):
     """Upper end ``min(2 u0, u_c) / A(t)`` of the root bracket of ``_root_start``."""
-    u0, u_c = _root_start(params, measure.spec, measure.moment(1), measure.moment(2))
+    z, p = measure.nodes, measure.probs
+    u0, u_c = _root_start(params, tilt_limit(measure.spec), float(p @ z), float(p @ z ** 2))
     return min(2.0 * u0, u_c) / params.discount_to_horizon(t)
 
 
@@ -306,7 +307,7 @@ def test_identity_residuals_match_direct_foc(base_measure, alpha, gamma, eta, be
     pi_q = solve_pi_q_grid(ts, params, base_measure)
     A = params.discount_to_horizon(ts)
     got, _ = _identity_residuals(pi_q[None], A[None],
-                                 _FocLanes.stack([params], [base_measure], 700.0))
+                                 _FocLanes.stack([params], base_measure.tables, 700.0))
     got = got[0]
     want = reinsurance_foc(ts, pi_q, params, base_measure)
     scale = params.eta * A * base_measure.moment(1)
@@ -322,7 +323,7 @@ def test_claim_integrals_at_u_star_match_per_time_quadrature(base_measure, alpha
     params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma,
                             "eta": eta, "beta3": beta3})
     u_star = solve_pi_q_star(params.T, params, base_measure)
-    at_u_star = _claim_integrals(u_star, params, base_measure, beta3, 700.0)
+    (_, *at_u_star), = _claim_integrals([u_star], [beta3], [params], base_measure.tables, 700.0)
     ts = np.array([0.0, frac * params.T, 0.5 * params.T, params.T])
     z, w = base_measure.nodes, base_measure.weights
     for t, pi_q in zip(ts, solve_pi_q_grid(ts, params, base_measure)):
@@ -465,7 +466,7 @@ def test_underflowed_measure_gives_typed_bracket_error(base_params, base_claims,
                  lambda: scan_foc_sign_changes([0.0], base_params, measure)):
         with pytest.raises(NumericalError, match=message):
             call()
-    _, errors = solve_pi_q_lanes([0.0], [base_params], [measure])
+    _, errors = solve_pi_q_lanes([0.0], [base_params], measure.tables)
     with pytest.raises(NumericalError, match=message):
         raise errors[0]
 
@@ -530,11 +531,13 @@ def test_every_solved_root_lies_below_the_integrability_edge():
     sigmaZ = 10.0 ** rng.uniform(-1, math.log10(5), n)
     lanes = [dataclasses.replace(params, beta3=b, gamma=g, eta=e)
              for b, g, e in zip(beta3, gamma, eta)]
-    measures = [build_measure(dataclasses.replace(claims, muZ=m, sigmaZ=s), numerics.quad_nodes)
-                for m, s in zip(muZ, sigmaZ)]
+    tables, build_errors = build_claim_tables(
+        [dataclasses.replace(claims, muZ=m, sigmaZ=s) for m, s in zip(muZ, sigmaZ)],
+        numerics.quad_nodes)
+    assert build_errors == [None] * n
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
-        pi_q, errors = solve_pi_q_lanes(params.T, lanes, measures, numerics.root_tol,
+        pi_q, errors = solve_pi_q_lanes(params.T, lanes, tables, numerics.root_tol,
                                         numerics.exp_cap)
     solved = np.array([error is None for error in errors])
     edge = [k for k, error in enumerate(errors) if error is not None]
@@ -938,8 +941,8 @@ def test_closed_form_intercepts_solve_the_backward_system(base_measure, override
     numerics = dataclasses.replace(load_config(BASE_CFG)[2], time_steps=50)
     solution = solve_equilibrium(params, base_measure, numerics)
     u_star = solution.u_star
-    values = (u_star, base_measure.moment(1),
-              *_claim_integrals(u_star, params, base_measure, params.beta3, numerics.exp_cap))
+    values = (u_star, *_claim_integrals([u_star], [params.beta3], [params], base_measure.tables,
+                                        numerics.exp_cap)[0])
     c = solution.coeffs
     for got, (y, _) in zip((c.B1, c.b1_lo, c.b1_hi, c.B0, c.b0_lo, c.b0_hi), system):
         y = y.subs(dict(zip(symbols, map(sp.Rational, values))))
@@ -1050,8 +1053,8 @@ def test_value_function_is_the_closed_form_at_any_time(base_params, base_measure
     # by up to 5.3e-7 in B0
     c = base_solution.coeffs
     fine = np.linspace(0.0, base_params.T, 100_001)
-    columns = _value_intercepts(fine, base_params, base_measure, base_solution.u_star,
-                                base_numerics.exp_cap)
+    columns = _first_lane(*_value_intercepts(fine, [base_params], base_measure.tables,
+                                             [base_solution.u_star], base_numerics.exp_cap))
     for h, want, stored in ((1, columns[0], c.B1), (0, columns[3], c.B0)):
         assert np.array_equal(value_function(fine, 0.0, h, c), want)
         on_grid = value_function(c.grid, 0.0, h, c)

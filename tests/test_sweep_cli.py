@@ -18,9 +18,9 @@ from alphamv.cli import _build_parser, main
 from alphamv.config import ClaimModelSpec, load_config, replace_param
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
-from alphamv.solver import (EquilibriumSolution, ValueCoefficients, _value_intercepts,
-                            pi_p_star, pi_s_star, rk4_stable_steps, solve_equilibrium,
-                            solve_pi_q_lanes, solve_pi_q_star)
+from alphamv.solver import (EquilibriumSolution, ValueCoefficients, _first_lane,
+                            _value_intercepts, pi_p_star, pi_s_star, rk4_stable_steps,
+                            solve_equilibrium, solve_pi_q_star)
 from alphamv.sweep import (QUANTITIES, SweepSpec, evaluate_quantity, run_sweep,
                            write_solve_csv)
 from alphamv.verify import run_verification
@@ -90,8 +90,9 @@ def _per_point(params, claims, numerics, param, value, quantity, t):
         if quantity == "pi_q0":
             return solve_pi_q_star(t, p, measure, n.root_tol, n.exp_cap), "ok"
         u_star = solve_pi_q_star(p.T, p, measure, n.root_tol, n.exp_cap)
-        B1, _, _, B0, _, _ = _value_intercepts(t, p, measure, u_star, n.exp_cap)
-        return float(B0 if quantity == "B0_0" else B1), "ok"
+        B1, _, _, B0, _, _ = _first_lane(*_value_intercepts(t, [p], measure.tables, [u_star],
+                                                            n.exp_cap))
+        return float((B0 if quantity == "B0_0" else B1)[0]), "ok"
     except ValidationError as exc:
         return None, f"skipped:{exc.tag}"
     except NumericalError as exc:
@@ -105,9 +106,9 @@ _SWEPT = {
     "eta": st.floats(0.0, 1.5),
     "gamma": st.one_of(st.floats(-0.5, 5.0), st.just(1e-300)),
     "alpha": st.floats(0.3, 1.1),
-    "beta3": st.floats(-0.5, 4.0),
+    "beta3": st.one_of(st.floats(-0.5, 4.0), st.just(1e-320)),
     "exp_cap": st.floats(-5.0, 700.0),
-    "lambda": st.floats(-1.0, 20.0),
+    "lambda": st.one_of(st.floats(-1.0, 20.0), st.just(1e-320)),
     "muZ": st.floats(-3.0, 5.0),
     "sigmaZ": st.floats(-0.1, 3.0),
     "quad_nodes": st.one_of(st.integers(0, 80).map(float), st.floats(0.0, 80.0)),
@@ -136,6 +137,38 @@ def test_batched_pi_q_sweep_matches_per_point(base_params, base_claims, base_num
     for row, (value, _) in zip(rows, want):
         if value is not None:
             assert row.quantity == pytest.approx(value, rel=1e-14, abs=0.0)
+
+
+def test_pi_q0_does_not_depend_on_lambda(base_params, base_claims, base_numerics):
+    # the first-order condition is lambda times a lambda-free function; at
+    # lambda = 1e-320 weights scaled by lambda lost bits (u* off by 1.7e-3)
+    values = (1e-320, 1e-315, 5e-311, 1e-300, 1.0, 1e300)
+    rows = run_sweep(base_params, base_claims, base_numerics,
+                     SweepSpec("lambda", values, "pi_q0")).rows
+    want = solve_pi_q_star(0.0, base_params, build_measure(base_claims, base_numerics.quad_nodes))
+    assert [row.status for row in rows] == ["ok"] * len(values)
+    for row in rows:
+        assert row.quantity == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("beta3", [5e-324, 1e-320, 1e-310, 4e-309])
+def test_subnormal_beta3_solves_as_its_limit(tmp_path, base_params, base_claims, base_numerics,
+                                             beta3):
+    # alpha/beta3 overflows for beta3 < alpha/DBL_MAX; KB then takes its
+    # beta3 -> 0 form, whose error there is O(beta3 E), below rounding
+    out, ref = tmp_path / "sub.csv", tmp_path / "ref.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for value, path in ((beta3, out), (1e-300, ref)):
+            cfg = write_config(tmp_path / "b.cfg", overrides={"beta3": value})
+            assert main(["solve", "--config", str(cfg), "--out", str(path)]) == 0
+        rows = run_sweep(base_params, base_claims, base_numerics,
+                         SweepSpec("beta3", (beta3, 1e-300), "B0_0")).rows
+    got, want = (np.loadtxt(path, delimiter=",", skiprows=1) for path in (out, ref))
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 2e-15 * scale)
+    assert [row.status for row in rows] == ["ok", "ok"]
+    assert rows[0].quantity == pytest.approx(rows[1].quantity, rel=1e-15, abs=0.0)
 
 
 def test_evaluate_quantity_is_the_one_point_sweep(base_params, base_claims, base_numerics):
@@ -169,16 +202,28 @@ def test_unbuildable_measure_skips_only_the_rows_that_need_it(base_params, base_
         assert [row.status for row in rows] == [status] * 4
 
 
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's arguments."""
+    calls, original = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def test_value_intercept_sweep_makes_one_root_call(base_params, base_claims, base_numerics,
                                                    monkeypatch):
+    # one root call and one intercept call for all lanes, also where T (so the
+    # root time of the intercepts) differs from lane to lane
     import alphamv.sweep as sweep_mod
-    calls = []
-    monkeypatch.setattr(sweep_mod, "solve_pi_q_lanes",
-                        lambda *args: calls.append(args) or solve_pi_q_lanes(*args))
-    result = run_sweep(base_params, base_claims, base_numerics,
-                       SweepSpec.from_range("gamma", 0.2, 2.0, 20, "B0_0"))
-    assert [row.status for row in result.rows] == ["ok"] * 20
-    assert len(calls) == 1 and len(calls[0][1]) == 20
+    roots = _counting(monkeypatch, sweep_mod, "solve_pi_q_lanes")
+    intercepts = _counting(monkeypatch, sweep_mod, "_value_intercepts")
+    for param, lo, hi in (("gamma", 0.2, 2.0), ("T", 2.0, 11.0)):
+        roots.clear()
+        intercepts.clear()
+        result = run_sweep(base_params, base_claims, base_numerics,
+                           SweepSpec.from_range(param, lo, hi, 20, "B0_0"))
+        assert [row.status for row in result.rows] == ["ok"] * 20
+        assert len(roots) == 1 and len(roots[0][1]) == 20
+        assert len(intercepts) == 1 and len(intercepts[0][1]) == 20
 
 
 @pytest.mark.parametrize("quantity", ["pi_q0", "B0_0"])
@@ -261,19 +306,19 @@ def test_failing_lane_skips_only_its_row(base_params, base_claims, base_numerics
 
 def test_sweep_builds_the_measure_once_unless_swept(base_params, base_claims, base_numerics,
                                                     monkeypatch):
+    # one table build per node count; a claim-law sweep builds one row per point
     import alphamv.sweep as sweep_mod
-    calls = []
-    monkeypatch.setattr(sweep_mod, "build_measure",
-                        lambda *args: calls.append(args) or build_measure(*args))
-    for param, lo, hi, quantity, builds in (("gamma", 0.2, 2.0, "pi_q0", 1),
-                                            ("muZ", 0.5, 2.0, "pi_q0", 5),
-                                            ("quad_nodes", 16, 48, "pi_q0", 5),
-                                            ("alpha", 0.5, 1.0, "pi_s0", 0)):
+    calls = _counting(monkeypatch, sweep_mod, "build_claim_tables")
+    for param, lo, hi, quantity, points, builds, rows in (
+            ("gamma", 0.2, 2.0, "pi_q0", 5, 1, 1), ("muZ", 0.5, 2.0, "pi_q0", 60, 1, 60),
+            ("lambda", 0.2, 5.0, "pi_q0", 60, 1, 60), ("quad_nodes", 16, 48, "pi_q0", 5, 5, 1),
+            ("alpha", 0.5, 1.0, "pi_s0", 5, 0, 0)):
         calls.clear()
         result = run_sweep(base_params, base_claims, base_numerics,
-                           SweepSpec.from_range(param, lo, hi, 5, quantity))
-        assert [row.status for row in result.rows] == ["ok"] * 5
+                           SweepSpec.from_range(param, lo, hi, points, quantity))
+        assert [row.status for row in result.rows] == ["ok"] * points
         assert len(calls) == builds
+        assert all(len(specs) == rows for specs, _ in calls)
 
 
 def test_sweep_unknown_param_or_quantity_rejected():
