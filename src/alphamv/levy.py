@@ -5,9 +5,9 @@ and a density proportional to the claim-size density.  Every integral
 ``int_0^inf g(z) nu(dz)`` used by the solver is evaluated as a fixed
 Gauss-Legendre rule ``lambda sum_i p_i g(z_i)`` whose probability weights
 p_i absorb the density, so callers never see the distribution again.
-:func:`build_claim_tables` builds the nodes and weights of many measures on
-one node count at once, one table row each, and :func:`build_measure` is
-its one-row call.
+:func:`build_claim_tables` builds many measures on one node count at once,
+one checked, read-only table row each, and a :class:`ClaimMeasure` is a view
+of a one-row table.
 
 This module owns the claim law's domain.  A table is integrated over its
 grid, the truncated normal where its density is within ``e^{-32}`` of its
@@ -17,15 +17,13 @@ for ``muZ >= 0``.  Both kinds normalise the density, taken relative to its
 maximum, on the rule itself, so the weights sum to 1 by construction and the
 tail left out is at most about ``e^{-32}`` of it.  The integrability rule,
 the paper's Assumption 3.1 for the model's tilts, is :func:`tilt_limit`.
-The Gauss-Legendre rule for each node count is computed once and shared
-read-only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -93,35 +91,36 @@ def _domain_errors(nodes: np.ndarray, probs: np.ndarray) -> list:
                                           (probs.min(axis=1) < 0).tolist())]
 
 
-@dataclass(frozen=True)
-class ClaimMeasure:
-    """One claim measure: nodes z_i > 0 and probability weights p_i >= 0.
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
-    The quadrature weights of nu are ``weights = lambda p``: ``sum_i w_i =
-    lambda`` up to rounding, on the support of the module docstring, and
-    ``sum_i w_i z_i = lambda E[Z]`` up to the tail left out.  :attr:`tables`
-    is the same measure as a one-row :class:`ClaimTables`.  Its tilts must
-    obey :func:`tilt_limit`.  Immutable and shareable.
+
+@dataclass(frozen=True, init=False)
+class ClaimMeasure:
+    """One claim measure: a read-only view of its one-row :class:`ClaimTables`.
+
+    Nodes z_i > 0 and probability weights p_i >= 0, checked once, when the
+    row is built.  The quadrature weights ``w = lambda p`` sum to lambda up
+    to rounding, and ``sum_i w_i z_i = lambda E[Z]`` up to the tail left out.
+    Its tilts must obey :func:`tilt_limit`.  ``ClaimMeasure(spec, nodes,
+    probs)`` copies the arrays into a new row and raises its ValidationError.
     """
 
-    spec: ClaimModelSpec
-    nodes: np.ndarray
-    probs: np.ndarray
-    weights: np.ndarray = field(init=False, repr=False)
-    tables: ClaimTables = field(init=False, repr=False)
+    tables: ClaimTables
+    spec = property(lambda self: self.tables.specs[0])
+    nodes = property(lambda self: self.tables.nodes[0])
+    probs = property(lambda self: self.tables.probs[0])
+    weights = property(lambda self: self.spec.lam * self.probs)
 
-    def __post_init__(self) -> None:
-        nodes = np.array(self.nodes, dtype=float)
-        probs = np.array(self.probs, dtype=float)
-        error, = _domain_errors(nodes[None], probs[None])
+    def __init__(self, spec: ClaimModelSpec, nodes, probs) -> None:
+        nodes, probs = np.array(nodes, dtype=float)[None], np.array(probs, dtype=float)[None]
+        error, = _domain_errors(nodes, probs)
         if error is not None:
             raise error
-        weights = self.spec.lam * probs
-        for name, table in (("nodes", nodes), ("probs", probs), ("weights", weights)):
-            table.flags.writeable = False
-            object.__setattr__(self, name, table)
-        object.__setattr__(self, "tables", ClaimTables((self.spec,), nodes[None], probs[None],
-                                                      np.array([self.spec.lam])))
+        object.__setattr__(self, "tables", ClaimTables(
+            (spec,), *_read_only(nodes, probs, np.array([spec.lam]))))
 
     def moment(self, k: int) -> float:
         """int z^k nu(dz); moment(0) is the total mass lambda."""
@@ -131,10 +130,7 @@ class ClaimMeasure:
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1] (read-only, cached)."""
-    x, w = leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return _read_only(*leggauss(n))
 
 
 def tilt_limit(spec: ClaimModelSpec) -> float:
@@ -168,9 +164,10 @@ def build_claim_tables(specs: Sequence[ClaimModelSpec], quad_nodes: int):
 
     One row per spec, every row on ``quad_nodes`` nodes, in one numpy pass
     over the rows (the tabulated densities are interpolated row by row).
-    Returns ``(tables, errors)``: ``errors[l]`` is row l's ValidationError,
-    else None; a failing row is not a measure.  Tag ``density=0`` when the
-    density is 0 at every node, then ``nodes<=0`` or ``weights<0``.
+    Returns ``(tables, errors)``, the arrays read-only: ``errors[l]`` is row
+    l's ValidationError, else None; a failing row is not a measure.  Tag
+    ``density=0`` when the density is 0 at every node, then ``nodes<=0`` or
+    ``weights<0``.
     """
     x, w = _gauss_legendre(quad_nodes)
     supports = [_support(spec) for spec in specs]
@@ -191,19 +188,21 @@ def build_claim_tables(specs: Sequence[ClaimModelSpec], quad_nodes: int):
             errors[row] = ValidationError(
                 "density=0", f"the claim-size density is 0 at all {quad_nodes} quadrature "
                 f"nodes on [{supports[row][0]:g}, {supports[row][1]:g}]")
-    return ClaimTables(tuple(specs), nodes, probs,
-                       np.array([spec.lam for spec in specs], dtype=float)), errors
+    return ClaimTables(tuple(specs), *_read_only(
+        nodes, probs, np.array([spec.lam for spec in specs], dtype=float))), errors
 
 
 def build_measure(spec: ClaimModelSpec, quad_nodes: int) -> ClaimMeasure:
-    """The claim measure of one spec: :func:`build_claim_tables` with one row.
+    """The claim measure of one spec: the view of :func:`build_claim_tables` with one row.
 
     Raises that row's ValidationError.
     """
     tables, (error,) = build_claim_tables([spec], quad_nodes)
     if error is not None:
         raise error
-    return ClaimMeasure(spec, tables.nodes[0], tables.probs[0])
+    measure = object.__new__(ClaimMeasure)     # the row is checked: no copy, no check
+    object.__setattr__(measure, "tables", tables)
+    return measure
 
 
 def _normal_above_zero(mean: float, sd: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -175,8 +175,8 @@ class _RunTables:
         self.tilt = (0.0, 0.0)
         self.claim_intensity = float(measure.spec.lam)
         if side is not None:
-            self.tilt = a, b = side.tilt
-            expo = a * measure.nodes + b * measure.nodes ** 2
+            self.tilt = side.tilt
+            expo = side.exponent(measure.nodes)
             if np.max(np.abs(expo)) > side.exp_cap:
                 raise NumericalError(
                     f"jump-tilt exponent reaches exp_cap={side.exp_cap:g} on the claim "

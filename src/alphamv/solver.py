@@ -34,8 +34,9 @@ one float64 evaluator, of ``f`` and ``f'`` on a lanes x nodes table
 (:class:`_FocLanes`); the intercepts have one, :func:`_value_intercepts`.
 A sweep solves all its points as lanes of one safeguarded Newton, which
 masks out each lane once it converges, and takes their intercepts in one
-call; a solve is a single lane of each.  The bracket ends at the edge where
-Assumption 3.1 fails.
+call; a solve is a single lane of each, on the one-row table that its
+:class:`~alphamv.levy.ClaimMeasure` is a view of.  The bracket ends at the
+edge where Assumption 3.1 fails.
 The ``root_tol`` check of the residual ``F(t, pi_q(t))`` at every requested
 time reads it as ``A(t) f(u)``, and so does :func:`reinsurance_foc`.
 The sign scan of :func:`scan_foc_sign_changes` has a second evaluator of
@@ -990,10 +991,11 @@ class DistortionSide:
     """One extreme measure: drift shifts phi1, phi2 and jump tilt phi3.
 
     The jump tilt is the constant pair ``tilt = (a, b)`` of exponent
-    coefficients, ``1 - phi3(t, z) = exp(clip(a z + b z^2))``: with ``pi_q A =
-    u*`` it is the same at every t.  :meth:`phi3` is derived from it, so the
-    claim sampler and the distortion identities read the same tilt.
-    ValidationError (tag ``tilt``) unless the tilt is two finite floats.
+    coefficients, ``1 - phi3(t, z) = exp(clip(x))`` with the tilt exponent
+    ``x = a z + b z^2`` of :meth:`exponent`: with ``pi_q A = u*`` it is the
+    same at every t.  :meth:`phi3`, the claim sampler's intensity and the
+    distortion identities all read that one exponent.  ValidationError (tag
+    ``tilt``) unless the tilt is two finite floats.
 
     ``sign`` is +1 for the ambiguity-averse (infimum) measure, whose penalty
     enters the objective with a plus sign, and -1 for the ambiguity-seeking
@@ -1014,11 +1016,15 @@ class DistortionSide:
                 "tilt", f"jump tilt must be two finite floats (a, b), got {tilt!r}")
         object.__setattr__(self, "tilt", (float(tilt[0]), float(tilt[1])))
 
-    def phi3(self, t, z):
-        """phi3 on the broadcast shape of t and z; the tilt itself does not depend on t."""
+    def exponent(self, z):
+        """The tilt exponent ``a z + b z^2`` at z, before clipping at ``+-exp_cap``."""
         a, b = self.tilt
         z = np.asarray(z, dtype=float)
-        x = np.clip(a * z + b * z * z, -self.exp_cap, self.exp_cap)
+        return a * z + b * z * z
+
+    def phi3(self, t, z):
+        """phi3 on the broadcast shape of t and z; the tilt itself does not depend on t."""
+        x = np.clip(self.exponent(z), -self.exp_cap, self.exp_cap)
         return -np.expm1(np.broadcast_to(x, np.broadcast_shapes(np.shape(t), x.shape)))
 
 

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ClaimModelSpec, ModelParams, NumericsConfig, replace_param
-from .errors import ValidationError
+from .errors import SaturationWarning, ValidationError
 from .levy import build_measure
 from .simulate import objective_from_terminal, simulate_terminal
 from .solver import (_stock_coefficients, distortions, pi_p_star, pre_default_system,
-                     rk4_stable_steps, scan_foc_sign_changes, solve_equilibrium,
-                     value_function)
+                     reinsurance_foc, rk4_stable_steps, scan_foc_sign_changes,
+                     solve_equilibrium, value_function)
 from .sweep import SweepSpec, run_sweep
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
@@ -216,8 +217,11 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         float(np.max(np.abs(dist.hi.phi1(ts) + dist.lo.phi1(ts)))),
         float(np.max(np.abs(dist.hi.phi2(ts) + dist.lo.phi2(ts)))),
     )
-    prod_err = float(np.max(np.abs(
-        (1.0 - dist.lo.phi3(ts, zs)) * (1.0 - dist.hi.phi3(ts, zs)) - 1.0)))
+    # 1 - phi3 = exp(clip(x)) read off the tilt exponent: on the hi side
+    # 1 - phi3 itself would cancel to about eps e^x
+    lo_factor, hi_factor = (np.exp(np.clip(side.exponent(zs), -side.exp_cap, side.exp_cap))
+                            for side in (dist.lo, dist.hi))
+    prod_err = float(np.max(np.abs(lo_factor * hi_factor - 1.0)))
     checks.append(CheckResult(
         "distortion_sign_identity", sign_err <= 1e-12,
         f"max |phi_hi + phi_lo| = {sign_err:.3e} (tol 1e-12)",
@@ -245,6 +249,20 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     checks.append(CheckResult(
         "foc_single_sign_change", bool(np.all(scan_counts == 1)),
         f"sign changes over 10^4-point scans at 11 times: {sorted(set(scan_counts.tolist()))}",
+    ))
+
+    # --- the solved pi_q is the root: its residual within the solver's bound --
+    with warnings.catch_warnings():     # the solve has already reported a saturation
+        warnings.simplefilter("ignore", SaturationWarning)
+        residual = np.abs(reinsurance_foc(solution.grid, solution.pi_q, params, measure,
+                                          numerics.exp_cap))
+    foc_bound = (numerics.root_tol * params.eta * measure.moment(1)
+                 * params.discount_to_horizon(solution.grid))
+    foc_ratio = float(np.max(residual / foc_bound))
+    checks.append(CheckResult(
+        "foc_residual", foc_ratio <= 1.0,       # NaN fails
+        f"max |F(t, pi_q)| = {float(np.max(residual)):.3e}, at most {foc_ratio:.3g} "
+        "of root_tol eta A(t) int z nu(dz)",
     ))
 
     # --- RK4 bond amount against its closed form ------------------------------

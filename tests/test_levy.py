@@ -11,7 +11,9 @@ from scipy.stats import truncnorm
 
 from alphamv.config import ClaimModelSpec
 from alphamv.errors import NumericalError, ValidationError
-from alphamv.levy import build_measure, sample_truncated_sizes, tilt_limit
+import alphamv.levy as levy_mod
+from alphamv.levy import (ClaimMeasure, build_claim_tables, build_measure, sample_truncated_sizes,
+                          tilt_limit)
 
 
 def truncnorm_moments(muZ: float, sigmaZ: float):
@@ -128,6 +130,37 @@ def test_sampling_matches_quadrature_moments(base_claims, base_measure):
 def test_nodes_positive_and_weights_nonnegative(base_measure):
     assert np.all(base_measure.nodes > 0)
     assert np.all(base_measure.weights >= 0)
+
+
+def test_measure_is_a_read_only_view_of_its_table_row(base_claims):
+    # build_measure wraps the checked row it gets back: no copy of the arrays
+    measure = build_measure(base_claims, 32)
+    assert np.shares_memory(measure.nodes, measure.tables.nodes)
+    assert np.shares_memory(measure.probs, measure.tables.probs)
+    assert measure.spec is measure.tables.specs[0] is base_claims
+    tables, _ = build_claim_tables([base_claims, dataclasses.replace(base_claims, lam=2.0)], 32)
+    for array in (measure.nodes, measure.probs, *tables[1:]):
+        assert not array.flags.writeable
+    # the quadrature weights are lambda p, bit for bit
+    assert np.array_equal(measure.weights, base_claims.lam * measure.probs)
+
+
+def test_build_measure_checks_its_row_once(base_claims, monkeypatch):
+    calls = []
+    check = levy_mod._domain_errors
+    monkeypatch.setattr(levy_mod, "_domain_errors", lambda *a: calls.append(1) or check(*a))
+    build_measure(base_claims, 32)
+    assert len(calls) == 1
+
+
+def test_direct_measure_copies_the_callers_arrays(base_claims):
+    nodes, probs = np.array([0.5, 1.0, 1.5]), np.array([0.25, 0.5, 0.25])
+    measure = ClaimMeasure(base_claims, nodes, probs)
+    nodes[0], probs[0] = 9.0, 9.0
+    assert measure.nodes.tolist() == [0.5, 1.0, 1.5]
+    assert measure.probs.tolist() == [0.25, 0.5, 0.25]
+    assert not (measure.nodes.flags.writeable or measure.probs.flags.writeable)
+    assert measure.tables.lam.tolist() == [base_claims.lam]
 
 
 def test_tabulated_measure_uses_same_machinery():

@@ -615,6 +615,41 @@ def test_cmd_verify_pi_p_check_fails_on_a_wrong_closed_form(tmp_path, capsys, mo
     assert line.startswith("FAIL")
 
 
+def test_verify_product_identity_holds_at_a_large_hi_side_exponent(base_params, base_claims,
+                                                                  base_numerics):
+    # the tilt exponent x reaches 12.2 on the claim support, where 1 - phi3_hi
+    # = 1 + expm1(-x) carries about 1e-16 e^x = 2e-11 of error into the
+    # product, above the check's 1e-12; the check reads exp(clip(x)) instead
+    params = dataclasses.replace(base_params, eta=5.0, beta3=1.0)
+    claims = dataclasses.replace(base_claims, muZ=0.5, sigmaZ=1.0)
+    numerics = dataclasses.replace(base_numerics, mc_paths=1000, mc_dt=0.01, time_steps=200)
+    check = next(c for c in run_verification(params, claims, numerics).checks
+                 if c.name == "distortion_product_identity")
+    assert check.passed, check.detail
+
+
+def test_cmd_verify_foc_residual_fails_a_root_off_by_1e_3(tmp_path, capsys, monkeypatch):
+    # every pi_q scaled by 1.001 after the solve: the Monte Carlo lines check
+    # only that V is the value of the strategy returned, so the residual of
+    # the first-order condition is the line that sees a wrong root
+    import alphamv.verify as verify_mod
+    cfg = write_config(tmp_path / "base.cfg",
+                       numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
+                                           "time_steps": 100, "quad_nodes": 32})
+
+    def foc_line(code):
+        assert main(["verify", "--config", str(cfg)]) == code
+        return next(l for l in capsys.readouterr().out.split("\n") if "foc_residual" in l)
+
+    assert foc_line(0).startswith("PASS")
+    def off_root(*args):
+        solution = solve_equilibrium(*args)
+        return dataclasses.replace(solution, pi_q=1.001 * solution.pi_q)
+
+    monkeypatch.setattr(verify_mod, "solve_equilibrium", off_root)
+    assert foc_line(2).startswith("FAIL")
+
+
 def test_cmd_verify_hP_sweep_fits_low_spread(tmp_path, capsys):
     # delta = hP = 1e-5 is valid, but a fixed hP range from 2e-4 would break
     # delta >= zeta hP at every point; the range must end at delta/zeta
