@@ -32,10 +32,19 @@ is the sum of one contiguous segment of the per-claim amounts (with
 ``u_star``, ``u*`` times the segment sum of the sizes); the per-claim path
 index is built only for recorded paths, which place each claim on the grid.
 
+Both default states read one set of draws.  Before default (h0 = 0) a path
+draws, in this order, its default time, its claim count, its claim sizes and
+one terminal normal.  After default (h0 = 1) the bond is already gone: the
+same sum without ``C_bond(min(tau, T))`` and without the default lump, so a
+run from h0 = 1 alone draws no default times.  A run asked for both states
+draws once, in the h0 = 0 order, and reads both off those draws (common
+random numbers, Glasserman 2003, sec. 4.2); its h0 = 0 row is the h0 = 0 run
+at the same seed, bit for bit.
+
 Reproducibility: paths are partitioned into fixed-size blocks and each block
 draws from its own ``SeedSequence(seed, spawn_key=(block,))`` stream, so
-results are bit-identical for a given (config, seed) regardless of how blocks
-would be scheduled across workers.
+results are bit-identical for a given (config, seed, states) regardless of
+how blocks would be scheduled across workers.
 """
 
 from __future__ import annotations
@@ -200,14 +209,31 @@ def _path_totals(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return totals
 
 
+def _default_states(h0, pair: bool = True) -> tuple[int, ...]:
+    """The default states ``h0`` asks for, in its order.
+
+    ``h0`` is 0, 1 or, where ``pair`` allows it, a non-empty tuple of
+    distinct states; anything else raises ValidationError (tag ``h_range``).
+    """
+    states = h0 if pair and isinstance(h0, tuple) else (h0,)
+    if not (states and all(isinstance(h, (int, np.integer)) and not isinstance(h, bool)
+                           and h in (0, 1) for h in states)
+            and len(set(states)) == len(states)):
+        want = "0, 1 or a tuple of distinct states" if pair else "0 or 1"
+        raise ValidationError("h_range", f"default state must be {want}, got {h0!r}")
+    return tuple(int(h) for h in states)
+
+
 def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
                     params: ModelParams, measure: ClaimMeasure,
-                    x0: float, h0: int, wealth: Optional[np.ndarray] = None):
+                    x0: float, states: tuple[int, ...], wealth: Optional[np.ndarray] = None):
     """Sample one block of exact terminal wealths, with their bookkeeping.
 
-    Draw order: default times, claim counts, sizes, one terminal normal per
-    path, claim times (only when the amounts or the recording read them), and
-    only when ``wealth`` (a block x grid view to fill) is given the bridge
+    ``x_terminal`` has one row per state in ``states``, all read off one set
+    of draws.  Draw order: default times (only when state 0 is asked for),
+    claim counts, sizes, one terminal normal per path, claim times (only
+    when the amounts or the recording read them), and only when ``wealth``
+    (a block x grid view to fill, one state only) is given the bridge
     increments.  So recording leaves the terminal sample unchanged bit for
     bit.
 
@@ -222,11 +248,11 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
     r = params.r
 
     # default time by inversion, once per path (undistorted: phi does not act
-    # on H); h0 = 1 means the bond is already gone: no bond drift, no lump
-    tau = np.full(n_block, t0 if h0 == 1 else np.inf)
+    # on H); h0 = 1 alone means the bond is already gone at t0
+    tau = np.full(n_block, np.inf if 0 in states else t0)
     default_time = np.full(n_block, np.nan)
     jump = np.zeros(n_block)
-    if h0 == 0 and params.hP > 0:
+    if 0 in states and params.hP > 0:
         tau = t0 + rng.exponential(1.0 / params.hP, size=n_block)
         hit = tau <= T
         default_time[hit] = tau[hit]
@@ -253,13 +279,17 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
     else:
         amounts = u_star * sizes if wealth is not None else None
         claim_totals = u_star * _path_totals(sizes, counts)
-    x_terminal = (tables.growth[0] * x0 + tables.c_drift[-1]
-                  + np.interp(tau, times, tables.c_bond) + math.sqrt(tables.var[-1]) * z
-                  - claim_totals - jump)
+    start = tables.growth[0] * x0 + tables.c_drift[-1]
+    gauss = math.sqrt(tables.var[-1]) * z
+    x_terminal = np.empty((len(states), n_block))
+    for row, h in zip(x_terminal, states):
+        # h0 = 1: the bond is already gone, so no bond drift and no lump
+        bond, lump = (np.interp(tau, times, tables.c_bond), jump) if h == 0 else (0.0, 0.0)
+        row[:] = start + bond + gauss - claim_totals - lump
     if wealth is not None:
         claim_path = np.repeat(np.arange(n_block), counts)
         _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time, amounts)
-        wealth[:, -1] = x_terminal
+        wealth[:, -1] = x_terminal[0]
     return {"x_terminal": x_terminal, "default_time": default_time,
             "claim_count": counts,
             "claim_time": claim_time, "claim_size": sizes}
@@ -295,14 +325,12 @@ def _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time,
 
 
 def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
-                t0, x0, h0, record=False):
+                t0, x0, states, record=False):
     n_paths = _require_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ValidationError("n_paths<1", "need at least one path")
     if dt > (params.T - t0) / 10.0:
         raise ValidationError("dt_coarse", f"step must satisfy dt <= (T - t)/10, got dt={dt}")
-    if h0 not in (0, 1):
-        raise ValidationError("h_range", f"default state must be 0 or 1, got {h0}")
     tables = _RunTables(strategy, side, params, measure, t0, dt)
     wealth = np.empty((n_paths, tables.n_steps + 1)) if record else None
     blocks = []
@@ -310,29 +338,42 @@ def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
         lo = block_idx * BLOCK_SIZE
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
         blocks.append(_simulate_block(rng, min(BLOCK_SIZE, n_paths - lo), tables, params, measure,
-                                      x0, h0, wealth[lo:lo + BLOCK_SIZE] if record else None))
+                                      x0, states, wealth[lo:lo + BLOCK_SIZE] if record else None))
     keys = ("x_terminal", "default_time", "claim_count")
     keys += ("claim_time", "claim_size") if record else ()
-    merged = {key: np.concatenate([b[key] for b in blocks]) for key in keys}
+    merged = {key: np.concatenate([b[key] for b in blocks], axis=-1) for key in keys}
     return tables, merged, wealth
 
 
 def simulate_terminal(strategy, distortion: Optional[DistortionSide],
                       params: ModelParams, measure: ClaimMeasure,
                       n_paths: int, dt: float, seed: int,
-                      t0: float = 0.0, x0: Optional[float] = None, h0: int = 1):
+                      t0: float = 0.0, x0: Optional[float] = None,
+                      h0: int | tuple[int, ...] = 1):
     """Terminal wealth sample without storing trajectories.
 
-    Returns (x_terminal, default_time, claim_count) arrays of length n_paths;
-    default_time is NaN for paths that do not default before T.  X(T) is
-    exact given the jumps; ``dt`` sets the grid of the trapezoid integrals.
-    Per path the draws are the default time, the claims, then one terminal
+    Returns (x_terminal, default_time, claim_count); default_time is NaN for
+    paths that do not default before T.  X(T) is exact given the jumps;
+    ``dt`` sets the grid of the trapezoid integrals.  Per path the draws are
+    the default time (from h0 = 0 only), the claims, then one terminal
     normal.
+
+    ``h0`` is one default state, 0 or 1, and ``x_terminal`` has length
+    n_paths; or a tuple of states such as ``(1, 0)``, and ``x_terminal`` has
+    one row per state in that order, all read off one set of draws in the
+    h0 = 0 order.  Its h0 = 0 row, ``default_time`` and ``claim_count`` are
+    then those of ``h0=0`` at the same seed bit for bit; its h0 = 1 row has
+    the h0 = 1 law but not the draws of ``h0=1`` alone, and is correlated
+    with the h0 = 0 row.  ValidationError (tag ``h_range``) for any other
+    ``h0``.
     """
+    states = _default_states(h0)
     x0 = params.x0 if x0 is None else x0
     _, merged, _ = _run_blocks(strategy, distortion, params, measure,
-                               n_paths, dt, seed, t0, x0, h0)
-    return merged["x_terminal"], merged["default_time"], merged["claim_count"]
+                               n_paths, dt, seed, t0, x0, states)
+    x_terminal = merged["x_terminal"]
+    return (x_terminal if isinstance(h0, tuple) else x_terminal[0],
+            merged["default_time"], merged["claim_count"])
 
 
 def simulate_wealth(strategy, distortion: Optional[DistortionSide],
@@ -343,8 +384,10 @@ def simulate_wealth(strategy, distortion: Optional[DistortionSide],
 
     Trajectories are recorded on the ``dt`` grid.  The terminal draws come
     first and match :func:`simulate_terminal` bit for bit; the Gaussian
-    bridge increments between grid times are drawn after them.
+    bridge increments between grid times are drawn after them.  ``h0`` is
+    one default state, 0 or 1; ValidationError (tag ``h_range``) otherwise.
     """
+    states = _default_states(h0, pair=False)
     x0 = params.x0 if x0 is None else x0
     if n_paths * (max(1, int(round((params.T - t0) / dt))) + 1) > _PATH_STORAGE_LIMIT:
         raise ValidationError(
@@ -353,15 +396,15 @@ def simulate_wealth(strategy, distortion: Optional[DistortionSide],
             "use simulate_terminal for large runs",
         )
     tables, merged, wealth = _run_blocks(strategy, distortion, params, measure,
-                                         n_paths, dt, seed, t0, x0, h0, record=True)
+                                         n_paths, dt, seed, t0, x0, states, record=True)
     times, tau, counts = tables.times, merged["default_time"], merged["claim_count"]
     # claims come grouped by path; order each group by time
     order = np.lexsort((merged["claim_size"], merged["claim_time"],
                         np.repeat(np.arange(tau.size), counts)))
     claims = list(zip(merged["claim_time"][order].tolist(), merged["claim_size"][order].tolist()))
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    states = ((times >= tau[:, None]) | (h0 == 1)).astype(np.int8)
-    return [WealthPath(times=times, wealth=wealth[i], default_state=states[i],
+    default_state = ((times >= tau[:, None]) | (h0 == 1)).astype(np.int8)
+    return [WealthPath(times=times, wealth=wealth[i], default_state=default_state[i],
                        default_time=None if math.isnan(tau[i]) else float(tau[i]),
                        claim_log=claims[bounds[i]:bounds[i + 1]])
             for i in range(tau.size)]

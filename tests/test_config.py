@@ -15,7 +15,8 @@ from alphamv.config import (ALL_KEYS, NUMERICS_DEFAULTS, ClaimModelSpec, ModelPa
                             NumericsConfig, load_config, replace_param, save_config)
 from alphamv.errors import ConfigError, ValidationError
 from alphamv.levy import ClaimMeasure
-from alphamv.simulate import ConstantStrategy, WealthPath, bond_price_path, simulate_terminal
+from alphamv.simulate import (ConstantStrategy, WealthPath, bond_price_path, simulate_terminal,
+                              simulate_wealth)
 from alphamv.solver import value_function
 from alphamv.sweep import SweepSpec
 from alphamv.verify import run_verification
@@ -255,6 +256,13 @@ _INVALID_CALLS = [
      lambda b: WealthPath(np.arange(2.0), np.ones(2), np.array([1, 0]), None, [])),
     ("simulate-n_paths", ValidationError, "n_paths<1", lambda b: _terminal(b, n_paths=0)),
     ("simulate-h_range", ValidationError, "h_range", lambda b: _terminal(b, h0=2)),
+    ("simulate-h_range-float", ValidationError, "h_range", lambda b: _terminal(b, h0=1.0)),
+    ("simulate-h_range-repeated", ValidationError, "h_range", lambda b: _terminal(b, h0=(0, 0))),
+    ("simulate-h_range-empty", ValidationError, "h_range", lambda b: _terminal(b, h0=())),
+    ("simulate-h_range-pair", ValidationError, "h_range", lambda b: _terminal(b, h0=(1, 2))),
+    ("simulate-h_range-wealth_pair", ValidationError, "h_range",
+     lambda b: simulate_wealth(ConstantStrategy(), None, b.params, b.measure, 10, 0.05, 1,
+                               h0=(1, 0))),
     ("simulate-bond_t", ValidationError, "t>T1",
      lambda b: bond_price_path([b.params.T1 + 1.0], None, b.params)),
     ("solver-solution_pi_q", ValidationError, "pi_q<0",

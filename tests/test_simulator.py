@@ -258,6 +258,46 @@ def test_segment_sums_match_per_claim_bincount(case, h0, base_params, base_solut
         assert counts.sum() == 0
 
 
+@pytest.fixture(scope="module", params=["base", "claim-heavy"])
+def paired_case(request, base_params, base_measure, base_solution):
+    """(params, measure, solution, n_paths) on base.cfg and the claim-heavy input."""
+    if request.param == "base":
+        return base_params, base_measure, base_solution, 20_000
+    params = dataclasses.replace(base_params, beta3=2.0)
+    measure = build_measure(ClaimModelSpec(lam=20.0, muZ=0.05, sigmaZ=0.01), 64)
+    return params, measure, solve_equilibrium(params, measure, NumericsConfig(time_steps=200)), 4000
+
+
+@pytest.mark.parametrize("side_name", ["lo", "hi"])
+def test_paired_default_states_read_one_set_of_draws(paired_case, side_name):
+    # h0 = (1, 0) draws once in the h0 = 0 order: its h0 = 0 row is the
+    # h0 = 0 run at the same seed, and on a path that does not default the
+    # rows differ by the bond term C_bond(T) alone
+    params, measure, solution, n = paired_case
+    side = getattr(distortions(solution, params), side_name)
+    dt, seed = 0.05, 31
+    args = (solution, side, params, measure, n, dt, seed)
+    x_pair, default_time, counts = simulate_terminal(*args, h0=(1, 0))
+    x_h0, ref_default, ref_counts = simulate_terminal(*args, h0=0)
+    assert x_pair.shape == (2, n)
+    assert np.array_equal(x_pair[1], x_h0)
+    assert np.array_equal(default_time, ref_default, equal_nan=True)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(simulate_terminal(*args, h0=(0, 1))[0], x_pair[::-1])
+
+    alive = np.isnan(default_time)
+    assert 0 < alive.sum() < n
+    c_bond = _RunTables(solution, side, params, measure, 0.0, dt).c_bond[-1]
+    gap = x_pair[1, alive] - x_pair[0, alive]
+    assert np.max(np.abs(gap - c_bond)) <= 4 * np.spacing(np.max(np.abs(x_pair)))
+
+    # the h0 = 1 row has the h0 = 1 law: its mean is the side's g-intercept
+    x_h1 = x_pair[0]
+    b1 = getattr(solution.coeffs, f"b1_{side_name}")[0]
+    se = x_h1.std(ddof=1) / math.sqrt(n)
+    assert abs(x_h1.mean() - (math.exp(params.r * params.T) * params.x0 + b1)) <= 4 * se
+
+
 def test_counts_and_default_times_follow_the_draw_order(base_params, base_measure,
                                                         base_solution):
     # default times, then claim counts, then sizes, from the block's own stream

@@ -776,14 +776,40 @@ def test_verify_pi_p_check_runs_rk4_on_its_stable_steps(base_params, base_claims
 
 def test_verify_lines_do_not_depend_on_worker_count(base_params, base_claims,
                                                     base_numerics, monkeypatch):
-    # each Monte Carlo run has its own seed: one worker and the default pool
-    # print the same report
+    # each Monte Carlo run has its own seed: one worker and two print the
+    # same report
     import alphamv.verify as verify_mod
     numerics = dataclasses.replace(base_numerics, mc_paths=2000, mc_dt=0.05,
                                    time_steps=100, quad_nodes=32)
-    pooled = run_verification(base_params, base_claims, numerics).lines()
-    monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 1)
-    assert run_verification(base_params, base_claims, numerics).lines() == pooled
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: cpus)
+        reports.append(run_verification(base_params, base_claims, numerics).lines())
+    assert reports[0] == reports[1]
+
+
+def test_verify_invariance_line_fails_a_pi_p_that_reads_alpha(base_params, base_claims,
+                                                              base_numerics, monkeypatch):
+    # pi_p0 does not depend on alpha: the alpha sweep is constant to rounding.
+    # A closed form that moves by 1e-12 relative in alpha stays monotone
+    # (inc), so only the invariance line sees it
+    import alphamv.sweep as sweep_mod
+    numerics = dataclasses.replace(base_numerics, mc_paths=1000, mc_dt=0.05,
+                                   time_steps=100, quad_nodes=32)
+
+    def lines():
+        report = run_verification(base_params, base_claims, numerics)
+        return {c.name: c for c in report.checks}
+
+    checks = lines()
+    assert checks["invariant_pi_p0_vs_alpha"].passed
+    assert checks["invariant_pi_p0_vs_alpha"].detail.startswith(
+        "max |pi_p0 - pi_p0 at the first point| = 0.000e+00 over 20 points")
+    monkeypatch.setattr(sweep_mod, "pi_p_star",
+                        lambda t, params: (1.0 + 1e-12 * params.alpha) * pi_p_star(t, params))
+    checks = lines()
+    assert checks["monotone_pi_p0_vs_alpha"].passed
+    assert not checks["invariant_pi_p0_vs_alpha"].passed
 
 
 def test_cmd_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
