@@ -58,7 +58,7 @@ import numpy as np
 from .config import ModelParams, _require_integer
 from .errors import NumericalError, ValidationError
 from .levy import ClaimMeasure, sample_truncated_sizes
-from .solver import DistortionFunctions, DistortionSide, penalty_rate
+from .solver import DistortionFunctions, DistortionSide, _default_states, penalty_rate
 
 __all__ = [
     "ConstantStrategy",
@@ -207,21 +207,6 @@ def _path_totals(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     totals = np.zeros(counts.size, dtype=values.dtype)
     totals[filled] = np.add.reduceat(values, starts[filled])
     return totals
-
-
-def _default_states(h0, pair: bool = True) -> tuple[int, ...]:
-    """The default states ``h0`` asks for, in its order.
-
-    ``h0`` is 0, 1 or, where ``pair`` allows it, a non-empty tuple of
-    distinct states; anything else raises ValidationError (tag ``h_range``).
-    """
-    states = h0 if pair and isinstance(h0, tuple) else (h0,)
-    if not (states and all(isinstance(h, (int, np.integer)) and not isinstance(h, bool)
-                           and h in (0, 1) for h in states)
-            and len(set(states)) == len(states)):
-        want = "0, 1 or a tuple of distinct states" if pair else "0 or 1"
-        raise ValidationError("h_range", f"default state must be {want}, got {h0!r}")
-    return tuple(int(h) for h in states)
 
 
 def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
@@ -461,6 +446,14 @@ def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide
                              j_value=j_value, std_error=std_error, n_paths=n)
 
 
+def _alpha_mix(est_lo: ObjectiveEstimate, est_hi: ObjectiveEstimate,
+               params: ModelParams) -> tuple[float, float]:
+    """``(alpha J_lo + alpha_hat J_hi, its standard error)`` of two independent estimates."""
+    a, a_hat = params.alpha, params.alpha_hat
+    return (a * est_lo.j_value + a_hat * est_hi.j_value,
+            math.hypot(a * est_lo.std_error, a_hat * est_hi.std_error))
+
+
 def alpha_robust_value(strategy, dist: DistortionFunctions,
                        params: ModelParams, measure: ClaimMeasure,
                        t: float, x: float, h: int,
@@ -479,10 +472,7 @@ def alpha_robust_value(strategy, dist: DistortionFunctions,
                                                   seed + i, t0=t, x0=x, h0=h)[0],
                                 side, params, measure, t)
         for i, side in enumerate((dist.lo, dist.hi)))
-    value = params.alpha * est_lo.j_value + params.alpha_hat * est_hi.j_value
-    std_error = math.hypot(params.alpha * est_lo.std_error,
-                           params.alpha_hat * est_hi.std_error)
-    return value, std_error, est_lo, est_hi
+    return (*_alpha_mix(est_lo, est_hi, params), est_lo, est_hi)
 
 
 def bond_price_path(times, default_time: Optional[float], params: ModelParams) -> np.ndarray:

@@ -27,8 +27,9 @@ and every distorted integrand carries ``exp(+-beta3 E)``.  At the equilibrium
 integrals once, on the node row at ``u*``, and never on a times x nodes
 grid.
 
-A lane is one parameter set with its claim measure, a row of
-:class:`~alphamv.levy.ClaimTables`: probability weights, with lambda apart.
+A lane is one parameter set with its claim row, a row of
+:class:`~alphamv.levy.ClaimTables` (probability weights, with lambda apart);
+a lane call takes one float ``root_tol`` and ``exp_cap`` for all its lanes.
 The first-order condition is lambda times a lambda-free function, and has
 one float64 evaluator, of ``f`` and ``f'`` on a lanes x nodes table
 (:class:`_FocLanes`); the intercepts have one, :func:`_value_intercepts`.
@@ -45,7 +46,7 @@ The sign scan of :func:`scan_foc_sign_changes` has a second evaluator of
 :class:`_FocLanes` in float64 (best of 5 on a 2-core VM).
 Exponent arguments are saturated at ``+-exp_cap`` before exponentiation:
 Newton's probe iterates clip silently, and a saturation at a returned root
-warns (SaturationWarning, not an error), once per root solve; the claim
+warns (SaturationWarning, not an error), once per root call; the claim
 integrals of the intercepts clip at the same cap without warning.
 """
 
@@ -218,9 +219,10 @@ class _FocLanes(NamedTuple):
     """The first-order condition at ``A = 1`` per unit claim intensity, over lanes.
 
     ``f(u) = F(T, u) / lambda``.  A lane is one parameter set with its claim
-    measure: row l of every table belongs to lane l, and a table with a
-    single row serves every lane.  The weights are the probability weights
-    of :class:`~alphamv.levy.ClaimTables`, so f does not depend on lambda.
+    row: row l of every table belongs to lane l, a one-row table serves every
+    lane, and ``exp_cap`` is one float for all.  The weights are the
+    probability weights of :class:`~alphamv.levy.ClaimTables`, so f does not
+    depend on lambda.
     Evaluation takes one ``u`` per lane and works on a lanes x nodes table.
     With ``G = dE/du = z + gamma u z^2``, ``E = u (z + G) / 2``.
     """
@@ -235,38 +237,37 @@ class _FocLanes(NamedTuple):
     alpha_hat: np.ndarray   # (rows, 1)
     premium: np.ndarray     # (1 + eta) z, (rows, nodes)
     curvature: np.ndarray   # gamma z^2 w, (rows, nodes, 1)
-    exp_cap: np.ndarray     # (rows, 1)
+    exp_cap: float
 
     @classmethod
     def stack(cls, params: Sequence[ModelParams], tables: ClaimTables,
-              exp_cap) -> "_FocLanes":
-        """Lanes of ``params[l]`` with row l of ``tables`` and cap ``exp_cap``.
+              exp_cap: float) -> "_FocLanes":
+        """Lanes of ``params[l]`` with row l of ``tables``, all at the one float ``exp_cap``.
 
-        A one-row table, or a scalar ``exp_cap``, is kept as a single row.
+        A one-row table is kept as a single row.
         """
         z, w = tables.nodes, tables.probs[:, :, None]
         gamma, beta3, alpha, alpha_hat, eta = np.array(
             [(p.gamma, p.beta3, p.alpha, p.alpha_hat, p.eta) for p in params]).T[:, :, None]
         z2 = z * z
         return cls(z, z2, w, gamma, 0.5 * beta3, beta3[:, 0], alpha, alpha_hat,
-                   (1.0 + eta) * z, (gamma * z2)[:, :, None] * w,
-                   np.reshape(np.asarray(exp_cap, dtype=float), (-1, 1)))
+                   (1.0 + eta) * z, (gamma * z2)[:, :, None] * w, float(exp_cap))
 
     def take(self, lanes) -> "_FocLanes":
         """The lanes selected by an index array, in that order."""
-        return self._make(a if len(a) == 1 else a[lanes] for a in self)
+        return self._make(a if isinstance(a, float) or len(a) == 1 else a[lanes] for a in self)
 
     def __call__(self, u: np.ndarray, slope: bool = True):
         """``(f, f')`` at ``u`` with one entry per lane, or ``(f, saturated)`` without ``slope``.
 
-        An exponent ``beta3 E`` above the lane's ``exp_cap`` is clipped there
+        An exponent ``beta3 E`` above ``exp_cap`` is clipped there
         (``beta3 E >= 0`` for ``u >= 0``); ``saturated`` flags the lanes where
         that happened.  This never warns.
         """
         u = u[:, None]
         G = self.z + (self.gamma * u) * self.z2
         x = (self.half_beta3 * u) * (self.z + G)
-        saturated = None if slope else x.max(axis=1) > self.exp_cap[:, 0]
+        saturated = None if slope else x.max(axis=1) > self.exp_cap
         ep = np.exp(np.minimum(x, self.exp_cap, out=x))
         up, down = self.alpha * ep, self.alpha_hat / ep
         mix = up + down
@@ -416,27 +417,29 @@ def _identity_residuals(pi_q: np.ndarray, A: np.ndarray, foc: _FocLanes):
 
 
 def solve_pi_q_lanes(times, params: Sequence[ModelParams], tables: ClaimTables,
-                     root_tol=DEFAULT_ROOT_TOL, exp_cap=DEFAULT_EXP_CAP):
+                     root_tol: float = DEFAULT_ROOT_TOL, exp_cap: float = DEFAULT_EXP_CAP):
     """Equilibrium reinsurance exposure at ``times`` for many parameter sets at once.
 
-    Lane l is ``params[l]`` with the claim measure in row l of ``tables``
-    (one row serves every lane).  ``times`` is one sequence for every lane
-    or a (lanes, times) table; ``root_tol`` and ``exp_cap`` are scalars or
-    one value per lane.  Each lane's ``u*`` comes from :func:`_newton_root`, all
-    lanes in one masked iteration, on the bracket ``[0, min(2 u0, u_c)]`` of
-    :func:`_root_start` from ``min(u0, u_c)``; ``f(u0) <= 0`` as well, so the
-    first iterate tightens it to ``[0, u0]`` (up to rounding near ``beta3 =
-    0``).  Where ``f(u_c) >= 0`` no root lies below the edge, and the lane
-    gets the Assumption 3.1 error.  Then ``pi_q(t) = u* / A(t)``, and its
-    residual is checked at every time through :func:`_identity_residuals`: at
-    most ``root_tol`` relative to the natural scale ``eta e^{r(T-t)} int z
-    nu(dz)``, both per unit claim intensity; a NaN residual fails.
+    Lane l is ``params[l]`` with its claim row, row l of ``tables`` (one row
+    serves every lane).  ``times`` is one sequence for every lane or a
+    (lanes, times) table; ``root_tol`` and ``exp_cap`` are one float each for
+    the call (a per-lane sequence raises TypeError).  Each lane's ``u*``
+    comes from :func:`_newton_root`, all lanes in one masked iteration, on
+    the bracket ``[0, min(2 u0, u_c)]`` of :func:`_root_start` from ``min(u0,
+    u_c)``; ``f(u0) <= 0`` as well, so the first iterate tightens it to ``[0,
+    u0]`` (up to rounding near ``beta3 = 0``).  Where ``f(u_c) >= 0`` no
+    root lies below the edge, and the lane gets the Assumption 3.1 error.
+    Then ``pi_q(t) = u* / A(t)``, and its residual is checked at every time
+    through :func:`_identity_residuals`: at most ``root_tol`` relative to the
+    natural scale ``eta e^{r(T-t)} int z nu(dz)``, both per unit claim
+    intensity; a NaN residual fails.
 
     Returns ``(pi_q, errors)``: pi_q has shape (lanes, times) and NaN rows
     where ``errors[l]`` holds the lane's NumericalError (bracket, Assumption
-    3.1, Newton or residual), else None.  Warns SaturationWarning only when
-    an exponent saturates at a returned root.
+    3.1, Newton or residual), else None.  Warns SaturationWarning once, at
+    ``exp_cap``, when an exponent saturates at a returned root.
     """
+    root_tol, exp_cap = float(root_tol), float(exp_cap)
     t = np.asarray(times, dtype=float)
     t = t if t.ndim == 2 else t.reshape(-1)
     n = len(params)
@@ -482,9 +485,7 @@ def solve_pi_q_lanes(times, params: Sequence[ModelParams], tables: ClaimTables,
         errors[live[k]] = NumericalError("pi_q roots did not reach the configured tolerance")
         pi_q[live[k]] = np.nan
     if saturated.any():
-        caps = np.broadcast_to(foc.exp_cap[:, 0], saturated.shape)[saturated]
-        for cap in sorted(set(caps.tolist())):
-            _warn_saturated(cap, stacklevel=2)
+        _warn_saturated(exp_cap, stacklevel=2)
     return pi_q, errors
 
 
@@ -577,25 +578,21 @@ def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
 
 @dataclass(frozen=True)
 class ValueCoefficients:
-    """Time-grid coefficients of the affine value and mean functions.
+    """Intercepts of the affine value and mean functions on the solution grid.
 
-    ``value = A(t) x + B_h(t)`` and the distorted means are
-    ``A(t) x + b_h(t)`` with A(t) = e^{r(T-t)}.  All intercepts vanish at T.
-    ``params``, ``measure``, ``u_star`` and ``exp_cap`` are the inputs of the
-    closed form :func:`_value_intercepts`, which :func:`value_function`
-    evaluates at any t.
+    ``value = A(t) x + B_h(t)`` and the distorted means are ``A(t) x +
+    b_h(t)``, with ``A = params.discount_to_horizon``.  All intercepts vanish
+    at T.  ``params``, ``measure``, ``u_star`` and ``exp_cap`` are the inputs
+    of the closed form :func:`_value_intercepts`, one lane at one cap, which
+    :func:`value_function` evaluates at any t.
     """
 
-    grid: np.ndarray
-    A: np.ndarray
     B1: np.ndarray
     B0: np.ndarray
     b1_lo: np.ndarray
     b1_hi: np.ndarray
     b0_lo: np.ndarray
     b0_hi: np.ndarray
-    r: float
-    T: float
     params: ModelParams = field(repr=False, default=None)
     measure: ClaimMeasure = field(repr=False, default=None)
     u_star: float = None
@@ -637,8 +634,7 @@ class EquilibriumSolution:
             raise ValidationError("pi_q<0", "equilibrium reinsurance exposure must be nonnegative")
 
     def pi_q_at(self, t):
-        c = self.coeffs
-        return _checked_u_star(self) / np.exp(c.r * (c.T - np.asarray(t, dtype=float)))
+        return _checked_u_star(self) / self.params.discount_to_horizon(t)
 
     def pi_s_at(self, t):
         return pi_s_star(t, self.params)
@@ -648,7 +644,7 @@ class EquilibriumSolution:
 
 
 def _claim_integrals(u_star, beta3, params: Sequence[ModelParams], tables: ClaimTables,
-                     exp_cap) -> list:
+                     exp_cap: float) -> list:
     """``(m1, I+, I-, KB)`` of every lane: the claim integrals of the intercept equations.
 
     ``m1 = int z nu(dz)``, ``I+- = int z e^{+-beta3 E} nu(dz)`` and the
@@ -659,15 +655,14 @@ def _claim_integrals(u_star, beta3, params: Sequence[ModelParams], tables: Claim
     ``tables``: on its probability weights, then times lambda.  KB takes its
     ``beta3 -> 0`` limit ``-int E nu`` where ``alpha/beta3`` or
     ``alpha_hat/beta3`` is not finite (beta3 = 0, or subnormal: the error is
-    then ``O(beta3 E)``, below rounding).  ``beta3`` has one value per lane,
-    ``exp_cap`` one per lane or one for all; exponents are clipped there
-    silently (the root solve reports saturation at u*).  Returns one tuple
-    of Python floats per lane.
+    then ``O(beta3 E)``, below rounding).  ``beta3`` has one value per lane
+    (a parameter set with its claim row), ``exp_cap`` is one float for all;
+    exponents are clipped there silently (the root solve reports saturation
+    at u*).  Returns one tuple of Python floats per lane.
     """
-    n = len(params)
-    caps = [exp_cap] * n if np.ndim(exp_cap) == 0 else exp_cap
-    u, half_gamma, b3, cap = _per_lane(
-        list(zip(u_star, (0.5 * p.gamma for p in params), beta3, caps)), 4)
+    cap = float(exp_cap)
+    u, half_gamma, b3 = _per_lane(
+        list(zip(u_star, (0.5 * p.gamma for p in params), beta3)), 3)
     z = tables.nodes
     uz = u * z
     E = uz + half_gamma * uz ** 2
@@ -748,12 +743,12 @@ def _integrands(params: Sequence[ModelParams], tables: ClaimTables, u_star, exp_
 
 
 def _value_intercepts(t, params: Sequence[ModelParams], tables: ClaimTables, u_star,
-                      exp_cap, betas=None, stock=None):
+                      exp_cap: float, betas=None, stock=None):
     """The intercepts ``(B1, b1_lo, b1_hi, B0, b0_lo, b0_hi)`` of every lane at times t in closed form.
 
-    Lane l is ``params[l]`` with row l of ``tables`` (one row serves every
-    lane), root ``u_star[l]`` and cap ``exp_cap`` (one value, or one per
-    lane).  In ``tau = T - t``, with ``A = e^{r tau}``, every intercept
+    Lane l is ``params[l]`` with its claim row, row l of ``tables`` (one row
+    serves every lane), and root ``u_star[l]``; ``exp_cap`` is one float for
+    all.  In ``tau = T - t``, with ``A = e^{r tau}``, every intercept
     vanishes at tau = 0.  The post-default ones integrate the quadratics in
     A of :func:`_integrands` (``betas`` and ``stock`` are passed on to it):
     ``int_0^tau A^j ds = expm1(j r tau) / (j r)``.  Pre-default, with pi_p
@@ -935,8 +930,7 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
     B1, b1_lo, b1_hi, B0, b0_lo, b0_hi = _first_lane(*_value_intercepts(
         grid, [params], measure.tables, [u_star], numerics.exp_cap))
     coeffs = ValueCoefficients(
-        grid=grid, A=params.discount_to_horizon(grid), B1=B1, B0=B0,
-        b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi, r=params.r, T=params.T,
+        B1=B1, B0=B0, b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi,
         params=params, measure=measure, u_star=u_star, exp_cap=numerics.exp_cap,
     )
     return EquilibriumSolution(
@@ -966,22 +960,37 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
 # value function, distortions, penalty
 # ---------------------------------------------------------------------------
 
+def _default_states(h0, pair: bool = True) -> tuple[int, ...]:
+    """The default states ``h0`` asks for, in its order.
+
+    ``h0`` is 0, 1 or, where ``pair`` allows it, a non-empty tuple of
+    distinct states; anything else, a float or a bool included, raises
+    ValidationError (tag ``h_range``).
+    """
+    states = h0 if pair and isinstance(h0, tuple) else (h0,)
+    if not (states and all(isinstance(h, (int, np.integer)) and not isinstance(h, bool)
+                           and h in (0, 1) for h in states)
+            and len(set(states)) == len(states)):
+        want = "0, 1 or a tuple of distinct states" if pair else "0 or 1"
+        raise ValidationError("h_range", f"default state must be {want}, got {h0!r}")
+    return tuple(int(h) for h in states)
+
+
 def value_function(t, x, h: int, coeffs: ValueCoefficients):
     """Equilibrium value e^{r(T-t)} x + B_h(t) at any t in [0, T].
 
     B_h is the closed form :func:`_value_intercepts` at the inputs that
     ``coeffs`` carries, so it is exact between grid points and equals the
-    ``B1``/``B0`` columns on the grid.
+    ``B1``/``B0`` columns on the grid.  ``h`` is one :func:`_default_states`.
     """
+    params = coeffs.params
     t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0.0) & (t_arr <= coeffs.T)):    # NaN fails too
-        raise ValidationError("t_range", f"time must lie in [0, {coeffs.T}], got {t}")
-    if h not in (0, 1):
-        raise ValidationError("h_range", f"default state must be 0 or 1, got {h}")
+    if not np.all((t_arr >= 0.0) & (t_arr <= params.T)):    # NaN fails too
+        raise ValidationError("t_range", f"time must lie in [0, {params.T}], got {t}")
+    h, = _default_states(h, pair=False)
     B1, _, _, B0, _, _ = _first_lane(*_value_intercepts(
-        t_arr, [coeffs.params], coeffs.measure.tables, [_checked_u_star(coeffs)],
-        coeffs.exp_cap))
-    value = np.exp(coeffs.r * (coeffs.T - t_arr)) * np.asarray(x, dtype=float) \
+        t_arr, [params], coeffs.measure.tables, [_checked_u_star(coeffs)], coeffs.exp_cap))
+    value = params.discount_to_horizon(t_arr) * np.asarray(x, dtype=float) \
         + (B1 if h == 1 else B0).reshape(t_arr.shape)
     return value if value.ndim else float(value)
 

@@ -3,13 +3,14 @@
 A sweep evaluates one quantity at every parameter value, at t = 0 unless
 overridden, each from the cheapest exact route: ``pi_s0`` and ``pi_p0`` from
 their closed forms (no claim measure, no root), and ``pi_q0``, ``B0_0`` and
-``B1_0`` with every point a lane, carried through three batched steps per
-node count, so once per sweep unless the swept key sets the node count: one
-:func:`~alphamv.levy.build_claim_tables` call for the claim tables (one row
-per distinct claims record, so a single shared row unless the swept key
-belongs to the claim law), one :func:`~alphamv.solver.solve_pi_q_lanes` call
-for the roots, and for the intercepts one
-:func:`~alphamv.solver._value_intercepts` call at the lanes' ``u*``.
+``B1_0`` with every point a lane, a parameter set with its claim row.  Lanes
+are grouped by ``(quad_nodes, root_tol, exp_cap)``, so once per sweep unless
+the swept key is one of those, and each group makes one
+:func:`~alphamv.levy.build_claim_tables` call (one row per distinct claims
+record, so a single shared row unless the swept key belongs to the claim
+law), then, at its one ``root_tol`` and ``exp_cap``, one
+:func:`~alphamv.solver.solve_pi_q_lanes` call for the roots and one
+:func:`~alphamv.solver._value_intercepts` call for the intercepts.
 Parameter values that violate a model invariant, and points whose measure or
 root fails, are reported and skipped, never silently dropped.
 """
@@ -111,17 +112,18 @@ def _evaluate_points(points: list, quantity: str, t: float) -> list:
 
     A point is a ``(params, claims, numerics)`` triple, or the error that
     already skipped it, which stays its outcome.  pi_s0 and pi_p0 are closed
-    forms.  The others need the root u*, and the points are lanes grouped
-    by node count alone.  Per group, one :func:`build_claim_tables` call
-    builds one table row per distinct claims record, one
-    :func:`solve_pi_q_lanes` call takes every root (at t for pi_q0, at each
-    lane's own T, where ``A = 1``, for the intercepts), and one
-    :func:`_value_intercepts` call takes every lane's intercepts at its u*.
+    forms.  The others need the root u*, and the points are lanes grouped by
+    ``(quad_nodes, root_tol, exp_cap)``, the numerics of the lane calls.
+    Per group, one :func:`build_claim_tables` call builds one table row per
+    distinct claims record, one :func:`solve_pi_q_lanes` call takes every
+    root (at t for pi_q0, at each lane's own T, where ``A = 1``, for the
+    intercepts), and one :func:`_value_intercepts` call takes every lane's
+    intercepts at its u*.
     """
     if quantity not in QUANTITIES:
         raise ValidationError("unknown_quantity", f"unknown quantity {quantity!r}")
     outcomes = list(points)
-    groups: dict = {}       # node count -> [(row, params, claims, numerics)]
+    groups: dict = {}       # (quad_nodes, root_tol, exp_cap) -> [(row, params, claims)]
     for row, point in enumerate(points):
         if isinstance(point, Exception):
             continue
@@ -135,24 +137,22 @@ def _evaluate_points(points: list, quantity: str, t: float) -> list:
         except (ValidationError, NumericalError) as exc:
             outcomes[row] = exc
             continue
-        groups.setdefault(numerics.quad_nodes, []).append((row, params, claims, numerics))
-    for quad_nodes, group in groups.items():
+        key = (numerics.quad_nodes, numerics.root_tol, numerics.exp_cap)
+        groups.setdefault(key, []).append((row, params, claims))
+    for (quad_nodes, root_tol, exp_cap), group in groups.items():
         lanes, tables = _claim_lanes(group, quad_nodes, outcomes)
         if not lanes:
             continue
-        rows, params, _, numerics = zip(*lanes)
-        exp_cap = [n.exp_cap for n in numerics]
+        rows, params, _ = zip(*lanes)
         root_times = [[t] if quantity == "pi_q0" else [p.T] for p in params]
-        pi_q, errors = solve_pi_q_lanes(root_times, params, tables,
-                                        [n.root_tol for n in numerics], exp_cap)
+        pi_q, errors = solve_pi_q_lanes(root_times, params, tables, root_tol, exp_cap)
         values = pi_q[:, 0]
         solved = [lane for lane, error in enumerate(errors) if error is None]
         if quantity != "pi_q0" and solved:
             if len(tables.specs) > 1:
                 tables = tables.take(solved)
             columns, intercept_errors = _value_intercepts(
-                t, [params[lane] for lane in solved], tables, values[solved],
-                [exp_cap[lane] for lane in solved])
+                t, [params[lane] for lane in solved], tables, values[solved], exp_cap)
             values[solved] = columns[3 if quantity == "B0_0" else 0][:, 0]
             for lane, error in zip(solved, intercept_errors):
                 errors[lane] = error
@@ -170,7 +170,7 @@ def _claim_lanes(group: list, quad_nodes: int, outcomes: list):
     outcome and leaves the group.
     """
     index: dict = {}        # id(claims) -> table row
-    for _, _, claims, _ in group:
+    for _, _, claims in group:
         index.setdefault(id(claims), (len(index), claims))
     tables, errors = build_claim_tables([claims for _, claims in index.values()], quad_nodes)
     lanes, rows = [], []

@@ -269,6 +269,10 @@ _INVALID_CALLS = [
      lambda b: dataclasses.replace(b.solution, pi_q=-b.solution.pi_q)),
     ("solver-value_h_range", ValidationError, "h_range",
      lambda b: value_function(0.0, 1.0, 2, b.solution.coeffs)),
+    ("solver-value_h_range-float", ValidationError, "h_range",
+     lambda b: value_function(0.0, 1.0, 1.0, b.solution.coeffs)),
+    ("solver-value_h_range-bool", ValidationError, "h_range",
+     lambda b: value_function(0.0, 1.0, True, b.solution.coeffs)),
     ("sweep-count", ValidationError, "count<2", lambda b: SweepSpec("alpha", (0.6,), "pi_q0")),
 ]
 

@@ -561,12 +561,14 @@ def test_terminal_values_are_zero(base_solution):
     c = base_solution.coeffs
     for array in (c.B1, c.B0, c.b1_lo, c.b1_hi, c.b0_lo, c.b0_hi):
         assert array[-1] == 0.0
-    assert c.A[-1] == pytest.approx(1.0, abs=1e-15)
+    assert base_solution.params.discount_to_horizon(base_solution.grid[-1]) == 1.0
 
 
 def test_discount_coefficient_matches_exponential(base_params, base_solution):
-    expected = np.exp(base_params.r * (base_params.T - base_solution.grid))
-    assert np.allclose(base_solution.coeffs.A, expected, rtol=1e-15)
+    # pi_q_at and value_function read A(t) off the parameters
+    A = np.exp(base_params.r * (base_params.T - base_solution.grid))
+    assert np.array_equal(base_params.discount_to_horizon(base_solution.grid), A)
+    assert np.array_equal(base_solution.pi_q_at(base_solution.grid), base_solution.u_star / A)
 
 
 def test_b1_lo_below_b1_hi(base_solution):
@@ -746,7 +748,7 @@ def test_b0_lo_satisfies_its_ode(base_params, base_measure, base_solution):
     z = base_measure.nodes
     for k in ks:
         t = grid[k]
-        A = c.A[k]
+        A = p.discount_to_horizon(t)
         pi_q, pi_s, pi_p = sol.pi_q[k], sol.pi_s[k], sol.pi_p[k]
         I_plus = base_measure.weights @ (z * (1.0 - dist.lo.phi3(t, z)))
         f1 = ((p.theta - p.eta + (1 + p.eta) * pi_q) * A * m1
@@ -1057,7 +1059,7 @@ def test_value_function_is_the_closed_form_at_any_time(base_params, base_measure
                                              [base_solution.u_star], base_numerics.exp_cap))
     for h, want, stored in ((1, columns[0], c.B1), (0, columns[3], c.B0)):
         assert np.array_equal(value_function(fine, 0.0, h, c), want)
-        on_grid = value_function(c.grid, 0.0, h, c)
+        on_grid = value_function(base_solution.grid, 0.0, h, c)
         assert np.max(np.abs(on_grid - stored)) <= 4 * np.finfo(float).eps * np.max(np.abs(stored))
     with pytest.raises(ValidationError) as exc_info:
         value_function(1.0, 1.0, 0, dataclasses.replace(c, u_star=None))

@@ -226,6 +226,35 @@ def test_value_intercept_sweep_makes_one_root_call(base_params, base_claims, bas
         assert len(intercepts) == 1 and len(intercepts[0][1]) == 20
 
 
+@pytest.mark.parametrize("param, values, quantity", [
+    ("exp_cap", (0.05, 0.05, 3.0, 700.0), "B0_0"),
+    ("root_tol", (1e-12, 1e-8, 1e-8, 1e-6), "pi_q0"),
+    ("gamma", (0.2, 0.5, 1.0, 2.0), "pi_q0"),
+])
+def test_lane_calls_take_one_root_tol_and_exp_cap(base_params, base_claims, base_numerics,
+                                                  param, values, quantity, monkeypatch):
+    # root_tol and exp_cap are one float per lane call: a sweep over either
+    # makes one root call per distinct value, any other sweep a single call
+    import alphamv.sweep as sweep_mod
+    roots = _counting(monkeypatch, sweep_mod, "solve_pi_q_lanes")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)   # exp_cap 0.05 clips at u*
+        result = run_sweep(base_params, base_claims, base_numerics,
+                           SweepSpec(param, values, quantity))
+        calls = [(call[3], call[4]) for call in roots]     # (root_tol, exp_cap)
+        want = [evaluate_quantity(*replace_param(base_params, base_claims, base_numerics,
+                                                 param, value), quantity, 0.0)
+                for value in sorted(values)]
+    assert all(type(x) is float for call in calls for x in call)
+    if param == "gamma":
+        assert len(calls) == 1
+    else:
+        column = ("root_tol", "exp_cap").index(param)
+        assert sorted(call[column] for call in calls) == sorted(set(values))
+    assert [row.status for row in result.rows] == ["ok"] * len(values)
+    assert [row.quantity for row in result.rows] == want
+
+
 @pytest.mark.parametrize("quantity", ["pi_q0", "B0_0"])
 def test_root_out_of_newton_steps_skips_its_row(base_params, base_claims, base_numerics,
                                                 quantity, monkeypatch):
@@ -374,8 +403,8 @@ def test_solve_csv_formats_each_value_as_17_digits(tmp_path):
                0.1, 1.0 / 3.0, 2.0 ** 53]
     cols = [np.roll(special, j) for j in range(10)]
     grid, pi_q, pi_s, pi_p, B1, B0, b1_lo, b1_hi, b0_lo, b0_hi = cols
-    coeffs = ValueCoefficients(grid=grid, A=np.ones(10), B1=B1, B0=B0, b1_lo=b1_lo,
-                               b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi, r=0.05, T=10.0)
+    coeffs = ValueCoefficients(B1=B1, B0=B0, b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo,
+                               b0_hi=b0_hi)
     solution = EquilibriumSolution(grid=grid, pi_q=np.abs(pi_q), pi_s=pi_s, pi_p=pi_p,
                                    coeffs=coeffs)
     out = tmp_path / "solution.csv"
