@@ -40,33 +40,32 @@ _TAIL_DECAY = 32.0     # the truncated normal's support ends at density e^{-32} 
 class ClaimTables(NamedTuple):
     """The claim measures of many lanes on one node count, one table row per lane.
 
-    Row l is ``nu_l(dz) = lam[l] sum_i probs[l, i] delta(z - nodes[l, i])``;
-    a table with a single row serves every lane.  Each row of ``probs`` sums
-    to 1 and lambda is kept apart, so no weight rounds or underflows with
-    lambda: the first-order condition, lambda times a lambda-free function,
-    is solved on ``probs`` alone, and the integrals of the intercepts are
-    taken on ``probs`` and scaled by lambda.
+    Row l is ``nu_l(dz) = lam sum_i probs[l, i] delta(z - nodes[l, i])`` with
+    ``lam = specs[l].lam``.  Each row of ``probs`` sums to 1 and lambda is
+    kept apart, so no weight rounds or underflows with lambda: the
+    first-order condition, lambda times a lambda-free function, is solved
+    on ``probs`` alone, and the integrals of the intercepts are taken on
+    ``probs`` and scaled by lambda.
     """
 
     specs: tuple            # the claim records, one per row
     nodes: np.ndarray       # (rows, nodes)
     probs: np.ndarray       # (rows, nodes)
-    lam: np.ndarray         # (rows,)
 
     def take(self, rows) -> "ClaimTables":
         """The rows selected by an index sequence, in that order."""
         rows = np.asarray(rows, dtype=int)
         return ClaimTables(tuple(self.specs[r] for r in rows.tolist()), self.nodes[rows],
-                           self.probs[rows], self.lam[rows])
+                           self.probs[rows])
 
 
 def _lane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of a (..., rows, nodes) table with a (rows, nodes, 1) one.
 
     A stack of vector products, so each row is the same BLAS dot as
-    ``a[..., l, :] @ b[l, :, 0]``; a one-row operand broadcasts over the
-    rows.  (A matrix-vector product sums in another order and moves the
-    last bit.)
+    ``a[..., l, :] @ b[l, :, 0]``; only the shared Gauss-Legendre weights of
+    :func:`build_claim_tables` are a one-row ``b``, broadcast over the rows.
+    (A matrix-vector product sums in another order and moves the last bit.)
     """
     return (a[..., None, :] @ b)[..., 0, 0]
 
@@ -119,8 +118,7 @@ class ClaimMeasure:
         error, = _domain_errors(nodes, probs)
         if error is not None:
             raise error
-        object.__setattr__(self, "tables", ClaimTables(
-            (spec,), *_read_only(nodes, probs, np.array([spec.lam]))))
+        object.__setattr__(self, "tables", ClaimTables((spec,), *_read_only(nodes, probs)))
 
     def moment(self, k: int) -> float:
         """int z^k nu(dz); moment(0) is the total mass lambda."""
@@ -188,8 +186,7 @@ def build_claim_tables(specs: Sequence[ClaimModelSpec], quad_nodes: int):
             errors[row] = ValidationError(
                 "density=0", f"the claim-size density is 0 at all {quad_nodes} quadrature "
                 f"nodes on [{supports[row][0]:g}, {supports[row][1]:g}]")
-    return ClaimTables(tuple(specs), *_read_only(
-        nodes, probs, np.array([spec.lam for spec in specs], dtype=float))), errors
+    return ClaimTables(tuple(specs), *_read_only(nodes, probs)), errors
 
 
 def build_measure(spec: ClaimModelSpec, quad_nodes: int) -> ClaimMeasure:

@@ -75,6 +75,7 @@ __all__ = [
 BLOCK_SIZE = 65536
 _PATH_STORAGE_LIMIT = 20_000_000  # floats; guards accidental full-path runs
 _RECORD_FLOATS = 1 << 20  # work-buffer size when recording trajectories
+_PENALTY_INTERVALS = 2000  # Simpson intervals; O(h^4) on the smooth rate is far below MC error
 
 
 @dataclass(frozen=True)
@@ -314,8 +315,14 @@ def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
     n_paths = _require_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ValidationError("n_paths<1", "need at least one path")
-    if dt > (params.T - t0) / 10.0:
-        raise ValidationError("dt_coarse", f"step must satisfy dt <= (T - t)/10, got dt={dt}")
+    if not 0.0 <= t0 < params.T:        # before any grid sizing; NaN fails too
+        raise ValidationError("t_range", f"start time must lie in [0, {params.T}), got t0={t0}")
+    if not 0.0 < dt <= (params.T - t0) / 10.0:
+        tag = "nonfinite:dt" if not math.isfinite(dt) else "dt<=0" if dt <= 0.0 else "dt_coarse"
+        raise ValidationError(tag, f"step must satisfy 0 < dt <= (T - t)/10, got dt={dt}")
+    if record and n_paths * (max(1, int(round((params.T - t0) / dt))) + 1) > _PATH_STORAGE_LIMIT:
+        raise ValidationError("path_storage", "trajectory storage would exceed the safety limit; "
+                              "use simulate_terminal for large runs")
     tables = _RunTables(strategy, side, params, measure, t0, dt)
     wealth = np.empty((n_paths, tables.n_steps + 1)) if record else None
     blocks = []
@@ -374,12 +381,6 @@ def simulate_wealth(strategy, distortion: Optional[DistortionSide],
     """
     states = _default_states(h0, pair=False)
     x0 = params.x0 if x0 is None else x0
-    if n_paths * (max(1, int(round((params.T - t0) / dt))) + 1) > _PATH_STORAGE_LIMIT:
-        raise ValidationError(
-            "path_storage",
-            "trajectory storage would exceed the safety limit; "
-            "use simulate_terminal for large runs",
-        )
     tables, merged, wealth = _run_blocks(strategy, distortion, params, measure,
                                          n_paths, dt, seed, t0, x0, states, record=True)
     times, tau, counts = tables.times, merged["default_time"], merged["claim_count"]
@@ -396,19 +397,19 @@ def simulate_wealth(strategy, distortion: Optional[DistortionSide],
 
 
 def _integrate_penalty(side: DistortionSide, params: ModelParams,
-                       measure: ClaimMeasure, t0: float, n_intervals: int = 2000) -> float:
+                       measure: ClaimMeasure, t0: float) -> float:
     """Integral of the penalty rate over [t0, T].
 
     The drift terms phi1^2/(2 beta1) + phi2^2/(2 beta2) are integrated by
     composite Simpson.  The jump tilt is constant, so its entropy rate is
     evaluated once on the node vector and multiplied by T - t0.
     """
-    ts = np.linspace(t0, params.T, 2 * n_intervals + 1)
+    ts = np.linspace(t0, params.T, 2 * _PENALTY_INTERVALS + 1)
     rates = penalty_rate(side.phi1(ts), side.phi2(ts), np.zeros_like(measure.nodes),
                          params, measure)
     jump = penalty_rate(0.0, 0.0, side.phi3(t0, measure.nodes), params, measure) \
         * (params.T - t0)
-    h = (params.T - t0) / (2 * n_intervals)
+    h = (params.T - t0) / (2 * _PENALTY_INTERVALS)
     return float(h / 3.0 * (rates[0] + rates[-1]
                             + 4.0 * rates[1:-1:2].sum() + 2.0 * rates[2:-1:2].sum()) + jump)
 
@@ -424,8 +425,11 @@ def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide
     sample moments.  Written in the central moments ``c_k`` about the sample
     mean, its variance is ``(c2 - gamma c3 + (gamma^2/4)(c4 - c2^2)) / n``;
     central moments do not overflow where raw powers of a large wealth would.
+    ValidationError (tag ``paths too few``) for fewer than 2 terminal values.
     """
     n = x_T.size
+    if n < 2:
+        raise ValidationError("paths too few", f"paths too few: need 2 terminal values, got {n}")
     m1 = float(np.mean(x_T))
     dev = x_T - m1
     dev2 = dev * dev

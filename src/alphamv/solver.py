@@ -28,8 +28,8 @@ integrals once, on the node row at ``u*``, and never on a times x nodes
 grid.
 
 A lane is one parameter set with its claim row, a row of
-:class:`~alphamv.levy.ClaimTables` (probability weights, with lambda apart);
-a lane call takes one float ``root_tol`` and ``exp_cap`` for all its lanes.
+:class:`~alphamv.levy.ClaimTables` (probability weights, lambda in its spec);
+a lane call takes one row per lane and one float ``root_tol`` and ``exp_cap``.
 The first-order condition is lambda times a lambda-free function, and has
 one float64 evaluator, of ``f`` and ``f'`` on a lanes x nodes table
 (:class:`_FocLanes`); the intercepts have one, :func:`_value_intercepts`.
@@ -47,7 +47,7 @@ The sign scan of :func:`scan_foc_sign_changes` has a second evaluator of
 Exponent arguments are saturated at ``+-exp_cap`` before exponentiation:
 Newton's probe iterates clip silently, and a saturation at a returned root
 warns (SaturationWarning, not an error), once per root call; the claim
-integrals of the intercepts clip at the same cap without warning.
+integrals of the intercepts and the distortions clip at the same cap silently.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import ModelParams, NumericsConfig
+from .config import NUMERICS_DEFAULTS, ModelParams, NumericsConfig
 from .errors import NumericalError, SaturationWarning, ValidationError
 from .levy import ClaimMeasure, ClaimTables, _lane_dot, _per_lane, tilt_limit
 
@@ -85,8 +85,8 @@ __all__ = [
     "penalty_rate",
 ]
 
-DEFAULT_EXP_CAP = 700.0
-DEFAULT_ROOT_TOL = 1e-10
+DEFAULT_EXP_CAP = NUMERICS_DEFAULTS["exp_cap"]
+DEFAULT_ROOT_TOL = NUMERICS_DEFAULTS["root_tol"]
 
 # The largest beta3 -> 0 root u0 accepted; beyond it the root is a "bracket" error.
 _BRACKET_LIMIT = 2.0 ** 59
@@ -219,10 +219,10 @@ class _FocLanes(NamedTuple):
     """The first-order condition at ``A = 1`` per unit claim intensity, over lanes.
 
     ``f(u) = F(T, u) / lambda``.  A lane is one parameter set with its claim
-    row: row l of every table belongs to lane l, a one-row table serves every
-    lane, and ``exp_cap`` is one float for all.  The weights are the
-    probability weights of :class:`~alphamv.levy.ClaimTables`, so f does not
-    depend on lambda.
+    row: the tables have one row per lane, row l belongs to lane l, and
+    ``exp_cap`` is one float for all.  The weights are the probability
+    weights of :class:`~alphamv.levy.ClaimTables`, so f does not depend on
+    lambda.
     Evaluation takes one ``u`` per lane and works on a lanes x nodes table.
     With ``G = dE/du = z + gamma u z^2``, ``E = u (z + G) / 2``.
     """
@@ -242,10 +242,7 @@ class _FocLanes(NamedTuple):
     @classmethod
     def stack(cls, params: Sequence[ModelParams], tables: ClaimTables,
               exp_cap: float) -> "_FocLanes":
-        """Lanes of ``params[l]`` with row l of ``tables``, all at the one float ``exp_cap``.
-
-        A one-row table is kept as a single row.
-        """
+        """Lanes of ``params[l]`` with row l of ``tables``, all at the one float ``exp_cap``."""
         z, w = tables.nodes, tables.probs[:, :, None]
         gamma, beta3, alpha, alpha_hat, eta = np.array(
             [(p.gamma, p.beta3, p.alpha, p.alpha_hat, p.eta) for p in params]).T[:, :, None]
@@ -255,7 +252,7 @@ class _FocLanes(NamedTuple):
 
     def take(self, lanes) -> "_FocLanes":
         """The lanes selected by an index array, in that order."""
-        return self._make(a if isinstance(a, float) or len(a) == 1 else a[lanes] for a in self)
+        return self._make(a if isinstance(a, float) else a[lanes] for a in self)
 
     def __call__(self, u: np.ndarray, slope: bool = True):
         """``(f, f')`` at ``u`` with one entry per lane, or ``(f, saturated)`` without ``slope``.
@@ -416,12 +413,18 @@ def _identity_residuals(pi_q: np.ndarray, A: np.ndarray, foc: _FocLanes):
     return A * F.reshape(u.shape), hit
 
 
+def _check_lanes(params: Sequence[ModelParams], tables: ClaimTables) -> None:
+    """ValidationError (tag ``lanes``) unless ``tables`` has one row per lane."""
+    if len(tables.specs) != len(params):
+        raise ValidationError("lanes", f"got {len(tables.specs)} rows for {len(params)} lanes")
+
+
 def solve_pi_q_lanes(times, params: Sequence[ModelParams], tables: ClaimTables,
                      root_tol: float = DEFAULT_ROOT_TOL, exp_cap: float = DEFAULT_EXP_CAP):
     """Equilibrium reinsurance exposure at ``times`` for many parameter sets at once.
 
-    Lane l is ``params[l]`` with its claim row, row l of ``tables`` (one row
-    serves every lane).  ``times`` is one sequence for every lane or a
+    Lane l is ``params[l]`` with row l of ``tables`` (tag ``lanes`` unless
+    one row per lane).  ``times`` is one sequence for every lane or a
     (lanes, times) table; ``root_tol`` and ``exp_cap`` are one float each for
     the call (a per-lane sequence raises TypeError).  Each lane's ``u*``
     comes from :func:`_newton_root`, all lanes in one masked iteration, on
@@ -442,6 +445,7 @@ def solve_pi_q_lanes(times, params: Sequence[ModelParams], tables: ClaimTables,
     root_tol, exp_cap = float(root_tol), float(exp_cap)
     t = np.asarray(times, dtype=float)
     t = t if t.ndim == 2 else t.reshape(-1)
+    _check_lanes(params, tables)
     n = len(params)
     foc = _FocLanes.stack(params, tables, exp_cap)
     eta, r, T = np.array([(p.eta, p.r, p.T) for p in params]).T
@@ -449,10 +453,8 @@ def solve_pi_q_lanes(times, params: Sequence[ModelParams], tables: ClaimTables,
     scale = root_tol * eta * m1                 # residual bound at A = 1, per lane
     m2 = _lane_dot(foc.z2, foc.w)
     u0, u_c, errors = np.full(n, np.nan), np.full(n, np.inf), [None] * n
-    limits = [tilt_limit(spec) for spec in tables.specs]
-    for lane, args in enumerate(zip(params, limits * n if len(limits) == 1 else limits,
-                                    np.broadcast_to(m1, n).tolist(),
-                                    np.broadcast_to(m2, n).tolist())):
+    for lane, args in enumerate(zip(params, map(tilt_limit, tables.specs),
+                                    m1.tolist(), m2.tolist())):
         try:
             u0[lane], u_c[lane] = _root_start(*args)
         except NumericalError as exc:
@@ -582,9 +584,9 @@ class ValueCoefficients:
 
     ``value = A(t) x + B_h(t)`` and the distorted means are ``A(t) x +
     b_h(t)``, with ``A = params.discount_to_horizon``.  All intercepts vanish
-    at T.  ``params``, ``measure``, ``u_star`` and ``exp_cap`` are the inputs
-    of the closed form :func:`_value_intercepts`, one lane at one cap, which
-    :func:`value_function` evaluates at any t.
+    at T.  ``params``, ``measure``, ``u_star`` and ``exp_cap`` are the one copy
+    of the solve's inputs: those of the closed form :func:`_value_intercepts`,
+    one lane at one cap, which :func:`value_function` evaluates at any t.
     """
 
     B1: np.ndarray
@@ -615,10 +617,10 @@ class EquilibriumSolution:
 
     ``pi_q`` and ``pi_s`` are the same functions in both default states;
     ``pi_p`` is the pre-default bond amount (identically 0 after default).
-    ``u_star`` is the scalar root with ``pi_q(t) = u_star e^{-r(T-t)}``, so
-    :meth:`pi_q_at` is exact at every t; :meth:`pi_s_at` and :meth:`pi_p_at`
-    are the closed forms :func:`pi_s_star` and :func:`pi_p_star` of
-    ``params``, the parameters the solution was solved for.
+    ``u_star``, the root with ``pi_q(t) = u_star e^{-r(T-t)}``, and ``params``
+    are read-only views of ``coeffs``, so :meth:`pi_q_at` is exact at every t;
+    :meth:`pi_s_at` and :meth:`pi_p_at` are the closed forms
+    :func:`pi_s_star` and :func:`pi_p_star` of ``params``.
     """
 
     grid: np.ndarray
@@ -626,8 +628,8 @@ class EquilibriumSolution:
     pi_s: np.ndarray
     pi_p: np.ndarray
     coeffs: ValueCoefficients
-    u_star: float = None
-    params: ModelParams = field(repr=False, default=None)
+    u_star = property(lambda self: self.coeffs.u_star)
+    params = property(lambda self: self.coeffs.params)
 
     def __post_init__(self) -> None:
         if np.any(self.pi_q < 0):
@@ -652,8 +654,8 @@ def _claim_integrals(u_star, beta3, params: Sequence[ModelParams], tables: Claim
     (e^{beta3 E} - 1) nu) / beta3`` of the B equations, at ``u = u_star[l]``.
     They see the reinsurance exposure only through ``u = pi_q A``, which is
     ``u*`` at every t, so each is taken once, on the lane's row of
-    ``tables``: on its probability weights, then times lambda.  KB takes its
-    ``beta3 -> 0`` limit ``-int E nu`` where ``alpha/beta3`` or
+    ``tables``: on its probability weights, then times its spec's lambda.
+    KB takes its ``beta3 -> 0`` limit ``-int E nu`` where ``alpha/beta3`` or
     ``alpha_hat/beta3`` is not finite (beta3 = 0, or subnormal: the error is
     then ``O(beta3 E)``, below rounding).  ``beta3`` has one value per lane
     (a parameter set with its claim row), ``exp_cap`` is one float for all;
@@ -674,7 +676,8 @@ def _claim_integrals(u_star, beta3, params: Sequence[ModelParams], tables: Claim
     ep1, em1 = np.expm1(x, out=table[3]), np.expm1(-x, out=table[4])
     np.multiply(z, ep1 + 1.0, out=table[1])
     np.multiply(z, em1 + 1.0, out=table[2])
-    integrals = (tables.lam * _lane_dot(table, tables.probs[:, :, None])).tolist()
+    lam = np.array([spec.lam for spec in tables.specs], dtype=float)
+    integrals = (lam * _lane_dot(table, tables.probs[:, :, None])).tolist()
     rows = []
     for p, b, m1, I_plus, I_minus, J_plus, J_minus, J_E in zip(params, beta3, *integrals):
         ratio, ratio_hat = (p.alpha / b, p.alpha_hat / b) if b > 0 else (math.inf, math.inf)
@@ -691,8 +694,8 @@ def _integrands(params: Sequence[ModelParams], tables: ClaimTables, u_star, exp_
     ``B1' = -fB1``, ``b1_lo' = -f1_lo`` and ``b1_hi' = -f1_hi`` in t.  The
     strategy enters through ``pi_q A = u*``, a constant, and ``pi_s A = s0 +
     s1 A`` with ``stock = (s0, s1)``, so each integrand is ``c0 + c1 A + c2
-    A^2``.  Lane l is ``params[l]`` with row l of ``tables`` (one row serves
-    every lane) and root ``u_star[l]``.  ``betas`` are the ambiguity levels
+    A^2``.  Lane l is ``params[l]`` with row l of ``tables`` (one row per
+    lane) and root ``u_star[l]``.  ``betas`` are the ambiguity levels
     of the measure the intercepts are taken under, and ``stock`` the stock
     strategy, for every lane; they default to each lane's own, and differ
     from them for a fixed strategy evaluated under another measure (all
@@ -746,11 +749,11 @@ def _value_intercepts(t, params: Sequence[ModelParams], tables: ClaimTables, u_s
                       exp_cap: float, betas=None, stock=None):
     """The intercepts ``(B1, b1_lo, b1_hi, B0, b0_lo, b0_hi)`` of every lane at times t in closed form.
 
-    Lane l is ``params[l]`` with its claim row, row l of ``tables`` (one row
-    serves every lane), and root ``u_star[l]``; ``exp_cap`` is one float for
-    all.  In ``tau = T - t``, with ``A = e^{r tau}``, every intercept
-    vanishes at tau = 0.  The post-default ones integrate the quadratics in
-    A of :func:`_integrands` (``betas`` and ``stock`` are passed on to it):
+    Lane l is ``params[l]`` with row l of ``tables`` (tag ``lanes`` unless one
+    row per lane) and root ``u_star[l]``; ``exp_cap`` is one float for all.
+    In ``tau = T - t``, with ``A = e^{r tau}``, every intercept vanishes at
+    tau = 0.  The post-default ones integrate the quadratics in A of
+    :func:`_integrands` (``betas`` and ``stock`` are passed on to it):
     ``int_0^tau A^j ds = expm1(j r tau) / (j r)``.  Pre-default, with pi_p
     at its first-order condition, write ``n0 = delta - zeta hP``, ``c =
     n0^2 / (gamma zeta^2 hP)`` and ``k = delta/zeta``:
@@ -776,6 +779,7 @@ def _value_intercepts(t, params: Sequence[ModelParams], tables: ClaimTables, u_s
     a stock demand out of range, or non-finite values.  A failing lane's
     rows are NaN or not intercepts.
     """
+    _check_lanes(params, tables)
     t = np.asarray(t, dtype=float).reshape(-1)
     integrands, errors = _integrands(params, tables, u_star, exp_cap, betas, stock)
     block = []          # per lane: T, r, n0, zeta, hP, k, c, 1/2 - n0/delta, the integrands
@@ -933,10 +937,7 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
         B1=B1, B0=B0, b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi,
         params=params, measure=measure, u_star=u_star, exp_cap=numerics.exp_cap,
     )
-    return EquilibriumSolution(
-        grid=grid, pi_q=pi_q, pi_s=pi_s_star(grid, params), pi_p=pi_p_star(grid, params),
-        coeffs=coeffs, u_star=u_star, params=params,
-    )
+    return EquilibriumSolution(grid, pi_q, pi_s_star(grid, params), pi_p_star(grid, params), coeffs)
 
 
 def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
@@ -948,7 +949,8 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
     set to zero while the strategy of ``solution`` stays fixed, so
     ``E[X(T) | X(t)=x, H(t)=h]`` equals ``e^{r(T-t)} x + b_ref_h(t)``.  The
     bond amount does not depend on the betas, so ``b0_ref = b1_ref - D``
-    still holds.  Returns (b1_ref, b0_ref) on the solution grid.
+    still holds.  ``exp_cap`` has no effect: with every ambiguity level zero
+    no exponent enters.  Returns (b1_ref, b0_ref) on the solution grid.
     """
     columns = _first_lane(*_value_intercepts(
         solution.grid, [params], measure.tables, [_checked_u_star(solution)], exp_cap,
@@ -1050,18 +1052,17 @@ class DistortionFunctions:
     hi: DistortionSide
 
 
-def distortions(solution, params: ModelParams,
-                exp_cap: float = DEFAULT_EXP_CAP) -> DistortionFunctions:
+def distortions(solution, params: ModelParams) -> DistortionFunctions:
     """Extremal distortions of a strategy with ``pi_q A = u*`` (evaluated lazily).
 
-    ``solution`` is any strategy with ``u_star`` and ``pi_s_at``: the
-    equilibrium, or the equilibrium with other stock or bond amounts.  The
+    ``solution`` is any strategy with ``u_star``, ``pi_s_at`` and ``coeffs``:
+    the equilibrium, or the equilibrium with other stock or bond amounts.  The
     first-order conditions in phi hold for any deterministic strategy, and
     with ``pi_q A = u*`` the jump tilt is the constant ``beta3 E(u*, z)``,
-    negated on the hi side.  ValidationError (tag ``u_star``) for a strategy
-    without ``u_star``.
+    negated on the hi side, clipped at the solve's ``coeffs.exp_cap``.
+    ValidationError (tag ``u_star``) for a strategy without ``u_star``.
     """
-    u = _checked_u_star(solution)
+    u, exp_cap = _checked_u_star(solution), solution.coeffs.exp_cap
     a, b = params.beta3 * u, 0.5 * params.beta3 * params.gamma * u * u
     pi_s = solution.pi_s_at
 

@@ -7,8 +7,8 @@ their closed forms (no claim measure, no root), and ``pi_q0``, ``B0_0`` and
 are grouped by ``(quad_nodes, root_tol, exp_cap)``, so once per sweep unless
 the swept key is one of those, and each group makes one
 :func:`~alphamv.levy.build_claim_tables` call (one row per distinct claims
-record, so a single shared row unless the swept key belongs to the claim
-law), then, at its one ``root_tol`` and ``exp_cap``, one
+record, taken once per lane, so built once unless the swept key belongs to
+the claim law), then, at its one ``root_tol`` and ``exp_cap``, one
 :func:`~alphamv.solver.solve_pi_q_lanes` call for the roots and one
 :func:`~alphamv.solver._value_intercepts` call for the intercepts.
 Parameter values that violate a model invariant, and points whose measure or
@@ -115,10 +115,10 @@ def _evaluate_points(points: list, quantity: str, t: float) -> list:
     forms.  The others need the root u*, and the points are lanes grouped by
     ``(quad_nodes, root_tol, exp_cap)``, the numerics of the lane calls.
     Per group, one :func:`build_claim_tables` call builds one table row per
-    distinct claims record, one :func:`solve_pi_q_lanes` call takes every
-    root (at t for pi_q0, at each lane's own T, where ``A = 1``, for the
-    intercepts), and one :func:`_value_intercepts` call takes every lane's
-    intercepts at its u*.
+    distinct claims record, taken once per lane, one :func:`solve_pi_q_lanes`
+    call takes every root (at t for pi_q0, at each lane's own T, where ``A =
+    1``, for the intercepts), and one :func:`_value_intercepts` call takes
+    every lane's intercepts at its u*.
     """
     if quantity not in QUANTITIES:
         raise ValidationError("unknown_quantity", f"unknown quantity {quantity!r}")
@@ -149,10 +149,8 @@ def _evaluate_points(points: list, quantity: str, t: float) -> list:
         values = pi_q[:, 0]
         solved = [lane for lane, error in enumerate(errors) if error is None]
         if quantity != "pi_q0" and solved:
-            if len(tables.specs) > 1:
-                tables = tables.take(solved)
             columns, intercept_errors = _value_intercepts(
-                t, [params[lane] for lane in solved], tables, values[solved], exp_cap)
+                t, [params[lane] for lane in solved], tables.take(solved), values[solved], exp_cap)
             values[solved] = columns[3 if quantity == "B0_0" else 0][:, 0]
             for lane, error in zip(solved, intercept_errors):
                 errors[lane] = error
@@ -165,8 +163,8 @@ def _claim_lanes(group: list, quad_nodes: int, outcomes: list):
     """The lanes of ``group`` whose claim measure builds, and their claim tables.
 
     One :func:`build_claim_tables` call on the group's distinct claims
-    records: a group that shares one record gets a one-row table, which
-    serves every lane.  A lane whose measure fails gets the error as its
+    records, then one row per lane taken from it, so a group that shares one
+    record builds it once.  A lane whose measure fails gets the error as its
     outcome and leaves the group.
     """
     index: dict = {}        # id(claims) -> table row
@@ -181,9 +179,7 @@ def _claim_lanes(group: list, quad_nodes: int, outcomes: list):
             rows.append(row)
         else:
             outcomes[lane[0]] = errors[row]
-    if len(index) > 1:
-        tables = tables.take(rows)
-    return lanes, tables
+    return lanes, tables.take(rows)
 
 
 def run_sweep(params: ModelParams, claims: ClaimModelSpec, numerics: NumericsConfig,

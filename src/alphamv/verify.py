@@ -160,7 +160,7 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         )
     measure = build_measure(claims, numerics.quad_nodes)
     solution = solve_equilibrium(params, measure, numerics)
-    dist = distortions(solution, params, numerics.exp_cap)
+    dist = distortions(solution, params)
     checks: list[CheckResult] = []
 
     # --- Monte Carlo runs: one per side, both default states --------------

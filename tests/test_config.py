@@ -15,8 +15,8 @@ from alphamv.config import (ALL_KEYS, NUMERICS_DEFAULTS, ClaimModelSpec, ModelPa
                             NumericsConfig, load_config, replace_param, save_config)
 from alphamv.errors import ConfigError, ValidationError
 from alphamv.levy import ClaimMeasure
-from alphamv.simulate import (ConstantStrategy, WealthPath, bond_price_path, simulate_terminal,
-                              simulate_wealth)
+from alphamv.simulate import (ConstantStrategy, WealthPath, bond_price_path,
+                              objective_from_terminal, simulate_terminal, simulate_wealth)
 from alphamv.solver import value_function
 from alphamv.sweep import SweepSpec
 from alphamv.verify import run_verification
@@ -228,6 +228,13 @@ def _terminal(b, strategy=ConstantStrategy(), n_paths=10, h0=1):
     return simulate_terminal(strategy, None, b.params, b.measure, n_paths, 0.05, 1, h0=h0)
 
 
+# (id, tag, step, start time): a simulation grid that neither simulator may size
+_BAD_GRIDS = [("dt_negative", "dt<=0", -0.1, 0.0), ("dt_zero", "dt<=0", 0.0, 0.0),
+              ("dt_minus_inf", "nonfinite:dt", -math.inf, 0.0),
+              ("dt_nan", "nonfinite:dt", math.nan, 0.0),
+              ("t0_negative", "t_range", 0.05, -1.0), ("t0_nan", "t_range", 0.05, math.nan)]
+
+
 # (id, error, tag, call on the base records): each call breaks one invariant
 _INVALID_CALLS = [
     ("config-claim_params_missing", ValidationError, "claim_params_missing",
@@ -263,6 +270,13 @@ _INVALID_CALLS = [
     ("simulate-h_range-wealth_pair", ValidationError, "h_range",
      lambda b: simulate_wealth(ConstantStrategy(), None, b.params, b.measure, 10, 0.05, 1,
                                h0=(1, 0))),
+    *[(f"simulate-{simulate.__name__}-{name}", ValidationError, tag,
+       lambda b, simulate=simulate, dt=dt, t0=t0:
+       simulate(ConstantStrategy(), None, b.params, b.measure, 10, dt, 1, t0=t0))
+      for simulate in (simulate_terminal, simulate_wealth) for name, tag, dt, t0 in _BAD_GRIDS],
+    *[(f"simulate-objective_paths-{n}", ValidationError, "paths too few",
+       lambda b, n=n: objective_from_terminal(np.ones(n), None, b.params, b.measure))
+      for n in (0, 1)],
     ("simulate-bond_t", ValidationError, "t>T1",
      lambda b: bond_price_path([b.params.T1 + 1.0], None, b.params)),
     ("solver-solution_pi_q", ValidationError, "pi_q<0",

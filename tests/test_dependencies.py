@@ -1,8 +1,10 @@
 """Run-time dependency footprint of the installed package, and the names the benchmark uses."""
 
 import ast
+import functools
 import importlib
 import importlib.util
+import inspect
 import os
 import pathlib
 import re
@@ -99,19 +101,22 @@ def test_test_extra_lists_the_packages_tests_and_benchmark_import():
         third_party - names(project["dependencies"])
 
 
+def _chain(node):
+    """The chain ``node`` reads off the package (``amv.x.y``, ``self.amv.x``, ``alphamv.x``)."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+        if names[-1] == "amv" and len(names) > 1:
+            return tuple(reversed(names[:-1]))
+    if isinstance(node, ast.Name) and node.id in ("amv", "alphamv") and names:
+        return tuple(reversed(names))
+    return None
+
+
 def _package_chains(tree):
-    """Attribute chains read off the package: ``amv.x.y``, ``self.amv.x``, ``alphamv.x``."""
-    for node in ast.walk(tree):
-        names = []
-        while isinstance(node, ast.Attribute):
-            names.append(node.attr)
-            node = node.value
-            if names[-1] == "amv" and len(names) > 1:
-                yield tuple(reversed(names[:-1]))
-                break
-        else:
-            if isinstance(node, ast.Name) and node.id in ("amv", "alphamv") and names:
-                yield tuple(reversed(names))
+    """Every attribute chain read off the package, prefixes included."""
+    return filter(None, map(_chain, ast.walk(tree)))
 
 
 def test_benchmark_attribute_chains_resolve():
@@ -164,3 +169,31 @@ def test_benchmark_record_reads_and_bound_arguments_resolve(tmp_path):
         writer(out, record)
         assert counters[writer.__name__](writer, (out, record), {}, None) == {
             "bytes": out.stat().st_size}
+
+
+def test_benchmark_calls_bind_to_the_signatures():
+    # a call can resolve and still not fit: dropping ``exp_cap`` from
+    # reference_mean_intercepts, which perfbench passes positionally, would
+    # otherwise fail only in a benchmark run
+    import alphamv.cli  # noqa: F401  (the package does not import its CLI itself)
+    calls = [(chain, node) for tree in _perfbench_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and (chain := _chain(node.func))]
+    assert {("reference_mean_intercepts",), ("cli", "main")} <= {chain for chain, _ in calls}
+
+    def binds(call, signature):
+        keywords = dict.fromkeys(kw.arg for kw in call.keywords if kw.arg is not None)
+        bind = signature.bind_partial if len(keywords) < len(call.keywords) else signature.bind
+        positional = sum(not isinstance(arg, ast.Starred) for arg in call.args)
+        # a starred argument stands for any number of positional ones
+        spread = len(signature.parameters) if positional < len(call.args) else 0
+        for count in range(positional, positional + spread + 1):
+            try:
+                bind(*[None] * count, **keywords)
+                return True
+            except TypeError:
+                pass
+        return False
+
+    unbound = [(".".join(chain), call.lineno) for chain, call in calls
+               if not binds(call, inspect.signature(functools.reduce(getattr, chain, alphamv)))]
+    assert unbound == []

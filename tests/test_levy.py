@@ -160,7 +160,7 @@ def test_direct_measure_copies_the_callers_arrays(base_claims):
     assert measure.nodes.tolist() == [0.5, 1.0, 1.5]
     assert measure.probs.tolist() == [0.25, 0.5, 0.25]
     assert not (measure.nodes.flags.writeable or measure.probs.flags.writeable)
-    assert measure.tables.lam.tolist() == [base_claims.lam]
+    assert measure.tables.specs == (base_claims,)
 
 
 def test_tabulated_measure_uses_same_machinery():

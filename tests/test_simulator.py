@@ -333,7 +333,9 @@ def test_supercritical_size_tilt_raises(base_params, base_measure, base_solution
 
 def test_tilt_exponent_past_exp_cap_raises(base_params, base_measure, base_solution):
     # the size law is an exact tilt only where its exponent stays within exp_cap
-    dist = distortions(base_solution, base_params, exp_cap=1e-3)
+    capped = dataclasses.replace(
+        base_solution, coeffs=dataclasses.replace(base_solution.coeffs, exp_cap=1e-3))
+    dist = distortions(capped, base_params)
     with pytest.raises(NumericalError, match="jump-tilt exponent reaches exp_cap=0.001"):
         simulate_terminal(base_solution, dist.lo, base_params, base_measure,
                           n_paths=50, dt=0.1, seed=5, h0=1)
@@ -514,6 +516,7 @@ def test_perturbed_strategy_does_not_beat_equilibrium(control, h, base_params, b
     # constant; pi_p moves only the bond terms, so it is checked before default
     class Perturbed:
         u_star = base_solution.u_star
+        coeffs = base_solution.coeffs
         pi_q_at = staticmethod(base_solution.pi_q_at)
 
         def pi_s_at(self, t):

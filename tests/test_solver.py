@@ -1,6 +1,7 @@
 """Solver oracles: closed forms, root properties, coefficient equations."""
 
 import dataclasses
+import inspect
 import math
 import pathlib
 import tracemalloc
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 
 from alphamv.config import ModelParams, NumericsConfig, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
-from alphamv.levy import ClaimMeasure, build_claim_tables, build_measure, tilt_limit
+from alphamv.levy import (ClaimMeasure, ClaimTables, build_claim_tables, build_measure,
+                          tilt_limit)
 import alphamv.solver as solver_mod
-from alphamv.solver import (DistortionSide, _FocLanes, _claim_integrals, _first_lane,
-                            _identity_residuals, _root_start, _value_intercepts,
+from alphamv.solver import (DistortionSide, EquilibriumSolution, _FocLanes, _claim_integrals,
+                            _first_lane, _identity_residuals, _root_start, _value_intercepts,
                             distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
                             reinsurance_foc, scan_foc_sign_changes,
@@ -353,7 +355,8 @@ def test_solve_and_reference_memory_stay_small():
 
 
 def test_solution_without_u_star_raises_typed_error(base_params, base_measure, base_solution):
-    bare = dataclasses.replace(base_solution, u_star=None)
+    bare = dataclasses.replace(
+        base_solution, coeffs=dataclasses.replace(base_solution.coeffs, u_star=None))
     for call in (lambda: bare.pi_q_at(1.0), lambda: distortions(bare, base_params),
                  lambda: reference_mean_intercepts(base_params, base_measure, bare)):
         with pytest.raises(ValidationError, match="u_star") as caught:
@@ -447,6 +450,47 @@ def test_saturation_warned_once_per_saturating_solve():
         spec = SweepSpec.from_range("alpha", 0.6, 0.9, 3, "B0_0")
         assert all(row.status == "ok" for row in run_sweep(params, claims, numerics, spec).rows)
         assert [w.category for w in caught] == [SaturationWarning] * 2
+
+
+def test_distortions_clip_at_the_cap_of_the_solve():
+    # base.cfg solved at exp_cap = 0.05, where the lo tilt unclipped reaches
+    # |phi3| 0.0736: the distortions clip at the cap of the solve
+    params, claims, numerics = load_config(BASE_CFG)
+    numerics = dataclasses.replace(numerics, exp_cap=0.05)
+    measure = build_measure(claims, numerics.quad_nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)
+        solution = solve_equilibrium(params, measure, numerics)
+    dist = distortions(solution, params)
+    assert dist.lo.exp_cap == dist.hi.exp_cap == 0.05
+    assert np.max(np.abs(dist.lo.phi3(0.0, measure.nodes))) == np.expm1(0.05)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_lane_calls_need_one_table_row_per_lane(base_params, base_claims, base_measure,
+                                                base_solution, rows):
+    # three lanes on fewer rows: a typed error, not NaN lanes or a broadcast error
+    tables, _ = build_claim_tables([base_claims] * rows, base_measure.nodes.size)
+    lanes = [base_params] * 3
+    for call in (lambda: solve_pi_q_lanes([0.0], lanes, tables),
+                 lambda: _value_intercepts(0.0, lanes, tables, [base_solution.u_star] * 3,
+                                           700.0)):
+        with pytest.raises(ValidationError, match=f"got {rows} rows for 3 lanes") as caught:
+            call()
+        assert caught.value.tag == "lanes"
+
+
+def test_solution_reads_u_star_and_params_from_its_coefficients(base_solution):
+    # one copy of each solve input: the solution record holds none of its own
+    assert [f.name for f in dataclasses.fields(EquilibriumSolution)] == [
+        "grid", "pi_q", "pi_s", "pi_p", "coeffs"]
+    assert ClaimTables._fields == ("specs", "nodes", "probs")
+    assert "exp_cap" not in inspect.signature(distortions).parameters
+    c = base_solution.coeffs
+    assert (base_solution.u_star, base_solution.params) == (c.u_star, c.params)
+    with pytest.raises(TypeError):
+        EquilibriumSolution(base_solution.grid, base_solution.pi_q, base_solution.pi_s,
+                            base_solution.pi_p, c, u_star=c.u_star)
 
 
 def test_bracket_expansion_failure_signals_pathology(base_measure):
@@ -591,12 +635,18 @@ def test_pre_default_bond_amount_zero_at_fair_spread(base_measure):
     assert pi_p[-1] == pytest.approx(0.0, abs=1e-12)
 
 
+def _with_params(solution, params):
+    """``solution`` with ``params`` in place of the parameters its coefficients were solved for."""
+    return dataclasses.replace(solution,
+                               coeffs=dataclasses.replace(solution.coeffs, params=params))
+
+
 def test_pre_default_unbounded_demand_errors(base_solution):
     # a solution record carrying parameters with no finite bond demand
     for overrides in ({"hP": 0.0, "delta": 0.01}, {"zeta": 0.0, "delta": 0.0}):
         params = ModelParams(**{**BASE_KWARGS, **overrides})
         with pytest.raises(NumericalError, match="unbounded"):
-            pre_default_system(dataclasses.replace(base_solution, params=params), 50)
+            pre_default_system(_with_params(base_solution, params), 50)
         with pytest.raises(NumericalError, match="unbounded"):
             pi_p_star(0.0, params)
 
@@ -609,7 +659,7 @@ def test_unrepresentable_bond_demand_raises_typed_error(base_measure, base_numer
     params = ModelParams(**{**BASE_KWARGS, "zeta": zeta})
     calls = (lambda: pi_p_star(0.0, params),
              lambda: solve_equilibrium(params, base_measure, base_numerics),
-             lambda: pre_default_system(dataclasses.replace(base_solution, params=params), 10),
+             lambda: pre_default_system(_with_params(base_solution, params), 10),
              lambda: solver_mod.rk4_stable_steps(params))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
