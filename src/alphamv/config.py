@@ -51,6 +51,14 @@ def _require_finite(tag: str, value: float) -> None:
         raise ValidationError(f"nonfinite:{tag}", f"{tag} must be finite, got {value!r}")
 
 
+def _require_positive(tag: str, value: float) -> float:
+    """``value``; ValidationError unless it is finite and > 0."""
+    _require_finite(tag, value)
+    if value <= 0:
+        raise ValidationError(f"{tag}<=0", f"{tag} must be > 0, got {value}")
+    return value
+
+
 def _float_field(record, name: str):
     """The field's value, stored as a Python float if it is a real number (numpy scalars too).
 
@@ -235,10 +243,7 @@ class NumericsConfig:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name}<1", f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("root_tol", "exp_cap", "mc_dt"):
-            value = _float_field(self, name)
-            _require_finite(name, value)
-            if value <= 0:
-                raise ValidationError(f"{name}<=0", f"{name} must be > 0, got {value}")
+            _require_positive(name, _float_field(self, name))
         if self.seed < 0:
             raise ValidationError("seed<0", f"seed must be >= 0, got {self.seed}")
 

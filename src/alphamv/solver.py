@@ -31,7 +31,7 @@ A lane is one parameter set with its claim row, a row of
 :class:`~alphamv.levy.ClaimTables` (probability weights, lambda in its spec);
 a lane call takes one row per lane and one float ``root_tol`` and ``exp_cap``.
 The first-order condition is lambda times a lambda-free function, and has
-one float64 evaluator, of ``f`` and ``f'`` on a lanes x nodes table
+one float64 evaluator, of ``f`` and ``f'`` from tilted claim moments
 (:class:`_FocLanes`); the intercepts have one, :func:`_value_intercepts`.
 A sweep solves all its points as lanes of one safeguarded Newton, which
 masks out each lane once it converges, and takes their intercepts in one
@@ -39,11 +39,8 @@ call; a solve is a single lane of each, on the one-row table that its
 :class:`~alphamv.levy.ClaimMeasure` is a view of.  The bracket ends at the
 edge where Assumption 3.1 fails.
 The ``root_tol`` check of the residual ``F(t, pi_q(t))`` at every requested
-time reads it as ``A(t) f(u)``, and so does :func:`reinsurance_foc`.
-The sign scan of :func:`scan_foc_sign_changes` has a second evaluator of
-``f`` alone, in float32 (:func:`_foc_f32`): it only needs signs, and a
-10^4-point scan at 32 nodes takes 2.0 ms there against 12 ms through
-:class:`_FocLanes` in float64 (best of 5 on a 2-core VM).
+time reads it as ``A(t) f(u)``, and so do :func:`reinsurance_foc` and the
+sign scan of :func:`scan_foc_sign_changes`.
 Exponent arguments are saturated at ``+-exp_cap`` before exponentiation:
 Newton's probe iterates clip silently, and a saturation at a returned root
 warns (SaturationWarning, not an error), once per root call; the claim
@@ -60,7 +57,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import NUMERICS_DEFAULTS, ModelParams, NumericsConfig
+from .config import (NUMERICS_DEFAULTS, ModelParams, NumericsConfig, _require_integer,
+                     _require_positive)
 from .errors import NumericalError, SaturationWarning, ValidationError
 from .levy import ClaimMeasure, ClaimTables, _lane_dot, _per_lane, tilt_limit
 
@@ -95,9 +93,9 @@ _BRACKET_LIMIT = 2.0 ** 59
 # of width u* to this tolerance in 47 steps.
 _ROOT_RTOL = 1e-14
 _MAX_ROOT_ITERS = 100
-# Work-buffer size of the float32 sign scan's row chunks.  glibc may serve a
-# block of 128 KiB or more (its initial mmap threshold) from fresh pages, whose
-# faults cost more than the arithmetic on them.
+# Work-table size of the sign scan's row chunks.  glibc may serve a block of
+# 128 KiB or more (its initial mmap threshold) from fresh pages, whose faults
+# cost more than the arithmetic on them.
 _CHUNK_BYTES = 1 << 16
 
 
@@ -208,6 +206,14 @@ def pi_p_star(t, params: ModelParams):
 # reinsurance first-order condition and root solve
 # ---------------------------------------------------------------------------
 
+def _check_times(t: np.ndarray, T) -> None:
+    """ValidationError (tag ``t_range``) unless every t lies in [0, T]; NaN fails too."""
+    inside = (t >= 0.0) & (t <= T)
+    if not inside.all():
+        t_out, T_out = (float(np.broadcast_to(v, inside.shape)[~inside][0]) for v in (t, T))
+        raise ValidationError("t_range", f"time must lie in [0, {T_out}], got {t_out}")
+
+
 def _warn_saturated(exp_cap: float, stacklevel: int) -> None:
     warnings.warn(
         f"exponent saturated at +-{exp_cap:g} during claim-integral evaluation",
@@ -222,57 +228,82 @@ class _FocLanes(NamedTuple):
     row: the tables have one row per lane, row l belongs to lane l, and
     ``exp_cap`` is one float for all.  The weights are the probability
     weights of :class:`~alphamv.levy.ClaimTables`, so f does not depend on
-    lambda.
-    Evaluation takes one ``u`` per lane and works on a lanes x nodes table.
-    With ``G = dE/du = z + gamma u z^2``, ``E = u (z + G) / 2``.
+    lambda.  f and f' are sums of the tilted moments ``M+-_k = sum_i p_i
+    z_i^k e^{+-x_i}`` of ``x = beta3 E(u, z) = a z + b z^2``, ``a = beta3
+    u``, ``b = a gamma u / 2`` (as in :meth:`DistortionSide.exponent`):
+
+        f  = (1 + eta) m1 - sum_+- alpha_+- (M+-_1 + gamma u M+-_2),
+        f' = -gamma sum_+- alpha_+- M+-_2
+             - beta3 sum_+- (+-alpha_+-) (M+-_2 + 2 gamma u M+-_3 + (gamma u)^2 M+-_4)
+
+    with ``alpha_+ = alpha``, ``alpha_- = alpha_hat``.  An evaluation is one
+    exponential per node and two products with ``powers``, the table of
+    ``p z^k``: one with ``e^{x}`` and one with its reciprocal ``e^{-x}``.
     """
 
-    z: np.ndarray           # (rows, nodes)
-    z2: np.ndarray
-    w: np.ndarray           # (rows, nodes, 1)
-    gamma: np.ndarray       # (rows, 1)
-    half_beta3: np.ndarray  # (rows, 1)
-    beta3: np.ndarray       # (rows,)
-    alpha: np.ndarray       # (rows, 1)
-    alpha_hat: np.ndarray   # (rows, 1)
-    premium: np.ndarray     # (1 + eta) z, (rows, nodes)
-    curvature: np.ndarray   # gamma z^2 w, (rows, nodes, 1)
+    z12: np.ndarray         # z and z^2, (rows, 2, nodes)
+    z_max: np.ndarray       # (rows,): the row's largest node
+    powers: np.ndarray      # p z^k for k = 1..4, (rows, 4, nodes)
+    gamma: np.ndarray       # (rows,)
+    beta3: np.ndarray
+    alpha: np.ndarray
+    alpha_hat: np.ndarray
+    premium: np.ndarray     # (1 + eta) m1, (rows,)
     exp_cap: float
 
     @classmethod
     def stack(cls, params: Sequence[ModelParams], tables: ClaimTables,
               exp_cap: float) -> "_FocLanes":
         """Lanes of ``params[l]`` with row l of ``tables``, all at the one float ``exp_cap``."""
-        z, w = tables.nodes, tables.probs[:, :, None]
+        z, p = tables.nodes, tables.probs
         gamma, beta3, alpha, alpha_hat, eta = np.array(
-            [(p.gamma, p.beta3, p.alpha, p.alpha_hat, p.eta) for p in params]).T[:, :, None]
+            [(q.gamma, q.beta3, q.alpha, q.alpha_hat, q.eta) for q in params]).T
         z2 = z * z
-        return cls(z, z2, w, gamma, 0.5 * beta3, beta3[:, 0], alpha, alpha_hat,
-                   (1.0 + eta) * z, (gamma * z2)[:, :, None] * w, float(exp_cap))
+        powers = np.array([z, z2, z2 * z, z2 * z2]) * p
+        return cls(np.array([z, z2]).transpose(1, 0, 2), z.max(axis=1),
+                   powers.transpose(1, 0, 2), gamma, beta3, alpha, alpha_hat,
+                   (1.0 + eta) * _lane_dot(z, p[:, :, None]), float(exp_cap))
 
     def take(self, lanes) -> "_FocLanes":
         """The lanes selected by an index array, in that order."""
         return self._make(a if isinstance(a, float) else a[lanes] for a in self)
 
     def __call__(self, u: np.ndarray, slope: bool = True):
-        """``(f, f')`` at ``u`` with one entry per lane, or ``(f, saturated)`` without ``slope``.
+        """``(f, f')`` at ``u``, or ``(f, saturated)`` without ``slope``.
 
-        An exponent ``beta3 E`` above ``exp_cap`` is clipped there
-        (``beta3 E >= 0`` for ``u >= 0``); ``saturated`` flags the lanes where
-        that happened.  This never warns.
+        ``u`` has one entry per lane: x is taken node by node and each
+        lane's moments are one BLAS call, the same at any lane count.  Or
+        it has many entries on a one-row table: x and the moments are
+        matrix products.  x clips at ``exp_cap``; ``saturated`` flags the
+        entries whose x at the row's largest node ``z_max`` exceeds it: x is
+        nondecreasing in z for ``u >= 0``, so that is its largest value in
+        any node order (to the last bit of a matrix product).  This never
+        warns.
         """
-        u = u[:, None]
-        G = self.z + (self.gamma * u) * self.z2
-        x = (self.half_beta3 * u) * (self.z + G)
-        saturated = None if slope else x.max(axis=1) > self.exp_cap
-        ep = np.exp(np.minimum(x, self.exp_cap, out=x))
-        up, down = self.alpha * ep, self.alpha_hat / ep
-        mix = up + down
-        value = _lane_dot(self.premium - G * mix, self.w)
+        gu = self.gamma * u
+        a = self.beta3 * u
+        b = 0.5 * a * gu
+        powers = self.powers[:, :4 if slope else 2]
+        if len(u) == len(powers):
+            x = a[:, None] * self.z12[:, 0] + b[:, None] * self.z12[:, 1]
+
+            def moments(e):
+                return (powers @ e[:, :, None])[:, :, 0].T
+        else:
+            x = np.array([a, b]).T @ self.z12[0]
+
+            def moments(e):
+                return powers[0] @ e.T
+        e = np.exp(np.minimum(x, self.exp_cap, out=x), out=x)
+        up = self.alpha * moments(e)
+        down = self.alpha_hat * moments(np.reciprocal(e, out=e))
+        mix = up + down         # sum_+- alpha_+- M+-_k
+        value = self.premium - (mix[0] + gu * mix[1])
         if not slope:
-            return value, saturated
-        return value, (-_lane_dot(mix, self.curvature)
-                       - self.beta3 * _lane_dot(G * (up - down), G[:, :, None] * self.w))
+            return value, a * self.z_max + b * (self.z_max * self.z_max) > self.exp_cap
+        tilt = up - down        # sum_+- (+-alpha_+-) M+-_k
+        tilt_g2 = tilt[1] + gu * (2.0 * tilt[2] + gu * tilt[3])    # G^2 = (z + gamma u z^2)^2
+        return value, -self.gamma * mix[1] - self.beta3 * tilt_g2
 
 
 def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
@@ -283,12 +314,19 @@ def reinsurance_foc(t, pi_q, params: ModelParams, measure: ClaimMeasure,
     strictly decreasing in pi_q for alpha >= 1/2, so the root is unique.
     Evaluated as ``lambda A(t) f(pi_q A(t))`` (see :class:`_FocLanes`); warns
     SaturationWarning when any exponent is clipped.  Broadcasts over t and
-    pi_q.
+    pi_q.  ValidationError for a t outside [0, T] (tag ``t_range``), a
+    non-finite or negative pi_q, or an ``exp_cap`` not finite and > 0.
     """
-    if np.any(np.asarray(pi_q) < 0):
+    exp_cap = _require_positive("exp_cap", float(exp_cap))
+    pi_q = np.asarray(pi_q, dtype=float)
+    if not np.isfinite(pi_q).all():
+        raise ValidationError("nonfinite:pi_q", "reinsurance exposure pi_q must be finite")
+    if np.any(pi_q < 0):
         raise ValidationError("pi_q<0", "reinsurance exposure must satisfy pi_q >= 0")
+    t = np.asarray(t, dtype=float)
+    _check_times(t, params.T)
     A = params.discount_to_horizon(t)
-    A, u = np.broadcast_arrays(A, np.asarray(pi_q, dtype=float) * A)
+    A, u = np.broadcast_arrays(A, pi_q * A)
     f, saturated = _FocLanes.stack([params], measure.tables, exp_cap)(u.ravel(), slope=False)
     if saturated.any():
         _warn_saturated(exp_cap, stacklevel=2)
@@ -425,7 +463,7 @@ def solve_pi_q_lanes(times, params: Sequence[ModelParams], tables: ClaimTables,
 
     Lane l is ``params[l]`` with row l of ``tables`` (tag ``lanes`` unless
     one row per lane).  ``times`` is one sequence for every lane or a
-    (lanes, times) table; ``root_tol`` and ``exp_cap`` are one float each for
+    (lanes, times) table (tag ``lanes`` for another row count); ``root_tol`` and ``exp_cap`` are one float each for
     the call (a per-lane sequence raises TypeError).  Each lane's ``u*``
     comes from :func:`_newton_root`, all lanes in one masked iteration, on
     the bracket ``[0, min(2 u0, u_c)]`` of :func:`_root_start` from ``min(u0,
@@ -439,19 +477,26 @@ def solve_pi_q_lanes(times, params: Sequence[ModelParams], tables: ClaimTables,
 
     Returns ``(pi_q, errors)``: pi_q has shape (lanes, times) and NaN rows
     where ``errors[l]`` holds the lane's NumericalError (bracket, Assumption
-    3.1, Newton or residual), else None.  Warns SaturationWarning once, at
-    ``exp_cap``, when an exponent saturates at a returned root.
+    3.1, Newton or residual), else None; no lanes give (0, times) and ``[]``.
+    Warns SaturationWarning once, at ``exp_cap``, when an exponent saturates
+    at a returned root.  ValidationError for a time outside a lane's [0, T]
+    (tag ``t_range``) or a ``root_tol`` or ``exp_cap`` not finite and > 0.
     """
-    root_tol, exp_cap = float(root_tol), float(exp_cap)
+    root_tol = _require_positive("root_tol", float(root_tol))
+    exp_cap = _require_positive("exp_cap", float(exp_cap))
     t = np.asarray(times, dtype=float)
     t = t if t.ndim == 2 else t.reshape(-1)
     _check_lanes(params, tables)
     n = len(params)
-    foc = _FocLanes.stack(params, tables, exp_cap)
+    if t.ndim == 2 and len(t) != n:
+        raise ValidationError("lanes", f"got {len(t)} rows of times for {n} lanes")
+    if not n:
+        return np.empty((0, t.shape[-1])), []
     eta, r, T = np.array([(p.eta, p.r, p.T) for p in params]).T
-    m1 = _lane_dot(foc.z, foc.w)
+    _check_times(t, T[:, None])
+    foc = _FocLanes.stack(params, tables, exp_cap)
+    m1, m2 = _lane_dot(np.moveaxis(foc.z12, 1, 0), tables.probs[:, :, None])
     scale = root_tol * eta * m1                 # residual bound at A = 1, per lane
-    m2 = _lane_dot(foc.z2, foc.w)
     u0, u_c, errors = np.full(n, np.nan), np.full(n, np.inf), [None] * n
     for lane, args in enumerate(zip(params, map(tilt_limit, tables.specs),
                                     m1.tolist(), m2.tolist())):
@@ -517,40 +562,6 @@ def solve_pi_q_star(t: float, params: ModelParams, measure: ClaimMeasure,
     return float(solve_pi_q_grid(t, params, measure, root_tol, exp_cap))
 
 
-def _foc_f32(u: np.ndarray, params: ModelParams, measure: ClaimMeasure,
-             exp_cap: float) -> np.ndarray:
-    """f(u) = F(t, u/A(t)) / (lambda A(t)) in float32, in row chunks of bounded size.
-
-    float32 ``exp`` overflows above ~88.7, far below the default ``exp_cap``, so
-    each exponent is also capped where ``e^x (1 + G/A)`` stays below
-    ``float32 max / (2 max(1, sum p))``, with ``sum p`` the sum of the
-    probability weights: the weighted sum over the nodes stays finite.  A
-    term capped there outweighs the premium term by many orders of
-    magnitude, so f keeps its sign.
-    """
-    c = measure.nodes.astype(np.float32)                              # z
-    d = (0.5 * params.gamma * measure.nodes ** 2).astype(np.float32)  # (gamma/2) z^2
-    w = measure.probs.astype(np.float32)
-    alpha, alpha_hat = np.float32(params.alpha), np.float32(params.alpha_hat)
-    headroom = np.float32(math.log(float(np.finfo(np.float32).max)
-                                   / (2.0 * max(1.0, float(measure.probs.sum())))))
-    out = np.empty(u.size, np.float32)
-    rows = max(1, _CHUNK_BYTES // (4 * c.size))
-    for lo in range(0, u.size, rows):
-        uc = u[lo:lo + rows].astype(np.float32)[:, None]
-        g = c + (2.0 * uc) * d                                        # G / A
-        x = uc * c
-        x += (uc * uc) * d                                            # E
-        x *= np.float32(params.beta3)
-        np.minimum(x, np.float32(exp_cap), out=x)
-        np.minimum(x, headroom - np.log1p(g), out=x)
-        np.exp(x, out=x)                                              # e^{b3 E}
-        mix = alpha * x + alpha_hat / x
-        mix *= g
-        out[lo:lo + rows] = np.float32(1.0 + params.eta) * (c @ w) - mix @ w
-    return out
-
-
 def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
                           n_points: int = 10_000,
                           exp_cap: float = DEFAULT_EXP_CAP) -> np.ndarray:
@@ -558,18 +569,31 @@ def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
 
     ``F(t, pi) = A f(pi A)`` and the bracket ``[0, min(2 u0, u_c) / A]`` of
     :func:`_root_start` scales as ``1/A``, so the scan at every t is the same
-    scan of the one function f on ``[0, min(2 u0, u_c)]``.  f is scanned once,
-    in float32, and its count is returned for every time.  Zeros are skipped.
-    Between neighboring scan points f moves by O(spacing) times its O(1)
-    slope, orders of magnitude above float32 rounding, so the sign pattern is
-    exact; ``f(2 u0) <= -eta m1`` keeps the end of the scan clear of the
-    root, unless u_c cuts it.
+    scan of the one function f on ``[0, min(2 u0, u_c)]``: once, by
+    :class:`_FocLanes` in row chunks of ``_CHUNK_BYTES``, and its count is
+    returned for every time.  Zeros are skipped.  ``f(2 u0) <= -eta m1``
+    keeps the end of the scan clear of the root, unless u_c cuts it.  x
+    clips at ``min(exp_cap, 300)``, above which ``e^{-x} p z^k`` nears the
+    slow subnormal range.  That keeps every sign: clipping only raises f
+    (``alpha >= alpha_hat``), and a clipped node's term ``alpha e^300 p_i
+    G_i`` alone outweighs the premium ``(1 + eta) m1`` unless the node
+    holds under about e^-299 of the mean claim.  ValidationError for a time
+    outside [0, T] (tag ``t_range``), an ``n_points`` that is not an integer
+    >= 2, or an ``exp_cap`` that is not finite and positive.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    _check_times(times, params.T)
+    n_points = _require_integer("n_points", n_points)
+    if n_points < 2:
+        raise ValidationError("n_points<2", f"the scan needs n_points >= 2, got {n_points}")
+    exp_cap = _require_positive("exp_cap", float(exp_cap))
     z, p = measure.nodes, measure.probs
     u0, u_c = _root_start(params, tilt_limit(measure.spec), float(p @ z), float(p @ z ** 2))
-    hi = min(2.0 * u0, u_c)
-    signs = np.sign(_foc_f32(np.linspace(0.0, hi, n_points), params, measure, exp_cap))
+    foc = _FocLanes.stack([params], measure.tables, min(exp_cap, 300.0))
+    u = np.linspace(0.0, min(2.0 * u0, u_c), n_points)
+    rows = max(1, _CHUNK_BYTES // (8 * z.size))
+    signs = np.sign(np.concatenate([foc(u[lo:lo + rows], slope=False)[0]
+                                    for lo in range(0, n_points, rows)]))
     signs = signs[signs != 0]
     return np.full(times.shape, np.count_nonzero(signs[1:] != signs[:-1]))
 
@@ -662,7 +686,7 @@ def _claim_integrals(u_star, beta3, params: Sequence[ModelParams], tables: Claim
     exponents are clipped there silently (the root solve reports saturation
     at u*).  Returns one tuple of Python floats per lane.
     """
-    cap = float(exp_cap)
+    cap = _require_positive("exp_cap", float(exp_cap))
     u, half_gamma, b3 = _per_lane(
         list(zip(u_star, (0.5 * p.gamma for p in params), beta3)), 3)
     z = tables.nodes
@@ -987,8 +1011,7 @@ def value_function(t, x, h: int, coeffs: ValueCoefficients):
     """
     params = coeffs.params
     t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0.0) & (t_arr <= params.T)):    # NaN fails too
-        raise ValidationError("t_range", f"time must lie in [0, {params.T}], got {t}")
+    _check_times(t_arr, params.T)
     h, = _default_states(h, pair=False)
     B1, _, _, B0, _, _ = _first_lane(*_value_intercepts(
         t_arr, [params], coeffs.measure.tables, [_checked_u_star(coeffs)], coeffs.exp_cap))

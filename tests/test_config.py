@@ -17,7 +17,8 @@ from alphamv.errors import ConfigError, ValidationError
 from alphamv.levy import ClaimMeasure
 from alphamv.simulate import (ConstantStrategy, WealthPath, bond_price_path,
                               objective_from_terminal, simulate_terminal, simulate_wealth)
-from alphamv.solver import value_function
+from alphamv.solver import (reference_mean_intercepts, reinsurance_foc, scan_foc_sign_changes,
+                            solve_pi_q_grid, solve_pi_q_lanes, solve_pi_q_star, value_function)
 from alphamv.sweep import SweepSpec
 from alphamv.verify import run_verification
 
@@ -234,6 +235,13 @@ _BAD_GRIDS = [("dt_negative", "dt<=0", -0.1, 0.0), ("dt_zero", "dt<=0", 0.0, 0.0
               ("dt_nan", "nonfinite:dt", math.nan, 0.0),
               ("t0_negative", "t_range", 0.05, -1.0), ("t0_nan", "t_range", 0.05, math.nan)]
 
+# (id, tag, root_tol, exp_cap): lane numerics that no root call may run with
+_BAD_NUMERICS = [("root_tol_zero", "root_tol<=0", 0.0, 700.0),
+                 ("root_tol_negative", "root_tol<=0", -1.0, 700.0),
+                 ("root_tol_nan", "nonfinite:root_tol", math.nan, 700.0),
+                 ("exp_cap_negative", "exp_cap<=0", 1e-8, -1.0),
+                 ("exp_cap_inf", "nonfinite:exp_cap", 1e-8, math.inf)]
+
 
 # (id, error, tag, call on the base records): each call breaks one invariant
 _INVALID_CALLS = [
@@ -287,6 +295,31 @@ _INVALID_CALLS = [
      lambda b: value_function(0.0, 1.0, 1.0, b.solution.coeffs)),
     ("solver-value_h_range-bool", ValidationError, "h_range",
      lambda b: value_function(0.0, 1.0, True, b.solution.coeffs)),
+    *[(f"solver-{name}", ValidationError, "t_range", call) for name, call in (
+        ("grid_t_past_T", lambda b: solve_pi_q_grid([0.0, 20.0], b.params, b.measure)),
+        ("grid_t_negative", lambda b: solve_pi_q_grid([-5.0], b.params, b.measure)),
+        ("grid_t_nan", lambda b: solve_pi_q_grid([math.nan], b.params, b.measure)),
+        ("star_t_past_T", lambda b: solve_pi_q_star(11.0, b.params, b.measure)),
+        ("lanes_t_past_T", lambda b: solve_pi_q_lanes([[20.0]], [b.params], b.measure.tables)),
+        ("foc_t_past_T", lambda b: reinsurance_foc(11.0, 0.1, b.params, b.measure)),
+        ("scan_t_nan", lambda b: scan_foc_sign_changes(math.nan, b.params, b.measure)))],
+    *[(f"solver-grid_{name}", ValidationError, tag,
+       lambda b, root_tol=root_tol, exp_cap=exp_cap:
+       solve_pi_q_grid([0.0], b.params, b.measure, root_tol, exp_cap))
+      for name, tag, root_tol, exp_cap in _BAD_NUMERICS],
+    ("solver-foc_exp_cap_nan", ValidationError, "nonfinite:exp_cap",
+     lambda b: reinsurance_foc(0.0, 0.1, b.params, b.measure, exp_cap=math.nan)),
+    ("solver-scan_exp_cap_zero", ValidationError, "exp_cap<=0",
+     lambda b: scan_foc_sign_changes(0.0, b.params, b.measure, exp_cap=0.0)),
+    ("solver-reference_exp_cap_nan", ValidationError, "nonfinite:exp_cap",
+     lambda b: reference_mean_intercepts(b.params, b.measure, b.solution, math.nan)),
+    ("solver-foc_pi_q_nan", ValidationError, "nonfinite:pi_q",
+     lambda b: reinsurance_foc(0.0, math.nan, b.params, b.measure)),
+    *[(f"solver-scan_n_points_{name}", ValidationError, tag,
+       lambda b, n=n: scan_foc_sign_changes(0.0, b.params, b.measure, n))
+      for name, tag, n in (("negative", "n_points<2", -5), ("zero", "n_points<2", 0),
+                           ("one", "n_points<2", 1), ("fraction", "noninteger:n_points", 2.5),
+                           ("nan", "nonfinite:n_points", math.nan))],
     ("sweep-count", ValidationError, "count<2", lambda b: SweepSpec("alpha", (0.6,), "pi_q0")),
 ]
 

@@ -1,6 +1,7 @@
 """Solver oracles: closed forms, root properties, coefficient equations."""
 
 import dataclasses
+import functools
 import inspect
 import math
 import pathlib
@@ -37,6 +38,23 @@ def _bracket_hi(t, params, measure):
     z, p = measure.nodes, measure.probs
     u0, u_c = _root_start(params, tilt_limit(measure.spec), float(p @ z), float(p @ z ** 2))
     return min(2.0 * u0, u_c) / params.discount_to_horizon(t)
+
+
+def _foc_per_node(u, gamma, beta3, alpha, eta, z, p, exp_cap=700.0):
+    """f(u) = F(T, u) / lambda node by node, in the fused form
+    ``sum_i p_i ((1 + eta) z_i - G_i (alpha e^{x_i} + (1 - alpha) e^{-x_i}))``
+    with ``x = beta3 (u z + gamma u^2 z^2 / 2)`` clipped at exp_cap; u and
+    the parameters are columns against the nodes z and weights p."""
+    G = z + gamma * u * z * z
+    x = np.minimum(beta3 * u * (z + 0.5 * gamma * u * z * z), exp_cap)
+    mix = alpha * np.exp(x) + (1.0 - alpha) * np.exp(-x)
+    return np.sum(p * ((1.0 + eta) * z - G * mix), axis=-1)
+
+
+def _sign_changes(values):
+    signs = np.sign(values)
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def _rk4(params, measure, steps):
@@ -229,9 +247,8 @@ def test_single_sign_change_at_sample_times(base_params, base_measure):
 
 
 def test_float32_scan_stays_finite_at_large_exponents(base_params, base_measure):
-    # gamma = 0.05, eta = 1, beta3 = 2: the scan end 2 u0 reaches beta3 E of
-    # about 396, past where float32 exp overflows (~88.7) and below the
-    # float64 exp_cap of 700
+    # gamma = 0.05, eta = 1, beta3 = 2: the scan end u_c reaches beta3 E of
+    # about 276, and no exponential or moment overflows
     params = dataclasses.replace(base_params, gamma=0.05, eta=1.0, beta3=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -252,6 +269,37 @@ def test_scan_does_not_saturate_far_above_a_small_root():
         counts = scan_foc_sign_changes(np.linspace(0.0, params.T, 11), params, measure,
                                        10_000, numerics.exp_cap)
     assert counts.tolist() == [1] * 11
+
+
+@pytest.mark.parametrize("model, claims, top", [
+    ({}, {}, (0.0, 300.0)),
+    # perfbench's claim-heavy law
+    ({"beta3": 2.0}, {"lam": 20.0, "muZ": 0.05, "sigmaZ": 0.01}, (0.0, 300.0)),
+    # the scan's end passes its exponent cap of 300, and stays below exp_cap
+    ({"gamma": 0.05, "eta": 1.0, "beta3": 4.0}, {}, (300.0, 700.0)),
+])
+def test_scan_counts_the_sign_changes_of_the_per_node_foc(model, claims, top):
+    params, base_claims, numerics = load_config(BASE_CFG)
+    params = dataclasses.replace(params, **model)
+    measure = build_measure(dataclasses.replace(base_claims, **claims), numerics.quad_nodes)
+    # the same law with its nodes in reverse order: the saturation flag must
+    # read the largest node, wherever it sits in the row
+    reverse = ClaimMeasure(measure.spec, measure.nodes[::-1], measure.probs[::-1])
+    u = np.linspace(0.0, _bracket_hi(params.T, params, measure), 10_000)
+    want = _sign_changes(_foc_per_node(u[:, None], params.gamma, params.beta3, params.alpha,
+                                       params.eta, measure.nodes, measure.probs))
+    assert want == 1
+    z = np.array([measure.nodes.min(), measure.nodes.max()])
+    exponent = params.beta3 * u[-1] * z * (1.0 + 0.5 * params.gamma * u[-1] * z)
+    assert top[0] < exponent[1] < top[1]
+    for m in (measure, reverse):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert scan_foc_sign_changes([0.0], params, m, 10_000,
+                                         numerics.exp_cap).tolist() == [want]
+        # a cap between the exponents at the smallest and the largest node
+        with pytest.warns(SaturationWarning):
+            reinsurance_foc(params.T, u[-1], params, m, exp_cap=exponent.mean())
 
 
 # valid reinsurance parameters, with alpha exactly 1/2 and 1 included, and a time fraction
@@ -275,6 +323,29 @@ def test_root_properties_over_valid_parameters(base_measure, alpha, gamma, eta, 
     assert abs(reinsurance_foc(t, root, params, base_measure)) <= root_tol * scale
     grid_root = solve_pi_q_grid(np.array([0.0, t, params.T]), params, base_measure)[1]
     assert root == pytest.approx(grid_root, rel=0, abs=1e-13)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(**_FOC_PARAMS)
+def test_foc_slope_matches_a_central_difference(base_measure, alpha, gamma, eta, beta3, frac):
+    # Newton's bisection fallback would hide a wrong f': check it against f.
+    # f sums terms of total size S, so it rounds by delta = nodes eps S, and
+    # each term's log changes with u at a rate below rho = gamma z + beta3 G
+    # at the largest node.  The step h = (delta/S)^(1/3) / rho balances the
+    # rounding delta/h of the difference against its truncation h^2 f^(3)/6,
+    # with |f^(3)| of order S rho^3: both are (delta/S)^(2/3) S rho.
+    params = ModelParams(**{**BASE_KWARGS, "alpha": alpha, "gamma": gamma,
+                            "eta": eta, "beta3": beta3})
+    foc = _FocLanes.stack([params], base_measure.tables, 700.0)
+    z = base_measure.nodes.max()
+    u = frac * _bracket_hi(params.T, params, base_measure)
+    (f,), (slope,) = foc(np.array([u]))
+    S = 2.0 * (1.0 + eta) * float(base_measure.probs @ base_measure.nodes) - f
+    delta = base_measure.nodes.size * np.finfo(float).eps * S
+    rho = gamma * z + beta3 * (z + gamma * u * z * z)
+    h = (delta / S) ** (1.0 / 3.0) / rho
+    f_hi, f_lo = (foc(np.array([v]), slope=False)[0][0] for v in (u + h, u - h))
+    assert abs((f_hi - f_lo) / (2.0 * h) - slope) <= 4.0 * (delta / S) ** (2.0 / 3.0) * S * rho
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -478,6 +549,11 @@ def test_lane_calls_need_one_table_row_per_lane(base_params, base_claims, base_m
         with pytest.raises(ValidationError, match=f"got {rows} rows for 3 lanes") as caught:
             call()
         assert caught.value.tag == "lanes"
+    # a (lanes, times) table of times with another row count: the same typed error
+    tables, _ = build_claim_tables([base_claims] * 3, base_measure.nodes.size)
+    with pytest.raises(ValidationError, match=f"got {rows} rows of times for 3 lanes") as caught:
+        solve_pi_q_lanes([[0.0, 1.0]] * rows, lanes, tables)
+    assert caught.value.tag == "lanes"
 
 
 def test_solution_reads_u_star_and_params_from_its_coefficients(base_solution):
@@ -562,11 +638,12 @@ def test_root_past_the_integrability_edge_raises():
     assert scan_foc_sign_changes([0.0], params, measure).tolist() == [0]
 
 
-def test_every_solved_root_lies_below_the_integrability_edge():
-    # ROADMAP item 1's draw (beta3 log-uniform on [1e-2, 1e3], gamma on
-    # [1e-3, 10], eta - 0.1 on [1e-2, 10], sigmaZ on [0.1, 5], muZ uniform on
-    # [-1, 2]) as lanes of one root solve: every lane solves below its edge u_c
-    # or carries the Assumption 3.1 error (some lanes solved past u_c before)
+@functools.cache
+def _edge_draw():
+    """ROADMAP item 1's draw (beta3 log-uniform on [1e-2, 1e3], gamma on
+    [1e-3, 10], eta - 0.1 on [1e-2, 10], sigmaZ on [0.1, 5], muZ uniform on
+    [-1, 2]) as lanes of one root solve: ``(lanes, tables, numerics, pi_q at
+    T, errors)``."""
     params, claims, numerics = load_config(BASE_CFG)
     rng = np.random.default_rng(7)
     n = 3000
@@ -583,11 +660,44 @@ def test_every_solved_root_lies_below_the_integrability_edge():
         warnings.simplefilter("ignore", SaturationWarning)
         pi_q, errors = solve_pi_q_lanes(params.T, lanes, tables, numerics.root_tol,
                                         numerics.exp_cap)
+    return lanes, tables, numerics, pi_q[:, 0], errors
+
+
+def test_every_solved_root_lies_below_the_integrability_edge():
+    # every lane solves below its edge u_c or carries the Assumption 3.1 error
+    # (some lanes solved past u_c before)
+    lanes, tables, _, u_star, errors = _edge_draw()
     solved = np.array([error is None for error in errors])
     edge = [k for k, error in enumerate(errors) if error is not None]
     assert all("Assumption 3.1" in str(errors[k]) for k in edge) and edge
-    u_c = 1.0 / (sigmaZ * np.sqrt(beta3 * gamma))
-    assert np.all(pi_q[solved, 0] < u_c[solved])
+    u_c = np.array([1.0 / (s.sigmaZ * math.sqrt(p.beta3 * p.gamma))
+                    for p, s in zip(lanes, tables.specs)])
+    assert np.all(u_star[solved] < u_c[solved])
+
+
+def test_drawn_roots_match_bisection_of_the_per_node_foc():
+    # the moment form's roots against bisection of the fused per-node f on
+    # each solved lane's bracket [0, min(2 u0, u_c)], to adjacent floats
+    lanes, tables, numerics, u_star, errors = _edge_draw()
+    solved = [k for k, error in enumerate(errors) if error is None]
+    measures = [ClaimMeasure(tables.specs[k], tables.nodes[k], tables.probs[k]) for k in solved]
+    lo = np.zeros(len(solved))
+    hi = np.array([_bracket_hi(lanes[k].T, lanes[k], m) for k, m in zip(solved, measures)])
+    z, p = tables.nodes[solved], tables.probs[solved]
+    gamma, beta3, alpha, eta = (np.array([getattr(lanes[k], name) for k in solved])[:, None]
+                                for name in ("gamma", "beta3", "alpha", "eta"))
+    for _ in range(1100):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        f = _foc_per_node(mid[:, None], gamma, beta3, alpha, eta, z, p, numerics.exp_cap)
+        lo, hi = np.where(f > 0, mid, lo), np.where(f > 0, hi, mid)
+    assert np.all(np.abs(u_star[solved] - lo) <= 2.0 * solver_mod._ROOT_RTOL * lo)
+
+
+def test_zero_lanes_give_an_empty_table(base_measure):
+    pi_q, errors = solve_pi_q_lanes([0.0, 5.0], [], base_measure.tables.take([]))
+    assert pi_q.shape == (0, 2) and errors == []
 
 
 def test_solve_equilibrium_reports_bracket_failure(base_measure, base_numerics):
