@@ -41,6 +41,11 @@ draws once, in the h0 = 0 order, and reads both off those draws (common
 random numbers, Glasserman 2003, sec. 4.2); its h0 = 0 row is the h0 = 0 run
 at the same seed, bit for bit.
 
+A strategy solved by the solver (one with ``coeffs``) carries its own
+model: a run given it with other parameters or another measure object
+raises a ValidationError (tag ``inputs``).  Other strategies, such as
+:class:`ConstantStrategy`, take the parameters and measure they are given.
+
 Reproducibility: paths are partitioned into fixed-size blocks and each block
 draws from its own ``SeedSequence(seed, spawn_key=(block,))`` stream, so
 results are bit-identical for a given (config, seed, states) regardless of
@@ -55,10 +60,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ModelParams, _require_integer
+from .config import ModelParams, _require_finite, _require_integer
 from .errors import NumericalError, ValidationError
 from .levy import ClaimMeasure, sample_truncated_sizes
-from .solver import DistortionFunctions, DistortionSide, _default_states, penalty_rate
+from .solver import (DistortionFunctions, DistortionSide, _default_states, _solved_coeffs,
+                     penalty_rate)
 
 __all__ = [
     "ConstantStrategy",
@@ -80,13 +86,15 @@ _PENALTY_INTERVALS = 2000  # Simpson intervals; O(h^4) on the smooth rate is far
 
 @dataclass(frozen=True)
 class ConstantStrategy:
-    """Time-constant strategy override (pi_q must be nonnegative)."""
+    """Time-constant strategy override; every amount finite, pi_q nonnegative."""
 
     pi_q: float = 0.0
     pi_s: float = 0.0
     pi_p: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("pi_q", "pi_s", "pi_p"):
+            _require_finite(name, getattr(self, name))
         if self.pi_q < 0:
             raise ValidationError("pi_q<0", "reinsurance exposure must satisfy pi_q >= 0")
 
@@ -310,13 +318,21 @@ def _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time,
     wealth[:, 0] = x0
 
 
+def _check_start(t0, T) -> None:
+    """ValidationError (tag ``t_range``) unless the start time lies in [0, T); NaN fails too."""
+    if not 0.0 <= t0 < T:
+        raise ValidationError("t_range", f"start time must lie in [0, {T}), got t0={t0}")
+
+
 def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
                 t0, x0, states, record=False):
+    if hasattr(strategy, "coeffs"):
+        _solved_coeffs(strategy, params, measure)
     n_paths = _require_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ValidationError("n_paths<1", "need at least one path")
-    if not 0.0 <= t0 < params.T:        # before any grid sizing; NaN fails too
-        raise ValidationError("t_range", f"start time must lie in [0, {params.T}), got t0={t0}")
+    _check_start(t0, params.T)          # before any grid sizing
+    _require_finite("x0", x0)
     if not 0.0 < dt <= (params.T - t0) / 10.0:
         tag = "nonfinite:dt" if not math.isfinite(dt) else "dt<=0" if dt <= 0.0 else "dt_coarse"
         raise ValidationError(tag, f"step must satisfy 0 < dt <= (T - t)/10, got dt={dt}")
@@ -357,7 +373,10 @@ def simulate_terminal(strategy, distortion: Optional[DistortionSide],
     then those of ``h0=0`` at the same seed bit for bit; its h0 = 1 row has
     the h0 = 1 law but not the draws of ``h0=1`` alone, and is correlated
     with the h0 = 0 row.  ValidationError (tag ``h_range``) for any other
-    ``h0``.
+    ``h0``, and (tag ``nonfinite:x0``) for a non-finite ``x0``.  A
+    ``strategy`` with ``coeffs`` (an equilibrium solution) runs only with its
+    own parameters and measure object: ValidationError (tag ``inputs``)
+    otherwise.
     """
     states = _default_states(h0)
     x0 = params.x0 if x0 is None else x0
@@ -378,6 +397,8 @@ def simulate_wealth(strategy, distortion: Optional[DistortionSide],
     first and match :func:`simulate_terminal` bit for bit; the Gaussian
     bridge increments between grid times are drawn after them.  ``h0`` is
     one default state, 0 or 1; ValidationError (tag ``h_range``) otherwise.
+    The inputs are checked as in :func:`simulate_terminal`: a strategy with
+    ``coeffs`` takes only its own parameters and measure (tag ``inputs``).
     """
     states = _default_states(h0, pair=False)
     x0 = params.x0 if x0 is None else x0
@@ -425,8 +446,10 @@ def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide
     sample moments.  Written in the central moments ``c_k`` about the sample
     mean, its variance is ``(c2 - gamma c3 + (gamma^2/4)(c4 - c2^2)) / n``;
     central moments do not overflow where raw powers of a large wealth would.
-    ValidationError (tag ``paths too few``) for fewer than 2 terminal values.
+    ValidationError (tag ``paths too few``) for fewer than 2 terminal values,
+    and (tag ``t_range``) for a start time ``t`` outside [0, T).
     """
+    _check_start(t, params.T)
     n = x_T.size
     if n < 2:
         raise ValidationError("paths too few", f"paths too few: need 2 terminal values, got {n}")
@@ -467,7 +490,9 @@ def alpha_robust_value(strategy, dist: DistortionFunctions,
     Each side's objective is :func:`objective_from_terminal` of its own
     :func:`simulate_terminal` sample, the lo side from ``seed`` and the hi
     side from ``seed + 1``.  Returns (value, std_error, estimate_lo,
-    estimate_hi); ValidationError for fewer than 100 paths.
+    estimate_hi); ValidationError for fewer than 100 paths, and (tag
+    ``inputs``) for a ``strategy`` with ``coeffs`` given other parameters or
+    another measure object.
     """
     if n_paths < 100:
         raise ValidationError("paths too few", f"paths too few: need n_paths >= 100, got {n_paths}")

@@ -45,6 +45,13 @@ Exponent arguments are saturated at ``+-exp_cap`` before exponentiation:
 Newton's probe iterates clip silently, and a saturation at a returned root
 warns (SaturationWarning, not an error), once per root call; the claim
 integrals of the intercepts and the distortions clip at the same cap silently.
+
+After the solve, :class:`ValueCoefficients` is the one copy of the model:
+the parameters, the claim measure, ``u*`` and ``exp_cap``, none of them
+optional.  The calls made with a solution (:func:`distortions`,
+:func:`reference_mean_intercepts`, and the simulator's runs) read it, and
+raise a ValidationError (tag ``inputs``) when handed other parameters or
+another measure object.
 """
 
 from __future__ import annotations
@@ -611,6 +618,9 @@ class ValueCoefficients:
     at T.  ``params``, ``measure``, ``u_star`` and ``exp_cap`` are the one copy
     of the solve's inputs: those of the closed form :func:`_value_intercepts`,
     one lane at one cap, which :func:`value_function` evaluates at any t.
+    All four are required, and every call after the solve reads them from
+    here.  ValidationError (tag ``u_star``) unless ``u_star`` is a finite
+    float >= 0.
     """
 
     B1: np.ndarray
@@ -619,20 +629,32 @@ class ValueCoefficients:
     b1_hi: np.ndarray
     b0_lo: np.ndarray
     b0_hi: np.ndarray
-    params: ModelParams = field(repr=False, default=None)
-    measure: ClaimMeasure = field(repr=False, default=None)
-    u_star: float = None
-    exp_cap: float = DEFAULT_EXP_CAP
+    params: ModelParams = field(repr=False)
+    measure: ClaimMeasure = field(repr=False)
+    u_star: float
+    exp_cap: float
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.u_star, float) and 0.0 <= self.u_star < math.inf):
+            raise ValidationError("u_star", f"u_star must be a float in [0, inf), got {self.u_star!r}")
 
 
-def _checked_u_star(record) -> float:
-    """The record's ``u_star``; ValidationError when it has none."""
-    u_star = getattr(record, "u_star", None)
-    if u_star is None:
-        raise ValidationError(
-            "u_star", f"{type(record).__name__}.u_star is not set: pi_q(t) = u_star "
-            "e^{-r(T-t)} and the value intercepts need it (solve_equilibrium sets it)")
-    return u_star
+def _solved_coeffs(strategy, params: ModelParams, measure=None) -> ValueCoefficients:
+    """The ``coeffs`` that ``strategy`` was solved with, checked against the caller's copies.
+
+    ValidationError (tag ``u_star``) for a strategy without ``coeffs``, and
+    (tag ``inputs``) when ``params`` differs from ``coeffs.params`` or a
+    given ``measure`` is not the object ``coeffs.measure``.  A measure is
+    compared by identity: ``==`` of two measures compares their arrays.
+    """
+    coeffs = getattr(strategy, "coeffs", None)
+    if coeffs is None:
+        raise ValidationError("u_star", f"{type(strategy).__name__} has no coeffs with u_star: "
+                              "pi_q(t) = u_star e^{-r(T-t)} (solve_equilibrium sets it)")
+    if params != coeffs.params or (measure is not None and measure is not coeffs.measure):
+        raise ValidationError("inputs", f"{'params' if params != coeffs.params else 'measure'} "
+                              "is not the solution's own: calls after the solve take its coeffs")
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -644,7 +666,9 @@ class EquilibriumSolution:
     ``u_star``, the root with ``pi_q(t) = u_star e^{-r(T-t)}``, and ``params``
     are read-only views of ``coeffs``, so :meth:`pi_q_at` is exact at every t;
     :meth:`pi_s_at` and :meth:`pi_p_at` are the closed forms
-    :func:`pi_s_star` and :func:`pi_p_star` of ``params``.
+    :func:`pi_s_star` and :func:`pi_p_star` of ``params``.  ``coeffs`` is the
+    one copy of the model: a call given this solution with other parameters
+    or another measure raises (tag ``inputs``).
     """
 
     grid: np.ndarray
@@ -660,7 +684,7 @@ class EquilibriumSolution:
             raise ValidationError("pi_q<0", "equilibrium reinsurance exposure must be nonnegative")
 
     def pi_q_at(self, t):
-        return _checked_u_star(self) / self.params.discount_to_horizon(t)
+        return self.coeffs.u_star / self.params.discount_to_horizon(t)
 
     def pi_s_at(self, t):
         return pi_s_star(t, self.params)
@@ -881,8 +905,10 @@ def pre_default_system(solution: EquilibriumSolution, steps: int):
     of :func:`solve_equilibrium`, which this converges to at order 4.
     NumericalError for hP = 0 or zeta = 0 (no finite bond demand), for fewer
     steps than :func:`rk4_stable_steps` (RK4's stability limit on the fastest
-    mode, rate ``delta/zeta``), and for non-finite values.
+    mode, rate ``delta/zeta``), and for non-finite values; ValidationError
+    for a ``steps`` that is not a finite integer.
     """
+    steps = _require_integer("steps", steps)
     params, coeffs = solution.params, solution.coeffs
     stable = rk4_stable_steps(params)
     if steps < stable:
@@ -893,7 +919,7 @@ def pre_default_system(solution: EquilibriumSolution, steps: int):
         )
     grid = np.linspace(0.0, params.T, steps + 1)
     integrands, errors = _integrands([params], coeffs.measure.tables,
-                                     [_checked_u_star(solution)], coeffs.exp_cap)
+                                     [coeffs.u_star], coeffs.exp_cap)
     if errors[0] is not None:
         raise errors[0]
     integrands = integrands[0]
@@ -973,12 +999,17 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
     set to zero while the strategy of ``solution`` stays fixed, so
     ``E[X(T) | X(t)=x, H(t)=h]`` equals ``e^{r(T-t)} x + b_ref_h(t)``.  The
     bond amount does not depend on the betas, so ``b0_ref = b1_ref - D``
-    still holds.  ``exp_cap`` has no effect: with every ambiguity level zero
-    no exponent enters.  Returns (b1_ref, b0_ref) on the solution grid.
+    still holds.  The parameters, the measure and u* are those of
+    ``solution.coeffs``: ValidationError (tag ``inputs``) when ``params``
+    differs from them or ``measure`` is another object, and (tag ``u_star``)
+    for a strategy without ``coeffs``.  ``exp_cap`` is validated but has no
+    effect: with every ambiguity level zero no exponent enters.  Returns
+    (b1_ref, b0_ref) on the solution grid.
     """
+    coeffs = _solved_coeffs(solution, params, measure)
     columns = _first_lane(*_value_intercepts(
-        solution.grid, [params], measure.tables, [_checked_u_star(solution)], exp_cap,
-        betas=(0.0, 0.0, 0.0), stock=_stock_coefficients(solution.params)))
+        solution.grid, [coeffs.params], coeffs.measure.tables, [coeffs.u_star], exp_cap,
+        betas=(0.0, 0.0, 0.0), stock=_stock_coefficients(coeffs.params)))
     return columns[1], columns[4]
 
 
@@ -1014,7 +1045,7 @@ def value_function(t, x, h: int, coeffs: ValueCoefficients):
     _check_times(t_arr, params.T)
     h, = _default_states(h, pair=False)
     B1, _, _, B0, _, _ = _first_lane(*_value_intercepts(
-        t_arr, [params], coeffs.measure.tables, [_checked_u_star(coeffs)], coeffs.exp_cap))
+        t_arr, [params], coeffs.measure.tables, [coeffs.u_star], coeffs.exp_cap))
     value = params.discount_to_horizon(t_arr) * np.asarray(x, dtype=float) \
         + (B1 if h == 1 else B0).reshape(t_arr.shape)
     return value if value.ndim else float(value)
@@ -1033,14 +1064,17 @@ class DistortionSide:
 
     ``sign`` is +1 for the ambiguity-averse (infimum) measure, whose penalty
     enters the objective with a plus sign, and -1 for the ambiguity-seeking
-    (supremum) measure.
+    (supremum) measure; ValidationError (tag ``sign``) for anything but the
+    int +1 or -1.  ``exp_cap`` is the cap the exponent clips at, finite and
+    > 0 (tags ``nonfinite:exp_cap``, ``exp_cap<=0``): :func:`distortions`
+    passes the solve's, and a side built by hand states its own.
     """
 
     phi1: Callable[[np.ndarray], np.ndarray]
     phi2: Callable[[np.ndarray], np.ndarray]
     tilt: tuple[float, float]
     sign: int
-    exp_cap: float = DEFAULT_EXP_CAP
+    exp_cap: float
 
     def __post_init__(self) -> None:
         tilt = self.tilt
@@ -1049,6 +1083,9 @@ class DistortionSide:
             raise ValidationError(
                 "tilt", f"jump tilt must be two finite floats (a, b), got {tilt!r}")
         object.__setattr__(self, "tilt", (float(tilt[0]), float(tilt[1])))
+        if not (type(self.sign) is int and self.sign in (1, -1)):
+            raise ValidationError("sign", f"side sign must be the int +1 or -1, got {self.sign!r}")
+        _require_positive("exp_cap", self.exp_cap)
 
     def exponent(self, z):
         """The tilt exponent ``a z + b z^2`` at z, before clipping at ``+-exp_cap``."""
@@ -1078,14 +1115,17 @@ class DistortionFunctions:
 def distortions(solution, params: ModelParams) -> DistortionFunctions:
     """Extremal distortions of a strategy with ``pi_q A = u*`` (evaluated lazily).
 
-    ``solution`` is any strategy with ``u_star``, ``pi_s_at`` and ``coeffs``:
-    the equilibrium, or the equilibrium with other stock or bond amounts.  The
+    ``solution`` is any strategy with ``pi_s_at`` and ``coeffs``: the
+    equilibrium, or the equilibrium with other stock or bond amounts.  The
     first-order conditions in phi hold for any deterministic strategy, and
     with ``pi_q A = u*`` the jump tilt is the constant ``beta3 E(u*, z)``,
-    negated on the hi side, clipped at the solve's ``coeffs.exp_cap``.
-    ValidationError (tag ``u_star``) for a strategy without ``u_star``.
+    negated on the hi side, clipped at the solve's ``coeffs.exp_cap``.  The
+    parameters and u* are those of ``coeffs``: ValidationError (tag
+    ``inputs``) when ``params`` differs from ``coeffs.params``, and (tag
+    ``u_star``) for a strategy without ``coeffs``.
     """
-    u, exp_cap = _checked_u_star(solution), solution.coeffs.exp_cap
+    coeffs = _solved_coeffs(solution, params)
+    params, u, exp_cap = coeffs.params, coeffs.u_star, coeffs.exp_cap
     a, b = params.beta3 * u, 0.5 * params.beta3 * params.gamma * u * u
     pi_s = solution.pi_s_at
 

@@ -17,8 +17,9 @@ from alphamv.errors import ConfigError, ValidationError
 from alphamv.levy import ClaimMeasure
 from alphamv.simulate import (ConstantStrategy, WealthPath, bond_price_path,
                               objective_from_terminal, simulate_terminal, simulate_wealth)
-from alphamv.solver import (reference_mean_intercepts, reinsurance_foc, scan_foc_sign_changes,
-                            solve_pi_q_grid, solve_pi_q_lanes, solve_pi_q_star, value_function)
+from alphamv.solver import (DistortionSide, pre_default_system, reference_mean_intercepts,
+                            reinsurance_foc, scan_foc_sign_changes, solve_pi_q_grid,
+                            solve_pi_q_lanes, solve_pi_q_star, value_function)
 from alphamv.sweep import SweepSpec
 from alphamv.verify import run_verification
 
@@ -320,6 +321,28 @@ _INVALID_CALLS = [
       for name, tag, n in (("negative", "n_points<2", -5), ("zero", "n_points<2", 0),
                            ("one", "n_points<2", 1), ("fraction", "noninteger:n_points", 2.5),
                            ("nan", "nonfinite:n_points", math.nan))],
+    *[(f"solver-side_exp_cap_{name}", ValidationError, tag,
+       lambda b, cap=cap: DistortionSide(np.zeros_like, np.zeros_like, (0.1, 0.01), +1, cap))
+      for name, tag, cap in (("negative", "exp_cap<=0", -1.0), ("zero", "exp_cap<=0", 0.0),
+                             ("nan", "nonfinite:exp_cap", math.nan))],
+    *[(f"solver-side_sign_{name}", ValidationError, "sign",
+       lambda b, sign=sign: DistortionSide(np.zeros_like, np.zeros_like, (0.1, 0.01), sign, 700.0))
+      for name, sign in (("five", 5), ("zero", 0), ("bool", True), ("float", 1.0))],
+    *[(f"simulate-{simulate.__name__}-x0_{name}", ValidationError, "nonfinite:x0",
+       lambda b, simulate=simulate, x0=x0:
+       simulate(b.solution, None, b.params, b.measure, 1000, 0.01, 1, x0=x0))
+      for simulate in (simulate_terminal, simulate_wealth)
+      for name, x0 in (("nan", math.nan), ("inf", math.inf))],
+    *[(f"simulate-constant_{name}_nonfinite", ValidationError, f"nonfinite:{name}",
+       lambda b, name=name, value=value: ConstantStrategy(**{name: value}))
+      for name, value in (("pi_q", math.nan), ("pi_s", math.inf), ("pi_p", math.nan))],
+    *[(f"simulate-objective_t_{name}", ValidationError, "t_range",
+       lambda b, t=t: objective_from_terminal(np.ones(10), None, b.params, b.measure, t))
+      for name, t in (("past_T", 20.0), ("at_T", 10.0), ("negative", -5.0), ("nan", math.nan))],
+    *[(f"solver-rk4_steps_{name}", ValidationError, tag,
+       lambda b, steps=steps: pre_default_system(b.solution, steps))
+      for name, tag, steps in (("fraction", "noninteger:steps", 2.5),
+                               ("nan", "nonfinite:steps", math.nan))],
     ("sweep-count", ValidationError, "count<2", lambda b: SweepSpec("alpha", (0.6,), "pi_q0")),
 ]
 

@@ -1,7 +1,9 @@
 """Simulator oracles: exact limits, law checks, solver cross-checks, determinism."""
 
 import dataclasses
+import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -225,18 +227,24 @@ def test_path_totals_match_per_claim_bincount():
         assert np.all(got[counts == 0] == 0.0)
 
 
+@functools.cache
+def _solved_at_intensity(lam):
+    """The base equilibrium under claims of intensity ``lam``; lambda does not enter u*."""
+    measure = build_measure(ClaimModelSpec(lam=lam, muZ=1.0, sigmaZ=0.1), 32)
+    return solve_equilibrium(ModelParams(**BASE_KWARGS), measure, NumericsConfig(time_steps=200))
+
+
 @pytest.mark.parametrize("case", ["u_star", "no_u_star", "sparse", "none"])
 @pytest.mark.parametrize("h0", [0, 1])
-def test_segment_sums_match_per_claim_bincount(case, h0, base_params, base_solution,
-                                               monkeypatch):
+def test_segment_sums_match_per_claim_bincount(case, h0, monkeypatch):
     # X(T) with each path's claims summed as one segment against the same
     # draws summed per claim by bincount: only the summation order differs
-    lam = {"sparse": 0.01, "none": 1e-9}.get(case, 2.0)
-    measure = build_measure(ClaimModelSpec(lam=lam, muZ=1.0, sigmaZ=0.1), 32)
-    side = distortions(base_solution, base_params).lo
-    strategy = _HiddenUStar(base_solution) if case == "no_u_star" else base_solution
+    solution = _solved_at_intensity({"sparse": 0.01, "none": 1e-9}.get(case, 2.0))
+    params, measure = solution.params, solution.coeffs.measure
+    side = distortions(solution, params).lo
+    strategy = _HiddenUStar(solution) if case == "no_u_star" else solution
     # seeds whose sparse sample has empty first and last paths
-    args = (strategy, side, base_params, measure, 3000, 0.05, 17 + h0)
+    args = (strategy, side, params, measure, 3000, 0.05, 17 + h0)
     x_T, default_time, counts = simulate_terminal(*args, h0=h0)
 
     reference_totals = []
@@ -325,7 +333,7 @@ def test_supercritical_size_tilt_raises(base_params, base_measure, base_solution
     spec = base_measure.spec
     b = 0.6 / spec.sigmaZ ** 2
     side = DistortionSide(phi1=np.zeros_like, phi2=np.zeros_like,
-                          tilt=(-2.0 * b * spec.muZ, b), sign=1)
+                          tilt=(-2.0 * b * spec.muZ, b), sign=1, exp_cap=700.0)
     with pytest.raises(NumericalError, match="2b >= 1/sigmaZ"):
         simulate_terminal(base_solution, side, base_params, base_measure,
                           n_paths=50, dt=0.1, seed=5, h0=1)
@@ -536,6 +544,53 @@ def test_perturbed_strategy_does_not_beat_equilibrium(control, h, base_params, b
                                          n_paths=N_PATHS, dt=DT, seed=300)
     equilibrium = value_function(0.0, base_params.x0, h, base_solution.coeffs)
     assert value <= equilibrium + 3 * se
+
+
+# (id, call on the base records): each hands a post-solve call the base
+# solution with other parameters or another measure object
+_OTHER_MODEL = [
+    ("distortions", lambda b: distortions(b.solution, b.q)),
+    ("terminal", lambda b: simulate_terminal(b.solution, b.dist.lo, b.params, b.lam3,
+                                             20_000, 0.01, 1)),
+    ("terminal-params", lambda b: simulate_terminal(b.solution, b.dist.lo, b.q, b.measure,
+                                                    20_000, 0.01, 1)),
+    ("reference", lambda b: reference_mean_intercepts(b.gamma2, b.lam3, b.solution)),
+    ("reference-rebuilt", lambda b: reference_mean_intercepts(b.params, b.rebuilt, b.solution)),
+    ("wealth", lambda b: simulate_wealth(b.solution, None, b.params, b.rebuilt, 10, 0.05, 1)),
+    ("alpha_robust", lambda b: alpha_robust_value(b.solution, b.dist, b.params, b.rebuilt,
+                                                  0.0, 1.0, 1, 1000, 0.01, 1)),
+]
+
+
+@pytest.mark.parametrize("call", [case[1] for case in _OTHER_MODEL],
+                         ids=[case[0] for case in _OTHER_MODEL])
+def test_post_solve_calls_reject_another_copy_of_the_model(call, base_params, base_claims,
+                                                           base_numerics, base_measure,
+                                                           base_solution):
+    # the solution's coeffs are the one copy of the model after the solve; a
+    # rebuilt measure has the same law but is another object, and is refused
+    # too (two measures' == compares arrays)
+    claims = dataclasses.replace(base_claims, lam=3.0)
+    base = types.SimpleNamespace(
+        params=base_params, measure=base_measure, solution=base_solution,
+        dist=distortions(base_solution, base_params),
+        q=dataclasses.replace(base_params, beta3=1.0, gamma=2.0),
+        gamma2=dataclasses.replace(base_params, gamma=2.0),
+        lam3=build_measure(claims, base_numerics.quad_nodes),
+        rebuilt=build_measure(base_claims, base_numerics.quad_nodes))
+    with pytest.raises(ValidationError) as caught:
+        call(base)
+    assert caught.value.tag == "inputs"
+
+
+def test_constant_strategies_take_any_model(base_params, base_claims):
+    # a strategy without coeffs has no model of its own: it runs with the
+    # parameters and measure it is given (lambda T = 30 claims per path here)
+    q = dataclasses.replace(base_params, gamma=2.0)
+    lam3 = build_measure(dataclasses.replace(base_claims, lam=3.0), 32)
+    x_T, _, counts = simulate_terminal(ConstantStrategy(0.5, 1.0, 0.0), None, q, lam3,
+                                       2000, 0.05, 3)
+    assert np.all(np.isfinite(x_T)) and counts.mean() == pytest.approx(30.0, rel=0.05)
 
 
 def test_distortions_need_u_star(base_params):

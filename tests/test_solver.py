@@ -17,10 +17,11 @@ from alphamv.config import ModelParams, NumericsConfig, load_config
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import (ClaimMeasure, ClaimTables, build_claim_tables, build_measure,
                           tilt_limit)
+from alphamv.simulate import ConstantStrategy
 import alphamv.solver as solver_mod
-from alphamv.solver import (DistortionSide, EquilibriumSolution, _FocLanes, _claim_integrals,
-                            _first_lane, _identity_residuals, _root_start, _value_intercepts,
-                            distortions, penalty_rate, pi_p_star, pi_s_star,
+from alphamv.solver import (DistortionSide, EquilibriumSolution, ValueCoefficients, _FocLanes,
+                            _claim_integrals, _first_lane, _identity_residuals, _root_start,
+                            _value_intercepts, distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
                             reinsurance_foc, scan_foc_sign_changes,
                             solve_equilibrium, solve_pi_q_grid, solve_pi_q_lanes,
@@ -426,13 +427,29 @@ def test_solve_and_reference_memory_stay_small():
 
 
 def test_solution_without_u_star_raises_typed_error(base_params, base_measure, base_solution):
-    bare = dataclasses.replace(
-        base_solution, coeffs=dataclasses.replace(base_solution.coeffs, u_star=None))
-    for call in (lambda: bare.pi_q_at(1.0), lambda: distortions(bare, base_params),
-                 lambda: reference_mean_intercepts(base_params, base_measure, bare)):
+    # coefficients cannot lose their u*, and a strategy without coefficients
+    # has no model for the post-solve calls to read
+    for call in (lambda: dataclasses.replace(base_solution.coeffs, u_star=None),
+                 lambda: reference_mean_intercepts(base_params, base_measure, ConstantStrategy())):
         with pytest.raises(ValidationError, match="u_star") as caught:
             call()
         assert caught.value.tag == "u_star"
+
+
+def test_solved_records_always_carry_their_inputs(base_solution):
+    # the coefficients need the solve's params, measure, u* and cap, and a
+    # distortion side its cap: none of them has a default to fall back on
+    c = base_solution.coeffs
+    columns = dict(B1=c.B1, B0=c.B0, b1_lo=c.b1_lo, b1_hi=c.b1_hi, b0_lo=c.b0_lo, b0_hi=c.b0_hi)
+    with pytest.raises(TypeError):
+        ValueCoefficients(**columns)
+    with pytest.raises(TypeError):
+        DistortionSide(np.zeros_like, np.zeros_like, (0.1, 0.01), +1)
+    for u_star in (None, -1.0, math.nan, math.inf, "0.3"):
+        with pytest.raises(ValidationError) as caught:
+            dataclasses.replace(c, u_star=u_star)
+        assert caught.value.tag == "u_star"
+    assert dataclasses.replace(c, u_star=np.float64(c.u_star)).u_star == c.u_star
 
 
 def test_unreachable_root_tolerance_raises(base_params, base_measure, base_numerics):
@@ -922,13 +939,23 @@ def test_b0_lo_satisfies_its_ode(base_params, base_measure, base_solution):
         assert abs(residual) <= 50.0 * h ** 2
 
 
-def test_reference_intercepts_beta_independent(base_params, base_measure, base_solution):
-    # under the reference measure the ambiguity levels must not matter
-    bumped = dataclasses.replace(base_params, beta1=2.5, beta2=0.7, beta3=0.3)
+def test_reference_intercepts_beta_independent(base_params, base_measure, base_solution,
+                                               base_numerics):
+    # under the reference measure the ambiguity levels enter only through the
+    # strategy: beta3 moves neither pi_s nor the u* the coefficients hold, and
+    # with the stock strategy held fixed beta1 and beta2 do not matter either
     b1_ref, b0_ref = reference_mean_intercepts(base_params, base_measure, base_solution)
-    b1_ref2, b0_ref2 = reference_mean_intercepts(bumped, base_measure, base_solution)
-    assert np.allclose(b1_ref, b1_ref2, rtol=0, atol=1e-12)
-    assert np.allclose(b0_ref, b0_ref2, rtol=0, atol=1e-12)
+    tilted = dataclasses.replace(base_params, beta3=0.3)
+    b1_ref2, b0_ref2 = reference_mean_intercepts(tilted, base_measure,
+                                                 _with_params(base_solution, tilted))
+    bumped = dataclasses.replace(tilted, beta1=2.5, beta2=0.7)
+    columns = _first_lane(*_value_intercepts(
+        base_solution.grid, [bumped], base_measure.tables, [base_solution.u_star],
+        base_numerics.exp_cap, betas=(0.0, 0.0, 0.0),
+        stock=solver_mod._stock_coefficients(base_params)))
+    for b1, b0 in ((b1_ref2, b0_ref2), (columns[1], columns[4])):
+        assert np.allclose(b1_ref, b1, rtol=0, atol=1e-12)
+        assert np.allclose(b0_ref, b0, rtol=0, atol=1e-12)
 
 
 def test_reference_intercept_gap_matches_closed_form():
@@ -1129,14 +1156,14 @@ def test_distortions_vanish_without_ambiguity(base_measure, base_numerics):
 
 
 def test_distortion_side_takes_two_finite_floats_as_its_tilt():
-    side = DistortionSide(np.zeros_like, np.zeros_like, (np.float64(0.5), 2), +1)
+    side = DistortionSide(np.zeros_like, np.zeros_like, (np.float64(0.5), 2), +1, 700.0)
     assert side.tilt == (0.5, 2.0) and all(type(c) is float for c in side.tilt)
     # a tilt that varies in time (a callable) and malformed pairs fail at
     # construction, not inside the claim sampler
     for tilt in (lambda t: (0.5, 2.0), (0.5,), (0.5, 2.0, 0.0), (0.5, math.nan),
                  (math.inf, 0.0), ("0.5", 2.0), [0.5, 2.0], np.array([0.5, 2.0]), None):
         with pytest.raises(ValidationError, match="two finite floats") as caught:
-            DistortionSide(np.zeros_like, np.zeros_like, tilt, +1)
+            DistortionSide(np.zeros_like, np.zeros_like, tilt, +1, 700.0)
         assert caught.value.tag == "tilt"
 
 

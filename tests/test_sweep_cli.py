@@ -398,13 +398,15 @@ def test_cmd_solve_csv(tmp_path, base_params):
     assert np.allclose(pi_s_col, pi_s_star(ts, p), rtol=0, atol=1e-15)
 
 
-def test_solve_csv_formats_each_value_as_17_digits(tmp_path):
+def test_solve_csv_formats_each_value_as_17_digits(tmp_path, base_solution):
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1.2345678901234567e-300,
                0.1, 1.0 / 3.0, 2.0 ** 53]
     cols = [np.roll(special, j) for j in range(10)]
     grid, pi_q, pi_s, pi_p, B1, B0, b1_lo, b1_hi, b0_lo, b0_hi = cols
+    base = base_solution.coeffs
     coeffs = ValueCoefficients(B1=B1, B0=B0, b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo,
-                               b0_hi=b0_hi)
+                               b0_hi=b0_hi, params=base.params, measure=base.measure,
+                               u_star=base.u_star, exp_cap=base.exp_cap)
     solution = EquilibriumSolution(grid=grid, pi_q=np.abs(pi_q), pi_s=pi_s, pi_p=pi_p,
                                    coeffs=coeffs)
     out = tmp_path / "solution.csv"
