@@ -24,12 +24,12 @@ sides of a strategy with ``pi_q(t) A(t) = u*``, ``+-beta3 E(u*, z)``), so
 the distorted claims are a homogeneous compound Poisson process: a
 Poisson(Lambda (T - t0)) count per path with ``Lambda = int (1 - phi3) nu``,
 and sizes drawn exactly from the tilted size law (for truncated-normal
-sizes, again a truncated normal).  For a strategy that carries ``u_star``
+sizes, again a truncated normal).  For a strategy that carries ``coeffs``
 the discounted amount of a claim is ``u* Z``, so X(T) needs no claim times;
-they are drawn, uniform on [t0, T), only for a strategy without ``u_star``
+they are drawn, uniform on [t0, T), only for a strategy without ``coeffs``
 or for recorded paths.  Claims come grouped by path, so a path's claim total
 is the sum of one contiguous segment of the per-claim amounts (with
-``u_star``, ``u*`` times the segment sum of the sizes); the per-claim path
+``coeffs``, ``u*`` times the segment sum of the sizes); the per-claim path
 index is built only for recorded paths, which place each claim on the grid.
 
 Both default states read one set of draws.  Before default (h0 = 0) a path
@@ -42,9 +42,10 @@ random numbers, Glasserman 2003, sec. 4.2); its h0 = 0 row is the h0 = 0 run
 at the same seed, bit for bit.
 
 A strategy solved by the solver (one with ``coeffs``) carries its own
-model: a run given it with other parameters or another measure object
-raises a ValidationError (tag ``inputs``).  Other strategies, such as
-:class:`ConstantStrategy`, take the parameters and measure they are given.
+model, and so does every distortion side: a run or an objective given one
+with other parameters or another measure object raises a ValidationError
+(tag ``inputs``).  Other strategies, such as :class:`ConstantStrategy`, take
+the parameters and measure they are given.
 
 Reproducibility: paths are partitioned into fixed-size blocks and each block
 draws from its own ``SeedSequence(seed, spawn_key=(block,))`` stream, so
@@ -200,8 +201,8 @@ class _RunTables:
                     f"jump-tilt exponent reaches exp_cap={side.exp_cap:g} on the claim "
                     "quadrature nodes; the distorted size law is not an exact tilt there")
             self.claim_intensity = float(np.exp(expo) @ measure.weights)
-        # with the strategy's u* the discounted amount of a claim Z is u* Z
-        self.u_star = getattr(strategy, "u_star", None)
+        # with a solved strategy's u* the discounted amount of a claim Z is u* Z
+        self.u_star = strategy.coeffs.u_star if hasattr(strategy, "coeffs") else None
 
 
 def _path_totals(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -232,8 +233,8 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
     bit.
 
     Claims come grouped by path, so each path's claim total is the sum of one
-    segment of the per-claim arrays (:func:`_path_totals`); with the
-    strategy's ``u_star`` it is ``u*`` times the segment sum of the sizes.
+    segment of the per-claim arrays (:func:`_path_totals`); for a strategy
+    with ``coeffs`` it is ``u*`` times the segment sum of the sizes.
     The per-claim path index is built only when ``wealth`` is recorded.
     """
     times = tables.times
@@ -326,11 +327,15 @@ def _check_start(t0, T) -> None:
 
 def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
                 t0, x0, states, record=False):
-    if hasattr(strategy, "coeffs"):
-        _solved_coeffs(strategy, params, measure)
+    for solved in (strategy, side):
+        if hasattr(solved, "coeffs"):
+            _solved_coeffs(solved, params, measure)
     n_paths = _require_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ValidationError("n_paths<1", "need at least one path")
+    seed = _require_integer("seed", seed)
+    if seed < 0:
+        raise ValidationError("seed<0", f"seed must be >= 0, got {seed}")
     _check_start(t0, params.T)          # before any grid sizing
     _require_finite("x0", x0)
     if not 0.0 < dt <= (params.T - t0) / 10.0:
@@ -373,10 +378,12 @@ def simulate_terminal(strategy, distortion: Optional[DistortionSide],
     then those of ``h0=0`` at the same seed bit for bit; its h0 = 1 row has
     the h0 = 1 law but not the draws of ``h0=1`` alone, and is correlated
     with the h0 = 0 row.  ValidationError (tag ``h_range``) for any other
-    ``h0``, and (tag ``nonfinite:x0``) for a non-finite ``x0``.  A
-    ``strategy`` with ``coeffs`` (an equilibrium solution) runs only with its
-    own parameters and measure object: ValidationError (tag ``inputs``)
-    otherwise.
+    ``h0``, (tag ``nonfinite:x0``) for a non-finite ``x0``, and (tags
+    ``noninteger:seed``, ``nonfinite:seed``, ``seed<0``) unless ``seed`` is
+    an integer >= 0.  A ``strategy`` with ``coeffs`` (an equilibrium
+    solution) and a ``distortion`` side, which carries the ``coeffs`` of its
+    solve, run only with their own parameters and measure object:
+    ValidationError (tag ``inputs``) otherwise.
     """
     states = _default_states(h0)
     x0 = params.x0 if x0 is None else x0
@@ -398,7 +405,8 @@ def simulate_wealth(strategy, distortion: Optional[DistortionSide],
     bridge increments between grid times are drawn after them.  ``h0`` is
     one default state, 0 or 1; ValidationError (tag ``h_range``) otherwise.
     The inputs are checked as in :func:`simulate_terminal`: a strategy with
-    ``coeffs`` takes only its own parameters and measure (tag ``inputs``).
+    ``coeffs`` and a side take only their own parameters and measure (tag
+    ``inputs``).
     """
     states = _default_states(h0, pair=False)
     x0 = params.x0 if x0 is None else x0
@@ -447,13 +455,22 @@ def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide
     mean, its variance is ``(c2 - gamma c3 + (gamma^2/4)(c4 - c2^2)) / n``;
     central moments do not overflow where raw powers of a large wealth would.
     ValidationError (tag ``paths too few``) for fewer than 2 terminal values,
-    and (tag ``t_range``) for a start time ``t`` outside [0, T).
+    (tag ``nonfinite:x_T``) for a sample whose mean is not finite (a
+    non-finite value, or a sum that overflows), (tag ``t_range``) for a start
+    time ``t`` outside [0, T), and (tag ``inputs``) for a ``distortion``
+    whose ``coeffs`` hold other parameters or another measure object.
     """
+    if distortion is not None:
+        _solved_coeffs(distortion, params, measure)
     _check_start(t, params.T)
     n = x_T.size
     if n < 2:
         raise ValidationError("paths too few", f"paths too few: need 2 terminal values, got {n}")
-    m1 = float(np.mean(x_T))
+    with np.errstate(over="ignore", invalid="ignore"):     # raised below, with its tag
+        m1 = float(np.mean(x_T))
+    if not math.isfinite(m1):
+        raise ValidationError("nonfinite:x_T", f"terminal wealth sample has mean {m1}: "
+                              "every value must be finite")
     dev = x_T - m1
     dev2 = dev * dev
     c2 = float(np.mean(dev2))
@@ -491,8 +508,8 @@ def alpha_robust_value(strategy, dist: DistortionFunctions,
     :func:`simulate_terminal` sample, the lo side from ``seed`` and the hi
     side from ``seed + 1``.  Returns (value, std_error, estimate_lo,
     estimate_hi); ValidationError for fewer than 100 paths, and (tag
-    ``inputs``) for a ``strategy`` with ``coeffs`` given other parameters or
-    another measure object.
+    ``inputs``) for a ``strategy`` with ``coeffs`` or a side of ``dist``
+    given other parameters or another measure object.
     """
     if n_paths < 100:
         raise ValidationError("paths too few", f"paths too few: need n_paths >= 100, got {n_paths}")

@@ -48,10 +48,12 @@ integrals of the intercepts and the distortions clip at the same cap silently.
 
 After the solve, :class:`ValueCoefficients` is the one copy of the model:
 the parameters, the claim measure, ``u*`` and ``exp_cap``, none of them
-optional.  The calls made with a solution (:func:`distortions`,
-:func:`reference_mean_intercepts`, and the simulator's runs) read it, and
-raise a ValidationError (tag ``inputs``) when handed other parameters or
-another measure object.
+optional.  What is built from a solve holds its coefficients and reads them:
+the :class:`EquilibriumSolution` stores no strategy columns, and a
+:class:`DistortionSide` no cap of its own.  The calls made with a solution or
+a side (:func:`distortions`, :func:`reference_mean_intercepts`, and the
+simulator's runs and objective) raise a ValidationError (tag ``inputs``)
+when handed other parameters or another measure object.
 """
 
 from __future__ import annotations
@@ -110,22 +112,18 @@ _CHUNK_BYTES = 1 << 16
 # closed-form stock strategy
 # ---------------------------------------------------------------------------
 
-def _stock_denominator(params: ModelParams) -> float:
-    # gamma + (2 alpha - 1)(beta1 rho^2 + beta2 rho_hat^2) > 0 for alpha >= 1/2
-    two_a = 2.0 * params.alpha - 1.0
-    return params.gamma + two_a * (params.beta1 * params.rho ** 2
-                                   + params.beta2 * params.rho_hat ** 2)
-
-
 def _stock_coefficients(params: ModelParams) -> tuple[float, float]:
     """``(s0, s1)`` with ``pi_s_star(t) A(t) = s0 + s1 A(t)``.
 
     NumericalError unless both are finite: the stock formulas divide by
-    ``sigma2^2`` times :func:`_stock_denominator`, which underflows to 0 for
-    tiny sigma2.  Checked in Python floats, which do not warn.
+    ``sigma2^2 (gamma + (2 alpha - 1)(beta1 rho^2 + beta2 rho_hat^2))``, which
+    underflows to 0 for tiny sigma2.  Checked in Python floats, which do not
+    warn.
     """
-    scale = params.sigma2 ** 2 * _stock_denominator(params)
     two_a = 2.0 * params.alpha - 1.0
+    # gamma + (2 alpha - 1)(beta1 rho^2 + beta2 rho_hat^2) > 0 for alpha >= 1/2
+    scale = params.sigma2 ** 2 * (params.gamma + two_a * (params.beta1 * params.rho ** 2
+                                                          + params.beta2 * params.rho_hat ** 2))
     if scale != 0.0:
         s0 = (params.mu - params.r) / scale
         s1 = -params.sigma1 * params.sigma2 * params.rho \
@@ -139,18 +137,16 @@ def _stock_coefficients(params: ModelParams) -> tuple[float, float]:
 
 
 def pi_s_star(t, params: ModelParams):
-    """Equilibrium stock amount; identical pre- and post-default.
+    """Equilibrium stock amount ``s0 e^{-r(T-t)} + s1``; identical pre- and post-default.
 
-    NumericalError where :func:`_stock_coefficients` finds the stock demand out
-    of floating-point range.  Vectorized over t; returns a scalar for scalar
+    ``(s0, s1)`` are :func:`_stock_coefficients`, whose NumericalError this
+    raises where the stock demand is out of floating-point range.  The
+    discount multiplies, so it underflows silently for a huge ``r (T - t)``
+    rather than overflow.  Vectorized over t; returns a scalar for scalar
     input.
     """
-    _stock_coefficients(params)
-    t = np.asarray(t, dtype=float)
-    two_a = 2.0 * params.alpha - 1.0
-    numer = ((params.mu - params.r) * np.exp(-params.r * (params.T - t))
-             - params.sigma1 * params.sigma2 * params.rho * (params.gamma + two_a * params.beta1))
-    value = numer / (params.sigma2 ** 2 * _stock_denominator(params))
+    s0, s1 = _stock_coefficients(params)
+    value = s0 * np.exp(-params.r * (params.T - np.asarray(t, dtype=float))) + s1
     return value if value.ndim else float(value)
 
 
@@ -620,7 +616,8 @@ class ValueCoefficients:
     one lane at one cap, which :func:`value_function` evaluates at any t.
     All four are required, and every call after the solve reads them from
     here.  ValidationError (tag ``u_star``) unless ``u_star`` is a finite
-    float >= 0.
+    float >= 0, and (tags ``nonfinite:exp_cap``, ``exp_cap<=0``) unless
+    ``exp_cap`` is finite and > 0.
     """
 
     B1: np.ndarray
@@ -637,6 +634,7 @@ class ValueCoefficients:
     def __post_init__(self) -> None:
         if not (isinstance(self.u_star, float) and 0.0 <= self.u_star < math.inf):
             raise ValidationError("u_star", f"u_star must be a float in [0, inf), got {self.u_star!r}")
+        _require_positive("exp_cap", self.exp_cap)
 
 
 def _solved_coeffs(strategy, params: ModelParams, measure=None) -> ValueCoefficients:
@@ -661,27 +659,24 @@ def _solved_coeffs(strategy, params: ModelParams, measure=None) -> ValueCoeffici
 class EquilibriumSolution:
     """Equilibrium strategies and value coefficients on a uniform time grid.
 
-    ``pi_q`` and ``pi_s`` are the same functions in both default states;
-    ``pi_p`` is the pre-default bond amount (identically 0 after default).
-    ``u_star``, the root with ``pi_q(t) = u_star e^{-r(T-t)}``, and ``params``
-    are read-only views of ``coeffs``, so :meth:`pi_q_at` is exact at every t;
-    :meth:`pi_s_at` and :meth:`pi_p_at` are the closed forms
-    :func:`pi_s_star` and :func:`pi_p_star` of ``params``.  ``coeffs`` is the
-    one copy of the model: a call given this solution with other parameters
-    or another measure raises (tag ``inputs``).
+    The record holds the grid and ``coeffs``, the one copy of the model: a
+    call given this solution with other parameters or another measure raises
+    (tag ``inputs``).  All else is read from ``coeffs``: ``u_star``, the root
+    with ``pi_q(t) = u_star e^{-r(T-t)}``, ``params``, and the strategy at
+    any t, :meth:`pi_q_at` and the closed forms :meth:`pi_s_at` and
+    :meth:`pi_p_at`; the columns ``pi_q``, ``pi_s`` and ``pi_p`` are them on
+    the grid, evaluated at each read.  ``pi_q`` and ``pi_s`` are the same
+    functions in both default states; ``pi_p`` is the pre-default bond
+    amount (identically 0 after default).
     """
 
     grid: np.ndarray
-    pi_q: np.ndarray
-    pi_s: np.ndarray
-    pi_p: np.ndarray
     coeffs: ValueCoefficients
     u_star = property(lambda self: self.coeffs.u_star)
     params = property(lambda self: self.coeffs.params)
-
-    def __post_init__(self) -> None:
-        if np.any(self.pi_q < 0):
-            raise ValidationError("pi_q<0", "equilibrium reinsurance exposure must be nonnegative")
+    pi_q = property(lambda self: self.pi_q_at(self.grid))
+    pi_s = property(lambda self: self.pi_s_at(self.grid))
+    pi_p = property(lambda self: self.pi_p_at(self.grid))
 
     def pi_q_at(self, t):
         return self.coeffs.u_star / self.params.discount_to_horizon(t)
@@ -973,10 +968,11 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
     """Full equilibrium: strategies and value coefficients on a uniform grid.
 
     One root u* (:func:`solve_pi_q_grid`, whose residual check covers every
-    grid time), then closed forms: :func:`pi_s_star`, :func:`pi_p_star` and
-    the intercepts of :func:`_value_intercepts`.  ``time_steps`` sets only
-    the output grid.  NumericalError for hP = 0 or zeta = 0 (no finite bond
-    demand), a failed root, or non-finite coefficients.
+    grid time), then the closed-form intercepts of :func:`_value_intercepts`;
+    the strategy columns are the closed forms of the solution's ``coeffs``.
+    ``time_steps`` sets only the output grid.  NumericalError for hP = 0 or
+    zeta = 0 (no finite bond demand), a failed root, or non-finite
+    coefficients.
     """
     grid = np.linspace(0.0, params.T, numerics.time_steps + 1)
     pi_q = solve_pi_q_grid(grid, params, measure, numerics.root_tol, numerics.exp_cap)
@@ -987,7 +983,7 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
         B1=B1, B0=B0, b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi,
         params=params, measure=measure, u_star=u_star, exp_cap=numerics.exp_cap,
     )
-    return EquilibriumSolution(grid, pi_q, pi_s_star(grid, params), pi_p_star(grid, params), coeffs)
+    return EquilibriumSolution(grid, coeffs)
 
 
 def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
@@ -1038,15 +1034,19 @@ def value_function(t, x, h: int, coeffs: ValueCoefficients):
 
     B_h is the closed form :func:`_value_intercepts` at the inputs that
     ``coeffs`` carries, so it is exact between grid points and equals the
-    ``B1``/``B0`` columns on the grid.  ``h`` is one :func:`_default_states`.
+    ``B1``/``B0`` columns on the grid.  ``h`` is one :func:`_default_states`;
+    ValidationError (tag ``nonfinite:x``) for a non-finite wealth.
     """
     params = coeffs.params
     t_arr = np.asarray(t, dtype=float)
     _check_times(t_arr, params.T)
     h, = _default_states(h, pair=False)
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValidationError("nonfinite:x", f"wealth x must be finite, got {x}")
     B1, _, _, B0, _, _ = _first_lane(*_value_intercepts(
         t_arr, [params], coeffs.measure.tables, [coeffs.u_star], coeffs.exp_cap))
-    value = params.discount_to_horizon(t_arr) * np.asarray(x, dtype=float) \
+    value = params.discount_to_horizon(t_arr) * x \
         + (B1 if h == 1 else B0).reshape(t_arr.shape)
     return value if value.ndim else float(value)
 
@@ -1065,16 +1065,19 @@ class DistortionSide:
     ``sign`` is +1 for the ambiguity-averse (infimum) measure, whose penalty
     enters the objective with a plus sign, and -1 for the ambiguity-seeking
     (supremum) measure; ValidationError (tag ``sign``) for anything but the
-    int +1 or -1.  ``exp_cap`` is the cap the exponent clips at, finite and
-    > 0 (tags ``nonfinite:exp_cap``, ``exp_cap<=0``): :func:`distortions`
-    passes the solve's, and a side built by hand states its own.
+    int +1 or -1.  ``coeffs`` are those of the solve the side comes from
+    (:func:`distortions` passes them, and a side built by hand names a
+    solve's): ``exp_cap``, the cap the exponent clips at, is read from them,
+    and a simulation given the side with other parameters or another
+    measure raises (tag ``inputs``).
     """
 
     phi1: Callable[[np.ndarray], np.ndarray]
     phi2: Callable[[np.ndarray], np.ndarray]
     tilt: tuple[float, float]
     sign: int
-    exp_cap: float
+    coeffs: ValueCoefficients = field(repr=False)
+    exp_cap = property(lambda self: self.coeffs.exp_cap)
 
     def __post_init__(self) -> None:
         tilt = self.tilt
@@ -1085,7 +1088,6 @@ class DistortionSide:
         object.__setattr__(self, "tilt", (float(tilt[0]), float(tilt[1])))
         if not (type(self.sign) is int and self.sign in (1, -1)):
             raise ValidationError("sign", f"side sign must be the int +1 or -1, got {self.sign!r}")
-        _require_positive("exp_cap", self.exp_cap)
 
     def exponent(self, z):
         """The tilt exponent ``a z + b z^2`` at z, before clipping at ``+-exp_cap``."""
@@ -1120,12 +1122,13 @@ def distortions(solution, params: ModelParams) -> DistortionFunctions:
     first-order conditions in phi hold for any deterministic strategy, and
     with ``pi_q A = u*`` the jump tilt is the constant ``beta3 E(u*, z)``,
     negated on the hi side, clipped at the solve's ``coeffs.exp_cap``.  The
-    parameters and u* are those of ``coeffs``: ValidationError (tag
-    ``inputs``) when ``params`` differs from ``coeffs.params``, and (tag
-    ``u_star``) for a strategy without ``coeffs``.
+    parameters and u* are those of ``coeffs``, which both sides carry:
+    ValidationError (tag ``inputs``) when ``params`` differs from
+    ``coeffs.params``, and (tag ``u_star``) for a strategy without
+    ``coeffs``.
     """
     coeffs = _solved_coeffs(solution, params)
-    params, u, exp_cap = coeffs.params, coeffs.u_star, coeffs.exp_cap
+    params, u = coeffs.params, coeffs.u_star
     a, b = params.beta3 * u, 0.5 * params.beta3 * params.gamma * u * u
     pi_s = solution.pi_s_at
 
@@ -1138,8 +1141,8 @@ def distortions(solution, params: ModelParams) -> DistortionFunctions:
             * params.discount_to_horizon(t)
 
     return DistortionFunctions(
-        lo=DistortionSide(phi1_lo, phi2_lo, (a, b), +1, exp_cap),
-        hi=DistortionSide(lambda t: -phi1_lo(t), lambda t: -phi2_lo(t), (-a, -b), -1, exp_cap),
+        lo=DistortionSide(phi1_lo, phi2_lo, (a, b), +1, coeffs),
+        hi=DistortionSide(lambda t: -phi1_lo(t), lambda t: -phi2_lo(t), (-a, -b), -1, coeffs),
     )
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .config import (ALL_KEYS, ClaimModelSpec, ModelParams, NumericsConfig,
-                     replace_param)
+                     _require_integer, replace_param)
 from .errors import NumericalError, ValidationError
 from .levy import build_claim_tables
 from .solver import (EquilibriumSolution, _value_intercepts, pi_p_star, pi_s_star,
@@ -66,6 +66,7 @@ class SweepSpec:
     @classmethod
     def from_range(cls, param: str, lo: float, hi: float, count: int,
                    quantity: str, t: Optional[float] = None) -> "SweepSpec":
+        count = _require_integer("count", count)
         if count < 2:
             raise ValidationError("count<2", f"a sweep needs count >= 2, got {count}")
         return cls(param=param, values=tuple(np.linspace(lo, hi, count)),

@@ -15,11 +15,11 @@ from alphamv.config import (ALL_KEYS, NUMERICS_DEFAULTS, ClaimModelSpec, ModelPa
                             NumericsConfig, load_config, replace_param, save_config)
 from alphamv.errors import ConfigError, ValidationError
 from alphamv.levy import ClaimMeasure
-from alphamv.simulate import (ConstantStrategy, WealthPath, bond_price_path,
+from alphamv.simulate import (ConstantStrategy, WealthPath, alpha_robust_value, bond_price_path,
                               objective_from_terminal, simulate_terminal, simulate_wealth)
-from alphamv.solver import (DistortionSide, pre_default_system, reference_mean_intercepts,
-                            reinsurance_foc, scan_foc_sign_changes, solve_pi_q_grid,
-                            solve_pi_q_lanes, solve_pi_q_star, value_function)
+from alphamv.solver import (DistortionSide, distortions, pre_default_system,
+                            reference_mean_intercepts, reinsurance_foc, scan_foc_sign_changes,
+                            solve_pi_q_grid, solve_pi_q_lanes, solve_pi_q_star, value_function)
 from alphamv.sweep import SweepSpec
 from alphamv.verify import run_verification
 
@@ -243,6 +243,17 @@ _BAD_NUMERICS = [("root_tol_zero", "root_tol<=0", 0.0, 700.0),
                  ("exp_cap_negative", "exp_cap<=0", 1e-8, -1.0),
                  ("exp_cap_inf", "nonfinite:exp_cap", 1e-8, math.inf)]
 
+# (id, run of the base solution at a seed): each simulator entry point that takes one
+_SEEDED_RUNS = [
+    ("terminal", lambda b, seed: simulate_terminal(b.solution, None, b.params, b.measure,
+                                                   100, 0.01, seed)),
+    ("wealth", lambda b, seed: simulate_wealth(b.solution, None, b.params, b.measure,
+                                               10, 0.05, seed)),
+    ("alpha_robust", lambda b, seed: alpha_robust_value(
+        b.solution, distortions(b.solution, b.params), b.params, b.measure,
+        0.0, 1.0, 1, 100, 0.01, seed)),
+]
+
 
 # (id, error, tag, call on the base records): each call breaks one invariant
 _INVALID_CALLS = [
@@ -288,14 +299,14 @@ _INVALID_CALLS = [
       for n in (0, 1)],
     ("simulate-bond_t", ValidationError, "t>T1",
      lambda b: bond_price_path([b.params.T1 + 1.0], None, b.params)),
-    ("solver-solution_pi_q", ValidationError, "pi_q<0",
-     lambda b: dataclasses.replace(b.solution, pi_q=-b.solution.pi_q)),
     ("solver-value_h_range", ValidationError, "h_range",
      lambda b: value_function(0.0, 1.0, 2, b.solution.coeffs)),
     ("solver-value_h_range-float", ValidationError, "h_range",
      lambda b: value_function(0.0, 1.0, 1.0, b.solution.coeffs)),
     ("solver-value_h_range-bool", ValidationError, "h_range",
      lambda b: value_function(0.0, 1.0, True, b.solution.coeffs)),
+    ("solver-value_x_nan", ValidationError, "nonfinite:x",
+     lambda b: value_function(0.0, math.nan, 1, b.solution.coeffs)),
     *[(f"solver-{name}", ValidationError, "t_range", call) for name, call in (
         ("grid_t_past_T", lambda b: solve_pi_q_grid([0.0, 20.0], b.params, b.measure)),
         ("grid_t_negative", lambda b: solve_pi_q_grid([-5.0], b.params, b.measure)),
@@ -322,11 +333,12 @@ _INVALID_CALLS = [
                            ("one", "n_points<2", 1), ("fraction", "noninteger:n_points", 2.5),
                            ("nan", "nonfinite:n_points", math.nan))],
     *[(f"solver-side_exp_cap_{name}", ValidationError, tag,
-       lambda b, cap=cap: DistortionSide(np.zeros_like, np.zeros_like, (0.1, 0.01), +1, cap))
+       lambda b, cap=cap: dataclasses.replace(b.solution.coeffs, exp_cap=cap))
       for name, tag, cap in (("negative", "exp_cap<=0", -1.0), ("zero", "exp_cap<=0", 0.0),
                              ("nan", "nonfinite:exp_cap", math.nan))],
     *[(f"solver-side_sign_{name}", ValidationError, "sign",
-       lambda b, sign=sign: DistortionSide(np.zeros_like, np.zeros_like, (0.1, 0.01), sign, 700.0))
+       lambda b, sign=sign: DistortionSide(np.zeros_like, np.zeros_like, (0.1, 0.01), sign,
+                                           b.solution.coeffs))
       for name, sign in (("five", 5), ("zero", 0), ("bool", True), ("float", 1.0))],
     *[(f"simulate-{simulate.__name__}-x0_{name}", ValidationError, "nonfinite:x0",
        lambda b, simulate=simulate, x0=x0:
@@ -339,11 +351,25 @@ _INVALID_CALLS = [
     *[(f"simulate-objective_t_{name}", ValidationError, "t_range",
        lambda b, t=t: objective_from_terminal(np.ones(10), None, b.params, b.measure, t))
       for name, t in (("past_T", 20.0), ("at_T", 10.0), ("negative", -5.0), ("nan", math.nan))],
+    *[(f"simulate-objective_x_T_{name}", ValidationError, "nonfinite:x_T",
+       lambda b, x_T=x_T: objective_from_terminal(np.array(x_T),
+                                                  distortions(b.solution, b.params).lo,
+                                                  b.params, b.measure))
+      for name, x_T in (("nan", [1.0, math.nan, 2.0]), ("inf", [1.0, math.inf, 2.0]),
+                        ("inf_pair", [math.inf, -math.inf, 1.0]),
+                        ("overflow", [1e308, 1e308, 1.0]))],
+    *[(f"simulate-{run_name}-seed_{name}", ValidationError, tag,
+       lambda b, run=run, seed=seed: run(b, seed))
+      for run_name, run in _SEEDED_RUNS
+      for name, tag, seed in (("negative", "seed<0", -1), ("fraction", "noninteger:seed", 1.5),
+                              ("nan", "nonfinite:seed", math.nan))],
     *[(f"solver-rk4_steps_{name}", ValidationError, tag,
        lambda b, steps=steps: pre_default_system(b.solution, steps))
       for name, tag, steps in (("fraction", "noninteger:steps", 2.5),
                                ("nan", "nonfinite:steps", math.nan))],
     ("sweep-count", ValidationError, "count<2", lambda b: SweepSpec("alpha", (0.6,), "pi_q0")),
+    ("sweep-range_count_fraction", ValidationError, "noninteger:count",
+     lambda b: SweepSpec.from_range("alpha", 0.5, 1.0, 2.5, "pi_q0")),
 ]
 
 

@@ -96,25 +96,36 @@ def test_distorted_claim_intensity(base_params, base_measure, base_solution):
 
 
 class _HiddenUStar:
-    """The equilibrium strategy without ``u_star``: claims discounted one by one."""
+    """The equilibrium strategy without ``coeffs``: claims discounted one by one."""
 
     def __init__(self, solution):
         self.pi_q_at, self.pi_s_at, self.pi_p_at = (
             solution.pi_q_at, solution.pi_s_at, solution.pi_p_at)
 
 
+class _StrayUStar(_HiddenUStar):
+    """The same with a ``u_star`` attribute but no ``coeffs``: not a solved strategy."""
+
+    def __init__(self, solution):
+        super().__init__(solution)
+        self.u_star = 2.0 * solution.u_star
+
+
 def test_u_star_segment_sums_match_per_claim_discounting(base_params, base_measure,
                                                          base_solution):
     # under the same constant tilt and seed, the equilibrium (claim amounts
-    # u* Z, no claim times) and the same strategy without u_star (claim times
+    # u* Z, no claim times) and the same strategy without coeffs (claim times
     # drawn after the terminal normal, amounts e^{r(T-s)} pi_q(s) Z) share
-    # every draw X(T) reads, so they differ only by rounding
+    # every draw X(T) reads, so they differ only by rounding; a u_star
+    # attribute without coeffs does not select the u* Z path
     dist = distortions(base_solution, base_params)
     for i, side in enumerate((None, dist.lo, dist.hi)):
         runs = [simulate_terminal(strategy, side, base_params, base_measure,
                                   n_paths=20_000, dt=0.05, seed=500 + i, h0=0)
-                for strategy in (base_solution, _HiddenUStar(base_solution))]
-        (x_T, default_time, counts), (ref_x, ref_default, ref_counts) = runs
+                for strategy in (base_solution, _HiddenUStar(base_solution),
+                                 _StrayUStar(base_solution))]
+        (x_T, default_time, counts), (ref_x, ref_default, ref_counts), stray = runs
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(stray, runs[1]))
         assert np.array_equal(counts, ref_counts) and counts.sum() > 0
         assert np.array_equal(default_time, ref_default, equal_nan=True)
         assert np.max(np.abs(x_T - ref_x)) <= 1e-13 * np.max(np.abs(x_T))
@@ -333,7 +344,7 @@ def test_supercritical_size_tilt_raises(base_params, base_measure, base_solution
     spec = base_measure.spec
     b = 0.6 / spec.sigmaZ ** 2
     side = DistortionSide(phi1=np.zeros_like, phi2=np.zeros_like,
-                          tilt=(-2.0 * b * spec.muZ, b), sign=1, exp_cap=700.0)
+                          tilt=(-2.0 * b * spec.muZ, b), sign=1, coeffs=base_solution.coeffs)
     with pytest.raises(NumericalError, match="2b >= 1/sigmaZ"):
         simulate_terminal(base_solution, side, base_params, base_measure,
                           n_paths=50, dt=0.1, seed=5, h0=1)
@@ -523,7 +534,6 @@ def test_perturbed_strategy_does_not_beat_equilibrium(control, h, base_params, b
     # equilibrium value.  pi_q is the equilibrium's, so the jump tilt stays
     # constant; pi_p moves only the bond terms, so it is checked before default
     class Perturbed:
-        u_star = base_solution.u_star
         coeffs = base_solution.coeffs
         pi_q_at = staticmethod(base_solution.pi_q_at)
 
@@ -547,7 +557,8 @@ def test_perturbed_strategy_does_not_beat_equilibrium(control, h, base_params, b
 
 
 # (id, call on the base records): each hands a post-solve call the base
-# solution with other parameters or another measure object
+# solution, or a distortion side, with other parameters or another measure
+# object; ``b.other(params, measure)`` is the distortions of another solve
 _OTHER_MODEL = [
     ("distortions", lambda b: distortions(b.solution, b.q)),
     ("terminal", lambda b: simulate_terminal(b.solution, b.dist.lo, b.params, b.lam3,
@@ -559,6 +570,21 @@ _OTHER_MODEL = [
     ("wealth", lambda b: simulate_wealth(b.solution, None, b.params, b.rebuilt, 10, 0.05, 1)),
     ("alpha_robust", lambda b: alpha_robust_value(b.solution, b.dist, b.params, b.rebuilt,
                                                   0.0, 1.0, 1, 1000, 0.01, 1)),
+    ("terminal-side", lambda b: simulate_terminal(b.solution, b.other(b.q, b.measure).lo,
+                                                  b.params, b.measure, 20_000, 0.01, 1)),
+    ("terminal-side_measure", lambda b: simulate_terminal(
+        b.solution, b.other(b.params, b.rebuilt).lo, b.params, b.measure, 20_000, 0.01, 1)),
+    ("wealth-side", lambda b: simulate_wealth(b.solution, b.other(b.q, b.measure).hi,
+                                              b.params, b.measure, 10, 0.05, 1)),
+    ("alpha_robust-side", lambda b: alpha_robust_value(b.solution, b.other(b.q, b.measure),
+                                                       b.params, b.measure,
+                                                       0.0, 1.0, 1, 1000, 0.01, 1)),
+    ("objective-params", lambda b: objective_from_terminal(np.ones(10), b.dist.lo, b.gamma2,
+                                                           b.measure)),
+    ("objective-measure", lambda b: objective_from_terminal(np.ones(10), b.dist.lo, b.params,
+                                                            b.rebuilt)),
+    ("objective-side", lambda b: objective_from_terminal(np.ones(10), b.other(b.q, b.measure).lo,
+                                                         b.params, b.measure)),
 ]
 
 
@@ -567,12 +593,15 @@ _OTHER_MODEL = [
 def test_post_solve_calls_reject_another_copy_of_the_model(call, base_params, base_claims,
                                                            base_numerics, base_measure,
                                                            base_solution):
-    # the solution's coeffs are the one copy of the model after the solve; a
-    # rebuilt measure has the same law but is another object, and is refused
-    # too (two measures' == compares arrays)
+    # the solution's coeffs are the one copy of the model after the solve,
+    # and each distortion side carries those of its own solve; a rebuilt
+    # measure has the same law but is another object, and is refused too
+    # (two measures' == compares arrays)
     claims = dataclasses.replace(base_claims, lam=3.0)
     base = types.SimpleNamespace(
         params=base_params, measure=base_measure, solution=base_solution,
+        other=lambda params, measure: distortions(
+            solve_equilibrium(params, measure, base_numerics), params),
         dist=distortions(base_solution, base_params),
         q=dataclasses.replace(base_params, beta3=1.0, gamma=2.0),
         gamma2=dataclasses.replace(base_params, gamma=2.0),

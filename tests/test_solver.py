@@ -438,7 +438,8 @@ def test_solution_without_u_star_raises_typed_error(base_params, base_measure, b
 
 def test_solved_records_always_carry_their_inputs(base_solution):
     # the coefficients need the solve's params, measure, u* and cap, and a
-    # distortion side its cap: none of them has a default to fall back on
+    # distortion side the solve's coefficients: none of them has a default
+    # to fall back on
     c = base_solution.coeffs
     columns = dict(B1=c.B1, B0=c.B0, b1_lo=c.b1_lo, b1_hi=c.b1_hi, b0_lo=c.b0_lo, b0_hi=c.b0_hi)
     with pytest.raises(TypeError):
@@ -573,17 +574,28 @@ def test_lane_calls_need_one_table_row_per_lane(base_params, base_claims, base_m
     assert caught.value.tag == "lanes"
 
 
-def test_solution_reads_u_star_and_params_from_its_coefficients(base_solution):
-    # one copy of each solve input: the solution record holds none of its own
-    assert [f.name for f in dataclasses.fields(EquilibriumSolution)] == [
-        "grid", "pi_q", "pi_s", "pi_p", "coeffs"]
+def test_solution_reads_u_star_and_params_from_its_coefficients(base_measure, base_solution):
+    # one copy of each solve input: the solution record holds none of its
+    # own, no strategy column, and a distortion side no cap of its own
+    assert [f.name for f in dataclasses.fields(EquilibriumSolution)] == ["grid", "coeffs"]
+    assert "exp_cap" not in [f.name for f in dataclasses.fields(DistortionSide)]
     assert ClaimTables._fields == ("specs", "nodes", "probs")
     assert "exp_cap" not in inspect.signature(distortions).parameters
     c = base_solution.coeffs
     assert (base_solution.u_star, base_solution.params) == (c.u_star, c.params)
+    dist = distortions(base_solution, c.params)
+    for side in (dist.lo, dist.hi):
+        assert side.coeffs is c and side.exp_cap == c.exp_cap
     with pytest.raises(TypeError):
-        EquilibriumSolution(base_solution.grid, base_solution.pi_q, base_solution.pi_s,
-                            base_solution.pi_p, c, u_star=c.u_star)
+        EquilibriumSolution(base_solution.grid, c, u_star=c.u_star)
+    with pytest.raises(TypeError):
+        dataclasses.replace(base_solution, pi_q=1.001 * base_solution.pi_q)
+    grid = base_solution.grid
+    for column, at in (("pi_q", base_solution.pi_q_at), ("pi_s", base_solution.pi_s_at),
+                       ("pi_p", base_solution.pi_p_at)):
+        assert np.array_equal(getattr(base_solution, column), at(grid))
+    # u* / A(t) rounds as the root solve's own column does, bit for bit
+    assert np.array_equal(base_solution.pi_q, solve_pi_q_grid(grid, c.params, base_measure))
 
 
 def test_bracket_expansion_failure_signals_pathology(base_measure):
@@ -1155,15 +1167,16 @@ def test_distortions_vanish_without_ambiguity(base_measure, base_numerics):
     assert np.max(np.abs(dist.lo.phi3(ts[:, None], zs[None, :]))) < 1e-6
 
 
-def test_distortion_side_takes_two_finite_floats_as_its_tilt():
-    side = DistortionSide(np.zeros_like, np.zeros_like, (np.float64(0.5), 2), +1, 700.0)
+def test_distortion_side_takes_two_finite_floats_as_its_tilt(base_solution):
+    coeffs = base_solution.coeffs
+    side = DistortionSide(np.zeros_like, np.zeros_like, (np.float64(0.5), 2), +1, coeffs)
     assert side.tilt == (0.5, 2.0) and all(type(c) is float for c in side.tilt)
     # a tilt that varies in time (a callable) and malformed pairs fail at
     # construction, not inside the claim sampler
     for tilt in (lambda t: (0.5, 2.0), (0.5,), (0.5, 2.0, 0.0), (0.5, math.nan),
                  (math.inf, 0.0), ("0.5", 2.0), [0.5, 2.0], np.array([0.5, 2.0]), None):
         with pytest.raises(ValidationError, match="two finite floats") as caught:
-            DistortionSide(np.zeros_like, np.zeros_like, tilt, +1, 700.0)
+            DistortionSide(np.zeros_like, np.zeros_like, tilt, +1, coeffs)
         assert caught.value.tag == "tilt"
 
 

@@ -399,20 +399,21 @@ def test_cmd_solve_csv(tmp_path, base_params):
 
 
 def test_solve_csv_formats_each_value_as_17_digits(tmp_path, base_solution):
+    # the special values sit in the coefficient columns; the strategy columns
+    # are the closed forms on a finite grid, read off the solution
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1.2345678901234567e-300,
                0.1, 1.0 / 3.0, 2.0 ** 53]
-    cols = [np.roll(special, j) for j in range(10)]
-    grid, pi_q, pi_s, pi_p, B1, B0, b1_lo, b1_hi, b0_lo, b0_hi = cols
+    B1, B0, b1_lo, b1_hi, b0_lo, b0_hi = (np.roll(special, j) for j in range(6))
     base = base_solution.coeffs
     coeffs = ValueCoefficients(B1=B1, B0=B0, b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo,
                                b0_hi=b0_hi, params=base.params, measure=base.measure,
                                u_star=base.u_star, exp_cap=base.exp_cap)
-    solution = EquilibriumSolution(grid=grid, pi_q=np.abs(pi_q), pi_s=pi_s, pi_p=pi_p,
-                                   coeffs=coeffs)
+    grid = np.linspace(0.0, base.params.T, len(special))
+    solution = EquilibriumSolution(grid=grid, coeffs=coeffs)
     out = tmp_path / "solution.csv"
     write_solve_csv(out, solution)
-    table = np.column_stack((grid, np.abs(pi_q), pi_s, pi_p, B1, B0, b1_lo, b1_hi,
-                             b0_lo, b0_hi))
+    table = np.column_stack((grid, solution.pi_q, solution.pi_s, solution.pi_p, B1, B0,
+                             b1_lo, b1_hi, b0_lo, b0_hi))
     expected = "t,pi_q,pi_s,pi_p,B1,B0,b1_lo,b1_hi,b0_lo,b0_hi\n" + "".join(
         ",".join(format(float(x), ".17g") for x in row) + "\n" for row in table)
     assert out.read_bytes() == expected.encode("utf-8")
@@ -660,9 +661,10 @@ def test_verify_product_identity_holds_at_a_large_hi_side_exponent(base_params, 
 
 
 def test_cmd_verify_foc_residual_fails_a_root_off_by_1e_3(tmp_path, capsys, monkeypatch):
-    # every pi_q scaled by 1.001 after the solve: the Monte Carlo lines check
-    # only that V is the value of the strategy returned, so the residual of
-    # the first-order condition is the line that sees a wrong root
+    # u* scaled by 1.001 after the solve, and with it every pi_q (the
+    # intercepts keep the solved root): at 1,000 paths the Monte Carlo lines
+    # do not resolve that move, so the residual of the first-order condition
+    # is the line that sees a wrong root
     import alphamv.verify as verify_mod
     cfg = write_config(tmp_path / "base.cfg",
                        numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
@@ -675,7 +677,8 @@ def test_cmd_verify_foc_residual_fails_a_root_off_by_1e_3(tmp_path, capsys, monk
     assert foc_line(0).startswith("PASS")
     def off_root(*args):
         solution = solve_equilibrium(*args)
-        return dataclasses.replace(solution, pi_q=1.001 * solution.pi_q)
+        return dataclasses.replace(solution, coeffs=dataclasses.replace(
+            solution.coeffs, u_star=1.001 * solution.u_star))
 
     monkeypatch.setattr(verify_mod, "solve_equilibrium", off_root)
     assert foc_line(2).startswith("FAIL")
