@@ -31,7 +31,7 @@ dist = distortions(solution, params)
 print(f"{numerics.mc_paths} paths, dt = {numerics.mc_dt}")
 for h, label in ((1, "post-default"), (0, "pre-default")):
     value, se, est_lo, est_hi = alpha_robust_value(
-        solution, dist, params, measure, 0.0, params.x0, h,
+        solution, dist, 0.0, params.x0, h,
         numerics.mc_paths, numerics.mc_dt, numerics.seed)
     target = value_function(0.0, params.x0, h, solution.coeffs)
     print(f"\n{label} (h={h}):")

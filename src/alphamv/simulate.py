@@ -42,10 +42,12 @@ random numbers, Glasserman 2003, sec. 4.2); its h0 = 0 row is the h0 = 0 run
 at the same seed, bit for bit.
 
 A strategy solved by the solver (one with ``coeffs``) carries its own
-model, and so does every distortion side: a run or an objective given one
-with other parameters or another measure object raises a ValidationError
-(tag ``inputs``).  Other strategies, such as :class:`ConstantStrategy`, take
-the parameters and measure they are given.
+model, and so does every distortion side, which is a solved strategy and a
+sign: a run or an objective given one with other parameters or another
+measure object raises a ValidationError (tag ``inputs``), and
+:func:`alpha_robust_value` reads the parameters and measure from its sides.
+Other strategies, such as :class:`ConstantStrategy`, take the parameters and
+measure they are given.
 
 Reproducibility: paths are partitioned into fixed-size blocks and each block
 draws from its own ``SeedSequence(seed, spawn_key=(block,))`` stream, so
@@ -164,6 +166,7 @@ class _RunTables:
         self.dt = horizon / n_steps
         self.n_steps = n_steps
         self.times = times = t0 + self.dt * np.arange(n_steps + 1)
+        times[-1] = params.T        # the sum can overshoot T by an ulp
 
         pi_q = np.asarray(strategy.pi_q_at(times), dtype=float)
         pi_s = np.asarray(strategy.pi_s_at(times), dtype=float)
@@ -345,6 +348,10 @@ def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
         raise ValidationError("path_storage", "trajectory storage would exceed the safety limit; "
                               "use simulate_terminal for large runs")
     tables = _RunTables(strategy, side, params, measure, t0, dt)
+    claims = min(n_paths, BLOCK_SIZE) * tables.claim_intensity * (params.T - t0)
+    if not claims < 2.0 ** 62:      # Poisson's range and the int64 claim total
+        raise NumericalError(f"expected claim count {claims:g} of a block of paths is not "
+                             "below 2^62, the claim sampler's range: lambda is too large")
     wealth = np.empty((n_paths, tables.n_steps + 1)) if record else None
     blocks = []
     for block_idx in range(0, -(-n_paths // BLOCK_SIZE)):
@@ -381,9 +388,11 @@ def simulate_terminal(strategy, distortion: Optional[DistortionSide],
     ``h0``, (tag ``nonfinite:x0``) for a non-finite ``x0``, and (tags
     ``noninteger:seed``, ``nonfinite:seed``, ``seed<0``) unless ``seed`` is
     an integer >= 0.  A ``strategy`` with ``coeffs`` (an equilibrium
-    solution) and a ``distortion`` side, which carries the ``coeffs`` of its
-    solve, run only with their own parameters and measure object:
-    ValidationError (tag ``inputs``) otherwise.
+    solution) and a ``distortion`` side, whose solved strategy carries them,
+    run only with their own parameters and measure object: ValidationError
+    (tag ``inputs``) otherwise.  NumericalError before any draw where the
+    expected claim count of a block of paths is not below ``2^62``, the
+    range of the Poisson sampler and of the int64 claim total.
     """
     states = _default_states(h0)
     x0 = params.x0 if x0 is None else x0
@@ -454,15 +463,20 @@ def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide
     sample moments.  Written in the central moments ``c_k`` about the sample
     mean, its variance is ``(c2 - gamma c3 + (gamma^2/4)(c4 - c2^2)) / n``;
     central moments do not overflow where raw powers of a large wealth would.
-    ValidationError (tag ``paths too few``) for fewer than 2 terminal values,
-    (tag ``nonfinite:x_T``) for a sample whose mean is not finite (a
-    non-finite value, or a sum that overflows), (tag ``t_range``) for a start
+    ValidationError (tag ``ndim:x_T``) unless ``x_T`` is 1-D (score each row
+    of a sample of several default states on its own), (tag ``paths too
+    few``) for fewer than 2 terminal values, (tag ``nonfinite:x_T``) for a
+    sample whose mean is not finite (a non-finite value, or a sum that
+    overflows), (tag ``t_range``) for a start
     time ``t`` outside [0, T), and (tag ``inputs``) for a ``distortion``
     whose ``coeffs`` hold other parameters or another measure object.
     """
     if distortion is not None:
         _solved_coeffs(distortion, params, measure)
     _check_start(t, params.T)
+    if np.ndim(x_T) != 1:
+        raise ValidationError("ndim:x_T", f"terminal wealth sample must be 1-D, got shape "
+                              f"{np.shape(x_T)}: score one default state at a time")
     n = x_T.size
     if n < 2:
         raise ValidationError("paths too few", f"paths too few: need 2 terminal values, got {n}")
@@ -498,21 +512,21 @@ def _alpha_mix(est_lo: ObjectiveEstimate, est_hi: ObjectiveEstimate,
             math.hypot(a * est_lo.std_error, a_hat * est_hi.std_error))
 
 
-def alpha_robust_value(strategy, dist: DistortionFunctions,
-                       params: ModelParams, measure: ClaimMeasure,
-                       t: float, x: float, h: int,
+def alpha_robust_value(strategy, dist: DistortionFunctions, t: float, x: float, h: int,
                        n_paths: int, dt: float, seed: int):
     """alpha J_lo + (1 - alpha) J_hi with independent samples per side.
 
-    Each side's objective is :func:`objective_from_terminal` of its own
-    :func:`simulate_terminal` sample, the lo side from ``seed`` and the hi
-    side from ``seed + 1``.  Returns (value, std_error, estimate_lo,
-    estimate_hi); ValidationError for fewer than 100 paths, and (tag
-    ``inputs``) for a ``strategy`` with ``coeffs`` or a side of ``dist``
-    given other parameters or another measure object.
+    The parameters and the measure are those of ``dist.lo.coeffs``, the
+    model the sides were solved with.  Each side's objective is
+    :func:`objective_from_terminal` of its own :func:`simulate_terminal`
+    sample, the lo side from ``seed`` and the hi side from ``seed + 1``.
+    Returns (value, std_error, estimate_lo, estimate_hi); ValidationError
+    for fewer than 100 paths, and (tag ``inputs``) for a ``strategy`` with
+    ``coeffs`` or a hi side solved on another model than the lo side's.
     """
     if n_paths < 100:
         raise ValidationError("paths too few", f"paths too few: need n_paths >= 100, got {n_paths}")
+    params, measure = dist.lo.coeffs.params, dist.lo.coeffs.measure
     est_lo, est_hi = (
         objective_from_terminal(simulate_terminal(strategy, side, params, measure, n_paths, dt,
                                                   seed + i, t0=t, x0=x, h0=h)[0],

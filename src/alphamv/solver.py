@@ -48,21 +48,22 @@ integrals of the intercepts and the distortions clip at the same cap silently.
 
 After the solve, :class:`ValueCoefficients` is the one copy of the model:
 the parameters, the claim measure, ``u*`` and ``exp_cap``, none of them
-optional.  What is built from a solve holds its coefficients and reads them:
-the :class:`EquilibriumSolution` stores no strategy columns, and a
-:class:`DistortionSide` no cap of its own.  The calls made with a solution or
-a side (:func:`distortions`, :func:`reference_mean_intercepts`, and the
-simulator's runs and objective) raise a ValidationError (tag ``inputs``)
-when handed other parameters or another measure object.
+optional.  What is built from a solve holds it and derives the rest: the
+:class:`EquilibriumSolution` is its grid and coefficients, with no strategy
+columns, and a :class:`DistortionSide` is a solved strategy and a sign, its
+drift shifts, jump tilt and cap all read from them.  The calls made with a
+solution or a side (:func:`distortions`, :func:`reference_mean_intercepts`,
+and the simulator's runs and objective) raise a ValidationError (tag
+``inputs``) when handed other parameters or another measure object.  The
+strategy's closed forms take a t in [0, T] only (tag ``t_range``).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,9 +143,10 @@ def pi_s_star(t, params: ModelParams):
     ``(s0, s1)`` are :func:`_stock_coefficients`, whose NumericalError this
     raises where the stock demand is out of floating-point range.  The
     discount multiplies, so it underflows silently for a huge ``r (T - t)``
-    rather than overflow.  Vectorized over t; returns a scalar for scalar
-    input.
+    rather than overflow.  ValidationError (tag ``t_range``) for a t outside
+    [0, T] or NaN.  Vectorized over t; returns a scalar for scalar input.
     """
+    _check_times(t, params.T)
     s0, s1 = _stock_coefficients(params)
     value = s0 * np.exp(-params.r * (params.T - np.asarray(t, dtype=float))) + s1
     return value if value.ndim else float(value)
@@ -193,11 +195,13 @@ def pi_p_star(t, params: ModelParams):
     first loses digits.  Neither alpha, the betas nor the claim law enters it,
     and it is exactly 0 at the fair spread ``delta = zeta hP``.  The RK4 sweep
     of :func:`pre_default_system` computes the same column by the independent
-    route.  NumericalError for hP = 0 or zeta = 0 (no finite bond
-    demand).  Vectorized over t; returns a scalar for scalar input.
+    route.  NumericalError for hP = 0 or zeta = 0 (no finite bond demand),
+    and ValidationError (tag ``t_range``) for a t outside [0, T] or NaN.
+    Vectorized over t; returns a scalar for scalar input.
     """
-    _check_bond_demand(params)
     t = np.asarray(t, dtype=float)
+    _check_times(t, params.T)
+    _check_bond_demand(params)
     n0, zeta, hP = params.bond_excess_drift, params.zeta, params.hP
     decay = np.exp(-params.h_q * (params.T - t))
     value = n0 * (zeta * hP + n0 * decay) / (
@@ -209,8 +213,11 @@ def pi_p_star(t, params: ModelParams):
 # reinsurance first-order condition and root solve
 # ---------------------------------------------------------------------------
 
-def _check_times(t: np.ndarray, T) -> None:
+def _check_times(t, T) -> None:
     """ValidationError (tag ``t_range``) unless every t lies in [0, T]; NaN fails too."""
+    if isinstance(t, float) and 0.0 <= t <= T:
+        return          # a scalar in range skips numpy's per-call cost
+    t = np.asarray(t, dtype=float)
     inside = (t >= 0.0) & (t <= T)
     if not inside.all():
         t_out, T_out = (float(np.broadcast_to(v, inside.shape)[~inside][0]) for v in (t, T))
@@ -637,18 +644,24 @@ class ValueCoefficients:
         _require_positive("exp_cap", self.exp_cap)
 
 
-def _solved_coeffs(strategy, params: ModelParams, measure=None) -> ValueCoefficients:
-    """The ``coeffs`` that ``strategy`` was solved with, checked against the caller's copies.
-
-    ValidationError (tag ``u_star``) for a strategy without ``coeffs``, and
-    (tag ``inputs``) when ``params`` differs from ``coeffs.params`` or a
-    given ``measure`` is not the object ``coeffs.measure``.  A measure is
-    compared by identity: ``==`` of two measures compares their arrays.
-    """
+def _coeffs(strategy) -> ValueCoefficients:
+    """The ``coeffs`` ``strategy`` was solved with; ValidationError (tag ``u_star``) if none."""
     coeffs = getattr(strategy, "coeffs", None)
     if coeffs is None:
         raise ValidationError("u_star", f"{type(strategy).__name__} has no coeffs with u_star: "
                               "pi_q(t) = u_star e^{-r(T-t)} (solve_equilibrium sets it)")
+    return coeffs
+
+
+def _solved_coeffs(strategy, params: ModelParams, measure=None) -> ValueCoefficients:
+    """The :func:`_coeffs` of ``strategy``, checked against the caller's copies.
+
+    ValidationError (tag ``inputs``) when ``params`` differs from
+    ``coeffs.params`` or a given ``measure`` is not the object
+    ``coeffs.measure``.  A measure is compared by identity: ``==`` of two
+    measures compares their arrays.
+    """
+    coeffs = _coeffs(strategy)
     if params != coeffs.params or (measure is not None and measure is not coeffs.measure):
         raise ValidationError("inputs", f"{'params' if params != coeffs.params else 'measure'} "
                               "is not the solution's own: calls after the solve take its coeffs")
@@ -663,11 +676,11 @@ class EquilibriumSolution:
     call given this solution with other parameters or another measure raises
     (tag ``inputs``).  All else is read from ``coeffs``: ``u_star``, the root
     with ``pi_q(t) = u_star e^{-r(T-t)}``, ``params``, and the strategy at
-    any t, :meth:`pi_q_at` and the closed forms :meth:`pi_s_at` and
-    :meth:`pi_p_at`; the columns ``pi_q``, ``pi_s`` and ``pi_p`` are them on
-    the grid, evaluated at each read.  ``pi_q`` and ``pi_s`` are the same
-    functions in both default states; ``pi_p`` is the pre-default bond
-    amount (identically 0 after default).
+    any t in [0, T] (tag ``t_range`` otherwise), :meth:`pi_q_at` and the
+    closed forms :meth:`pi_s_at` and :meth:`pi_p_at`; the columns ``pi_q``,
+    ``pi_s`` and ``pi_p`` are them on the grid, evaluated at each read.
+    ``pi_q`` and ``pi_s`` are the same functions in both default states;
+    ``pi_p`` is the pre-default bond amount (identically 0 after default).
     """
 
     grid: np.ndarray
@@ -679,6 +692,7 @@ class EquilibriumSolution:
     pi_p = property(lambda self: self.pi_p_at(self.grid))
 
     def pi_q_at(self, t):
+        _check_times(t, self.params.T)
         return self.coeffs.u_star / self.params.discount_to_horizon(t)
 
     def pi_s_at(self, t):
@@ -730,19 +744,18 @@ def _claim_integrals(u_star, beta3, params: Sequence[ModelParams], tables: Claim
 
 
 def _integrands(params: Sequence[ModelParams], tables: ClaimTables, u_star, exp_cap,
-                betas: Optional[tuple[float, float, float]] = None,
-                stock: Optional[tuple[float, float]] = None):
+                reference: bool = False):
     """Integrands of every lane's post-default intercepts as quadratics in ``A = e^{r(T-t)}``.
 
     ``B1' = -fB1``, ``b1_lo' = -f1_lo`` and ``b1_hi' = -f1_hi`` in t.  The
     strategy enters through ``pi_q A = u*``, a constant, and ``pi_s A = s0 +
-    s1 A`` with ``stock = (s0, s1)``, so each integrand is ``c0 + c1 A + c2
-    A^2``.  Lane l is ``params[l]`` with row l of ``tables`` (one row per
-    lane) and root ``u_star[l]``.  ``betas`` are the ambiguity levels
-    of the measure the intercepts are taken under, and ``stock`` the stock
-    strategy, for every lane; they default to each lane's own, and differ
-    from them for a fixed strategy evaluated under another measure (all
-    betas zero is the reference measure).  The claim integrals of all lanes
+    s1 A`` with ``(s0, s1)`` the lane's :func:`_stock_coefficients`, so each
+    integrand is ``c0 + c1 A + c2 A^2``.  Lane l is ``params[l]`` with row l
+    of ``tables`` (one row per lane) and root ``u_star[l]``.  The means are
+    taken under each lane's own extremal measures, or with ``reference``
+    under the reference measure: the same strategy with every ambiguity
+    level zero in the integrands (``beta3 = 0`` in the claim integrals,
+    ``b1 = b2 = 0`` in the drift terms).  The claim integrals of all lanes
     are one pass over the tables (:func:`_claim_integrals`); the scalar
     terms of each lane are Python floats, as in the strategies' closed
     forms.
@@ -752,14 +765,14 @@ def _integrands(params: Sequence[ModelParams], tables: ClaimTables, u_star, exp_
     lane's stock-demand NumericalError (its integrands None), else None.
     """
     n = len(params)
-    beta3 = [p.beta3 for p in params] if betas is None else [betas[2]] * n
+    beta3 = [0.0] * n if reference else [p.beta3 for p in params]
     claims = _claim_integrals(u_star, beta3, params, tables, exp_cap)
     integrands, errors = [None] * n, [None] * n
     for lane, (p, u, (m1, I_plus, I_minus, KB)) in enumerate(
             zip(params, np.asarray(u_star, dtype=float).tolist(), claims)):
-        b1, b2 = (p.beta1, p.beta2) if betas is None else betas[:2]
+        b1, b2 = (0.0, 0.0) if reference else (p.beta1, p.beta2)
         try:
-            p0, p1 = _stock_coefficients(p) if stock is None else stock
+            p0, p1 = _stock_coefficients(p)
         except NumericalError as exc:
             errors[lane] = exc
             continue
@@ -789,14 +802,14 @@ def _integrands(params: Sequence[ModelParams], tables: ClaimTables, u_star, exp_
 
 
 def _value_intercepts(t, params: Sequence[ModelParams], tables: ClaimTables, u_star,
-                      exp_cap: float, betas=None, stock=None):
+                      exp_cap: float, reference: bool = False):
     """The intercepts ``(B1, b1_lo, b1_hi, B0, b0_lo, b0_hi)`` of every lane at times t in closed form.
 
     Lane l is ``params[l]`` with row l of ``tables`` (tag ``lanes`` unless one
     row per lane) and root ``u_star[l]``; ``exp_cap`` is one float for all.
     In ``tau = T - t``, with ``A = e^{r tau}``, every intercept vanishes at
     tau = 0.  The post-default ones integrate the quadratics in A of
-    :func:`_integrands` (``betas`` and ``stock`` are passed on to it):
+    :func:`_integrands` (``reference`` is passed on to it):
     ``int_0^tau A^j ds = expm1(j r tau) / (j r)``.  Pre-default, with pi_p
     at its first-order condition, write ``n0 = delta - zeta hP``, ``c =
     n0^2 / (gamma zeta^2 hP)`` and ``k = delta/zeta``:
@@ -824,7 +837,7 @@ def _value_intercepts(t, params: Sequence[ModelParams], tables: ClaimTables, u_s
     """
     _check_lanes(params, tables)
     t = np.asarray(t, dtype=float).reshape(-1)
-    integrands, errors = _integrands(params, tables, u_star, exp_cap, betas, stock)
+    integrands, errors = _integrands(params, tables, u_star, exp_cap, reference)
     block = []          # per lane: T, r, n0, zeta, hP, k, c, 1/2 - n0/delta, the integrands
     for lane, p in enumerate(params):
         try:
@@ -991,8 +1004,8 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
                               exp_cap: float = DEFAULT_EXP_CAP):
     """Mean intercepts of the equilibrium strategy under the reference measure.
 
-    The closed form of :func:`_value_intercepts` with every ambiguity level
-    set to zero while the strategy of ``solution`` stays fixed, so
+    The closed form of :func:`_value_intercepts` with ``reference``: every
+    ambiguity level zero while the strategy of ``solution`` stays fixed, so
     ``E[X(T) | X(t)=x, H(t)=h]`` equals ``e^{r(T-t)} x + b_ref_h(t)``.  The
     bond amount does not depend on the betas, so ``b0_ref = b1_ref - D``
     still holds.  The parameters, the measure and u* are those of
@@ -1005,7 +1018,7 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
     coeffs = _solved_coeffs(solution, params, measure)
     columns = _first_lane(*_value_intercepts(
         solution.grid, [coeffs.params], coeffs.measure.tables, [coeffs.u_star], exp_cap,
-        betas=(0.0, 0.0, 0.0), stock=_stock_coefficients(coeffs.params)))
+        reference=True))
     return columns[1], columns[4]
 
 
@@ -1053,41 +1066,54 @@ def value_function(t, x, h: int, coeffs: ValueCoefficients):
 
 @dataclass(frozen=True)
 class DistortionSide:
-    """One extreme measure: drift shifts phi1, phi2 and jump tilt phi3.
+    """One extreme measure of a strategy: drift shifts phi1, phi2 and jump tilt phi3.
 
-    The jump tilt is the constant pair ``tilt = (a, b)`` of exponent
-    coefficients, ``1 - phi3(t, z) = exp(clip(x))`` with the tilt exponent
-    ``x = a z + b z^2`` of :meth:`exponent`: with ``pi_q A = u*`` it is the
-    same at every t.  :meth:`phi3`, the claim sampler's intensity and the
-    distortion identities all read that one exponent.  ValidationError (tag
-    ``tilt``) unless the tilt is two finite floats.
+    A side is its ``strategy`` and its ``sign``; all else is derived from
+    them, read from ``coeffs``, the strategy's own (ValidationError, tag
+    ``u_star``, for a strategy without ``coeffs``).  ``sign`` is +1 for the
+    ambiguity-averse (infimum) measure, whose penalty enters the objective
+    with a plus sign, and -1 for the ambiguity-seeking (supremum) measure;
+    ValidationError (tag ``sign``) for anything but the int +1 or -1.  The
+    extremal distortions are the first-order conditions of the inner inf or
+    sup at the strategy:
 
-    ``sign`` is +1 for the ambiguity-averse (infimum) measure, whose penalty
-    enters the objective with a plus sign, and -1 for the ambiguity-seeking
-    (supremum) measure; ValidationError (tag ``sign``) for anything but the
-    int +1 or -1.  ``coeffs`` are those of the solve the side comes from
-    (:func:`distortions` passes them, and a side built by hand names a
-    solve's): ``exp_cap``, the cap the exponent clips at, is read from them,
-    and a simulation given the side with other parameters or another
-    measure raises (tag ``inputs``).
+        phi1(t) = sign beta1 (sigma1 + sigma2 rho pi_s(t)) A(t),
+        phi2(t) = sign beta2 sigma2 rho_hat pi_s(t) A(t),
+
+    with ``pi_s`` the strategy's ``pi_s_at``, and with ``pi_q A = u*`` the
+    jump tilt is the constant pair ``tilt = sign (beta3 u*, beta3 gamma
+    u*^2 / 2)`` of exponent coefficients: ``1 - phi3(t, z) = exp(clip(x))``
+    with the tilt exponent ``x = sign beta3 E(u*, z)`` of :meth:`exponent`,
+    clipped at ``exp_cap``, the solve's.  :meth:`phi3`, the claim sampler's
+    intensity and the distortion identities all read that one exponent.  A
+    simulation given the side with other parameters or another measure
+    raises (tag ``inputs``).
     """
 
-    phi1: Callable[[np.ndarray], np.ndarray]
-    phi2: Callable[[np.ndarray], np.ndarray]
-    tilt: tuple[float, float]
+    strategy: object = field(repr=False)
     sign: int
-    coeffs: ValueCoefficients = field(repr=False)
+    coeffs = property(lambda self: self.strategy.coeffs)
     exp_cap = property(lambda self: self.coeffs.exp_cap)
 
     def __post_init__(self) -> None:
-        tilt = self.tilt
-        if not (isinstance(tilt, tuple) and len(tilt) == 2
-                and all(isinstance(c, numbers.Real) and math.isfinite(c) for c in tilt)):
-            raise ValidationError(
-                "tilt", f"jump tilt must be two finite floats (a, b), got {tilt!r}")
-        object.__setattr__(self, "tilt", (float(tilt[0]), float(tilt[1])))
         if not (type(self.sign) is int and self.sign in (1, -1)):
             raise ValidationError("sign", f"side sign must be the int +1 or -1, got {self.sign!r}")
+        _coeffs(self.strategy)
+
+    @property
+    def tilt(self) -> tuple[float, float]:
+        p, u = self.coeffs.params, self.coeffs.u_star
+        return self.sign * (p.beta3 * u), self.sign * (0.5 * p.beta3 * p.gamma * u * u)
+
+    def phi1(self, t):
+        p = self.coeffs.params
+        return self.sign * p.beta1 * (p.sigma1 + p.sigma2 * p.rho * self.strategy.pi_s_at(t)) \
+            * p.discount_to_horizon(t)
+
+    def phi2(self, t):
+        p = self.coeffs.params
+        return self.sign * p.beta2 * p.sigma2 * p.rho_hat * self.strategy.pi_s_at(t) \
+            * p.discount_to_horizon(t)
 
     def exponent(self, z):
         """The tilt exponent ``a z + b z^2`` at z, before clipping at ``+-exp_cap``."""
@@ -1115,35 +1141,18 @@ class DistortionFunctions:
 
 
 def distortions(solution, params: ModelParams) -> DistortionFunctions:
-    """Extremal distortions of a strategy with ``pi_q A = u*`` (evaluated lazily).
+    """Extremal distortions of a strategy with ``pi_q A = u*``: two :class:`DistortionSide`.
 
     ``solution`` is any strategy with ``pi_s_at`` and ``coeffs``: the
     equilibrium, or the equilibrium with other stock or bond amounts.  The
-    first-order conditions in phi hold for any deterministic strategy, and
-    with ``pi_q A = u*`` the jump tilt is the constant ``beta3 E(u*, z)``,
-    negated on the hi side, clipped at the solve's ``coeffs.exp_cap``.  The
-    parameters and u* are those of ``coeffs``, which both sides carry:
-    ValidationError (tag ``inputs``) when ``params`` differs from
+    first-order conditions in phi hold for any deterministic strategy, so
+    each side is the strategy and a sign, and reads everything else from
+    it.  ValidationError (tag ``inputs``) when ``params`` differs from
     ``coeffs.params``, and (tag ``u_star``) for a strategy without
     ``coeffs``.
     """
-    coeffs = _solved_coeffs(solution, params)
-    params, u = coeffs.params, coeffs.u_star
-    a, b = params.beta3 * u, 0.5 * params.beta3 * params.gamma * u * u
-    pi_s = solution.pi_s_at
-
-    def phi1_lo(t):
-        return params.beta1 * (params.sigma1 + params.sigma2 * params.rho * pi_s(t)) \
-            * params.discount_to_horizon(t)
-
-    def phi2_lo(t):
-        return params.beta2 * params.sigma2 * params.rho_hat * pi_s(t) \
-            * params.discount_to_horizon(t)
-
-    return DistortionFunctions(
-        lo=DistortionSide(phi1_lo, phi2_lo, (a, b), +1, coeffs),
-        hi=DistortionSide(lambda t: -phi1_lo(t), lambda t: -phi2_lo(t), (-a, -b), -1, coeffs),
-    )
+    _solved_coeffs(solution, params)
+    return DistortionFunctions(DistortionSide(solution, +1), DistortionSide(solution, -1))
 
 
 # Below this |phi3| the entropy q log q + phi3 (q = 1 - phi3) is taken from its

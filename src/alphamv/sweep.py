@@ -27,8 +27,8 @@ from .config import (ALL_KEYS, ClaimModelSpec, ModelParams, NumericsConfig,
                      _require_integer, replace_param)
 from .errors import NumericalError, ValidationError
 from .levy import build_claim_tables
-from .solver import (EquilibriumSolution, _value_intercepts, pi_p_star, pi_s_star,
-                     solve_pi_q_lanes)
+from .solver import (EquilibriumSolution, _check_times, _value_intercepts, pi_p_star,
+                     pi_s_star, solve_pi_q_lanes)
 
 __all__ = [
     "QUANTITIES",
@@ -90,11 +90,6 @@ class SweepResult:
         return np.array([row.quantity for row in self.rows if row.status == "ok"])
 
 
-def _check_time(t: float, params: ModelParams) -> None:
-    if not 0.0 <= t <= params.T:
-        raise ValidationError("t_range", f"evaluation time must lie in [0, T], got t={t}")
-
-
 def evaluate_quantity(params: ModelParams, claims: ClaimModelSpec,
                       numerics: NumericsConfig, quantity: str, t: float) -> float:
     """One output quantity of the solved model at time t: a one-point sweep.
@@ -130,11 +125,11 @@ def _evaluate_points(points: list, quantity: str, t: float) -> list:
             continue
         params, claims, numerics = point
         try:
-            _check_time(t, params)
-            if quantity in ("pi_s0", "pi_p0"):
+            if quantity in ("pi_s0", "pi_p0"):      # each checks t itself
                 closed_form = pi_s_star if quantity == "pi_s0" else pi_p_star
                 outcomes[row] = float(closed_form(t, params))
                 continue
+            _check_times(t, params.T)
         except (ValidationError, NumericalError) as exc:
             outcomes[row] = exc
             continue

@@ -17,9 +17,10 @@ from alphamv.errors import ConfigError, ValidationError
 from alphamv.levy import ClaimMeasure
 from alphamv.simulate import (ConstantStrategy, WealthPath, alpha_robust_value, bond_price_path,
                               objective_from_terminal, simulate_terminal, simulate_wealth)
-from alphamv.solver import (DistortionSide, distortions, pre_default_system,
-                            reference_mean_intercepts, reinsurance_foc, scan_foc_sign_changes,
-                            solve_pi_q_grid, solve_pi_q_lanes, solve_pi_q_star, value_function)
+from alphamv.solver import (DistortionSide, distortions, pi_p_star, pi_s_star,
+                            pre_default_system, reference_mean_intercepts, reinsurance_foc,
+                            scan_foc_sign_changes, solve_pi_q_grid, solve_pi_q_lanes,
+                            solve_pi_q_star, value_function)
 from alphamv.sweep import SweepSpec
 from alphamv.verify import run_verification
 
@@ -250,8 +251,7 @@ _SEEDED_RUNS = [
     ("wealth", lambda b, seed: simulate_wealth(b.solution, None, b.params, b.measure,
                                                10, 0.05, seed)),
     ("alpha_robust", lambda b, seed: alpha_robust_value(
-        b.solution, distortions(b.solution, b.params), b.params, b.measure,
-        0.0, 1.0, 1, 100, 0.01, seed)),
+        b.solution, distortions(b.solution, b.params), 0.0, 1.0, 1, 100, 0.01, seed)),
 ]
 
 
@@ -297,6 +297,10 @@ _INVALID_CALLS = [
     *[(f"simulate-objective_paths-{n}", ValidationError, "paths too few",
        lambda b, n=n: objective_from_terminal(np.ones(n), None, b.params, b.measure))
       for n in (0, 1)],
+    # a (states, n_paths) sample pooled into one would mix both default states
+    *[(f"simulate-objective_ndim-{name}", ValidationError, "ndim:x_T",
+       lambda b, x_T=x_T: objective_from_terminal(x_T, None, b.params, b.measure))
+      for name, x_T in (("pair", np.ones((2, 10))), ("scalar", np.float64(1.0)))],
     ("simulate-bond_t", ValidationError, "t>T1",
      lambda b: bond_price_path([b.params.T1 + 1.0], None, b.params)),
     ("solver-value_h_range", ValidationError, "h_range",
@@ -314,7 +318,16 @@ _INVALID_CALLS = [
         ("star_t_past_T", lambda b: solve_pi_q_star(11.0, b.params, b.measure)),
         ("lanes_t_past_T", lambda b: solve_pi_q_lanes([[20.0]], [b.params], b.measure.tables)),
         ("foc_t_past_T", lambda b: reinsurance_foc(11.0, 0.1, b.params, b.measure)),
-        ("scan_t_nan", lambda b: scan_foc_sign_changes(math.nan, b.params, b.measure)))],
+        ("scan_t_nan", lambda b: scan_foc_sign_changes(math.nan, b.params, b.measure)),
+        ("pi_s_t_past_T", lambda b: pi_s_star(20.0, b.params)),
+        ("pi_s_t_nan", lambda b: pi_s_star([0.0, math.nan], b.params)),
+        ("pi_p_t_negative", lambda b: pi_p_star(-5.0, b.params)),
+        ("pi_p_t_nan", lambda b: pi_p_star(math.nan, b.params)),
+        ("pi_q_at_t_past_T", lambda b: b.solution.pi_q_at(20.0)),
+        ("pi_q_at_t_nan", lambda b: b.solution.pi_q_at(math.nan)),
+        ("pi_s_at_t_negative", lambda b: b.solution.pi_s_at(-5.0)),
+        ("side_phi1_t_past_T", lambda b: distortions(b.solution, b.params).lo.phi1(20.0)),
+        ("side_phi2_t_nan", lambda b: distortions(b.solution, b.params).hi.phi2(math.nan)))],
     *[(f"solver-grid_{name}", ValidationError, tag,
        lambda b, root_tol=root_tol, exp_cap=exp_cap:
        solve_pi_q_grid([0.0], b.params, b.measure, root_tol, exp_cap))
@@ -337,9 +350,10 @@ _INVALID_CALLS = [
       for name, tag, cap in (("negative", "exp_cap<=0", -1.0), ("zero", "exp_cap<=0", 0.0),
                              ("nan", "nonfinite:exp_cap", math.nan))],
     *[(f"solver-side_sign_{name}", ValidationError, "sign",
-       lambda b, sign=sign: DistortionSide(np.zeros_like, np.zeros_like, (0.1, 0.01), sign,
-                                           b.solution.coeffs))
+       lambda b, sign=sign: DistortionSide(b.solution, sign))
       for name, sign in (("five", 5), ("zero", 0), ("bool", True), ("float", 1.0))],
+    ("solver-side_u_star", ValidationError, "u_star",
+     lambda b: DistortionSide(ConstantStrategy(), 1)),
     *[(f"simulate-{simulate.__name__}-x0_{name}", ValidationError, "nonfinite:x0",
        lambda b, simulate=simulate, x0=x0:
        simulate(b.solution, None, b.params, b.measure, 1000, 0.01, 1, x0=x0))

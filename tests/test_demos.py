@@ -3,6 +3,7 @@
 import csv
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -45,3 +46,16 @@ def test_demos_rewrite_their_committed_outputs(tmp_path):
     bad = {name: _mismatches(tmp_path / "demos" / "output" / name, ROOT / "demos" / "output" / name)
            for name in written}
     assert {name: lines[:3] for name, lines in bad.items() if lines} == {}
+
+
+def test_monte_carlo_demo_meets_the_closed_form_value():
+    # demo 03 writes no output file; it prints each default state's
+    # alpha-weighted Monte Carlo value against the closed form, in standard errors
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, str(ROOT / "demos" / "03_monte_carlo_verification.py")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    distances = [float(se) for se in re.findall(
+        r"closed-form equilibrium value: .*, ([0-9.]+) SE\)", run.stdout)]
+    assert len(distances) == 2 and max(distances) <= 3.0, run.stdout

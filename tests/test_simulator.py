@@ -15,7 +15,7 @@ from alphamv.levy import build_measure, sample_truncated_sizes
 from alphamv.simulate import (ConstantStrategy, _RunTables, alpha_robust_value,
                               bond_price_path, dump_paths_csv, objective_from_terminal,
                               simulate_terminal, simulate_wealth)
-from alphamv.solver import (DistortionSide, distortions, reference_mean_intercepts,
+from alphamv.solver import (DistortionFunctions, distortions, reference_mean_intercepts,
                             solve_equilibrium, value_function)
 
 from conftest import BASE_KWARGS
@@ -336,20 +336,6 @@ def test_counts_and_default_times_follow_the_draw_order(base_params, base_measur
     assert np.array_equal(np.sort(logged), np.sort(sizes))
 
 
-def test_supercritical_size_tilt_raises(base_params, base_measure, base_solution):
-    # exp(a z + b z^2) with 2b > 1/sigmaZ^2 leaves no normal law to complete
-    # the square into; centred on muZ the exponent b((z - muZ)^2 - muZ^2) stays
-    # between -60 and -21 on the quadrature nodes, so the intensity table is
-    # harmless and only the sampler can catch it
-    spec = base_measure.spec
-    b = 0.6 / spec.sigmaZ ** 2
-    side = DistortionSide(phi1=np.zeros_like, phi2=np.zeros_like,
-                          tilt=(-2.0 * b * spec.muZ, b), sign=1, coeffs=base_solution.coeffs)
-    with pytest.raises(NumericalError, match="2b >= 1/sigmaZ"):
-        simulate_terminal(base_solution, side, base_params, base_measure,
-                          n_paths=50, dt=0.1, seed=5, h0=1)
-
-
 def test_tilt_exponent_past_exp_cap_raises(base_params, base_measure, base_solution):
     # the size law is an exact tilt only where its exponent stays within exp_cap
     capped = dataclasses.replace(
@@ -358,6 +344,36 @@ def test_tilt_exponent_past_exp_cap_raises(base_params, base_measure, base_solut
     with pytest.raises(NumericalError, match="jump-tilt exponent reaches exp_cap=0.001"):
         simulate_terminal(base_solution, dist.lo, base_params, base_measure,
                           n_paths=50, dt=0.1, seed=5, h0=1)
+
+
+def test_a_start_off_the_grid_ends_the_grid_at_T(base_params, base_measure, base_solution):
+    # t0 + dt k over-runs T = 10 by an ulp at t0 = 2.687, dt = 0.01; the
+    # strategy's closed forms refuse a time past T, so the grid ends at T itself
+    t0, dt = 2.687, 0.01
+    assert t0 + (base_params.T - t0) / 731 * 731 > base_params.T
+    tables = _RunTables(base_solution, None, base_params, base_measure, t0, dt)
+    assert tables.times[-1] == base_params.T and tables.n_steps == 731
+    dist = distortions(base_solution, base_params)
+    x_T, _, _ = simulate_terminal(base_solution, dist.hi, base_params, base_measure,
+                                  50, dt, 1, t0=t0, h0=(1, 0))
+    assert np.all(np.isfinite(x_T))
+
+
+@pytest.mark.parametrize("lam, solved", [(1e18, True), (1e18, False), (1e17, False)])
+def test_claim_counts_past_the_sampler_range_raise(lam, solved, base_params, base_claims,
+                                                  base_numerics):
+    # Lambda T = 1e19 claims per path is past numpy's Poisson range at 1e18,
+    # and ten paths' total wraps int64 at 1e17: a typed error before any draw
+    measure = build_measure(dataclasses.replace(base_claims, lam=lam), base_numerics.quad_nodes)
+    strategy = ConstantStrategy(0.5, 1.0, 0.0)
+    sides = [None]
+    if solved:
+        strategy = solve_equilibrium(base_params, measure, base_numerics)
+        dist = distortions(strategy, base_params)
+        sides += [dist.lo, dist.hi]
+    for side in sides:
+        with pytest.raises(NumericalError, match="2\\^62"):
+            simulate_terminal(strategy, side, base_params, measure, 10, 0.05, 1)
 
 
 def test_strong_order_sanity(base_params, base_measure, base_solution):
@@ -512,15 +528,13 @@ def test_objective_moments_do_not_overflow_at_large_wealth(base_params, base_mea
 def test_estimate_objective_rejects_tiny_samples(base_params, base_measure, base_solution):
     dist = distortions(base_solution, base_params)
     with pytest.raises(ValidationError, match="paths too few"):
-        alpha_robust_value(base_solution, dist, base_params, base_measure,
-                           0.0, 1.0, 1, n_paths=99, dt=DT, seed=1)
+        alpha_robust_value(base_solution, dist, 0.0, 1.0, 1, n_paths=99, dt=DT, seed=1)
 
 
 def test_alpha_robust_value_matches_value_function(base_params, base_measure, base_solution):
     dist = distortions(base_solution, base_params)
     for h in (1, 0):
-        value, se, _, _ = alpha_robust_value(base_solution, dist, base_params, base_measure,
-                                             0.0, base_params.x0, h,
+        value, se, _, _ = alpha_robust_value(base_solution, dist, 0.0, base_params.x0, h,
                                              n_paths=N_PATHS, dt=DT, seed=200 + h)
         target = value_function(0.0, base_params.x0, h, base_solution.coeffs)
         assert abs(value - target) <= 3 * se
@@ -549,8 +563,7 @@ def test_perturbed_strategy_does_not_beat_equilibrium(control, h, base_params, b
 
     perturbed = Perturbed()
     dist = distortions(perturbed, base_params)
-    value, se, _, _ = alpha_robust_value(perturbed, dist, base_params, base_measure,
-                                         0.0, base_params.x0, h,
+    value, se, _, _ = alpha_robust_value(perturbed, dist, 0.0, base_params.x0, h,
                                          n_paths=N_PATHS, dt=DT, seed=300)
     equilibrium = value_function(0.0, base_params.x0, h, base_solution.coeffs)
     assert value <= equilibrium + 3 * se
@@ -568,8 +581,6 @@ _OTHER_MODEL = [
     ("reference", lambda b: reference_mean_intercepts(b.gamma2, b.lam3, b.solution)),
     ("reference-rebuilt", lambda b: reference_mean_intercepts(b.params, b.rebuilt, b.solution)),
     ("wealth", lambda b: simulate_wealth(b.solution, None, b.params, b.rebuilt, 10, 0.05, 1)),
-    ("alpha_robust", lambda b: alpha_robust_value(b.solution, b.dist, b.params, b.rebuilt,
-                                                  0.0, 1.0, 1, 1000, 0.01, 1)),
     ("terminal-side", lambda b: simulate_terminal(b.solution, b.other(b.q, b.measure).lo,
                                                   b.params, b.measure, 20_000, 0.01, 1)),
     ("terminal-side_measure", lambda b: simulate_terminal(
@@ -577,8 +588,10 @@ _OTHER_MODEL = [
     ("wealth-side", lambda b: simulate_wealth(b.solution, b.other(b.q, b.measure).hi,
                                               b.params, b.measure, 10, 0.05, 1)),
     ("alpha_robust-side", lambda b: alpha_robust_value(b.solution, b.other(b.q, b.measure),
-                                                       b.params, b.measure,
                                                        0.0, 1.0, 1, 1000, 0.01, 1)),
+    ("alpha_robust-hi_side", lambda b: alpha_robust_value(
+        b.solution, DistortionFunctions(b.dist.lo, b.other(b.q, b.measure).hi),
+        0.0, 1.0, 1, 1000, 0.01, 1)),
     ("objective-params", lambda b: objective_from_terminal(np.ones(10), b.dist.lo, b.gamma2,
                                                            b.measure)),
     ("objective-measure", lambda b: objective_from_terminal(np.ones(10), b.dist.lo, b.params,

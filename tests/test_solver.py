@@ -438,14 +438,14 @@ def test_solution_without_u_star_raises_typed_error(base_params, base_measure, b
 
 def test_solved_records_always_carry_their_inputs(base_solution):
     # the coefficients need the solve's params, measure, u* and cap, and a
-    # distortion side the solve's coefficients: none of them has a default
-    # to fall back on
+    # distortion side its solved strategy: none of them has a default to
+    # fall back on
     c = base_solution.coeffs
     columns = dict(B1=c.B1, B0=c.B0, b1_lo=c.b1_lo, b1_hi=c.b1_hi, b0_lo=c.b0_lo, b0_hi=c.b0_hi)
     with pytest.raises(TypeError):
         ValueCoefficients(**columns)
     with pytest.raises(TypeError):
-        DistortionSide(np.zeros_like, np.zeros_like, (0.1, 0.01), +1)
+        DistortionSide(sign=+1)
     for u_star in (None, -1.0, math.nan, math.inf, "0.3"):
         with pytest.raises(ValidationError) as caught:
             dataclasses.replace(c, u_star=u_star)
@@ -954,18 +954,21 @@ def test_b0_lo_satisfies_its_ode(base_params, base_measure, base_solution):
 def test_reference_intercepts_beta_independent(base_params, base_measure, base_solution,
                                                base_numerics):
     # under the reference measure the ambiguity levels enter only through the
-    # strategy: beta3 moves neither pi_s nor the u* the coefficients hold, and
-    # with the stock strategy held fixed beta1 and beta2 do not matter either
-    b1_ref, b0_ref = reference_mean_intercepts(base_params, base_measure, base_solution)
+    # strategy: beta3 moves neither pi_s nor the u* the coefficients hold; at
+    # alpha = 1/2, where (2 alpha - 1) = 0, the stock amount does not read
+    # beta1 or beta2, so bumping them moves no reference intercept either
     tilted = dataclasses.replace(base_params, beta3=0.3)
-    b1_ref2, b0_ref2 = reference_mean_intercepts(tilted, base_measure,
-                                                 _with_params(base_solution, tilted))
-    bumped = dataclasses.replace(tilted, beta1=2.5, beta2=0.7)
+    half = dataclasses.replace(base_params, alpha=0.5)
+    bumped = dataclasses.replace(half, beta1=2.5, beta2=0.7, beta3=0.3)
     columns = _first_lane(*_value_intercepts(
         base_solution.grid, [bumped], base_measure.tables, [base_solution.u_star],
-        base_numerics.exp_cap, betas=(0.0, 0.0, 0.0),
-        stock=solver_mod._stock_coefficients(base_params)))
-    for b1, b0 in ((b1_ref2, b0_ref2), (columns[1], columns[4])):
+        base_numerics.exp_cap, reference=True))
+    pairs = ((reference_mean_intercepts(base_params, base_measure, base_solution),
+              reference_mean_intercepts(tilted, base_measure,
+                                        _with_params(base_solution, tilted))),
+             (reference_mean_intercepts(half, base_measure, _with_params(base_solution, half)),
+              (columns[1], columns[4])))
+    for (b1_ref, b0_ref), (b1, b0) in pairs:
         assert np.allclose(b1_ref, b1, rtol=0, atol=1e-12)
         assert np.allclose(b0_ref, b0, rtol=0, atol=1e-12)
 
@@ -1167,17 +1170,45 @@ def test_distortions_vanish_without_ambiguity(base_measure, base_numerics):
     assert np.max(np.abs(dist.lo.phi3(ts[:, None], zs[None, :]))) < 1e-6
 
 
-def test_distortion_side_takes_two_finite_floats_as_its_tilt(base_solution):
-    coeffs = base_solution.coeffs
-    side = DistortionSide(np.zeros_like, np.zeros_like, (np.float64(0.5), 2), +1, coeffs)
-    assert side.tilt == (0.5, 2.0) and all(type(c) is float for c in side.tilt)
-    # a tilt that varies in time (a callable) and malformed pairs fail at
-    # construction, not inside the claim sampler
-    for tilt in (lambda t: (0.5, 2.0), (0.5,), (0.5, 2.0, 0.0), (0.5, math.nan),
-                 (math.inf, 0.0), ("0.5", 2.0), [0.5, 2.0], np.array([0.5, 2.0]), None):
-        with pytest.raises(ValidationError, match="two finite floats") as caught:
-            DistortionSide(np.zeros_like, np.zeros_like, tilt, +1, coeffs)
-        assert caught.value.tag == "tilt"
+def test_a_side_is_its_strategy_and_a_sign(base_params, base_measure, base_numerics,
+                                           base_solution):
+    # the extremal measures are fixed by the strategy and the side taken:
+    # drift shifts, tilt, coefficients and cap are all read from the two
+    assert [f.name for f in dataclasses.fields(DistortionSide)] == ["strategy", "sign"]
+    c = base_solution.coeffs
+    doubled = dataclasses.replace(base_solution,
+                                  coeffs=dataclasses.replace(c, u_star=2.0 * c.u_star))
+    p, u = base_params, 2.0 * c.u_star
+    for sign in (1, -1):
+        side = DistortionSide(doubled, sign)
+        assert side.coeffs is doubled.coeffs and side.exp_cap == c.exp_cap
+        assert side.tilt == (sign * p.beta3 * u, sign * 0.5 * p.beta3 * p.gamma * u * u)
+    with pytest.raises(ValidationError, match="u_star") as caught:
+        DistortionSide(ConstantStrategy(), 1)
+    assert caught.value.tag == "u_star"
+    # the drift shifts read the side's own strategy; the hi side is the lo
+    # side negated, bit for bit
+    dist = distortions(base_solution, base_params)
+    grid = base_solution.grid
+
+    class Scaled:
+        coeffs = c
+        pi_s_at = staticmethod(lambda t: 2.0 * base_solution.pi_s_at(t))
+
+    assert np.array_equal(DistortionSide(Scaled(), 1).phi2(grid), 2.0 * dist.lo.phi2(grid))
+    for phi in ("phi1", "phi2"):
+        assert np.array_equal(getattr(dist.hi, phi)(grid), -getattr(dist.lo, phi)(grid))
+    # no side takes a drift shift, tilt or coefficients apart from its
+    # strategy: another solve's, or the other side's tilt, cannot be set
+    q = dataclasses.replace(base_params, beta3=1.0, gamma=2.0)
+    dq = distortions(solve_equilibrium(q, base_measure, base_numerics), q)
+    for build in (lambda: DistortionSide(dq.lo.phi1, dq.lo.phi2, dq.lo.tilt, +1, c),
+                  lambda: DistortionSide(dist.lo.phi1, dist.lo.phi2, dist.hi.tilt, +1, c),
+                  lambda: dataclasses.replace(dist.lo, tilt=dist.hi.tilt),
+                  lambda: dataclasses.replace(dist.lo, phi1=dq.lo.phi1),
+                  lambda: dataclasses.replace(dist.lo, coeffs=dq.lo.coeffs)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_distortion_identities(base_params, base_solution):

@@ -596,6 +596,16 @@ def test_cmd_verify_aborts_on_few_paths(tmp_path, capsys):
     assert "paths too few" in capsys.readouterr().err
 
 
+def test_cmd_verify_exits_3_past_the_claim_sampler_range(tmp_path, capsys):
+    # the solve succeeds at lambda = 1e18, but 1e19 claims per path are past
+    # the Poisson sampler's range: a numerical failure before any draw
+    cfg = write_config(tmp_path / "lam.cfg", overrides={"lambda": 1e18},
+                       numerics_overrides={"mc_paths": 1000, "time_steps": 100})
+    code = main(["verify", "--config", str(cfg)])
+    assert code == 3
+    assert "2^62" in capsys.readouterr().err
+
+
 def test_cmd_verify_reports_tiny_distortions(tmp_path, capsys):
     cfg = write_config(tmp_path / "tiny.cfg",
                        overrides={"beta1": 1e-8, "beta2": 1e-8, "beta3": 1e-8},
