@@ -35,7 +35,7 @@ print("because the default intensity is small relative to the credit spread.")
 print()
 
 for h, label in ((0, "pre-default"), (1, "post-default")):
-    v = value_function(0.0, params.x0, h, solution.coeffs)
+    v = value_function(0.0, params.x0, h, solution)
     print(f"value at (t=0, x0={params.x0}, {label}): {v:+.5f}")
 print()
 print("The pre-default value is higher: access to the bond's excess drift is")

@@ -33,7 +33,7 @@ for h, label in ((1, "post-default"), (0, "pre-default")):
     value, se, est_lo, est_hi = alpha_robust_value(
         solution, dist, 0.0, params.x0, h,
         numerics.mc_paths, numerics.mc_dt, numerics.seed)
-    target = value_function(0.0, params.x0, h, solution.coeffs)
+    target = value_function(0.0, params.x0, h, solution)
     print(f"\n{label} (h={h}):")
     print(f"  worst-case side: mean {est_lo.mean:+.4f}, variance {est_lo.variance:.4f}, "
           f"penalty {est_lo.penalty:+.4f} -> J_lo {est_lo.j_value:+.4f}")

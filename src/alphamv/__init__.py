@@ -15,10 +15,10 @@ from .simulate import (ConstantStrategy, ObjectiveEstimate, WealthPath,
                        alpha_robust_value, bond_price_path, dump_paths_csv,
                        objective_from_terminal, simulate_terminal, simulate_wealth)
 from .solver import (DistortionFunctions, DistortionSide, EquilibriumSolution,
-                     ValueCoefficients, distortions, penalty_rate, pi_p_star,
-                     pi_s_star, pre_default_system, reference_mean_intercepts,
-                     reinsurance_foc, solve_equilibrium, solve_pi_q_grid,
-                     solve_pi_q_lanes, solve_pi_q_star, value_function)
+                     distortions, penalty_rate, pi_p_star, pi_s_star,
+                     pre_default_system, reference_mean_intercepts, reinsurance_foc,
+                     solve_equilibrium, solve_pi_q_grid, solve_pi_q_lanes,
+                     solve_pi_q_star, value_function)
 from .sweep import (QUANTITIES, SweepResult, SweepRow, SweepSpec,
                     evaluate_quantity, run_sweep, write_solve_csv,
                     write_sweep_csv)
@@ -30,7 +30,7 @@ __all__ = [
     "ModelParams", "ClaimModelSpec", "NumericsConfig", "load_config", "save_config",
     "ConfigError", "ValidationError", "NumericalError", "SaturationWarning",
     "ClaimMeasure", "ClaimTables", "build_claim_tables", "build_measure",
-    "EquilibriumSolution", "ValueCoefficients", "DistortionFunctions", "DistortionSide",
+    "EquilibriumSolution", "DistortionFunctions", "DistortionSide",
     "pi_s_star", "pi_p_star", "reinsurance_foc", "solve_pi_q_star",
     "solve_pi_q_grid", "solve_pi_q_lanes",
     "pre_default_system", "solve_equilibrium", "reference_mean_intercepts", "distortions",

@@ -66,8 +66,8 @@ import numpy as np
 from .config import ModelParams, _require_finite, _require_integer
 from .errors import NumericalError, ValidationError
 from .levy import ClaimMeasure, sample_truncated_sizes
-from .solver import (DistortionFunctions, DistortionSide, _default_states, _solved_coeffs,
-                     penalty_rate)
+from .solver import (DistortionFunctions, DistortionSide, _check_times, _default_states,
+                     _solved_coeffs, penalty_rate)
 
 __all__ = [
     "ConstantStrategy",
@@ -463,20 +463,22 @@ def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide
     sample moments.  Written in the central moments ``c_k`` about the sample
     mean, its variance is ``(c2 - gamma c3 + (gamma^2/4)(c4 - c2^2)) / n``;
     central moments do not overflow where raw powers of a large wealth would.
-    ValidationError (tag ``ndim:x_T``) unless ``x_T`` is 1-D (score each row
-    of a sample of several default states on its own), (tag ``paths too
-    few``) for fewer than 2 terminal values, (tag ``nonfinite:x_T``) for a
-    sample whose mean is not finite (a non-finite value, or a sum that
-    overflows), (tag ``t_range``) for a start
-    time ``t`` outside [0, T), and (tag ``inputs``) for a ``distortion``
-    whose ``coeffs`` hold other parameters or another measure object.
+    ``x_T`` is any array-like of floats.  ValidationError (tag ``ndim:x_T``)
+    unless it is 1-D (score each row of a sample of several default states
+    on its own), (tag ``paths too few``) for fewer than 2 terminal values,
+    (tag ``nonfinite:x_T``) for a sample whose mean is not finite (a
+    non-finite value, or a sum that overflows), (tag ``t_range``) for a
+    start time ``t`` outside [0, T), and (tag ``inputs``) for a
+    ``distortion`` whose ``coeffs`` hold other parameters or another measure
+    object.
     """
     if distortion is not None:
         _solved_coeffs(distortion, params, measure)
     _check_start(t, params.T)
-    if np.ndim(x_T) != 1:
+    x_T = np.asarray(x_T, dtype=float)
+    if x_T.ndim != 1:
         raise ValidationError("ndim:x_T", f"terminal wealth sample must be 1-D, got shape "
-                              f"{np.shape(x_T)}: score one default state at a time")
+                              f"{x_T.shape}: score one default state at a time")
     n = x_T.size
     if n < 2:
         raise ValidationError("paths too few", f"paths too few: need 2 terminal values, got {n}")
@@ -540,11 +542,11 @@ def bond_price_path(times, default_time: Optional[float], params: ModelParams) -
 
     Pre-default the price accrues at r + delta toward par at T1; at default it
     drops to the recovery fraction (1 - zeta) of its pre-default value and
-    accrues at the risk-free rate afterwards.
+    accrues at the risk-free rate afterwards.  ValidationError (tag
+    ``t_range``) for a time outside [0, T1] or NaN.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times > params.T1):
-        raise ValidationError("t>T1", "bond prices are defined up to maturity T1")
+    _check_times(times, params.T1)
     pre = np.exp(-(params.r + params.delta) * (params.T1 - times))
     if default_time is None or math.isnan(default_time):
         return pre

@@ -46,16 +46,18 @@ Newton's probe iterates clip silently, and a saturation at a returned root
 warns (SaturationWarning, not an error), once per root call; the claim
 integrals of the intercepts and the distortions clip at the same cap silently.
 
-After the solve, :class:`ValueCoefficients` is the one copy of the model:
-the parameters, the claim measure, ``u*`` and ``exp_cap``, none of them
-optional.  What is built from a solve holds it and derives the rest: the
-:class:`EquilibriumSolution` is its grid and coefficients, with no strategy
-columns, and a :class:`DistortionSide` is a solved strategy and a sign, its
-drift shifts, jump tilt and cap all read from them.  The calls made with a
+A solve is one record, the :class:`EquilibriumSolution`: its grid, the six
+value intercepts on that grid, and the one copy of the model, the
+parameters, the claim measure, ``u*`` and ``exp_cap``, none of them
+optional.  It holds no strategy columns: they are derived from ``u*`` and
+the closed forms.  What is built from a solve holds it and derives the
+rest: a :class:`DistortionSide` is a solved strategy and a sign, its drift
+shifts, jump tilt and cap all read from the solve.  The calls made with a
 solution or a side (:func:`distortions`, :func:`reference_mean_intercepts`,
 and the simulator's runs and objective) raise a ValidationError (tag
 ``inputs``) when handed other parameters or another measure object.  The
-strategy's closed forms take a t in [0, T] only (tag ``t_range``).
+strategy's closed forms and the side's distortions take a t in [0, T] only
+(tag ``t_range``).
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from .errors import NumericalError, SaturationWarning, ValidationError
 from .levy import ClaimMeasure, ClaimTables, _lane_dot, _per_lane, tilt_limit
 
 __all__ = [
-    "ValueCoefficients",
     "EquilibriumSolution",
     "DistortionFunctions",
     "DistortionSide",
@@ -612,40 +613,8 @@ def scan_foc_sign_changes(times, params: ModelParams, measure: ClaimMeasure,
 # coefficient system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValueCoefficients:
-    """Intercepts of the affine value and mean functions on the solution grid.
-
-    ``value = A(t) x + B_h(t)`` and the distorted means are ``A(t) x +
-    b_h(t)``, with ``A = params.discount_to_horizon``.  All intercepts vanish
-    at T.  ``params``, ``measure``, ``u_star`` and ``exp_cap`` are the one copy
-    of the solve's inputs: those of the closed form :func:`_value_intercepts`,
-    one lane at one cap, which :func:`value_function` evaluates at any t.
-    All four are required, and every call after the solve reads them from
-    here.  ValidationError (tag ``u_star``) unless ``u_star`` is a finite
-    float >= 0, and (tags ``nonfinite:exp_cap``, ``exp_cap<=0``) unless
-    ``exp_cap`` is finite and > 0.
-    """
-
-    B1: np.ndarray
-    B0: np.ndarray
-    b1_lo: np.ndarray
-    b1_hi: np.ndarray
-    b0_lo: np.ndarray
-    b0_hi: np.ndarray
-    params: ModelParams = field(repr=False)
-    measure: ClaimMeasure = field(repr=False)
-    u_star: float
-    exp_cap: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.u_star, float) and 0.0 <= self.u_star < math.inf):
-            raise ValidationError("u_star", f"u_star must be a float in [0, inf), got {self.u_star!r}")
-        _require_positive("exp_cap", self.exp_cap)
-
-
-def _coeffs(strategy) -> ValueCoefficients:
-    """The ``coeffs`` ``strategy`` was solved with; ValidationError (tag ``u_star``) if none."""
+def _coeffs(strategy) -> EquilibriumSolution:
+    """The solve ``strategy`` carries as ``coeffs``; ValidationError (tag ``u_star``) if none."""
     coeffs = getattr(strategy, "coeffs", None)
     if coeffs is None:
         raise ValidationError("u_star", f"{type(strategy).__name__} has no coeffs with u_star: "
@@ -653,7 +622,7 @@ def _coeffs(strategy) -> ValueCoefficients:
     return coeffs
 
 
-def _solved_coeffs(strategy, params: ModelParams, measure=None) -> ValueCoefficients:
+def _solved_coeffs(strategy, params: ModelParams, measure=None) -> EquilibriumSolution:
     """The :func:`_coeffs` of ``strategy``, checked against the caller's copies.
 
     ValidationError (tag ``inputs``) when ``params`` differs from
@@ -670,30 +639,59 @@ def _solved_coeffs(strategy, params: ModelParams, measure=None) -> ValueCoeffici
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """Equilibrium strategies and value coefficients on a uniform time grid.
+    """One solve: the equilibrium strategy and its value intercepts on a uniform time grid.
 
-    The record holds the grid and ``coeffs``, the one copy of the model: a
-    call given this solution with other parameters or another measure raises
-    (tag ``inputs``).  All else is read from ``coeffs``: ``u_star``, the root
-    with ``pi_q(t) = u_star e^{-r(T-t)}``, ``params``, and the strategy at
-    any t in [0, T] (tag ``t_range`` otherwise), :meth:`pi_q_at` and the
+    ``value = A(t) x + B_h(t)`` and the distorted means are ``A(t) x +
+    b_h(t)``, with ``A = params.discount_to_horizon``; the six intercept
+    columns are those functions on ``grid`` and vanish at T.  ``params``,
+    ``measure``, ``u_star`` and ``exp_cap`` are the one copy of the solve's
+    inputs, those of the closed form :func:`_value_intercepts` (one lane at
+    one cap), which :func:`value_function` evaluates at any t; a call given
+    this solution with other parameters or another measure raises (tag
+    ``inputs``).  ``pi_q(t) = u_star e^{-r(T-t)}``, and the strategy at any
+    t in [0, T] (tag ``t_range`` otherwise) is :meth:`pi_q_at` and the
     closed forms :meth:`pi_s_at` and :meth:`pi_p_at`; the columns ``pi_q``,
     ``pi_s`` and ``pi_p`` are them on the grid, evaluated at each read.
     ``pi_q`` and ``pi_s`` are the same functions in both default states;
     ``pi_p`` is the pre-default bond amount (identically 0 after default).
+    ``coeffs`` is the solution itself: a solved strategy is one with
+    ``coeffs``.
+
+    ValidationError (tag ``u_star``) unless ``u_star`` is a finite float >=
+    0, (tags ``nonfinite:exp_cap``, ``exp_cap<=0``) unless ``exp_cap`` is
+    finite and > 0, and (tag ``grid``) unless every intercept column has the
+    grid's shape.  A grid of the right length but from another solve is not
+    detected: its columns would have to be recomputed.
     """
 
     grid: np.ndarray
-    coeffs: ValueCoefficients
-    u_star = property(lambda self: self.coeffs.u_star)
-    params = property(lambda self: self.coeffs.params)
+    B1: np.ndarray
+    B0: np.ndarray
+    b1_lo: np.ndarray
+    b1_hi: np.ndarray
+    b0_lo: np.ndarray
+    b0_hi: np.ndarray
+    params: ModelParams = field(repr=False)
+    measure: ClaimMeasure = field(repr=False)
+    u_star: float
+    exp_cap: float
+    coeffs = property(lambda self: self)
     pi_q = property(lambda self: self.pi_q_at(self.grid))
     pi_s = property(lambda self: self.pi_s_at(self.grid))
     pi_p = property(lambda self: self.pi_p_at(self.grid))
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.u_star, float) and 0.0 <= self.u_star < math.inf):
+            raise ValidationError("u_star", f"u_star must be a float in [0, inf), got {self.u_star!r}")
+        _require_positive("exp_cap", self.exp_cap)
+        shape = np.shape(self.grid)
+        if any(np.shape(column) != shape for column in (
+                self.B1, self.B0, self.b1_lo, self.b1_hi, self.b0_lo, self.b0_hi)):
+            raise ValidationError("grid", f"intercept columns must have the grid's shape {shape}")
+
     def pi_q_at(self, t):
         _check_times(t, self.params.T)
-        return self.coeffs.u_star / self.params.discount_to_horizon(t)
+        return self.u_star / self.params.discount_to_horizon(t)
 
     def pi_s_at(self, t):
         return pi_s_star(t, self.params)
@@ -917,7 +915,7 @@ def pre_default_system(solution: EquilibriumSolution, steps: int):
     for a ``steps`` that is not a finite integer.
     """
     steps = _require_integer("steps", steps)
-    params, coeffs = solution.params, solution.coeffs
+    params = solution.params
     stable = rk4_stable_steps(params)
     if steps < stable:
         raise NumericalError(
@@ -926,8 +924,8 @@ def pre_default_system(solution: EquilibriumSolution, steps: int):
             f"stability limit {_RK4_STABILITY_LIMIT:.4f}; use time_steps >= {stable}"
         )
     grid = np.linspace(0.0, params.T, steps + 1)
-    integrands, errors = _integrands([params], coeffs.measure.tables,
-                                     [coeffs.u_star], coeffs.exp_cap)
+    integrands, errors = _integrands([params], solution.measure.tables,
+                                     [solution.u_star], solution.exp_cap)
     if errors[0] is not None:
         raise errors[0]
     integrands = integrands[0]
@@ -981,22 +979,19 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
     """Full equilibrium: strategies and value coefficients on a uniform grid.
 
     One root u* (:func:`solve_pi_q_grid`, whose residual check covers every
-    grid time), then the closed-form intercepts of :func:`_value_intercepts`;
-    the strategy columns are the closed forms of the solution's ``coeffs``.
-    ``time_steps`` sets only the output grid.  NumericalError for hP = 0 or
-    zeta = 0 (no finite bond demand), a failed root, or non-finite
-    coefficients.
+    grid time), then the closed-form intercepts of :func:`_value_intercepts`,
+    all in one :class:`EquilibriumSolution`; its strategy columns are the
+    closed forms at its ``u*`` and ``params``.  ``time_steps`` sets only the
+    output grid.  NumericalError for hP = 0 or zeta = 0 (no finite bond
+    demand), a failed root, or non-finite coefficients.
     """
     grid = np.linspace(0.0, params.T, numerics.time_steps + 1)
     pi_q = solve_pi_q_grid(grid, params, measure, numerics.root_tol, numerics.exp_cap)
     u_star = float(pi_q[-1])            # pi_q A = u* and A(T) = 1
     B1, b1_lo, b1_hi, B0, b0_lo, b0_hi = _first_lane(*_value_intercepts(
         grid, [params], measure.tables, [u_star], numerics.exp_cap))
-    coeffs = ValueCoefficients(
-        B1=B1, B0=B0, b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi,
-        params=params, measure=measure, u_star=u_star, exp_cap=numerics.exp_cap,
-    )
-    return EquilibriumSolution(grid, coeffs)
+    return EquilibriumSolution(grid, B1, B0, b1_lo, b1_hi, b0_lo, b0_hi,
+                               params, measure, u_star, numerics.exp_cap)
 
 
 def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
@@ -1008,12 +1003,12 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
     ambiguity level zero while the strategy of ``solution`` stays fixed, so
     ``E[X(T) | X(t)=x, H(t)=h]`` equals ``e^{r(T-t)} x + b_ref_h(t)``.  The
     bond amount does not depend on the betas, so ``b0_ref = b1_ref - D``
-    still holds.  The parameters, the measure and u* are those of
-    ``solution.coeffs``: ValidationError (tag ``inputs``) when ``params``
-    differs from them or ``measure`` is another object, and (tag ``u_star``)
-    for a strategy without ``coeffs``.  ``exp_cap`` is validated but has no
-    effect: with every ambiguity level zero no exponent enters.  Returns
-    (b1_ref, b0_ref) on the solution grid.
+    still holds.  The parameters, the measure and u* are those of the solve
+    ``solution`` carries as ``coeffs``: ValidationError (tag ``inputs``) when
+    ``params`` differs from them or ``measure`` is another object, and (tag
+    ``u_star``) for a strategy without ``coeffs``.  ``exp_cap`` is validated
+    but has no effect: with every ambiguity level zero no exponent enters.
+    Returns (b1_ref, b0_ref) on the solution grid.
     """
     coeffs = _solved_coeffs(solution, params, measure)
     columns = _first_lane(*_value_intercepts(
@@ -1042,14 +1037,17 @@ def _default_states(h0, pair: bool = True) -> tuple[int, ...]:
     return tuple(int(h) for h in states)
 
 
-def value_function(t, x, h: int, coeffs: ValueCoefficients):
+def value_function(t, x, h: int, solution: EquilibriumSolution):
     """Equilibrium value e^{r(T-t)} x + B_h(t) at any t in [0, T].
 
-    B_h is the closed form :func:`_value_intercepts` at the inputs that
-    ``coeffs`` carries, so it is exact between grid points and equals the
-    ``B1``/``B0`` columns on the grid.  ``h`` is one :func:`_default_states`;
-    ValidationError (tag ``nonfinite:x``) for a non-finite wealth.
+    B_h is the closed form :func:`_value_intercepts` at the inputs of the
+    solve that ``solution`` carries as ``coeffs`` (the solution itself), so
+    it is exact between grid points and equals the ``B1``/``B0`` columns on
+    the grid.  ``h`` is one :func:`_default_states`; ValidationError (tag
+    ``nonfinite:x``) for a non-finite wealth and (tag ``u_star``) for a
+    strategy without ``coeffs``.
     """
+    coeffs = _coeffs(solution)
     params = coeffs.params
     t_arr = np.asarray(t, dtype=float)
     _check_times(t_arr, params.T)
@@ -1122,7 +1120,12 @@ class DistortionSide:
         return a * z + b * z * z
 
     def phi3(self, t, z):
-        """phi3 on the broadcast shape of t and z; the tilt itself does not depend on t."""
+        """phi3 on the broadcast shape of t and z; the tilt itself does not depend on t.
+
+        ValidationError (tag ``t_range``) for a t outside [0, T] or NaN, as
+        for :meth:`phi1` and :meth:`phi2`.
+        """
+        _check_times(t, self.coeffs.params.T)
         x = np.clip(self.exponent(z), -self.exp_cap, self.exp_cap)
         return -np.expm1(np.broadcast_to(x, np.broadcast_shapes(np.shape(t), x.shape)))
 

@@ -212,9 +212,9 @@ def _fmt(x: float) -> str:
 
 def write_solve_csv(out_path, solution: EquilibriumSolution) -> None:
     """Full solution table, one row per grid point, 17 significant digits."""
-    c = solution.coeffs
     table = np.column_stack((solution.grid, solution.pi_q, solution.pi_s, solution.pi_p,
-                             c.B1, c.B0, c.b1_lo, c.b1_hi, c.b0_lo, c.b0_hi))
+                             solution.B1, solution.B0, solution.b1_lo, solution.b1_hi,
+                             solution.b0_lo, solution.b0_hi))
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"   # same text as _fmt per value
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("t,pi_q,pi_s,pi_p,B1,B0,b1_lo,b1_hi,b0_lo,b0_hi\n")

@@ -180,8 +180,8 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
 
     # g-intercept oracles: distorted means against the backward intercepts
     for (tag, h), b in (
-        (("lo", 1), solution.coeffs.b1_lo), (("lo", 0), solution.coeffs.b0_lo),
-        (("hi", 1), solution.coeffs.b1_hi), (("hi", 0), solution.coeffs.b0_hi),
+        (("lo", 1), solution.b1_lo), (("lo", 0), solution.b0_lo),
+        (("hi", 1), solution.b1_hi), (("hi", 0), solution.b0_hi),
     ):
         est = estimates[(tag, h)]
         target = math.exp(params.r * params.T) * params.x0 + b[0]
@@ -195,7 +195,7 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     # value identity: alpha J_lo + (1-alpha) J_hi against e^{rT} x0 + B_h(0)
     for h in (1, 0):
         value, se = _alpha_mix(estimates[("lo", h)], estimates[("hi", h)], params)
-        target = value_function(0.0, params.x0, h, solution.coeffs)
+        target = value_function(0.0, params.x0, h, solution)
         diff = value - target
         checks.append(CheckResult(
             f"value_identity_h{h}", abs(diff) <= 3 * se,

@@ -301,8 +301,13 @@ _INVALID_CALLS = [
     *[(f"simulate-objective_ndim-{name}", ValidationError, "ndim:x_T",
        lambda b, x_T=x_T: objective_from_terminal(x_T, None, b.params, b.measure))
       for name, x_T in (("pair", np.ones((2, 10))), ("scalar", np.float64(1.0)))],
-    ("simulate-bond_t", ValidationError, "t>T1",
+    # bond prices share the [0, T]-style time rule of the strategy's closed forms
+    ("simulate-bond_t", ValidationError, "t_range",
      lambda b: bond_price_path([b.params.T1 + 1.0], None, b.params)),
+    ("simulate-bond_t_nan", ValidationError, "t_range",
+     lambda b: bond_price_path([math.nan], None, b.params)),
+    ("simulate-bond_t_negative", ValidationError, "t_range",
+     lambda b: bond_price_path([0.0, -5.0], None, b.params)),
     ("solver-value_h_range", ValidationError, "h_range",
      lambda b: value_function(0.0, 1.0, 2, b.solution.coeffs)),
     ("solver-value_h_range-float", ValidationError, "h_range",
@@ -311,6 +316,15 @@ _INVALID_CALLS = [
      lambda b: value_function(0.0, 1.0, True, b.solution.coeffs)),
     ("solver-value_x_nan", ValidationError, "nonfinite:x",
      lambda b: value_function(0.0, math.nan, 1, b.solution.coeffs)),
+    ("solver-value_u_star", ValidationError, "u_star",
+     lambda b: value_function(0.0, 1.0, 1, ConstantStrategy())),
+    # a solution's intercept columns lie on its own grid
+    ("solver-solution_grid_short", ValidationError, "grid",
+     lambda b: dataclasses.replace(b.solution, grid=np.linspace(0.0, b.params.T, 5))),
+    ("solver-solution_column_short", ValidationError, "grid",
+     lambda b: dataclasses.replace(b.solution, b0_hi=b.solution.b0_hi[:-1])),
+    ("solver-solution_column_2d", ValidationError, "grid",
+     lambda b: dataclasses.replace(b.solution, B1=b.solution.B1[None, :])),
     *[(f"solver-{name}", ValidationError, "t_range", call) for name, call in (
         ("grid_t_past_T", lambda b: solve_pi_q_grid([0.0, 20.0], b.params, b.measure)),
         ("grid_t_negative", lambda b: solve_pi_q_grid([-5.0], b.params, b.measure)),
@@ -327,7 +341,11 @@ _INVALID_CALLS = [
         ("pi_q_at_t_nan", lambda b: b.solution.pi_q_at(math.nan)),
         ("pi_s_at_t_negative", lambda b: b.solution.pi_s_at(-5.0)),
         ("side_phi1_t_past_T", lambda b: distortions(b.solution, b.params).lo.phi1(20.0)),
-        ("side_phi2_t_nan", lambda b: distortions(b.solution, b.params).hi.phi2(math.nan)))],
+        ("side_phi2_t_nan", lambda b: distortions(b.solution, b.params).hi.phi2(math.nan)),
+        ("side_phi3_t_past_T",
+         lambda b: distortions(b.solution, b.params).lo.phi3(20.0, b.measure.nodes)),
+        ("side_phi3_t_nan",
+         lambda b: distortions(b.solution, b.params).hi.phi3(math.nan, b.measure.nodes)))],
     *[(f"solver-grid_{name}", ValidationError, tag,
        lambda b, root_tol=root_tol, exp_cap=exp_cap:
        solve_pi_q_grid([0.0], b.params, b.measure, root_tol, exp_cap))

@@ -81,6 +81,16 @@ def _imported_top_level_names(trees):
                 yield node.args[0].value.split(".")[0]
 
 
+def test_readme_class_names_resolve():
+    # every backticked CamelCase name in the README is a public name of the
+    # package, so a type that goes cannot stay named there; snake_case
+    # backticks also name check lines and config keys, so they are not read
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)`", text))
+    assert len(names) >= 10
+    assert sorted(name for name in names if not hasattr(alphamv, name)) == []
+
+
 def test_test_extra_lists_the_packages_tests_and_benchmark_import():
     # the test extra must install every third-party package that a test or
     # perfbench imports, and nothing else; numpy comes with the package itself

@@ -338,8 +338,7 @@ def test_counts_and_default_times_follow_the_draw_order(base_params, base_measur
 
 def test_tilt_exponent_past_exp_cap_raises(base_params, base_measure, base_solution):
     # the size law is an exact tilt only where its exponent stays within exp_cap
-    capped = dataclasses.replace(
-        base_solution, coeffs=dataclasses.replace(base_solution.coeffs, exp_cap=1e-3))
+    capped = dataclasses.replace(base_solution, exp_cap=1e-3)
     dist = distortions(capped, base_params)
     with pytest.raises(NumericalError, match="jump-tilt exponent reaches exp_cap=0.001"):
         simulate_terminal(base_solution, dist.lo, base_params, base_measure,
@@ -501,6 +500,15 @@ def test_estimate_objective_deterministic_limit(base_measure):
     est = objective_from_terminal(x_T, None, params, measure)
     assert est.j_value == pytest.approx(params.x0 * math.exp(params.r * params.T), rel=1e-4)
     assert est.penalty == 0.0
+
+
+def test_objective_takes_a_list_as_its_array(base_params, base_solution):
+    # a Python list is scored as the array of its values, with or without a side
+    dist = distortions(base_solution, base_params)
+    for side in (None, dist.lo):
+        args = (side, base_params, base_solution.measure)
+        assert objective_from_terminal([1.0, 2.0, 3.0], *args) \
+            == objective_from_terminal(np.array([1.0, 2.0, 3.0]), *args)
 
 
 def test_objective_moments_do_not_overflow_at_large_wealth(base_params, base_measure):

@@ -18,8 +18,9 @@ from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import (ClaimMeasure, ClaimTables, build_claim_tables, build_measure,
                           tilt_limit)
 from alphamv.simulate import ConstantStrategy
+import alphamv
 import alphamv.solver as solver_mod
-from alphamv.solver import (DistortionSide, EquilibriumSolution, ValueCoefficients, _FocLanes,
+from alphamv.solver import (DistortionSide, EquilibriumSolution, _FocLanes,
                             _claim_integrals, _first_lane, _identity_residuals, _root_start,
                             _value_intercepts, distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
@@ -437,20 +438,21 @@ def test_solution_without_u_star_raises_typed_error(base_params, base_measure, b
 
 
 def test_solved_records_always_carry_their_inputs(base_solution):
-    # the coefficients need the solve's params, measure, u* and cap, and a
-    # distortion side its solved strategy: none of them has a default to
-    # fall back on
-    c = base_solution.coeffs
-    columns = dict(B1=c.B1, B0=c.B0, b1_lo=c.b1_lo, b1_hi=c.b1_hi, b0_lo=c.b0_lo, b0_hi=c.b0_hi)
+    # a solution needs the solve's params, measure, u* and cap besides its
+    # columns, and a distortion side its solved strategy: none of them has a
+    # default to fall back on
+    s = base_solution
+    columns = dict(grid=s.grid, B1=s.B1, B0=s.B0, b1_lo=s.b1_lo, b1_hi=s.b1_hi,
+                   b0_lo=s.b0_lo, b0_hi=s.b0_hi)
     with pytest.raises(TypeError):
-        ValueCoefficients(**columns)
+        EquilibriumSolution(**columns)
     with pytest.raises(TypeError):
         DistortionSide(sign=+1)
     for u_star in (None, -1.0, math.nan, math.inf, "0.3"):
         with pytest.raises(ValidationError) as caught:
-            dataclasses.replace(c, u_star=u_star)
+            dataclasses.replace(s, u_star=u_star)
         assert caught.value.tag == "u_star"
-    assert dataclasses.replace(c, u_star=np.float64(c.u_star)).u_star == c.u_star
+    assert dataclasses.replace(s, u_star=np.float64(s.u_star)).u_star == s.u_star
 
 
 def test_unreachable_root_tolerance_raises(base_params, base_measure, base_numerics):
@@ -575,19 +577,23 @@ def test_lane_calls_need_one_table_row_per_lane(base_params, base_claims, base_m
 
 
 def test_solution_reads_u_star_and_params_from_its_coefficients(base_measure, base_solution):
-    # one copy of each solve input: the solution record holds none of its
-    # own, no strategy column, and a distortion side no cap of its own
-    assert [f.name for f in dataclasses.fields(EquilibriumSolution)] == ["grid", "coeffs"]
+    # one record per solve: its grid, the intercepts on that grid and the one
+    # copy of each solve input; no strategy column, its coeffs is itself, and
+    # a distortion side holds no cap of its own
+    assert [f.name for f in dataclasses.fields(EquilibriumSolution)] == [
+        "grid", "B1", "B0", "b1_lo", "b1_hi", "b0_lo", "b0_hi",
+        "params", "measure", "u_star", "exp_cap"]
+    assert base_solution.coeffs is base_solution
     assert "exp_cap" not in [f.name for f in dataclasses.fields(DistortionSide)]
     assert ClaimTables._fields == ("specs", "nodes", "probs")
     assert "exp_cap" not in inspect.signature(distortions).parameters
-    c = base_solution.coeffs
-    assert (base_solution.u_star, base_solution.params) == (c.u_star, c.params)
-    dist = distortions(base_solution, c.params)
+    assert not hasattr(alphamv, "ValueCoefficients")
+    assert not hasattr(solver_mod, "ValueCoefficients")
+    dist = distortions(base_solution, base_solution.params)
     for side in (dist.lo, dist.hi):
-        assert side.coeffs is c and side.exp_cap == c.exp_cap
+        assert side.coeffs is base_solution and side.exp_cap == base_solution.exp_cap
     with pytest.raises(TypeError):
-        EquilibriumSolution(base_solution.grid, c, u_star=c.u_star)
+        dataclasses.replace(base_solution, coeffs=base_solution)
     with pytest.raises(TypeError):
         dataclasses.replace(base_solution, pi_q=1.001 * base_solution.pi_q)
     grid = base_solution.grid
@@ -595,7 +601,8 @@ def test_solution_reads_u_star_and_params_from_its_coefficients(base_measure, ba
                        ("pi_p", base_solution.pi_p_at)):
         assert np.array_equal(getattr(base_solution, column), at(grid))
     # u* / A(t) rounds as the root solve's own column does, bit for bit
-    assert np.array_equal(base_solution.pi_q, solve_pi_q_grid(grid, c.params, base_measure))
+    assert np.array_equal(base_solution.pi_q,
+                          solve_pi_q_grid(grid, base_solution.params, base_measure))
 
 
 def test_bracket_expansion_failure_signals_pathology(base_measure):
@@ -775,9 +782,8 @@ def test_pre_default_bond_amount_zero_at_fair_spread(base_measure):
 
 
 def _with_params(solution, params):
-    """``solution`` with ``params`` in place of the parameters its coefficients were solved for."""
-    return dataclasses.replace(solution,
-                               coeffs=dataclasses.replace(solution.coeffs, params=params))
+    """``solution`` with ``params`` in place of the parameters it was solved for."""
+    return dataclasses.replace(solution, params=params)
 
 
 def test_pre_default_unbounded_demand_errors(base_solution):
@@ -1176,8 +1182,7 @@ def test_a_side_is_its_strategy_and_a_sign(base_params, base_measure, base_numer
     # drift shifts, tilt, coefficients and cap are all read from the two
     assert [f.name for f in dataclasses.fields(DistortionSide)] == ["strategy", "sign"]
     c = base_solution.coeffs
-    doubled = dataclasses.replace(base_solution,
-                                  coeffs=dataclasses.replace(c, u_star=2.0 * c.u_star))
+    doubled = dataclasses.replace(base_solution, u_star=2.0 * c.u_star)
     p, u = base_params, 2.0 * c.u_star
     for sign in (1, -1):
         side = DistortionSide(doubled, sign)
@@ -1283,17 +1288,20 @@ def test_value_function_rejects_a_nan_time(base_solution, t):
 def test_value_function_is_the_closed_form_at_any_time(base_params, base_measure,
                                                       base_numerics, base_solution):
     # linear interpolation of B_h between the 1000-step grid points was off
-    # by up to 5.3e-7 in B0
-    c = base_solution.coeffs
+    # by up to 5.3e-7 in B0; the solution is its own coeffs, so either one
+    # gives the same value bit for bit
+    s = base_solution
     fine = np.linspace(0.0, base_params.T, 100_001)
     columns = _first_lane(*_value_intercepts(fine, [base_params], base_measure.tables,
-                                             [base_solution.u_star], base_numerics.exp_cap))
-    for h, want, stored in ((1, columns[0], c.B1), (0, columns[3], c.B0)):
-        assert np.array_equal(value_function(fine, 0.0, h, c), want)
-        on_grid = value_function(base_solution.grid, 0.0, h, c)
+                                             [s.u_star], base_numerics.exp_cap))
+    for h, want, stored in ((1, columns[0], s.B1), (0, columns[3], s.B0)):
+        assert np.array_equal(value_function(fine, 0.0, h, s), want)
+        assert np.array_equal(value_function(fine, 0.0, h, s.coeffs), want)
+        on_grid = value_function(s.grid, 0.0, h, s)
+        assert np.array_equal(value_function(s.grid, 0.0, h, s.coeffs), on_grid)
         assert np.max(np.abs(on_grid - stored)) <= 4 * np.finfo(float).eps * np.max(np.abs(stored))
     with pytest.raises(ValidationError) as exc_info:
-        value_function(1.0, 1.0, 0, dataclasses.replace(c, u_star=None))
+        value_function(1.0, 1.0, 0, dataclasses.replace(s, u_star=None))
     assert exc_info.value.tag == "u_star"
 
 

@@ -18,9 +18,8 @@ from alphamv.cli import _build_parser, main
 from alphamv.config import ClaimModelSpec, load_config, replace_param
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
-from alphamv.solver import (EquilibriumSolution, ValueCoefficients, _first_lane,
-                            _value_intercepts, pi_p_star, pi_s_star, rk4_stable_steps,
-                            solve_equilibrium, solve_pi_q_star)
+from alphamv.solver import (_first_lane, _value_intercepts, pi_p_star, pi_s_star,
+                            rk4_stable_steps, solve_equilibrium, solve_pi_q_star)
 from alphamv.sweep import (QUANTITIES, SweepSpec, evaluate_quantity, run_sweep,
                            write_solve_csv)
 from alphamv.verify import run_verification
@@ -404,12 +403,9 @@ def test_solve_csv_formats_each_value_as_17_digits(tmp_path, base_solution):
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1.2345678901234567e-300,
                0.1, 1.0 / 3.0, 2.0 ** 53]
     B1, B0, b1_lo, b1_hi, b0_lo, b0_hi = (np.roll(special, j) for j in range(6))
-    base = base_solution.coeffs
-    coeffs = ValueCoefficients(B1=B1, B0=B0, b1_lo=b1_lo, b1_hi=b1_hi, b0_lo=b0_lo,
-                               b0_hi=b0_hi, params=base.params, measure=base.measure,
-                               u_star=base.u_star, exp_cap=base.exp_cap)
-    grid = np.linspace(0.0, base.params.T, len(special))
-    solution = EquilibriumSolution(grid=grid, coeffs=coeffs)
+    grid = np.linspace(0.0, base_solution.params.T, len(special))
+    solution = dataclasses.replace(base_solution, grid=grid, B1=B1, B0=B0, b1_lo=b1_lo,
+                                   b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi)
     out = tmp_path / "solution.csv"
     write_solve_csv(out, solution)
     table = np.column_stack((grid, solution.pi_q, solution.pi_s, solution.pi_p, B1, B0,
@@ -687,8 +683,7 @@ def test_cmd_verify_foc_residual_fails_a_root_off_by_1e_3(tmp_path, capsys, monk
     assert foc_line(0).startswith("PASS")
     def off_root(*args):
         solution = solve_equilibrium(*args)
-        return dataclasses.replace(solution, coeffs=dataclasses.replace(
-            solution.coeffs, u_star=1.001 * solution.u_star))
+        return dataclasses.replace(solution, u_star=1.001 * solution.u_star)
 
     monkeypatch.setattr(verify_mod, "solve_equilibrium", off_root)
     assert foc_line(2).startswith("FAIL")
