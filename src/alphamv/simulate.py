@@ -63,6 +63,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._csvtext import csv_text
 from .config import ModelParams, _require_finite, _require_integer
 from .errors import NumericalError, ValidationError
 from .levy import ClaimMeasure, sample_truncated_sizes
@@ -542,13 +543,17 @@ def bond_price_path(times, default_time: Optional[float], params: ModelParams) -
 
     Pre-default the price accrues at r + delta toward par at T1; at default it
     drops to the recovery fraction (1 - zeta) of its pre-default value and
-    accrues at the risk-free rate afterwards.  ValidationError (tag
-    ``t_range``) for a time outside [0, T1] or NaN.
+    accrues at the risk-free rate afterwards.  A default time of None, NaN or
+    past T1 (``inf`` included) means no default.  ValidationError (tag
+    ``t_range``) for a time outside [0, T1] or NaN, and for a default time
+    below 0.
     """
     times = np.asarray(times, dtype=float)
     _check_times(times, params.T1)
+    if default_time is not None and default_time < 0.0:
+        raise ValidationError("t_range", f"default time must be >= 0, got {default_time}")
     pre = np.exp(-(params.r + params.delta) * (params.T1 - times))
-    if default_time is None or math.isnan(default_time):
+    if default_time is None or not default_time <= params.T1:
         return pre
     tau = float(default_time)
     post = (1.0 - params.zeta) * math.exp(-(params.r + params.delta) * (params.T1 - tau)) \
@@ -557,9 +562,15 @@ def bond_price_path(times, default_time: Optional[float], params: ModelParams) -
 
 
 def dump_paths_csv(paths: Sequence[WealthPath], out_path) -> None:
-    """Write one CSV row per (path, grid time): path_id,time,wealth,default_state."""
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("path_id,time,wealth,default_state\n")
-        for pid, path in enumerate(paths):
-            for t, w, h in zip(path.times, path.wealth, path.default_state):
-                fh.write(f"{pid},{t:.17g},{w:.17g},{int(h)}\n")
+    """Write one CSV row per (path, grid time): path_id,time,wealth,default_state.
+
+    Times and wealth are ``'%.17g'``; the path index and the state are
+    integers, which ``'%.17g'`` of their float writes as the same text.
+    """
+    rows = [np.column_stack((np.full(len(path.times), pid), path.times, path.wealth,
+                             np.asarray(path.default_state, int)))
+            for pid, path in enumerate(paths)]
+    table = np.concatenate(rows) if rows else np.empty((0, 4))
+    with open(out_path, "wb") as fh:
+        fh.write(b"path_id,time,wealth,default_state\n")
+        fh.write(csv_text(table))

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._csvtext import csv_text
 from .config import (ALL_KEYS, ClaimModelSpec, ModelParams, NumericsConfig,
                      _require_integer, replace_param)
 from .errors import NumericalError, ValidationError
@@ -211,14 +212,13 @@ def _fmt(x: float) -> str:
 
 
 def write_solve_csv(out_path, solution: EquilibriumSolution) -> None:
-    """Full solution table, one row per grid point, 17 significant digits."""
+    """Full solution table, one row per grid point, ``'%.17g'`` per value."""
     table = np.column_stack((solution.grid, solution.pi_q, solution.pi_s, solution.pi_p,
                              solution.B1, solution.B0, solution.b1_lo, solution.b1_hi,
                              solution.b0_lo, solution.b0_hi))
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"   # same text as _fmt per value
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("t,pi_q,pi_s,pi_p,B1,B0,b1_lo,b1_hi,b0_lo,b0_hi\n")
-        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
+    with open(out_path, "wb") as fh:
+        fh.write(b"t,pi_q,pi_s,pi_p,B1,B0,b1_lo,b1_hi,b0_lo,b0_hi\n")
+        fh.write(csv_text(table))
 
 
 def write_sweep_csv(out_path, result: SweepResult) -> None:

@@ -308,6 +308,10 @@ _INVALID_CALLS = [
      lambda b: bond_price_path([math.nan], None, b.params)),
     ("simulate-bond_t_negative", ValidationError, "t_range",
      lambda b: bond_price_path([0.0, -5.0], None, b.params)),
+    # a default before time 0 is no timing; one past T1 is no default (below)
+    *[(f"simulate-bond_default_{name}", ValidationError, "t_range",
+       lambda b, tau=tau: bond_price_path([0.0, 1.0], tau, b.params))
+      for name, tau in (("negative", -5.0), ("minus_inf", -math.inf), ("minus_tiny", -5e-324))],
     ("solver-value_h_range", ValidationError, "h_range",
      lambda b: value_function(0.0, 1.0, 2, b.solution.coeffs)),
     ("solver-value_h_range-float", ValidationError, "h_range",

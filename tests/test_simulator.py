@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -489,6 +490,17 @@ def test_bond_price_default_jump(base_params):
     ts = np.array([4.0, 4.5])
     p = bond_price_path(ts, tau, base_params)
     assert math.log(p[1] / p[0]) / 0.5 == pytest.approx(base_params.r, rel=1e-9)
+
+
+@pytest.mark.parametrize("tau", [None, math.nan, math.inf, 1e6, 1e300])
+def test_bond_default_past_maturity_is_no_default(base_params, tau):
+    ts = np.array([0.0, 1.0, 5.0, base_params.T1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prices = bond_price_path(ts, tau, base_params)
+    assert np.array_equal(prices, bond_price_path(ts, None, base_params))
+    assert np.array_equal(prices, np.exp(-(base_params.r + base_params.delta)
+                                         * (base_params.T1 - ts)))
 
 
 def test_estimate_objective_deterministic_limit(base_measure):
