@@ -46,18 +46,20 @@ Newton's probe iterates clip silently, and a saturation at a returned root
 warns (SaturationWarning, not an error), once per root call; the claim
 integrals of the intercepts and the distortions clip at the same cap silently.
 
-A solve is one record, the :class:`EquilibriumSolution`: its grid, the six
-value intercepts on that grid, and the one copy of the model, the
-parameters, the claim measure, ``u*`` and ``exp_cap``, none of them
-optional.  It holds no strategy columns: they are derived from ``u*`` and
-the closed forms.  What is built from a solve holds it and derives the
-rest: a :class:`DistortionSide` is a solved strategy and a sign, its drift
-shifts, jump tilt and cap all read from the solve.  The calls made with a
-solution or a side (:func:`distortions`, :func:`reference_mean_intercepts`,
-and the simulator's runs and objective) raise a ValidationError (tag
-``inputs``) when handed other parameters or another measure object.  The
-strategy's closed forms and the side's distortions take a t in [0, T] only
-(tag ``t_range``).
+A solve is one record, the :class:`EquilibriumSolution`, which holds only
+its inputs: its grid and the one copy of the model, the parameters, the
+claim measure, ``u*`` and ``exp_cap``, none of them optional.  The six
+value intercepts on the grid are built from them when the record is, by
+the closed form that :func:`value_function` evaluates at any t, and the
+strategy columns are the closed forms at ``u*``; so a record cannot carry
+columns of another grid or model.  What is built from a solve holds it and
+derives the rest: a :class:`DistortionSide` is a solved strategy and a
+sign, its drift shifts, jump tilt and cap all read from the solve.  The
+calls made with a solution or a side (:func:`distortions`,
+:func:`reference_mean_intercepts`, and the simulator's runs and objective)
+raise a ValidationError (tag ``inputs``) when handed other parameters or
+another measure object.  The strategy's closed forms and the side's
+distortions take a t in [0, T] only (tag ``t_range``).
 """
 
 from __future__ import annotations
@@ -639,16 +641,21 @@ def _solved_coeffs(strategy, params: ModelParams, measure=None) -> EquilibriumSo
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """One solve: the equilibrium strategy and its value intercepts on a uniform time grid.
+    """One solve: its inputs, and the equilibrium strategy and value intercepts they give.
 
+    The fields are the one copy of the solve's inputs: ``grid``, a time grid
+    in [0, T], and ``params``, ``measure``, ``u_star`` and ``exp_cap``, those
+    of the closed form :func:`_value_intercepts` (one lane at one cap).  A
+    call given this solution with other parameters or another measure
+    raises (tag ``inputs``).  Everything else is derived from them.
     ``value = A(t) x + B_h(t)`` and the distorted means are ``A(t) x +
     b_h(t)``, with ``A = params.discount_to_horizon``; the six intercept
-    columns are those functions on ``grid`` and vanish at T.  ``params``,
-    ``measure``, ``u_star`` and ``exp_cap`` are the one copy of the solve's
-    inputs, those of the closed form :func:`_value_intercepts` (one lane at
-    one cap), which :func:`value_function` evaluates at any t; a call given
-    this solution with other parameters or another measure raises (tag
-    ``inputs``).  ``pi_q(t) = u_star e^{-r(T-t)}``, and the strategy at any
+    columns ``B1, b1_lo, b1_hi, B0, b0_lo, b0_hi`` are those functions on
+    ``grid``, built once when the record is, and vanish at T; they are not
+    init fields, so no record holds columns of another grid or model, and
+    ``dataclasses.replace`` of an input rebuilds them.  :func:`value_function`
+    and :func:`reference_mean_intercepts` evaluate the same closed form at
+    other times.  ``pi_q(t) = u_star e^{-r(T-t)}``, and the strategy at any
     t in [0, T] (tag ``t_range`` otherwise) is :meth:`pi_q_at` and the
     closed forms :meth:`pi_s_at` and :meth:`pi_p_at`; the columns ``pi_q``,
     ``pi_s`` and ``pi_p`` are them on the grid, evaluated at each read.
@@ -659,22 +666,22 @@ class EquilibriumSolution:
 
     ValidationError (tag ``u_star``) unless ``u_star`` is a finite float >=
     0, (tags ``nonfinite:exp_cap``, ``exp_cap<=0``) unless ``exp_cap`` is
-    finite and > 0, and (tag ``grid``) unless every intercept column has the
-    grid's shape.  A grid of the right length but from another solve is not
-    detected: its columns would have to be recomputed.
+    finite and > 0, and (tag ``t_range``) for a grid time outside [0, T] or
+    NaN; NumericalError where the intercepts have none (see
+    :func:`_value_intercepts`).
     """
 
     grid: np.ndarray
-    B1: np.ndarray
-    B0: np.ndarray
-    b1_lo: np.ndarray
-    b1_hi: np.ndarray
-    b0_lo: np.ndarray
-    b0_hi: np.ndarray
     params: ModelParams = field(repr=False)
     measure: ClaimMeasure = field(repr=False)
     u_star: float
     exp_cap: float
+    B1: np.ndarray = field(init=False)
+    b1_lo: np.ndarray = field(init=False)
+    b1_hi: np.ndarray = field(init=False)
+    B0: np.ndarray = field(init=False)
+    b0_lo: np.ndarray = field(init=False)
+    b0_hi: np.ndarray = field(init=False)
     coeffs = property(lambda self: self)
     pi_q = property(lambda self: self.pi_q_at(self.grid))
     pi_s = property(lambda self: self.pi_s_at(self.grid))
@@ -684,10 +691,24 @@ class EquilibriumSolution:
         if not (isinstance(self.u_star, float) and 0.0 <= self.u_star < math.inf):
             raise ValidationError("u_star", f"u_star must be a float in [0, inf), got {self.u_star!r}")
         _require_positive("exp_cap", self.exp_cap)
-        shape = np.shape(self.grid)
-        if any(np.shape(column) != shape for column in (
-                self.B1, self.B0, self.b1_lo, self.b1_hi, self.b0_lo, self.b0_hi)):
-            raise ValidationError("grid", f"intercept columns must have the grid's shape {shape}")
+        for name, column in zip(("B1", "b1_lo", "b1_hi", "B0", "b0_lo", "b0_hi"),
+                                self._intercepts_at(self.grid)):
+            object.__setattr__(self, name, column)
+
+    def _intercepts_at(self, t, reference: bool = False) -> list:
+        """``(B1, b1_lo, b1_hi, B0, b0_lo, b0_hi)`` at times t, each of t's shape.
+
+        :func:`_value_intercepts` at this solve's inputs (``reference`` is
+        passed on); raises its lane's NumericalError, and ValidationError
+        (tag ``t_range``) for a t outside [0, T] or NaN.
+        """
+        t = np.asarray(t, dtype=float)
+        _check_times(t, self.params.T)
+        columns, errors = _value_intercepts(t, [self.params], self.measure.tables,
+                                            [self.u_star], self.exp_cap, reference)
+        if errors[0] is not None:
+            raise errors[0]
+        return [column.reshape(t.shape) for column in columns]
 
     def pi_q_at(self, t):
         _check_times(t, self.params.T)
@@ -869,13 +890,6 @@ def _value_intercepts(t, params: Sequence[ModelParams], tables: ClaimTables, u_s
     return columns, errors
 
 
-def _first_lane(columns, errors):
-    """Lane 0 of a lane evaluator's ``(columns, errors)``: its rows, or its error raised."""
-    if errors[0] is not None:
-        raise errors[0]
-    return [column[0] for column in columns]
-
-
 # RK4 applied to y' = lam y with lam h real and negative is stable while
 # lam |h| <= this limit, the real root of 1 + x/2 + x^2/6 + x^3/24 (where the
 # step factor climbs back to 1).
@@ -909,10 +923,11 @@ def pre_default_system(solution: EquilibriumSolution, steps: int):
     hP``), and RK4 commutes with that linear change of variables.  Only u*
     and the integrands of :func:`_integrands` are shared with the closed form
     of :func:`solve_equilibrium`, which this converges to at order 4.
-    NumericalError for hP = 0 or zeta = 0 (no finite bond demand), for fewer
-    steps than :func:`rk4_stable_steps` (RK4's stability limit on the fastest
-    mode, rate ``delta/zeta``), and for non-finite values; ValidationError
-    for a ``steps`` that is not a finite integer.
+    A solution exists only where its closed form does, so its bond and
+    stock demands are finite.  NumericalError for fewer steps than
+    :func:`rk4_stable_steps` (RK4's stability limit on the fastest mode,
+    rate ``delta/zeta``) and for non-finite values; ValidationError for a
+    ``steps`` that is not a finite integer.
     """
     steps = _require_integer("steps", steps)
     params = solution.params
@@ -924,11 +939,8 @@ def pre_default_system(solution: EquilibriumSolution, steps: int):
             f"stability limit {_RK4_STABILITY_LIMIT:.4f}; use time_steps >= {stable}"
         )
     grid = np.linspace(0.0, params.T, steps + 1)
-    integrands, errors = _integrands([params], solution.measure.tables,
-                                     [solution.u_star], solution.exp_cap)
-    if errors[0] is not None:
-        raise errors[0]
-    integrands = integrands[0]
+    integrands = _integrands([params], solution.measure.tables,
+                             [solution.u_star], solution.exp_cap)[0][0]
 
     def stages(times):
         # (A, fB1, f1_lo, f1_hi) at each time
@@ -979,19 +991,16 @@ def solve_equilibrium(params: ModelParams, measure: ClaimMeasure,
     """Full equilibrium: strategies and value coefficients on a uniform grid.
 
     One root u* (:func:`solve_pi_q_grid`, whose residual check covers every
-    grid time), then the closed-form intercepts of :func:`_value_intercepts`,
-    all in one :class:`EquilibriumSolution`; its strategy columns are the
-    closed forms at its ``u*`` and ``params``.  ``time_steps`` sets only the
-    output grid.  NumericalError for hP = 0 or zeta = 0 (no finite bond
-    demand), a failed root, or non-finite coefficients.
+    grid time), then the :class:`EquilibriumSolution` of the grid, the
+    inputs and u*, which builds its intercept columns from them.
+    ``time_steps`` sets only the output grid.  NumericalError for hP = 0 or
+    zeta = 0 (no finite bond demand), a failed root, or non-finite
+    coefficients.
     """
     grid = np.linspace(0.0, params.T, numerics.time_steps + 1)
     pi_q = solve_pi_q_grid(grid, params, measure, numerics.root_tol, numerics.exp_cap)
-    u_star = float(pi_q[-1])            # pi_q A = u* and A(T) = 1
-    B1, b1_lo, b1_hi, B0, b0_lo, b0_hi = _first_lane(*_value_intercepts(
-        grid, [params], measure.tables, [u_star], numerics.exp_cap))
-    return EquilibriumSolution(grid, B1, B0, b1_lo, b1_hi, b0_lo, b0_hi,
-                               params, measure, u_star, numerics.exp_cap)
+    # pi_q A = u* and A(T) = 1
+    return EquilibriumSolution(grid, params, measure, float(pi_q[-1]), numerics.exp_cap)
 
 
 def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
@@ -999,9 +1008,10 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
                               exp_cap: float = DEFAULT_EXP_CAP):
     """Mean intercepts of the equilibrium strategy under the reference measure.
 
-    The closed form of :func:`_value_intercepts` with ``reference``: every
-    ambiguity level zero while the strategy of ``solution`` stays fixed, so
-    ``E[X(T) | X(t)=x, H(t)=h]`` equals ``e^{r(T-t)} x + b_ref_h(t)``.  The
+    The solve's closed form (:meth:`EquilibriumSolution._intercepts_at`)
+    with ``reference``: every ambiguity level zero while the strategy of
+    ``solution`` stays fixed, so ``E[X(T) | X(t)=x, H(t)=h]`` equals
+    ``e^{r(T-t)} x + b_ref_h(t)``.  The
     bond amount does not depend on the betas, so ``b0_ref = b1_ref - D``
     still holds.  The parameters, the measure and u* are those of the solve
     ``solution`` carries as ``coeffs``: ValidationError (tag ``inputs``) when
@@ -1011,9 +1021,8 @@ def reference_mean_intercepts(params: ModelParams, measure: ClaimMeasure,
     Returns (b1_ref, b0_ref) on the solution grid.
     """
     coeffs = _solved_coeffs(solution, params, measure)
-    columns = _first_lane(*_value_intercepts(
-        solution.grid, [coeffs.params], coeffs.measure.tables, [coeffs.u_star], exp_cap,
-        reference=True))
+    _require_positive("exp_cap", float(exp_cap))
+    columns = coeffs._intercepts_at(solution.grid, reference=True)
     return columns[1], columns[4]
 
 
@@ -1040,25 +1049,22 @@ def _default_states(h0, pair: bool = True) -> tuple[int, ...]:
 def value_function(t, x, h: int, solution: EquilibriumSolution):
     """Equilibrium value e^{r(T-t)} x + B_h(t) at any t in [0, T].
 
-    B_h is the closed form :func:`_value_intercepts` at the inputs of the
-    solve that ``solution`` carries as ``coeffs`` (the solution itself), so
-    it is exact between grid points and equals the ``B1``/``B0`` columns on
-    the grid.  ``h`` is one :func:`_default_states`; ValidationError (tag
-    ``nonfinite:x``) for a non-finite wealth and (tag ``u_star``) for a
-    strategy without ``coeffs``.
+    B_h is the closed form of the solve that ``solution`` carries as
+    ``coeffs`` (the solution itself), the one its ``B1``/``B0`` columns are
+    built from (:meth:`EquilibriumSolution._intercepts_at`), so it is exact
+    between grid points and equals those columns on the grid.  ``h`` is one
+    :func:`_default_states`; ValidationError (tag ``nonfinite:x``) for a
+    non-finite wealth, (tag ``t_range``) for a t outside [0, T] or NaN, and
+    (tag ``u_star``) for a strategy without ``coeffs``.
     """
     coeffs = _coeffs(solution)
-    params = coeffs.params
-    t_arr = np.asarray(t, dtype=float)
-    _check_times(t_arr, params.T)
     h, = _default_states(h, pair=False)
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValidationError("nonfinite:x", f"wealth x must be finite, got {x}")
-    B1, _, _, B0, _, _ = _first_lane(*_value_intercepts(
-        t_arr, [params], coeffs.measure.tables, [coeffs.u_star], coeffs.exp_cap))
-    value = params.discount_to_horizon(t_arr) * x \
-        + (B1 if h == 1 else B0).reshape(t_arr.shape)
+    t = np.asarray(t, dtype=float)
+    B1, _, _, B0, _, _ = coeffs._intercepts_at(t)
+    value = coeffs.params.discount_to_horizon(t) * x + (B1 if h == 1 else B0)
     return value if value.ndim else float(value)
 
 
@@ -1123,9 +1129,13 @@ class DistortionSide:
         """phi3 on the broadcast shape of t and z; the tilt itself does not depend on t.
 
         ValidationError (tag ``t_range``) for a t outside [0, T] or NaN, as
-        for :meth:`phi1` and :meth:`phi2`.
+        for :meth:`phi1` and :meth:`phi2`, and (tag ``nonfinite:z``) for a
+        NaN or infinite z.
         """
         _check_times(t, self.coeffs.params.T)
+        z = np.asarray(z, dtype=float)
+        if not np.isfinite(z).all():
+            raise ValidationError("nonfinite:z", "claim sizes z must be finite")
         x = np.clip(self.exponent(z), -self.exp_cap, self.exp_cap)
         return -np.expm1(np.broadcast_to(x, np.broadcast_shapes(np.shape(t), x.shape)))
 
@@ -1177,16 +1187,25 @@ def penalty_rate(phi1: float, phi2: float, phi3_nodes, params: ModelParams,
                  measure: ClaimMeasure):
     """Entropic penalty per unit time for distortion values at one instant.
 
-    ``phi3_nodes`` holds phi3(t, z_i) on the measure's quadrature nodes.
-    Raises for phi3 >= 1 anywhere (outside the admissible distortion range).
+    ``phi3_nodes`` holds phi3(t, z_i) on the measure's quadrature nodes:
+    its last axis has one entry per node (tag ``nodes`` otherwise).
     Vectorized: phi1/phi2 may be arrays if phi3_nodes carries a matching
-    leading axis.
+    leading axis.  Before any arithmetic, ValidationError (tag ``phi3>=1``)
+    for phi3 >= 1 anywhere (outside the admissible distortion range), and
+    (tags ``nonfinite:phi1``, ``nonfinite:phi2``, ``nonfinite:phi3``) for a
+    NaN or infinite value.
     """
-    phi3 = np.asarray(phi3_nodes, dtype=float)
+    phi1, phi2, phi3 = (np.asarray(phi, dtype=float) for phi in (phi1, phi2, phi3_nodes))
     if np.any(phi3 >= 1.0):
         raise ValidationError("phi3>=1", "jump distortion must satisfy phi3 < 1 everywhere")
+    for name, phi in (("phi1", phi1), ("phi2", phi2), ("phi3", phi3)):
+        if not np.isfinite(phi).all():
+            raise ValidationError(f"nonfinite:{name}", f"{name} must be finite everywhere")
+    if phi3.shape[-1:] != measure.weights.shape:
+        raise ValidationError("nodes", f"phi3 must hold one value per node of the measure's "
+                              f"{measure.weights.size}, got shape {phi3.shape}")
     entropy = _jump_entropy(phi3) @ measure.weights
-    rate = (np.asarray(phi1, dtype=float) ** 2 / (2.0 * params.beta1)
-            + np.asarray(phi2, dtype=float) ** 2 / (2.0 * params.beta2)
+    rate = (phi1 ** 2 / (2.0 * params.beta1)
+            + phi2 ** 2 / (2.0 * params.beta2)
             + entropy / params.beta3)
     return rate if rate.ndim else float(rate)

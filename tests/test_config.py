@@ -17,7 +17,7 @@ from alphamv.errors import ConfigError, ValidationError
 from alphamv.levy import ClaimMeasure
 from alphamv.simulate import (ConstantStrategy, WealthPath, alpha_robust_value, bond_price_path,
                               objective_from_terminal, simulate_terminal, simulate_wealth)
-from alphamv.solver import (DistortionSide, distortions, pi_p_star, pi_s_star,
+from alphamv.solver import (DistortionSide, distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts, reinsurance_foc,
                             scan_foc_sign_changes, solve_pi_q_grid, solve_pi_q_lanes,
                             solve_pi_q_star, value_function)
@@ -227,6 +227,14 @@ _NEGATIVE_PI_Q = types.SimpleNamespace(pi_q_at=lambda t: -np.ones_like(t),
                                        pi_s_at=np.zeros_like, pi_p_at=np.zeros_like)
 
 
+def _penalty(b, phi1=0.0, phi2=0.0, phi3=None, nodes=None):
+    """``penalty_rate`` on the base measure; phi3 fills a zero row of ``nodes`` entries."""
+    row = np.zeros(b.measure.nodes.size if nodes is None else nodes)
+    if phi3 is not None:
+        row[1] = phi3
+    return penalty_rate(phi1, phi2, row, b.params, b.measure)
+
+
 def _terminal(b, strategy=ConstantStrategy(), n_paths=10, h0=1):
     return simulate_terminal(strategy, None, b.params, b.measure, n_paths, 0.05, 1, h0=h0)
 
@@ -322,13 +330,12 @@ _INVALID_CALLS = [
      lambda b: value_function(0.0, math.nan, 1, b.solution.coeffs)),
     ("solver-value_u_star", ValidationError, "u_star",
      lambda b: value_function(0.0, 1.0, 1, ConstantStrategy())),
-    # a solution's intercept columns lie on its own grid
-    ("solver-solution_grid_short", ValidationError, "grid",
-     lambda b: dataclasses.replace(b.solution, grid=np.linspace(0.0, b.params.T, 5))),
-    ("solver-solution_column_short", ValidationError, "grid",
-     lambda b: dataclasses.replace(b.solution, b0_hi=b.solution.b0_hi[:-1])),
-    ("solver-solution_column_2d", ValidationError, "grid",
-     lambda b: dataclasses.replace(b.solution, B1=b.solution.B1[None, :])),
+    # a solution builds its intercept columns on its own grid, which takes
+    # the [0, T] rule of every closed form
+    *[(f"solver-solution_grid_{name}", ValidationError, "t_range",
+       lambda b, grid=grid: dataclasses.replace(b.solution, grid=np.array(grid)))
+      for name, grid in (("past_T", [0.0, 20.0]), ("negative", [-1.0, 0.0]),
+                         ("nan", [0.0, math.nan]))],
     *[(f"solver-{name}", ValidationError, "t_range", call) for name, call in (
         ("grid_t_past_T", lambda b: solve_pi_q_grid([0.0, 20.0], b.params, b.measure)),
         ("grid_t_negative", lambda b: solve_pi_q_grid([-5.0], b.params, b.measure)),
@@ -399,6 +406,16 @@ _INVALID_CALLS = [
       for run_name, run in _SEEDED_RUNS
       for name, tag, seed in (("negative", "seed<0", -1), ("fraction", "noninteger:seed", 1.5),
                               ("nan", "nonfinite:seed", math.nan))],
+    # the penalty rate takes finite distortions, phi3 one value per node,
+    # and a side's phi3 finite claim sizes: typed errors before any arithmetic
+    *[(f"solver-penalty_{name}", ValidationError, tag, lambda b, kw=kw: _penalty(b, **kw))
+      for name, tag, kw in (("phi1_nan", "nonfinite:phi1", {"phi1": math.nan}),
+                            ("phi2_inf", "nonfinite:phi2", {"phi2": math.inf}),
+                            ("phi3_nan", "nonfinite:phi3", {"phi3": math.nan}),
+                            ("phi3_minus_inf", "nonfinite:phi3", {"phi3": -math.inf}),
+                            ("nodes", "nodes", {"nodes": 5}))],
+    ("solver-side_phi3_z_nan", ValidationError, "nonfinite:z",
+     lambda b: distortions(b.solution, b.params).lo.phi3(0.0, math.nan)),
     *[(f"solver-rk4_steps_{name}", ValidationError, tag,
        lambda b, steps=steps: pre_default_system(b.solution, steps))
       for name, tag, steps in (("fraction", "noninteger:steps", 2.5),

@@ -13,7 +13,7 @@ from alphamv.config import ClaimModelSpec, ModelParams, NumericsConfig
 from alphamv.errors import NumericalError, ValidationError
 from alphamv import simulate as simulate_mod
 from alphamv.levy import build_measure, sample_truncated_sizes
-from alphamv.simulate import (ConstantStrategy, _RunTables, alpha_robust_value,
+from alphamv.simulate import (ConstantStrategy, WealthPath, _RunTables, alpha_robust_value,
                               bond_price_path, dump_paths_csv, objective_from_terminal,
                               simulate_terminal, simulate_wealth)
 from alphamv.solver import (DistortionFunctions, distortions, reference_mean_intercepts,
@@ -442,6 +442,24 @@ def test_path_dump_schema(tmp_path, base_params, base_measure, base_solution):
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
     assert first[3] in ("0", "1")
+
+
+def test_path_dump_formats_special_values_as_17_digits(tmp_path):
+    # the writer's whole float range, special values included, end to end:
+    # every time and wealth as '%.17g', the path index and state as integers
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308,
+                        -1.2345678901234567e-300, 0.1, 1.0 / 3.0, 2.0 ** 53])
+    state = np.repeat([0, 1], 5).astype(np.int8)
+    paths = [WealthPath(times=np.roll(special, j), wealth=np.roll(special, -3 * j),
+                        default_state=state, default_time=None, claim_log=[])
+             for j in range(3)]
+    out = tmp_path / "paths.csv"
+    dump_paths_csv(paths, out)
+    expected = "path_id,time,wealth,default_state\n" + "".join(
+        f"{pid},{format(float(t), '.17g')},{format(float(x), '.17g')},{h}\n"
+        for pid, path in enumerate(paths)
+        for t, x, h in zip(path.times, path.wealth, path.default_state))
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_path_storage_guard(base_params, base_measure, base_solution):

@@ -21,7 +21,7 @@ from alphamv.simulate import ConstantStrategy
 import alphamv
 import alphamv.solver as solver_mod
 from alphamv.solver import (DistortionSide, EquilibriumSolution, _FocLanes,
-                            _claim_integrals, _first_lane, _identity_residuals, _root_start,
+                            _claim_integrals, _identity_residuals, _root_start,
                             _value_intercepts, distortions, penalty_rate, pi_p_star, pi_s_star,
                             pre_default_system, reference_mean_intercepts,
                             reinsurance_foc, scan_foc_sign_changes,
@@ -33,6 +33,13 @@ from alphamv.verify import _pi_p_rk4_bound
 from conftest import BASE_KWARGS
 
 BASE_CFG = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / "base.cfg"
+
+
+def _lane0(t, params, measure, u_star, exp_cap):
+    """The six columns of ``_value_intercepts`` for one lane at times t."""
+    columns, errors = _value_intercepts(t, [params], measure.tables, [u_star], exp_cap)
+    assert errors == [None]
+    return [column[0] for column in columns]
 
 
 def _bracket_hi(t, params, measure):
@@ -455,6 +462,35 @@ def test_solved_records_always_carry_their_inputs(base_solution):
     assert dataclasses.replace(s, u_star=np.float64(s.u_star)).u_star == s.u_star
 
 
+@pytest.mark.parametrize("change", ["u_star", "params", "exp_cap", "grid"])
+def test_a_replaced_input_rebuilds_every_column(base_params, base_measure, base_solution,
+                                               change):
+    # a record is its inputs: replacing one gives the columns of the new
+    # inputs on the record's own grid, bit for bit, never the old solve's
+    s = base_solution
+    new = {"u_star": 2.0 * s.u_star, "exp_cap": 1e-3, "grid": 0.5 * s.grid,
+           "params": dataclasses.replace(base_params, gamma=2.0, beta3=1.0)}[change]
+    record = dataclasses.replace(s, **{change: new})
+    want = _lane0(record.grid, record.params, base_measure, record.u_star, record.exp_cap)
+    for name, column in zip(("B1", "b1_lo", "b1_hi", "B0", "b0_lo", "b0_hi"), want):
+        assert np.array_equal(getattr(record, name), column), name
+    for h, name in ((1, "B1"), (0, "B0")):
+        assert np.array_equal(getattr(record, name), value_function(record.grid, 0.0, h, record))
+    assert not np.array_equal(record.B1, s.B1)
+
+
+def test_a_solve_makes_one_intercept_call(base_params, base_measure, base_numerics,
+                                         monkeypatch):
+    # the record builds its six columns in one closed-form call, and the
+    # solve is the root plus the record
+    calls, original = [], solver_mod._value_intercepts
+    monkeypatch.setattr(solver_mod, "_value_intercepts",
+                        lambda *args: calls.append(args) or original(*args))
+    solution = solve_equilibrium(base_params, base_measure, base_numerics)
+    assert len(calls) == 1 and calls[0][0] is solution.grid
+    assert not hasattr(solver_mod, "_first_lane")
+
+
 def test_unreachable_root_tolerance_raises(base_params, base_measure, base_numerics):
     ts = np.linspace(0.0, base_params.T, 11)
     with pytest.raises(NumericalError, match="tolerance"):
@@ -577,12 +613,17 @@ def test_lane_calls_need_one_table_row_per_lane(base_params, base_claims, base_m
 
 
 def test_solution_reads_u_star_and_params_from_its_coefficients(base_measure, base_solution):
-    # one record per solve: its grid, the intercepts on that grid and the one
-    # copy of each solve input; no strategy column, its coeffs is itself, and
-    # a distortion side holds no cap of its own
-    assert [f.name for f in dataclasses.fields(EquilibriumSolution)] == [
-        "grid", "B1", "B0", "b1_lo", "b1_hi", "b0_lo", "b0_hi",
-        "params", "measure", "u_star", "exp_cap"]
+    # one record per solve: the one copy of each solve input, and the
+    # intercepts on its grid built from them, never given; no strategy
+    # column, its coeffs is itself, and a distortion side holds no cap of its own
+    fields = dataclasses.fields(EquilibriumSolution)
+    assert [f.name for f in fields if f.init] == [
+        "grid", "params", "measure", "u_star", "exp_cap"]
+    assert [f.name for f in fields if not f.init] == [
+        "B1", "b1_lo", "b1_hi", "B0", "b0_lo", "b0_hi"]
+    for column in ("B1", "b0_hi"):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(base_solution, **{column: getattr(base_solution, column)})
     assert base_solution.coeffs is base_solution
     assert "exp_cap" not in [f.name for f in dataclasses.fields(DistortionSide)]
     assert ClaimTables._fields == ("specs", "nodes", "probs")
@@ -782,16 +823,17 @@ def test_pre_default_bond_amount_zero_at_fair_spread(base_measure):
 
 
 def _with_params(solution, params):
-    """``solution`` with ``params`` in place of the parameters it was solved for."""
+    """The record of ``solution``'s grid, measure, u* and cap at ``params``: new columns."""
     return dataclasses.replace(solution, params=params)
 
 
 def test_pre_default_unbounded_demand_errors(base_solution):
-    # a solution record carrying parameters with no finite bond demand
+    # no solution record carries parameters with no finite bond demand: the
+    # record raises as it builds its intercepts, so RK4 never sees them
     for overrides in ({"hP": 0.0, "delta": 0.01}, {"zeta": 0.0, "delta": 0.0}):
         params = ModelParams(**{**BASE_KWARGS, **overrides})
         with pytest.raises(NumericalError, match="unbounded"):
-            pre_default_system(_with_params(base_solution, params), 50)
+            _with_params(base_solution, params)
         with pytest.raises(NumericalError, match="unbounded"):
             pi_p_star(0.0, params)
 
@@ -804,7 +846,7 @@ def test_unrepresentable_bond_demand_raises_typed_error(base_measure, base_numer
     params = ModelParams(**{**BASE_KWARGS, "zeta": zeta})
     calls = (lambda: pi_p_star(0.0, params),
              lambda: solve_equilibrium(params, base_measure, base_numerics),
-             lambda: pre_default_system(_with_params(base_solution, params), 10),
+             lambda: _with_params(base_solution, params),
              lambda: solver_mod.rk4_stable_steps(params))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -966,14 +1008,9 @@ def test_reference_intercepts_beta_independent(base_params, base_measure, base_s
     tilted = dataclasses.replace(base_params, beta3=0.3)
     half = dataclasses.replace(base_params, alpha=0.5)
     bumped = dataclasses.replace(half, beta1=2.5, beta2=0.7, beta3=0.3)
-    columns = _first_lane(*_value_intercepts(
-        base_solution.grid, [bumped], base_measure.tables, [base_solution.u_star],
-        base_numerics.exp_cap, reference=True))
-    pairs = ((reference_mean_intercepts(base_params, base_measure, base_solution),
-              reference_mean_intercepts(tilted, base_measure,
-                                        _with_params(base_solution, tilted))),
-             (reference_mean_intercepts(half, base_measure, _with_params(base_solution, half)),
-              (columns[1], columns[4])))
+    pairs = [(reference_mean_intercepts(a, base_measure, _with_params(base_solution, a)),
+              reference_mean_intercepts(b, base_measure, _with_params(base_solution, b)))
+             for a, b in ((base_params, tilted), (half, bumped))]
     for (b1_ref, b0_ref), (b1, b0) in pairs:
         assert np.allclose(b1_ref, b1, rtol=0, atol=1e-12)
         assert np.allclose(b0_ref, b0, rtol=0, atol=1e-12)
@@ -1292,14 +1329,11 @@ def test_value_function_is_the_closed_form_at_any_time(base_params, base_measure
     # gives the same value bit for bit
     s = base_solution
     fine = np.linspace(0.0, base_params.T, 100_001)
-    columns = _first_lane(*_value_intercepts(fine, [base_params], base_measure.tables,
-                                             [s.u_star], base_numerics.exp_cap))
+    columns = _lane0(fine, base_params, base_measure, s.u_star, base_numerics.exp_cap)
     for h, want, stored in ((1, columns[0], s.B1), (0, columns[3], s.B0)):
         assert np.array_equal(value_function(fine, 0.0, h, s), want)
         assert np.array_equal(value_function(fine, 0.0, h, s.coeffs), want)
-        on_grid = value_function(s.grid, 0.0, h, s)
-        assert np.array_equal(value_function(s.grid, 0.0, h, s.coeffs), on_grid)
-        assert np.max(np.abs(on_grid - stored)) <= 4 * np.finfo(float).eps * np.max(np.abs(stored))
+        assert np.array_equal(value_function(s.grid, 0.0, h, s), stored)
     with pytest.raises(ValidationError) as exc_info:
         value_function(1.0, 1.0, 0, dataclasses.replace(s, u_star=None))
     assert exc_info.value.tag == "u_star"

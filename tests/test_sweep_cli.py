@@ -18,8 +18,8 @@ from alphamv.cli import _build_parser, main
 from alphamv.config import ClaimModelSpec, load_config, replace_param
 from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
-from alphamv.solver import (_first_lane, _value_intercepts, pi_p_star, pi_s_star,
-                            rk4_stable_steps, solve_equilibrium, solve_pi_q_star)
+from alphamv.solver import (EquilibriumSolution, pi_p_star, pi_s_star, rk4_stable_steps,
+                            solve_equilibrium, solve_pi_q_star)
 from alphamv.sweep import (QUANTITIES, SweepSpec, evaluate_quantity, run_sweep,
                            write_solve_csv)
 from alphamv.verify import run_verification
@@ -89,9 +89,8 @@ def _per_point(params, claims, numerics, param, value, quantity, t):
         if quantity == "pi_q0":
             return solve_pi_q_star(t, p, measure, n.root_tol, n.exp_cap), "ok"
         u_star = solve_pi_q_star(p.T, p, measure, n.root_tol, n.exp_cap)
-        B1, _, _, B0, _, _ = _first_lane(*_value_intercepts(t, [p], measure.tables, [u_star],
-                                                            n.exp_cap))
-        return float((B0 if quantity == "B0_0" else B1)[0]), "ok"
+        solution = EquilibriumSolution(np.array([t]), p, measure, u_star, n.exp_cap)
+        return float((solution.B0 if quantity == "B0_0" else solution.B1)[0]), "ok"
     except ValidationError as exc:
         return None, f"skipped:{exc.tag}"
     except NumericalError as exc:
@@ -398,18 +397,15 @@ def test_cmd_solve_csv(tmp_path, base_params):
 
 
 def test_solve_csv_formats_each_value_as_17_digits(tmp_path, base_solution):
-    # the special values sit in the coefficient columns; the strategy columns
-    # are the closed forms on a finite grid, read off the solution
-    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1.2345678901234567e-300,
-               0.1, 1.0 / 3.0, 2.0 ** 53]
-    B1, B0, b1_lo, b1_hi, b0_lo, b0_hi = (np.roll(special, j) for j in range(6))
-    grid = np.linspace(0.0, base_solution.params.T, len(special))
-    solution = dataclasses.replace(base_solution, grid=grid, B1=B1, B0=B0, b1_lo=b1_lo,
-                                   b1_hi=b1_hi, b0_lo=b0_lo, b0_hi=b0_hi)
+    # the header names the columns in the order they are written, each value
+    # as '%.17g'; a record builds its own columns, so the special values
+    # (nan, inf, -0, subnormals) are checked through dump_paths_csv instead
+    solution = dataclasses.replace(base_solution, grid=np.linspace(0.0, 10.0, 7))
     out = tmp_path / "solution.csv"
     write_solve_csv(out, solution)
-    table = np.column_stack((grid, solution.pi_q, solution.pi_s, solution.pi_p, B1, B0,
-                             b1_lo, b1_hi, b0_lo, b0_hi))
+    table = np.column_stack((solution.grid, solution.pi_q, solution.pi_s, solution.pi_p,
+                             solution.B1, solution.B0, solution.b1_lo, solution.b1_hi,
+                             solution.b0_lo, solution.b0_hi))
     expected = "t,pi_q,pi_s,pi_p,B1,B0,b1_lo,b1_hi,b0_lo,b0_hi\n" + "".join(
         ",".join(format(float(x), ".17g") for x in row) + "\n" for row in table)
     assert out.read_bytes() == expected.encode("utf-8")
@@ -667,10 +663,10 @@ def test_verify_product_identity_holds_at_a_large_hi_side_exponent(base_params, 
 
 
 def test_cmd_verify_foc_residual_fails_a_root_off_by_1e_3(tmp_path, capsys, monkeypatch):
-    # u* scaled by 1.001 after the solve, and with it every pi_q (the
-    # intercepts keep the solved root): at 1,000 paths the Monte Carlo lines
-    # do not resolve that move, so the residual of the first-order condition
-    # is the line that sees a wrong root
+    # u* scaled by 1.001 after the solve, and with it every pi_q and
+    # intercept: at 1,000 paths the Monte Carlo lines do not resolve that
+    # move, so the residual of the first-order condition is the line that
+    # sees a wrong root
     import alphamv.verify as verify_mod
     cfg = write_config(tmp_path / "base.cfg",
                        numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
