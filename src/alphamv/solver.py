@@ -639,7 +639,7 @@ def _solved_coeffs(strategy, params: ModelParams, measure=None) -> EquilibriumSo
     return coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumSolution:
     """One solve: its inputs, and the equilibrium strategy and value intercepts they give.
 
@@ -662,7 +662,8 @@ class EquilibriumSolution:
     ``pi_q`` and ``pi_s`` are the same functions in both default states;
     ``pi_p`` is the pre-default bond amount (identically 0 after default).
     ``coeffs`` is the solution itself: a solved strategy is one with
-    ``coeffs``.
+    ``coeffs``.  Records compare and hash by identity, as measures are
+    compared: ``==`` of their array fields has no single truth value.
 
     ValidationError (tag ``u_star``) unless ``u_star`` is a finite float >=
     0, (tags ``nonfinite:exp_cap``, ``exp_cap<=0``) unless ``exp_cap`` is

@@ -16,8 +16,8 @@ from alphamv.levy import build_measure, sample_truncated_sizes
 from alphamv.simulate import (ConstantStrategy, WealthPath, _RunTables, alpha_robust_value,
                               bond_price_path, dump_paths_csv, objective_from_terminal,
                               simulate_terminal, simulate_wealth)
-from alphamv.solver import (DistortionFunctions, distortions, reference_mean_intercepts,
-                            solve_equilibrium, value_function)
+from alphamv.solver import (DistortionFunctions, distortions, penalty_rate,
+                            reference_mean_intercepts, solve_equilibrium, value_function)
 
 from conftest import BASE_KWARGS
 
@@ -357,6 +357,99 @@ def test_a_start_off_the_grid_ends_the_grid_at_T(base_params, base_measure, base
     x_T, _, _ = simulate_terminal(base_solution, dist.hi, base_params, base_measure,
                                   50, dt, 1, t0=t0, h0=(1, 0))
     assert np.all(np.isfinite(x_T))
+
+
+@pytest.mark.parametrize("dt", [0.01, 1e-3])
+def test_drift_table_meets_the_mean_intercepts(dt, base_params, base_measure, base_solution):
+    # from h0 = 1 the mean of X(T) is e^{rT} x0 + C_drift(T) - u* I T, with
+    # I = int z (1 - phi3) nu the claim rate of the run's measure, and the
+    # closed form says e^{rT} x0 + b1(0): the reference, lo and hi runs must
+    # agree to rounding.  Recursive summation of n_steps panel sums errs by
+    # at most n_steps u times the sum of their magnitudes (Higham, *Accuracy
+    # and Stability of Numerical Algorithms*, 2002, sec. 4.2); 16 units more
+    # cover each panel's four products and their sum, the growth factor and
+    # the closed form's few terms.  The rule's own error, about 5e-10 (kh)^8
+    # relative per interval at kh = 2 r dt <= 1e-3, is far below rounding.
+    p, m, s = base_params, base_measure, base_solution
+    b1_ref, _ = reference_mean_intercepts(p, m, s)
+    dist = distortions(s, p)
+    eps = np.finfo(float).eps
+    for side, b1 in ((None, b1_ref[0]), (dist.lo, s.b1_lo[0]), (dist.hi, s.b1_hi[0])):
+        tables = _RunTables(s, side, p, m, 0.0, dt)
+        tilt = 1.0 if side is None else np.exp(side.exponent(m.nodes))
+        claims = s.u_star * ((m.nodes * tilt) @ m.weights) * p.T
+        start = tables.growth[0] * p.x0
+        got = start + tables.c_drift[-1] - claims
+        scale = abs(start) + abs(tables.c_drift[-1]) + claims + abs(b1)
+        assert abs(got - (start + b1)) <= (tables.n_steps + 16) * eps * scale
+
+
+@pytest.mark.parametrize("t0", [0.0, 2.687])
+def test_penalty_integral_matches_adaptive_quadrature(t0, base_params, base_measure,
+                                                      base_solution):
+    # each side's penalty, drift and jump-entropy rates together, against
+    # scipy's adaptive Gauss-Kronrod quadrature of the same rate
+    from scipy.integrate import quad
+    p, m = base_params, base_measure
+    dist = distortions(base_solution, p)
+    for side in (dist.lo, dist.hi):
+        def rate(t):
+            return penalty_rate(side.phi1(t), side.phi2(t), side.phi3(t, m.nodes), p, m)
+        want, err = quad(rate, t0, p.T, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert err <= 1e-13 * want
+        assert simulate_mod._integrate_penalty(side, p, m, t0) == pytest.approx(want, rel=1e-12)
+
+
+def test_stiff_bond_mode_meets_its_mean_intercept(base_params, base_claims):
+    # zeta = 1e-5: the bond mode k = delta/zeta = 1000 puts a boundary layer
+    # of width 1e-3 at T, where pi_p rises from about 1e5 to 1e11.  At
+    # k dt = 2.5 the per-interval Gauss-Legendre rule still integrates the
+    # bond drift to 7e-7 relative, so the lo-side mean from h0 = 0 meets
+    # e^{rT} x0 + b0_lo(0)
+    params = dataclasses.replace(base_params, zeta=1e-5)
+    measure = build_measure(base_claims, 32)
+    solution = solve_equilibrium(params, measure, NumericsConfig(time_steps=200))
+    side = distortions(solution, params).lo
+    dt = 2.5 / params.h_q
+    assert params.h_q == pytest.approx(1000.0)
+    x_T, default_time, _ = simulate_terminal(solution, side, params, measure, 4000, dt, 1, h0=0)
+    assert np.sum(~np.isnan(default_time)) > 0
+    se = x_T.std(ddof=1) / math.sqrt(x_T.size)
+    target = math.exp(params.r * params.T) * params.x0 + solution.b0_lo[0]
+    assert abs(x_T.mean() - target) <= 3 * se
+
+
+class _ScaledPiQ(_HiddenUStar):
+    """The equilibrium's coeffs with pi_q = factor u*/A: not the strategy those coeffs solve."""
+
+    def __init__(self, solution, factor):
+        super().__init__(solution)
+        self.coeffs = solution
+        self.pi_q_at = lambda t: factor * solution.pi_q_at(t)
+
+
+def test_a_solved_strategy_off_its_u_star_raises(base_params, base_measure, base_solution):
+    # claims of a strategy with coeffs cost u* Z, and its sides tilt at u*:
+    # a pi_q that is not u*/A would be simulated silently wrong (with pi_q
+    # doubled, 20,000 paths from h0 = 1 at seed 7 read a mean X(T) of 5.89
+    # where per-claim discounting gives 2.47); 8 eps is past the rounding of
+    # (u*/A) A, which the solve's own pi_q stays within
+    p, m = base_params, base_measure
+    dist = distortions(base_solution, p)
+    eps = np.finfo(float).eps
+    for factor in (2.0, 1.0 + 8 * eps):
+        off = _ScaledPiQ(base_solution, factor)
+        for call in (lambda: simulate_terminal(off, None, p, m, 100, 0.01, 7),
+                     lambda: simulate_terminal(off, dist.lo, p, m, 100, 0.01, 7, h0=(1, 0)),
+                     lambda: simulate_wealth(off, dist.hi, p, m, 10, 0.01, 7),
+                     lambda: simulate_terminal(base_solution, distortions(off, p).lo,
+                                               p, m, 100, 0.01, 7)):
+            with pytest.raises(ValidationError, match="u\\*") as caught:
+                call()
+            assert caught.value.tag == "inputs"
+    # the solve's own pi_q = u*/A passes at every node of a fine grid
+    for dt in (0.01, 1e-3):
+        assert _RunTables(base_solution, dist.lo, p, m, 0.0, dt).u_star == base_solution.u_star
 
 
 @pytest.mark.parametrize("lam, solved", [(1e18, True), (1e18, False), (1e17, False)])

@@ -462,6 +462,18 @@ def test_solved_records_always_carry_their_inputs(base_solution):
     assert dataclasses.replace(s, u_star=np.float64(s.u_star)).u_star == s.u_star
 
 
+def test_solutions_compare_and_hash_by_identity(base_params, base_measure, base_numerics,
+                                                base_solution):
+    # == of the array fields has no truth value: a record is equal to itself
+    # only, and hashes, so it can key a dict or sit in a set
+    again = solve_equilibrium(base_params, base_measure, base_numerics)
+    assert base_solution == base_solution and not base_solution != base_solution
+    assert (again == base_solution) is False and again != base_solution
+    assert hash(base_solution) == hash(base_solution) and len({base_solution, again}) == 2
+    dist = distortions(base_solution, base_params)
+    assert dist.lo == distortions(base_solution, base_params).lo and dist.lo != dist.hi
+
+
 @pytest.mark.parametrize("change", ["u_star", "params", "exp_cap", "grid"])
 def test_a_replaced_input_rebuilds_every_column(base_params, base_measure, base_solution,
                                                change):

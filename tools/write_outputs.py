@@ -13,7 +13,15 @@ them:
 - ``sweep/<item>.csv``: each ``alphamv sweep`` output, and
   ``sweep/exit_codes.txt``;
 - ``verify/<item>.txt``: each ``alphamv verify`` run's standard output and
-  error, then its exit code.
+  error, then its exit code;
+- ``verify/<item>.mc.csv``: the Monte Carlo samples that verify scores, run
+  again as verify runs them (one ``simulate_terminal(..., h0=(1, 0))`` per
+  extremal side, lo from ``seed`` and hi from ``seed + 1``), as one row per
+  side and default state: the sample mean, variance, penalty and J of
+  ``objective_from_terminal``, each ``'%.17g'``, where verify prints only
+  four digits;
+- ``verify/<item>.paths.csv``: ``dump_paths_csv`` of four lo-side
+  trajectories from h0 = 0 on the ``mc_dt`` grid, at the config's seed.
 
 Run it once on each of two checkouts, into two directories; the two
 versions behave the same on these inputs when ``diff -r`` of the
@@ -82,10 +90,32 @@ def _sweep(specs: list, out: Path) -> None:
     (out / "exit_codes.txt").write_text("".join(codes), encoding="utf-8")
 
 
+def _monte_carlo(config: Path, out: Path, name: str) -> None:
+    """The full-precision Monte Carlo summaries and a short path dump of one verify config."""
+    params, claims, numerics = amv.load_config(config)
+    measure = amv.build_measure(claims, numerics.quad_nodes)
+    solution = amv.solve_equilibrium(params, measure, numerics)
+    dist = amv.distortions(solution, params)
+    n, dt, seed = numerics.mc_paths, numerics.mc_dt, numerics.seed
+    rows = ["side,h0,mean,variance,penalty,j_value\n"]
+    for i, tag in enumerate(("lo", "hi")):
+        side = getattr(dist, tag)
+        x_T, _, _ = amv.simulate_terminal(solution, side, params, measure, n, dt, seed + i,
+                                          x0=params.x0, h0=(1, 0))
+        for sample, h in zip(x_T, (1, 0)):
+            est = amv.objective_from_terminal(sample, side, params, measure)
+            numbers = (est.mean, est.variance, est.penalty, est.j_value)
+            rows.append(f"{tag},{h}," + ",".join("%.17g" % x for x in numbers) + "\n")
+    (out / f"{name}.mc.csv").write_text("".join(rows), encoding="utf-8")
+    paths = amv.simulate_wealth(solution, dist.lo, params, measure, 4, dt, seed, h0=0)
+    amv.dump_paths_csv(paths, out / f"{name}.paths.csv")
+
+
 def _verify(specs: list, out: Path) -> None:
     for spec in specs:
         code, text = _run_cli(["verify", "--config", str(spec["config"])])
         (out / f"{spec['name']}.txt").write_text(f"{text}exit {code}\n", encoding="utf-8")
+        _monte_carlo(spec["config"], out, spec["name"])
 
 
 WORKLOADS = {"solve": _solve, "sweep": _sweep, "verify": _verify}
