@@ -202,35 +202,115 @@ def build_measure(spec: ClaimModelSpec, quad_nodes: int) -> ClaimMeasure:
     return measure
 
 
-def _normal_above_zero(mean: float, sd: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of N(mean, sd^2) conditioned on (0, inf).
+# sizes per chunk: 8 bytes each plus malloc's header stay under glibc's 128 KiB
+# mmap threshold, so a chunk reuses heap memory as _csvtext's blocks do
+_CHUNK_SIZES = (128 * 1024 - 64) // 8
 
-    For mean >= 0, plain rejection from the normal accepts at least half of
-    the draws: the nonpositive ones are drawn again until none is left.  Below
+
+def _chunk_bounds(offsets: np.ndarray) -> list[int]:
+    """Group indices that cut groups into chunks of whole groups of at most 16,376 draws.
+
+    ``offsets`` is 0, then the running total of the groups' draws.  Chunk k
+    is groups ``bounds[k]:bounds[k + 1]``; a group of more draws than one
+    chunk holds is a chunk of its own.
+    """
+    bounds = [0]
+    while bounds[-1] < offsets.size - 1:
+        lo = bounds[-1]
+        hi = int(np.searchsorted(offsets, offsets[lo] + _CHUNK_SIZES, side="right")) - 1
+        bounds.append(max(lo + 1, hi))
+    return bounds
+
+
+def _normal_above_zero(mean: float, sd: float, lengths: list[int], rng: np.random.Generator):
+    """Chunks of ``lengths[k]`` draws of N(mean, sd^2) conditioned on (0, inf), as ``(k, draws)``.
+
+    Draw order, whatever the chunking: the first-round draws of all n =
+    sum(lengths), chunk by chunk, then the redraw rounds, each over all the
+    entries still pending, in index order; so the draws are those of one
+    chunk of n, and numpy draws ``size=m`` then ``size=k`` as it draws
+    ``size=m + k``.  For mean >= 0, plain rejection from the normal accepts
+    at least half of the draws: the nonpositive ones are drawn again until
+    none is left.  A chunk is yielded once it has none: at once if its first
+    round is all positive, else held until the round that clears it.  Below
     that the lower tail is sampled by Robert's exponential proposal
     (Statistics and Computing 5, 1995): in units of sd above the cut-off
     alpha = -mean/sd, ``x = alpha + Exp(lam)`` with ``lam = (alpha +
     sqrt(alpha^2 + 4))/2``, accepted with probability ``exp(-(x - lam)^2/2)``,
-    which accepts at least 3/4 of the proposals.  Either way the first n
-    draws are plain normals.
+    which accepts at least 3/4 of the proposals.  Its first round is n plain
+    normals, all replaced, and each of its rounds draws the exponentials of
+    all pending entries before their uniforms, so every chunk is held until
+    the last round.
     """
-    out = rng.normal(mean, sd, size=n)
-    if mean >= 0:
+    held = []
+    for k, n in enumerate(lengths):
+        out = rng.normal(mean, sd, size=n)
+        if mean < 0:
+            continue        # Robert's sampler replaces every first-round draw
         redo = np.flatnonzero(out <= 0)
-        while redo.size:
+        if redo.size:
+            held.append((k, out, redo))
+        else:
+            yield k, out
+    while held:
+        pending, held = held, []
+        for k, out, redo in pending:
             out[redo] = rng.normal(mean, sd, size=redo.size)
             redo = redo[out[redo] <= 0]
-        return out
+            if redo.size:
+                held.append((k, out, redo))
+            else:
+                yield k, out
+    if mean >= 0:
+        return
     alpha = -mean / sd
     lam = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0))
-    pending = np.arange(n)
+    out = np.empty(sum(lengths))
+    pending = np.arange(out.size)
     while pending.size:
         x = alpha + rng.exponential(size=pending.size) / lam
         z = mean + sd * x
         ok = (rng.random(pending.size) <= np.exp(-0.5 * (x - lam) ** 2)) & (z > 0)
         out[pending[ok]] = z[ok]
         pending = pending[~ok]
-    return out
+    yield from enumerate(np.split(out, np.cumsum(lengths[:-1])))
+
+
+def stream_truncated_sizes(spec: ClaimModelSpec, counts: np.ndarray, rng: np.random.Generator,
+                           a: float = 0.0, b: float = 0.0):
+    """Draw ``sum(counts)`` claim sizes in chunks of whole groups, ``counts[i]`` to group i.
+
+    Yields ``(lo, hi, sizes)`` for groups ``lo:hi``, their sizes grouped in
+    order, once per chunk of at most 16,376 sizes (a group of more is a chunk
+    of its own), not always in chunk order; every draw comes from ``rng`` in
+    the order of :func:`sample_truncated_sizes` of all the sizes at once, so
+    the sizes are those of that call bit for bit.  The law, the tilt ``a,
+    b`` and the NumericalError, raised before any draw, are those of
+    :func:`sample_truncated_sizes`.
+    """
+    limit = tilt_limit(spec)
+    if not b < limit:       # only a truncated normal has a finite limit
+        raise NumericalError(
+            f"claim-size tilt exp(a z + b z^2) with 2b >= 1/sigmaZ^2 = {2.0 * limit:g} "
+            "is not integrable against the truncated normal")
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    bounds = _chunk_bounds(offsets)
+    lengths = np.diff(offsets[bounds]).tolist()
+    if spec.kind == "truncated-normal":
+        s2 = spec.sigmaZ ** 2
+        shrink = 1.0 - 2.0 * b * s2   # precision times sigmaZ^2
+        chunks = _normal_above_zero((spec.muZ + a * s2) / shrink, spec.sigmaZ / shrink ** 0.5,
+                                    lengths, rng)
+    else:
+        z = spec.z_grid
+        expo = a * z + b * z * z
+        dens = spec.density * np.exp(expo - expo.max())
+        cdf = np.zeros(dens.shape)
+        np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(z), out=cdf[1:])
+        cdf /= cdf[-1]
+        chunks = ((k, np.interp(rng.random(n), cdf, z)) for k, n in enumerate(lengths))
+    for k, sizes in chunks:
+        yield bounds[k], bounds[k + 1], sizes
 
 
 def sample_truncated_sizes(spec: ClaimModelSpec, n: int, rng: np.random.Generator,
@@ -242,22 +322,8 @@ def sample_truncated_sizes(spec: ClaimModelSpec, n: int, rng: np.random.Generato
     square, so the draw is the normal with precision ``1/sigmaZ^2 - 2b`` and
     mean ``(muZ/sigmaZ^2 + a)/precision`` truncated to (0, inf).  Tabulated
     densities: inverse transform on the tilted tabulated CDF.
-    NumericalError for a tilt that :func:`tilt_limit` rules out.
+    NumericalError for a tilt that :func:`tilt_limit` rules out.  The one
+    group, hence one chunk, of :func:`stream_truncated_sizes`.
     """
-    limit = tilt_limit(spec)
-    if not b < limit:       # only a truncated normal has a finite limit
-        raise NumericalError(
-            f"claim-size tilt exp(a z + b z^2) with 2b >= 1/sigmaZ^2 = {2.0 * limit:g} "
-            "is not integrable against the truncated normal")
-    if spec.kind == "truncated-normal":
-        s2 = spec.sigmaZ ** 2
-        shrink = 1.0 - 2.0 * b * s2   # precision times sigmaZ^2
-        return _normal_above_zero((spec.muZ + a * s2) / shrink, spec.sigmaZ / shrink ** 0.5,
-                                  n, rng)
-    z = spec.z_grid
-    expo = a * z + b * z * z
-    dens = spec.density * np.exp(expo - expo.max())
-    cdf = np.zeros(dens.shape)
-    np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(z), out=cdf[1:])
-    cdf /= cdf[-1]
-    return np.interp(rng.random(n), cdf, z)
+    (_, _, sizes), = stream_truncated_sizes(spec, np.array([n]), rng, a, b)
+    return sizes

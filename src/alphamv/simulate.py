@@ -38,6 +38,15 @@ or for recorded paths.  Claims come grouped by path, so a path's claim total
 is the sum of one contiguous segment of the per-claim amounts (with
 ``coeffs``, ``u*`` times the segment sum of the sizes); the per-claim path
 index is built only for recorded paths, which place each claim on the grid.
+Without recording, a strategy with ``coeffs`` takes its sizes per chunk of
+whole paths, at most 16,376 sizes (128 KiB), each summed into its paths'
+totals and dropped, so a terminal run holds O(paths) floats and one chunk
+of claims, not O(claims): only the chunks of a law that redraws, held from
+their first round to the redraw round that clears them, and the whole
+block under Robert's tail sampler, hold more (see
+``levy._normal_above_zero``).  The chunks draw in the order of one size
+draw per block: the first round for all the block's claims, then the
+redraw rounds in index order, so the sample is the same bit for bit.
 
 Both default states read one set of draws.  Before default (h0 = 0) a path
 draws, in this order, its default time, its claim count, its claim sizes and
@@ -74,7 +83,8 @@ import numpy as np
 from ._csvtext import csv_text
 from .config import ModelParams, _require_finite, _require_integer
 from .errors import NumericalError, ValidationError
-from .levy import ClaimMeasure, _gauss_legendre, sample_truncated_sizes
+from .levy import (ClaimMeasure, _gauss_legendre, sample_truncated_sizes,
+                   stream_truncated_sizes)
 from .solver import (DistortionFunctions, DistortionSide, _check_times, _default_states,
                      _solved_coeffs, penalty_rate)
 
@@ -263,24 +273,33 @@ def _path_totals(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
-                    params: ModelParams, measure: ClaimMeasure,
-                    x0: float, states: tuple[int, ...], wealth: Optional[np.ndarray] = None):
-    """Sample one block of exact terminal wealths, with their bookkeeping.
+def _simulate_block(rng: np.random.Generator, tables: _RunTables, params: ModelParams,
+                    measure: ClaimMeasure, x0: float, states: tuple[int, ...],
+                    x_terminal: np.ndarray, default_time: np.ndarray, counts: np.ndarray,
+                    wealth: Optional[np.ndarray] = None):
+    """Sample one block of exact terminal wealths into its slices of the run's outputs.
 
-    ``x_terminal`` has one row per state in ``states``, all read off one set
-    of draws.  Draw order: default times (only when state 0 is asked for),
-    claim counts, sizes, one terminal normal per path, claim times (only
-    when the amounts or the recording read them), and only when ``wealth``
-    (a block x grid view to fill, one state only) is given the bridge
-    increments.  So recording leaves the terminal sample unchanged bit for
-    bit.
+    ``x_terminal`` (one row per state in ``states``, all read off one set of
+    draws), ``default_time`` (NaN on entry) and ``counts`` are the block's
+    views, filled here.  Draw order: default times (only when state 0 is
+    asked for), claim counts, sizes (the first-round draws of all of them,
+    then the redraw rounds in index order), one terminal normal per path,
+    claim times (only when the amounts or the recording read them), and
+    only when ``wealth`` (a block x grid view to fill, one state only) is
+    given the bridge increments.  So recording leaves the terminal sample
+    unchanged bit for bit.
 
     Claims come grouped by path, so each path's claim total is the sum of one
-    segment of the per-claim arrays (:func:`_path_totals`); for a strategy
-    with ``coeffs`` it is ``u*`` times the segment sum of the sizes.
-    The per-claim path index is built only when ``wealth`` is recorded.
+    segment of the per-claim arrays (:func:`_path_totals`).  For a strategy
+    with ``coeffs`` it is ``u*`` times the segment sum of the sizes, and
+    unless the run records, the sizes come in chunks of whole paths of at
+    most 128 KiB (:func:`levy.stream_truncated_sizes`), each reduced to its
+    paths' totals and dropped: no per-claim array outlives its chunk.  Other
+    runs read each claim and draw the block's sizes at once.  Returns the
+    block's ``(claim_time, claim_size)`` when ``wealth`` is recorded, whose
+    per-claim path index is built only then; None otherwise.
     """
+    n_block = counts.size
     times = tables.times
     t0, T = times[0], times[-1]
     horizon = T - t0
@@ -289,7 +308,6 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
     # default time by inversion, once per path (undistorted: phi does not act
     # on H); h0 = 1 alone means the bond is already gone at t0
     tau = np.full(n_block, np.inf if 0 in states else t0)
-    default_time = np.full(n_block, np.nan)
     jump = np.zeros(n_block)
     if 0 in states and params.hP > 0:
         tau = t0 + rng.exponential(1.0 / params.hP, size=n_block)
@@ -301,37 +319,39 @@ def _simulate_block(rng: np.random.Generator, n_block: int, tables: _RunTables,
 
     # homogeneous compound Poisson: the counts need no claim times, and each
     # size is one exact draw from the tilted size law
-    counts = rng.poisson(tables.claim_intensity * horizon, size=n_block)
-    sizes = sample_truncated_sizes(measure.spec, int(counts.sum()), rng, *tables.tilt)
-    z = rng.standard_normal(n_block)
+    counts[:] = rng.poisson(tables.claim_intensity * horizon, size=n_block)
     u_star = tables.u_star
-    claim_time = None
-    if u_star is None or wealth is not None:
-        claim_time = t0 + horizon * rng.random(sizes.size)
-
-    # claims discounted to T from their own arrival times: u* Z for a
-    # strategy with pi_q(t) e^{r(T-t)} = u*
-    if u_star is None:
-        amounts = np.exp(r * (T - claim_time)) \
-            * np.asarray(tables.strategy.pi_q_at(claim_time), dtype=float) * sizes
-        claim_totals = _path_totals(amounts, counts)
+    if u_star is not None and wealth is None:
+        claim_totals = np.empty(n_block)
+        for lo, hi, sizes in stream_truncated_sizes(measure.spec, counts, rng, *tables.tilt):
+            claim_totals[lo:hi] = _path_totals(sizes, counts[lo:hi])
+        claim_totals *= u_star
+        z = rng.standard_normal(n_block)
     else:
-        amounts = u_star * sizes if wealth is not None else None
-        claim_totals = u_star * _path_totals(sizes, counts)
+        sizes = sample_truncated_sizes(measure.spec, int(counts.sum()), rng, *tables.tilt)
+        z = rng.standard_normal(n_block)
+        claim_time = t0 + horizon * rng.random(sizes.size)
+        # claims discounted to T from their own arrival times: u* Z for a
+        # strategy with pi_q(t) e^{r(T-t)} = u*
+        if u_star is None:
+            amounts = np.exp(r * (T - claim_time)) \
+                * np.asarray(tables.strategy.pi_q_at(claim_time), dtype=float) * sizes
+            claim_totals = _path_totals(amounts, counts)
+        else:
+            amounts = u_star * sizes
+            claim_totals = u_star * _path_totals(sizes, counts)
     start = tables.growth[0] * x0 + tables.c_drift[-1]
     gauss = math.sqrt(tables.var[-1]) * z
-    x_terminal = np.empty((len(states), n_block))
     for row, h in zip(x_terminal, states):
         # h0 = 1: the bond is already gone, so no bond drift and no lump
         bond, lump = (np.interp(tau, times, tables.c_bond), jump) if h == 0 else (0.0, 0.0)
         row[:] = start + bond + gauss - claim_totals - lump
-    if wealth is not None:
-        claim_path = np.repeat(np.arange(n_block), counts)
-        _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time, amounts)
-        wealth[:, -1] = x_terminal[0]
-    return {"x_terminal": x_terminal, "default_time": default_time,
-            "claim_count": counts,
-            "claim_time": claim_time, "claim_size": sizes}
+    if wealth is None:
+        return None
+    claim_path = np.repeat(np.arange(n_block), counts)
+    _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time, amounts)
+    wealth[:, -1] = x_terminal[0]
+    return claim_time, sizes
 
 
 def _record_block(rng, wealth, tables, x0, z, tau, jump, claim_path, claim_time, amounts):
@@ -371,6 +391,18 @@ def _check_start(t0, T) -> None:
 
 def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
                 t0, x0, states, record=False):
+    """Check a run's inputs and sample its blocks: ``(tables, merged, wealth)``.
+
+    ``merged`` holds ``x_terminal`` (states x paths), ``default_time`` and
+    ``claim_count``, allocated once, each block writing its own slice from
+    its own stream in the order of :func:`_simulate_block` (the sizes: first
+    round for all of the block's claims, then the redraw rounds in index
+    order); with ``record`` also the per-claim ``claim_time`` and
+    ``claim_size``, and ``wealth`` (paths x grid), else None.  Without
+    ``record``, a run of a strategy with ``coeffs`` holds O(paths) floats
+    and one chunk of claims at a time, but for the held chunks of a law
+    that redraws (see :func:`levy._normal_above_zero`).
+    """
     for solved in (strategy, side):
         if hasattr(solved, "coeffs"):
             _solved_coeffs(solved, params, measure)
@@ -394,15 +426,19 @@ def _run_blocks(strategy, side, params, measure, n_paths, dt, seed,
         raise NumericalError(f"expected claim count {claims:g} of a block of paths is not "
                              "below 2^62, the claim sampler's range: lambda is too large")
     wealth = np.empty((n_paths, tables.n_steps + 1)) if record else None
-    blocks = []
+    merged = {"x_terminal": np.empty((len(states), n_paths)),
+              "default_time": np.full(n_paths, np.nan),
+              "claim_count": np.empty(n_paths, dtype=np.int64)}
+    recorded = []
     for block_idx in range(0, -(-n_paths // BLOCK_SIZE)):
-        lo = block_idx * BLOCK_SIZE
+        block = slice(block_idx * BLOCK_SIZE, (block_idx + 1) * BLOCK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
-        blocks.append(_simulate_block(rng, min(BLOCK_SIZE, n_paths - lo), tables, params, measure,
-                                      x0, states, wealth[lo:lo + BLOCK_SIZE] if record else None))
-    keys = ("x_terminal", "default_time", "claim_count")
-    keys += ("claim_time", "claim_size") if record else ()
-    merged = {key: np.concatenate([b[key] for b in blocks], axis=-1) for key in keys}
+        recorded.append(_simulate_block(rng, tables, params, measure, x0, states,
+                                        merged["x_terminal"][:, block],
+                                        merged["default_time"][block], merged["claim_count"][block],
+                                        wealth[block] if record else None))
+    if record:
+        merged["claim_time"], merged["claim_size"] = (np.concatenate(c) for c in zip(*recorded))
     return tables, merged, wealth
 
 

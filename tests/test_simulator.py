@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import types
 import warnings
 
@@ -11,7 +12,7 @@ import pytest
 
 from alphamv.config import ClaimModelSpec, ModelParams, NumericsConfig
 from alphamv.errors import NumericalError, ValidationError
-from alphamv import simulate as simulate_mod
+from alphamv import levy as levy_mod, simulate as simulate_mod
 from alphamv.levy import build_measure, sample_truncated_sizes
 from alphamv.simulate import (ConstantStrategy, WealthPath, _RunTables, alpha_robust_value,
                               bond_price_path, dump_paths_csv, objective_from_terminal,
@@ -269,13 +270,137 @@ def test_segment_sums_match_per_claim_bincount(case, h0, monkeypatch):
 
     assert np.array_equal(counts, ref_counts)
     assert np.array_equal(default_time, ref_default, equal_nan=True)
-    scale = max(1.0, float(np.max(np.abs(reference_totals[-1]))))
+    # the totals come chunk by chunk: the scale is that of every chunk's totals
+    scale = max(1.0, *(float(np.max(np.abs(totals))) for totals in reference_totals))
     scale *= getattr(strategy, "u_star", None) or 1.0
     assert np.max(np.abs(x_T - ref_x)) <= 1e-13 * scale
     if case == "sparse":
         assert counts[0] == 0 and counts[-1] == 0 and counts.sum() > 0
     if case == "none":
         assert counts.sum() == 0
+
+
+def _whole_block_terminal(strategy, side, params, measure, n_paths, dt, seed, states, totals):
+    """X(T), default times and counts with each block's sizes drawn by one call.
+
+    The draws of :func:`simulate_terminal` for a strategy with ``coeffs``,
+    block by block: default times (with state 0), counts, every size of the
+    block from one ``sample_truncated_sizes`` call, one normal per path; the
+    claim totals are ``totals(sizes, counts)`` over the whole block.
+    """
+    tables = _RunTables(strategy, side, params, measure, 0.0, dt)
+    times, T = tables.times, tables.times[-1]
+    x_terminal, default_time, claim_count = [], [], []
+    for block, lo in enumerate(range(0, n_paths, simulate_mod.BLOCK_SIZE)):
+        n = min(simulate_mod.BLOCK_SIZE, n_paths - lo)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        tau = np.full(n, np.inf if 0 in states else 0.0)
+        jump, default = np.zeros(n), np.full(n, np.nan)
+        if 0 in states:
+            tau = rng.exponential(1.0 / params.hP, size=n)
+            hit = tau <= T
+            default[hit] = tau[hit]
+            jump[hit] = params.zeta * np.exp(params.r * (T - tau[hit])) * strategy.pi_p_at(tau[hit])
+        tau = np.minimum(tau, T)
+        counts = rng.poisson(tables.claim_intensity * T, size=n)
+        sizes = sample_truncated_sizes(measure.spec, int(counts.sum()), rng, *tables.tilt)
+        z = rng.standard_normal(n)
+        claims = tables.u_star * totals(sizes, counts)
+        start = tables.growth[0] * params.x0 + tables.c_drift[-1]
+        gauss = math.sqrt(tables.var[-1]) * z
+        rows = []
+        for h in states:
+            bond, lump = (np.interp(tau, times, tables.c_bond), jump) if h == 0 else (0.0, 0.0)
+            rows.append(start + bond + gauss - claims - lump)
+        x_terminal.append(rows)
+        default_time.append(default)
+        claim_count.append(counts)
+    return (np.concatenate(x_terminal, axis=1), np.concatenate(default_time),
+            np.concatenate(claim_count))
+
+
+_GRID = np.linspace(0.1, 3.0, 40)
+# (claim law, side, paths, seed): the streamed draws must be those of one call per block
+_STREAM_CASES = {
+    "base": (ClaimModelSpec(lam=1.0, muZ=1.0, sigmaZ=0.1), "lo", 5000, 3),
+    "redraw-heavy": (ClaimModelSpec(lam=5.0, muZ=0.2, sigmaZ=1.0), "hi", 3000, 4),
+    "robert": (ClaimModelSpec(lam=5.0, muZ=-1.0, sigmaZ=1.0), "lo", 3000, 5),
+    "tabulated": (ClaimModelSpec(lam=2.0, kind="tabulated-density", z_grid=_GRID,
+                                 density=np.exp(-(_GRID - 1.0) ** 2)), "hi", 3000, 6),
+    "long-paths": (ClaimModelSpec(lam=3000.0, muZ=1.0, sigmaZ=0.5), "lo", 5, 7),
+    "sparse": (ClaimModelSpec(lam=0.01, muZ=1.0, sigmaZ=0.1), "lo", 3000, 17),
+    "none": (ClaimModelSpec(lam=1e-9, muZ=1.0, sigmaZ=0.1), "lo", 3000, 17),
+    "blocks": (ClaimModelSpec(lam=1.0, muZ=1.0, sigmaZ=0.1), "hi",
+               simulate_mod.BLOCK_SIZE + 700, 8),
+}
+
+
+@functools.cache
+def _stream_case(name):
+    claims, side, n, seed = _STREAM_CASES[name]
+    measure = build_measure(claims, 32)
+    params = ModelParams(**BASE_KWARGS)
+    solution = solve_equilibrium(params, measure, NumericsConfig(time_steps=200))
+    return solution, getattr(distortions(solution, params), side), n, seed
+
+
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+@pytest.mark.parametrize("h0", [0, 1, (1, 0)])
+def test_streamed_sizes_match_one_draw_per_block(case, h0, monkeypatch):
+    # the sizes come in chunks of whole paths, reduced and dropped chunk by
+    # chunk; the draws, and so every bit of the sample, are those of one size
+    # draw per block (first rounds for all claims, then the redraw rounds)
+    solution, side, n, seed = _stream_case(case)
+    params, measure = solution.params, solution.coeffs.measure
+    args = (solution, side, params, measure, n, 0.05, seed)
+    states = simulate_mod._default_states(h0)
+    path_totals = simulate_mod._path_totals
+    for totals in (path_totals, _bincount_totals):
+        monkeypatch.setattr(simulate_mod, "_path_totals", totals)
+        x_T, default_time, counts = simulate_terminal(*args, h0=h0)
+        ref_x, ref_default, ref_counts = _whole_block_terminal(*args, states, totals)
+        assert np.array_equal(np.reshape(x_T, (len(states), n)), ref_x)
+        assert np.array_equal(default_time, ref_default, equal_nan=True)
+        assert np.array_equal(counts, ref_counts)
+
+    chunk = levy_mod._CHUNK_SIZES
+    if case == "long-paths":
+        assert counts.min() > chunk
+    elif case == "sparse":
+        assert counts[0] == 0 and counts[-1] == 0 and counts.sum() > 0
+    elif case == "none":
+        assert counts.sum() == 0
+    else:
+        assert counts.sum() > 3 * chunk
+    # the tilted normal's mean over its sd: 0.2 redraws 42% of the first
+    # round, so every chunk is held; below 0 is Robert's sampler
+    if case in ("redraw-heavy", "robert"):
+        (a, b), s = side.tilt, measure.spec.sigmaZ
+        shrink = 1.0 - 2.0 * b * s * s
+        ratio = (measure.spec.muZ + a * s * s) / (s * shrink ** 0.5)
+        assert 0.0 <= ratio < 0.25 if case == "redraw-heavy" else ratio < 0.0
+
+
+def test_terminal_memory_grows_with_paths_not_claims(base_params):
+    # tracemalloc sees numpy's buffers: a claim-heavy side of about 245 claims
+    # a path holds its per-path arrays and a chunk of sizes, not every size
+    params = dataclasses.replace(base_params, beta3=2.0)
+    measure = build_measure(ClaimModelSpec(lam=20.0, muZ=0.05, sigmaZ=0.01), 64)
+    solution = solve_equilibrium(params, measure, NumericsConfig(time_steps=200))
+    side = distortions(solution, params).lo
+    n = 20_000
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _, _, counts = simulate_terminal(solution, side, params, measure, n, 0.02, 1, h0=(1, 0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert counts.sum() > 4_500_000
+    assert peak <= 256 * n + 2 * 2 ** 20
 
 
 @pytest.fixture(scope="module", params=["base", "claim-heavy"])

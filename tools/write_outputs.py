@@ -19,7 +19,9 @@ them:
   extremal side, lo from ``seed`` and hi from ``seed + 1``), as one row per
   side and default state: the sample mean, variance, penalty and J of
   ``objective_from_terminal``, each ``'%.17g'``, where verify prints only
-  four digits;
+  four digits, and the sha256 of the raw samples the row reads: its X(T)
+  row, and the side's default times and claim counts, so the diff checks
+  whole samples bit for bit;
 - ``verify/<item>.paths.csv``: ``dump_paths_csv`` of four lo-side
   trajectories from h0 = 0 on the ``mc_dt`` grid, at the config's seed.
 
@@ -38,6 +40,7 @@ sys.dont_write_bytecode = True      # leave no __pycache__ in the checkout
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import hashlib  # noqa: E402
 import io  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -90,6 +93,12 @@ def _sweep(specs: list, out: Path) -> None:
     (out / "exit_codes.txt").write_text("".join(codes), encoding="utf-8")
 
 
+def _sha256(sample: np.ndarray) -> str:
+    """sha256 of a sample's raw bytes, with its dtype: equal digests, equal samples."""
+    data = np.ascontiguousarray(sample)
+    return hashlib.sha256(data.dtype.str.encode() + data.tobytes()).hexdigest()
+
+
 def _monte_carlo(config: Path, out: Path, name: str) -> None:
     """The full-precision Monte Carlo summaries and a short path dump of one verify config."""
     params, claims, numerics = amv.load_config(config)
@@ -97,15 +106,18 @@ def _monte_carlo(config: Path, out: Path, name: str) -> None:
     solution = amv.solve_equilibrium(params, measure, numerics)
     dist = amv.distortions(solution, params)
     n, dt, seed = numerics.mc_paths, numerics.mc_dt, numerics.seed
-    rows = ["side,h0,mean,variance,penalty,j_value\n"]
+    rows = ["side,h0,mean,variance,penalty,j_value,x_sha256,default_time_sha256,"
+            "claim_count_sha256\n"]
     for i, tag in enumerate(("lo", "hi")):
         side = getattr(dist, tag)
-        x_T, _, _ = amv.simulate_terminal(solution, side, params, measure, n, dt, seed + i,
-                                          x0=params.x0, h0=(1, 0))
+        x_T, default_time, claim_count = amv.simulate_terminal(
+            solution, side, params, measure, n, dt, seed + i, x0=params.x0, h0=(1, 0))
         for sample, h in zip(x_T, (1, 0)):
             est = amv.objective_from_terminal(sample, side, params, measure)
             numbers = (est.mean, est.variance, est.penalty, est.j_value)
-            rows.append(f"{tag},{h}," + ",".join("%.17g" % x for x in numbers) + "\n")
+            digests = (_sha256(a) for a in (sample, default_time, claim_count))
+            rows.append(f"{tag},{h}," + ",".join("%.17g" % x for x in numbers) + ","
+                        + ",".join(digests) + "\n")
     (out / f"{name}.mc.csv").write_text("".join(rows), encoding="utf-8")
     paths = amv.simulate_wealth(solution, dist.lo, params, measure, 4, dt, seed, h0=0)
     amv.dump_paths_csv(paths, out / f"{name}.paths.csv")
