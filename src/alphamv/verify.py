@@ -165,7 +165,7 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
 
     # --- Monte Carlo runs: one per side, both default states --------------
     # the draws and segment sums release the GIL; imported here because it
-    # adds about 5 ms to `import alphamv`
+    # adds 6-8 ms to `import alphamv.cli`, which every CLI command pays
     from concurrent.futures import ThreadPoolExecutor
 
     n, dt, seed = numerics.mc_paths, numerics.mc_dt, numerics.seed

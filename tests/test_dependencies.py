@@ -5,6 +5,7 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pathlib
 import re
@@ -19,9 +20,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def _fresh_import_loads(roots):
+def _fresh_import_loads(roots, code="import alphamv, alphamv.cli"):
+    """The modules under ``roots`` that running ``code`` loads in a fresh interpreter."""
     # a fresh interpreter, so modules imported by the test suite do not count
-    code = ("import sys, alphamv, alphamv.cli; "
+    code = (f"import sys; {code}; "
             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {tuple(roots)!r}))")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -36,8 +38,81 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_thread_pool():
-    # concurrent.futures adds about 5 ms to the import; verify imports it when it runs
+    # concurrent.futures adds 6-8 ms to the CLI's import; verify imports it when it runs
     assert _fresh_import_loads(("concurrent",)) == "[]"
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    # each public name resolves on first use, so the namespace alone loads nothing
+    assert _fresh_import_loads(("alphamv", "numpy"), "import alphamv") == "['alphamv']"
+
+
+_SETUP = ("import alphamv; params, claims, numerics = alphamv.load_config("
+          f"{str(ROOT / 'demos' / 'configs' / 'base.cfg')!r}); "
+          "alphamv.build_measure(claims, numerics.quad_nodes)")
+_ALL_MODULES = ["alphamv", *sorted(f"alphamv.{path.stem}" for path in (SRC / "alphamv").glob("*.py")
+                                   if path.stem != "__init__")]
+
+
+@pytest.mark.parametrize("code, loaded", [
+    # the benchmark's set-up path loads only what its two calls need
+    (_SETUP, ["alphamv", "alphamv.config", "alphamv.errors", "alphamv.levy"]),
+    # a submodule resolves as an attribute after a bare import
+    ("import alphamv; alphamv.solver",
+     ["alphamv", "alphamv.config", "alphamv.errors", "alphamv.levy", "alphamv.solver"]),
+    # perfbench's Tracer.install looks up every traced module in sys.modules
+    # after `import alphamv.cli`, so the CLI must load all of them
+    ("import alphamv.cli", _ALL_MODULES),
+], ids=["setup", "submodule", "cli"])
+def test_a_call_loads_only_the_modules_it_uses(code, loaded):
+    assert _fresh_import_loads(("alphamv",), code) == repr(loaded)
+
+
+def test_public_names_resolve_to_their_defining_modules(monkeypatch):
+    public = [name for name in alphamv.__all__ if name != "__version__"]
+    for name in public:
+        obj = getattr(alphamv, name)
+        home = importlib.import_module(f"alphamv.{alphamv._HOMES[name]}")
+        assert getattr(home, name) is obj, name
+        assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+    assert "solve_equilibrium" not in vars(alphamv)     # read through, never copied
+
+    namespace = {}
+    exec("from alphamv import *", namespace)
+    assert all(namespace[name] is getattr(alphamv, name) for name in alphamv.__all__)
+    assert set(alphamv.__all__) <= set(dir(alphamv))
+
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        alphamv.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from alphamv import no_such_name  # noqa: F401
+
+    # a rebinding in the defining module (monkeypatch, perfbench's tracer) shows through
+    def stand_in(*args, **kwargs):
+        return None
+    monkeypatch.setattr(alphamv.solver, "solve_equilibrium", stand_in)
+    assert alphamv.solve_equilibrium is stand_in
+    monkeypatch.undo()
+    assert alphamv.solve_equilibrium is alphamv.solver.solve_equilibrium is not stand_in
+
+
+def test_startup_tool_reports_every_command():
+    # one fresh interpreter per copy and command: the report's shape, not its times
+    def checkout_files():
+        return {path for part in ("src", "tools", "demos") for path in (ROOT / part).rglob("*")}
+
+    before = checkout_files()
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "startup.py"), "--runs", "1"],
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    report = json.loads(out)
+    assert report["runs"] == 1
+    assert list(report["ms"]) == ["no_bytecode", "bytecode"]
+    for by_command in report["ms"].values():
+        assert list(by_command) == ["pass", "numpy", "alphamv", "setup", "cli_solve"]
+        for stats in by_command.values():
+            assert list(stats) == ["median", "q1", "q3"]
+            assert 0 < stats["q1"] == stats["median"] == stats["q3"]
+    assert checkout_files() == before       # its copies, bytecode and CSV live elsewhere
 
 
 def _spans():
