@@ -247,9 +247,8 @@ def _normal_above_zero(mean: float, sd: float, lengths: list[int], rng: np.rando
         out = rng.normal(mean, sd, size=n)
         if mean < 0:
             continue        # Robert's sampler replaces every first-round draw
-        redo = np.flatnonzero(out <= 0)
-        if redo.size:
-            held.append((k, out, redo))
+        if out.size and out.min() <= 0:     # an all-positive round needs no index
+            held.append((k, out, np.flatnonzero(out <= 0)))
         else:
             yield k, out
     while held:

@@ -264,9 +264,12 @@ def _path_totals(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     Each path's entries are one contiguous segment, so one ``np.add.reduceat``
     over the segment starts of the paths with entries sums them all; a path
-    with no entries gets exactly 0.
+    with no entries gets exactly 0.  Where every path has entries, that one
+    call over all the starts is the result.
     """
     starts = np.cumsum(counts) - counts
+    if counts.all():
+        return np.add.reduceat(values, starts)
     filled = counts > 0
     totals = np.zeros(counts.size, dtype=values.dtype)
     totals[filled] = np.add.reduceat(values, starts[filled])
@@ -562,6 +565,22 @@ def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide
     n = x_T.size
     if n < 2:
         raise ValidationError("paths too few", f"paths too few: need 2 terminal values, got {n}")
+    if distortion is None:
+        penalty, sign = 0.0, 0
+    else:
+        penalty = _integrate_penalty(distortion, params, measure, t)
+        sign = distortion.sign
+    return _score(x_T, penalty, sign, params.gamma)
+
+
+def _score(x_T: np.ndarray, penalty: float, sign: int, gamma: float) -> ObjectiveEstimate:
+    """The :class:`ObjectiveEstimate` of a 1-D sample of at least 2 floats.
+
+    ``penalty`` is the side's penalty integral, entering with ``sign``.
+    ValidationError (tag ``nonfinite:x_T``) for a sample whose mean is not
+    finite.
+    """
+    n = x_T.size
     with np.errstate(over="ignore", invalid="ignore"):     # raised below, with its tag
         m1 = float(np.mean(x_T))
     if not math.isfinite(m1):
@@ -573,12 +592,6 @@ def objective_from_terminal(x_T: np.ndarray, distortion: Optional[DistortionSide
     c3 = float(np.mean(dev2 * dev))
     c4 = float(np.mean(dev2 * dev2))
     variance = c2 * n / (n - 1)
-    if distortion is None:
-        penalty, sign = 0.0, 0
-    else:
-        penalty = _integrate_penalty(distortion, params, measure, t)
-        sign = distortion.sign
-    gamma = params.gamma
     j_value = m1 - 0.5 * gamma * variance + sign * penalty
     # the delta-method variance can round to -0 for degenerate samples
     std_error = math.sqrt(max(0.0, c2 - gamma * c3 + 0.25 * gamma * gamma * (c4 - c2 * c2)) / n)

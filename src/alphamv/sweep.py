@@ -183,20 +183,43 @@ def run_sweep(params: ModelParams, claims: ClaimModelSpec, numerics: NumericsCon
               spec: SweepSpec) -> SweepResult:
     """Sweep one parameter; rows come back sorted by parameter value.
 
-    Every value goes through :func:`replace_param`, so invalid ones are
-    skipped with their invariant's tag; then every point is evaluated at
-    once by :func:`_evaluate_points`.
+    The one-spec case of :func:`_run_sweeps`.
     """
-    values = sorted(spec.values)
+    result, = _run_sweeps(params, claims, numerics, [spec])
+    return result
+
+
+def _run_sweeps(params: ModelParams, claims: ClaimModelSpec, numerics: NumericsConfig,
+                specs) -> list[SweepResult]:
+    """One :class:`SweepResult` per spec, in order, the specs of one quantity and time one batch.
+
+    Every value goes through :func:`replace_param`, so invalid ones are
+    skipped with their invariant's tag; then the points of all the specs of
+    one quantity and evaluation time go through one :func:`_evaluate_points`
+    call.  Each row is that of its spec swept alone, bit for bit: a lane's
+    Newton iterates, dot products and residual check do not read the other
+    lanes.
+    """
+    values = [sorted(spec.values) for spec in specs]
     points = []
-    for value in values:
-        try:
-            points.append(replace_param(params, claims, numerics, spec.param, value))
-        except (ValidationError, NumericalError) as exc:
-            points.append(exc)
-    outcomes = _evaluate_points(points, spec.quantity, 0.0 if spec.t is None else spec.t)
-    return SweepResult(param=spec.param, quantity=spec.quantity,
-                       rows=tuple(map(_row, values, outcomes)))
+    for spec, spec_values in zip(specs, values):
+        points.append([])
+        for value in spec_values:
+            try:
+                points[-1].append(replace_param(params, claims, numerics, spec.param, value))
+            except (ValidationError, NumericalError) as exc:
+                points[-1].append(exc)
+    batches: dict = {}      # (quantity, t) -> indices of its specs
+    for k, spec in enumerate(specs):
+        batches.setdefault((spec.quantity, 0.0 if spec.t is None else spec.t), []).append(k)
+    outcomes = [None] * len(specs)
+    for (quantity, t), members in batches.items():
+        batch = iter(_evaluate_points([p for k in members for p in points[k]], quantity, t))
+        for k in members:
+            outcomes[k] = [next(batch) for _ in points[k]]
+    return [SweepResult(param=spec.param, quantity=spec.quantity,
+                        rows=tuple(map(_row, spec_values, spec_outcomes)))
+            for spec, spec_values, spec_outcomes in zip(specs, values, outcomes)]
 
 
 def _row(value: float, outcome) -> SweepRow:

@@ -19,11 +19,11 @@ import numpy as np
 from .config import ClaimModelSpec, ModelParams, NumericsConfig, replace_param
 from .errors import SaturationWarning, ValidationError
 from .levy import build_measure
-from .simulate import _alpha_mix, objective_from_terminal, simulate_terminal
+from .simulate import _alpha_mix, _integrate_penalty, _score, simulate_terminal
 from .solver import (_stock_coefficients, distortions, pi_p_star, pre_default_system,
                      reinsurance_foc, rk4_stable_steps, scan_foc_sign_changes,
                      solve_equilibrium, value_function)
-from .sweep import SweepSpec, run_sweep
+from .sweep import SweepSpec, _run_sweeps
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
@@ -148,7 +148,17 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     those of one h0 = 0 run per side at those seeds; the h0 = 1 samples
     share their draws.  The lo and hi runs draw from different seeds, so
     the two sides of ``value_identity`` stay independent and its standard
-    error adds theirs in quadrature.
+    error adds theirs in quadrature.  Both rows of a side are scored from
+    one penalty integral.
+
+    The calling thread waits only for the first side to finish.  It then
+    runs the deterministic checks (the distortion identities, the FOC scan
+    and residual, the RK4 check, the directional suite and the stock signs)
+    on the core that side freed, while the slower side finishes, and
+    collects that side last.  A side's error is raised in preference to one
+    from the deterministic checks, as when the sides ran first, and the
+    pool's workers are joined before the call returns or raises.  The
+    report lists the Monte Carlo lines first, whatever finished first.
     The ``pi_p_closed_form`` check runs RK4 on the solution grid, or on
     :func:`alphamv.solver.rk4_stable_steps` steps when the bond mode is past
     RK4's stability limit on that grid.
@@ -161,40 +171,63 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
     measure = build_measure(claims, numerics.quad_nodes)
     solution = solve_equilibrium(params, measure, numerics)
     dist = distortions(solution, params)
-    checks: list[CheckResult] = []
 
-    # --- Monte Carlo runs: one per side, both default states --------------
     # the draws and segment sums release the GIL; imported here because it
     # adds 6-8 ms to `import alphamv.cli`, which every CLI command pays
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
     n, dt, seed = numerics.mc_paths, numerics.mc_dt, numerics.seed
     with ThreadPoolExecutor(max_workers=min(2, _usable_cpus())) as pool:
-        futures = {tag: pool.submit(simulate_terminal, solution, getattr(dist, tag), params,
-                                    measure, n, dt, seed + i, x0=params.x0, h0=(1, 0))
-                   for i, tag in enumerate(("lo", "hi"))}
-        runs = {tag: future.result() for tag, future in futures.items()}
-    # one objective estimate per (side, state) sample serves both oracles below
-    estimates = {(tag, h): objective_from_terminal(x_T[row], getattr(dist, tag), params, measure)
-                 for tag, (x_T, _, _) in runs.items() for row, h in enumerate((1, 0))}
+        sides = [pool.submit(simulate_terminal, solution, getattr(dist, tag), params, measure,
+                             n, dt, seed + i, x0=params.x0, h0=(1, 0))
+                 for i, tag in enumerate(("lo", "hi"))]
+        wait(sides, return_when=FIRST_COMPLETED)
+        try:
+            deterministic = _deterministic_checks(params, claims, numerics, measure,
+                                                  solution, dist)
+        finally:
+            # a side's error replaces the deterministic checks' own
+            (x_lo, default_time, _), (x_hi, _, _) = (side.result() for side in sides)
+    lo, hi = (_side_estimates(x_T, side, params, measure)
+              for x_T, side in ((x_lo, dist.lo), (x_hi, dist.hi)))
+    return VerificationReport(checks=(
+        *_monte_carlo_checks(params, solution, lo, hi, default_time), *deterministic))
 
+
+def _side_estimates(x_T: np.ndarray, side, params: ModelParams, measure) -> list:
+    """A side's objective estimates, one per row of its sample, from one penalty integral.
+
+    Each is :func:`~alphamv.simulate.objective_from_terminal` of its row,
+    bit for bit.
+    """
+    penalty = _integrate_penalty(side, params, measure, 0.0)
+    return [_score(row, penalty, side.sign, params.gamma) for row in x_T]
+
+
+def _monte_carlo_checks(params: ModelParams, solution, lo: list, hi: list,
+                        default_time: np.ndarray) -> list[CheckResult]:
+    """The g-intercept, value-identity and default-frequency lines.
+
+    ``lo`` and ``hi`` are each side's estimates at h0 = 1 and h0 = 0;
+    ``default_time`` is the lo side's.
+    """
+    checks = []
     # g-intercept oracles: distorted means against the backward intercepts
-    for (tag, h), b in (
-        (("lo", 1), solution.b1_lo), (("lo", 0), solution.b0_lo),
-        (("hi", 1), solution.b1_hi), (("hi", 0), solution.b0_hi),
+    for name, est, b in (
+        ("lo_h1", lo[0], solution.b1_lo), ("lo_h0", lo[1], solution.b0_lo),
+        ("hi_h1", hi[0], solution.b1_hi), ("hi_h0", hi[1], solution.b0_hi),
     ):
-        est = estimates[(tag, h)]
         target = math.exp(params.r * params.T) * params.x0 + b[0]
         se = math.sqrt(est.variance / est.n_paths)
         diff = est.mean - target
         checks.append(CheckResult(
-            f"g_intercept_{tag}_h{h}", abs(diff) <= 3 * se,
+            f"g_intercept_{name}", abs(diff) <= 3 * se,
             f"|mean - (e^rT x0 + b)| = {abs(diff):.3e} vs 3*SE = {3 * se:.3e}",
         ))
 
     # value identity: alpha J_lo + (1-alpha) J_hi against e^{rT} x0 + B_h(0)
-    for h in (1, 0):
-        value, se = _alpha_mix(estimates[("lo", h)], estimates[("hi", h)], params)
+    for row, h in enumerate((1, 0)):
+        value, se = _alpha_mix(lo[row], hi[row], params)
         target = value_function(0.0, params.x0, h, solution)
         diff = value - target
         checks.append(CheckResult(
@@ -203,7 +236,6 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         ))
 
     # default frequency against the exponential law
-    default_time = runs["lo"][1]
     frac = float(np.mean(~np.isnan(default_time)))
     p_def = 1.0 - math.exp(-params.hP * params.T)
     se = math.sqrt(max(p_def * (1 - p_def), 1e-300) / default_time.size)
@@ -211,7 +243,14 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         "default_frequency", abs(frac - p_def) <= 3 * se,
         f"|{frac:.5f} - {p_def:.5f}| vs 3*SE = {3 * se:.3e}",
     ))
+    return checks
 
+
+def _deterministic_checks(params: ModelParams, claims: ClaimModelSpec,
+                          numerics: NumericsConfig, measure, solution,
+                          dist) -> list[CheckResult]:
+    """Every line of the report that reads no Monte Carlo sample, in report order."""
+    checks: list[CheckResult] = []
     # --- algebraic distortion identities ------------------------------------
     rng = np.random.default_rng(numerics.seed)
     ts = rng.uniform(0.0, params.T, 10_000)
@@ -303,9 +342,11 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         ("alpha", 0.5, 1.0, "pi_p0", "inc"),
         ("hP", min(2e-4, hP_hi / 25), hP_hi, "pi_p0", "dec"),
     ]
-    for param, lo, hi, quantity, want in directions:
-        spec = SweepSpec.from_range(param, lo, hi, 20, quantity)
-        result = run_sweep(params, claims, numerics, spec)
+    # one lane batch per quantity
+    results = _run_sweeps(params, claims, numerics, [
+        SweepSpec.from_range(param, lo, hi, 20, quantity)
+        for param, lo, hi, quantity, _ in directions])
+    for (param, _, _, quantity, want), result in zip(directions, results):
         values = result.ok_values()
         if values.size < 2:
             # a sweep whose points the model rejects says nothing about monotonicity
@@ -356,4 +397,4 @@ def run_verification(params: ModelParams, claims: ClaimModelSpec,
         "d pi_s/dt sign follows sign(mu - r); d pi_s/d sigma1 sign follows -sign(rho)",
     ))
 
-    return VerificationReport(checks=tuple(checks))
+    return checks

@@ -232,7 +232,9 @@ def _bincount_totals(values, counts):
 def test_path_totals_match_per_claim_bincount():
     # empty first, last and middle paths, and a block with no claims at all
     rng = np.random.default_rng(5)
-    for counts in ([0, 3, 0, 0, 2, 1, 0], [0, 2, 3, 0, 0], [4, 0, 1], [0, 0, 0], [0], [2]):
+    # and every path filled, which takes one reduceat over all the starts
+    for counts in ([0, 3, 0, 0, 2, 1, 0], [0, 2, 3, 0, 0], [4, 0, 1], [0, 0, 0], [0], [2],
+                   [1, 3, 2, 1]):
         counts = np.array(counts)
         values = rng.standard_normal(int(counts.sum()))
         got = simulate_mod._path_totals(values, counts)

@@ -618,11 +618,12 @@ def test_cmd_verify_reports_sweep_without_solved_points(tmp_path, capsys, monkey
     import alphamv.verify as verify_mod
     from alphamv.sweep import SweepResult, SweepRow
 
-    def rejecting_sweep(params, claims, numerics, spec):
-        return SweepResult(spec.param, spec.quantity,
-                           tuple(SweepRow(v, None, "skipped:rejected") for v in spec.values))
+    def rejecting_sweeps(params, claims, numerics, specs):
+        return [SweepResult(spec.param, spec.quantity,
+                            tuple(SweepRow(v, None, "skipped:rejected") for v in spec.values))
+                for spec in specs]
 
-    monkeypatch.setattr(verify_mod, "run_sweep", rejecting_sweep)
+    monkeypatch.setattr(verify_mod, "_run_sweeps", rejecting_sweeps)
     cfg = write_config(tmp_path / "base.cfg",
                        numerics_overrides={"mc_paths": 1000, "mc_dt": 0.05,
                                            "time_steps": 100, "quad_nodes": 32})
@@ -777,13 +778,14 @@ def test_verify_stock_sign_conditions_hold_at_tiny_sigma2(base_params, base_clai
     assert check.passed
 
 
+# the probe config of tests/test_solver.py::test_root_past_the_integrability_edge_raises
+_EDGE = {"beta3": 0.1933, "gamma": 0.4671, "eta": 6.063, "muZ": -0.3196, "sigmaZ": 0.1143}
+
+
 def test_root_past_the_integrability_edge_skips_its_row_and_exits_3(tmp_path, capsys):
-    # the probe config of tests/test_solver.py::test_root_past_the_integrability_edge_raises:
     # solve and verify stop with the root's Assumption 3.1 error, before any
     # claim size is drawn, and a sweep skips only that row
-    cfg = write_config(tmp_path / "edge.cfg",
-                       overrides={"beta3": 0.1933, "gamma": 0.4671, "eta": 6.063,
-                                  "muZ": -0.3196, "sigmaZ": 0.1143},
+    cfg = write_config(tmp_path / "edge.cfg", overrides=_EDGE,
                        numerics_overrides={"mc_paths": 1000, "time_steps": 100})
     rows = run_sweep(*load_config(cfg), SweepSpec("eta", (0.5, 6.063), "pi_q0")).rows
     assert rows[0].status == "ok"
@@ -794,6 +796,116 @@ def test_root_past_the_integrability_edge_skips_its_row_and_exits_3(tmp_path, ca
         err = capsys.readouterr().err
         assert "Assumption 3.1" in err and "u_c = 1/(sigmaZ sqrt(beta3 gamma)) = 29.116" in err
         assert "not integrable" not in err
+
+
+def test_run_sweeps_match_one_run_sweep_per_spec(tmp_path, base_params, base_claims,
+                                                 base_numerics, monkeypatch):
+    # the specs of one quantity are one lane batch, and each row is bit for
+    # bit that of its spec swept alone
+    import alphamv.sweep as sweep_mod
+    base = (base_params, base_claims, base_numerics)
+    edge = load_config(write_config(tmp_path / "edge.cfg", overrides=_EDGE,
+                                    numerics_overrides={"time_steps": 100}))
+    cases = [
+        (base, [SweepSpec.from_range("alpha", 0.5, 1.0, 20, "pi_q0"),
+                SweepSpec.from_range("mu", 0.06, 0.2, 20, "pi_s0"),
+                SweepSpec.from_range("beta3", 0.01, 1.0, 20, "pi_q0"),
+                SweepSpec.from_range("zeta", 0.05, 1.0, 20, "pi_p0"),
+                SweepSpec.from_range("gamma", 0.1, 2.0, 20, "pi_q0"),
+                SweepSpec.from_range("sigma2", 0.1, 0.5, 20, "pi_s0"),
+                SweepSpec.from_range("hP", 2e-4, 5e-3, 20, "pi_p0"),
+                # every point rejected by the model
+                SweepSpec("alpha", (0.1, 0.3), "pi_q0"),
+                SweepSpec("delta", (1e-4, 5e-4), "pi_p0")]),
+        # a lane whose root lies past the integrability edge, beside lanes that solve
+        (edge, [SweepSpec("eta", (0.5, 6.063), "pi_q0"),
+                SweepSpec.from_range("gamma", 0.1, 0.4671, 5, "pi_q0")]),
+    ]
+    evaluate = sweep_mod._evaluate_points
+    batches = []
+    def counted(points, quantity, t):
+        batches.append(quantity)
+        return evaluate(points, quantity, t)
+
+    for model, specs in cases:
+        monkeypatch.setattr(sweep_mod, "_evaluate_points", counted)
+        batch = sweep_mod._run_sweeps(*model, specs)
+        monkeypatch.setattr(sweep_mod, "_evaluate_points", evaluate)
+        assert repr(batch) == repr([run_sweep(*model, spec) for spec in specs])
+    assert batches == ["pi_q0", "pi_s0", "pi_p0", "pi_q0"]
+
+    base_rows = sweep_mod._run_sweeps(*base, cases[0][1])
+    assert all(row.status == "ok" for result in base_rows[:7] for row in result.rows)
+    assert all(row.status.startswith("skipped:") for result in base_rows[7:]
+               for row in result.rows)
+    eta, gamma = sweep_mod._run_sweeps(*edge, cases[1][1])
+    assert eta.rows[0].status == "ok"
+    assert eta.rows[1].status.startswith("skipped:numerical (Assumption 3.1 fails")
+    assert any(row.status == "ok" for row in gamma.rows)
+
+
+def _small_verify_numerics(numerics):
+    return dataclasses.replace(numerics, mc_paths=1000, mc_dt=0.05, time_steps=100,
+                               quad_nodes=32)
+
+
+@pytest.mark.parametrize("failing", [None, "lo", "hi"])
+def test_verify_side_error_wins_and_no_worker_outlives_the_call(base_params, base_claims,
+                                                                base_numerics, monkeypatch,
+                                                                failing):
+    # the deterministic checks run while the slower side samples: here the
+    # hi side waits until they have run, and they raise.  A side's error is
+    # raised in preference to theirs, and the call returns only once both
+    # workers are gone
+    import threading
+    import alphamv.verify as verify_mod
+    numerics = _small_verify_numerics(base_numerics)
+    simulate, ran = verify_mod.simulate_terminal, threading.Event()
+
+    def side(*args, **kwargs):
+        tag = "lo" if args[6] == numerics.seed else "hi"
+        if tag == "hi":
+            assert ran.wait(10), "the deterministic checks waited for both sides"
+        if tag == failing:
+            raise NumericalError(f"{tag} side failed")
+        return simulate(*args, **kwargs)
+
+    def deterministic(*args):
+        ran.set()
+        raise RuntimeError("deterministic checks failed")
+
+    monkeypatch.setattr(verify_mod, "simulate_terminal", side)
+    monkeypatch.setattr(verify_mod, "_deterministic_checks", deterministic)
+    threads = threading.active_count()
+    raised = NumericalError if failing else RuntimeError
+    with pytest.raises(raised, match=f"{failing} side" if failing else "deterministic"):
+        run_verification(base_params, base_claims, numerics)
+    assert ran.is_set()
+    assert threading.active_count() == threads
+
+
+def test_verify_scores_a_side_from_one_penalty_integral(base_params, base_claims,
+                                                        base_numerics, monkeypatch):
+    # both default-state rows of a side share one penalty integral, and each
+    # estimate is that of objective_from_terminal of its row, bit for bit
+    import alphamv.verify as verify_mod
+    from alphamv.simulate import objective_from_terminal, simulate_terminal
+    from alphamv.solver import distortions
+    numerics = _small_verify_numerics(base_numerics)
+    measure = build_measure(base_claims, numerics.quad_nodes)
+    solution = solve_equilibrium(base_params, measure, numerics)
+    penalty, calls = verify_mod._integrate_penalty, []
+    monkeypatch.setattr(verify_mod, "_integrate_penalty",
+                        lambda *args: calls.append(args) or penalty(*args))
+    dist = distortions(solution, base_params)
+    for seed, side in enumerate((dist.lo, dist.hi), start=7):
+        x_T, _, _ = simulate_terminal(solution, side, base_params, measure, 1000, 0.05, seed,
+                                      h0=(1, 0))
+        calls.clear()
+        got = verify_mod._side_estimates(x_T, side, base_params, measure)
+        assert len(calls) == 1
+        assert repr(got) == repr([objective_from_terminal(row, side, base_params, measure)
+                                  for row in x_T])
 
 
 def test_verify_pi_p_check_runs_rk4_on_its_stable_steps(base_params, base_claims,
