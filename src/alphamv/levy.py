@@ -202,17 +202,27 @@ def build_measure(spec: ClaimModelSpec, quad_nodes: int) -> ClaimMeasure:
     return measure
 
 
-# sizes per chunk: 8 bytes each plus malloc's header stay under glibc's 128 KiB
-# mmap threshold, so a chunk reuses heap memory as _csvtext's blocks do
-_CHUNK_SIZES = (128 * 1024 - 64) // 8
+# sizes per chunk, 1 MiB less malloc's header.  A stream draws every chunk
+# into one buffer allocated once, so glibc's 128 KiB mmap threshold costs one
+# set of fresh pages a stream, not one a chunk, and the size trades the
+# per-chunk GIL round trips of the generator's numpy calls (verify's two
+# extremal sides sample on two threads) against cache: on 2 cores the two
+# claim-heavy sides ran about 1.4x faster on two threads than on one with
+# 128 KiB chunks and 1.5x with 1 MiB, one thread alone as fast, and 2 MiB
+# chunks gained verify less than 1 MiB
+_CHUNK_SIZES = (1024 * 1024 - 64) // 8
 
 
 def _chunk_bounds(offsets: np.ndarray) -> list[int]:
-    """Group indices that cut groups into chunks of whole groups of at most 16,376 draws.
+    """Group indices that cut groups into chunks of whole groups of at most 131,064 draws.
 
     ``offsets`` is 0, then the running total of the groups' draws.  Chunk k
     is groups ``bounds[k]:bounds[k + 1]``; a group of more draws than one
-    chunk holds is a chunk of its own.
+    chunk holds is a chunk of its own.  A stream draws its chunks into one
+    buffer of the longest chunk's length, allocated once, so the 1 MiB size
+    sets the GIL round trips per draw, not the page faults (see
+    ``_CHUNK_SIZES``); a chunk held for a redraw round is a copy of its own
+    (:func:`_normal_above_zero`).
     """
     bounds = [0]
     while bounds[-1] < offsets.size - 1:
@@ -229,26 +239,36 @@ def _normal_above_zero(mean: float, sd: float, lengths: list[int], rng: np.rando
     sum(lengths), chunk by chunk, then the redraw rounds, each over all the
     entries still pending, in index order; so the draws are those of one
     chunk of n, and numpy draws ``size=m`` then ``size=k`` as it draws
-    ``size=m + k``.  For mean >= 0, plain rejection from the normal accepts
-    at least half of the draws: the nonpositive ones are drawn again until
-    none is left.  A chunk is yielded once it has none: at once if its first
-    round is all positive, else held until the round that clears it.  Below
-    that the lower tail is sampled by Robert's exponential proposal
+    ``size=m + k``.  Every first round is drawn into one buffer of
+    ``max(lengths)`` floats, allocated once: ``standard_normal(out=)``, then
+    ``*= sd`` and ``+= mean`` in place, the bits of ``normal(mean, sd)``'s
+    ``loc + scale z``.  A yielded first-round chunk is a view of that
+    buffer, valid until the caller asks for the next chunk.  For mean >= 0,
+    plain rejection from the normal accepts at least half of the draws: the
+    nonpositive ones are drawn again until none is left.  A chunk is yielded
+    once it has none: at once if its first round is all positive, else held
+    until the round that clears it; a held chunk is a copy of its first
+    round, so it costs its own ``8 lengths[k]`` bytes until it is yielded.
+    Below that the lower tail is sampled by Robert's exponential proposal
     (Statistics and Computing 5, 1995): in units of sd above the cut-off
     alpha = -mean/sd, ``x = alpha + Exp(lam)`` with ``lam = (alpha +
     sqrt(alpha^2 + 4))/2``, accepted with probability ``exp(-(x - lam)^2/2)``,
     which accepts at least 3/4 of the proposals.  Its first round is n plain
-    normals, all replaced, and each of its rounds draws the exponentials of
-    all pending entries before their uniforms, so every chunk is held until
-    the last round.
+    normals, drawn through the buffer and all replaced, and each of its
+    rounds draws the exponentials of all pending entries before their
+    uniforms, so every chunk is held, in one array of n, until the last
+    round.
     """
+    buf = np.empty(max(lengths, default=0))
     held = []
     for k, n in enumerate(lengths):
-        out = rng.normal(mean, sd, size=n)
+        out = rng.standard_normal(out=buf[:n])
         if mean < 0:
             continue        # Robert's sampler replaces every first-round draw
-        if out.size and out.min() <= 0:     # an all-positive round needs no index
-            held.append((k, out, np.flatnonzero(out <= 0)))
+        out *= sd
+        out += mean
+        if n and out.min() <= 0:     # an all-positive round needs no index
+            held.append((k, out.copy(), np.flatnonzero(out <= 0)))
         else:
             yield k, out
     while held:
@@ -280,12 +300,18 @@ def stream_truncated_sizes(spec: ClaimModelSpec, counts: np.ndarray, rng: np.ran
     """Draw ``sum(counts)`` claim sizes in chunks of whole groups, ``counts[i]`` to group i.
 
     Yields ``(lo, hi, sizes)`` for groups ``lo:hi``, their sizes grouped in
-    order, once per chunk of at most 16,376 sizes (a group of more is a chunk
-    of its own), not always in chunk order; every draw comes from ``rng`` in
-    the order of :func:`sample_truncated_sizes` of all the sizes at once, so
-    the sizes are those of that call bit for bit.  The law, the tilt ``a,
-    b`` and the NumericalError, raised before any draw, are those of
-    :func:`sample_truncated_sizes`.
+    order, once per chunk of at most 131,064 sizes, 1 MiB (a group of more is
+    a chunk of its own), not always in chunk order; every draw comes from
+    ``rng`` in the order of :func:`sample_truncated_sizes` of all the sizes
+    at once, so the sizes are those of that call bit for bit.  The stream
+    draws its chunks through one buffer of the longest chunk's length,
+    allocated once (the truncated normal's first rounds, the tabulated
+    law's uniforms), so a yielded ``sizes`` may be overwritten once the
+    caller asks for the next chunk: reduce or copy it first.  Besides that
+    buffer, a chunk of a truncated normal that waits for a redraw round
+    holds a copy of its own (see :func:`_normal_above_zero`).  The law, the
+    tilt ``a, b`` and the NumericalError, raised before any draw, are those
+    of :func:`sample_truncated_sizes`.
     """
     limit = tilt_limit(spec)
     if not b < limit:       # only a truncated normal has a finite limit
@@ -307,7 +333,8 @@ def stream_truncated_sizes(spec: ClaimModelSpec, counts: np.ndarray, rng: np.ran
         cdf = np.zeros(dens.shape)
         np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(z), out=cdf[1:])
         cdf /= cdf[-1]
-        chunks = ((k, np.interp(rng.random(n), cdf, z)) for k, n in enumerate(lengths))
+        buf = np.empty(max(lengths, default=0))
+        chunks = ((k, np.interp(rng.random(out=buf[:n]), cdf, z)) for k, n in enumerate(lengths))
     for k, sizes in chunks:
         yield bounds[k], bounds[k + 1], sizes
 

@@ -39,12 +39,15 @@ is the sum of one contiguous segment of the per-claim amounts (with
 ``coeffs``, ``u*`` times the segment sum of the sizes); the per-claim path
 index is built only for recorded paths, which place each claim on the grid.
 Without recording, a strategy with ``coeffs`` takes its sizes per chunk of
-whole paths, at most 16,376 sizes (128 KiB), each summed into its paths'
-totals and dropped, so a terminal run holds O(paths) floats and one chunk
-of claims, not O(claims): only the chunks of a law that redraws, held from
-their first round to the redraw round that clears them, and the whole
-block under Robert's tail sampler, hold more (see
-``levy._normal_above_zero``).  The chunks draw in the order of one size
+whole paths, at most 131,064 sizes (1 MiB), each summed into its paths'
+totals before the next is drawn, so a terminal run holds O(paths) floats
+and one chunk of claims, not O(claims).  The chunks of a block are drawn
+into one buffer allocated once (chunks 8 times smaller cost 8 times the
+GIL round trips of the generator's numpy calls while verify's two sides
+sample on two threads, and 2 MiB chunks measured slower): only the chunks
+of a law that redraws, each a copy held from its first round to the redraw
+round that clears it, and the whole block under Robert's tail sampler,
+hold more (see ``levy._normal_above_zero``).  The chunks draw in the order of one size
 draw per block: the first round for all the block's claims, then the
 redraw rounds in index order, so the sample is the same bit for bit.
 
@@ -296,8 +299,9 @@ def _simulate_block(rng: np.random.Generator, tables: _RunTables, params: ModelP
     segment of the per-claim arrays (:func:`_path_totals`).  For a strategy
     with ``coeffs`` it is ``u*`` times the segment sum of the sizes, and
     unless the run records, the sizes come in chunks of whole paths of at
-    most 128 KiB (:func:`levy.stream_truncated_sizes`), each reduced to its
-    paths' totals and dropped: no per-claim array outlives its chunk.  Other
+    most 1 MiB, all drawn into one buffer (:func:`levy.stream_truncated_sizes`),
+    each reduced to its paths' totals before the next overwrites it: no
+    per-claim array outlives its chunk but a chunk held for a redraw round.  Other
     runs read each claim and draw the block's sizes at once.  Returns the
     block's ``(claim_time, claim_size)`` when ``wealth`` is recorded, whose
     per-claim path index is built only then; None otherwise.

@@ -115,6 +115,60 @@ def test_startup_tool_reports_every_command():
     assert checkout_files() == before       # its copies, bytecode and CSV live elsewhere
 
 
+def _ab_tool():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    return ab
+
+
+def _bench_result(correct, failed, **values):
+    return {"correct": correct, "attempted": 9, "failed": failed,
+            "metrics": {name: {"value": value, "unit": "s"} for name, value in values.items()}}
+
+
+_AB_METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "work_per_s", "better": "higher", "bound": 0.25}]
+# (parent, change) per pair: wall_s 1.0/0.9, 1.2/1.3, 1.1/0.8; work_per_s 10/5, 10/12, 10/7
+_AB_PAIRS = [(_bench_result(True, 0, wall_s=p, work_per_s=10.0),
+              _bench_result(ok, failed, wall_s=c, work_per_s=w))
+             for p, c, w, ok, failed in ((1.0, 0.9, 5.0, True, 0), (1.2, 1.3, 12.0, False, 1),
+                                         (1.1, 0.8, 7.0, True, 0))]
+
+
+def test_ab_tool_summarizes_alternating_pairs(tmp_path, monkeypatch, capsys):
+    # canned run results, no benchmark run: medians, inclusive quartiles,
+    # wins by each metric's direction, the IQR test and the bound test
+    ab = _ab_tool()
+    assert ab.last_json('line\n{"correct": true}\n\n') == {"correct": True}
+    record = ab.summarize(_AB_PAIRS, _AB_METRICS)
+    assert record["pairs"] == 3 and record["failed"] == 1 and not record["all_correct"]
+    assert record["runs"][1] == {"parent": {"correct": True, "failed": 0},
+                                 "change": {"correct": False, "failed": 1}}
+    assert record["wall_s"] == {
+        "parent_median": 1.1, "parent_q1_q3": [1.05, 1.15],
+        "change_median": 0.9, "change_q1_q3": [0.85, 1.1],
+        "rel_change": -0.1818, "change_wins": "2/3",
+        "gap_exceeds_parent_iqr": True, "worse_than_bound": False}
+    work = record["work_per_s"]
+    assert work["change_median"] == 7.0 and work["parent_q1_q3"] == [10.0, 10.0]
+    assert work["rel_change"] == -0.3
+    assert work["change_wins"] == "1/3" and work["worse_than_bound"]
+    assert record["any_worse_than_bound"]
+
+    # odd pairs run the parent first; the metrics come from the change's BENCHMARK.json
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": _AB_METRICS}))
+    calls, canned = [], iter(result for pair, first in zip(_AB_PAIRS, (0, 1, 0))
+                             for result in (pair[first], pair[1 - first]))
+    monkeypatch.setattr(ab, "_run", lambda checkout, args: calls.append(checkout) or next(canned))
+    ab.main([str(parent), str(change), "--workload", "verify", "--seed", "3", "--pairs", "3"])
+    assert calls == [parent, change, change, parent, parent, change]
+    assert json.loads(capsys.readouterr().out) == record
+
+
 def _spans():
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)

@@ -221,3 +221,24 @@ def test_truncated_normal_redraws_nonpositive_draws_above_a_zero_mean():
         dist = truncnorm(-mean / spec.sigmaZ, np.inf, loc=mean, scale=spec.sigmaZ)
         for stat, want in ((got, dist.mean()), ((got - dist.mean()) ** 2, dist.var())):
             assert abs(stat.mean() - want) <= 4 * stat.std(ddof=1) / math.sqrt(stat.size)
+
+
+def test_buffered_draws_reproduce_numpys_sized_draws():
+    # a stream draws its chunks into one buffer: standard_normal(out=) scaled
+    # and shifted in place must be normal(mean, sd, size)'s loc + scale z bit
+    # for bit, call after call on one generator, as must random(out=); a
+    # numpy that fused the multiply-add would fail here, not move samples
+    lengths = (levy_mod._CHUNK_SIZES, 17, 0)
+    buf = np.empty(max(lengths))
+    for mean, sd in ((1.5, 0.3), (1e-3, 0.01), (-0.7, 2.0)):
+        want_rng, got_rng = np.random.default_rng(41), np.random.default_rng(41)
+        for n in lengths:
+            want = want_rng.normal(mean, sd, size=n)
+            got = got_rng.standard_normal(out=buf[:n])
+            got *= sd
+            got += mean
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for n in lengths:
+            want = want_rng.random(n)
+            got = got_rng.random(out=buf[:n])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -322,7 +322,8 @@ def _whole_block_terminal(strategy, side, params, measure, n_paths, dt, seed, st
 
 
 _GRID = np.linspace(0.1, 3.0, 40)
-# (claim law, side, paths, seed): the streamed draws must be those of one call per block
+# (claim law, side, paths, seed): the streamed draws must be those of one call
+# per block, at the 16,376-size chunks these cases were sized for
 _STREAM_CASES = {
     "base": (ClaimModelSpec(lam=1.0, muZ=1.0, sigmaZ=0.1), "lo", 5000, 3),
     "redraw-heavy": (ClaimModelSpec(lam=5.0, muZ=0.2, sigmaZ=1.0), "hi", 3000, 4),
@@ -335,23 +336,28 @@ _STREAM_CASES = {
     "blocks": (ClaimModelSpec(lam=1.0, muZ=1.0, sigmaZ=0.1), "hi",
                simulate_mod.BLOCK_SIZE + 700, 8),
 }
+# (claim law, side, paths, seed, parameter overrides) at the default chunk
+# size: the benchmark's claim-heavy verify side, and a law whose tilted mean
+# is 4.55 sd above 0, so that some chunks of a block wait for a redraw round
+# while the others are yielded from the stream's buffer
+_DEFAULT_CHUNK_CASES = {
+    "claim-heavy": (ClaimModelSpec(lam=20.0, muZ=0.05, sigmaZ=0.01), "lo", 3000, 9,
+                    {"beta3": 2.0}),
+    "held-chunks": (ClaimModelSpec(lam=20.0, muZ=1.0, sigmaZ=0.22), "lo", 6000, 10, {}),
+}
 
 
 @functools.cache
 def _stream_case(name):
-    claims, side, n, seed = _STREAM_CASES[name]
+    claims, side, n, seed, *overrides = {**_STREAM_CASES, **_DEFAULT_CHUNK_CASES}[name]
     measure = build_measure(claims, 32)
-    params = ModelParams(**BASE_KWARGS)
+    params = ModelParams(**{**BASE_KWARGS, **(overrides[0] if overrides else {})})
     solution = solve_equilibrium(params, measure, NumericsConfig(time_steps=200))
     return solution, getattr(distortions(solution, params), side), n, seed
 
 
-@pytest.mark.parametrize("case", list(_STREAM_CASES))
-@pytest.mark.parametrize("h0", [0, 1, (1, 0)])
-def test_streamed_sizes_match_one_draw_per_block(case, h0, monkeypatch):
-    # the sizes come in chunks of whole paths, reduced and dropped chunk by
-    # chunk; the draws, and so every bit of the sample, are those of one size
-    # draw per block (first rounds for all claims, then the redraw rounds)
+def _assert_streamed_match_whole_block(case, h0, monkeypatch):
+    """Run ``case`` streamed and against :func:`_whole_block_terminal`; its counts."""
     solution, side, n, seed = _stream_case(case)
     params, measure = solution.params, solution.coeffs.measure
     args = (solution, side, params, measure, n, 0.05, seed)
@@ -364,8 +370,19 @@ def test_streamed_sizes_match_one_draw_per_block(case, h0, monkeypatch):
         assert np.array_equal(np.reshape(x_T, (len(states), n)), ref_x)
         assert np.array_equal(default_time, ref_default, equal_nan=True)
         assert np.array_equal(counts, ref_counts)
+    return counts
 
-    chunk = levy_mod._CHUNK_SIZES
+
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+@pytest.mark.parametrize("h0", [0, 1, (1, 0)])
+def test_streamed_sizes_match_one_draw_per_block(case, h0, monkeypatch):
+    # the sizes come in chunks of whole paths, reduced and dropped chunk by
+    # chunk; the draws, and so every bit of the sample, are those of one size
+    # draw per block (first rounds for all claims, then the redraw rounds)
+    chunk = 16_376
+    monkeypatch.setattr(levy_mod, "_CHUNK_SIZES", chunk)
+    counts = _assert_streamed_match_whole_block(case, h0, monkeypatch)
+
     if case == "long-paths":
         assert counts.min() > chunk
     elif case == "sparse":
@@ -377,10 +394,40 @@ def test_streamed_sizes_match_one_draw_per_block(case, h0, monkeypatch):
     # the tilted normal's mean over its sd: 0.2 redraws 42% of the first
     # round, so every chunk is held; below 0 is Robert's sampler
     if case in ("redraw-heavy", "robert"):
-        (a, b), s = side.tilt, measure.spec.sigmaZ
+        solution, side, _, _ = _stream_case(case)
+        (a, b), s = side.tilt, solution.coeffs.measure.spec.sigmaZ
         shrink = 1.0 - 2.0 * b * s * s
-        ratio = (measure.spec.muZ + a * s * s) / (s * shrink ** 0.5)
+        ratio = (solution.coeffs.measure.spec.muZ + a * s * s) / (s * shrink ** 0.5)
         assert 0.0 <= ratio < 0.25 if case == "redraw-heavy" else ratio < 0.0
+
+
+@pytest.mark.parametrize("case", list(_DEFAULT_CHUNK_CASES))
+def test_streamed_sizes_match_at_the_default_chunk_size(case, monkeypatch):
+    # one buffer per stream: a chunk yielded from the first round is a view
+    # of it, and a chunk held for a redraw round keeps memory of its own
+    streams = []
+    normal_above_zero = levy_mod._normal_above_zero
+
+    def recording(*args):
+        streams.append(stream := [])
+        for k, out in normal_above_zero(*args):
+            stream.append((k, out))
+            yield k, out
+
+    monkeypatch.setattr(levy_mod, "_normal_above_zero", recording)
+    counts = _assert_streamed_match_whole_block(case, (1, 0), monkeypatch)
+    assert counts.sum() > 3 * levy_mod._CHUNK_SIZES
+
+    held = shared = 0
+    for stream in streams:
+        for p, (k, out) in enumerate(stream):
+            # a chunk yielded after a chunk of a higher index was held
+            if any(j > k for j, _ in stream[:p]):
+                held += 1
+                assert not any(np.shares_memory(out, other) for j, other in stream if j > k)
+            shared += any(np.shares_memory(out, other) for _, other in stream[p + 1:])
+    assert shared > 0
+    assert held > 0 or case != "held-chunks"
 
 
 def test_terminal_memory_grows_with_paths_not_claims(base_params):
