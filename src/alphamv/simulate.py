@@ -83,7 +83,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._csvtext import csv_text
+from ._csvtext import csv_text, write_file
 from .config import ModelParams, _require_finite, _require_integer
 from .errors import NumericalError, ValidationError
 from .levy import (ClaimMeasure, _gauss_legendre, sample_truncated_sizes,
@@ -662,11 +662,10 @@ def dump_paths_csv(paths: Sequence[WealthPath], out_path) -> None:
 
     Times and wealth are ``'%.17g'``; the path index and the state are
     integers, which ``'%.17g'`` of their float writes as the same text.
+    Written in place by :func:`~alphamv._csvtext.write_file`.
     """
     rows = [np.column_stack((np.full(len(path.times), pid), path.times, path.wealth,
                              np.asarray(path.default_state, int)))
             for pid, path in enumerate(paths)]
     table = np.concatenate(rows) if rows else np.empty((0, 4))
-    with open(out_path, "wb") as fh:
-        fh.write(b"path_id,time,wealth,default_state\n")
-        fh.write(csv_text(table))
+    write_file(out_path, b"path_id,time,wealth,default_state\n", csv_text(table))

@@ -18,12 +18,13 @@ root fails, are reported and skipped, never silently dropped.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._csvtext import csv_text
+from ._csvtext import csv_text, write_file
 from .config import (ALL_KEYS, ClaimModelSpec, ModelParams, NumericsConfig,
                      _require_integer, replace_param)
 from .errors import NumericalError, ValidationError
@@ -235,22 +236,26 @@ def _fmt(x: float) -> str:
 
 
 def write_solve_csv(out_path, solution: EquilibriumSolution) -> None:
-    """Full solution table, one row per grid point, ``'%.17g'`` per value."""
+    """Full solution table, one row per grid point, ``'%.17g'`` per value.
+
+    Written in place by :func:`~alphamv._csvtext.write_file`.
+    """
     table = np.column_stack((solution.grid, solution.pi_q, solution.pi_s, solution.pi_p,
                              solution.B1, solution.B0, solution.b1_lo, solution.b1_hi,
                              solution.b0_lo, solution.b0_hi))
-    with open(out_path, "wb") as fh:
-        fh.write(b"t,pi_q,pi_s,pi_p,B1,B0,b1_lo,b1_hi,b0_lo,b0_hi\n")
-        fh.write(csv_text(table))
+    write_file(out_path, b"t,pi_q,pi_s,pi_p,B1,B0,b1_lo,b1_hi,b0_lo,b0_hi\n", csv_text(table))
 
 
 def write_sweep_csv(out_path, result: SweepResult) -> None:
     """Sweep table: parameter value, quantity (empty when skipped), status.
 
-    A status holding a comma (a bracket error's ``[0, 2 u0]``) is quoted.
+    ``csv.writer`` quotes a field holding a comma (a bracket error's ``[0, 2
+    u0]``), a double quote or a newline, doubling its quotes.  The UTF-8 text
+    is written in place by :func:`~alphamv._csvtext.write_file`.
     """
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow((result.param, result.quantity, "status"))
-        writer.writerows((_fmt(row.value), "" if row.quantity is None else _fmt(row.quantity),
-                          row.status) for row in result.rows)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow((result.param, result.quantity, "status"))
+    writer.writerows((_fmt(row.value), "" if row.quantity is None else _fmt(row.quantity),
+                      row.status) for row in result.rows)
+    write_file(out_path, text.getvalue().encode("utf-8"))

@@ -1,4 +1,4 @@
-"""The numeric CSV writer: byte for byte the text of ``'%.17g' % x``."""
+"""The numeric CSV writer: byte for byte the text of ``'%.17g' % x``; the file writer."""
 
 import math
 import os
@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphamv import _csvtext
-from alphamv._csvtext import _BLOCK_BYTES, _WIDTH, csv_text
+from alphamv._csvtext import _BLOCK_BYTES, _WIDTH, csv_text, write_file
+from alphamv.cli import main
+
+from conftest import write_config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -112,3 +115,62 @@ def test_tables_are_not_built_at_import():
         env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "0"
+
+
+# ---------------------------------------------------------------------------
+# write_file: in place, cut at the new end
+# ---------------------------------------------------------------------------
+
+OLD = b"old text that is longer than the new one\n" * 64
+
+
+def test_rewrite_ends_the_file_at_the_new_text(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_bytes(OLD)
+    write_file(out, b"a,b\n", b"1,2\n")
+    assert out.read_bytes() == b"a,b\n1,2\n"
+    write_file(out, OLD, b"tail")
+    assert out.read_bytes() == OLD + b"tail"
+    write_file(out)
+    assert out.read_bytes() == b""
+    write_file(tmp_path / "new.csv", b"x\n")
+    assert (tmp_path / "new.csv").read_bytes() == b"x\n"
+
+
+def test_rewrite_keeps_inode_mode_and_hard_links(tmp_path):
+    out, link = tmp_path / "out.csv", tmp_path / "link.csv"
+    out.write_bytes(OLD)
+    out.chmod(0o640)
+    os.link(out, link)
+    before = out.stat()
+    write_file(out, b"new\n")
+    after = out.stat()
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+    assert link.read_bytes() == out.read_bytes() == b"new\n"
+
+
+def test_a_symlinked_output_is_written_through_the_link(tmp_path):
+    target, out = tmp_path / "target.csv", tmp_path / "out.csv"
+    target.write_bytes(OLD)
+    out.symlink_to(target)
+    write_file(out, b"new\n")
+    assert out.is_symlink() and os.readlink(out) == str(target)
+    assert target.read_bytes() == b"new\n"
+
+
+def test_a_failed_write_leaves_a_prefix_of_the_new_text(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_bytes(OLD)
+    with pytest.raises(TypeError):
+        write_file(out, b"head", object())
+    assert out.read_bytes() == b"head"
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_output_to_dev_null_is_written_not_truncated(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "base.cfg", numerics_overrides={"time_steps": 50})
+    argv = ["solve", "--config", str(cfg)] if command == "solve" else [
+        "sweep", "--config", str(cfg), "--param", "alpha", "--from", "0.5", "--to", "1.0",
+        "--points", "3", "--quantity", "pi_q0"]
+    assert main([*argv, "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""

@@ -20,8 +20,8 @@ from alphamv.errors import NumericalError, SaturationWarning, ValidationError
 from alphamv.levy import build_measure
 from alphamv.solver import (EquilibriumSolution, pi_p_star, pi_s_star, rk4_stable_steps,
                             solve_equilibrium, solve_pi_q_star)
-from alphamv.sweep import (QUANTITIES, SweepSpec, evaluate_quantity, run_sweep,
-                           write_solve_csv)
+from alphamv.sweep import (QUANTITIES, SweepResult, SweepRow, SweepSpec, evaluate_quantity,
+                           run_sweep, write_solve_csv, write_sweep_csv)
 from alphamv.verify import run_verification
 
 from conftest import write_config
@@ -474,6 +474,26 @@ def test_cmd_sweep_quotes_a_status_with_a_comma(tmp_path, base_params, base_clai
     assert [row[2] for row in table[1:]] == [row.status for row in rows]
     assert "[0, 2 u0]" in rows[0].status
     assert out.read_text().splitlines()[2].endswith(",ok")
+
+
+def test_sweep_csv_quotes_as_csv_writer_does(tmp_path):
+    # csv.writer quotes a field holding a comma, a quote or a character of
+    # the line terminator; on Python 3.11 a bare "\r" is not one of them
+    statuses = ["ok", "skipped:a, b", 'skipped:say "x"', "skipped:two\nlines",
+                "skipped:cr\rhere", "", "skipped:numerical (ü, \r\n)"]
+    result = SweepResult(param="alpha", quantity="pi_q0", rows=tuple(
+        SweepRow(value=0.1 * k, quantity=None if k == 1 else k / 3.0, status=status)
+        for k, status in enumerate(statuses)))
+    out, reference = tmp_path / "sweep.csv", tmp_path / "reference.csv"
+    write_sweep_csv(out, result)
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [("alpha", "pi_q0", "status"),
+             *((format(row.value, ".17g"),
+                "" if row.quantity is None else format(row.quantity, ".17g"), row.status)
+               for row in result.rows)])
+    assert out.read_bytes() == reference.read_bytes()
+    assert b'0.10000000000000001,,"skipped:a, b"\n' in out.read_bytes()
 
 
 def test_cmd_sweep_unknown_param(tmp_path, capsys):
